@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 from .curves import ParametricCurve
-from .errors import InvalidParameter, NoReference, UnknownShape
+from .errors import DiffGeoError, InvalidParameter, NoReference, UnknownShape
 from .expr import load_definition
 from .surfaces import ParametricSurface
 
-__all__ = ["CatalogEntry", "make", "reference", "entry", "names"]
+__all__ = ["CatalogEntry", "make", "build", "reference", "entry", "names"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -78,17 +78,27 @@ def entry(name):
 def make(name, **overrides):
     """Build the named shape as a ParametricCurve or ParametricSurface."""
     ent = entry(name)
-    definition, params = ent.definition(overrides)
-    if ent.kind == "curve":
+    definition, _ = ent.definition(overrides)
+    return build(definition, periodic=ent.periodic)
+
+
+def build(definition, periodic=(None, None)):
+    """A 'curve' or 'surface' ShapeDefinition as a ParametricCurve or
+    ParametricSurface.  The declared domain is sampling metadata, so
+    evaluation does not check it (shooting solvers probe beyond it)."""
+    if definition.kind == "curve":
         (pname,) = definition.params
         return ParametricCurve(
             lambda t: definition.eval(t, check_domain=False),
             definition.params[pname])
-    pnames = list(definition.params)
-    dom = definition.params[pnames[0]] + definition.params[pnames[1]]
-    return ParametricSurface(
-        lambda u, v: definition.eval(u, v, check_domain=False), dom,
-        periodic=ent.periodic)
+    if definition.kind == "surface":
+        pnames = list(definition.params)
+        dom = definition.params[pnames[0]] + definition.params[pnames[1]]
+        return ParametricSurface(
+            lambda u, v: definition.eval(u, v, check_domain=False), dom,
+            periodic=periodic)
+    raise DiffGeoError(f"a shape must be a 'curve' or 'surface' definition, "
+                       f"got a {definition.kind!r}")
 
 
 def reference(name, overrides=None, point=None, quantity=None):

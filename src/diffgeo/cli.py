@@ -19,85 +19,116 @@ from . import catalog, report
 from .curves import (ParametricCurve, classify_curve, frenet,
                      frenet_residuals, reconstruct_from_kappa_tau)
 from .errors import DiffGeoError, NonOrthogonalPatch, UmbilicPoint
-from .expr import eval_scalar, load_definition, parse_text
+from .expr import compile_expr, eval_literal, load_definition, parse_text
 from .ode import OdeSpec
 from .quadrature import QuadSpec
-from .surfaces import (ParametricSurface, curvatures, forms, riemann_R1212,
+from .surfaces import (curvatures, forms, riemann_R1212,
                        form_identity_residual, gauss_weingarten_residuals,
-                       codazzi_compatibility_residuals)
+                       codazzi_compatibility_residuals, total_curvature)
 from .surfacecurves import (BoundaryLoop, SurfaceCurve,
                             asymptotic_directions, bonnet_torsion_check,
                             curvature_split, gauss_bonnet_global,
                             gauss_bonnet_local, geodesic_bvp, geodesic_ivp,
                             geodesic_torsion, geodesic_torsion_principal,
                             kappa_n_quotient, liouville_check,
-                            parallel_transport, principal_direction_field,
-                            _total_curvature_rect)
+                            parallel_transport, principal_direction_field)
 from .vectors import Vec3
 
+_EXIT_ARGS = 2
 _EXIT_EVAL = 3
 _EXIT_SUITE = 4
 _EXIT_GEODESIC = 5
 
 
-def _default_tol():
-    env = os.environ.get("DIFFGEO_TOL")
-    return float(env) if env else 1e-10
+def _grid(text):
+    """'NxM' point counts; a lone 'N' means N points on a curve and NxN on
+    a surface."""
+    nu, _, nv = text.partition("x")
+    try:
+        counts = (int(nu), int(nv or nu))
+    except ValueError:
+        counts = (0, 0)
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected N or NxM with counts of at least 1, got {text!r}")
+    return counts
 
 
-def _parse_params(items):
+def _number(text, what):
+    """A finite number written as an expression over numbers and pi."""
+    try:
+        x = eval_literal(text)
+    except DiffGeoError as exc:
+        raise argparse.ArgumentTypeError(f"{what} {text!r}: {exc}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is not finite")
+    return x
+
+
+def _tolerance(text):
+    """--tol, whose default comes from $DIFFGEO_TOL."""
+    x = _number(text, "--tol or $DIFFGEO_TOL")
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"--tol or $DIFFGEO_TOL {text!r} is not positive")
+    return x
+
+
+def _parse_params(items, ent):
+    """--param k=v items; the value stays text where the entry's default is
+    an expression (monge's f)."""
     out = {}
     for item in items or ():
         if "=" not in item:
             raise argparse.ArgumentTypeError(
                 f"--param expects k=v, got {item!r}")
-        k, v = item.split("=", 1)
-        try:
-            out[k.strip()] = float(eval_scalar(parse_text(v.strip()), {}))
-        except DiffGeoError:
-            out[k.strip()] = v.strip()  # expression-valued (monge f=...)
+        k, v = (x.strip() for x in item.split("=", 1))
+        if isinstance(ent.params.get(k), str):
+            out[k] = v
+        else:
+            out[k] = _number(v, f"--param {k}")
     return out
 
 
-def _parse_point(text):
-    """'u=0.3,v=0.4' or '0.3,0.4' or 't=1.2' -> tuple of floats."""
-    parts = [p.strip() for p in text.split(",")]
-    vals = []
-    for p in parts:
-        if "=" in p:
-            p = p.split("=", 1)[1]
-        vals.append(float(eval_scalar(parse_text(p), {})))
-    return tuple(vals)
+def _parse_point(text, what, n):
+    """'u=0.3,v=0.4' or '0.3,0.4' or 't=1.2' -> tuple of n floats."""
+    vals = tuple(_number(p.split("=", 1)[-1], what) for p in text.split(","))
+    if len(vals) != n:
+        raise argparse.ArgumentTypeError(
+            f"{what} {text!r} has {len(vals)} coordinate(s), expected {n}")
+    return vals
+
+
+def _read_definition(path):
+    with open(path) as fh:
+        try:
+            return load_definition(fh.read())
+        except DiffGeoError as exc:
+            raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
 def _load_shape(args):
     """Returns (shape, kind, descriptor dict)."""
     if getattr(args, "shape", None):
-        params = _parse_params(getattr(args, "param", None))
         ent = catalog.entry(args.shape)
+        params = _parse_params(getattr(args, "param", None), ent)
         shape = catalog.make(args.shape, **params)
         desc = {"source": "catalog", "name": args.shape,
                 "params": {k: params.get(k, ent.params[k])
                            for k in sorted(ent.params)}}
         return shape, ent.kind, desc
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            definition = load_definition(fh.read())
+        definition = _read_definition(args.file)
         desc = {"source": "file", "path": os.path.basename(args.file),
                 "name": definition.name}
-        if definition.kind == "curve":
-            (pname,) = definition.params
-            return (ParametricCurve(
-                lambda t: definition.eval(t, check_domain=False),
-                definition.params[pname]), "curve", desc)
-        if definition.kind == "surface":
-            pnames = list(definition.params)
-            dom = definition.params[pnames[0]] + definition.params[pnames[1]]
-            return (ParametricSurface(
-                lambda u, v: definition.eval(u, v, check_domain=False),
-                dom), "surface", desc)
-        raise DiffGeoError("definition file must declare a curve or surface")
+        return catalog.build(definition), definition.kind, desc
     raise DiffGeoError("one of --shape or --file is required")
+
+
+def _surface_curve(definition, shape):
+    """A 'surfacecurve' definition over ``shape``."""
+    (pname,) = definition.params
+    return SurfaceCurve(shape, definition.eval, definition.params[pname])
 
 
 def _sample_rect(args_shape_name, shape):
@@ -155,8 +186,7 @@ def _eval_surface_quantity(shape, u, v, q):
                 out["dir1"] = list(cd.dir1_uv)
                 out["dir2"] = list(cd.dir2_uv)
             return out
-        return getattr(cd, {"K": "K", "H": "H", "kappa1": "kappa1",
-                            "kappa2": "kappa2"}[q])
+        return getattr(cd, q)
     if q == "forms":
         fb = forms(shape, u, v)
         return {"E": fb.E, "F": fb.F, "G": fb.G, "e": fb.e, "f": fb.f,
@@ -186,7 +216,7 @@ def cmd_eval(args):
 
     points = []
     if args.at:
-        pt = _parse_point(args.at)
+        pt = _parse_point(args.at, "--at", 1 if kind == "curve" else 2)
         dom = shape.domain
         fixed = []
         for k, x in enumerate(pt):
@@ -200,7 +230,7 @@ def cmd_eval(args):
             fixed.append(x)
         points.append(tuple(fixed))
     if args.grid:
-        nu, _, nv = args.grid.partition("x")
+        nu, nv = args.grid
         rect = _sample_rect(getattr(args, "shape", None), shape)
 
         def axis(lo, hi, n, periodic):
@@ -213,14 +243,13 @@ def cmd_eval(args):
             return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
         if kind == "surface":
-            nu, nv = int(nu), int(nv or nu)
             us = axis(rect[0], rect[1], nu, shape.periodic[0] is not None)
             vs = axis(rect[2], rect[3], nv, shape.periodic[1] is not None)
             for uu in us:
                 for vv in vs:
                     points.append((uu, vv))
         else:
-            points.extend((t,) for t in axis(rect[0], rect[1], int(nu), False))
+            points.extend((t,) for t in axis(rect[0], rect[1], nu, False))
     if not points:
         raise DiffGeoError("give --at or --grid")
 
@@ -253,7 +282,7 @@ def cmd_eval(args):
 # verify
 # --------------------------------------------------------------------------
 
-def _curve_suites(shape, rng, n, spec):
+def _curve_suites(shape, rng, n):
     t0, t1 = shape.domain
     pad = 0.02 * (t1 - t0)
     pts = [rng.uniform(t0 + pad, t1 - pad) for _ in range(n)]
@@ -315,7 +344,7 @@ def _curve_suites(shape, rng, n, spec):
             ("reparam-invariance", suite_reparam, 1e-9)]
 
 
-def _surface_suites(shape, rng, n, rect, spec):
+def _surface_suites(shape, rng, n, rect):
     pts = [(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
            for _ in range(n)]
 
@@ -373,55 +402,45 @@ def _surface_suites(shape, rng, n, rect, spec):
                                    - curvature_split(c2, 0.0).kappa_n))
         return worst
 
-    def suite_liouville():
+    def curve_suite(defect, curve, skip_point=(), skip_suite=()):
+        """Worst |defect(c, 0)| over short curves c = curve(u, v, d) in a
+        random direction d through a quarter of the points; None when no
+        point applies."""
         worst = 0.0
         used = 0
         for u, v in pts[: max(4, n // 4)]:
             d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             if math.hypot(*d) < 0.1:
                 d = (0.6, 0.8)
-            sc = SurfaceCurve.straight(shape, (u, v), d, (-0.05, 0.05))
             try:
-                worst = max(worst, abs(liouville_check(sc, 0.0)))
+                worst = max(worst, abs(defect(curve(u, v, d), 0.0)))
                 used += 1
-            except NonOrthogonalPatch:
+            except skip_suite:
                 return None
+            except skip_point:
+                continue
         return worst if used else None
+
+    def straight(u, v, d):
+        return SurfaceCurve.straight(shape, (u, v), d, (-0.05, 0.05))
+
+    def bent(u, v, d):
+        return SurfaceCurve(shape, lambda t: (u + d[0] * t + 0.08 * t * t,
+                                              v + d[1] * t - 0.06 * t * t),
+                            (-0.05, 0.05))
+
+    def suite_liouville():
+        return curve_suite(liouville_check, straight,
+                           skip_suite=NonOrthogonalPatch)
 
     def suite_bonnet():
-        worst = 0.0
-        used = 0
-        for u, v in pts[: max(4, n // 4)]:
-            d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if math.hypot(*d) < 0.1:
-                d = (0.6, 0.8)
-            sc = SurfaceCurve(
-                shape,
-                lambda t, d=d, u=u, v=v: (u + d[0] * t + 0.08 * t * t,
-                                          v + d[1] * t - 0.06 * t * t),
-                (-0.05, 0.05))
-            try:
-                worst = max(worst, abs(bonnet_torsion_check(sc, 0.0)))
-                used += 1
-            except DiffGeoError:
-                continue
-        return worst if used else None
+        return curve_suite(bonnet_torsion_check, bent, skip_point=DiffGeoError)
 
     def suite_tau_g():
-        worst = 0.0
-        used = 0
-        for u, v in pts[: max(4, n // 4)]:
-            d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if math.hypot(*d) < 0.1:
-                d = (0.6, 0.8)
-            sc = SurfaceCurve.straight(shape, (u, v), d, (-0.05, 0.05))
-            try:
-                worst = max(worst, abs(geodesic_torsion(sc, 0.0)
-                                       - geodesic_torsion_principal(sc, 0.0)))
-                used += 1
-            except UmbilicPoint:
-                continue
-        return worst if used else None
+        return curve_suite(
+            lambda sc, t: geodesic_torsion(sc, t)
+            - geodesic_torsion_principal(sc, t),
+            straight, skip_point=UmbilicPoint)
 
     def suite_beltrami():
         worst = 0.0
@@ -454,13 +473,18 @@ def cmd_verify(args):
     rng = random.Random(args.seed)
     rep = report.Report("verify", desc)
     rep.summary["seed"] = args.seed
-    spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     if kind == "curve":
-        suites = _curve_suites(shape, rng, args.samples, spec)
+        suites = _curve_suites(shape, rng, args.samples)
     else:
         rect = _sample_rect(getattr(args, "shape", None), shape)
-        suites = _surface_suites(shape, rng, args.samples, rect, spec)
+        suites = _surface_suites(shape, rng, args.samples, rect)
+    known = [name for name, _, _ in suites]
     wanted = set(args.suite) if args.suite else None
+    unknown = sorted((wanted or set()) - set(known))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite(s) {', '.join(unknown)} for a {kind}; "
+            f"known: {', '.join(known)}")
 
     any_fail = False
     for name, fn, tol in suites:
@@ -492,9 +516,9 @@ def cmd_geodesic(args):
         raise DiffGeoError("geodesics need a surface shape")
     spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     rep = report.Report("geodesic", desc)
-    p0 = _parse_point(getattr(args, "from"))
+    p0 = _parse_point(getattr(args, "from"), "--from", 2)
     if args.to:
-        p1 = _parse_point(args.to)
+        p1 = _parse_point(args.to, "--to", 2)
         path = geodesic_bvp(shape, p0, p1, spec)
         du, dv = shape.wrap_delta(path.end_uv[0] - p1[0],
                                   path.end_uv[1] - p1[1])
@@ -502,8 +526,9 @@ def cmd_geodesic(args):
     else:
         if not args.dir or args.length is None:
             raise DiffGeoError("give --to, or --dir plus --length")
-        path = geodesic_ivp(shape, p0[0], p0[1], _parse_point(args.dir),
-                            args.length, spec)
+        path = geodesic_ivp(shape, p0[0], p0[1],
+                            _parse_point(args.dir, "--dir", 2), args.length,
+                            spec)
         rep.summary["left_domain"] = path.left_domain
     rep.summary["length"] = path.length
 
@@ -520,25 +545,20 @@ def cmd_geodesic(args):
         rows.append((s, st[0], st[1], p.x, p.y, p.z))
     _finish(rep, args, csv=("s,u,v,x,y,z".split(","), rows))
     print(f"  length {path.length!r}  max|kappa_g| {max_kg:.3e}")
-    for k, val in sorted(rep.summary.items()):
-        if k not in ("length", "max_kappa_g"):
-            print(f"  {k}: {val!r}")
+    _print_summary(rep, skip=("length", "max_kappa_g"))
     return 0
 
 
 def _load_surface_curve(args, shape):
     if args.curve:
-        with open(args.curve) as fh:
-            definition = load_definition(fh.read())
+        definition = _read_definition(args.curve)
         if definition.kind != "surfacecurve":
             raise DiffGeoError("transport --curve file must be a "
                                "'surfacecurve' definition (u =, v =)")
-        (pname,) = definition.params
-        return SurfaceCurve(shape, lambda t: definition.eval(t),
-                            definition.params[pname])
+        return _surface_curve(definition, shape)
     if args.loop:
         which, _, val = args.loop.partition(":")
-        value = float(eval_scalar(parse_text(val), {}))
+        value = _number(val, "--loop")
         if which == "const-v":
             return SurfaceCurve.const_v(shape, value)
         if which == "const-u":
@@ -554,7 +574,7 @@ def cmd_transport(args):
     spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     rep = report.Report("transport", desc)
     sc = _load_surface_curve(args, shape)
-    A0 = _parse_point(args.vector)
+    A0 = _parse_point(args.vector, "--vector", 2)
     state = parallel_transport(sc, A0, spec)
     rep.summary["holonomy"] = state.holonomy
     rep.summary["norm_drift"] = max(state.norms) - min(state.norms)
@@ -562,8 +582,8 @@ def cmd_transport(args):
     if args.loop and args.loop.startswith("const-v:") and shape.periodic[0]:
         v0 = sc.point(sc.domain[0])[1]
         rect = (shape.domain[0], shape.domain[1], v0, shape.domain[3])
-        enclosed = _total_curvature_rect(shape, rect,
-                                         QuadSpec(tol=max(args.tol, 1e-9)))
+        enclosed = total_curvature(shape, rect,
+                                   QuadSpec(tol=max(args.tol, 1e-9)))
         rep.summary["enclosed_total_curvature"] = enclosed
 
     rows = []
@@ -571,76 +591,18 @@ def cmd_transport(args):
                                     state.angles_to_initial()):
         rows.append((t, a1, a2, nv, ang))
     _finish(rep, args, csv=("t,A1,A2,norm,angle".split(","), rows))
-    for k, val in sorted(rep.summary.items()):
-        print(f"  {k}: {val!r}")
+    _print_summary(rep)
     return 0
 
 
 def _load_loop(path, shape):
-    arcs, corners, rects = [], [], []
-    cur = None
-
-    def flush():
-        nonlocal cur
-        if cur is None:
-            return
-        if "u" not in cur or "v" not in cur:
-            raise DiffGeoError("loop arc needs u = and v = lines")
-        u_ast, v_ast = cur["u"], cur["v"]
-        pname, dom = cur["param"], cur["domain"]
-
-        def uv(t, u_ast=u_ast, v_ast=v_ast, pname=pname):
-            env = {pname: t}
-            uj = eval_scalar(u_ast, env)
-            vj = eval_scalar(v_ast, env)
-            if isinstance(uj, (int, float)):
-                uj = t * 0.0 + uj
-            if isinstance(vj, (int, float)):
-                vj = t * 0.0 + vj
-            return uj, vj
-
-        arcs.append(SurfaceCurve(shape, uv, dom))
-        corners.append(cur.get("corner"))
-        cur = None
-
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head = line.split()[0]
-            if head == "loop":
-                continue
-            if head == "region":
-                vals = [float(eval_scalar(parse_text(x), {}))
-                        for x in line.split()[1:]]
-                if len(vals) != 4:
-                    raise DiffGeoError("region line needs u0 u1 v0 v1")
-                rects.append(tuple(vals))
-            elif head == "arc":
-                flush()
-                rest = line[len("arc"):].strip()
-                pname, _, dom = rest.partition(" in ")
-                dom = dom.strip()
-                lo, hi = dom[1:-1].split(",")
-                cur = {"param": pname.strip(),
-                       "domain": (float(eval_scalar(parse_text(lo), {})),
-                                  float(eval_scalar(parse_text(hi), {})))}
-            elif head == "corner":
-                val = line.split(None, 1)[1]
-                if cur is None:
-                    raise DiffGeoError("corner line must follow an arc")
-                cur["corner"] = (None if val.strip() == "auto" else
-                                 float(eval_scalar(parse_text(val), {})))
-            elif "=" in line and cur is not None:
-                name, body = line.split("=", 1)
-                cur[name.strip()] = parse_text(body.strip())
-            else:
-                raise DiffGeoError(f"unrecognized loop line {line!r}")
-    flush()
-    if not rects:
-        raise DiffGeoError("loop file needs at least one region line")
-    return BoundaryLoop(arcs=arcs, corner_angles=corners, region_rects=rects)
+    definition = _read_definition(path)
+    if definition.kind != "loop":
+        raise DiffGeoError("--loop-file must be a 'loop' definition")
+    return BoundaryLoop(
+        arcs=[_surface_curve(arc, shape) for arc in definition.arcs],
+        corner_angles=list(definition.corners),
+        region_rects=list(definition.regions))
 
 
 def cmd_gauss_bonnet(args):
@@ -671,22 +633,21 @@ def cmd_gauss_bonnet(args):
         rep.summary["total_curvature"] = budget.total_K
         rep.summary["defect"] = budget.defect
     _finish(rep, args)
-    for k, val in sorted(rep.summary.items()):
-        print(f"  {k}: {val!r}")
+    _print_summary(rep)
     return 0
 
 
 def cmd_reconstruct(args):
     rep = report.Report("reconstruct", {"source": "intrinsic",
                                         "kappa": args.kappa, "tau": args.tau})
-    kap_ast = parse_text(args.kappa)
-    tau_ast = parse_text(args.tau)
+    kap_fn = compile_expr(parse_text(args.kappa))
+    tau_fn = compile_expr(parse_text(args.tau))
 
     def kap(s):
-        return float(eval_scalar(kap_ast, {"s": s}))
+        return float(kap_fn({"s": s}))
 
     def tau(s):
-        return float(eval_scalar(tau_ast, {"s": s}))
+        return float(tau_fn({"s": s}))
 
     spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     rec = reconstruct_from_kappa_tau(
@@ -705,8 +666,7 @@ def cmd_reconstruct(args):
 
     rows = [(s, p.x, p.y, p.z) for s, p in zip(rec.s, rec.r)]
     _finish(rep, args, csv=("s,x,y,z".split(","), rows))
-    for k, val in sorted(rep.summary.items()):
-        print(f"  {k}: {val!r}")
+    _print_summary(rep)
     return 0
 
 
@@ -722,6 +682,12 @@ def _finish(rep, args, csv=None):
         report.write_csv(args.csv, csv[0], csv[1])
 
 
+def _print_summary(rep, skip=()):
+    for k, val in sorted(rep.summary.items()):
+        if k not in skip:
+            print(f"  {k}: {val!r}")
+
+
 def _add_shape_args(p, files=True):
     p.add_argument("--shape", help="catalog shape name")
     p.add_argument("--param", action="append", default=[],
@@ -730,12 +696,14 @@ def _add_shape_args(p, files=True):
         p.add_argument("--file", help="definition file (.pc or .ps)")
 
 
-def _add_common(p):
+def _add_common(p, tol=True):
     p.add_argument("--json", help="write the report as deterministic JSON")
     p.add_argument("--csv", help="write trajectory/record CSV")
-    p.add_argument("--tol", type=float, default=None,
-                   help="integration/quadrature tolerance "
-                        "(default 1e-10 or $DIFFGEO_TOL)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance,
+                       default=os.environ.get("DIFFGEO_TOL") or "1e-10",
+                       help="integration/quadrature tolerance "
+                            "(default 1e-10 or $DIFFGEO_TOL)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized sampling (default 0)")
 
@@ -751,7 +719,8 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate quantities at points or grids")
     _add_shape_args(p)
     p.add_argument("--at", help="point, e.g. u=0.3,v=0.4 or t=1.2")
-    p.add_argument("--grid", help="grid spec, e.g. 3x3 (surfaces) or 5 (curves)")
+    p.add_argument("--grid", type=_grid,
+                   help="grid spec, e.g. 3x3 (surfaces) or 5 (curves)")
     p.add_argument("--quantity", action="append", required=True,
                    help=f"curve: {_CURVE_QUANTITIES}; "
                         f"surface: {_SURFACE_QUANTITIES}")
@@ -766,7 +735,7 @@ def build_parser():
                    help="restrict to named suites (repeatable)")
     p.add_argument("--samples", type=int, default=40,
                    help="random sample points per suite (default 40)")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("geodesic", help="solve geodesic IVP/BVP")
@@ -809,11 +778,12 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = _default_tol()
     start = time.monotonic()
     try:
         code = args.fn(args)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_ARGS
     except DiffGeoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.command == "geodesic":

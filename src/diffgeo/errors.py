@@ -23,6 +23,15 @@ class ParseError(DiffGeoError):
         super().__init__(f"expected {expected} at byte offset {position}{what}")
 
 
+class DefinitionError(ParseError):
+    """A definition or loop file does not follow the line format.  The
+    message names the line at fault."""
+
+    def __init__(self, message):
+        DiffGeoError.__init__(self, message)
+        self.position = self.expected = self.found = None
+
+
 class UnknownIdentifier(DiffGeoError):
     """An identifier is neither a declared parameter, constant nor builtin."""
 

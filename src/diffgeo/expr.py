@@ -23,23 +23,30 @@ Definition files are line oriented::
     y = a*sin(t)
     z = b*t
 
-Curves declare one parameter, surfaces two (in order u, v).  Evaluation
+Curves declare one parameter, surfaces two (in order u, v), and
+``surfacecurve`` definitions one, with components u and v.  Evaluation
 lifts the parameters into jets, so every derivative a caller reads is an
-exact Taylor coefficient of the definition.
+exact Taylor coefficient of the definition.  ``loop`` files (boundary arcs
+for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
+kind of file name the line at fault.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import jets
-from .errors import ArityError, DomainError, LexError, ParseError, UnknownIdentifier
+from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
+                     LexError, ParseError, UnknownIdentifier)
 from .jets import FUNCTIONS, Jet1, Jet2
 from .vectors import Vec3
 
 __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
     "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "ShapeDefinition", "load_definition", "eval_scalar",
+    "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
+    "compile_expr", "eval_literal",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -167,25 +174,20 @@ class _Parser:
             self.fail(f"'{lexeme}'")
         return self.next()
 
-    def expr(self):
-        node = self.term()
+    def left_assoc(self, ops, operand):
+        node = operand()
         while True:
             t = self.peek()
-            if t is not None and t.kind == "operator" and t.lexeme in "+-":
-                self.next()
-                node = BinOp(t.lexeme, node, self.term())
-            else:
+            if t is None or t.kind != "operator" or t.lexeme not in ops:
                 return node
+            self.next()
+            node = BinOp(t.lexeme, node, operand())
+
+    def expr(self):
+        return self.left_assoc("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            t = self.peek()
-            if t is not None and t.kind == "operator" and t.lexeme in "*/":
-                self.next()
-                node = BinOp(t.lexeme, node, self.unary())
-            else:
-                return node
+        return self.left_assoc("*/", self.unary)
 
     def unary(self):
         t = self.peek()
@@ -215,10 +217,7 @@ class _Parser:
             if nxt is not None and nxt.lexeme == "(":
                 self.next()
                 arg = self.expr()
-                close = self.peek()
-                if close is None or close.lexeme != ")":
-                    self.fail("')'")
-                self.next()
+                self.expect_op(")")
                 return Call(t.lexeme, arg)
             if t.lexeme in _CONSTANTS:
                 return Const(t.lexeme)
@@ -226,10 +225,7 @@ class _Parser:
         if t.lexeme == "(":
             self.next()
             node = self.expr()
-            close = self.peek()
-            if close is None or close.lexeme != ")":
-                self.fail("')'")
-            self.next()
+            self.expect_op(")")
             return node
         self.fail("an expression")
 
@@ -283,39 +279,11 @@ def to_text(node):
 # --------------------------------------------------------------------------
 
 def eval_scalar(node, env):
-    """Evaluate ``node`` with ``env`` mapping identifier -> float or jet."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownIdentifier(f"undeclared identifier {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -eval_scalar(node.arg, env)
-    if isinstance(node, Call):
-        fn = FUNCTIONS.get(node.fn)
-        if fn is None:
-            if node.fn in env or node.fn in _CONSTANTS:
-                raise ArityError(f"{node.fn!r} is not a function")
-            raise UnknownIdentifier(f"unknown function {node.fn!r}")
-        return fn(eval_scalar(node.arg, env))
-    l = eval_scalar(node.left, env)
-    r = eval_scalar(node.right, env)
-    op = node.op
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "/":
-        if isinstance(r, (int, float)):
-            return _div(l, r)
-        return l / r
-    return jets.power(l, r)
+    """Evaluate ``node`` once with ``env`` mapping identifier -> float or jet.
+
+    A tree evaluated more than once is compiled once with
+    :func:`compile_expr` instead."""
+    return compile_expr(node)(env)
 
 
 def _div(l, r):
@@ -325,10 +293,9 @@ def _div(l, r):
 
 
 def compile_expr(node):
-    """Compile an Expr tree into a closure over an env dict.
-
-    Same semantics as :func:`eval_scalar`, minus the per-node dispatch cost;
-    shape evaluators sit inside ODE right-hand sides, so this matters."""
+    """Compile an Expr tree into a closure over an env dict (identifier ->
+    float or jet), so that repeated evaluation pays no per-node dispatch;
+    shape evaluators sit inside ODE right-hand sides."""
     if isinstance(node, Num):
         c = node.value
         return lambda env: c
@@ -355,6 +322,8 @@ def compile_expr(node):
             name = node.fn
 
             def bad(env, name=name):
+                if name in env or name in _CONSTANTS:
+                    raise ArityError(f"{name!r} is not a function")
                 raise UnknownIdentifier(f"unknown function {name!r}")
 
             return bad
@@ -378,6 +347,16 @@ def compile_expr(node):
 
         return div
     return lambda env: jets.power(left(env), right(env))
+
+
+def eval_literal(text):
+    """A number written as an expression over numbers and pi, e.g. ``pi/6``."""
+    node = parse_text(text)
+    free = _free_names(node, set())
+    if free:
+        raise UnknownIdentifier(
+            f"a number may not reference {', '.join(map(repr, sorted(free)))}")
+    return float(compile_expr(node)({}))
 
 
 def _free_names(node, acc):
@@ -413,15 +392,9 @@ class ShapeDefinition:
     components: tuple
     component_names: tuple
 
-    def domain(self, param):
-        return self.params[param]
-
-    @property
+    @cached_property
     def compiled(self):
-        if not hasattr(self, "_compiled"):
-            object.__setattr__(self, "_compiled",
-                               tuple(compile_expr(c) for c in self.components))
-        return self._compiled
+        return tuple(compile_expr(c) for c in self.components)
 
     def eval(self, *args, clamp=False, check_domain=True):
         """Evaluate at jet (or float) parameter values, in declaration order.
@@ -462,103 +435,158 @@ class ShapeDefinition:
         return tuple(vals)
 
 
-def _def_error(lineno, msg):
-    return ParseError(lineno, msg)
+@dataclass(frozen=True)
+class LoopDefinition:
+    """A parsed loop file: the boundary arcs in order (each a
+    'surfacecurve' ShapeDefinition), the exterior angle after each arc
+    (None = compute it from the tangents) and the parameter rectangles
+    (u0, u1, v0, v1) that make up the enclosed region."""
+
+    name: str
+    arcs: tuple
+    corners: tuple
+    regions: tuple
+    kind = "loop"
+
+
+_PARAM_COUNT = {"curve": 1, "surface": 2, "surfacecurve": 1}
+
+
+@contextmanager
+def _at_line(lineno):
+    """Prefix the message of any error raised in the block with the line."""
+    try:
+        yield
+    except DiffGeoError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
 
 
 def load_definition(text):
-    """Parse definition-file text into a validated ShapeDefinition."""
-    kind = None
-    name = ""
-    params = {}
-    constants = {}
-    comps = {}
-
+    """Parse definition-file text into a validated ShapeDefinition, or a
+    LoopDefinition for a 'loop' file.  Errors name the line at fault."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(None, 1)[0]
-        if head in ("curve", "surface", "surfacecurve"):
-            if kind is not None:
-                raise _def_error(lineno, "duplicate header line")
-            kind = head
-            name = line[len(head):].strip()
-            continue
-        if kind is None:
-            raise _def_error(lineno, "definition must start with 'curve <name>', "
-                                     "'surface <name>' or 'surfacecurve <name>'")
-        if head == "param":
-            rest = line[len("param"):].strip()
-            if " in " not in rest:
-                raise _def_error(lineno, "param line must read 'param <id> in [a, b]'")
-            pname, dom = rest.split(" in ", 1)
-            pname = pname.strip()
-            dom = dom.strip()
-            if not (dom.startswith("[") and dom.endswith("]") and "," in dom):
-                raise _def_error(lineno, "domain must be '[a, b]'")
-            lo_s, hi_s = dom[1:-1].split(",", 1)
-            lo = _eval_literal(lo_s, lineno)
-            hi = _eval_literal(hi_s, lineno)
-            if not lo < hi:
-                raise _def_error(lineno, f"empty domain [{lo}, {hi}]")
-            if pname in params or pname in constants:
-                raise _def_error(lineno, f"duplicate name {pname!r}")
-            if pname in FUNCTIONS or pname in _CONSTANTS:
-                raise _def_error(lineno, f"{pname!r} is a reserved word")
-            params[pname] = (lo, hi)
-            continue
-        if head == "const":
-            rest = line[len("const"):].strip()
-            if "=" not in rest:
-                raise _def_error(lineno, "const line must read 'const <id> = <number>'")
-            cname, value = rest.split("=", 1)
-            cname = cname.strip()
-            if cname in params or cname in constants:
-                raise _def_error(lineno, f"duplicate name {cname!r}")
-            if cname in FUNCTIONS or cname in _CONSTANTS:
-                raise _def_error(lineno, f"{cname!r} is a reserved word")
-            constants[cname] = _eval_literal(value, lineno)
-            continue
-        if "=" in line:
-            cname, body = line.split("=", 1)
-            cname = cname.strip()
-            if cname in comps:
-                raise _def_error(lineno, f"duplicate component {cname!r}")
-            comps[cname] = parse_text(body.strip())
-            continue
-        raise _def_error(lineno, f"unrecognized line {line!r}")
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise DefinitionError("empty definition")
+    lineno, line = lines[0]
+    kind, name = _split_head(line)
+    if kind == "loop":
+        return _load_loop(name, lineno, lines[1:])
+    if kind not in _PARAM_COUNT:
+        raise DefinitionError(
+            f"line {lineno}: definition must start with 'curve <name>', "
+            "'surface <name>', 'surfacecurve <name>' or 'loop <name>'")
+    return _load_shape(kind, name, lineno, lines[1:])
 
-    if kind is None:
-        raise _def_error(0, "empty definition")
-    n_params = {"curve": 1, "surface": 2, "surfacecurve": 1}[kind]
-    if len(params) != n_params:
-        raise _def_error(0, f"a {kind} needs exactly {n_params} parameter(s), "
-                            f"got {len(params)}")
+
+def _split_head(line):
+    head = line.split(None, 1)[0]
+    return head, line[len(head):].strip()
+
+
+def _load_shape(kind, name, header, lines):
     wanted = ("u", "v") if kind == "surfacecurve" else ("x", "y", "z")
-    missing = [c for c in wanted if c not in comps]
-    if missing:
-        raise _def_error(0, f"missing component(s): {', '.join(missing)}")
-    extra = [c for c in comps if c not in wanted]
-    if extra:
-        raise _def_error(0, f"unexpected component(s): {', '.join(extra)}")
+    params, constants, comps, comp_line = {}, {}, {}, {}
+    for lineno, line in lines:
+        head, rest = _split_head(line)
+        with _at_line(lineno):
+            if head in ("param", "const"):
+                new, value = _param(rest) if head == "param" else _const(rest)
+                if new in params or new in constants:
+                    raise DefinitionError(f"duplicate name {new!r}")
+                if new in FUNCTIONS or new in _CONSTANTS:
+                    raise DefinitionError(f"{new!r} is a reserved word")
+                (params if head == "param" else constants)[new] = value
+            elif "=" in line:
+                cname, body = line.split("=", 1)
+                cname = cname.strip()
+                if cname not in wanted:
+                    raise DefinitionError(
+                        f"unexpected component {cname!r}; a {kind} has "
+                        f"{', '.join(wanted)}")
+                if cname in comps:
+                    raise DefinitionError(f"duplicate component {cname!r}")
+                comps[cname] = parse_text(body)
+                comp_line[cname] = lineno
+            else:
+                raise DefinitionError(f"unrecognized line {line!r}")
 
+    with _at_line(header):
+        if len(params) != _PARAM_COUNT[kind]:
+            raise DefinitionError(
+                f"a {kind} needs exactly {_PARAM_COUNT[kind]} parameter(s), "
+                f"got {len(params)}")
+        missing = [c for c in wanted if c not in comps]
+        if missing:
+            raise DefinitionError(f"missing component(s): {', '.join(missing)}")
     declared = set(params) | set(constants)
     for cname in wanted:
         for free in sorted(_free_names(comps[cname], set())):
             if free not in declared:
                 raise UnknownIdentifier(
-                    f"component {cname!r} references undeclared identifier {free!r}")
+                    f"line {comp_line[cname]}: component {cname!r} "
+                    f"references undeclared identifier {free!r}")
 
     return ShapeDefinition(
-        kind=kind, name=name, params=dict(params), constants=dict(constants),
+        kind=kind, name=name, params=params, constants=constants,
         components=tuple(comps[c] for c in wanted), component_names=wanted)
 
 
-def _eval_literal(text, lineno):
-    """A numeric literal, allowing expressions over numbers and pi."""
-    node = parse_text(text.strip())
-    free = _free_names(node, set())
-    if free:
-        raise _def_error(lineno, f"literal may not reference {sorted(free)}")
-    return float(eval_scalar(node, {}))
+def _param(text):
+    """'<id> in [a, b]' -> (id, (a, b))."""
+    if " in " not in text:
+        raise DefinitionError("expected '<id> in [a, b]'")
+    pname, dom = text.split(" in ", 1)
+    dom = dom.strip()
+    if not (dom.startswith("[") and dom.endswith("]") and "," in dom):
+        raise DefinitionError("domain must be '[a, b]'")
+    lo, hi = (eval_literal(x) for x in dom[1:-1].split(",", 1))
+    if not lo < hi:
+        raise DefinitionError(f"empty domain [{lo}, {hi}]")
+    return pname.strip(), (lo, hi)
+
+
+def _const(text):
+    """'<id> = <number>' -> (id, number)."""
+    if "=" not in text:
+        raise DefinitionError("expected '<id> = <number>'")
+    cname, value = text.split("=", 1)
+    return cname.strip(), eval_literal(value)
+
+
+def _load_loop(name, header, lines):
+    """Loop files: 'region u0 u1 v0 v1' lines, and per arc an
+    'arc <id> in [a, b]' line, its 'u =' and 'v =' lines and an optional
+    'corner <angle>|auto' line.  Each arc is read as a 'surfacecurve'
+    definition whose parameter line is the arc line."""
+    regions, blocks, corners = [], [], []
+    for lineno, line in lines:
+        head, rest = _split_head(line)
+        with _at_line(lineno):
+            if head == "region":
+                vals = tuple(eval_literal(x) for x in rest.split())
+                if len(vals) != 4:
+                    raise DefinitionError("region line needs u0 u1 v0 v1")
+                regions.append(vals)
+            elif head == "arc":
+                blocks.append((lineno, [(lineno, "param " + rest)]))
+                corners.append(None)
+            elif not blocks:
+                raise DefinitionError(f"{head!r} line before the first arc")
+            elif head == "corner":
+                corners[-1] = None if rest == "auto" else eval_literal(rest)
+            else:
+                blocks[-1][1].append((lineno, line))
+    with _at_line(header):
+        if not blocks:
+            raise DefinitionError("loop needs at least one arc")
+        if not regions:
+            raise DefinitionError("loop needs at least one region line")
+    return LoopDefinition(
+        name=name, regions=tuple(regions), corners=tuple(corners),
+        arcs=tuple(_load_shape("surfacecurve", name, at, block)
+                   for at, block in blocks))

@@ -413,65 +413,28 @@ def lift2(u, v):
 
 
 # --------------------------------------------------------------------------
-# dispatching elementary functions
+# elementary functions, dispatching on float, Jet1 and Jet2
 # --------------------------------------------------------------------------
 
-def _dispatch(name, x):
-    table = _TABLES[name]
-    if isinstance(x, (Jet1, Jet2)):
-        return x._compose(table(x.value))
-    try:
-        return table(float(x))[0]
-    except (ValueError, OverflowError) as exc:  # pragma: no cover - math guard
-        raise DomainError(str(exc)) from exc
+def _elementary(name, table):
+    def fn(x):
+        if isinstance(x, (Jet1, Jet2)):
+            return x._compose(table(x.value))
+        try:
+            return table(float(x))[0]
+        except (ValueError, OverflowError) as exc:  # pragma: no cover - math guard
+            raise DomainError(str(exc)) from exc
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def sin(x):
-    return _dispatch("sin", x)
-
-
-def cos(x):
-    return _dispatch("cos", x)
-
-
-def tan(x):
-    return _dispatch("tan", x)
-
-
-def exp(x):
-    return _dispatch("exp", x)
-
-
-def log(x):
-    return _dispatch("log", x)
-
-
-def sqrt(x):
-    return _dispatch("sqrt", x)
-
-
-def sinh(x):
-    return _dispatch("sinh", x)
-
-
-def cosh(x):
-    return _dispatch("cosh", x)
-
-
-def tanh(x):
-    return _dispatch("tanh", x)
-
-
-def asin(x):
-    return _dispatch("asin", x)
-
-
-def acos(x):
-    return _dispatch("acos", x)
-
-
-def atan(x):
-    return _dispatch("atan", x)
+#: single-argument elementary functions available to the expression language
+FUNCTIONS = {name: _elementary(name, table) for name, table in _TABLES.items()}
+sin, cos, tan = FUNCTIONS["sin"], FUNCTIONS["cos"], FUNCTIONS["tan"]
+exp, log, sqrt = FUNCTIONS["exp"], FUNCTIONS["log"], FUNCTIONS["sqrt"]
+sinh, cosh, tanh = FUNCTIONS["sinh"], FUNCTIONS["cosh"], FUNCTIONS["tanh"]
+asin, acos, atan = FUNCTIONS["asin"], FUNCTIONS["acos"], FUNCTIONS["atan"]
 
 
 def _is_constant_jet(x):
@@ -521,12 +484,3 @@ def power(base, exponent):
 
     # genuinely variable exponent: base must stay positive
     return exp(exponent * log(base))
-
-
-#: single-argument elementary functions available to the expression language
-FUNCTIONS = {
-    "sin": sin, "cos": cos, "tan": tan,
-    "exp": exp, "log": log, "sqrt": sqrt,
-    "sinh": sinh, "cosh": cosh, "tanh": tanh,
-    "asin": asin, "acos": acos, "atan": atan,
-}

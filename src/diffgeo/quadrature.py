@@ -21,16 +21,23 @@ panels not yet visited.
 
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .errors import MaxDepthExceeded
 
 __all__ = ["QuadSpec", "quad_adaptive", "quad2d"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_NODES = tuple(float(x) for x in _NODES)
-_WEIGHTS = tuple(float(w) for w in _WEIGHTS)
+# 15-point Gauss-Legendre rule on [-1, 1]: the centre and the positive half
+# (the rule is symmetric), as the doubles that round-trip through repr
+_HALF_NODES = (0.0, 0.20119409399743451, 0.3941513470775634,
+               0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+               0.9372733924007058, 0.9879925180204854)
+_HALF_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+                 0.16626920581699398, 0.13957067792615444,
+                 0.10715922046717141, 0.0703660474881084,
+                 0.030753241996117203)
+_NODES = tuple(-x for x in reversed(_HALF_NODES[1:])) + _HALF_NODES
+_WEIGHTS = tuple(reversed(_HALF_WEIGHTS[1:])) + _HALF_WEIGHTS
 
 # rounding floor per unit of sum(|w * f|) times the panel measure
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
@@ -73,39 +80,48 @@ def _panel1d(f, a, b):
     return acc * half, _ROUNDOFF * mag * abs(half)
 
 
+def _adaptive(rule, split, whole, spec):
+    """The subdivision both rules share: ``rule(*panel)`` gives a panel's
+    Gauss sum and rounding floor, ``split(panel)`` its children, which
+    share the parent's tolerance equally."""
+
+    def recurse(panel, coarse, tol, depth):
+        parts = split(panel)
+        vals, floors = zip(*(rule(*p) for p in parts))
+        refined = sum(vals)
+        if tol < sum(floors):
+            raise _Halt(refined, _BELOW_ROUNDING)
+        if abs(refined - coarse) <= tol:
+            return refined
+        if depth >= spec.max_depth:
+            raise _Halt(refined, _AT_MAX_DEPTH)
+        done = []
+        for k, (p, v) in enumerate(zip(parts, vals)):
+            try:
+                done.append(recurse(p, v, tol / len(parts), depth + 1))
+            except _Halt as halt:
+                halt.best += sum(done) + sum(vals[k + 1:])
+                raise
+        return sum(done)
+
+    try:
+        return recurse(whole, rule(*whole)[0], spec.tol, 1)
+    except _Halt as halt:
+        raise MaxDepthExceeded(halt.best, halt.message) from None
+
+
 def quad_adaptive(f, interval, spec=QuadSpec()):
     """Integral of ``f`` over ``interval=(a, b)`` within ``spec.tol``."""
     a, b = float(interval[0]), float(interval[1])
     if a == b:
         return 0.0
 
-    def recurse(lo, hi, coarse, tol, depth):
+    def halves(panel):
+        lo, hi = panel
         mid = 0.5 * (lo + hi)
-        left, left_floor = _panel1d(f, lo, mid)
-        right, right_floor = _panel1d(f, mid, hi)
-        refined = left + right
-        if tol < left_floor + right_floor:
-            raise _Halt(refined, _BELOW_ROUNDING)
-        if abs(refined - coarse) <= tol:
-            return refined
-        if depth >= spec.max_depth:
-            raise _Halt(refined, _AT_MAX_DEPTH)
-        try:
-            lval = recurse(lo, mid, left, 0.5 * tol, depth + 1)
-        except _Halt as halt:
-            halt.best += right
-            raise
-        try:
-            rval = recurse(mid, hi, right, 0.5 * tol, depth + 1)
-        except _Halt as halt:
-            halt.best += lval
-            raise
-        return lval + rval
+        return (lo, mid), (mid, hi)
 
-    try:
-        return recurse(a, b, _panel1d(f, a, b)[0], spec.tol, 1)
-    except _Halt as halt:
-        raise MaxDepthExceeded(halt.best, halt.message) from None
+    return _adaptive(partial(_panel1d, f), halves, (a, b), spec)
 
 
 def _panel2d(f, u0, u1, v0, v1):
@@ -134,30 +150,10 @@ def quad2d(f, rect, spec=QuadSpec()):
     if u0 == u1 or v0 == v1:
         return 0.0
 
-    def recurse(r, coarse, tol, depth):
-        a0, a1, b0, b1 = r
+    def quarters(panel):
+        a0, a1, b0, b1 = panel
         am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
-        quads = ((a0, am, b0, bm), (am, a1, b0, bm),
-                 (a0, am, bm, b1), (am, a1, bm, b1))
-        vals, floors = zip(*(_panel2d(f, *q) for q in quads))
-        refined = sum(vals)
-        if tol < sum(floors):
-            raise _Halt(refined, _BELOW_ROUNDING)
-        if abs(refined - coarse) <= tol:
-            return refined
-        if depth >= spec.max_depth:
-            raise _Halt(refined, _AT_MAX_DEPTH)
-        done = []
-        for k, (q, v) in enumerate(zip(quads, vals)):
-            try:
-                done.append(recurse(q, v, 0.25 * tol, depth + 1))
-            except _Halt as halt:
-                halt.best += sum(done) + sum(vals[k + 1:])
-                raise
-        return sum(done)
+        return ((a0, am, b0, bm), (am, a1, b0, bm),
+                (a0, am, bm, b1), (am, a1, bm, b1))
 
-    rect = (u0, u1, v0, v1)
-    try:
-        return recurse(rect, _panel2d(f, *rect)[0], spec.tol, 1)
-    except _Halt as halt:
-        raise MaxDepthExceeded(halt.best, halt.message) from None
+    return _adaptive(partial(_panel2d, f), quarters, (u0, u1, v0, v1), spec)

@@ -12,7 +12,7 @@ data with the chain rule.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (AsymptoticPoint, DegenerateMultiplicity, InflectionPoint,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
@@ -21,10 +21,10 @@ from .errors import (AsymptoticPoint, DegenerateMultiplicity, InflectionPoint,
 from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, ode_solve
-from .quadrature import QuadSpec, quad2d, quad_adaptive
+from .quadrature import QuadSpec, quad_adaptive
 from .roots import root_find
-from .surfaces import (_SurfaceJets, curvatures, _curvatures_from_jets,
-                       metric_and_gamma)
+from .surfaces import (_SurfaceJets, _curvatures_from_jets, _metric_dot,
+                       _normal_curvature, metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -154,11 +154,7 @@ def curvature_split(sc, t):
 def kappa_n_quotient(sc, t):
     """Normal curvature as II/I in the curve's direction."""
     sj, uj, vj, _ = _composite_jets(sc, t)
-    du, dv = uj.c[1], vj.c[1]
-    e, f, g = sj.efg()
-    E, F, G = sj.EFG
-    return ((e * du * du + 2.0 * f * du * dv + g * dv * dv)
-            / (E * du * du + 2.0 * F * du * dv + G * dv * dv))
+    return _normal_curvature(*sj.EFG, *sj.efg(), (uj.c[1], vj.c[1]))
 
 
 def kappa_g_extrinsic(sc, t):
@@ -209,12 +205,8 @@ def geodesic_torsion_principal(sc, t):
     E, F, G = sj.EFG
     d = (uj.c[1], vj.c[1])
     p = cur.dir1_uv
-
-    def adot(X, Y):
-        return E * X[0] * Y[0] + F * (X[0] * Y[1] + X[1] * Y[0]) + G * X[1] * Y[1]
-
-    nd = math.sqrt(adot(d, d))
-    c = adot(d, p) / nd
+    nd = math.sqrt(_metric_dot(E, F, G, d, d))
+    c = _metric_dot(E, F, G, d, p) / nd
     s = sj.sqrt_a * (d[0] * p[1] - d[1] * p[0]) / nd
     return (cur.kappa1 - cur.kappa2) * s * c
 
@@ -325,19 +317,14 @@ def _direction_from_angle(surface, u, v, theta):
     return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1])
 
 
-def _metric_dot(md, X, Y):
-    return (md.E * X[0] * Y[0] + md.F * (X[0] * Y[1] + X[1] * Y[0])
-            + md.G * X[1] * Y[1])
-
-
 def _chord(surface, p0, p1):
     """Initial shooting angle and a metric length estimate of the
     parameter-space chord p0 -> p1 (wrapped over periodic directions)."""
     dU, dV = surface.wrap_delta(p1[0] - p0[0], p1[1] - p0[1])
     md = metric_and_gamma(surface, p0[0], p0[1])
     e1, e2 = _orthonormal_frame(md.E, md.F, md.G)
-    x = _metric_dot(md, (dU, dV), e1)
-    y = _metric_dot(md, (dU, dV), e2)
+    x = _metric_dot(md.E, md.F, md.G, (dU, dV), e1)
+    y = _metric_dot(md.E, md.F, md.G, (dU, dV), e2)
     theta = math.atan2(y, x)
     length = 0.0
     n = 8
@@ -345,7 +332,8 @@ def _chord(surface, p0, p1):
         u = p0[0] + dU * (k + 0.5) / n
         v = p0[1] + dV * (k + 0.5) / n
         mdk = metric_and_gamma(surface, u, v)
-        length += math.sqrt(max(_metric_dot(mdk, (dU / n, dV / n),
+        length += math.sqrt(max(_metric_dot(mdk.E, mdk.F, mdk.G,
+                                            (dU / n, dV / n),
                                             (dU / n, dV / n)), 0.0))
     return theta, length
 
@@ -386,7 +374,8 @@ class _Shot:
         du, dv = surface.wrap_delta(target[0] - self.state_star[0],
                                     target[1] - self.state_star[1])
         md = metric_and_gamma(surface, self.state_star[0], self.state_star[1])
-        self.miss_dist = math.sqrt(max(_metric_dot(md, (du, dv), (du, dv)), 0.0))
+        self.miss_dist = math.sqrt(max(
+            _metric_dot(md.E, md.F, md.G, (du, dv), (du, dv)), 0.0))
         cross = self.state_star[2] * dv - self.state_star[3] * du
         self.miss = math.copysign(self.miss_dist, cross) if cross != 0.0 else 0.0
 
@@ -576,10 +565,12 @@ def parallel_transport(sc, A0, spec=OdeSpec(), n_samples=257):
     for t, (A1, A2) in zip(ts, comps):
         u, v = sc.point(t)
         md = metric_and_gamma(sc.surface, u, v)
-        norms.append(math.sqrt(max(_metric_dot(md, (A1, A2), (A1, A2)), 0.0)))
-        e1, e2 = _orthonormal_frame(md.E, md.F, md.G)
-        x = _metric_dot(md, (A1, A2), e1)
-        y_ = _metric_dot(md, (A1, A2), e2)
+        E, F, G = md.E, md.F, md.G
+        norms.append(math.sqrt(max(_metric_dot(E, F, G, (A1, A2), (A1, A2)),
+                                   0.0)))
+        e1, e2 = _orthonormal_frame(E, F, G)
+        x = _metric_dot(E, F, G, (A1, A2), e1)
+        y_ = _metric_dot(E, F, G, (A1, A2), e2)
         ang = math.atan2(y_, x)
         if prev is not None:
             while ang - prev > math.pi:
@@ -782,11 +773,8 @@ def _exterior_angle(arc_in, arc_out):
     uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
     t_out = (uj2.c[1], vj2.c[1])
     sj = _SurfaceJets(surface, u0, v0)
-    E, F, G = sj.EFG
-    md_dot = (E * t_in[0] * t_out[0] + F * (t_in[0] * t_out[1]
-              + t_in[1] * t_out[0]) + G * t_in[1] * t_out[1])
     cross = sj.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
-    return math.atan2(cross, md_dot)
+    return math.atan2(cross, _metric_dot(*sj.EFG, t_in, t_out))
 
 
 def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
@@ -812,23 +800,14 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
 
     total_K = 0.0
     for rect in loop.region_rects:
-        total_K += _total_curvature_rect(surface, rect, spec)
+        total_K += total_curvature(surface, rect, spec)
     return GaussBonnetBudget(sum_kg=sum_kg, sum_angles=sum_angles,
                              total_K=total_K)
 
 
-def _total_curvature_rect(surface, rect, spec):
-    def integrand(u, v):
-        sj = _SurfaceJets(surface, u, v)
-        e, f, g = sj.efg()
-        return (e * g - f * f) / sj.sqrt_a
-
-    return quad2d(integrand, rect, spec)
-
-
 def gauss_bonnet_global(surface, rect, chi, spec=QuadSpec(tol=1e-7)):
     """(total curvature, defect vs 2 pi chi) over a closure rectangle."""
-    total = _total_curvature_rect(surface, rect, spec)
+    total = total_curvature(surface, rect, spec)
     return total, total - 2.0 * math.pi * chi
 
 

@@ -141,7 +141,7 @@ class _SurfaceJets:
     to order 2, metric jets to order 2, b and Gamma jets to order 1.
     """
 
-    def __init__(self, surface, u, v, clamp=False):
+    def __init__(self, surface, u, v):
         self.surface = surface
         self.u, self.v = float(u), float(v)
         uj = Jet2.variable_u(self.u)
@@ -205,18 +205,9 @@ class _SurfaceJets:
         in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2)."""
         if self._gamma2_jets is None:
             E, F, G = self.a11, self.a12, self.a22
-            Eu, Ev = E.du(), E.dv()
-            Fu, Fv = F.du(), F.dv()
-            Gu, Gv = G.du(), G.dv()
-            inv2a = 1.0 / (2.0 * self.aj)
-            self._gamma2_jets = (
-                (G * Eu - 2.0 * F * Fu + F * Ev) * inv2a,
-                (2.0 * E * Fu - E * Ev - F * Eu) * inv2a,
-                (G * Ev - F * Gu) * inv2a,
-                (E * Gu - F * Ev) * inv2a,
-                (2.0 * G * Fv - G * Gu - F * Gv) * inv2a,
-                (E * Gv - 2.0 * F * Fv + F * Gu) * inv2a,
-            )
+            self._gamma2_jets = _christoffel2(
+                E, F, G, E.du(), E.dv(), F.du(), F.dv(), G.du(), G.dv(),
+                self.aj)
         return self._gamma2_jets
 
     def gamma2(self):
@@ -237,8 +228,24 @@ class _SurfaceJets:
                 Vec3(n.x.c[_FV], n.y.c[_FV], n.z.c[_FV]))
 
 
-def _surface_jets(surface, u, v, clamp=False):
-    return _SurfaceJets(surface, u, v, clamp=clamp)
+def _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a):
+    """Second-kind Christoffel symbols from the metric, its first partials
+    and a = EG - F^2, in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2).
+    Written for floats and Jet2 alike."""
+    inv2a = 1.0 / (2.0 * a)
+    return (
+        (G * Eu - 2.0 * F * Fu + F * Ev) * inv2a,
+        (2.0 * E * Fu - E * Ev - F * Eu) * inv2a,
+        (G * Ev - F * Gu) * inv2a,
+        (E * Gu - F * Ev) * inv2a,
+        (2.0 * G * Fv - G * Gu - F * Gv) * inv2a,
+        (E * Gv - 2.0 * F * Fv + F * Gu) * inv2a,
+    )
+
+
+def _metric_dot(E, F, G, X, Y):
+    """First fundamental form I(X, Y) of two parameter-space vectors."""
+    return E * X[0] * Y[0] + F * (X[0] * Y[1] + X[1] * Y[0]) + G * X[1] * Y[1]
 
 
 @dataclass(frozen=True)
@@ -275,16 +282,8 @@ def metric_and_gamma(surface, u, v):
     Fv = dot(_FUV, _FV) + dot(_FU, _FVV)
     Gu = 2.0 * dot(_FV, _FUV)
     Gv = 2.0 * dot(_FV, _FVV)
-    inv2a = 0.5 / a
-    gamma2 = (
-        (G * Eu - 2.0 * F * Fu + F * Ev) * inv2a,
-        (2.0 * E * Fu - E * Ev - F * Eu) * inv2a,
-        (G * Ev - F * Gu) * inv2a,
-        (E * Gu - F * Ev) * inv2a,
-        (2.0 * G * Fv - G * Gu - F * Gv) * inv2a,
-        (E * Gv - 2.0 * F * Fv + F * Gu) * inv2a,
-    )
-    return MetricData(E=E, F=F, G=G, a=a, gamma2=gamma2)
+    return MetricData(E=E, F=F, G=G, a=a,
+                      gamma2=_christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a))
 
 
 def surface_frame(surface, u, v):
@@ -531,18 +530,12 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
 
 def angle_between(surface, u, v, A, B):
     """Angle in [0, pi] between tangent vectors given by surface components."""
-    sj = _SurfaceJets(surface, u, v)
-    E, F, G = sj.EFG
-
-    def dot(X, Y):
-        return (E * X[0] * Y[0] + F * (X[0] * Y[1] + X[1] * Y[0])
-                + G * X[1] * Y[1])
-
-    na = math.sqrt(dot(A, A))
-    nb = math.sqrt(dot(B, B))
+    E, F, G = _SurfaceJets(surface, u, v).EFG
+    na = math.sqrt(_metric_dot(E, F, G, A, A))
+    nb = math.sqrt(_metric_dot(E, F, G, B, B))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("angle_between needs nonzero tangent vectors")
-    c = dot(A, B) / (na * nb)
+    c = _metric_dot(E, F, G, A, B) / (na * nb)
     return math.acos(min(1.0, max(-1.0, c)))
 
 

@@ -151,6 +151,18 @@ class TestVerify:
         assert code == 0
         assert "frenet-serret" in out
 
+    def test_unknown_suite_rejected(self, capsys):
+        code = main(["verify", "--shape", "sphere", "--suite", "egregiumm"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "egregiumm" in err and "egregium," in err
+
+    def test_tol_is_not_a_verify_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--shape", "torus", "--tol", "-1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestGeodesic:
     def test_plane_bvp(self, capsys, tmp_path):
@@ -314,6 +326,51 @@ class TestReconstruct:
         code, _ = run(capsys, "reconstruct", "--kappa", "0", "--tau", "0",
                       "--length", "1.0")
         assert code == 3
+
+
+BAD_FILES = {
+    "bad.ps": "surface s\nparam u in [0, 1]\nparam v in 0, 1]\nx = u\n"
+              "y = v\nz = 0\n",
+    "bad.loop": "loop l\nregion 0 1 0 1\narc t in [0, 1]\nu = t\nv = 0\n"
+                "w = 3\n",
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, env_tol, named", [
+        (["eval", "--shape", "sphere", "--at", "u=0.3", "--quantity", "K"],
+         None, "--at 'u=0.3' has 1 coordinate(s), expected 2"),
+        (["eval", "--shape", "sphere", "--grid", "0x3", "--quantity", "K"],
+         None, "'0x3'"),
+        (["eval", "--shape", "sphere", "--param", "R=nan", "--at", "0.1,0.2",
+          "--quantity", "K"], None, "--param R 'nan'"),
+        (["geodesic", "--shape", "plane", "--from", "0,0", "--to", "1,1"],
+         "abc", "'abc'"),
+        (["geodesic", "--shape", "plane", "--from", "0,0", "--to", "1,1",
+          "--tol", "-1"], None, "'-1'"),
+        (["transport", "--shape", "sphere", "--loop", "const-v:0.5",
+          "--vector", "1,0", "--tol", "-1"], None, "'-1'"),
+        (["eval", "--file", "bad.ps", "--at", "0.1,0.2", "--quantity", "K"],
+         None, "bad.ps: line 3: domain must be '[a, b]'"),
+        (["gauss-bonnet", "--shape", "plane", "--loop-file", "bad.loop"],
+         None, "bad.loop: line 6: unexpected component 'w'"),
+    ], ids=["at-arity", "grid-zero", "param-nan", "env-tol", "geodesic-tol",
+            "transport-tol", "file-line", "loop-line"])
+    def test_exit_2_naming_the_input(self, argv, env_tol, named, capsys,
+                                     monkeypatch, tmp_path):
+        for name, text in BAD_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        if env_tol is not None:
+            monkeypatch.setenv("DIFFGEO_TOL", env_tol)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # rejected by the argument parser
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err.strip().splitlines()[-1]
 
 
 class TestReportFormat:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from diffgeo.errors import (ArityError, DomainError, LexError, ParseError,
-                            UnknownIdentifier)
+from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
+                            ParseError, UnknownIdentifier)
 from diffgeo.expr import (eval_scalar, load_definition, parse_text,
                           to_text, tokenize)
 from diffgeo.jets import Jet1, Jet2
@@ -189,6 +189,63 @@ v = 2*t
         uj, vj = d.eval(Jet1.variable(0.25))
         assert (uj.value, vj.value) == (0.25, 0.5)
         assert (uj.c[1], vj.c[1]) == (1.0, 2.0)
+
+
+class TestLoopDefinitions:
+    def test_arcs_corners_and_region(self):
+        d = load_definition("""
+loop wedge
+region 0 1 0 pi/4   # enclosed rectangle
+arc t in [0, 1]
+u = t
+v = 0
+corner pi/2
+arc s in [0, 1]
+u = 1
+v = s*pi/4
+corner auto
+""")
+        assert d.kind == "loop" and d.name == "wedge"
+        assert d.regions == ((0.0, 1.0, 0.0, math.pi / 4),)
+        assert d.corners == (math.pi / 2, None)
+        first, second = d.arcs
+        assert first.kind == "surfacecurve" and second.params == {"s": (0.0, 1.0)}
+        uj, vj = second.eval(Jet1.variable(0.5))
+        assert (uj.value, uj.c[1], vj.value, vj.c[1]) == (
+            1.0, 0.0, 0.5 * math.pi / 4, math.pi / 4)
+
+
+class TestDefinitionErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("surface s\nparam u in [0, 1]\nparam v in 0, 1]\nx = u\ny = v\n"
+         "z = 0\n", "line 3: domain must be '[a, b]'"),
+        ("curve c\nparam t in [0, 1]\nx = t\ny = sin(t\nz = 0\n",
+         "line 4: expected ')'"),
+        ("curve c\nparam t in [0, 1]\nx = t\ny = w*t\nz = 0\n",
+         "line 4: component 'y' references undeclared identifier 'w'"),
+        ("curve c\nparam t in [0, 1]\nconst k = q\nx = t\ny = t\nz = 0\n",
+         "line 3: a number may not reference 'q'"),
+        ("curve c\nparam t in [0, 1]\nx = t\ny = t\n",
+         "line 1: missing component(s): z"),
+        ("loop l\nregion 0 1 0 1\narc t in 0, 1]\nu = t\nv = 0\n",
+         "line 3: domain must be '[a, b]'"),
+        ("loop l\nregion 0 1 0 1\narc t in [0, 1]\nu = t\nv = 0\nw = 3\n",
+         "line 6: unexpected component 'w'"),
+        ("loop l\nregion 0 1 0 1\narc t in [0, 1]\nu = t\n",
+         "line 3: missing component(s): v"),
+        ("loop l\nregion 0 1 0\narc t in [0, 1]\nu = t\nv = 0\n",
+         "line 2: region line needs u0 u1 v0 v1"),
+        ("loop l\nu = t\n", "line 2: 'u' line before the first arc"),
+        ("loop l\narc t in [0, 1]\nu = t\nv = 0\n",
+         "line 1: loop needs at least one region line"),
+    ], ids=["param-domain", "unclosed-call", "undeclared", "const-name",
+            "missing-component", "arc-domain", "arc-unknown-key",
+            "arc-missing-component", "region-count", "before-arc",
+            "no-region"])
+    def test_message_names_the_line(self, text, message):
+        with pytest.raises(DiffGeoError) as exc:
+            load_definition(text)
+        assert str(exc.value).startswith(message)
 
 
 class TestJetEvaluationVsFiniteDifferences:

@@ -1,11 +1,16 @@
 """ODE integrator, adaptive quadrature and root finding."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diffgeo
+from diffgeo import quadrature
 from diffgeo.errors import (MaxDepthExceeded, MaxStepsExceeded, NoConvergence,
                             StepUnderflow)
 from diffgeo.ode import OdeSpec, ode_solve
@@ -202,6 +207,22 @@ class TestQuadrature:
     def test_empty_intervals(self):
         assert quad_adaptive(math.sin, (1.0, 1.0)) == 0.0
         assert quad2d(lambda u, v: 1.0, (0, 0, 0, 1)) == 0.0
+
+
+class TestNoRuntimeDependencies:
+    def test_import_loads_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(diffgeo.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, diffgeo, diffgeo.cli; print('numpy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_gauss_rule_literals_equal_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert quadrature._NODES == tuple(float(x) for x in nodes)
+        assert quadrature._WEIGHTS == tuple(float(w) for w in weights)
 
 
 class TestRootFind:

@@ -241,7 +241,8 @@ class TestGeodesicIVP:
         path = geodesic_ivp(TORUS, 1.0, 2.0, (0.7, -0.4), 6.0)
         for st in path.states[:: len(path.states) // 8]:
             md = metric_and_gamma(TORUS, st[0], st[1])
-            speed = _metric_dot(md, (st[2], st[3]), (st[2], st[3]))
+            speed = _metric_dot(md.E, md.F, md.G, (st[2], st[3]),
+                                (st[2], st[3]))
             assert abs(speed - 1.0) <= 1e-7
 
     def test_geodesic_curvature_small_along_path(self):
