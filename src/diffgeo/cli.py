@@ -2,10 +2,10 @@
 
 Subcommands: eval, verify, geodesic, transport, gauss-bonnet, reconstruct.
 Shapes come from the catalog (--shape name --param k=v) or definition files
-(--file path.pc / .ps).  Reports go to stdout; --json / --csv write
-deterministic artifacts (see diffgeo.report).  Exit codes: 2 argument
-errors, 3 evaluation errors, 4 verification failure, 5 geodesic solver
-errors.
+(--file path.pc / .ps).  Reports go to stdout; --json (and --csv, for the
+commands with a trajectory) write deterministic artifacts (see
+diffgeo.report).  Exit codes: 2 argument errors, 3 evaluation errors,
+4 verification failure, 5 geodesic solver errors.
 """
 
 import argparse
@@ -18,7 +18,8 @@ import time
 from . import catalog, report
 from .curves import (ParametricCurve, classify_curve, frenet,
                      frenet_residuals, reconstruct_from_kappa_tau)
-from .errors import DiffGeoError, NonOrthogonalPatch, UmbilicPoint
+from .errors import (DiffGeoError, InvalidParameter, NonOrthogonalPatch,
+                     UmbilicPoint, UnknownShape)
 from .expr import compile_expr, eval_literal, load_definition, parse_text
 from .ode import OdeSpec
 from .quadrature import QuadSpec
@@ -38,6 +39,9 @@ _EXIT_ARGS = 2
 _EXIT_EVAL = 3
 _EXIT_SUITE = 4
 _EXIT_GEODESIC = 5
+# an argument error, in an argparse type or found by a command: exit 2
+_Usage = argparse.ArgumentTypeError
+_MAX_LENGTH = 1000.0    # keeps every accepted --length to bounded work
 
 
 def _grid(text):
@@ -49,7 +53,7 @@ def _grid(text):
     except ValueError:
         counts = (0, 0)
     if min(counts) < 1:
-        raise argparse.ArgumentTypeError(
+        raise _Usage(
             f"expected N or NxM with counts of at least 1, got {text!r}")
     return counts
 
@@ -59,9 +63,9 @@ def _number(text, what):
     try:
         x = eval_literal(text)
     except DiffGeoError as exc:
-        raise argparse.ArgumentTypeError(f"{what} {text!r}: {exc}") from None
+        raise _Usage(f"{what} {text!r}: {exc}") from None
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"{what} {text!r} is not finite")
+        raise _Usage(f"{what} {text!r} is not finite")
     return x
 
 
@@ -69,9 +73,33 @@ def _tolerance(text):
     """--tol, whose default comes from $DIFFGEO_TOL."""
     x = _number(text, "--tol or $DIFFGEO_TOL")
     if x <= 0.0:
-        raise argparse.ArgumentTypeError(
-            f"--tol or $DIFFGEO_TOL {text!r} is not positive")
+        raise _Usage(f"--tol or $DIFFGEO_TOL {text!r} is not positive")
     return x
+
+
+def _length(signed):
+    """--length: finite, nonzero (positive unless ``signed``) and at most
+    _MAX_LENGTH in size."""
+    def parse(text):
+        x = _number(text, "--length")
+        if not 0.0 < (abs(x) if signed else x) <= _MAX_LENGTH:
+            sign = "nonzero" if signed else "positive"
+            raise _Usage(f"--length {text!r} must be {sign} and at most "
+                         f"{_MAX_LENGTH:g} in size")
+        return x
+
+    return parse
+
+
+def _samples(lo, hi):
+    """--samples: an integer from ``lo`` to ``hi``."""
+    def parse(text):
+        if not (text.isdecimal() and lo <= int(text) <= hi):
+            raise _Usage(
+                f"--samples {text!r} must be an integer from {lo} to {hi}")
+        return int(text)
+
+    return parse
 
 
 def _parse_params(items, ent):
@@ -80,8 +108,7 @@ def _parse_params(items, ent):
     out = {}
     for item in items or ():
         if "=" not in item:
-            raise argparse.ArgumentTypeError(
-                f"--param expects k=v, got {item!r}")
+            raise _Usage(f"--param expects k=v, got {item!r}")
         k, v = (x.strip() for x in item.split("=", 1))
         if isinstance(ent.params.get(k), str):
             out[k] = v
@@ -94,7 +121,7 @@ def _parse_point(text, what, n):
     """'u=0.3,v=0.4' or '0.3,0.4' or 't=1.2' -> tuple of n floats."""
     vals = tuple(_number(p.split("=", 1)[-1], what) for p in text.split(","))
     if len(vals) != n:
-        raise argparse.ArgumentTypeError(
+        raise _Usage(
             f"{what} {text!r} has {len(vals)} coordinate(s), expected {n}")
     return vals
 
@@ -104,15 +131,18 @@ def _read_definition(path):
         try:
             return load_definition(fh.read())
         except DiffGeoError as exc:
-            raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+            raise _Usage(f"{path}: {exc}") from None
 
 
 def _load_shape(args):
     """Returns (shape, kind, descriptor dict)."""
     if getattr(args, "shape", None):
-        ent = catalog.entry(args.shape)
-        params = _parse_params(getattr(args, "param", None), ent)
-        shape = catalog.make(args.shape, **params)
+        try:
+            ent = catalog.entry(args.shape)
+            params = _parse_params(getattr(args, "param", None), ent)
+            shape = catalog.make(args.shape, **params)
+        except (UnknownShape, InvalidParameter) as exc:
+            raise _Usage(str(exc)) from None
         desc = {"source": "catalog", "name": args.shape,
                 "params": {k: params.get(k, ent.params[k])
                            for k in sorted(ent.params)}}
@@ -122,7 +152,15 @@ def _load_shape(args):
         desc = {"source": "file", "path": os.path.basename(args.file),
                 "name": definition.name}
         return catalog.build(definition), definition.kind, desc
-    raise DiffGeoError("one of --shape or --file is required")
+    raise _Usage("one of --shape or --file is required")
+
+
+def _load_surface(args):
+    """_load_shape for the commands that need a surface."""
+    shape, kind, desc = _load_shape(args)
+    if kind != "surface":
+        raise _Usage(f"{args.command} needs a surface shape")
+    return shape, desc
 
 
 def _surface_curve(definition, shape):
@@ -251,7 +289,7 @@ def cmd_eval(args):
         else:
             points.extend((t,) for t in axis(rect[0], rect[1], nu, False))
     if not points:
-        raise DiffGeoError("give --at or --grid")
+        raise _Usage("give --at or --grid")
 
     failed = None
     for pt in points:
@@ -482,7 +520,7 @@ def cmd_verify(args):
     wanted = set(args.suite) if args.suite else None
     unknown = sorted((wanted or set()) - set(known))
     if unknown:
-        raise argparse.ArgumentTypeError(
+        raise _Usage(
             f"unknown suite(s) {', '.join(unknown)} for a {kind}; "
             f"known: {', '.join(known)}")
 
@@ -511,9 +549,7 @@ def cmd_verify(args):
 # --------------------------------------------------------------------------
 
 def cmd_geodesic(args):
-    shape, kind, desc = _load_shape(args)
-    if kind != "surface":
-        raise DiffGeoError("geodesics need a surface shape")
+    shape, desc = _load_surface(args)
     spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     rep = report.Report("geodesic", desc)
     p0 = _parse_point(getattr(args, "from"), "--from", 2)
@@ -525,7 +561,7 @@ def cmd_geodesic(args):
         rep.summary["endpoint_error"] = math.hypot(du, dv)
     else:
         if not args.dir or args.length is None:
-            raise DiffGeoError("give --to, or --dir plus --length")
+            raise _Usage("give --to, or --dir plus --length")
         path = geodesic_ivp(shape, p0[0], p0[1],
                             _parse_point(args.dir, "--dir", 2), args.length,
                             spec)
@@ -553,8 +589,9 @@ def _load_surface_curve(args, shape):
     if args.curve:
         definition = _read_definition(args.curve)
         if definition.kind != "surfacecurve":
-            raise DiffGeoError("transport --curve file must be a "
-                               "'surfacecurve' definition (u =, v =)")
+            raise _Usage(
+                "transport --curve file must be a 'surfacecurve' definition "
+                "(u =, v =)")
         return _surface_curve(definition, shape)
     if args.loop:
         which, _, val = args.loop.partition(":")
@@ -563,14 +600,12 @@ def _load_surface_curve(args, shape):
             return SurfaceCurve.const_v(shape, value)
         if which == "const-u":
             return SurfaceCurve.const_u(shape, value)
-        raise DiffGeoError("--loop expects const-v:<value> or const-u:<value>")
-    raise DiffGeoError("give --curve file or --loop const-v:<value>")
+        raise _Usage("--loop expects const-v:<value> or const-u:<value>")
+    raise _Usage("give --curve file or --loop const-v:<value>")
 
 
 def cmd_transport(args):
-    shape, kind, desc = _load_shape(args)
-    if kind != "surface":
-        raise DiffGeoError("transport needs a surface shape")
+    shape, desc = _load_surface(args)
     spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
     rep = report.Report("transport", desc)
     sc = _load_surface_curve(args, shape)
@@ -598,7 +633,7 @@ def cmd_transport(args):
 def _load_loop(path, shape):
     definition = _read_definition(path)
     if definition.kind != "loop":
-        raise DiffGeoError("--loop-file must be a 'loop' definition")
+        raise _Usage("--loop-file must be a 'loop' definition")
     return BoundaryLoop(
         arcs=[_surface_curve(arc, shape) for arc in definition.arcs],
         corner_angles=list(definition.corners),
@@ -606,17 +641,15 @@ def _load_loop(path, shape):
 
 
 def cmd_gauss_bonnet(args):
-    shape, kind, desc = _load_shape(args)
-    if kind != "surface":
-        raise DiffGeoError("gauss-bonnet needs a surface shape")
+    shape, desc = _load_surface(args)
     rep = report.Report("gauss-bonnet", desc)
     qspec = QuadSpec(tol=max(args.tol, 1e-9))
     if args.glob:
         if args.chi is None:
             ent = catalog.entry(args.shape) if args.shape else None
             if ent is None or not ent.is_closed:
-                raise DiffGeoError("--global needs --chi (or a closed "
-                                   "catalog shape)")
+                raise _Usage(
+                    "--global needs --chi (or a closed catalog shape)")
             args.chi = ent.chi
         total, defect = gauss_bonnet_global(shape, shape.domain, args.chi,
                                             qspec)
@@ -625,7 +658,7 @@ def cmd_gauss_bonnet(args):
         rep.summary["defect"] = defect
     else:
         if not args.loop_file:
-            raise DiffGeoError("give --global or --loop-file")
+            raise _Usage("give --global or --loop-file")
         loop = _load_loop(args.loop_file, shape)
         budget = gauss_bonnet_local(shape, loop, qspec)
         rep.summary["sum_kappa_g"] = budget.sum_kg
@@ -696,16 +729,15 @@ def _add_shape_args(p, files=True):
         p.add_argument("--file", help="definition file (.pc or .ps)")
 
 
-def _add_common(p, tol=True):
+def _add_common(p, tol=True, csv=True):
     p.add_argument("--json", help="write the report as deterministic JSON")
-    p.add_argument("--csv", help="write trajectory/record CSV")
+    if csv:
+        p.add_argument("--csv", help="write the trajectory as CSV")
     if tol:
         p.add_argument("--tol", type=_tolerance,
                        default=os.environ.get("DIFFGEO_TOL") or "1e-10",
                        help="integration/quadrature tolerance "
                             "(default 1e-10 or $DIFFGEO_TOL)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sampling (default 0)")
 
 
 def build_parser():
@@ -726,16 +758,19 @@ def build_parser():
                         f"surface: {_SURFACE_QUANTITIES}")
     p.add_argument("--clamp", action="store_true",
                    help="clamp out-of-domain --at points to the boundary")
-    _add_common(p)
+    _add_common(p, tol=False, csv=False)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run identity/residual suites")
     _add_shape_args(p)
     p.add_argument("--suite", action="append",
                    help="restrict to named suites (repeatable)")
-    p.add_argument("--samples", type=int, default=40,
-                   help="random sample points per suite (default 40)")
-    _add_common(p, tol=False)
+    p.add_argument("--samples", type=_samples(1, 1000), default=40,
+                   help="random sample points per suite (1 to 1000, "
+                        "default 40)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sample points (default 0)")
+    _add_common(p, tol=False, csv=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("geodesic", help="solve geodesic IVP/BVP")
@@ -743,7 +778,9 @@ def build_parser():
     p.add_argument("--from", required=True, help="start point u,v")
     p.add_argument("--to", help="target point u,v (boundary-value problem)")
     p.add_argument("--dir", help="initial direction du,dv (initial-value)")
-    p.add_argument("--length", type=float, help="arc length for --dir")
+    p.add_argument("--length", type=_length(signed=True),
+                   help=f"arc length for --dir (nonzero, |length| <= "
+                        f"{_MAX_LENGTH:g})")
     _add_common(p)
     p.set_defaults(fn=cmd_geodesic)
 
@@ -761,15 +798,17 @@ def build_parser():
                    help="closed-surface variant over the full domain")
     p.add_argument("--chi", type=int, help="Euler characteristic")
     p.add_argument("--loop-file", help="boundary description (.loop)")
-    _add_common(p)
+    _add_common(p, csv=False)
     p.set_defaults(fn=cmd_gauss_bonnet)
 
     p = sub.add_parser("reconstruct",
                        help="rebuild a curve from kappa(s), tau(s)")
     p.add_argument("--kappa", required=True, help="expression in s")
     p.add_argument("--tau", required=True, help="expression in s")
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--samples", type=int, default=257)
+    p.add_argument("--length", type=_length(signed=False), required=True,
+                   help=f"arc length (positive, at most {_MAX_LENGTH:g})")
+    p.add_argument("--samples", type=_samples(2, 10000), default=257,
+                   help="output samples (2 to 10000, default 257)")
     _add_common(p)
     p.set_defaults(fn=cmd_reconstruct)
     return ap
@@ -781,7 +820,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except argparse.ArgumentTypeError as exc:
+    except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ARGS
     except DiffGeoError as exc:

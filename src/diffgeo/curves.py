@@ -8,6 +8,7 @@ than finite differences.  The torsion sign convention is the right-handed
 Frenet system dB/ds = -tau N.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
 from .interpolate import HermiteChannel
 from .jets import Jet1
-from .ode import OdeSpec, ode_solve
+from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .vectors import Vec3
 
@@ -215,19 +216,12 @@ def reparam_to_arclength(curve, spec=OdeSpec(), n_knots=256):
     def dt_ds(s, y):
         return (1.0 / _CurveJets(curve, y[0]).sigma.value,)
 
-    grid = [total * k / (n_knots - 1) for k in range(n_knots)]
-    table = ode_solve(dt_ds, (t0,), (0.0, total), spec, t_eval=grid)
-    knot_s = list(table.ts)
+    table = ode_solve(dt_ds, (t0,), linspace(0.0, total, n_knots), spec)
+    knot_s = table.ts
     knot_t = [y[0] for y in table.ys]
 
     def t_of_s(s0):
-        lo, hi = 0, len(knot_s) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if knot_s[mid] <= s0:
-                lo = mid
-            else:
-                hi = mid - 1
+        lo = bisect.bisect_right(knot_s, s0) - 1
         if knot_s[lo] == s0:
             return knot_t[lo]
         seg = ode_solve(dt_ds, (knot_t[lo],), (knot_s[lo], s0), spec)
@@ -459,8 +453,7 @@ def reconstruct_from_kappa_tau(kappa, tau, r0, frame0, length,
         raise NonOrthonormalSeed(
             f"initial frame is not an orthonormal right-handed triad "
             f"(defect {ortho_err:.2e})")
-    probe = [length * k / 64.0 for k in range(65)]
-    bad = [s for s in probe if kappa(s) <= 0.0]
+    bad = [s for s in linspace(0.0, length, 65) if kappa(s) <= 0.0]
     if bad:
         raise DomainError(f"kappa(s) must stay positive; fails at s={bad[0]!r}")
 
@@ -483,17 +476,12 @@ def reconstruct_from_kappa_tau(kappa, tau, r0, frame0, length,
         return y[0:3] + tuple(T) + tuple(N) + tuple(B)
 
     y0 = tuple(r0) + tuple(T0) + tuple(N0) + tuple(B0)
-    grid = [length * k / (n_samples - 1) for k in range(n_samples)]
-    sol = ode_solve(field, y0, (0.0, length), spec, t_eval=grid,
+    sol = ode_solve(field, y0, linspace(0.0, length, n_samples), spec,
                     post_step=renorm)
 
     out = ReconstructedCurve(s=[], r=[], T=[], N=[], B=[])
     rdd = []
-    want = set(grid)
     for s, y in zip(sol.ts, sol.ys):
-        if s not in want:
-            continue
-        want.discard(s)  # keep first occurrence only
         out.s.append(s)
         out.r.append(Vec3(*y[0:3]))
         out.T.append(Vec3(*y[3:6]))

@@ -3,15 +3,18 @@
 A single explicit Dormand-Prince 5(4) pair drives every trajectory in the
 library (Frenet reconstruction, geodesics, parallel transport).  The Butcher
 table is written out as exact rationals so results are reproducible across
-platforms.  Requested sample times are honoured by clamping steps onto them,
-never by interpolation, so samples carry full integration accuracy.
+platforms.  One call integrates a whole trajectory through a list of sample
+times: steps are clamped to land on each sample exactly, never interpolated
+onto it, so samples carry full integration accuracy, and the result holds
+the state at each sample and nothing else.  :func:`linspace` builds evenly
+spaced samples that end exactly at the last time.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import MaxStepsExceeded, StepUnderflow
 
-__all__ = ["OdeSpec", "OdeResult", "ode_solve"]
+__all__ = ["OdeSpec", "OdeResult", "ode_solve", "linspace"]
 
 # Dormand-Prince 5(4), FSAL.  c_i, a_ij, 5th-order b, embedded 4th-order b.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -48,30 +51,22 @@ class OdeSpec:
 
 @dataclass
 class OdeResult:
-    """Sampled trajectory: ``ts[i]`` with state ``ys[i]`` (lists of tuples)."""
+    """Sampled trajectory: state ``ys[i]`` (a tuple) at each sample time
+    ``ts[i]`` reached; ``n_steps`` counts the accepted steps."""
 
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     n_steps: int = 0
 
     @property
-    def t_end(self):
-        return self.ts[-1]
-
-    @property
     def y_end(self):
         return self.ys[-1]
 
-    def state_at(self, t):
-        """State at a recorded sample time (exact match by index search)."""
-        lo, hi = 0, len(self.ts) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.ts[mid] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.ys[lo]
+
+def linspace(t0, t1, n):
+    """``n >= 2`` evenly spaced times from ``t0`` to exactly ``t1``."""
+    t0, t1 = float(t0), float(t1)
+    return [t0 + (t1 - t0) * k / (n - 1) for k in range(n - 1)] + [t1]
 
 
 def _weighted_sum(y, ks, h, coeffs):
@@ -86,90 +81,88 @@ def _weighted_sum(y, ks, h, coeffs):
     return out
 
 
-def ode_solve(field_fn, y0, span, spec=OdeSpec(), t_eval=None, post_step=None):
-    """Integrate ``y' = field_fn(t, y)`` over ``span=(t0, t1)``.
+def _error_norm(y, y_new, ks, hs, spec):
+    """RMS of the embedded error estimate, scaled by the mixed tolerance."""
+    err = 0.0
+    for i in range(len(y)):
+        e = 0.0
+        for c, k in zip(_ERR, ks):
+            if c != 0.0:
+                e += c * k[i]
+        e *= hs
+        sc = spec.abs_tol + spec.rel_tol * max(abs(y[i]), abs(y_new[i]))
+        q = e / sc
+        err += q * q
+    return (err / len(y)) ** 0.5
 
-    Samples every accepted step plus each time in ``t_eval`` (steps are
-    clamped to land on them exactly).  ``post_step`` may replace the state
-    after each accepted step (used to re-orthonormalize frames); it receives
-    ``(t, y)`` and returns the adjusted state.
+
+def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
+    """Integrate ``y' = field_fn(t, y)`` from ``y0`` at ``ts[0]`` through the
+    strictly monotone sample times ``ts``; a span is ``(t0, t1)``.
+
+    ``post_step`` may replace the state after each accepted step (used to
+    re-orthonormalize frames); it receives ``(t, y)`` and returns the
+    adjusted state.  ``stop(t, y)`` is asked at each sample after the
+    first; when it returns true the solve ends with that sample.  An
+    exception raised during the solve, by step control or by the field,
+    carries the samples reached so far as ``partial`` (an OdeResult).
     """
-    t0, t1 = float(span[0]), float(span[1])
-    if t1 == t0:
+    ts = [float(t) for t in ts]
+    if len(ts) < 2 or ts[-1] == ts[0]:
         raise ValueError("degenerate integration span")
-    direction = 1.0 if t1 > t0 else -1.0
-
-    checkpoints = [t1]
-    if t_eval is not None:
-        pts = sorted(set(float(t) for t in t_eval), reverse=(direction < 0))
-        checkpoints = [p for p in pts if (p - t0) * direction > 0.0
-                       and (t1 - p) * direction >= 0.0]
-        if not checkpoints or checkpoints[-1] != t1:
-            checkpoints.append(t1)
+    direction = 1.0 if ts[-1] > ts[0] else -1.0
+    if any((b - a) * direction <= 0.0 for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample times must be strictly monotone")
 
     y = [float(v) for v in y0]
-    t = t0
-    res = OdeResult()
-    res.ts.append(t)
-    res.ys.append(tuple(y))
+    t = ts[0]
+    res = OdeResult(ts=[t], ys=[tuple(y)])
+    h = min(abs(ts[-1] - t) / 16.0, spec.max_step)
+    try:
+        f_now = field_fn(t, tuple(y))
+        for target in ts[1:]:
+            while (target - t) * direction > 0.0:
+                if res.n_steps >= spec.max_steps:
+                    raise MaxStepsExceeded(
+                        f"ODE integration exceeded {spec.max_steps} steps "
+                        f"at t={t!r}")
+                h = min(h, spec.max_step)
+                remaining = abs(target - t)
+                clamped = h >= remaining
+                h_step = remaining if clamped else h
+                hs = h_step * direction
 
-    span_len = abs(t1 - t0)
-    h = min(span_len / 16.0, spec.max_step)
-    f_now = field_fn(t, tuple(y))
+                ks = [f_now]
+                for i in range(1, 7):
+                    yi = _weighted_sum(y, ks, hs, _A[i])
+                    ks.append(field_fn(t + _C[i] * hs, tuple(yi)))
 
-    ci = 0
-    while True:
-        target = checkpoints[ci]
-        if (target - t) * direction <= 0.0:
-            ci += 1
-            if ci >= len(checkpoints):
-                break
-            continue
-        if res.n_steps >= spec.max_steps:
-            raise MaxStepsExceeded(
-                f"ODE integration exceeded {spec.max_steps} steps at t={t!r}")
+                y_new = _weighted_sum(y, ks, hs, _B5)
+                # FSAL: ks[6] is the derivative at (t + h, y_new)
+                err = _error_norm(y, y_new, ks, hs, spec)
 
-        h = min(h, spec.max_step)
-        remaining = abs(target - t)
-        clamped = h >= remaining
-        h_step = remaining if clamped else h
-        hs = h_step * direction
+                if err <= 1.0:
+                    t = target if clamped else t + hs
+                    y = y_new
+                    if post_step is not None:
+                        y = list(post_step(t, tuple(y)))
+                        f_now = field_fn(t, tuple(y))
+                    else:
+                        f_now = ks[6]
+                    res.n_steps += 1
 
-        ks = [f_now]
-        for i in range(1, 7):
-            yi = _weighted_sum(y, ks, hs, _A[i])
-            ks.append(field_fn(t + _C[i] * hs, tuple(yi)))
-
-        y_new = _weighted_sum(y, ks, hs, _B5)
-        # FSAL: ks[6] is the derivative at (t + h, y_new)
-        err = 0.0
-        for i in range(len(y)):
-            e = 0.0
-            for c, k in zip(_ERR, ks):
-                if c != 0.0:
-                    e += c * k[i]
-            e *= hs
-            sc = spec.abs_tol + spec.rel_tol * max(abs(y[i]), abs(y_new[i]))
-            q = e / sc
-            err += q * q
-        err = (err / len(y)) ** 0.5
-
-        if err <= 1.0:
-            t = target if clamped else t + hs
-            y = y_new
-            if post_step is not None:
-                y = list(post_step(t, tuple(y)))
-                f_now = field_fn(t, tuple(y))
-            else:
-                f_now = ks[6]
-            res.n_steps += 1
+                factor = (5.0 if err == 0.0
+                          else min(5.0, max(0.2, 0.9 * err ** -0.2)))
+                h = h_step * factor
+                if h < spec.min_step:
+                    raise StepUnderflow(
+                        f"ODE step fell below min_step={spec.min_step!r} "
+                        f"at t={t!r}")
             res.ts.append(t)
             res.ys.append(tuple(y))
-
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = h_step * factor
-        if h < spec.min_step:
-            raise StepUnderflow(
-                f"ODE step fell below min_step={spec.min_step!r} at t={t!r}")
-
+            if stop is not None and stop(t, res.ys[-1]):
+                break
+    except Exception as exc:
+        exc.partial = res
+        raise
     return res

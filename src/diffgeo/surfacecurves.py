@@ -20,7 +20,7 @@ from .errors import (AsymptoticPoint, DegenerateMultiplicity, InflectionPoint,
                      StepUnderflow, UmbilicPoint, ZeroVector)
 from .interpolate import HermiteChannel
 from .jets import Jet1
-from .ode import OdeSpec, ode_solve
+from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .roots import root_find
 from .surfaces import (_SurfaceJets, _curvatures_from_jets, _metric_dot,
@@ -274,32 +274,22 @@ def geodesic_ivp(surface, u0, v0, direction, length, spec=OdeSpec(),
     """Unit-speed geodesic from (u0, v0) in the given parameter direction.
 
     If the path leaves a non-periodic side of the parameter rectangle the
-    integration stops at the last inside chunk and the result is flagged
-    ``left_domain`` (a partial path)."""
+    integration stops at the first sample outside and the result is
+    flagged ``left_domain`` (a partial path)."""
     du, dv = unit_speed_direction(surface, u0, v0, direction)
     length = float(length)
     if n_samples is None:
         n_samples = max(33, min(513, int(abs(length) * 32) + 1))
-    rhs = _geodesic_rhs(surface)
-    grid = [length * k / (n_samples - 1) for k in range(n_samples)]
 
-    ss = [0.0]
-    states = [(float(u0), float(v0), du, dv)]
-    left = False
-    exit_s = None
-    for k in range(1, n_samples):
-        seg = ode_solve(rhs, states[-1], (grid[k - 1], grid[k]), spec)
-        st = seg.y_end
-        if not surface.contains(st[0], st[1]):
-            left = True
-            exit_s = grid[k]
-            ss.append(grid[k])
-            states.append(st)
-            break
-        ss.append(grid[k])
-        states.append(st)
-    return GeodesicPath(surface=surface, s=ss, states=states,
-                        length=ss[-1], left_domain=left, exit_s=exit_s)
+    def outside(s, y):
+        return not surface.contains(y[0], y[1])
+
+    sol = ode_solve(_geodesic_rhs(surface), (float(u0), float(v0), du, dv),
+                    linspace(0.0, length, n_samples), spec, stop=outside)
+    left = outside(sol.ts[-1], sol.y_end)
+    return GeodesicPath(surface=surface, s=sol.ts, states=sol.ys,
+                        length=sol.ts[-1], left_domain=left,
+                        exit_s=sol.ts[-1] if left else None)
 
 
 def _orthonormal_frame(E, F, G):
@@ -341,27 +331,24 @@ def _chord(surface, p0, p1):
 class _Shot:
     """One trajectory of the shooting problem with closest-approach data.
 
-    Integration proceeds scan-sample by scan-sample and silently truncates
-    if the trial heads into a chart singularity; a truncated shot simply
-    scores its closest approach over the part it reached."""
+    One solve samples the trajectory at ``_N_SCAN`` points and silently
+    truncates if the trial heads into a chart singularity; a truncated shot
+    simply scores its closest approach over the samples it reached."""
 
-    def __init__(self, surface, p0, theta, target, s_max, spec, n_scan=48):
+    _N_SCAN = 48
+
+    def __init__(self, surface, p0, theta, target, s_max, spec):
         self.surface = surface
         self.theta = theta
         rhs = _geodesic_rhs(surface)
         d = _direction_from_angle(surface, p0[0], p0[1], theta)
         y0 = (p0[0], p0[1], d[0], d[1])
-        self.ts = [0.0]
-        self.ys = [y0]
-        for k in range(1, n_scan):
-            s_next = s_max * k / (n_scan - 1)
-            try:
-                seg = ode_solve(rhs, self.ys[-1], (self.ts[-1], s_next), spec)
-            except (StepUnderflow, MaxStepsExceeded, SingularSurfacePoint,
-                    OverflowError):
-                break
-            self.ts.append(s_next)
-            self.ys.append(seg.y_end)
+        try:
+            sol = ode_solve(rhs, y0, linspace(0.0, s_max, self._N_SCAN), spec)
+        except (StepUnderflow, MaxStepsExceeded, SingularSurfacePoint,
+                OverflowError) as exc:
+            sol = exc.partial
+        self.ts, self.ys = sol.ts, sol.ys
         self.target = target
 
         def dist_sq(idx):
@@ -549,16 +536,9 @@ def parallel_transport(sc, A0, spec=OdeSpec(), n_samples=257):
         dA2 = -(g[1] * du * A1 + g[3] * (du * A2 + dv * A1) + g[5] * dv * A2)
         return (dA1, dA2)
 
-    grid = [t0 + (t1 - t0) * k / (n_samples - 1) for k in range(n_samples)]
-    sol = ode_solve(rhs, (float(A0[0]), float(A0[1])), (t0, t1), spec,
-                    t_eval=grid)
-    keep = {}
-    want = set(grid)
-    for t, y in zip(sol.ts, sol.ys):
-        if t in want and t not in keep:
-            keep[t] = y
-    ts = sorted(keep)
-    comps = [keep[t] for t in ts]
+    sol = ode_solve(rhs, (float(A0[0]), float(A0[1])),
+                    linspace(t0, t1, n_samples), spec)
+    ts, comps = sol.ts, sol.ys
 
     norms, angles = [], []
     prev = None
@@ -688,17 +668,11 @@ def asymptotic_line_trace(surface, start, length, branch=0, spec=OdeSpec(),
         d = direction(y[0], y[1])
         return d
 
-    grid = [length * k / (n_samples - 1) for k in range(n_samples)]
-    sol = ode_solve(rhs, (float(start[0]), float(start[1])), (0.0, length),
-                    spec, t_eval=grid)
-    keep = {}
-    want = set(grid)
-    for s, y in zip(sol.ts, sol.ys):
-        if s in want and s not in keep:
-            keep[s] = y
-    ss = sorted(keep)
-    us = [keep[s][0] for s in ss]
-    vs = [keep[s][1] for s in ss]
+    sol = ode_solve(rhs, (float(start[0]), float(start[1])),
+                    linspace(0.0, length, n_samples), spec)
+    ss = sol.ts
+    us = [y[0] for y in sol.ys]
+    vs = [y[1] for y in sol.ys]
     d1u, d1v, d2u, d2v = [], [], [], []
     h = 1e-6
     for s, u, v in zip(ss, us, vs):

@@ -229,6 +229,19 @@ class TestTransport:
                       str(sc), "--vector", "0.5,0.5")
         assert code == 0
 
+    def test_grid_end_rounding(self, capsys, tmp_path):
+        # 0.2 + (0.9 - 0.2) * 256 / 256 rounds below 0.9: the last sample
+        # used to need a step under min_step (StepUnderflow, exit 3)
+        sc = tmp_path / "diag.sc"
+        sc.write_text(DIAGONAL_SC.replace("[0, 1]", "[0.2, 0.9]"))
+        csv = tmp_path / "t.csv"
+        code, _ = run(capsys, "transport", "--shape", "torus", "--curve",
+                      str(sc), "--vector", "1,0", "--csv", str(csv))
+        assert code == 0
+        rows = csv.read_text().strip().splitlines()[1:]
+        assert len(rows) == 257
+        assert float(rows[-1].split(",")[0]) == 0.9
+
     def test_const_u_loop(self, capsys, tmp_path):
         # a tube circle on the torus: closed loop, small holonomy exists
         out_json = tmp_path / "t.json"
@@ -322,6 +335,19 @@ class TestReconstruct:
         data = json.loads(out_json.read_text())
         assert data["summary"]["roundtrip_kappa_tau_dev"] <= 1e-6
 
+    def test_grid_end_rounding(self, capsys, tmp_path):
+        # length * 48 / 48 rounds below the length: the last sample used to
+        # need a step under min_step (StepUnderflow, exit 3)
+        length = 1.511641467708969
+        csv = tmp_path / "r.csv"
+        code, _ = run(capsys, "reconstruct", "--kappa", "0.8", "--tau", "0.4",
+                      "--length", repr(length), "--samples", "49",
+                      "--csv", str(csv))
+        assert code == 0
+        rows = csv.read_text().strip().splitlines()[1:]
+        assert len(rows) == 49
+        assert float(rows[-1].split(",")[0]) == length
+
     def test_zero_kappa_rejected(self, capsys):
         code, _ = run(capsys, "reconstruct", "--kappa", "0", "--tau", "0",
                       "--length", "1.0")
@@ -371,6 +397,92 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
         assert named in err.strip().splitlines()[-1]
+
+
+    @pytest.mark.parametrize("argv, named", [
+        (["geodesic", "--shape", "sphere", "--from", "0,0", "--dir", "1,0",
+          "--length", "1e400"], "--length '1e400' is not finite"),
+        (["geodesic", "--shape", "sphere", "--from", "0,0", "--dir", "1,0",
+          "--length", "0"], "--length '0' must be nonzero"),
+        (["geodesic", "--shape", "sphere", "--from", "0,0", "--dir", "1,0",
+          "--length", "1001"], "at most 1000"),
+        (["reconstruct", "--kappa", "0.8", "--tau", "0.4", "--length",
+          "1e400"], "--length '1e400' is not finite"),
+        (["reconstruct", "--kappa", "0.8", "--tau", "0.4", "--length",
+          "-1"], "--length '-1' must be positive"),
+        (["reconstruct", "--kappa", "0.8", "--tau", "0.4", "--length", "1",
+          "--samples", "1"], "--samples '1' must be an integer from 2"),
+        (["reconstruct", "--kappa", "0.8", "--tau", "0.4", "--length", "1",
+          "--samples", "0"], "--samples '0' must be an integer from 2"),
+        (["reconstruct", "--kappa", "0.8", "--tau", "0.4", "--length", "1",
+          "--samples", "10001"], "to 10000"),
+        (["verify", "--shape", "sphere", "--samples", "0"],
+         "--samples '0' must be an integer from 1"),
+        (["verify", "--shape", "sphere", "--samples", "1001"], "to 1000"),
+    ], ids=["geodesic-length-inf", "geodesic-length-0", "geodesic-length-cap",
+            "reconstruct-length-inf", "reconstruct-length-negative",
+            "reconstruct-samples-1", "reconstruct-samples-0",
+            "reconstruct-samples-cap", "verify-samples-0",
+            "verify-samples-cap"])
+    def test_numeric_bounds_exit_2(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert named in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--shape", "sphere", "--quantity", "K"],
+         "give --at or --grid"),
+        (["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",
+          "--param", "X=1"], "sphere has no parameter(s) ['X']"),
+        (["eval", "--shape", "nosuch", "--at", "0.1,0.2", "--quantity", "K"],
+         "unknown shape 'nosuch'"),
+        (["geodesic", "--shape", "sphere", "--from", "0,0"],
+         "give --to, or --dir plus --length"),
+        (["geodesic", "--shape", "helix", "--from", "0,0", "--to", "1,1"],
+         "geodesic needs a surface shape"),
+        (["transport", "--shape", "sphere", "--vector", "1,0"],
+         "give --curve file or --loop"),
+        (["transport", "--shape", "sphere", "--loop", "const-w:1",
+          "--vector", "1,0"], "--loop expects const-v:<value> or const-u"),
+        (["gauss-bonnet", "--shape", "sphere"],
+         "give --global or --loop-file"),
+    ], ids=["eval-no-points", "eval-bad-param", "unknown-shape",
+            "geodesic-no-target", "geodesic-curve", "transport-no-curve",
+            "transport-loop-kind", "gauss-bonnet-no-region"])
+    def test_usage_errors_exit_2(self, argv, named, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",
+         "--seed", "1"],
+        ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",
+         "--tol", "1e-6"],
+        ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",
+         "--csv", "x.csv"],
+        ["verify", "--shape", "sphere", "--csv", "x.csv"],
+        ["gauss-bonnet", "--shape", "sphere", "--global", "--csv", "x.csv"],
+        ["gauss-bonnet", "--shape", "sphere", "--global", "--seed", "1"],
+        ["geodesic", "--shape", "plane", "--from", "0,0", "--to", "1,1",
+         "--seed", "1"],
+        ["transport", "--shape", "sphere", "--loop", "const-v:0.5",
+         "--vector", "1,0", "--seed", "1"],
+        ["reconstruct", "--kappa", "1", "--tau", "0", "--length", "1",
+         "--seed", "1"],
+    ], ids=["eval-seed", "eval-tol", "eval-csv", "verify-csv",
+            "gauss-bonnet-csv", "gauss-bonnet-seed", "geodesic-seed",
+            "transport-seed", "reconstruct-seed"])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReportFormat:

@@ -13,7 +13,7 @@ import diffgeo
 from diffgeo import quadrature
 from diffgeo.errors import (MaxDepthExceeded, MaxStepsExceeded, NoConvergence,
                             StepUnderflow)
-from diffgeo.ode import OdeSpec, ode_solve
+from diffgeo.ode import OdeSpec, linspace, ode_solve
 from diffgeo.quadrature import QuadSpec, quad2d, quad_adaptive
 from diffgeo.roots import root_find
 
@@ -61,11 +61,27 @@ class TestOde:
             assert err <= bound
 
     def test_eval_points_hit_exactly(self):
-        grid = [0.1, 0.25, 0.777, 1.0]
-        res = ode_solve(lambda t, y: (y[0],), (1.0,), (0.0, 1.0), t_eval=grid)
-        for g in grid:
-            assert g in res.ts
-            assert abs(res.state_at(g)[0] - math.exp(g)) <= 1e-9
+        grid = [0.0, 0.1, 0.25, 0.777, 1.0]
+        res = ode_solve(lambda t, y: (y[0],), (1.0,), grid)
+        assert res.ts == grid
+        for g, y in zip(res.ts, res.ys):
+            assert abs(y[0] - math.exp(g)) <= 1e-9
+
+    def test_samples_must_be_monotone(self):
+        for ts in ([0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0], [1.0, 1.0],
+                   [0.0]):
+            with pytest.raises(ValueError):
+                ode_solve(lambda t, y: (y[0],), (1.0,), ts)
+
+    def test_linspace_ends_exactly(self):
+        # the hand-written grid t0 + (t1 - t0) * k / (n - 1) ends above or
+        # below t1 for these
+        for t0, t1, n in ((0.2, 0.9, 257), (7 * 0.1, 1.8, 257),
+                          (0.0, 1.511641467708969, 49)):
+            grid = linspace(t0, t1, n)
+            assert len(grid) == n and grid[0] == t0 and grid[-1] == t1
+            assert t0 + (t1 - t0) * (n - 1) / (n - 1) != t1
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_backward_integration(self):
         res = ode_solve(lambda t, y: (y[0],), (math.e,), (1.0, 0.0))
@@ -98,6 +114,96 @@ class TestOde:
         res = ode_solve(lambda t, y: (-y[1], y[0]), (1.0, 0.0),
                         (0.0, 50.0), post_step=renorm)
         assert abs(math.hypot(*res.y_end) - 1.0) <= 1e-15
+
+
+class TestOdeFieldCalls:
+    """One solve calls the field 1 + 6 * attempts times, plus once per
+    accepted step when ``post_step`` replaces the state (FSAL); the
+    benchmark's tracer derives its step counts from this identity."""
+
+    @staticmethod
+    def counted(fn):
+        calls = [0]
+
+        def field(t, y):
+            calls[0] += 1
+            return fn(t, y)
+
+        return field, calls
+
+    @staticmethod
+    def attempts(calls, accepted=0):
+        done, rest = divmod(calls - 1 - accepted, 6)
+        assert rest == 0
+        return done
+
+    def test_rejected_steps(self):
+        field, calls = self.counted(lambda t, y: (y[1], -y[0]))
+        res = ode_solve(field, (1.0, 0.0), (0.0, 10.0))
+        assert self.attempts(calls[0]) > res.n_steps > 0
+        assert res.ts == [0.0, 10.0]
+
+    def test_post_step(self):
+        field, calls = self.counted(lambda t, y: (-y[1], y[0]))
+        hooks = [0]
+
+        def renorm(t, y):
+            hooks[0] += 1
+            n = math.hypot(y[0], y[1])
+            return (y[0] / n, y[1] / n)
+
+        res = ode_solve(field, (1.0, 0.0), linspace(0.0, 5.0, 9),
+                        post_step=renorm)
+        assert hooks[0] == res.n_steps
+        assert self.attempts(calls[0], res.n_steps) >= res.n_steps > 8
+
+    def test_stop_ends_at_the_sample(self):
+        grid = linspace(0.0, 2.0, 21)
+        full = ode_solve(lambda t, y: (y[1], -y[0]), (1.0, 0.0), grid)
+        field, calls = self.counted(lambda t, y: (y[1], -y[0]))
+        seen = []
+
+        def stop(t, y):
+            seen.append(t)
+            return y[0] < 0.5
+
+        res = ode_solve(field, (1.0, 0.0), grid, stop=stop)
+        k = len(res.ts)
+        assert seen == grid[1:k]
+        assert 2 < k < len(grid)
+        assert res.ts == grid[:k] and res.ys == full.ys[:k]
+        assert res.ys[-1][0] < 0.5 <= res.ys[-2][0]
+        assert self.attempts(calls[0]) >= res.n_steps
+
+    def test_field_error_carries_partial_samples(self):
+        grid = linspace(0.0, 2.0, 21)
+        full = ode_solve(lambda t, y: (y[1], -y[0]), (1.0, 0.0), grid)
+
+        def fn(t, y):
+            if t > 1.3:
+                raise OverflowError("field blew up")
+            return (y[1], -y[0])
+
+        field, calls = self.counted(fn)
+        with pytest.raises(OverflowError) as exc:
+            ode_solve(field, (1.0, 0.0), grid)
+        part = exc.value.partial
+        k = len(part.ts)
+        assert 1 < k < len(grid)
+        assert part.ts == grid[:k] and part.ys == full.ys[:k]
+        assert part.ts[-1] <= 1.3
+        # the raising call is the one cut short in the last attempt
+        done, cut = divmod(calls[0] - 1, 6)
+        assert done >= part.n_steps and 0 < cut < 6
+
+    def test_step_control_error_carries_partial_samples(self):
+        grid = linspace(0.0, 1.0, 11)
+        with pytest.raises(StepUnderflow) as exc:
+            ode_solve(lambda t, y: (1.0 / (1e-8 + abs(t - 0.5)),), (0.0,),
+                      grid, OdeSpec(min_step=1e-3))
+        part = exc.value.partial
+        assert part.ts == grid[:len(part.ts)]
+        assert 0.0 < part.ts[-1] < 0.5
 
 
 class TestHermiteInterpolation:

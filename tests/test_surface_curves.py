@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from diffgeo import catalog
+from diffgeo import catalog, surfacecurves
 from diffgeo.curves import ParametricCurve, frenet
 from diffgeo.errors import (AsymptoticPoint, DegenerateMultiplicity,
                             NonOrthogonalPatch, NoUniqueConjugate,
-                            UmbilicPoint, ZeroVector)
+                            SingularSurfacePoint, UmbilicPoint, ZeroVector)
+from diffgeo.ode import OdeSpec, linspace
 from diffgeo.quadrature import QuadSpec, quad2d
 from diffgeo.surfaces import angle_between, curvatures, forms
 from diffgeo.surfacecurves import (BoundaryLoop, SurfaceCurve,
@@ -37,6 +38,26 @@ POLAR = catalog.make("plane-polar")
 CYLINDER = catalog.make("cylinder", rho=2.0)
 HELICOID = catalog.make("helicoid")
 HYPAR = catalog.make("hyperbolic-paraboloid")
+
+
+def count_solves(monkeypatch):
+    """Patch surfacecurves.ode_solve to record each solve's largest field
+    time; returns the list of records."""
+    real = surfacecurves.ode_solve
+    solves = []
+
+    def ode_solve(field_fn, *args, **kwargs):
+        t_max = [-math.inf]
+        solves.append(t_max)
+
+        def field(t, y):
+            t_max[0] = max(t_max[0], t)
+            return field_fn(t, y)
+
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(surfacecurves, "ode_solve", ode_solve)
+    return solves
 
 
 def reversed_curve(sc):
@@ -258,6 +279,17 @@ class TestGeodesicIVP:
         assert path.exit_s is not None
         assert path.length < 50.0
 
+    def test_one_solve_ends_at_first_sample_outside(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        path = geodesic_ivp(PLANE, 0.0, 0.0, (1.0, 0.0), 50.0)
+        ((t_max,),) = solves
+        k = len(path.s)
+        assert path.s == linspace(0.0, 50.0, 513)[:k]
+        assert path.left_domain and path.exit_s == path.s[-1] == path.length
+        assert not PLANE.contains(*path.end_uv)
+        assert all(PLANE.contains(st[0], st[1]) for st in path.states[:-1])
+        assert t_max <= path.exit_s
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroVector):
             geodesic_ivp(PLANE, 0.0, 0.0, (0.0, 0.0), 1.0)
@@ -315,6 +347,32 @@ class TestGeodesicBVP:
         with pytest.raises(ZeroVector):
             geodesic_bvp(PLANE, (1.0, 1.0), (1.0, 1.0))
 
+    def test_truncated_shot_keeps_samples_reached(self, monkeypatch):
+        real_rhs = surfacecurves._geodesic_rhs
+
+        def rhs_singular_past_1(surface):
+            rhs = real_rhs(surface)
+
+            def field(s, y):
+                if s > 1.0:
+                    raise SingularSurfacePoint(y[0], y[1])
+                return rhs(s, y)
+
+            return field
+
+        monkeypatch.setattr(surfacecurves, "_geodesic_rhs",
+                            rhs_singular_past_1)
+        solves = count_solves(monkeypatch)
+        shot = surfacecurves._Shot(PLANE, (0.0, 0.0), 0.0, (3.0, 0.0), 3.0,
+                                   OdeSpec())
+        grid = linspace(0.0, 3.0, 48)
+        k = len(shot.ts)
+        assert shot.ts == grid[:k] and grid[k - 1] <= 1.0 < grid[k]
+        assert abs(shot.ys[-1][0] - grid[k - 1]) <= 1e-12
+        assert abs(shot.miss_dist - (3.0 - grid[k - 1])) <= 1e-12
+        # one solve for the scan, one to refine the closest approach
+        assert len(solves) == 2
+
     def test_unreachable_tolerance_reports_no_convergence(self):
         from diffgeo.errors import NoConvergence
         with pytest.raises(NoConvergence) as exc:
@@ -362,6 +420,14 @@ class TestParallelTransport:
             u, v = loop.point(t)
             angles.append(angle_between(SPHERE, u, v, a, b))
         assert max(angles) - min(angles) <= 1e-8
+
+    def test_samples_end_at_the_curve_end(self):
+        # t0 + (t1 - t0) * 256 / 256 rounds above t1 here
+        sc = SurfaceCurve(TORUS, lambda t: (0.5 + t, 1.0 + 0.5 * t),
+                          (7 * 0.1, 1.8))
+        st = parallel_transport(sc, (1.0, 0.0))
+        assert st.ts == linspace(7 * 0.1, 1.8, 257)
+        assert st.ts[-1] == 1.8
 
     def test_transported_tangent_stays_tangent_along_geodesic(self):
         path = geodesic_ivp(SPHERE, 0.2, 0.1, (1.0, 0.6), 2.5)
