@@ -15,23 +15,16 @@ import random
 import sys
 import time
 
-from . import catalog, report
-from .curves import (ParametricCurve, classify_curve, frenet,
-                     frenet_residuals, reconstruct_from_kappa_tau)
-from .errors import (DiffGeoError, InvalidParameter, NonOrthogonalPatch,
-                     UmbilicPoint, UnknownShape)
+from . import catalog, report, verify
+from .curves import classify_curve, frenet, reconstruct_from_kappa_tau
+from .errors import DiffGeoError, InvalidParameter, UmbilicPoint, UnknownShape
 from .expr import compile_expr, eval_literal, load_definition, parse_text
 from .ode import OdeSpec
 from .quadrature import QuadSpec
-from .surfaces import (curvatures, forms, riemann_R1212,
-                       form_identity_residual, gauss_weingarten_residuals,
-                       codazzi_compatibility_residuals, total_curvature)
-from .surfacecurves import (BoundaryLoop, SurfaceCurve,
-                            asymptotic_directions, bonnet_torsion_check,
+from .surfaces import curvatures, forms, total_curvature
+from .surfacecurves import (BoundaryLoop, SurfaceCurve, asymptotic_directions,
                             curvature_split, gauss_bonnet_global,
                             gauss_bonnet_local, geodesic_bvp, geodesic_ivp,
-                            geodesic_torsion, geodesic_torsion_principal,
-                            kappa_n_quotient, liouville_check,
                             parallel_transport, principal_direction_field)
 from .vectors import Vec3
 
@@ -42,6 +35,7 @@ _EXIT_GEODESIC = 5
 # an argument error, in an argparse type or found by a command: exit 2
 _Usage = argparse.ArgumentTypeError
 _MAX_LENGTH = 1000.0    # keeps every accepted --length to bounded work
+_MAX_POINTS = 10_000    # and every accepted --grid
 
 
 def _grid(text):
@@ -269,6 +263,9 @@ def cmd_eval(args):
         points.append(tuple(fixed))
     if args.grid:
         nu, nv = args.grid
+        n = nu if kind == "curve" else nu * nv
+        if n > _MAX_POINTS:
+            raise _Usage(f"--grid asks for {n} points; at most {_MAX_POINTS}")
         rect = _sample_rect(getattr(args, "shape", None), shape)
 
         def axis(lo, hi, n, periodic):
@@ -320,228 +317,34 @@ def cmd_eval(args):
 # verify
 # --------------------------------------------------------------------------
 
-def _curve_suites(shape, rng, n):
-    t0, t1 = shape.domain
-    pad = 0.02 * (t1 - t0)
-    pts = [rng.uniform(t0 + pad, t1 - pad) for _ in range(n)]
-
-    def suite_frenet():
-        worst = 0.0
-        for t in pts:
-            fd = frenet(shape, t, partial=True)
-            if fd.N is None:
-                continue
-            worst = max(worst, *frenet_residuals(shape, t))
-            ortho = max(abs(fd.T.norm() - 1.0), abs(fd.N.norm() - 1.0),
-                        abs(fd.B.norm() - 1.0), abs(fd.T.dot(fd.N)),
-                        abs(fd.T.dot(fd.B)), abs(fd.N.dot(fd.B)),
-                        abs(fd.T.cross(fd.N).dot(fd.B) - 1.0))
-            worst = max(worst, ortho)
-        return worst
-
-    def suite_lancret():
-        from .curves import _CurveJets
-        worst = 0.0
-        for t in pts:
-            cj = _CurveJets(shape, t)
-            if cj.kappa is None or cj.kappa.value <= cj.eps_inflect:
-                continue
-            _, Nj, Bj = cj.frame_jets()
-            tau = cj.tau_jet().value
-            kap = cj.kappa.value
-            np_s = cj.ds_vec(Nj).norm()
-            worst = max(worst, abs(np_s ** 2 - (kap ** 2 + tau ** 2)))
-            tb = abs(cj.ds_vec(cj.T).dot(cj.ds_vec(Bj)))
-            worst = max(worst, abs(abs(kap * tau) - tb))
-        return worst
-
-    def suite_reparam():
-        worst = 0.0
-        for t in pts[: max(4, n // 4)]:
-            fd = frenet(shape, t, partial=True)
-            if fd.N is None:
-                continue
-            # smooth monotone substitution t = w + 0.1 sin w
-            def sub(w_jet):
-                from . import jets as J
-                return shape.eval(w_jet + 0.1 * J.sin(w_jet))
-
-            w = _invert_sub(t)
-            fd2 = frenet(ParametricCurve(sub, (t0 - 1, t1 + 1)), w)
-            worst = max(worst, abs(fd.kappa - fd2.kappa),
-                        abs(fd.tau - fd2.tau))
-        return worst
-
-    def _invert_sub(t_target):
-        from .roots import root_find
-        return root_find(lambda w: w + 0.1 * math.sin(w) - t_target,
-                         (t_target - 0.2, t_target + 0.2), tol=1e-14)
-
-    return [("frenet-serret", suite_frenet, 1e-9),
-            ("lancret", suite_lancret, 1e-9),
-            ("reparam-invariance", suite_reparam, 1e-9)]
-
-
-def _surface_suites(shape, rng, n, rect):
-    pts = [(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
-           for _ in range(n)]
-
-    def suite_gw():
-        return max(max(gauss_weingarten_residuals(shape, u, v))
-                   for u, v in pts)
-
-    def suite_codazzi():
-        return max(max(codazzi_compatibility_residuals(shape, u, v))
-                   for u, v in pts)
-
-    def suite_form_identity():
-        return max(form_identity_residual(shape, u, v) for u, v in pts)
-
-    def suite_egregium():
-        worst = 0.0
-        for u, v in pts:
-            fb = forms(shape, u, v)
-            k_ext = (fb.e * fb.g - fb.f ** 2) / fb.a
-            k_int = riemann_R1212(shape, u, v) / fb.a
-            worst = max(worst, abs(k_int - k_ext) / max(1.0, abs(k_ext)))
-        return worst
-
-    def suite_euler():
-        worst = 0.0
-        for u, v in pts:
-            cd = curvatures(shape, u, v)
-            if cd.is_umbilic:
-                continue
-            for k in range(8):
-                th = math.pi * k / 8.0
-                d = (math.cos(th) * cd.dir1_uv[0] + math.sin(th) * cd.dir2_uv[0],
-                     math.cos(th) * cd.dir1_uv[1] + math.sin(th) * cd.dir2_uv[1])
-                sc = SurfaceCurve.straight(shape, (u, v), d, (-0.1, 0.1))
-                kn = kappa_n_quotient(sc, 0.0)
-                pred = (cd.kappa1 * math.cos(th) ** 2
-                        + cd.kappa2 * math.sin(th) ** 2)
-                worst = max(worst, abs(kn - pred))
-        return worst
-
-    def suite_meusnier():
-        worst = 0.0
-        for u, v in pts[: max(4, n // 4)]:
-            d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if math.hypot(*d) < 0.1:
-                d = (1.0, 0.4)
-            c1 = SurfaceCurve.straight(shape, (u, v), d, (-0.1, 0.1))
-            q1, q2 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
-            c2 = SurfaceCurve(
-                shape,
-                lambda t, d=d, u=u, v=v, q1=q1, q2=q2:
-                (u + d[0] * t + q1 * t * t, v + d[1] * t + q2 * t * t),
-                (-0.1, 0.1))
-            worst = max(worst, abs(curvature_split(c1, 0.0).kappa_n
-                                   - curvature_split(c2, 0.0).kappa_n))
-        return worst
-
-    def curve_suite(defect, curve, skip_point=(), skip_suite=()):
-        """Worst |defect(c, 0)| over short curves c = curve(u, v, d) in a
-        random direction d through a quarter of the points; None when no
-        point applies."""
-        worst = 0.0
-        used = 0
-        for u, v in pts[: max(4, n // 4)]:
-            d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if math.hypot(*d) < 0.1:
-                d = (0.6, 0.8)
-            try:
-                worst = max(worst, abs(defect(curve(u, v, d), 0.0)))
-                used += 1
-            except skip_suite:
-                return None
-            except skip_point:
-                continue
-        return worst if used else None
-
-    def straight(u, v, d):
-        return SurfaceCurve.straight(shape, (u, v), d, (-0.05, 0.05))
-
-    def bent(u, v, d):
-        return SurfaceCurve(shape, lambda t: (u + d[0] * t + 0.08 * t * t,
-                                              v + d[1] * t - 0.06 * t * t),
-                            (-0.05, 0.05))
-
-    def suite_liouville():
-        return curve_suite(liouville_check, straight,
-                           skip_suite=NonOrthogonalPatch)
-
-    def suite_bonnet():
-        return curve_suite(bonnet_torsion_check, bent, skip_point=DiffGeoError)
-
-    def suite_tau_g():
-        return curve_suite(
-            lambda sc, t: geodesic_torsion(sc, t)
-            - geodesic_torsion_principal(sc, t),
-            straight, skip_point=UmbilicPoint)
-
-    def suite_beltrami():
-        worst = 0.0
-        used = 0
-        for u, v in pts:
-            cd = curvatures(shape, u, v)
-            if cd.shape != "Hyperbolic":
-                continue
-            for d in asymptotic_directions(shape, u, v):
-                sc = SurfaceCurve.straight(shape, (u, v), d, (-0.05, 0.05))
-                tg = geodesic_torsion(sc, 0.0)
-                worst = max(worst, abs(tg * tg + cd.K))
-                used += 1
-        return worst if used else None
-
-    return [("gauss-weingarten", suite_gw, 1e-7),
-            ("codazzi-compatibility", suite_codazzi, 1e-7),
-            ("form-identity", suite_form_identity, 1e-9),
-            ("egregium", suite_egregium, 1e-7),
-            ("euler", suite_euler, 1e-8),
-            ("meusnier", suite_meusnier, 1e-8),
-            ("liouville", suite_liouville, 1e-7),
-            ("bonnet", suite_bonnet, 1e-7),
-            ("geodesic-torsion", suite_tau_g, 1e-8),
-            ("beltrami-enneper", suite_beltrami, 1e-6)]
-
-
 def cmd_verify(args):
     shape, kind, desc = _load_shape(args)
     rng = random.Random(args.seed)
     rep = report.Report("verify", desc)
     rep.summary["seed"] = args.seed
-    if kind == "curve":
-        suites = _curve_suites(shape, rng, args.samples)
-    else:
-        rect = _sample_rect(getattr(args, "shape", None), shape)
-        suites = _surface_suites(shape, rng, args.samples, rect)
-    known = [name for name, _, _ in suites]
-    wanted = set(args.suite) if args.suite else None
-    unknown = sorted((wanted or set()) - set(known))
+    rect = _sample_rect(getattr(args, "shape", None), shape)
+    make = verify.curve_suites if kind == "curve" else verify.surface_suites
+    suites = make(shape, rng, args.samples, rect)
+    known = [row[0] for row in suites]
+    unknown = sorted(set(args.suite or ()) - set(known))
     if unknown:
         raise _Usage(
             f"unknown suite(s) {', '.join(unknown)} for a {kind}; "
             f"known: {', '.join(known)}")
 
-    any_fail = False
-    for name, fn, tol in suites:
-        if wanted is not None and name not in wanted:
+    marks = []
+    for name, residual, points, tol in suites:
+        if args.suite and name not in args.suite:
             continue
-        worst = fn()
-        if worst is None:
-            rep.add_suite(name, 0.0, tol, True, detail="skipped (not applicable)")
-            continue
-        passed = worst <= tol
-        any_fail = any_fail or not passed
-        rep.add_suite(name, worst, tol, passed)
+        mark, worst, detail = verify.run(residual, points, tol)
+        rep.add_suite(name, worst, tol, mark != "FAIL", detail)
+        marks.append(mark)
     _finish(rep, args)
-    for s in rep.suites:
-        mark = "PASS" if s["passed"] else "FAIL"
+    for mark, s in zip(marks, rep.suites):
         extra = f"  ({s['detail']})" if s["detail"] else ""
         print(f"  {mark} {s['suite']:24s} max residual {s['max_residual']:.3e}"
               f" (tol {s['tol']:.1e}){extra}")
-    return _EXIT_SUITE if any_fail else 0
+    return _EXIT_SUITE if "FAIL" in marks else 0
 
 
 # --------------------------------------------------------------------------
@@ -752,7 +555,8 @@ def build_parser():
     _add_shape_args(p)
     p.add_argument("--at", help="point, e.g. u=0.3,v=0.4 or t=1.2")
     p.add_argument("--grid", type=_grid,
-                   help="grid spec, e.g. 3x3 (surfaces) or 5 (curves)")
+                   help=f"grid spec, e.g. 3x3 (surfaces) or 5 (curves); at "
+                        f"most {_MAX_POINTS} points")
     p.add_argument("--quantity", action="append", required=True,
                    help=f"curve: {_CURVE_QUANTITIES}; "
                         f"surface: {_SURFACE_QUANTITIES}")

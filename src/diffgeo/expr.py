@@ -39,7 +39,7 @@ from functools import cached_property
 from . import jets
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
                      LexError, ParseError, UnknownIdentifier)
-from .jets import FUNCTIONS, Jet1, Jet2
+from .jets import FUNCTIONS
 from .vectors import Vec3
 
 __all__ = [
@@ -396,13 +396,13 @@ class ShapeDefinition:
     def compiled(self):
         return tuple(compile_expr(c) for c in self.components)
 
-    def eval(self, *args, clamp=False, check_domain=True):
+    def eval(self, *args, check_domain=True):
         """Evaluate at jet (or float) parameter values, in declaration order.
 
         With ``check_domain``, out-of-domain value coefficients raise
-        DomainError unless ``clamp`` pulls them to the nearest bound.
-        Kernel wrappers evaluate with ``check_domain=False`` (the domain is
-        sampling metadata; shooting solvers probe beyond it)."""
+        DomainError.  Kernel wrappers evaluate with ``check_domain=False``
+        (the domain is sampling metadata; shooting solvers probe beyond
+        it)."""
         names = list(self.params)
         if len(args) != len(names):
             raise ArityError(
@@ -412,16 +412,8 @@ class ShapeDefinition:
             lo, hi = self.params[name]
             v0 = val.value if hasattr(val, "value") else float(val)
             if check_domain and not lo <= v0 <= hi:
-                if not clamp:
-                    raise DomainError(
-                        f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
-                clamped = min(max(v0, lo), hi)
-                if isinstance(val, Jet1):
-                    val = Jet1(clamped, *val.c[1:])
-                elif isinstance(val, Jet2):
-                    val = Jet2((clamped,) + val.c[1:])
-                else:
-                    val = clamped
+                raise DomainError(
+                    f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
             env[name] = val
         seed = env[names[0]]
         vals = []

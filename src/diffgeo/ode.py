@@ -117,7 +117,9 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
     y = [float(v) for v in y0]
     t = ts[0]
     res = OdeResult(ts=[t], ys=[tuple(y)])
-    h = min(abs(ts[-1] - t) / 16.0, spec.max_step)
+    # a first step below min_step only where the whole span is shorter
+    span = abs(ts[-1] - t)
+    h = min(max(span / 16.0, min(span, spec.min_step)), spec.max_step)
     try:
         f_now = field_fn(t, tuple(y))
         for target in ts[1:]:
@@ -154,7 +156,7 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
                 factor = (5.0 if err == 0.0
                           else min(5.0, max(0.2, 0.9 * err ** -0.2)))
                 h = h_step * factor
-                if h < spec.min_step:
+                if h < spec.min_step < abs(ts[-1] - t):
                     raise StepUnderflow(
                         f"ODE step fell below min_step={spec.min_step!r} "
                         f"at t={t!r}")

@@ -151,6 +151,38 @@ class TestVerify:
         assert code == 0
         assert "frenet-serret" in out
 
+    def test_not_applicable_suite_prints_skip(self, capsys, tmp_path):
+        out_json = tmp_path / "v.json"
+        code, out = run(capsys, "verify", "--shape", "sphere", "--suite",
+                        "euler", "--suite", "egregium", "--samples", "6",
+                        "--json", str(out_json))
+        assert code == 0
+        assert "  PASS egregium" in out and "  SKIP euler" in out
+        assert json.loads(out_json.read_text())["suites"][1] == {
+            "suite": "euler", "max_residual": 0.0, "tol": 1e-8,
+            "passed": True, "detail": "skipped (not applicable)"}
+
+    @pytest.mark.parametrize("name, suite", [
+        ("riemann_R1212", "egregium"),
+        ("form_identity_residual", "form-identity")])
+    def test_non_finite_residual_fails(self, name, suite, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setattr(f"diffgeo.verify.{name}",
+                            lambda *args: math.nan)
+        out_json = tmp_path / "v.json"
+        code, out = run(capsys, "verify", "--shape", "torus", "--samples",
+                        "6", "--json", str(out_json))
+        assert code == 4
+        assert f"  FAIL {suite} " in out
+        data = json.loads(out_json.read_text())
+        assert data["passed"] is False
+        for s in data["suites"]:
+            assert s["passed"] is (s["suite"] != suite)
+            if s["suite"] == suite:
+                assert s["max_residual"] == 0.0
+                assert s["detail"].startswith(
+                    "non-finite residual at (u, v)=(")
+
     def test_unknown_suite_rejected(self, capsys):
         code = main(["verify", "--shape", "sphere", "--suite", "egregiumm"])
         err = capsys.readouterr().err
@@ -419,16 +451,25 @@ class TestMalformedInput:
         (["verify", "--shape", "sphere", "--samples", "0"],
          "--samples '0' must be an integer from 1"),
         (["verify", "--shape", "sphere", "--samples", "1001"], "to 1000"),
+        (["eval", "--shape", "torus", "--grid", "3000x3000", "--quantity",
+          "K"], "--grid asks for 9000000 points; at most 10000"),
+        (["eval", "--shape", "torus", "--grid", "101", "--quantity", "K"],
+         "--grid asks for 10201 points; at most 10000"),
+        (["eval", "--shape", "helix", "--grid", "10001", "--quantity",
+          "kappa"], "--grid asks for 10001 points; at most 10000"),
     ], ids=["geodesic-length-inf", "geodesic-length-0", "geodesic-length-cap",
             "reconstruct-length-inf", "reconstruct-length-negative",
             "reconstruct-samples-1", "reconstruct-samples-0",
             "reconstruct-samples-cap", "verify-samples-0",
-            "verify-samples-cap"])
+            "verify-samples-cap", "eval-grid-cap", "eval-grid-square-cap",
+            "eval-curve-grid-cap"])
     def test_numeric_bounds_exit_2(self, argv, named, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # rejected by the argument parser
+            code = exc.code
         err = capsys.readouterr().err
-        assert exc.value.code == 2
+        assert code == 2
         assert "Traceback" not in err
         assert named in err.strip().splitlines()[-1]
 

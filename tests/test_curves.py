@@ -170,6 +170,17 @@ class TestArcLength:
             speed = cs.eval(s).derivative().value().norm()
             assert abs(speed - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("k", [7, 128, 254])
+    def test_frenet_next_to_a_knot(self, k):
+        # the arc-length curve caches t(s) at total * k / 255 and integrates
+        # from the nearest knot; an ulp away that gap is far below min_step
+        cs = reparam_to_arclength(HELIX)
+        knot = cs.domain[1] * k / 255
+        for s in (math.nextafter(knot, -math.inf),
+                  math.nextafter(knot, math.inf), knot + 3e-14):
+            fd = frenet(cs, s)
+            assert abs(fd.kappa - 0.8) <= 1e-9 and abs(fd.tau - 0.4) <= 1e-9
+
 
 class TestOsculating:
     def test_circle_is_its_own_osculating_circle(self):

@@ -100,6 +100,16 @@ class TestOde:
             ode_solve(lambda t, y: (1.0 / (1e-8 + abs(t - 0.5)),), (0.0,),
                       (0.0, 1.0), spec)
 
+    @pytest.mark.parametrize("span", [3e-17, 1e-16, 5e-15, 3e-14])
+    def test_span_near_min_step(self, span):
+        # shorter than min_step (1e-14) is one step; a few min_steps take
+        # a few steps, none of them below min_step
+        res = ode_solve(lambda t, y: (math.cos(t),), (math.sin(0.2),),
+                        (0.2, 0.2 + span))
+        assert res.ts == [0.2, 0.2 + span]
+        assert res.n_steps == 1 if span < 1e-14 else 1 <= res.n_steps <= 3
+        assert abs(res.y_end[0] - math.sin(0.2 + span)) <= 1e-16
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             OdeSpec(abs_tol=0.0)
