@@ -353,7 +353,7 @@ def cmd_verify(args):
 
 def cmd_geodesic(args):
     shape, desc = _load_surface(args)
-    spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
+    spec = OdeSpec(tol=args.tol)
     rep = report.Report("geodesic", desc)
     p0 = _parse_point(getattr(args, "from"), "--from", 2)
     if args.to:
@@ -409,7 +409,7 @@ def _load_surface_curve(args, shape):
 
 def cmd_transport(args):
     shape, desc = _load_surface(args)
-    spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
+    spec = OdeSpec(tol=args.tol)
     rep = report.Report("transport", desc)
     sc = _load_surface_curve(args, shape)
     A0 = _parse_point(args.vector, "--vector", 2)
@@ -485,7 +485,7 @@ def cmd_reconstruct(args):
     def tau(s):
         return float(tau_fn({"s": s}))
 
-    spec = OdeSpec(abs_tol=args.tol, rel_tol=args.tol)
+    spec = OdeSpec(tol=args.tol)
     rec = reconstruct_from_kappa_tau(
         kap, tau, Vec3(0.0, 0.0, 0.0),
         (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0)),

@@ -32,6 +32,7 @@ __all__ = [
 
 EPS_REG = 1e-12       # times curve scale: regularity floor for |dr/dt|
 EPS_INFLECT = 1e-10   # over curve scale: curvature floor for N, B, tau
+_N_KNOTS = 256        # arc-length knots cached by reparam_to_arclength
 
 
 class ParametricCurve:
@@ -203,7 +204,7 @@ def arc_length(curve, t1, t2, spec=QuadSpec()):
     return quad_adaptive(integrand, (t1, t2), spec)
 
 
-def reparam_to_arclength(curve, spec=OdeSpec(), n_knots=256):
+def reparam_to_arclength(curve):
     """The same trace parameterized by arc length (domain [0, L]).
 
     Inversion integrates dt/ds = 1/|dr/dt|; each evaluation refines from the
@@ -216,7 +217,7 @@ def reparam_to_arclength(curve, spec=OdeSpec(), n_knots=256):
     def dt_ds(s, y):
         return (1.0 / _CurveJets(curve, y[0]).sigma.value,)
 
-    table = ode_solve(dt_ds, (t0,), linspace(0.0, total, n_knots), spec)
+    table = ode_solve(dt_ds, (t0,), linspace(0.0, total, _N_KNOTS))
     knot_s = table.ts
     knot_t = [y[0] for y in table.ys]
 
@@ -224,7 +225,7 @@ def reparam_to_arclength(curve, spec=OdeSpec(), n_knots=256):
         lo = bisect.bisect_right(knot_s, s0) - 1
         if knot_s[lo] == s0:
             return knot_t[lo]
-        seg = ode_solve(dt_ds, (knot_t[lo],), (knot_s[lo], s0), spec)
+        seg = ode_solve(dt_ds, (knot_t[lo],), (knot_s[lo], s0))
         return seg.y_end[0]
 
     def evaluator(s_jet):

@@ -8,6 +8,12 @@ times: steps are clamped to land on each sample exactly, never interpolated
 onto it, so samples carry full integration accuracy, and the result holds
 the state at each sample and nothing else.  :func:`linspace` builds evenly
 spaced samples that end exactly at the last time.
+
+Step control has three settings, ``OdeSpec(tol, min_step, max_steps)``.  One
+tolerance is both the absolute and the relative part of the local error
+bound ``tol * (1 + |y|)``, and the step size has no cap.  A step shortened
+to land on a sample does not shrink the next one, which starts from the
+larger of the size proposed before the shortening and the new proposal.
 """
 
 from dataclasses import dataclass, field
@@ -34,19 +40,16 @@ _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Step-control knobs for :func:`ode_solve`."""
+    """Step control for :func:`ode_solve`: error tolerance, smallest step,
+    most accepted steps."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     min_step: float = 1e-14
-    max_step: float = float("inf")
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.min_step > self.max_step:
-            raise ValueError("min_step exceeds max_step")
+        if self.tol <= 0.0:
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -83,6 +86,7 @@ def _weighted_sum(y, ks, h, coeffs):
 
 def _error_norm(y, y_new, ks, hs, spec):
     """RMS of the embedded error estimate, scaled by the mixed tolerance."""
+    tol = spec.tol
     err = 0.0
     for i in range(len(y)):
         e = 0.0
@@ -90,7 +94,7 @@ def _error_norm(y, y_new, ks, hs, spec):
             if c != 0.0:
                 e += c * k[i]
         e *= hs
-        sc = spec.abs_tol + spec.rel_tol * max(abs(y[i]), abs(y_new[i]))
+        sc = tol + tol * max(abs(y[i]), abs(y_new[i]))
         q = e / sc
         err += q * q
     return (err / len(y)) ** 0.5
@@ -119,7 +123,7 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
     res = OdeResult(ts=[t], ys=[tuple(y)])
     # a first step below min_step only where the whole span is shorter
     span = abs(ts[-1] - t)
-    h = min(max(span / 16.0, min(span, spec.min_step)), spec.max_step)
+    h = max(span / 16.0, min(span, spec.min_step))
     try:
         f_now = field_fn(t, tuple(y))
         for target in ts[1:]:
@@ -128,7 +132,6 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
                     raise MaxStepsExceeded(
                         f"ODE integration exceeded {spec.max_steps} steps "
                         f"at t={t!r}")
-                h = min(h, spec.max_step)
                 remaining = abs(target - t)
                 clamped = h >= remaining
                 h_step = remaining if clamped else h
@@ -155,7 +158,9 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
 
                 factor = (5.0 if err == 0.0
                           else min(5.0, max(0.2, 0.9 * err ** -0.2)))
-                h = h_step * factor
+                # a step shortened onto a sample does not shrink the next
+                h = (max(h, h_step * factor) if clamped and err <= 1.0
+                     else h_step * factor)
                 if h < spec.min_step < abs(ts[-1] - t):
                     raise StepUnderflow(
                         f"ODE step fell below min_step={spec.min_step!r} "

@@ -12,7 +12,7 @@ data with the chain rule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (AsymptoticPoint, DegenerateMultiplicity, InflectionPoint,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
@@ -37,6 +37,11 @@ __all__ = [
     "liouville_check", "bonnet_torsion_check", "asymptotic_line_trace",
 ]
 
+EPS_CLOSED = 1e-6    # times surface scale: largest gap between loop arcs
+_N_SEEDS = 8         # launch angles fanned out by geodesic_bvp
+_N_TRANSPORT = 257   # samples of a parallel-transport solve
+_N_ASYMPTOTIC = 65   # Hermite knots of a traced asymptotic line
+
 
 class SurfaceCurve:
     """t -> (u(t), v(t)) on a host surface.
@@ -51,25 +56,20 @@ class SurfaceCurve:
         self.domain = (float(domain[0]), float(domain[1]))
 
     @staticmethod
-    def const_v(surface, v0, u_range=None):
+    def const_v(surface, v0):
         """The u-coordinate sweep at fixed v (a latitude-style loop)."""
-        u0, u1, _, _ = surface.domain
-        if u_range is not None:
-            u0, u1 = u_range
-
         def uv(t):
             return t, t * 0.0 + v0
 
-        return SurfaceCurve(surface, uv, (u0, u1))
+        return SurfaceCurve(surface, uv, surface.domain[0:2])
 
     @staticmethod
-    def const_u(surface, u0_val, v_range=None):
-        v0, v1 = (surface.domain[2], surface.domain[3]) if v_range is None else v_range
-
+    def const_u(surface, u0):
+        """The v-coordinate sweep at fixed u (a meridian-style loop)."""
         def uv(t):
-            return t * 0.0 + u0_val, t
+            return t * 0.0 + u0, t
 
-        return SurfaceCurve(surface, uv, (v0, v1))
+        return SurfaceCurve(surface, uv, surface.domain[2:4])
 
     @staticmethod
     def straight(surface, p0, direction, domain=(0.0, 1.0)):
@@ -221,8 +221,7 @@ class GeodesicPath:
     s: list                  # arc length samples
     states: list             # (u, v, du/ds, dv/ds) at each sample
     length: float
-    left_domain: bool = False
-    exit_s: object = None
+    left_domain: bool = False   # the path ends at its first sample outside
 
     @property
     def end_uv(self):
@@ -269,27 +268,25 @@ def unit_speed_direction(surface, u, v, direction):
     return du / n, dv / n
 
 
-def geodesic_ivp(surface, u0, v0, direction, length, spec=OdeSpec(),
-                 n_samples=None):
+def geodesic_ivp(surface, u0, v0, direction, length, spec=OdeSpec()):
     """Unit-speed geodesic from (u0, v0) in the given parameter direction.
 
     If the path leaves a non-periodic side of the parameter rectangle the
     integration stops at the first sample outside and the result is
-    flagged ``left_domain`` (a partial path)."""
+    flagged ``left_domain`` (a partial path whose ``length`` is that
+    sample's arc length)."""
     du, dv = unit_speed_direction(surface, u0, v0, direction)
     length = float(length)
-    if n_samples is None:
-        n_samples = max(33, min(513, int(abs(length) * 32) + 1))
+    n_samples = max(33, min(513, int(abs(length) * 32) + 1))
 
     def outside(s, y):
         return not surface.contains(y[0], y[1])
 
     sol = ode_solve(_geodesic_rhs(surface), (float(u0), float(v0), du, dv),
                     linspace(0.0, length, n_samples), spec, stop=outside)
-    left = outside(sol.ts[-1], sol.y_end)
     return GeodesicPath(surface=surface, s=sol.ts, states=sol.ys,
-                        length=sol.ts[-1], left_domain=left,
-                        exit_s=sol.ts[-1] if left else None)
+                        length=sol.ts[-1],
+                        left_domain=outside(sol.ts[-1], sol.y_end))
 
 
 def _orthonormal_frame(E, F, G):
@@ -388,9 +385,7 @@ class _Shot:
 
         a, b = self.ts[lo], self.ts[hi]
         pa, pb = proj(a), proj(b)
-        if pa == 0.0:
-            return a, state(a)
-        if pa > 0.0:  # moving away already: closest approach at segment start
+        if pa >= 0.0:  # not approaching: closest approach at segment start
             return a, state(a)
         if pb < 0.0:  # still approaching at segment end
             return b, state(b)
@@ -401,14 +396,14 @@ class _Shot:
         return s_star, state(s_star)
 
 
-def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6,
-                 n_seeds=8):
+def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
     """Shortest connecting geodesic by single shooting on the launch angle.
 
     Seeds fan out from the parameter-space chord direction.  Converged
     solutions are deduplicated by angle; if two distinct paths tie in
     length within 1e-8 the ambiguity is reported as
-    DegenerateMultiplicity (carrying every tied path)."""
+    DegenerateMultiplicity (carrying every tied path).  No launch angle is
+    integrated twice at the same tolerance."""
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
     theta0, d_chord = _chord(surface, p0, p1)
@@ -417,20 +412,21 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6,
     s_max = 1.6 * d_chord + 0.01 * (1.0 + d_chord)
     # the angle search only needs trajectories good to well below the
     # endpoint tolerance; full accuracy is restored in the polish stage
-    scan_acc = min(1e-8, 0.01 * endpoint_tol)
-    scan_spec = OdeSpec(abs_tol=max(spec.abs_tol, scan_acc),
-                        rel_tol=max(spec.rel_tol, scan_acc),
-                        min_step=spec.min_step, max_step=spec.max_step,
-                        max_steps=spec.max_steps)
+    scan_spec = replace(spec, tol=max(spec.tol,
+                                      min(1e-8, 0.01 * endpoint_tol)))
+    shots = {}
 
-    def miss_of(theta):
-        return _Shot(surface, p0, theta, p1, s_max, scan_spec)
+    def shot_at(theta, at_spec=scan_spec):
+        key = (theta, at_spec)
+        if key not in shots:
+            shots[key] = _Shot(surface, p0, theta, p1, s_max, at_spec)
+        return shots[key]
 
-    seeds = [theta0 + 2.0 * math.pi * k / n_seeds for k in range(n_seeds)]
-    probes = [miss_of(th) for th in seeds]
-    order = sorted(range(n_seeds), key=lambda i: abs(probes[i].miss))
+    seeds = [theta0 + 2.0 * math.pi * k / _N_SEEDS for k in range(_N_SEEDS)]
+    probes = [shot_at(th) for th in seeds]
+    order = sorted(range(_N_SEEDS), key=lambda i: abs(probes[i].miss))
     attempt = {i for i in order[:3]}
-    attempt |= {i for i in range(n_seeds)
+    attempt |= {i for i in range(_N_SEEDS)
                 if abs(probes[i].miss) <= 10.0 * endpoint_tol}
 
     solutions = []
@@ -442,30 +438,21 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6,
         near_solution = abs(shot.miss) <= 10.0 * endpoint_tol
         if not near_solution and any(
                 abs((th - th2 + math.pi) % twopi - math.pi)
-                <= twopi / n_seeds + 0.3 for _, th2, _ in solutions):
+                <= twopi / _N_SEEDS + 0.3 for _, th2, _ in solutions):
             continue  # adjacent seed would converge to a known root
         if abs(shot.miss) > endpoint_tol:
             try:
-                th = root_find(lambda x: miss_of(x).miss, (th, th + 0.05),
+                th = root_find(lambda x: shot_at(x).miss, (th, th + 0.05),
                                tol=0.3 * endpoint_tol, max_iter=28)
             except NoConvergence as exc:
                 if exc.best is not None:
-                    cand = miss_of(exc.best[0])
+                    cand = shot_at(exc.best[0])
                     if cand.miss_dist < best_shot.miss_dist:
                         best_shot = cand
                 continue
-            shot = miss_of(th)
-        # polish at the caller's tolerance
-        polished = _Shot(surface, p0, th, p1, s_max, spec)
-        if polished.miss_dist > endpoint_tol:
-            try:
-                th = root_find(lambda x: _Shot(surface, p0, x, p1, s_max,
-                                               spec).miss,
-                               (th, th + 1e-5), tol=0.3 * endpoint_tol,
-                               max_iter=12)
-                polished = _Shot(surface, p0, th, p1, s_max, spec)
-            except NoConvergence:
-                pass
+        # polish at the caller's tolerance; no second secant, since the
+        # scan already ran at endpoint_tol / 100 or tighter
+        polished = shot_at(th, spec)
         if polished.miss_dist < best_shot.miss_dist:
             best_shot = polished
         if polished.miss_dist <= endpoint_tol:
@@ -480,7 +467,6 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6,
     # deduplicate by launch angle modulo 2 pi (seed order wins)
     distinct = []
     for i, th, shot in solutions:
-        twopi = 2.0 * math.pi
         if any(abs((th - th2 + math.pi) % twopi - math.pi) < 1e-4
                for _, th2, _ in distinct):
             continue
@@ -522,7 +508,7 @@ class TransportState:
         return [a - base for a in self.frame_angles]
 
 
-def parallel_transport(sc, A0, spec=OdeSpec(), n_samples=257):
+def parallel_transport(sc, A0, spec=OdeSpec()):
     """Transport surface-vector components A along the curve:
     dA^a/dt = -G^a_bc A^c du^b/dt."""
     t0, t1 = sc.domain
@@ -537,7 +523,7 @@ def parallel_transport(sc, A0, spec=OdeSpec(), n_samples=257):
         return (dA1, dA2)
 
     sol = ode_solve(rhs, (float(A0[0]), float(A0[1])),
-                    linspace(t0, t1, n_samples), spec)
+                    linspace(t0, t1, _N_TRANSPORT), spec)
     ts, comps = sol.ts, sol.ys
 
     norms, angles = [], []
@@ -638,10 +624,14 @@ def conjugate_direction(surface, u, v, direction):
     return (delta[0] / n, delta[1] / n)
 
 
-def asymptotic_line_trace(surface, start, length, branch=0, spec=OdeSpec(),
-                          n_samples=65):
+def asymptotic_line_trace(surface, start, length, branch=0):
     """Trace an asymptotic line by integrating the chosen direction branch
-    (continuity-corrected sign), returning it as a SurfaceCurve."""
+    (continuity-corrected sign), returning it as a SurfaceCurve.
+
+    The curve is a quintic Hermite interpolant whose knots' second
+    derivatives are the library's one finite difference: a central
+    difference of the direction field with step 1e-6, good to about 1e-10
+    (rounding over the step), not to machine precision."""
     state = {"last": None}
 
     def direction(u, v):
@@ -665,11 +655,10 @@ def asymptotic_line_trace(surface, start, length, branch=0, spec=OdeSpec(),
         return d
 
     def rhs(s, y):
-        d = direction(y[0], y[1])
-        return d
+        return direction(y[0], y[1])
 
     sol = ode_solve(rhs, (float(start[0]), float(start[1])),
-                    linspace(0.0, length, n_samples), spec)
+                    linspace(0.0, length, _N_ASYMPTOTIC))
     ss = sol.ts
     us = [y[0] for y in sol.ys]
     vs = [y[1] for y in sol.ys]
@@ -708,7 +697,7 @@ class BoundaryLoop:
     corner_angles: list
     region_rects: list
 
-    def validate(self, tol=1e-6):
+    def validate(self):
         """Arcs must connect end-to-start in ambient space (so boundaries
         through chart poles or seams still count as closed)."""
         n = len(self.arcs)
@@ -719,7 +708,7 @@ class BoundaryLoop:
             p_end = arc.space_jets(arc.domain[1]).value()
             p_start = nxt.space_jets(nxt.domain[0]).value()
             scale = arc.surface.scale
-            if (p_end - p_start).norm() > tol * scale:
+            if (p_end - p_start).norm() > EPS_CLOSED * scale:
                 ue, ve = arc.point(arc.domain[1])
                 us, vs = nxt.point(nxt.domain[0])
                 raise OpenLoop(

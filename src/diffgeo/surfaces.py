@@ -28,6 +28,7 @@ __all__ = [
 
 EPS_REG = 1e-12   # times scale^2: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
+EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
 
 # index order of Jet2 coefficients, for readability below
 _F, _FU, _FV, _FUU, _FUV, _FVV, _FUUU, _FUUV, _FUVV, _FVVV = range(10)
@@ -71,8 +72,9 @@ class ParametricSurface:
             self._scale = s
         return self._scale
 
-    def contains(self, u, v, tol=1e-12):
+    def contains(self, u, v):
         u0, u1, v0, v1 = self.domain
+        tol = EPS_DOMAIN
         ok_u = self.periodic[0] is not None or (u0 - tol <= u <= u1 + tol)
         ok_v = self.periodic[1] is not None or (v0 - tol <= v <= v1 + tol)
         return ok_u and ok_v

@@ -139,9 +139,11 @@ def test_criterion_06_gauss_bonnet():
         region_rects=[(-math.pi, math.pi, 0.0, math.pi / 2)]))
     ok &= abs(gb.defect) <= 1e-5
     # octant triangle with three right angles
-    eqq = SurfaceCurve.const_v(SPHERE, 0.0, (0.0, math.pi / 2))
-    m_up = SurfaceCurve.const_u(SPHERE, math.pi / 2, (0.0, math.pi / 2))
-    m0 = SurfaceCurve.const_u(SPHERE, 0.0, (0.0, math.pi / 2))
+    quarter = (0.0, math.pi / 2)
+    eqq = SurfaceCurve.straight(SPHERE, (0.0, 0.0), (1.0, 0.0), quarter)
+    m_up = SurfaceCurve.straight(SPHERE, (math.pi / 2, 0.0), (0.0, 1.0),
+                                 quarter)
+    m0 = SurfaceCurve.straight(SPHERE, (0.0, 0.0), (0.0, 1.0), quarter)
     m_down = SurfaceCurve(SPHERE, lambda t: m0.uv(math.pi / 2 - t),
                           (0.0, math.pi / 2))
     gb = gauss_bonnet_local(SPHERE, BoundaryLoop(

@@ -44,7 +44,7 @@ class TestOde:
             return out
 
         rng = random.Random(42)
-        spec = OdeSpec(abs_tol=1e-10, rel_tol=1e-10)
+        spec = OdeSpec(tol=1e-10)
         for _ in range(5):
             A = np.array([[rng.uniform(-1, 1) for _ in range(3)]
                           for _ in range(3)])
@@ -56,8 +56,7 @@ class TestOde:
             res = ode_solve(field, tuple(y0), (0.0, 1.5), spec)
             want = expm(1.5 * A) @ y0
             err = max(abs(a - b) for a, b in zip(res.y_end, want))
-            bound = 10.0 * (spec.abs_tol
-                            + spec.rel_tol * float(np.linalg.norm(want)))
+            bound = 10.0 * (spec.tol + spec.tol * float(np.linalg.norm(want)))
             assert err <= bound
 
     def test_eval_points_hit_exactly(self):
@@ -110,11 +109,18 @@ class TestOde:
         assert res.n_steps == 1 if span < 1e-14 else 1 <= res.n_steps <= 3
         assert abs(res.y_end[0] - math.sin(0.2 + span)) <= 1e-16
 
+    def test_close_samples_keep_the_step_size(self):
+        # a step shortened onto a sample 1e-15 past the last one must not
+        # set the size of the next step (it used to fall below min_step)
+        ts = [0.0, 0.5, 0.5 + 1e-15, 1.0]
+        res = ode_solve(lambda t, y: (1.0,), (0.0,), ts)
+        assert res.ts == ts and res.n_steps == 5
+        assert all(abs(y[0] - t) <= 1e-15 for t, y in zip(ts, res.ys))
+
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            OdeSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            OdeSpec(min_step=1.0, max_step=0.5)
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError):
+                OdeSpec(tol=tol)
 
     def test_post_step_hook_applied(self):
         def renorm(t, y):

@@ -276,8 +276,7 @@ class TestGeodesicIVP:
     def test_domain_exit_flagged(self):
         path = geodesic_ivp(PLANE, 0.0, 0.0, (1.0, 0.0), 50.0)
         assert path.left_domain
-        assert path.exit_s is not None
-        assert path.length < 50.0
+        assert path.length == path.s[-1] < 50.0
 
     def test_one_solve_ends_at_first_sample_outside(self, monkeypatch):
         solves = count_solves(monkeypatch)
@@ -285,10 +284,10 @@ class TestGeodesicIVP:
         ((t_max,),) = solves
         k = len(path.s)
         assert path.s == linspace(0.0, 50.0, 513)[:k]
-        assert path.left_domain and path.exit_s == path.s[-1] == path.length
+        assert path.left_domain and path.s[-1] == path.length
         assert not PLANE.contains(*path.end_uv)
         assert all(PLANE.contains(st[0], st[1]) for st in path.states[:-1])
-        assert t_max <= path.exit_s
+        assert t_max <= path.length
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroVector):
@@ -372,6 +371,21 @@ class TestGeodesicBVP:
         assert abs(shot.miss_dist - (3.0 - grid[k - 1])) <= 1e-12
         # one solve for the scan, one to refine the closest approach
         assert len(solves) == 2
+
+    @pytest.mark.parametrize("surface, p0, p1", [
+        (SPHERE, (0.2, 0.1), (1.4, 0.5)), (TORUS, (0.0, 0.0), (2.0, 1.0))],
+        ids=["sphere", "torus"])
+    def test_no_shot_integrated_twice(self, monkeypatch, surface, p0, p1):
+        real = surfacecurves._Shot
+        keys = []
+
+        def shot(surface, p0, theta, target, s_max, spec):
+            keys.append((theta, spec))
+            return real(surface, p0, theta, target, s_max, spec)
+
+        monkeypatch.setattr(surfacecurves, "_Shot", shot)
+        geodesic_bvp(surface, p0, p1)
+        assert len(keys) == len(set(keys))
 
     def test_unreachable_tolerance_reports_no_convergence(self):
         from diffgeo.errors import NoConvergence
@@ -555,11 +569,12 @@ class TestGaussBonnet:
         assert abs(gb.defect) <= 1e-5
 
     def test_spherical_octant_triangle(self):
-        eq = SurfaceCurve.const_v(SPHERE, 0.0, (0.0, math.pi / 2))
-        mer_up = SurfaceCurve.const_u(SPHERE, math.pi / 2,
-                                      (0.0, math.pi / 2))
+        quarter = (0.0, math.pi / 2)
+        eq = SurfaceCurve.straight(SPHERE, (0.0, 0.0), (1.0, 0.0), quarter)
+        mer_up = SurfaceCurve.straight(SPHERE, (math.pi / 2, 0.0), (0.0, 1.0),
+                                       quarter)
         mer_down = reversed_curve(
-            SurfaceCurve.const_u(SPHERE, 0.0, (0.0, math.pi / 2)))
+            SurfaceCurve.straight(SPHERE, (0.0, 0.0), (0.0, 1.0), quarter))
         loop = BoundaryLoop(
             arcs=[eq, mer_up, mer_down],
             corner_angles=[math.pi / 2] * 3,
@@ -627,7 +642,7 @@ class TestGaussBonnet:
 
 class TestLiouvilleAndBonnet:
     def test_meridians_are_geodesics(self):
-        mer = SurfaceCurve.const_u(SPHERE, 0.7, (-1.2, 1.2))
+        mer = SurfaceCurve.straight(SPHERE, (0.7, 0.0), (0.0, 1.0), (-1.2, 1.2))
         assert abs(curvature_split(mer, 0.3).kappa_g) <= 1e-10
         assert abs(liouville_check(mer, 0.3)) <= 1e-8
 
