@@ -297,11 +297,11 @@ def cmd_eval(args):
                 else:
                     val = _eval_surface_quantity(shape, pt[0], pt[1], q)
                 rep.add_record(list(pt), q, val)
-            except DiffGeoError as exc:
-                rep.add_record(list(pt), q, None,
-                               status=f"{type(exc).__name__}: {exc}")
+            except (DiffGeoError, OverflowError) as exc:
+                status = f"{type(exc).__name__}: {exc}"
+                rep.add_record(list(pt), q, None, status=status)
                 if failed is None:
-                    failed = (pt, q, exc)
+                    failed = (pt, q, status)
     _finish(rep, args)
     for rec in rep.records:
         print(f"  {rec['point']} {rec['quantity']} = {rec['value']}"
@@ -399,9 +399,14 @@ def _load_surface_curve(args, shape):
     if args.loop:
         which, _, val = args.loop.partition(":")
         value = _number(val, "--loop")
+        u0, u1, v0, v1 = shape.domain
         if which == "const-v":
+            if not shape.contains(u0, value):
+                raise _Usage(f"--loop {args.loop!r}: v outside [{v0!r}, {v1!r}]")
             return SurfaceCurve.const_v(shape, value)
         if which == "const-u":
+            if not shape.contains(value, v0):
+                raise _Usage(f"--loop {args.loop!r}: u outside [{u0!r}, {u1!r}]")
             return SurfaceCurve.const_u(shape, value)
         raise _Usage("--loop expects const-v:<value> or const-u:<value>")
     raise _Usage("give --curve file or --loop const-v:<value>")
@@ -627,7 +632,7 @@ def main(argv=None):
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ARGS
-    except DiffGeoError as exc:
+    except (DiffGeoError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.command == "geodesic":
             return _EXIT_GEODESIC

@@ -63,7 +63,7 @@ class ParametricCurve:
                 t = t0 + (t1 - t0) * (k + 0.5) / 16.0
                 try:
                     s = max(s, self.eval(t).value().norm())
-                except DomainError:
+                except (DomainError, SingularPoint, InflectionPoint):
                     continue
             self._scale = s
         return self._scale
@@ -106,23 +106,25 @@ class CurveClass:
 
 
 class _CurveJets:
-    """Frenet apparatus as jets at one parameter value.
+    """Frenet apparatus as jets of the position jet ``pos`` at ``t``, for
+    every space curve: a ParametricCurve or the composite r(u(t), v(t)) of a
+    surface curve.  The length ``scale`` sets the inflection floor and
+    ``min_speed`` the regularity floor on |dr/dt|; a composite curve is
+    regular wherever its surface is and (u', v') != 0, so it keeps 0.
 
     Exactness bookkeeping (derivative orders that are true Taylor
     coefficients): position 4, velocity 3, T 3, B/N/kappa 2, tau 1.
     """
 
-    def __init__(self, curve, t):
+    def __init__(self, pos, scale, t, min_speed=0.0):
         self.t = float(t)
-        self.curve = curve
-        pos = curve.eval(Jet1.variable(t))
+        self.scale = scale
         self.pos = pos
         self.rd = pos.derivative()
         self.rdd = self.rd.derivative()
         self.rddd = self.rdd.derivative()
         sig_sq = self.rd.norm_sq()
-        floor = EPS_REG * curve.scale
-        if sig_sq.value <= floor * floor:
+        if sig_sq.value <= min_speed * min_speed:
             raise SingularPoint(t)
         self.sigma = jets.sqrt(sig_sq)
         self.T = self.rd / self.sigma
@@ -133,12 +135,28 @@ class _CurveJets:
             self.Cn = jets.sqrt(self.Cn)
             self.kappa = self.Cn / (self.sigma * self.sigma * self.sigma)
 
+    @classmethod
+    def at(cls, curve, t):
+        """The kernel of a ParametricCurve at ``t``."""
+        return cls(curve.eval(Jet1.variable(t)), curve.scale, t,
+                   EPS_REG * curve.scale)
+
     @property
     def eps_inflect(self):
-        return EPS_INFLECT / self.curve.scale
+        return EPS_INFLECT / self.scale
+
+    @property
+    def kappa_value(self):
+        """kappa at t; 0.0 where r' x r'' vanishes."""
+        return 0.0 if self.kappa is None else self.kappa.value
+
+    @property
+    def bent(self):
+        """Whether kappa clears the inflection floor, so N, B, tau exist."""
+        return self.kappa_value > self.eps_inflect
 
     def require_bent(self):
-        if self.kappa is None or self.kappa.value <= self.eps_inflect:
+        if not self.bent:
             raise InflectionPoint(self.t)
 
     def frame_jets(self):
@@ -168,13 +186,11 @@ def frenet(curve, t, partial=False):
     InflectionPoint unless ``partial`` is set, in which case T and kappa are
     returned with N, B, tau, darboux as None.
     """
-    cj = _CurveJets(curve, t)
+    cj = _CurveJets.at(curve, t)
     T = cj.T.value()
-    kap = 0.0 if cj.kappa is None else cj.kappa.value
-    if cj.kappa is None or kap <= cj.eps_inflect:
-        if partial:
-            return FrenetData(T=T, N=None, B=None, kappa=kap, tau=None, darboux=None)
-        raise InflectionPoint(t)
+    kap = cj.kappa_value
+    if partial and not cj.bent:
+        return FrenetData(T=T, N=None, B=None, kappa=kap, tau=None, darboux=None)
     _, Nj, Bj = cj.frame_jets()
     N, B = Nj.value(), Bj.value()
     tau = cj.tau_jet().value
@@ -185,7 +201,7 @@ def frenet(curve, t, partial=False):
 def frenet_residuals(curve, t):
     """Norms of the three Frenet-Serret defects at ``t``:
     |dT/ds - kappa N|, |dN/ds - (tau B - kappa T)|, |dB/ds + tau N|."""
-    cj = _CurveJets(curve, t)
+    cj = _CurveJets.at(curve, t)
     Tj, Nj, Bj = cj.frame_jets()
     kap = cj.kappa.value
     tau = cj.tau_jet().value
@@ -199,7 +215,7 @@ def frenet_residuals(curve, t):
 def arc_length(curve, t1, t2, spec=QuadSpec()):
     """L = integral of |dr/dt| over [t1, t2]."""
     def integrand(t):
-        return _CurveJets(curve, t).sigma.value
+        return _CurveJets.at(curve, t).sigma.value
 
     return quad_adaptive(integrand, (t1, t2), spec)
 
@@ -215,7 +231,7 @@ def reparam_to_arclength(curve):
     total = arc_length(curve, t0, t1)
 
     def dt_ds(s, y):
-        return (1.0 / _CurveJets(curve, y[0]).sigma.value,)
+        return (1.0 / _CurveJets.at(curve, y[0]).sigma.value,)
 
     table = ode_solve(dt_ds, (t0,), linspace(0.0, total, _N_KNOTS))
     knot_s = table.ts
@@ -234,7 +250,7 @@ def reparam_to_arclength(curve):
             raise DomainError(f"arc length {s0!r} outside [0, {total!r}]")
         s0 = min(max(s0, 0.0), total)
         tv = t_of_s(s0)
-        sig = _CurveJets(curve, tv).sigma  # jet of |dr/dt|, exact to order 3
+        sig = _CurveJets.at(curve, tv).sigma  # jet of |dr/dt|, exact to order 3
         f1, f2, f3, f4 = sig.c[0], sig.c[1], sig.c[2], sig.c[3]
         # inverse-function derivatives of t(s) from s'(t) = sigma
         g1 = 1.0 / f1
@@ -248,7 +264,7 @@ def reparam_to_arclength(curve):
 
 
 def osculating_circle(curve, t):
-    cj = _CurveJets(curve, t)
+    cj = _CurveJets.at(curve, t)
     _, Nj, _ = cj.frame_jets()
     kap = cj.kappa.value
     center = cj.pos.value() + Nj.value() * (1.0 / kap)
@@ -257,7 +273,7 @@ def osculating_circle(curve, t):
 
 def osculating_sphere(curve, t):
     """Center r + R_k N + R_t R_k' B; radius sqrt(R_k^2 + (R_t R_k')^2)."""
-    cj = _CurveJets(curve, t)
+    cj = _CurveJets.at(curve, t)
     _, Nj, Bj = cj.frame_jets()
     tau = cj.tau_jet().value
     if abs(tau) <= cj.eps_inflect:
@@ -288,12 +304,11 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
     Chebyshev-spaced interior samples."""
     pts = curve.chebyshev_points(n_samples)
     kappas, taus, ratios = [], [], []
-    eps_inflect = EPS_INFLECT / curve.scale
     for t in pts:
-        cj = _CurveJets(curve, t)
-        kap = 0.0 if cj.kappa is None else cj.kappa.value
+        cj = _CurveJets.at(curve, t)
+        kap = cj.kappa_value
         kappas.append(kap)
-        if kap > eps_inflect:
+        if cj.bent:
             tau = cj.tau_jet().value
             taus.append(tau)
             ratios.append(tau / kap)
@@ -319,8 +334,7 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
 
 def sphericity_residual(curve, t):
     """R_k/R_t + d/ds(R_t dR_k/ds); near zero along spherical curves."""
-    cj = _CurveJets(curve, t)
-    cj.require_bent()
+    cj = _CurveJets.at(curve, t)
     tau_j = cj.tau_jet()
     if abs(tau_j.value) <= cj.eps_inflect:
         raise ZeroTorsion(f"tau vanishes at t={t!r}")
@@ -353,17 +367,12 @@ def spherical_indicatrix(curve, which="T"):
         raise ValueError("which must be 'T', 'N' or 'B'")
 
     def evaluator(t_jet):
-        pos = curve.evaluator(t_jet)
-        rd = pos.derivative()
-        sigma = rd.norm()
+        cj = _CurveJets(curve.evaluator(t_jet), curve.scale, t_jet.value,
+                        EPS_REG * curve.scale)
         if which == "T":
-            return rd / sigma
-        rdd = rd.derivative()
-        cross = rd.cross(rdd)
-        b = cross / jets.sqrt(cross.norm_sq())
-        if which == "B":
-            return b
-        return b.cross(rd / sigma)
+            return cj.T
+        _, N, B = cj.frame_jets()
+        return B if which == "B" else N
 
     return ParametricCurve(evaluator, curve.domain)
 
@@ -377,8 +386,7 @@ def indicatrix_kappa_tau(curve, t, which="T"):
     tau_T = (kappa tau' - kappa' tau) / (kappa (kappa^2 + tau^2)) and
     tau_B = (kappa' tau - kappa tau') / (tau (kappa^2 + tau^2)); both are
     cross-checked against the measured indicatrix curves in the tests."""
-    cj = _CurveJets(curve, t)
-    cj.require_bent()
+    cj = _CurveJets.at(curve, t)
     kap_j = cj.kappa
     tau_j = cj.tau_jet()
     kap, tau = kap_j.value, tau_j.value

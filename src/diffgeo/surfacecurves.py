@@ -6,15 +6,18 @@ Bonnet checks, and the local/global Gauss-Bonnet budgets.
 A surface curve is a parameter-plane path t -> (u(t), v(t)) over a host
 surface.  Its composite space curve is evaluated by feeding the curve's
 Jet1 parameters straight through the surface evaluator, so space-curve
-derivatives (up to fourth order) are exact; surface fields along the curve
-(the normal, metric coefficients) are composed from the pointwise Jet2
-data with the chain rule.
+derivatives (up to fourth order) are exact; its speed, Frenet frame,
+curvature and torsion come from ``curves._CurveJets``.  Surface fields
+along the curve (the normal, metric coefficients) are composed from the
+pointwise Jet2 data with the chain rule.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (AsymptoticPoint, DegenerateMultiplicity, InflectionPoint,
+from . import jets
+from .curves import _CurveJets
+from .errors import (AsymptoticPoint, DegenerateMultiplicity,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
                      NoUniqueConjugate, OpenLoop, SingularSurfacePoint,
                      StepUnderflow, UmbilicPoint, ZeroVector)
@@ -24,7 +27,8 @@ from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .roots import root_find
 from .surfaces import (_SurfaceJets, _curvatures_from_jets, _metric_dot,
-                       _normal_curvature, metric_and_gamma, total_curvature)
+                       _metric_unit, _normal_curvature, metric_and_gamma,
+                       total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -126,51 +130,55 @@ class CurvatureSplit:
     n: Vec3
 
 
-def _composite_jets(sc, t):
-    """(surface jets at the point, uv jets, space position jets)."""
+def _point_jets(sc, t):
+    """(surface jets at the curve point, uv jets)."""
     uj, vj = sc.uv_jets(t)
-    sj = _SurfaceJets(sc.surface, uj.value, vj.value)
-    pos = sc.surface.evaluator(uj, vj)
-    return sj, uj, vj, pos
+    return _SurfaceJets(sc.surface, uj.value, vj.value), uj, vj
+
+
+def _composite_jets(sc, t):
+    """_point_jets plus the Frenet kernel of the composite space curve
+    r(u(t), v(t)), whose floors follow the surface scale."""
+    sj, uj, vj = _point_jets(sc, t)
+    return sj, uj, vj, _CurveJets(sc.surface.evaluator(uj, vj),
+                                  sc.surface.scale, t)
+
+
+def _split(sj, cj):
+    T = cj.T.value()
+    K_vec = cj.ds_vec(cj.T)                        # dT/ds
+    n = sj.n
+    u_vec = n.cross(T)
+    return CurvatureSplit(K_vec=K_vec, kappa_n=n.dot(K_vec),
+                          kappa_g=u_vec.dot(K_vec), u_vec=u_vec,
+                          kappa=cj.kappa_value, T=T, n=n)
 
 
 def curvature_split(sc, t):
     """Split of the curvature vector into normal and geodesic parts:
     K = kappa_n n + kappa_g (n x T)."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
-    rd = pos.derivative()
-    sigma_j = rd.norm()
-    sigma = sigma_j.value
-    T_j = rd / sigma_j
-    K_vec = T_j.derivative().value() / sigma       # dT/ds
-    T = T_j.value()
-    n = sj.n
-    u_vec = n.cross(T)
-    return CurvatureSplit(K_vec=K_vec, kappa_n=n.dot(K_vec),
-                          kappa_g=u_vec.dot(K_vec), u_vec=u_vec,
-                          kappa=K_vec.norm(), T=T, n=n)
+    sj, _, _, cj = _composite_jets(sc, t)
+    return _split(sj, cj)
 
 
 def kappa_n_quotient(sc, t):
     """Normal curvature as II/I in the curve's direction."""
-    sj, uj, vj, _ = _composite_jets(sc, t)
+    sj, uj, vj = _point_jets(sc, t)
     return _normal_curvature(*sj.EFG, *sj.efg(), (uj.c[1], vj.c[1]))
 
 
 def kappa_g_extrinsic(sc, t):
     """kappa_g = r''.(n x r') / |r'|^3 (speed-corrected form)."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
-    rd = pos.derivative().value()
-    rdd = pos.derivative().derivative().value()
-    return rdd.dot(sj.n.cross(rd)) / rd.norm() ** 3
+    sj, _, _, cj = _composite_jets(sc, t)
+    return (cj.rdd.value().dot(sj.n.cross(cj.rd.value()))
+            / cj.sigma.value ** 3)
 
 
 def kappa_g_intrinsic(sc, t):
     """kappa_g from the Christoffel symbols and intrinsic path data."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
-    sigma_j = pos.derivative().norm()
-    s1 = sigma_j.value
-    s2 = sigma_j.c[1]
+    sj, uj, vj, cj = _composite_jets(sc, t)
+    s1 = cj.sigma.value
+    s2 = cj.sigma.c[1]
     # d/ds and d2/ds2 of the parameters
     u1, v1 = uj.c[1] / s1, vj.c[1] / s1
     u2 = uj.c[2] / s1 ** 2 - uj.c[1] * s2 / s1 ** 3
@@ -184,31 +192,36 @@ def kappa_g_intrinsic(sc, t):
                  + u1 * v2 - u2 * v1)
 
 
+def _geodesic_torsion(sj, uj, vj, cj):
+    dn_du, dn_dv = sj.dn()
+    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma.value
+    return sj.n.dot(n_s.cross(cj.T.value()))
+
+
 def geodesic_torsion(sc, t):
     """tau_g = n . (dn/ds x dr/ds) along the curve."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
-    rd = pos.derivative().value()
-    sigma = rd.norm()
-    r_s = rd / sigma
-    dn_du, dn_dv = sj.dn()
-    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / sigma
-    return sj.n.dot(n_s.cross(r_s))
+    return _geodesic_torsion(*_composite_jets(sc, t))
 
 
 def geodesic_torsion_principal(sc, t):
     """(kappa1 - kappa2) sin th cos th with th the angle from the first
     principal direction to the curve tangent; umbilics are rejected."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
+    sj, uj, vj = _point_jets(sc, t)
     cur = _curvatures_from_jets(sj)
     if cur.is_umbilic:
         raise UmbilicPoint("principal-direction route undefined at an umbilic")
     E, F, G = sj.EFG
-    d = (uj.c[1], vj.c[1])
+    d = _metric_unit(E, F, G, (uj.c[1], vj.c[1]))
     p = cur.dir1_uv
-    nd = math.sqrt(_metric_dot(E, F, G, d, d))
-    c = _metric_dot(E, F, G, d, p) / nd
-    s = sj.sqrt_a * (d[0] * p[1] - d[1] * p[0]) / nd
+    c = _metric_dot(E, F, G, d, p)
+    s = sj.sqrt_a * (d[0] * p[1] - d[1] * p[0])
     return (cur.kappa1 - cur.kappa2) * s * c
+
+
+def _turning_rate(x, y):
+    """d/dt of the angle atan2(y, x) of two Jet1 values."""
+    x0, y0 = x.value, y.value
+    return (x0 * y.c[1] - y0 * x.c[1]) / (x0 * x0 + y0 * y0)
 
 
 # --------------------------------------------------------------------------
@@ -261,11 +274,8 @@ def _geodesic_rhs(surface):
 def unit_speed_direction(surface, u, v, direction):
     """Scale parameter-space ``direction`` to unit metric speed."""
     md = metric_and_gamma(surface, u, v)
-    du, dv = float(direction[0]), float(direction[1])
-    n = math.sqrt(md.E * du * du + 2.0 * md.F * du * dv + md.G * dv * dv)
-    if n == 0.0:
-        raise ZeroVector("geodesic direction must be nonzero")
-    return du / n, dv / n
+    return _metric_unit(md.E, md.F, md.G,
+                        (float(direction[0]), float(direction[1])))
 
 
 def geodesic_ivp(surface, u0, v0, direction, length, spec=OdeSpec()):
@@ -565,7 +575,6 @@ def asymptotic_directions(surface, u, v):
     if cur.shape == "Elliptic":
         return []
     e, f, g = sj.efg()
-    E, F, G = sj.EFG
     disc = max(-(e * g - f * f), 0.0)
     rt = math.sqrt(disc)
     b_scale = max(abs(e), abs(f), abs(g))
@@ -581,12 +590,7 @@ def asymptotic_directions(surface, u, v):
             dirs.append((1.0, (-f + sign * rt) / g))
     if cur.shape == "Parabolic":
         dirs = dirs[:1]
-    out = []
-    for d in dirs:
-        n = math.sqrt(max(E * d[0] ** 2 + 2 * F * d[0] * d[1] + G * d[1] ** 2,
-                          1e-300))
-        out.append((d[0] / n, d[1] / n))
-    return out
+    return [_metric_unit(*sj.EFG, d) for d in dirs]
 
 
 def principal_direction_field(surface, u, v):
@@ -610,7 +614,6 @@ def conjugate_direction(surface, u, v, direction):
     """The direction conjugate to ``direction``: b(d, delta) = 0."""
     sj = _SurfaceJets(surface, u, v)
     e, f, g = sj.efg()
-    E, F, G = sj.EFG
     d1, d2 = float(direction[0]), float(direction[1])
     w1 = e * d1 + f * d2
     w2 = f * d1 + g * d2
@@ -618,10 +621,7 @@ def conjugate_direction(surface, u, v, direction):
     if math.hypot(w1, w2) <= 1e-10 * max(b_scale, 1e-30) or b_scale == 0.0:
         raise NoUniqueConjugate(
             "the second fundamental form degenerates along this direction")
-    delta = (-w2, w1)
-    n = math.sqrt(E * delta[0] ** 2 + 2 * F * delta[0] * delta[1]
-                  + G * delta[1] ** 2)
-    return (delta[0] / n, delta[1] / n)
+    return _metric_unit(*sj.EFG, (-w2, w1))
 
 
 def asymptotic_line_trace(surface, start, length, branch=0):
@@ -747,9 +747,8 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
     sum_kg = 0.0
     for arc in loop.arcs:
         def integrand(t, arc=arc):
-            split = curvature_split(arc, t)
-            pos = arc.space_jets(t)
-            return split.kappa_g * pos.derivative().value().norm()
+            sj, _, _, cj = _composite_jets(arc, t)
+            return _split(sj, cj).kappa_g * cj.sigma.value
 
         sum_kg += quad_adaptive(integrand, arc.domain, spec)
 
@@ -781,7 +780,7 @@ def gauss_bonnet_global(surface, rect, chi, spec=QuadSpec(tol=1e-7)):
 def liouville_check(sc, t):
     """Defect of kappa_g = dphi/ds + kappa_u cos(phi) + kappa_v sin(phi)
     on an orthogonal patch (F = 0)."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
+    sj, uj, vj, cj = _composite_jets(sc, t)
     E_j, F_j, G_j = sj.a11, sj.a12, sj.a22
     scale2 = max(1.0, sc.surface.scale ** 2)
     if abs(F_j.value) > 1e-9 * scale2:
@@ -795,18 +794,12 @@ def liouville_check(sc, t):
     kappa_v = Gu / (2.0 * G * math.sqrt(E))
 
     # phi(t) through jets: x = sqrt(E) du/dt, y = sqrt(G) dv/dt
-    from . import jets as J
-    E_t = _field_along_curve(E_j, uj, vj)
-    G_t = _field_along_curve(G_j, uj, vj)
-    x = J.sqrt(E_t) * uj.derivative()
-    y = J.sqrt(G_t) * vj.derivative()
-    sigma = pos.derivative().norm()
-    dphi_dt = ((x * y.derivative() - y * x.derivative())
-               / (x * x + y * y)).value
-    dphi_ds = dphi_dt / sigma.value
+    x = jets.sqrt(_field_along_curve(E_j, uj, vj)) * uj.derivative()
+    y = jets.sqrt(_field_along_curve(G_j, uj, vj)) * vj.derivative()
+    dphi_ds = _turning_rate(x, y) / cj.sigma.value
     phi = math.atan2(y.value, x.value)
 
-    kg = curvature_split(sc, t).kappa_g
+    kg = _split(sj, cj).kappa_g
     return kg - (dphi_ds + kappa_u * math.cos(phi) + kappa_v * math.sin(phi))
 
 
@@ -818,36 +811,16 @@ def bonnet_torsion_check(sc, t):
     system in the oriented Darboux frame (T, n x T, n) gives
     tau_g = tau + dphi/ds; the unsigned-arccos statement of the formula
     matches after orienting the angle."""
-    sj, uj, vj, pos = _composite_jets(sc, t)
-    rd = pos.derivative()
-    sigma_j = rd.norm()
-    rdd = rd.derivative()
-    cross = rd.cross(rdd)
-    cn_sq = cross.norm_sq()
-    if cn_sq.value <= 0.0:
-        raise InflectionPoint(t)
-    from . import jets as J
-    cn = J.sqrt(cn_sq)
-    kappa = cn.value / sigma_j.value ** 3
-    if kappa <= 1e-10 / sc.surface.scale:
-        raise InflectionPoint(t)
-    split = curvature_split(sc, t)
+    sj, uj, vj, cj = _composite_jets(sc, t)
+    T, N, _ = cj.frame_jets()
+    split = _split(sj, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
-    tau = rd.dot(rdd.cross(rdd.derivative())).value / cn_sq.value
-
-    B = cross / cn
-    T_j = rd / sigma_j
-    N = B.cross(T_j)                   # Vec3 of Jet1, exact to order 2
     n_t = _normal_along_curve(sj, uj, vj)
-    u_t = n_t.cross(T_j)               # geodesic normal along the curve
+    u_t = n_t.cross(T)                 # geodesic normal along the curve
     # signed angle of N in the (n, u) frame: phi = atan2(N.u, N.n)
-    x = n_t.dot(N)
-    y = u_t.dot(N)
-    dphi_dt = ((x * y.derivative() - y * x.derivative())
-               / (x * x + y * y)).value
-    dphi_ds = dphi_dt / sigma_j.value
-    tau_g = geodesic_torsion(sc, t)
-    return tau_g - (tau + dphi_ds)
+    dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma.value
+    tau_g = _geodesic_torsion(sj, uj, vj, cj)
+    return tau_g - (cj.tau_jet().value + dphi_ds)

@@ -156,9 +156,7 @@ class _SurfaceJets:
         self.E2 = self.E2j.value()
         crossj = self.E1j.cross(self.E2j)
         cross_sq = crossj.norm_sq()
-        eps = EPS_REG * max(1.0, surface.scale ** 2)
-        if cross_sq.value <= eps * eps:
-            raise SingularSurfacePoint(u, v)
+        _check_regular(surface, cross_sq.value, u, v)
         self.sqrt_a_j = jets.sqrt(cross_sq)
         self.nj = crossj / self.sqrt_a_j     # unit normal, exact to order 2
         self.n = self.nj.value()
@@ -230,6 +228,17 @@ class _SurfaceJets:
                 Vec3(n.x.c[_FV], n.y.c[_FV], n.z.c[_FV]))
 
 
+def _check_regular(surface, a, u, v):
+    """Raise unless a = |E1 x E2|^2 clears the regularity floor; an inf or
+    nan metric is an overflow, not a singular point."""
+    if not a < math.inf:
+        raise OverflowError(
+            f"surface metric overflows at (u, v)=({u!r}, {v!r})")
+    eps = EPS_REG * max(1.0, surface.scale ** 2)
+    if a <= eps * eps:
+        raise SingularSurfacePoint(u, v)
+
+
 def _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a):
     """Second-kind Christoffel symbols from the metric, its first partials
     and a = EG - F^2, in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2).
@@ -275,9 +284,7 @@ def metric_and_gamma(surface, u, v):
     F = dot(_FU, _FV)
     G = dot(_FV, _FV)
     a = E * G - F * F
-    eps = EPS_REG * max(1.0, surface.scale ** 2)
-    if a <= eps * eps:
-        raise SingularSurfacePoint(u, v)
+    _check_regular(surface, a, u, v)
     Eu = 2.0 * dot(_FU, _FUU)
     Ev = 2.0 * dot(_FU, _FUV)
     Fu = dot(_FUU, _FV) + dot(_FU, _FUV)
@@ -397,8 +404,11 @@ def _normal_curvature(E, F, G, e, f, g, d):
 
 
 def _metric_unit(E, F, G, d):
+    """``d`` scaled to unit length in the metric."""
     du, dv = d
     n = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    if n == 0.0:
+        raise ZeroVector("direction must be nonzero")
     return (du / n, dv / n)
 
 

@@ -88,8 +88,8 @@ def curve_suites(shape, rng, n, rect):
                     fd.T.cross(fd.N).dot(fd.B) - 1.0)
 
     def lancret(t):
-        cj = _CurveJets(shape, t)
-        if cj.kappa is None or cj.kappa.value <= cj.eps_inflect:
+        cj = _CurveJets.at(shape, t)
+        if not cj.bent:
             raise _Skip
         _, Nj, Bj = cj.frame_jets()
         tau = cj.tau_jet().value

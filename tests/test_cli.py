@@ -488,17 +488,39 @@ class TestMalformedInput:
          "give --curve file or --loop"),
         (["transport", "--shape", "sphere", "--loop", "const-w:1",
           "--vector", "1,0"], "--loop expects const-v:<value> or const-u"),
+        (["transport", "--shape", "sphere", "--loop", "const-v:2",
+          "--vector", "1,0"],
+         "--loop 'const-v:2': v outside [-1.5707963267948966, "),
+        (["transport", "--shape", "plane", "--loop", "const-u:-6",
+          "--vector", "1,0"], "--loop 'const-u:-6': u outside [-5.0, 5.0]"),
         (["gauss-bonnet", "--shape", "sphere"],
          "give --global or --loop-file"),
     ], ids=["eval-no-points", "eval-bad-param", "unknown-shape",
             "geodesic-no-target", "geodesic-curve", "transport-no-curve",
-            "transport-loop-kind", "gauss-bonnet-no-region"])
+            "transport-loop-kind", "transport-loop-outside-v",
+            "transport-loop-outside-u", "gauss-bonnet-no-region"])
     def test_usage_errors_exit_2(self, argv, named, capsys):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         (line,) = err.strip().splitlines()
         assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--shape", "sphere", "--param", "R=1e30", "--at", "0.3,0.2",
+          "--quantity", "K"], 3),
+        (["eval", "--shape", "sphere", "--param", "R=1e100", "--at",
+          "0.3,0.2", "--quantity", "K"], 3),
+        (["eval", "--shape", "sphere", "--param", "R=1e308", "--at",
+          "0.3,0.2", "--quantity", "K"], 3),
+        (["geodesic", "--shape", "sphere", "--param", "R=1e300", "--from",
+          "0.3,0.2", "--to", "0.8,0.6"], 5),
+    ], ids=["eval-jets", "eval-metric", "eval-metric-max", "geodesic"])
+    def test_overflow_named(self, argv, code, capsys):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "OverflowError" in err.strip().splitlines()[0]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",

@@ -54,7 +54,7 @@ VALUES = {
     "--shape": ("sphere", "torus", "plane", "cylinder", "helicoid", "monge",
                 "cone", "helix", "nope", ""),
     "--param": ("R=2", "r=0.5", "R=0", "R=-1", "R", "=", "R=x", "R=nan",
-                "R=1e300", "f=u^2-v^2", "f=(", "X=1"),
+                "R=1e300", "R=1e30", "f=u^2-v^2", "f=(", "X=1"),
     "--file": FILE_ARGS,
     "--at": POINTS,
     "--grid": ("1", "3", "2x3", "4x4", "0", "x", "4x", "-1x2", "2x0", "axb",

@@ -91,7 +91,7 @@ class TestFrenet:
         assert max(frenet_residuals(cub, 0.3)) <= 1e-9
 
     def test_torsion_curvature_product_identity(self):
-        cj = _CurveJets(HELIX, 1.1)
+        cj = _CurveJets.at(HELIX, 1.1)
         Tj, _, Bj = cj.frame_jets()
         lhs = abs(cj.kappa.value * cj.tau_jet().value)
         rhs = abs(cj.ds_vec(Tj).dot(cj.ds_vec(Bj)))
@@ -99,7 +99,7 @@ class TestFrenet:
 
     def test_lancret_identity(self):
         for t in (0.4, 1.7):
-            cj = _CurveJets(ELLIPSE, t)
+            cj = _CurveJets.at(ELLIPSE, t)
             _, Nj, _ = cj.frame_jets()
             kap, tau = cj.kappa.value, cj.tau_jet().value
             assert abs(cj.ds_vec(Nj).norm() ** 2 - (kap ** 2 + tau ** 2)) \
@@ -335,6 +335,11 @@ class TestIndicatrices:
             a = ind_t.eval(t).derivative().value()
             b = ind_b.eval(t).derivative().value()
             assert a.cross(b).norm() / (a.norm() * b.norm()) <= 1e-8
+
+    def test_line_has_no_binormal_indicatrix(self):
+        for which in ("N", "B"):
+            with pytest.raises(InflectionPoint):
+                spherical_indicatrix(LINE, which).eval(0.3)
 
     def test_nonzero_torsion_required_for_binormal(self):
         with pytest.raises(ZeroTorsion):

@@ -2,6 +2,7 @@
 IVP/BVP, parallel transport, direction fields, Gauss-Bonnet and the
 Liouville/Bonnet checks."""
 
+import collections
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from diffgeo import catalog, surfacecurves
 from diffgeo.curves import ParametricCurve, frenet
+from diffgeo.expr import ShapeDefinition
 from diffgeo.errors import (AsymptoticPoint, DegenerateMultiplicity,
                             NonOrthogonalPatch, NoUniqueConjugate,
                             SingularSurfacePoint, UmbilicPoint, ZeroVector)
@@ -60,6 +62,20 @@ def count_solves(monkeypatch):
     return solves
 
 
+def count_evals(monkeypatch):
+    """Patch ShapeDefinition.eval to count shape evaluations by the kind
+    of their first argument ('Jet2' or 'Jet1'); returns the Counter."""
+    real = ShapeDefinition.eval
+    counts = collections.Counter()
+
+    def counted(self, *args, **kwargs):
+        counts[type(args[0]).__name__] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShapeDefinition, "eval", counted)
+    return counts
+
+
 def reversed_curve(sc):
     t0, t1 = sc.domain
     return SurfaceCurve(sc.surface, lambda t: sc.uv(t0 + t1 - t), (t0, t1))
@@ -87,6 +103,15 @@ class TestCurvatureSplit:
         assert abs(cs.kappa - 1.0 / math.sin(colat)) <= 1e-10
         assert abs(abs(cs.kappa_n) - 1.0) <= 1e-10
         assert abs(abs(cs.kappa_g) - 1.0 / math.tan(colat)) <= 1e-10
+
+    def test_unit_speed_curve_on_a_large_sphere(self):
+        # a composite curve is regular wherever its surface is, however
+        # slowly its parameter moves: here |dr/dt| = 1 on a sphere of 1e13
+        big = catalog.make("sphere", R=1e13)
+        eq = SurfaceCurve.straight(big, (0.0, 0.0), (1e-13, 0.0), (0, 1))
+        cs = curvature_split(eq, 0.5)
+        assert abs(cs.kappa_n * 1e13 + 1.0) <= 1e-10
+        assert abs(cs.kappa_g) * 1e13 <= 1e-10
 
     def test_straight_line_in_plane(self):
         line = SurfaceCurve.straight(PLANE, (0.0, 0.0), (1.0, 2.0), (0, 1))
@@ -699,3 +724,43 @@ class TestLiouvilleAndBonnet:
         sc = SurfaceCurve.straight(TORUS, pt, d, (-0.2, 0.2))
         with pytest.raises(AsymptoticPoint):
             bonnet_torsion_check(sc, 0.0)
+
+
+class TestEvaluationsPerPoint:
+    """Each check evaluates the shape once per jet kind it needs: one Jet2
+    for the surface jets, one Jet1 for the composite space curve."""
+
+    CURVE = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t
+                                           + 0.2 * t * t), (0.0, 1.5))
+
+    @pytest.mark.parametrize("check, expected", [
+        (bonnet_torsion_check, {"Jet2": 1, "Jet1": 1}),
+        (liouville_check, {"Jet2": 1, "Jet1": 1}),
+        (curvature_split, {"Jet2": 1, "Jet1": 1}),
+        (geodesic_torsion, {"Jet2": 1, "Jet1": 1}),
+        (kappa_n_quotient, {"Jet2": 1}),
+        (geodesic_torsion_principal, {"Jet2": 1}),
+    ], ids=["bonnet", "liouville", "split", "tau_g", "kappa_n_quotient",
+            "tau_g_principal"])
+    def test_pointwise_checks(self, monkeypatch, check, expected):
+        assert TORUS.scale > 0.0    # the cached scale probe is not counted
+        counts = count_evals(monkeypatch)
+        check(self.CURVE, 0.4)
+        assert counts == expected
+
+    def test_gauss_bonnet_integrand(self, monkeypatch):
+        assert SPHERE.scale > 0.0
+        counts = count_evals(monkeypatch)
+        per_call = []
+
+        def quad_adaptive(integrand, domain, spec):
+            counts.clear()
+            integrand(0.5 * (domain[0] + domain[1]))
+            per_call.append(dict(counts))
+            return 0.0
+
+        monkeypatch.setattr(surfacecurves, "quad_adaptive", quad_adaptive)
+        loop = BoundaryLoop(arcs=[SurfaceCurve.const_v(SPHERE, 0.3)],
+                            corner_angles=[0.0], region_rects=[])
+        gauss_bonnet_local(SPHERE, loop)
+        assert per_call == [{"Jet2": 1, "Jet1": 1}]
