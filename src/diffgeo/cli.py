@@ -400,13 +400,18 @@ def _load_surface_curve(args, shape):
         which, _, val = args.loop.partition(":")
         value = _number(val, "--loop")
         u0, u1, v0, v1 = shape.domain
+        # the sweep runs over the other parameter, which must close up
         if which == "const-v":
             if not shape.contains(u0, value):
                 raise _Usage(f"--loop {args.loop!r}: v outside [{v0!r}, {v1!r}]")
+            if shape.periodic[0] is None:
+                raise _Usage(f"--loop {args.loop!r}: the u sweep does not close")
             return SurfaceCurve.const_v(shape, value)
         if which == "const-u":
             if not shape.contains(value, v0):
                 raise _Usage(f"--loop {args.loop!r}: u outside [{u0!r}, {u1!r}]")
+            if shape.periodic[1] is None:
+                raise _Usage(f"--loop {args.loop!r}: the v sweep does not close")
             return SurfaceCurve.const_u(shape, value)
         raise _Usage("--loop expects const-v:<value> or const-u:<value>")
     raise _Usage("give --curve file or --loop const-v:<value>")
@@ -422,7 +427,7 @@ def cmd_transport(args):
     rep.summary["holonomy"] = state.holonomy
     rep.summary["norm_drift"] = max(state.norms) - min(state.norms)
 
-    if args.loop and args.loop.startswith("const-v:") and shape.periodic[0]:
+    if args.loop and args.loop.startswith("const-v:"):
         v0 = sc.point(sc.domain[0])[1]
         rect = (shape.domain[0], shape.domain[1], v0, shape.domain[3])
         enclosed = total_curvature(shape, rect,

@@ -11,6 +11,7 @@ Frenet system dB/ds = -tau N.
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import jets
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
@@ -19,7 +20,7 @@ from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .vectors import Vec3
+from .vectors import Vec3, _spread
 
 __all__ = [
     "ParametricCurve", "FrenetData", "OsculatingCircle", "OsculatingSphere",
@@ -55,17 +56,17 @@ class ParametricCurve:
 
     @property
     def scale(self):
-        """Length scale: max(1, |r|) over 16 probe points.  Cached."""
+        """Length scale: the ``_spread`` of 16 probe points.  Cached."""
         if self._scale is None:
             t0, t1 = self.domain
-            s = 1.0
+            probes = []
             for k in range(16):
                 t = t0 + (t1 - t0) * (k + 0.5) / 16.0
                 try:
-                    s = max(s, self.eval(t).value().norm())
+                    probes.append(self.eval(t).value())
                 except (DomainError, SingularPoint, InflectionPoint):
                     continue
-            self._scale = s
+            self._scale = _spread(probes)
         return self._scale
 
     def chebyshev_points(self, n):
@@ -122,18 +123,36 @@ class _CurveJets:
         self.pos = pos
         self.rd = pos.derivative()
         self.rdd = self.rd.derivative()
-        self.rddd = self.rdd.derivative()
         sig_sq = self.rd.norm_sq()
         if sig_sq.value <= min_speed * min_speed:
             raise SingularPoint(t)
         self.sigma = jets.sqrt(sig_sq)
-        self.T = self.rd / self.sigma
-        self.C = self.rd.cross(self.rdd)
-        self.Cn = self.C.norm_sq()
-        self.kappa = None
-        if self.Cn.value > 0.0:
-            self.Cn = jets.sqrt(self.Cn)
-            self.kappa = self.Cn / (self.sigma * self.sigma * self.sigma)
+        # the rest is built on first use: arc length and dt/ds read sigma only
+
+    @cached_property
+    def T(self):
+        return self.rd / self.sigma
+
+    @cached_property
+    def rddd(self):
+        return self.rdd.derivative()
+
+    @cached_property
+    def C(self):
+        return self.rd.cross(self.rdd)
+
+    @cached_property
+    def Cn(self):
+        """|r' x r''|; its square (zero) where r' x r'' vanishes."""
+        cn_sq = self.C.norm_sq()
+        return jets.sqrt(cn_sq) if cn_sq.value > 0.0 else cn_sq
+
+    @cached_property
+    def kappa(self):
+        """kappa as a jet; None where r' x r'' vanishes."""
+        cn = self.Cn
+        return (cn / (self.sigma * self.sigma * self.sigma) if cn.value > 0.0
+                else None)
 
     @classmethod
     def at(cls, curve, t):

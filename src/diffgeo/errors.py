@@ -72,9 +72,9 @@ class MaxDepthExceeded(DiffGeoError):
 
 
 class NoConvergence(DiffGeoError):
-    """Root search (or shooting) exceeded its iteration cap.
-
-    ``best`` carries the iterate with the smallest residual seen.
+    """An iteration did not reach its tolerance.  ``best`` is the best
+    iterate seen: ``(x, f(x))`` from ``root_find``, ``(launch angle,
+    endpoint distance)`` from ``geodesic_bvp``.
     """
 
     def __init__(self, message="iteration did not converge", best=None):

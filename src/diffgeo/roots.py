@@ -1,9 +1,10 @@
-"""Scalar root finding: secant iteration with bisection fallback.
+"""Scalar root finding on a sign-changing bracket.
 
-Used by arc-length inversion and by the geodesic boundary-value shooting.
-With a sign-changing bracket the bracket is maintained and a bisection step
-replaces any secant step that leaves it, so convergence is guaranteed for
-continuous functions; with a bare seed it is plain secant.
+Secant steps between the bracket ends; a bisection step replaces any secant
+step that leaves the bracket, and the sign change is kept inside it, so
+convergence is guaranteed for continuous functions.  The ``reparam``
+verification suite uses it to find the parameter of a reparameterized
+curve.
 """
 
 from .errors import NoConvergence
@@ -13,56 +14,38 @@ __all__ = ["root_find"]
 _MAX_ITER = 100
 
 
-def root_find(f, bracket_or_seed, tol=1e-12, max_iter=_MAX_ITER):
-    """Return x with ``|f(x)| <= tol``.
-
-    ``bracket_or_seed`` is either ``(a, b)`` or a single seed value.  A pair
-    without a sign change is treated as two secant seeds.
-    """
-    if isinstance(bracket_or_seed, (tuple, list)):
-        a, b = float(bracket_or_seed[0]), float(bracket_or_seed[1])
-    else:
-        a = float(bracket_or_seed)
-        b = a + (1e-4 * abs(a) if a != 0.0 else 1e-4)
-
+def root_find(f, bracket, tol=1e-12, max_iter=_MAX_ITER):
+    """Return x in ``bracket = (a, b)`` with ``|f(x)| <= tol``; f(a) and
+    f(b) must differ in sign."""
+    a, b = float(bracket[0]), float(bracket[1])
     fa, fb = f(a), f(b)
     if abs(fa) <= tol:
         return a
     if abs(fb) <= tol:
         return b
-
-    bracketed = (fa < 0.0) != (fb < 0.0)
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("root_find needs a bracket whose ends differ in sign")
     best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
 
     for _ in range(max_iter):
-        if fb == fa:
+        x = b - fb * (b - a) / (fb - fa)
+        lo, hi = (a, b) if a < b else (b, a)
+        if not (lo < x < hi):
             x = 0.5 * (a + b)
-        else:
-            x = b - fb * (b - a) / (fb - fa)
-        if bracketed:
-            lo, hi = (a, b) if a < b else (b, a)
-            if not (lo < x < hi):
-                x = 0.5 * (a + b)
         fx = f(x)
         if abs(fx) < abs(best_f):
             best_x, best_f = x, fx
         if abs(fx) <= tol:
             return x
-        if bracketed:
-            # keep the sign change inside [a, b]
-            if (fa < 0.0) != (fx < 0.0):
-                b, fb = x, fx
-            else:
-                a, fa = x, fx
-            if abs(b - a) <= 4e-16 * max(1.0, abs(a), abs(b)):
-                # bracket exhausted at float resolution; |f| cannot improve
-                raise NoConvergence(
-                    f"bracket collapsed with |f|={abs(best_f):.3e} > tol",
-                    best=(best_x, best_f))
+        if (fa < 0.0) != (fx < 0.0):
+            b, fb = x, fx
         else:
-            a, fa, b, fb = b, fb, x, fx
-            if (fa < 0.0) != (fb < 0.0):
-                bracketed = True
+            a, fa = x, fx
+        if abs(b - a) <= 4e-16 * max(1.0, abs(a), abs(b)):
+            # bracket exhausted at float resolution; |f| cannot improve
+            raise NoConvergence(
+                f"bracket collapsed with |f|={abs(best_f):.3e} > tol",
+                best=(best_x, best_f))
 
     raise NoConvergence(
         f"no root within {max_iter} iterations (best |f|={abs(best_f):.3e})",

@@ -25,7 +25,6 @@ from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .roots import root_find
 from .surfaces import (_SurfaceJets, _curvatures_from_jets, _metric_dot,
                        _metric_unit, _normal_curvature, metric_and_gamma,
                        total_curvature)
@@ -43,6 +42,9 @@ __all__ = [
 
 EPS_CLOSED = 1e-6    # times surface scale: largest gap between loop arcs
 _N_SEEDS = 8         # launch angles fanned out by geodesic_bvp
+_N_SCAN = 48         # samples of a seed's scan
+_N_ITER = 20         # Broyden iterates per seed
+_N_CUTS = 3          # step halvings before a seed is abandoned
 _N_TRANSPORT = 257   # samples of a parallel-transport solve
 _N_ASYMPTOTIC = 65   # Hermite knots of a traced asymptotic line
 
@@ -307,22 +309,15 @@ def _orthonormal_frame(E, F, G):
     return e1, e2
 
 
-def _direction_from_angle(surface, u, v, theta):
-    md = metric_and_gamma(surface, u, v)
-    e1, e2 = _orthonormal_frame(md.E, md.F, md.G)
-    c, s = math.cos(theta), math.sin(theta)
-    return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1])
-
-
 def _chord(surface, p0, p1):
-    """Initial shooting angle and a metric length estimate of the
-    parameter-space chord p0 -> p1 (wrapped over periodic directions)."""
+    """The orthonormal frame at p0, the angle of the parameter-space chord
+    p0 -> p1 in it (wrapped over periodic directions) and a metric length
+    estimate of the chord."""
     dU, dV = surface.wrap_delta(p1[0] - p0[0], p1[1] - p0[1])
     md = metric_and_gamma(surface, p0[0], p0[1])
     e1, e2 = _orthonormal_frame(md.E, md.F, md.G)
     x = _metric_dot(md.E, md.F, md.G, (dU, dV), e1)
     y = _metric_dot(md.E, md.F, md.G, (dU, dV), e2)
-    theta = math.atan2(y, x)
     length = 0.0
     n = 8
     for k in range(n):
@@ -332,167 +327,147 @@ def _chord(surface, p0, p1):
         length += math.sqrt(max(_metric_dot(mdk.E, mdk.F, mdk.G,
                                             (dU / n, dV / n),
                                             (dU / n, dV / n)), 0.0))
-    return theta, length
+    return e1, e2, math.atan2(y, x), length
 
 
-class _Shot:
-    """One trajectory of the shooting problem with closest-approach data.
-
-    One solve samples the trajectory at ``_N_SCAN`` points and silently
-    truncates if the trial heads into a chart singularity; a truncated shot
-    simply scores its closest approach over the samples it reached."""
-
-    _N_SCAN = 48
-
-    def __init__(self, surface, p0, theta, target, s_max, spec):
-        self.surface = surface
-        self.theta = theta
-        rhs = _geodesic_rhs(surface)
-        d = _direction_from_angle(surface, p0[0], p0[1], theta)
-        y0 = (p0[0], p0[1], d[0], d[1])
-        try:
-            sol = ode_solve(rhs, y0, linspace(0.0, s_max, self._N_SCAN), spec)
-        except (StepUnderflow, MaxStepsExceeded, SingularSurfacePoint,
-                OverflowError) as exc:
-            sol = exc.partial
-        self.ts, self.ys = sol.ts, sol.ys
-        self.target = target
-
-        def dist_sq(idx):
-            y = self.ys[idx]
-            du, dv = surface.wrap_delta(target[0] - y[0], target[1] - y[1])
-            return du * du + dv * dv
-
-        best = min(range(len(self.ts)), key=dist_sq)
-        self.s_star, self.state_star = self._refine(rhs, best, spec)
-        du, dv = surface.wrap_delta(target[0] - self.state_star[0],
-                                    target[1] - self.state_star[1])
-        md = metric_and_gamma(surface, self.state_star[0], self.state_star[1])
-        self.miss_dist = math.sqrt(max(
-            _metric_dot(md.E, md.F, md.G, (du, dv), (du, dv)), 0.0))
-        cross = self.state_star[2] * dv - self.state_star[3] * du
-        self.miss = math.copysign(self.miss_dist, cross) if cross != 0.0 else 0.0
-
-    def _refine(self, rhs, idx, spec):
-        lo = max(idx - 1, 0)
-        hi = min(idx + 1, len(self.ts) - 1)
-        base_s, base_y = self.ts[lo], self.ys[lo]
-        cache = {}
-
-        def state(s):
-            if s not in cache:
-                if s == base_s:
-                    cache[s] = base_y
-                else:
-                    cache[s] = ode_solve(rhs, base_y, (base_s, s), spec).y_end
-            return cache[s]
-
-        def proj(s):
-            y = state(s)
-            du, dv = self.surface.wrap_delta(self.target[0] - y[0],
-                                             self.target[1] - y[1])
-            return -(du * y[2] + dv * y[3])
-
-        a, b = self.ts[lo], self.ts[hi]
-        pa, pb = proj(a), proj(b)
-        if pa >= 0.0:  # not approaching: closest approach at segment start
-            return a, state(a)
-        if pb < 0.0:  # still approaching at segment end
-            return b, state(b)
-        try:
-            s_star = root_find(proj, (a, b), tol=1e-12, max_iter=60)
-        except NoConvergence as exc:
-            s_star = exc.best[0]
-        return s_star, state(s_star)
+# a trial geodesic that raises one of these has run into the chart's edge
+_SHOT_ERRORS = (StepUnderflow, MaxStepsExceeded, SingularSurfacePoint,
+                OverflowError)
 
 
 def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
-    """Shortest connecting geodesic by single shooting on the launch angle.
+    """Shortest connecting geodesic by shooting on the launch angle theta
+    and the length s.
 
-    Seeds fan out from the parameter-space chord direction.  Converged
-    solutions are deduplicated by angle; if two distinct paths tie in
-    length within 1e-8 the ambiguity is reported as
-    DegenerateMultiplicity (carrying every tied path).  No launch angle is
-    integrated twice at the same tolerance."""
+    Eight launch angles fan out from the parameter-space chord direction.
+    One coarse scan of each ranks it by its sample nearest p1.  From the
+    three best, a Broyden iteration solves gamma_theta(s) = p1, starting
+    at that sample: each further iterate is one solve over (0, s), the s
+    column of the Jacobian is the exact end velocity, and the theta column
+    starts as the flat Jacobi field and takes rank-one secant updates.  A
+    seed is dropped when its s leaves (0, s_max] or its launch angle comes
+    within 1e-4 of a root already found.  If two distinct paths tie in
+    length within 1e-8 the ambiguity is reported as DegenerateMultiplicity
+    (carrying every tied path).  The returned path is integrated once
+    more and must end within endpoint_tol of p1."""
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
-    theta0, d_chord = _chord(surface, p0, p1)
+    e1, e2, theta0, d_chord = _chord(surface, p0, p1)
     if d_chord <= endpoint_tol:
         raise ZeroVector("boundary points coincide")
     s_max = 1.6 * d_chord + 0.01 * (1.0 + d_chord)
-    # the angle search only needs trajectories good to well below the
-    # endpoint tolerance; full accuracy is restored in the polish stage
+    # ranking seeds only needs trajectories good to well below the
+    # endpoint tolerance
     scan_spec = replace(spec, tol=max(spec.tol,
                                       min(1e-8, 0.01 * endpoint_tol)))
-    shots = {}
+    goal = 0.01 * endpoint_tol
+    rhs = _geodesic_rhs(surface)
+    m1 = metric_and_gamma(surface, p1[0], p1[1])
 
-    def shot_at(theta, at_spec=scan_spec):
-        key = (theta, at_spec)
-        if key not in shots:
-            shots[key] = _Shot(surface, p0, theta, p1, s_max, at_spec)
-        return shots[key]
+    def launch(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1])
 
-    seeds = [theta0 + 2.0 * math.pi * k / _N_SEEDS for k in range(_N_SEEDS)]
-    probes = [shot_at(th) for th in seeds]
-    order = sorted(range(_N_SEEDS), key=lambda i: abs(probes[i].miss))
-    attempt = {i for i in order[:3]}
-    attempt |= {i for i in range(_N_SEEDS)
-                if abs(probes[i].miss) <= 10.0 * endpoint_tol}
+    def shoot(theta, ts, at_spec):
+        d = launch(theta)
+        return ode_solve(rhs, (p0[0], p0[1], d[0], d[1]), ts, at_spec)
 
-    solutions = []
-    best_shot = probes[order[0]]
-    twopi = 2.0 * math.pi
-    for i in sorted(attempt):
-        th = seeds[i]
-        shot = probes[i]
-        near_solution = abs(shot.miss) <= 10.0 * endpoint_tol
-        if not near_solution and any(
-                abs((th - th2 + math.pi) % twopi - math.pi)
-                <= twopi / _N_SEEDS + 0.3 for _, th2, _ in solutions):
-            continue  # adjacent seed would converge to a known root
-        if abs(shot.miss) > endpoint_tol:
+    def miss(y):
+        """Parameter-space residual y - p1 and its metric length at p1."""
+        r = surface.wrap_delta(y[0] - p1[0], y[1] - p1[1])
+        return r, math.sqrt(max(_metric_dot(m1.E, m1.F, m1.G, r, r), 0.0))
+
+    seeds = []    # (miss of the nearest sample, seed, theta, its s, state)
+    for i in range(_N_SEEDS):
+        theta = theta0 + 2.0 * math.pi * i / _N_SEEDS
+        try:
+            sol = shoot(theta, linspace(0.0, s_max, _N_SCAN), scan_spec)
+        except _SHOT_ERRORS as exc:
+            sol = exc.partial   # rank on the samples reached
+        if len(sol.ts) > 1:
+            seeds.append(min((miss(y)[1], i, theta, s, y)
+                             for s, y in zip(sol.ts[1:], sol.ys[1:])))
+    seeds.sort()
+    best = (seeds[0][0], seeds[0][2]) if seeds else (math.inf, theta0)
+
+    solutions = []    # (length, seed, theta); angles at least 1e-4 apart
+
+    def known(theta):
+        return any(abs((theta - th + math.pi) % (2.0 * math.pi) - math.pi)
+                   < 1e-4 for _, _, th in solutions)
+
+    def converge(i, theta, s, y0):
+        """Record in ``solutions`` the root reached from seed i, whose scan
+        sample y0 is the first iterate, if any.  A trial that fails or does
+        not reduce the miss is not taken: the step from the last accepted
+        iterate is halved, at most _N_CUTS times in a row, and the trial's
+        secant still corrects the theta column."""
+        nonlocal best
+        jac = at = None     # at: accepted (theta, s, residual, miss, velocity)
+        for it in range(_N_ITER):
+            if known(theta):
+                return
             try:
-                th = root_find(lambda x: shot_at(x).miss, (th, th + 0.05),
-                               tol=0.3 * endpoint_tol, max_iter=28)
-            except NoConvergence as exc:
-                if exc.best is not None:
-                    cand = shot_at(exc.best[0])
-                    if cand.miss_dist < best_shot.miss_dist:
-                        best_shot = cand
-                continue
-        # polish at the caller's tolerance; no second secant, since the
-        # scan already ran at endpoint_tol / 100 or tighter
-        polished = shot_at(th, spec)
-        if polished.miss_dist < best_shot.miss_dist:
-            best_shot = polished
-        if polished.miss_dist <= endpoint_tol:
-            solutions.append((i, th, polished))
+                y = shoot(theta, (0.0, s), spec).y_end if it else y0
+            except _SHOT_ERRORS:
+                y, m = None, math.inf
+            else:
+                r, m = miss(y)
+            if m <= goal:
+                solutions.append((s, i, theta))
+                return
+            best = min(best, (m, theta))
+            if y is not None and jac is None:
+                # flat Jacobi field: s times the velocity's unit normal
+                md = metric_and_gamma(surface, y[0], y[1])
+                f = s / math.sqrt(md.a)
+                jac = [-(md.F * y[2] + md.G * y[3]) * f,
+                       (md.E * y[2] + md.F * y[3]) * f]
+            elif y is not None:
+                # rank-one secant update; the s column is exact at ``at``
+                d_th, d_s = step
+                w = d_th / (d_th * d_th + d_s * d_s)
+                for c in (0, 1):
+                    jac[c] += (r[c] - at[2][c] - jac[c] * d_th
+                               - at[4][c] * d_s) * w
+            if m < (at[3] if at else math.inf):
+                at, cuts = (theta, s, r, m, (y[2], y[3])), 0
+                du, dv = at[4]
+                det = jac[0] * dv - jac[1] * du
+                if det == 0.0:
+                    return
+                step = ((r[1] * du - r[0] * dv) / det,
+                        (jac[1] * r[0] - jac[0] * r[1]) / det)
+            elif at is None or cuts == _N_CUTS:
+                return
+            else:
+                step, cuts = (0.5 * step[0], 0.5 * step[1]), cuts + 1
+            theta, s = at[0] + step[0], at[1] + step[1]
+            if not 0.0 < s <= s_max:
+                return
+
+    for _, i, theta, s, y in seeds[:3]:
+        converge(i, theta, s, y)
+
+    def build(theta, s):
+        path = geodesic_ivp(surface, p0[0], p0[1], launch(theta), s, spec)
+        m = miss(path.end_uv)[1]
+        if m > endpoint_tol:
+            raise NoConvergence(
+                f"geodesic shooting failed: built path ends {m:.3e} from "
+                f"the target", best=(theta, m))
+        return path
 
     if not solutions:
         raise NoConvergence(
             f"geodesic shooting failed: best endpoint distance "
-            f"{best_shot.miss_dist:.3e}", best=(best_shot.theta,
-                                                best_shot.miss_dist))
+            f"{best[0]:.3e}", best=(best[1], best[0]))
 
-    # deduplicate by launch angle modulo 2 pi (seed order wins)
-    distinct = []
-    for i, th, shot in solutions:
-        if any(abs((th - th2 + math.pi) % twopi - math.pi) < 1e-4
-               for _, th2, _ in distinct):
-            continue
-        distinct.append((i, th, shot))
-
-    def build(shot):
-        d = _direction_from_angle(surface, p0[0], p0[1], shot.theta)
-        return geodesic_ivp(surface, p0[0], p0[1], d, shot.s_star, spec)
-
-    distinct.sort(key=lambda rec: (rec[2].s_star, rec[0]))
-    shortest = distinct[0]
-    ties = [rec for rec in distinct
-            if abs(rec[2].s_star - shortest[2].s_star) <= 1e-8]
+    solutions.sort()
+    ties = [rec for rec in solutions if rec[0] - solutions[0][0] <= 1e-8]
     if len(ties) > 1:
-        raise DegenerateMultiplicity([build(rec[2]) for rec in ties])
-    return build(shortest[2])
+        raise DegenerateMultiplicity([build(th, s) for s, _, th in ties])
+    return build(solutions[0][2], solutions[0][0])
 
 
 # --------------------------------------------------------------------------
@@ -748,7 +723,8 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
     for arc in loop.arcs:
         def integrand(t, arc=arc):
             sj, _, _, cj = _composite_jets(arc, t)
-            return _split(sj, cj).kappa_g * cj.sigma.value
+            kappa_g = sj.n.cross(cj.T.value()).dot(cj.ds_vec(cj.T))
+            return kappa_g * cj.sigma.value
 
         sum_kg += quad_adaptive(integrand, arc.domain, spec)
 
@@ -782,7 +758,7 @@ def liouville_check(sc, t):
     on an orthogonal patch (F = 0)."""
     sj, uj, vj, cj = _composite_jets(sc, t)
     E_j, F_j, G_j = sj.a11, sj.a12, sj.a22
-    scale2 = max(1.0, sc.surface.scale ** 2)
+    scale2 = max(1.0, sc.surface.scale * sc.surface.scale)
     if abs(F_j.value) > 1e-9 * scale2:
         raise NonOrthogonalPatch(
             f"F = {F_j.value!r} at t={t!r}; Liouville needs orthogonal "

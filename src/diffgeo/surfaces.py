@@ -16,7 +16,7 @@ from . import jets
 from .errors import SingularSurfacePoint, ZeroVector
 from .jets import Jet2
 from .quadrature import QuadSpec, quad2d
-from .vectors import Vec3
+from .vectors import Vec3, _spread
 
 __all__ = [
     "ParametricSurface", "SurfaceFrame", "FormBundle", "CurvatureData",
@@ -57,19 +57,19 @@ class ParametricSurface:
 
     @property
     def scale(self):
-        """Length scale: max(1, |r|) over a 4x4 probe grid.  Cached."""
+        """Length scale: the ``_spread`` of a 4x4 probe grid.  Cached."""
         if self._scale is None:
             u0, u1, v0, v1 = self.domain
-            s = 1.0
+            probes = []
             for i in range(4):
                 for j in range(4):
                     u = u0 + (u1 - u0) * (i + 0.5) / 4.0
                     v = v0 + (v1 - v0) * (j + 0.5) / 4.0
                     try:
-                        s = max(s, self.eval(u, v).value().norm())
+                        probes.append(self.eval(u, v).value())
                     except Exception:
                         continue
-            self._scale = s
+            self._scale = _spread(probes)
         return self._scale
 
     def contains(self, u, v):
@@ -234,7 +234,7 @@ def _check_regular(surface, a, u, v):
     if not a < math.inf:
         raise OverflowError(
             f"surface metric overflows at (u, v)=({u!r}, {v!r})")
-    eps = EPS_REG * max(1.0, surface.scale ** 2)
+    eps = EPS_REG * max(1.0, surface.scale * surface.scale)
     if a <= eps * eps:
         raise SingularSurfacePoint(u, v)
 

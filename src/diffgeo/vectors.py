@@ -83,3 +83,13 @@ class Vec3:
 
 def _val(s):
     return s.value if hasattr(s, "value") else float(s)
+
+
+def _spread(points):
+    """Largest distance of a finite point from the centroid of the finite
+    points, at least 1: a length scale that ignores translation and does
+    not overflow."""
+    pts = [p for p in points if all(map(math.isfinite, p))]
+    c = [math.fsum(x / len(pts) for x in xs) for xs in zip(*pts)]
+    return max([1.0] + [math.hypot(*(a - b for a, b in zip(p, c)))
+                        for p in pts])

@@ -55,6 +55,20 @@ class TestEval:
         (rec,) = data["records"]
         assert abs(rec["value"] - 0.25) <= 1e-9
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--shape", "monge", "--param", "f=1e6", "--at", "0.3,0.2",
+          "--quantity", "K"], "K = 0.0"),
+        (["--shape", "monge", "--param", "f=1e200", "--at", "0.3,0.2",
+          "--quantity", "K"], "K = 0.0"),
+        (["--shape", "line", "--param", "px=1e13", "--at", "t=0.5",
+          "--quantity", "class"], "class = StraightLine"),
+    ], ids=["monge-1e6", "monge-1e200", "line-1e13"])
+    def test_translated_shape_stays_regular(self, capsys, argv, want):
+        # the regularity floors follow the shape's extent, not its offset
+        code, out = run(capsys, "eval", *argv)
+        assert code == 0
+        assert want in out
+
     def test_definition_file_frenet(self, capsys, tmp_path):
         pc = tmp_path / "helix.pc"
         pc.write_text(HELIX_PC)
@@ -493,12 +507,16 @@ class TestMalformedInput:
          "--loop 'const-v:2': v outside [-1.5707963267948966, "),
         (["transport", "--shape", "plane", "--loop", "const-u:-6",
           "--vector", "1,0"], "--loop 'const-u:-6': u outside [-5.0, 5.0]"),
+        (["transport", "--shape", "sphere", "--loop", "const-u:1",
+          "--vector", "1,0"],
+         "--loop 'const-u:1': the v sweep does not close"),
         (["gauss-bonnet", "--shape", "sphere"],
          "give --global or --loop-file"),
     ], ids=["eval-no-points", "eval-bad-param", "unknown-shape",
             "geodesic-no-target", "geodesic-curve", "transport-no-curve",
             "transport-loop-kind", "transport-loop-outside-v",
-            "transport-loop-outside-u", "gauss-bonnet-no-region"])
+            "transport-loop-outside-u", "transport-loop-open",
+            "gauss-bonnet-no-region"])
     def test_usage_errors_exit_2(self, argv, named, capsys):
         code = main(argv)
         err = capsys.readouterr().err

@@ -229,6 +229,11 @@ class TestClassification:
     def test_line(self):
         assert classify_curve(LINE).kind == "StraightLine"
 
+    def test_translated_line(self):
+        far = catalog.make("line", px=1e13)
+        assert far.scale == pytest.approx(LINE.scale, rel=1e-3)
+        assert classify_curve(far).kind == "StraightLine"
+
     def test_ellipse_planar(self):
         assert classify_curve(ELLIPSE).kind == "Planar"
 

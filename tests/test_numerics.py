@@ -355,10 +355,6 @@ class TestRootFind:
     def test_identity_root(self):
         assert abs(root_find(lambda x: x, (-1.0, 1.0), tol=1e-14)) <= 1e-13
 
-    def test_seed_only_secant(self):
-        x = root_find(lambda x: math.cos(x) - x, 0.5, tol=1e-12)
-        assert abs(math.cos(x) - x) <= 1e-12
-
     def test_bisection_rescues_wild_secant(self):
         # secant steps overshoot on this one; the bracket must save it
         x = root_find(lambda x: math.tanh(50.0 * (x - 0.3)), (0.0, 1.0),
@@ -366,6 +362,12 @@ class TestRootFind:
         assert abs(x - 0.3) <= 1e-6
 
     def test_no_convergence(self):
+        # no float x has |x^2 - 2| <= 1e-30: the bracket collapses first
         with pytest.raises(NoConvergence) as exc:
-            root_find(lambda x: 1.0 + x * x, 0.0, tol=1e-12, max_iter=20)
-        assert exc.value.best is not None
+            root_find(lambda x: x * x - 2.0, (1.0, 2.0), tol=1e-30)
+        x, fx = exc.value.best
+        assert abs(x - math.sqrt(2.0)) <= 4e-16 and abs(fx) <= 1e-15
+
+    def test_bracket_without_sign_change_rejected(self):
+        with pytest.raises(ValueError):
+            root_find(lambda x: 1.0 + x * x, (-1.0, 1.0))

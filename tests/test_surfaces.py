@@ -43,6 +43,13 @@ class TestFrame:
         with pytest.raises(SingularSurfacePoint):
             surface_frame(cone, 0.0, 1.0)
 
+    def test_scale_ignores_translation(self):
+        lifted = catalog.make("monge", f="u^2 - v^2 + 1e6")
+        assert lifted.scale == pytest.approx(MONGE_SADDLE.scale, rel=1e-9)
+        far = catalog.make("monge", f="1e200")
+        assert far.scale == catalog.make("monge", f="0").scale
+        surface_frame(far, 0.3, 0.2)    # regular, as the plane z = 0 is
+
     def test_sphere_normal_radial_unit(self):
         fr = surface_frame(SPHERE2, 1.1, 0.0)
         p = SPHERE2.eval(1.1, 0.0).value()
