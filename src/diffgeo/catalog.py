@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .curves import ParametricCurve
 from .errors import DiffGeoError, InvalidParameter, NoReference, UnknownShape
-from .expr import load_definition
+from .expr import load_definition, position_kernel
 from .surfaces import ParametricSurface
 
 __all__ = ["CatalogEntry", "make", "build", "reference", "entry", "names"]
@@ -96,7 +96,8 @@ def build(definition, periodic=(None, None)):
         dom = definition.params[pnames[0]] + definition.params[pnames[1]]
         return ParametricSurface(
             lambda u, v: definition.eval(u, v, check_domain=False), dom,
-            periodic=periodic)
+            periodic=periodic,
+            make_kernel=lambda jet2: position_kernel(definition, jet2))
     raise DiffGeoError(f"a shape must be a 'curve' or 'surface' definition, "
                        f"got a {definition.kind!r}")
 

@@ -26,15 +26,16 @@ Definition files are line oriented::
 Curves declare one parameter, surfaces two (in order u, v), and
 ``surfacecurve`` definitions one, with components u and v.  Evaluation
 lifts the parameters into jets, so every derivative a caller reads is an
-exact Taylor coefficient of the definition.  ``loop`` files (boundary arcs
-for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
-kind of file name the line at fault.
+exact Taylor coefficient of the definition; :func:`position_kernel`
+generates straight-line code for a surface's partials through order 2.
+``loop`` files (boundary arcs for Gauss-Bonnet) are described at
+:func:`_load_loop`.  Errors in either kind of file name the line at fault.
 """
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import jets
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
@@ -46,7 +47,7 @@ __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
     "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
-    "compile_expr", "eval_literal",
+    "compile_expr", "eval_literal", "position_kernel",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -370,6 +371,230 @@ def _free_names(node, acc):
     elif isinstance(node, Call):
         _free_names(node.arg, acc)
     return acc
+
+
+# --------------------------------------------------------------------------
+# order-2 position kernels: the Jet2 arithmetic as straight-line source
+# --------------------------------------------------------------------------
+
+def position_kernel(definition, fallback):
+    """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
+    'surface' definition: (x, y, z) float triples equal to the Jet2
+    coefficients of ``definition.eval``, raising what it raises.  The code
+    is generated once per template (components, parameter and constant
+    names) and bound here to the constant values.  ``fallback(u, v)`` gives
+    the same triples from one Jet2 evaluation; the kernel defers to it where
+    the Jet2 ``power`` branches on what order 2 does not show."""
+    bind = _kernel_binder(definition.components, tuple(definition.params),
+                          tuple(definition.constants))
+    return bind(fallback, *definition.constants.values())
+
+
+@lru_cache(maxsize=64)
+def _kernel_binder(components, params, constants):
+    gen = _Order2(params, constants)
+    outs = [gen.add(gen.gen(c), (None,) * 6) for c in components]  # all jets
+    rows = ", ".join("(" + ", ".join(_fmt(o[k]) for o in outs) + ")"
+                     for k in range(6))
+    args = "".join(f", _c{i}" for i in range(len(constants)))
+    src = "\n".join([f"def _bind(_fallback{args}):",
+                     "    def _kernel(_u, _v):",
+                     *("        " + line for line in gen.lines),
+                     f"        return ({rows})", "    return _kernel"])
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(src, "<position kernel>", "exec"), namespace)
+    return namespace["_bind"]
+
+
+_KERNEL_GLOBALS = {
+    **{f"_tab_{name}": table for name, table in jets._TABLES.items()},
+    **{f"_fn_{name}": fn for name, fn in FUNCTIONS.items()},
+    "_recip": jets._tab_recip, "_tab_pow": jets._tab_pow, "_div": _div,
+    "_power": jets.power, "inf": math.inf, "nan": math.nan, **{
+        e.__name__: e for e in (DomainError, ArityError, UnknownIdentifier)}}
+
+
+def _fmt(term):
+    """Source of a term: a local name, a float literal or None (zero)."""
+    if term is None or not isinstance(term, float):
+        return term or "0.0"
+    return f"({term!r})" if math.copysign(1.0, term) < 0 else repr(term)
+
+
+def _prod(*factors):
+    """Left-to-right product, or None when a factor is known to be zero."""
+    if any(f is None or f == 0.0 for f in factors):
+        return None
+    acc = factors[0]
+    for f in factors[1:]:
+        if isinstance(acc, float) and isinstance(f, float):
+            acc *= f
+        elif acc == 1.0:    # x * 1.0 is x, bit for bit
+            acc = f
+        elif f != 1.0:
+            acc = f"{_fmt(acc)} * {_fmt(f)}"
+    return acc
+
+
+def _sum(*terms):
+    """Left-to-right sum; a term known to be zero only adds an exact 0."""
+    acc = None
+    for t in terms:
+        if t is None or t == 0.0:
+            continue
+        if acc is None:
+            acc = t
+        elif isinstance(acc, float) and isinstance(t, float):
+            acc += t
+        else:
+            acc = f"{_fmt(acc)} + {_fmt(t)}"
+    return acc
+
+
+class _Order2:
+    """Source transformation (Griewank & Walther, Evaluating Derivatives,
+    ch. 13) of an Expr tree's Jet2 coefficients f, fu, fv, fuu, fuv, fvv: a
+    jet is a 6-tuple of terms, a float one term.  Operations keep the Jet2
+    operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is ``a + (-b)``,
+    which rounds alike) and the closure evaluator's order of subtrees, so
+    values and errors match it."""
+
+    def __init__(self, params, constants):
+        u, v = params
+        self.env = {u: ("_u", 1.0, None, None, None, None),
+                    v: ("_v", None, 1.0, None, None, None)}
+        self.env.update((c, f"_c{i}") for i, c in enumerate(constants))
+        self.lines = []
+        self.gen = lru_cache(maxsize=None)(self._gen)   # each subtree once
+
+    def emit(self, code):
+        self.lines.append(f"_t{len(self.lines)} = {code}")
+        return f"_t{len(self.lines) - 1}"
+
+    def coef(self, expr):
+        if expr is None or isinstance(expr, float):
+            return None if expr == 0.0 else expr
+        return expr if expr.isidentifier() else self.emit(expr)
+
+    def scalar(self, code, fn, *args):
+        """A float operation, folded if its operands are literals."""
+        if all(isinstance(a, float) for a in args):
+            with suppress(DiffGeoError, ArithmeticError, ValueError):
+                return float(fn(*args))
+        return self.emit(code.format(*map(_fmt, args)))
+
+    def fail(self, exc, message):
+        self.lines.append(f"raise {exc.__name__}({message!r})")
+        return 0.0
+
+    def _gen(self, node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Const):
+            return _CONSTANTS[node.name]
+        if isinstance(node, Var):
+            return self.env.get(node.name) or self.fail(
+                UnknownIdentifier, f"undeclared identifier {node.name!r}")
+        if isinstance(node, Neg):
+            return self.neg(self.gen(node.arg))
+        if isinstance(node, Call):
+            if node.fn in FUNCTIONS:
+                return self.call(node.fn, self.gen(node.arg))
+            if node.fn in self.env or node.fn in _CONSTANTS:
+                return self.fail(ArityError, f"{node.fn!r} is not a function")
+            return self.fail(UnknownIdentifier, f"unknown function {node.fn!r}")
+        if node.op == "/":    # the closure evaluates the divisor first
+            right = self.gen(node.right)
+            return self.div(self.gen(node.left), right)
+        left, right = self.gen(node.left), self.gen(node.right)
+        if node.op == "-":
+            return self.add(left, self.neg(right))
+        return {"+": self.add, "*": self.mul, "^": self.power}[node.op](
+            left, right)
+
+    def neg(self, x):
+        if isinstance(x, tuple):
+            return tuple(None if t is None else self.neg(t) for t in x)
+        return -x if isinstance(x, float) else self.emit(f"-{x}")
+
+    def add(self, a, b):
+        if not isinstance(a, tuple):
+            if not isinstance(b, tuple):
+                return self.scalar("{} + {}", lambda p, q: p + q, a, b)
+            a, b = b, a
+        b = b if isinstance(b, tuple) else (b,) + (None,) * 5
+        return tuple(self.coef(_sum(p, q)) for p, q in zip(a, b))
+
+    def mul(self, f, g):
+        if not isinstance(f, tuple):
+            if not isinstance(g, tuple):
+                return self.scalar("{} * {}", lambda p, q: p * q, f, g)
+            f, g = g, f     # the jet is the left factor
+        if not isinstance(g, tuple):
+            return tuple(self.coef(_prod(t, g)) for t in f)
+        f0, fu, fv, fuu, fuv, fvv = f
+        g0, gu, gv, guu, guv, gvv = g
+        c = self.coef
+        return (c(_prod(f0, g0)),
+                c(_sum(_prod(fu, g0), _prod(f0, gu))),
+                c(_sum(_prod(fv, g0), _prod(f0, gv))),
+                c(_sum(_prod(fuu, g0), _prod(2.0, fu, gu), _prod(f0, guu))),
+                c(_sum(_prod(fuv, g0), _prod(fu, gv), _prod(fv, gu),
+                       _prod(f0, guv))),
+                c(_sum(_prod(fvv, g0), _prod(2.0, fv, gv), _prod(f0, gvv))))
+
+    def div(self, a, b):
+        if isinstance(b, tuple):
+            return self.mul(a, self.compose(f"_recip({_fmt(b[0])})", b))
+        if isinstance(a, tuple):
+            return self.mul(a, self.scalar("_recip({})[0]",
+                                           lambda q: jets._tab_recip(q)[0], b))
+        return self.scalar("_div({}, {})", _div, a, b)
+
+    def compose(self, table_call, x):
+        """Faa di Bruno through order 2 against a derivative table."""
+        d0, d1, d2 = (f"_t{len(self.lines)}_{k}" for k in range(3))
+        self.lines.append(f"{d0}, {d1}, {d2}, _, _ = {table_call}")
+        _, u, v, uu, uv, vv = x
+        c = self.coef
+        return (d0, c(_prod(d1, u)), c(_prod(d1, v)),
+                c(_sum(_prod(d1, uu), _prod(d2, u, u))),
+                c(_sum(_prod(d1, uv), _prod(d2, u, v))),
+                c(_sum(_prod(d1, vv), _prod(d2, v, v))))
+
+    def call(self, name, x):
+        if isinstance(x, tuple):
+            return self.compose(f"_tab_{name}({_fmt(x[0])})", x)
+        return self.scalar(f"_fn_{name}({{}})", FUNCTIONS[name], x)
+
+    def power(self, base, p):
+        if isinstance(p, tuple):
+            # jets.power takes exp(p * log(base)) unless every partial of p
+            # is zero, which needs order 3 to decide
+            partials = [t for t in p[1:] if t is not None]
+            if not any(isinstance(t, float) for t in partials):
+                self.lines.append(f"if not ({' or '.join(partials) or 0}):"
+                                  " return _fallback(_u, _v)")
+            return self.call("exp", self.mul(p, self.call("log", base)))
+        n = p if isinstance(p, float) and p.is_integer() else None
+        if not isinstance(base, tuple):
+            if isinstance(base, str) and n is not None and 1 <= n <= 64:
+                return self.coef(_prod(*[base] * int(n)))
+            return self.scalar("_power({}, {})", jets.power, base, p)
+        if n is None or abs(n) > 64:
+            if not (isinstance(p, float) and math.isfinite(p) and n is None):
+                # jets.power multiplies out an integer exponent, here one
+                # known only at run time or a long one
+                self.lines.append(f"if {_fmt(p)} == int({_fmt(p)}):"
+                                  " return _fallback(_u, _v)")
+            return self.compose(f"_tab_pow({_fmt(base[0])}, {_fmt(p)})", base)
+        if n < 0:
+            self.lines.append(f"if {_fmt(base[0])} == 0.0: raise DomainError("
+                              "'zero base with negative exponent')")
+        out = base if n else (1.0,) + (None,) * 5
+        for _ in range(int(abs(n)) - 1):
+            out = self.mul(out, base)
+        return self.compose(f"_recip({_fmt(out[0])})", out) if n < 0 else out
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,16 @@ the intrinsic curvature component R1212, principal/Gaussian/mean curvature,
 local-shape and umbilic classification, and residual verifiers for the
 Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
-Everything derives from one order-3 bivariate jet evaluation of the
-position map, so third derivatives (needed by Codazzi and R1212) are exact.
+Pointwise quantities derive from one order-3 jet evaluation of the position
+map (third derivatives, for Codazzi and R1212, are exact); the metric,
+Christoffel symbols and integrands read order 2 from the surface's kernel.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import jets
 from .errors import SingularSurfacePoint, ZeroVector
@@ -26,7 +28,7 @@ __all__ = [
     "angle_between", "dupin_classification",
 ]
 
-EPS_REG = 1e-12   # times scale^2: regularity floor for |E1 x E2|
+EPS_REG = 1e-12   # times E + G: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
 EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
 
@@ -40,14 +42,27 @@ class ParametricSurface:
     ``evaluator`` receives the parameters as jets (Jet2 for surface work,
     Jet1 along composite curves) and must be written jet-generically.
     ``periodic`` gives the period per parameter or None; periodic
-    directions are never flagged as domain exits.
+    directions are never flagged as domain exits.  ``make_kernel(jet2)``
+    returns a faster ``kernel`` with jet2's values; it runs on first use.
     """
 
-    def __init__(self, evaluator, domain, periodic=(None, None)):
+    def __init__(self, evaluator, domain, periodic=(None, None),
+                 make_kernel=None):
         self.evaluator = evaluator
         self.domain = tuple(float(x) for x in domain)  # (u0, u1, v0, v1)
         self.periodic = periodic
+        self._make_kernel = make_kernel or (lambda jet2: jet2)
         self._scale = None
+
+    @cached_property
+    def kernel(self):
+        """Floats (u, v) -> (x, y, z) triples r, r_u, r_v, r_uu, r_uv, r_vv."""
+        return self._make_kernel(self._jet_kernel)
+
+    def _jet_kernel(self, u, v):
+        """The kernel from one Jet2 evaluation of the evaluator."""
+        x, y, z = self.evaluator(Jet2.variable_u(u), Jet2.variable_v(v))
+        return tuple(zip(x.c, y.c, z.c))[:6]
 
     def eval(self, u, v):
         if not isinstance(u, (Jet2,)) and not hasattr(u, "value"):
@@ -154,16 +169,16 @@ class _SurfaceJets:
         self.E2j = pos.dv()
         self.E1 = self.E1j.value()
         self.E2 = self.E2j.value()
-        crossj = self.E1j.cross(self.E2j)
-        cross_sq = crossj.norm_sq()
-        _check_regular(surface, cross_sq.value, u, v)
-        self.sqrt_a_j = jets.sqrt(cross_sq)
-        self.nj = crossj / self.sqrt_a_j     # unit normal, exact to order 2
-        self.n = self.nj.value()
         # metric jets (exact to order 2)
         self.a11 = self.E1j.dot(self.E1j)
         self.a12 = self.E1j.dot(self.E2j)
         self.a22 = self.E2j.dot(self.E2j)
+        crossj = self.E1j.cross(self.E2j)
+        cross_sq = crossj.norm_sq()
+        _check_regular(cross_sq.value, self.a11.value + self.a22.value, u, v)
+        self.sqrt_a_j = jets.sqrt(cross_sq)
+        self.nj = crossj / self.sqrt_a_j     # unit normal, exact to order 2
+        self.n = self.nj.value()
         self.aj = self.a11 * self.a22 - self.a12 * self.a12
         self._gamma2_jets = None
 
@@ -228,13 +243,14 @@ class _SurfaceJets:
                 Vec3(n.x.c[_FV], n.y.c[_FV], n.z.c[_FV]))
 
 
-def _check_regular(surface, a, u, v):
-    """Raise unless a = |E1 x E2|^2 clears the regularity floor; an inf or
-    nan metric is an overflow, not a singular point."""
+def _check_regular(a, trace, u, v):
+    """Raise unless sqrt(a) = |E1 x E2| > EPS_REG * ``trace`` (E + G), i.e.
+    unless sigma_min/sigma_max of the Jacobian clears about EPS_REG; an inf
+    or nan metric is an overflow, not a singular point."""
     if not a < math.inf:
         raise OverflowError(
             f"surface metric overflows at (u, v)=({u!r}, {v!r})")
-    eps = EPS_REG * max(1.0, surface.scale * surface.scale)
+    eps = EPS_REG * trace
     if a <= eps * eps:
         raise SingularSurfacePoint(u, v)
 
@@ -261,7 +277,7 @@ def _metric_dot(E, F, G, X, Y):
 
 @dataclass(frozen=True)
 class MetricData:
-    """Metric coefficients, their first partials and the second-kind
+    """Metric coefficients E, F, G, a = EG - F^2 and the second-kind
     Christoffel values; the lean path for geodesic/transport fields."""
 
     E: float
@@ -272,25 +288,21 @@ class MetricData:
 
 
 def metric_and_gamma(surface, u, v):
-    """Fast pointwise metric + Christoffel values (no normal, no jets
-    beyond one position evaluation)."""
-    pos = surface.eval(Jet2.variable_u(float(u)), Jet2.variable_v(float(v)))
-    c = (pos.x.c, pos.y.c, pos.z.c)
-
-    def dot(i, j):
-        return c[0][i] * c[0][j] + c[1][i] * c[1][j] + c[2][i] * c[2][j]
-
-    E = dot(_FU, _FU)
-    F = dot(_FU, _FV)
-    G = dot(_FV, _FV)
+    """Metric and second-kind Christoffel values at a regular point, from
+    one call of the surface's order-2 kernel (no normal, no jets)."""
+    (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+     (xvv, yvv, zvv)) = surface.kernel(float(u), float(v))
+    E = xu * xu + yu * yu + zu * zu
+    F = xu * xv + yu * yv + zu * zv
+    G = xv * xv + yv * yv + zv * zv
     a = E * G - F * F
-    _check_regular(surface, a, u, v)
-    Eu = 2.0 * dot(_FU, _FUU)
-    Ev = 2.0 * dot(_FU, _FUV)
-    Fu = dot(_FUU, _FV) + dot(_FU, _FUV)
-    Fv = dot(_FUV, _FV) + dot(_FU, _FVV)
-    Gu = 2.0 * dot(_FV, _FUV)
-    Gv = 2.0 * dot(_FV, _FVV)
+    _check_regular(a, E + G, u, v)
+    Eu = 2.0 * (xu * xuu + yu * yuu + zu * zuu)
+    Ev = 2.0 * (xu * xuv + yu * yuv + zu * zuv)
+    Fu = (xuu * xv + yuu * yv + zuu * zv) + (xu * xuv + yu * yuv + zu * zuv)
+    Fv = (xuv * xv + yuv * yv + zuv * zv) + (xu * xvv + yu * yvv + zu * zvv)
+    Gu = 2.0 * (xv * xuv + yv * yuv + zv * zuv)
+    Gv = 2.0 * (xv * xvv + yv * yvv + zv * zvv)
     return MetricData(E=E, F=F, G=G, a=a,
                       gamma2=_christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a))
 
@@ -518,12 +530,23 @@ def form_identity_residual(surface, u, v):
     return worst / max(1.0, scale)
 
 
+def _area_element(surface, u, v):
+    """((r_uu, r_uv, r_vv), n, sqrt(a)) as Vec3s and a float, from the
+    order-2 kernel, with the arithmetic of _SurfaceJets' values."""
+    _, E1, E2, *second = [Vec3(*r) for r in surface.kernel(u, v)]
+    cross = E1.cross(E2)
+    a = cross.norm_sq()
+    _check_regular(a, E1.dot(E1) + E2.dot(E2), u, v)
+    sqrt_a = math.sqrt(a)
+    return second, cross * (1.0 / sqrt_a), sqrt_a
+
+
 def surface_area(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     """Integral of sqrt(a) over the parameter rectangle (default: domain)."""
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        return _SurfaceJets(surface, u, v).sqrt_a
+        return _area_element(surface, u, v)[2]
 
     return quad2d(integrand, rect, spec)
 
@@ -533,9 +556,9 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        sj = _SurfaceJets(surface, u, v)
-        e, f, g = sj.efg()
-        return (e * g - f * f) / sj.sqrt_a
+        second, n, sqrt_a = _area_element(surface, u, v)
+        e, f, g = (r.dot(n) for r in second)
+        return (e * g - f * f) / sqrt_a
 
     return quad2d(integrand, rect, spec)
 

@@ -1,12 +1,13 @@
 """Shared helpers: finite-difference oracles, random expression trees,
 and frequently used shapes."""
 
+import collections
 import random
 
 import pytest
 
 from diffgeo import catalog
-from diffgeo.expr import BinOp, Call, Neg, Num, Var
+from diffgeo.expr import BinOp, Call, Neg, Num, ShapeDefinition, Var
 
 
 # --------------------------------------------------------------------------
@@ -121,3 +122,17 @@ def surface_samples(name, shape, rng, n):
     rect = ent.sample_domain or shape.domain
     return [(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
             for _ in range(n)]
+
+
+def count_evals(monkeypatch):
+    """Patch ShapeDefinition.eval to count shape evaluations by the kind
+    of their first argument ('Jet2' or 'Jet1'); returns the Counter."""
+    real = ShapeDefinition.eval
+    counts = collections.Counter()
+
+    def counted(self, *args, **kwargs):
+        counts[type(args[0]).__name__] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShapeDefinition, "eval", counted)
+    return counts

@@ -27,6 +27,15 @@ u = 0.5 + t
 v = 1.0 + 0.5*t
 """
 
+WIDE_PLANE = """
+surface wide
+param u in [-1e7, 1e7]
+param v in [-1e7, 1e7]
+x = u
+y = v
+z = 0
+"""
+
 HEMISPHERE_LOOP = """
 loop hemisphere
 region -pi pi 0 pi/2
@@ -66,6 +75,18 @@ class TestEval:
     def test_translated_shape_stays_regular(self, capsys, argv, want):
         # the regularity floors follow the shape's extent, not its offset
         code, out = run(capsys, "eval", *argv)
+        assert code == 0
+        assert want in out
+
+    @pytest.mark.parametrize("argv, want", [
+        (["eval", "--at", "0.3,0.2", "--quantity", "K"], "K = 0.0"),
+        (["geodesic", "--from", "0.3,0.2", "--to", "1,1"], "length 1.0630"),
+    ], ids=["eval", "geodesic"])
+    def test_wide_plane_stays_regular(self, capsys, tmp_path, argv, want):
+        # the regularity floor follows the metric, not the domain's extent
+        ps = tmp_path / "wide.ps"
+        ps.write_text(WIDE_PLANE)
+        code, out = run(capsys, argv[0], "--file", str(ps), *argv[1:])
         assert code == 0
         assert want in out
 

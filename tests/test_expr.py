@@ -2,16 +2,18 @@
 
 import math
 import random
+import zlib
 
 import pytest
 
+from diffgeo import catalog
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier)
-from diffgeo.expr import (eval_scalar, load_definition, parse_text,
-                          to_text, tokenize)
+from diffgeo.expr import (ShapeDefinition, eval_scalar, load_definition,
+                          parse_text, to_text, tokenize)
 from diffgeo.jets import Jet1, Jet2
 
-from conftest import EVAL_SAFE, fd_derivative, random_tree
+from conftest import EVAL_SAFE, fd_derivative, random_tree, surface_samples
 
 HELIX_TEXT = """
 # a circular helix
@@ -276,3 +278,112 @@ class TestJetEvaluationVsFiniteDifferences:
                 assert abs(jet.c[order] - fd) <= 1e-6 * scale
             else:
                 checked += 1
+
+
+# every construct of the language: '^' to a positive, a negative, a
+# non-integer and a variable exponent and to constants known only when the
+# kernel is bound; '/' by a constant and by an expression; unary minus; the
+# 12 functions; pi; a constant component
+EVERYTHING = """
+surface everything
+param p in [0.1, 0.9]
+param q in [0.1, 0.9]
+const c = 1.5
+const n = 2
+const m = 2.5
+x = sin(p)*cos(q) + tan(p/2) - exp(-q)/c + log(p + 1)*sqrt(q + 1) + p^3 \
+    + (q + 3)^-2 + (p + 3)^1.5 + 2^p + (p + 3)^q + p^n + (q + 1)^m
+y = sinh(p) - cosh(q)/(p + 3) + tanh(p*q) + asin(p/2) + acos(q/2) \
+    + atan(p - q) + pi*p + c^2*q + (p + 1)^(c/2) - -q + 1/c
+z = c*pi
+"""
+
+
+def _surface(text, **consts):
+    definition = load_definition(text)
+    definition.constants.update(consts)
+    return catalog.build(definition)
+
+
+def _outcome(fn, u, v):
+    """fn(u, v), or the type and message of what it raised."""
+    try:
+        return fn(u, v)
+    except (DiffGeoError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPositionKernel:
+    """The generated order-2 kernel equals the Jet2 coefficients (==) and
+    raises what the Jet2 evaluation raises."""
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names()
+                                      if catalog.entry(n).kind == "surface"])
+    def test_catalog_equals_jet2(self, name):
+        shape = catalog.make(name)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for u, v in surface_samples(name, shape, rng, 100):
+            assert shape.kernel(u, v) == shape._jet_kernel(u, v)
+
+    def test_every_construct_equals_jet2(self):
+        shape = _surface(EVERYTHING)
+        rng = random.Random(zlib.crc32(b"everything"))
+        for _ in range(100):
+            u, v = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+            assert shape.kernel(u, v) == shape._jet_kernel(u, v)
+
+    @pytest.mark.parametrize("consts", [{"n": -3.0}, {"n": 0.5}, {"m": 2.0},
+                                        {"c": 0.0}],
+                             ids=["n=-3", "n=0.5", "m=2", "c=0"])
+    def test_run_time_exponents(self, consts):
+        # the same generated code binds other values: integer or not,
+        # and a zero c that the Jet2 evaluation rejects
+        shape = _surface(EVERYTHING, **consts)
+        for u, v in ((0.3, 0.4), (0.8, 0.15)):
+            assert _outcome(shape.kernel, u, v) \
+                == _outcome(shape._jet_kernel, u, v)
+
+    def test_variable_exponent_with_vanishing_partials(self):
+        # (u + 2)^(c*v) with c = 0: the Jet2 path takes the integer power
+        shape = _surface("surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
+                         "const c = 0\nx = u\ny = v\nz = (u + 2)^(c*v)\n")
+        assert shape.kernel(0.3, 0.4) == shape._jet_kernel(0.3, 0.4)
+        assert shape.kernel(0.3, 0.4)[1][2] == 0.0
+
+    @pytest.mark.parametrize("z, exc, message", [
+        ("log(u - 1)", DomainError, "log of non-positive value"),
+        ("u/(v - v)", DomainError, "division by zero"),
+        ("u/(c - 1)", DomainError, "division by zero"),
+        ("1/(c - 1) + u", DomainError, "division by zero"),
+        ("(v - v)^-2 + u", DomainError, "zero base with negative exponent"),
+        ("sqrt(u - 1)^0.5", DomainError, "sqrt of non-positive value"),
+        ("wobble(u)", UnknownIdentifier, "unknown function 'wobble'"),
+        ("c(u)", ArityError, "'c' is not a function"),
+        ("log(u - 1) / wobble(u)", UnknownIdentifier, "unknown function"),
+    ])
+    def test_errors_match_jet2(self, z, exc, message):
+        shape = _surface(f"surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
+                         f"const c = 1\nx = u\ny = v\nz = {z}\n")
+        got = _outcome(shape.kernel, 0.5, 0.25)
+        assert got == _outcome(shape._jet_kernel, 0.5, 0.25)
+        assert got[0] is exc and message in got[1]
+
+    def test_random_definitions_match_jet2(self):
+        rng = random.Random(zlib.crc32(b"random kernels"))
+        compared = 0
+        for _ in range(60):
+            comps = tuple(random_tree(rng, rng.randint(1, 4), ("u", "v"))
+                          for _ in range(3))
+            shape = catalog.build(ShapeDefinition(
+                kind="surface", name="random", constants={},
+                params={"u": (-1.0, 1.0), "v": (-1.0, 1.0)},
+                components=comps, component_names=("x", "y", "z")))
+            for _ in range(4):
+                u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+                want = _outcome(shape._jet_kernel, u, v)
+                if (isinstance(want[0], tuple) and not all(
+                        map(math.isfinite, sum(want, ())))):
+                    continue
+                assert _outcome(shape.kernel, u, v) == want
+                compared += 1
+        assert compared >= 200

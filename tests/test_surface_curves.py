@@ -2,7 +2,6 @@
 IVP/BVP, parallel transport, direction fields, Gauss-Bonnet and the
 Liouville/Bonnet checks."""
 
-import collections
 import math
 import random
 
@@ -10,7 +9,6 @@ import pytest
 
 from diffgeo import catalog, surfacecurves
 from diffgeo.curves import ParametricCurve, frenet
-from diffgeo.expr import ShapeDefinition
 from diffgeo.errors import (AsymptoticPoint, DegenerateMultiplicity,
                             NoConvergence, NonOrthogonalPatch,
                             NoUniqueConjugate, SingularSurfacePoint,
@@ -33,6 +31,8 @@ from diffgeo.surfacecurves import (BoundaryLoop, SurfaceCurve,
 from diffgeo.surfacecurves import _metric_dot
 from diffgeo.surfaces import metric_and_gamma
 from diffgeo.vectors import Vec3
+
+from conftest import count_evals
 
 SPHERE = catalog.make("sphere")
 TORUS = catalog.make("torus")
@@ -61,20 +61,6 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(surfacecurves, "ode_solve", ode_solve)
     return solves
-
-
-def count_evals(monkeypatch):
-    """Patch ShapeDefinition.eval to count shape evaluations by the kind
-    of their first argument ('Jet2' or 'Jet1'); returns the Counter."""
-    real = ShapeDefinition.eval
-    counts = collections.Counter()
-
-    def counted(self, *args, **kwargs):
-        counts[type(args[0]).__name__] += 1
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(ShapeDefinition, "eval", counted)
-    return counts
 
 
 def reversed_curve(sc):

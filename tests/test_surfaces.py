@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from diffgeo import catalog
+from diffgeo import catalog, expr
 from diffgeo import jets as J
 from diffgeo.errors import SingularSurfacePoint, ZeroVector
 from diffgeo.quadrature import QuadSpec
@@ -20,7 +20,7 @@ from diffgeo.surfaces import (ParametricSurface, _SurfaceJets, angle_between,
                               total_curvature)
 from diffgeo.vectors import Vec3
 
-from conftest import surface_samples
+from conftest import count_evals, surface_samples
 
 PLANE = catalog.make("plane")
 POLAR = catalog.make("plane-polar")
@@ -42,6 +42,29 @@ class TestFrame:
         cone = catalog.make("cone")
         with pytest.raises(SingularSurfacePoint):
             surface_frame(cone, 0.0, 1.0)
+
+    @pytest.mark.parametrize("kernel", ["generated", "jet2"])
+    def test_wide_plane_regular(self, kernel):
+        # the floor is relative to E + G, not to the probe grid's extent
+        wide = catalog.build(expr.load_definition(
+            "surface wide\nparam u in [-1e7, 1e7]\nparam v in [-1e7, 1e7]\n"
+            "x = u\ny = v\nz = 0\n"))
+        if kernel == "jet2":
+            wide = ParametricSurface(wide.evaluator, wide.domain)
+        assert metric_and_gamma(wide, 0.3, 0.2).a == 1.0
+        assert curvatures(wide, 0.3, 0.2).K == 0.0
+        assert total_curvature(wide, (0.0, 1.0, 0.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("name, point", [
+        ("cone", (0.0, 1.0)), ("sphere", (0.3, math.pi / 2)),
+        ("sphere", (0.3, -math.pi / 2))], ids=["cone-apex", "north", "south"])
+    def test_chart_singularities_on_every_path(self, name, point):
+        shape = catalog.make(name)
+        fallback = ParametricSurface(shape.evaluator, shape.domain)
+        for fn in (metric_and_gamma, surface_frame):
+            for s in (shape, fallback):
+                with pytest.raises(SingularSurfacePoint):
+                    fn(s, *point)
 
     def test_scale_ignores_translation(self):
         lifted = catalog.make("monge", f="u^2 - v^2 + 1e6")
@@ -372,6 +395,38 @@ class TestEgregium:
 
 
 class TestMetricFastPath:
+    def test_kernel_evaluates_no_jets(self, monkeypatch):
+        assert TORUS.kernel is not None    # generated before counting
+        counts = count_evals(monkeypatch)
+        metric_and_gamma(TORUS, 0.7, 1.1)
+        total_curvature(TORUS, (0.5, 0.6, 1.0, 1.1), QuadSpec(tol=1e-6))
+        surface_area(TORUS, (0.5, 0.6, 1.0, 1.1), QuadSpec(tol=1e-6))
+        assert not counts
+
+    def test_one_generation_per_template(self, monkeypatch):
+        expr._kernel_binder.cache_clear()
+        made = []
+
+        class Counted(expr._Order2):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(expr, "_Order2", Counted)
+        small, large = catalog.make("torus", R=2.0), catalog.make("torus", R=5.0)
+        assert small.kernel(0.7, 1.1) == small._jet_kernel(0.7, 1.1)
+        assert large.kernel(0.7, 1.1) == large._jet_kernel(0.7, 1.1)
+        assert small.kernel(0.7, 1.1) != large.kernel(0.7, 1.1)
+        assert len(made) == 1
+
+    def test_jet2_fallback_equals_kernel(self):
+        fallback = ParametricSurface(TORUS.evaluator, TORUS.domain)
+        assert fallback.kernel == fallback._jet_kernel
+        rng = random.Random(zlib.crc32(b"fallback"))
+        for u, v in surface_samples("torus", TORUS, rng, 50):
+            assert metric_and_gamma(fallback, u, v) \
+                == metric_and_gamma(TORUS, u, v)
+
     def test_matches_forms(self):
         rng = random.Random(40)
         for u, v in surface_samples("torus", TORUS, rng, 10):
