@@ -97,7 +97,8 @@ def build(definition, periodic=(None, None)):
         return ParametricSurface(
             lambda u, v: definition.eval(u, v, check_domain=False), dom,
             periodic=periodic,
-            make_kernel=lambda jet2: position_kernel(definition, jet2))
+            make_kernel=lambda jet2, order: position_kernel(definition, jet2,
+                                                           order))
     raise DiffGeoError(f"a shape must be a 'curve' or 'surface' definition, "
                        f"got a {definition.kind!r}")
 

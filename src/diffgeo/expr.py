@@ -27,12 +27,14 @@ Curves declare one parameter, surfaces two (in order u, v), and
 ``surfacecurve`` definitions one, with components u and v.  Evaluation
 lifts the parameters into jets, so every derivative a caller reads is an
 exact Taylor coefficient of the definition; :func:`position_kernel`
-generates straight-line code for a surface's partials through order 2.
+generates straight-line code for a surface's partials through order 2 or
+3, and :func:`taped` for jet-generic formulas over such partials.
 ``loop`` files (boundary arcs for Gauss-Bonnet) are described at
 :func:`_load_loop`.  Errors in either kind of file name the line at fault.
 """
 
 import math
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -47,7 +49,7 @@ __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
     "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
-    "compile_expr", "eval_literal", "position_kernel",
+    "compile_expr", "eval_literal", "position_kernel", "taped",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -374,36 +376,109 @@ def _free_names(node, acc):
 
 
 # --------------------------------------------------------------------------
-# order-2 position kernels: the Jet2 arithmetic as straight-line source
+# position kernels and tapes: the Jet2 arithmetic as straight-line source
 # --------------------------------------------------------------------------
 
-def position_kernel(definition, fallback):
+def position_kernel(definition, fallback, order=2):
     """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
-    'surface' definition: (x, y, z) float triples equal to the Jet2
-    coefficients of ``definition.eval``, raising what it raises.  The code
-    is generated once per template (components, parameter and constant
-    names) and bound here to the constant values.  ``fallback(u, v)`` gives
-    the same triples from one Jet2 evaluation; the kernel defers to it where
-    the Jet2 ``power`` branches on what order 2 does not show."""
+    'surface' definition, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv
+    and r_vvv: (x, y, z) float triples equal to the Jet2 coefficients of
+    ``definition.eval``, raising what it raises.  The code is generated once
+    per template (components, parameter and constant names) and order, and
+    bound here to the constant values.  ``fallback(u, v)`` gives the ten
+    triples from one Jet2 evaluation; the kernel defers to it where the
+    Jet2 ``power`` branches on what the kernel does not decide."""
     bind = _kernel_binder(definition.components, tuple(definition.params),
-                          tuple(definition.constants))
+                          tuple(definition.constants), order)
     return bind(fallback, *definition.constants.values())
 
 
-@lru_cache(maxsize=64)
-def _kernel_binder(components, params, constants):
-    gen = _Order2(params, constants)
-    outs = [gen.add(gen.gen(c), (None,) * 6) for c in components]  # all jets
+@lru_cache(maxsize=128)
+def _kernel_binder(components, params, constants, order):
+    gen = _Taylor(order, params, constants)
+    outs = [gen.add(gen.gen(c), gen.zero) for c in components]  # all jets
     rows = ", ".join("(" + ", ".join(_fmt(o[k]) for o in outs) + ")"
-                     for k in range(6))
+                     for k in range(gen.size))
     args = "".join(f", _c{i}" for i in range(len(constants)))
-    src = "\n".join([f"def _bind(_fallback{args}):",
+    return _compile([f"def _bind(_fallback{args}):",
                      "    def _kernel(_u, _v):",
                      *("        " + line for line in gen.lines),
-                     f"        return ({rows})", "    return _kernel"])
+                     f"        return ({rows})", "    return _kernel"],
+                    "<position kernel>")["_bind"]
+
+
+@lru_cache(maxsize=None)
+def taped(formulas, outputs):
+    """Straight-line float code for ``formulas(r)``: jet-generic code over
+    a position jet r (a Vec3) that returns a dict of jets.  The result is
+    the function ``k -> tuple`` that reads the (x, y, z) triples ``k`` of a
+    position kernel and returns, for each ``(name, slot)`` of ``outputs``,
+    coefficient ``slot`` of the jet named ``name``, computed as Jet2
+    computes it.  Only the code those outputs need is kept, so ``k`` may
+    stop at order 2 when no output reads r's third partials."""
+    lines, named = _tape(formulas)
+    terms = [named[name][slot] for name, slot in outputs]
+    need = {t for t in terms if isinstance(t, str)}
+    body = []
+    for line in reversed(lines):
+        targets, code = line.split(" = ", 1)
+        if need.intersection(targets.split(", ")):
+            body.append("    " + line)
+            need.update(re.findall(r"_\w+", code))
+    slots = sorted({int(n[2:-1]) for n in need
+                    if re.fullmatch(r"_r\d[xyz]", n)})
+    return _compile(["def _program(_k):",
+                     *(f"    _r{i}x, _r{i}y, _r{i}z = _k[{i}]" for i in slots),
+                     *reversed(body),
+                     f"    return ({''.join(_fmt(t) + ', ' for t in terms)})"],
+                    "<tape>")["_program"]
+
+
+@lru_cache(maxsize=None)
+def _tape(formulas):
+    """``formulas`` run once on a position jet of _TapeJet terms _r<slot><c>
+    through order 3: the generated lines, and the terms of each jet it
+    returned.  The tape keeps order 2: r's first partials are exact to
+    order 2, and Jet2 computes a slot of order 2 or less from such slots
+    alone."""
+    gen = _Taylor(2)
+    r = Vec3(*(_TapeJet(gen, tuple(f"_r{i}{c}" for i in range(10)))
+               for c in "xyz"))
+    named = {name: jet.c for name, jet in formulas(r).items()}
+    return tuple(gen.lines), named
+
+
+def _compile(lines, filename):
     namespace = dict(_KERNEL_GLOBALS)
-    exec(compile(src, "<position kernel>", "exec"), namespace)
-    return namespace["_bind"]
+    exec(compile("\n".join(_inline(lines)), filename, "exec"), namespace)
+    return namespace
+
+
+_LOCAL = re.compile(r"\b_t\d+\b")
+_CALL = re.compile(r"\w\(|\*\*")
+
+
+def _inline(lines):
+    """Each local set once to plain arithmetic and read once, substituted
+    into its reader in parentheses: the same operations in the same order,
+    which raise nothing, in fewer statements.  ``raise`` lines quote names
+    and stay as they are."""
+    uses = {}
+    for line in lines:
+        if not line.lstrip().startswith("raise "):
+            for name in _LOCAL.findall(line.split(" = ", 1)[-1]):
+                uses[name] = uses.get(name, 0) + 1
+    pending, out = {}, []
+    for line in lines:
+        if not line.lstrip().startswith("raise "):
+            line = _LOCAL.sub(lambda m: pending.pop(m[0], m[0]), line)
+        head, assign, code = line.strip().partition(" = ")
+        if (assign and uses.get(head) == 1 and _LOCAL.fullmatch(head)
+                and not _CALL.search(code) and code.count("(") < 40):
+            pending[head] = f"({code})"    # < 40: far from Python's nesting cap
+        else:
+            out.append(line)
+    return out
 
 
 _KERNEL_GLOBALS = {
@@ -451,25 +526,60 @@ def _sum(*terms):
     return acc
 
 
-class _Order2:
-    """Source transformation (Griewank & Walther, Evaluating Derivatives,
-    ch. 13) of an Expr tree's Jet2 coefficients f, fu, fv, fuu, fuv, fvv: a
-    jet is a 6-tuple of terms, a float one term.  Operations keep the Jet2
-    operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is ``a + (-b)``,
-    which rounds alike) and the closure evaluator's order of subtrees, so
-    values and errors match it."""
+# Leibniz's rule for a Jet2 product, slot by slot: the terms in Jet2's
+# order, each (multiplier..., slot of the left factor, slot of the right)
+_LEIBNIZ = (
+    ((0, 0),),
+    ((1, 0), (0, 1)),
+    ((2, 0), (0, 2)),
+    ((3, 0), (2.0, 1, 1), (0, 3)),
+    ((4, 0), (1, 2), (2, 1), (0, 4)),
+    ((5, 0), (2.0, 2, 2), (0, 5)),
+    ((6, 0), (3.0, 3, 1), (3.0, 1, 3), (0, 6)),
+    ((7, 0), (3, 2), (2.0, 4, 1), (2.0, 1, 4), (2, 3), (0, 7)),
+    ((8, 0), (5, 1), (2.0, 4, 2), (2.0, 2, 4), (1, 5), (0, 8)),
+    ((9, 0), (3.0, 5, 2), (3.0, 2, 5), (0, 9)),
+)
 
-    def __init__(self, params, constants):
-        u, v = params
-        self.env = {u: ("_u", 1.0, None, None, None, None),
-                    v: ("_v", None, 1.0, None, None, None)}
+
+class _Taylor:
+    """Source transformation (Griewank & Walther, Evaluating Derivatives,
+    ch. 13) of the Jet2 arithmetic through total ``order`` 2 or 3, for an
+    Expr tree over ``params`` and ``constants`` or for a tape: a jet is a
+    tuple of terms, the first 6 Jet2 coefficients f, fu, fv, fuu, fuv, fvv
+    or all 10 (then fuuu, fuuv, fuvv, fvvv), and a float is one term.
+    Operations keep the Jet2 operand order (``x / c`` is ``x * (1/c)``;
+    ``a - b`` is ``a + (-b)``, which rounds alike) and the closure
+    evaluator's order of subtrees, so values and errors match it.  Equal
+    code is emitted once."""
+
+    def __init__(self, order, params=(), constants=()):
+        self.size = (order + 1) * (order + 2) // 2
+        self.zero = (None,) * self.size
+        self.bail = f"return _fallback(_u, _v)[:{self.size}]"
+        self.env = {}
+        if params:
+            u, v = params
+            self.env[u] = ("_u", 1.0) + self.zero[2:]
+            self.env[v] = ("_v", None, 1.0) + self.zero[3:]
         self.env.update((c, f"_c{i}") for i, c in enumerate(constants))
         self.lines = []
+        self.named = {}     # code -> the local that holds it
         self.gen = lru_cache(maxsize=None)(self._gen)   # each subtree once
 
     def emit(self, code):
-        self.lines.append(f"_t{len(self.lines)} = {code}")
-        return f"_t{len(self.lines) - 1}"
+        if code not in self.named:
+            self.named[code] = f"_t{len(self.lines)}"
+            self.lines.append(f"{self.named[code]} = {code}")
+        return self.named[code]
+
+    def table(self, call):
+        """The locals holding d0..d3 of a derivative-table call."""
+        if call not in self.named:
+            self.named[call] = tuple(f"_t{len(self.lines)}_{k}"
+                                     for k in range(4))
+            self.lines.append(f"{', '.join(self.named[call])}, _ = {call}")
+        return self.named[call]
 
     def coef(self, expr):
         if expr is None or isinstance(expr, float):
@@ -522,7 +632,7 @@ class _Order2:
             if not isinstance(b, tuple):
                 return self.scalar("{} + {}", lambda p, q: p + q, a, b)
             a, b = b, a
-        b = b if isinstance(b, tuple) else (b,) + (None,) * 5
+        b = b if isinstance(b, tuple) else (b,) + self.zero[1:]
         return tuple(self.coef(_sum(p, q)) for p, q in zip(a, b))
 
     def mul(self, f, g):
@@ -532,16 +642,9 @@ class _Order2:
             f, g = g, f     # the jet is the left factor
         if not isinstance(g, tuple):
             return tuple(self.coef(_prod(t, g)) for t in f)
-        f0, fu, fv, fuu, fuv, fvv = f
-        g0, gu, gv, guu, guv, gvv = g
-        c = self.coef
-        return (c(_prod(f0, g0)),
-                c(_sum(_prod(fu, g0), _prod(f0, gu))),
-                c(_sum(_prod(fv, g0), _prod(f0, gv))),
-                c(_sum(_prod(fuu, g0), _prod(2.0, fu, gu), _prod(f0, guu))),
-                c(_sum(_prod(fuv, g0), _prod(fu, gv), _prod(fv, gu),
-                       _prod(f0, guv))),
-                c(_sum(_prod(fvv, g0), _prod(2.0, fv, gv), _prod(f0, gvv))))
+        return tuple(self.coef(_sum(*(_prod(*k, f[i], g[j])
+                                      for *k, i, j in row)))
+                     for row in _LEIBNIZ[:self.size])
 
     def div(self, a, b):
         if isinstance(b, tuple):
@@ -552,15 +655,34 @@ class _Order2:
         return self.scalar("_div({}, {})", _div, a, b)
 
     def compose(self, table_call, x):
-        """Faa di Bruno through order 2 against a derivative table."""
-        d0, d1, d2 = (f"_t{len(self.lines)}_{k}" for k in range(3))
-        self.lines.append(f"{d0}, {d1}, {d2}, _, _ = {table_call}")
-        _, u, v, uu, uv, vv = x
+        """Faa di Bruno through the order of ``x`` against a derivative
+        table, as Jet2._compose writes it."""
+        d0, d1, d2, d3 = self.table(table_call)
+        _, u, v, uu, uv, vv, *third = x
         c = self.coef
-        return (d0, c(_prod(d1, u)), c(_prod(d1, v)),
-                c(_sum(_prod(d1, uu), _prod(d2, u, u))),
-                c(_sum(_prod(d1, uv), _prod(d2, u, v))),
-                c(_sum(_prod(d1, vv), _prod(d2, v, v))))
+        out = (d0, c(_prod(d1, u)), c(_prod(d1, v)),
+               c(_sum(_prod(d1, uu), _prod(d2, u, u))),
+               c(_sum(_prod(d1, uv), _prod(d2, u, v))),
+               c(_sum(_prod(d1, vv), _prod(d2, v, v))))
+        if not third:
+            return out
+        uuu, uuv, uvv, vvv = third
+        return out + (
+            c(_sum(_prod(d1, uuu), _prod(3.0, d2, u, uu),
+                   _prod(d3, self.cube(u)))),
+            c(_sum(_prod(d1, uuv),
+                   _prod(d2, c(_sum(_prod(v, uu), _prod(2.0, u, uv)))),
+                   _prod(d3, u, u, v))),
+            c(_sum(_prod(d1, uvv),
+                   _prod(d2, c(_sum(_prod(u, vv), _prod(2.0, v, uv)))),
+                   _prod(d3, u, v, v))),
+            c(_sum(_prod(d1, vvv), _prod(3.0, d2, v, vv),
+                   _prod(d3, self.cube(v)))))
+
+    def cube(self, x):
+        """``x ** 3``, as Jet2 rounds it (not as x * x * x)."""
+        return None if x is None else self.scalar("{} ** 3", lambda p: p ** 3,
+                                                  x)
 
     def call(self, name, x):
         if isinstance(x, tuple):
@@ -570,11 +692,12 @@ class _Order2:
     def power(self, base, p):
         if isinstance(p, tuple):
             # jets.power takes exp(p * log(base)) unless every partial of p
-            # is zero, which needs order 3 to decide
+            # is zero; that case, which order 2 cannot decide, goes to the
+            # fallback at any order
             partials = [t for t in p[1:] if t is not None]
             if not any(isinstance(t, float) for t in partials):
-                self.lines.append(f"if not ({' or '.join(partials) or 0}):"
-                                  " return _fallback(_u, _v)")
+                self.lines.append(f"if not ({' or '.join(partials) or 0}): "
+                                  + self.bail)
             return self.call("exp", self.mul(p, self.call("log", base)))
         n = p if isinstance(p, float) and p.is_integer() else None
         if not isinstance(base, tuple):
@@ -585,16 +708,72 @@ class _Order2:
             if not (isinstance(p, float) and math.isfinite(p) and n is None):
                 # jets.power multiplies out an integer exponent, here one
                 # known only at run time or a long one
-                self.lines.append(f"if {_fmt(p)} == int({_fmt(p)}):"
-                                  " return _fallback(_u, _v)")
+                self.lines.append(f"if {_fmt(p)} == int({_fmt(p)}): "
+                                  + self.bail)
             return self.compose(f"_tab_pow({_fmt(base[0])}, {_fmt(p)})", base)
         if n < 0:
             self.lines.append(f"if {_fmt(base[0])} == 0.0: raise DomainError("
                               "'zero base with negative exponent')")
-        out = base if n else (1.0,) + (None,) * 5
+        out = base if n else (1.0,) + self.zero[1:]
         for _ in range(int(abs(n)) - 1):
             out = self.mul(out, base)
         return self.compose(f"_recip({_fmt(out[0])})", out) if n < 0 else out
+
+
+class _TapeJet:
+    """A jet of _Taylor terms: jet-generic code run on it records its Jet2
+    arithmetic as the generator's lines (the tape of Griewank & Walther,
+    ch. 6).  ``call(name)`` stands for ``jets.<name>``."""
+
+    __slots__ = ("gen", "c")
+
+    def __init__(self, gen, c):
+        self.gen, self.c = gen, c
+
+    def _apply(self, op, other):
+        other = other.c if isinstance(other, _TapeJet) else float(other)
+        return _TapeJet(self.gen, op(self.c, other))
+
+    def __add__(self, other):
+        return self._apply(self.gen.add, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _TapeJet(self.gen, self.gen.neg(self.c))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        return self._apply(self.gen.mul, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._apply(self.gen.div, other)
+
+    def __rtruediv__(self, other):
+        return _TapeJet(self.gen, self.gen.div(float(other), self.c))
+
+    def du(self):
+        """As Jet2.du, through order 2: the order-2 slots come from a jet
+        that carries order 3 (the position) and are zero otherwise."""
+        return self._shift((1, 3, 4, 6, 7, 8))
+
+    def dv(self):
+        return self._shift((2, 4, 5, 7, 8, 9))
+
+    def _shift(self, slots):
+        c = self.c
+        return _TapeJet(self.gen, tuple(c[i] if i < len(c) else None
+                                        for i in slots))
+
+    def call(self, name):
+        return _TapeJet(self.gen, self.gen.call(name, self.c))
 
 
 # --------------------------------------------------------------------------

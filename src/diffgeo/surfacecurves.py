@@ -9,7 +9,7 @@ Jet1 parameters straight through the surface evaluator, so space-curve
 derivatives (up to fourth order) are exact; its speed, Frenet frame,
 curvature and torsion come from ``curves._CurveJets``.  Surface fields
 along the curve (the normal, metric coefficients) are composed from the
-pointwise Jet2 data with the chain rule.
+pointwise values and first partials with the chain rule.
 """
 
 import math
@@ -25,9 +25,9 @@ from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .surfaces import (_SurfaceJets, _curvatures_from_jets, _metric_dot,
-                       _metric_unit, _normal_curvature, metric_and_gamma,
-                       total_curvature)
+from .surfaces import (_SurfacePoint, _curvatures_of, _metric_dot,
+                       _metric_unit, _normal_curvature, _overflow,
+                       metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -97,28 +97,17 @@ class SurfaceCurve:
         return self.surface.evaluator(uj, vj)
 
 
-def _field_along_curve(f2, uj, vj):
-    """Jet1 of a surface scalar field (given as Jet2 coefficients at the
-    point) composed with the curve jets; exact through order 3 at most,
-    and through the field jet's own exact order in any case."""
-    f, fu, fv, fuu, fuv, fvv, fuuu, fuuv, fuvv, fvvv = f2.c
-    u1, u2, u3 = uj.c[1], uj.c[2], uj.c[3]
-    v1, v2, v3 = vj.c[1], vj.c[2], vj.c[3]
-    g1 = fu * u1 + fv * v1
-    g2 = (fuu * u1 * u1 + 2.0 * fuv * u1 * v1 + fvv * v1 * v1
-          + fu * u2 + fv * v2)
-    g3 = (fuuu * u1 ** 3 + 3.0 * fuuv * u1 * u1 * v1
-          + 3.0 * fuvv * u1 * v1 * v1 + fvvv * v1 ** 3
-          + 3.0 * (fuu * u1 + fuv * v1) * u2
-          + 3.0 * (fuv * u1 + fvv * v1) * v2
-          + fu * u3 + fv * v3)
-    return Jet1(f, g1, g2, g3, 0.0)
+def _field_along_curve(f, fu, fv, uj, vj):
+    """Jet1 of a surface scalar field with value ``f`` and partials
+    ``fu``, ``fv`` at the point, composed with the curve jets: exact
+    through order 1, its higher coefficients zero (the callers' turning
+    rates read orders 0 and 1 only)."""
+    return Jet1(f, fu * uj.c[1] + fv * vj.c[1])
 
 
-def _normal_along_curve(sj, uj, vj):
-    return Vec3(_field_along_curve(sj.nj.x, uj, vj),
-                _field_along_curve(sj.nj.y, uj, vj),
-                _field_along_curve(sj.nj.z, uj, vj))
+def _normal_along_curve(p, uj, vj):
+    return Vec3(*(_field_along_curve(n, n_u, n_v, uj, vj)
+                  for n, n_u, n_v in zip(p.n, *p.dn)))
 
 
 @dataclass
@@ -133,23 +122,27 @@ class CurvatureSplit:
 
 
 def _point_jets(sc, t):
-    """(surface jets at the curve point, uv jets)."""
+    """(the surface point under the curve point, uv jets)."""
     uj, vj = sc.uv_jets(t)
-    return _SurfaceJets(sc.surface, uj.value, vj.value), uj, vj
+    return _SurfacePoint(sc.surface, uj.value, vj.value), uj, vj
 
 
 def _composite_jets(sc, t):
     """_point_jets plus the Frenet kernel of the composite space curve
     r(u(t), v(t)), whose floors follow the surface scale."""
-    sj, uj, vj = _point_jets(sc, t)
-    return sj, uj, vj, _CurveJets(sc.surface.evaluator(uj, vj),
-                                  sc.surface.scale, t)
+    p, uj, vj = _point_jets(sc, t)
+    scale = sc.surface.scale
+    try:
+        cj = _CurveJets(sc.surface.evaluator(uj, vj), scale, t)
+    except OverflowError:
+        raise _overflow(p.u, p.v) from None
+    return p, uj, vj, cj
 
 
-def _split(sj, cj):
+def _split(p, cj):
     T = cj.T.value()
     K_vec = cj.ds_vec(cj.T)                        # dT/ds
-    n = sj.n
+    n = p.n
     u_vec = n.cross(T)
     return CurvatureSplit(K_vec=K_vec, kappa_n=n.dot(K_vec),
                           kappa_g=u_vec.dot(K_vec), u_vec=u_vec,
@@ -159,34 +152,34 @@ def _split(sj, cj):
 def curvature_split(sc, t):
     """Split of the curvature vector into normal and geodesic parts:
     K = kappa_n n + kappa_g (n x T)."""
-    sj, _, _, cj = _composite_jets(sc, t)
-    return _split(sj, cj)
+    p, _, _, cj = _composite_jets(sc, t)
+    return _split(p, cj)
 
 
 def kappa_n_quotient(sc, t):
     """Normal curvature as II/I in the curve's direction."""
-    sj, uj, vj = _point_jets(sc, t)
-    return _normal_curvature(*sj.EFG, *sj.efg(), (uj.c[1], vj.c[1]))
+    p, uj, vj = _point_jets(sc, t)
+    return _normal_curvature(*p.EFG, *p.efg, (uj.c[1], vj.c[1]))
 
 
 def kappa_g_extrinsic(sc, t):
     """kappa_g = r''.(n x r') / |r'|^3 (speed-corrected form)."""
-    sj, _, _, cj = _composite_jets(sc, t)
-    return (cj.rdd.value().dot(sj.n.cross(cj.rd.value()))
+    p, _, _, cj = _composite_jets(sc, t)
+    return (cj.rdd.value().dot(p.n.cross(cj.rd.value()))
             / cj.sigma.value ** 3)
 
 
 def kappa_g_intrinsic(sc, t):
     """kappa_g from the Christoffel symbols and intrinsic path data."""
-    sj, uj, vj, cj = _composite_jets(sc, t)
+    p, uj, vj, cj = _composite_jets(sc, t)
     s1 = cj.sigma.value
     s2 = cj.sigma.c[1]
     # d/ds and d2/ds2 of the parameters
     u1, v1 = uj.c[1] / s1, vj.c[1] / s1
     u2 = uj.c[2] / s1 ** 2 - uj.c[1] * s2 / s1 ** 3
     v2 = vj.c[2] / s1 ** 2 - vj.c[1] * s2 / s1 ** 3
-    g = sj.gamma2()
-    sa = sj.sqrt_a
+    g = p.gamma2
+    sa = p.sqrt_a
     return sa * (g[1] * u1 ** 3
                  + (2.0 * g[3] - g[0]) * u1 * u1 * v1
                  + (g[5] - 2.0 * g[2]) * u1 * v1 * v1
@@ -194,10 +187,10 @@ def kappa_g_intrinsic(sc, t):
                  + u1 * v2 - u2 * v1)
 
 
-def _geodesic_torsion(sj, uj, vj, cj):
-    dn_du, dn_dv = sj.dn()
+def _geodesic_torsion(p, uj, vj, cj):
+    dn_du, dn_dv = p.dn
     n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma.value
-    return sj.n.dot(n_s.cross(cj.T.value()))
+    return p.n.dot(n_s.cross(cj.T.value()))
 
 
 def geodesic_torsion(sc, t):
@@ -208,15 +201,15 @@ def geodesic_torsion(sc, t):
 def geodesic_torsion_principal(sc, t):
     """(kappa1 - kappa2) sin th cos th with th the angle from the first
     principal direction to the curve tangent; umbilics are rejected."""
-    sj, uj, vj = _point_jets(sc, t)
-    cur = _curvatures_from_jets(sj)
+    p, uj, vj = _point_jets(sc, t)
+    cur = _curvatures_of(p)
     if cur.is_umbilic:
         raise UmbilicPoint("principal-direction route undefined at an umbilic")
-    E, F, G = sj.EFG
+    E, F, G = p.EFG
     d = _metric_unit(E, F, G, (uj.c[1], vj.c[1]))
-    p = cur.dir1_uv
-    c = _metric_dot(E, F, G, d, p)
-    s = sj.sqrt_a * (d[0] * p[1] - d[1] * p[0])
+    d1 = cur.dir1_uv
+    c = _metric_dot(E, F, G, d, d1)
+    s = p.sqrt_a * (d[0] * d1[1] - d[1] * d1[0])
     return (cur.kappa1 - cur.kappa2) * s * c
 
 
@@ -543,13 +536,13 @@ def asymptotic_directions(surface, u, v):
 
     Returns the string 'all' at flat points, else a list of 0, 1 or 2
     (du, dv) pairs."""
-    sj = _SurfaceJets(surface, u, v)
-    cur = _curvatures_from_jets(sj)
+    p = _SurfacePoint(surface, u, v)
+    cur = _curvatures_of(p)
     if cur.shape == "Flat":
         return "all"
     if cur.shape == "Elliptic":
         return []
-    e, f, g = sj.efg()
+    e, f, g = p.efg
     disc = max(-(e * g - f * f), 0.0)
     rt = math.sqrt(disc)
     b_scale = max(abs(e), abs(f), abs(g))
@@ -565,21 +558,21 @@ def asymptotic_directions(surface, u, v):
             dirs.append((1.0, (-f + sign * rt) / g))
     if cur.shape == "Parabolic":
         dirs = dirs[:1]
-    return [_metric_unit(*sj.EFG, d) for d in dirs]
+    return [_metric_unit(*p.EFG, d) for d in dirs]
 
 
 def principal_direction_field(surface, u, v):
     """Two metric-unit principal directions plus their Rodrigues defects
     |dn + kappa_i dr| (per metric-unit step)."""
-    sj = _SurfaceJets(surface, u, v)
-    cur = _curvatures_from_jets(sj)
+    p = _SurfacePoint(surface, u, v)
+    cur = _curvatures_of(p)
     if cur.is_umbilic:
         raise UmbilicPoint(f"no principal directions at ({u!r}, {v!r})")
-    dn_du, dn_dv = sj.dn()
+    dn_du, dn_dv = p.dn
     out_dirs, out_res = [], []
     for d, kap in ((cur.dir1_uv, cur.kappa1), (cur.dir2_uv, cur.kappa2)):
         dn = dn_du * d[0] + dn_dv * d[1]
-        dr = sj.E1 * d[0] + sj.E2 * d[1]
+        dr = p.E1 * d[0] + p.E2 * d[1]
         out_dirs.append(d)
         out_res.append((dn + dr * kap).norm())
     return tuple(out_dirs), tuple(out_res)
@@ -587,8 +580,8 @@ def principal_direction_field(surface, u, v):
 
 def conjugate_direction(surface, u, v, direction):
     """The direction conjugate to ``direction``: b(d, delta) = 0."""
-    sj = _SurfaceJets(surface, u, v)
-    e, f, g = sj.efg()
+    p = _SurfacePoint(surface, u, v)
+    e, f, g = p.efg
     d1, d2 = float(direction[0]), float(direction[1])
     w1 = e * d1 + f * d2
     w2 = f * d1 + g * d2
@@ -596,7 +589,7 @@ def conjugate_direction(surface, u, v, direction):
     if math.hypot(w1, w2) <= 1e-10 * max(b_scale, 1e-30) or b_scale == 0.0:
         raise NoUniqueConjugate(
             "the second fundamental form degenerates along this direction")
-    return _metric_unit(*sj.EFG, (-w2, w1))
+    return _metric_unit(*p.EFG, (-w2, w1))
 
 
 def asymptotic_line_trace(surface, start, length, branch=0):
@@ -710,9 +703,9 @@ def _exterior_angle(arc_in, arc_out):
     u0, v0 = uj.value, vj.value
     uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
     t_out = (uj2.c[1], vj2.c[1])
-    sj = _SurfaceJets(surface, u0, v0)
-    cross = sj.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
-    return math.atan2(cross, _metric_dot(*sj.EFG, t_in, t_out))
+    p = _SurfacePoint(surface, u0, v0)
+    cross = p.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
+    return math.atan2(cross, _metric_dot(*p.EFG, t_in, t_out))
 
 
 def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
@@ -722,8 +715,8 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
     sum_kg = 0.0
     for arc in loop.arcs:
         def integrand(t, arc=arc):
-            sj, _, _, cj = _composite_jets(arc, t)
-            kappa_g = sj.n.cross(cj.T.value()).dot(cj.ds_vec(cj.T))
+            p, _, _, cj = _composite_jets(arc, t)
+            kappa_g = p.n.cross(cj.T.value()).dot(cj.ds_vec(cj.T))
             return kappa_g * cj.sigma.value
 
         sum_kg += quad_adaptive(integrand, arc.domain, spec)
@@ -756,26 +749,24 @@ def gauss_bonnet_global(surface, rect, chi, spec=QuadSpec(tol=1e-7)):
 def liouville_check(sc, t):
     """Defect of kappa_g = dphi/ds + kappa_u cos(phi) + kappa_v sin(phi)
     on an orthogonal patch (F = 0)."""
-    sj, uj, vj, cj = _composite_jets(sc, t)
-    E_j, F_j, G_j = sj.a11, sj.a12, sj.a22
+    p, uj, vj, cj = _composite_jets(sc, t)
+    E, F, G = p.EFG
     scale2 = max(1.0, sc.surface.scale * sc.surface.scale)
-    if abs(F_j.value) > 1e-9 * scale2:
+    if abs(F) > 1e-9 * scale2:
         raise NonOrthogonalPatch(
-            f"F = {F_j.value!r} at t={t!r}; Liouville needs orthogonal "
+            f"F = {F!r} at t={t!r}; Liouville needs orthogonal "
             "coordinate curves")
-    E, G = E_j.value, G_j.value
-    Ev = E_j.c[2]
-    Gu = G_j.c[1]
+    Eu, Ev, _, _, Gu, Gv = p.metric_partials
     kappa_u = -Ev / (2.0 * E * math.sqrt(G))
     kappa_v = Gu / (2.0 * G * math.sqrt(E))
 
     # phi(t) through jets: x = sqrt(E) du/dt, y = sqrt(G) dv/dt
-    x = jets.sqrt(_field_along_curve(E_j, uj, vj)) * uj.derivative()
-    y = jets.sqrt(_field_along_curve(G_j, uj, vj)) * vj.derivative()
+    x = jets.sqrt(_field_along_curve(E, Eu, Ev, uj, vj)) * uj.derivative()
+    y = jets.sqrt(_field_along_curve(G, Gu, Gv, uj, vj)) * vj.derivative()
     dphi_ds = _turning_rate(x, y) / cj.sigma.value
     phi = math.atan2(y.value, x.value)
 
-    kg = _split(sj, cj).kappa_g
+    kg = _split(p, cj).kappa_g
     return kg - (dphi_ds + kappa_u * math.cos(phi) + kappa_v * math.sin(phi))
 
 
@@ -787,16 +778,16 @@ def bonnet_torsion_check(sc, t):
     system in the oriented Darboux frame (T, n x T, n) gives
     tau_g = tau + dphi/ds; the unsigned-arccos statement of the formula
     matches after orienting the angle."""
-    sj, uj, vj, cj = _composite_jets(sc, t)
+    p, uj, vj, cj = _composite_jets(sc, t)
     T, N, _ = cj.frame_jets()
-    split = _split(sj, cj)
+    split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
-    n_t = _normal_along_curve(sj, uj, vj)
+    n_t = _normal_along_curve(p, uj, vj)
     u_t = n_t.cross(T)                 # geodesic normal along the curve
     # signed angle of N in the (n, u) frame: phi = atan2(N.u, N.n)
     dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma.value
-    tau_g = _geodesic_torsion(sj, uj, vj, cj)
+    tau_g = _geodesic_torsion(p, uj, vj, cj)
     return tau_g - (cj.tau_jet().value + dphi_ds)

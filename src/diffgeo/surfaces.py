@@ -3,9 +3,13 @@ the intrinsic curvature component R1212, principal/Gaussian/mean curvature,
 local-shape and umbilic classification, and residual verifiers for the
 Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
-Pointwise quantities derive from one order-3 jet evaluation of the position
-map (third derivatives, for Codazzi and R1212, are exact); the metric,
-Christoffel symbols and integrands read order 2 from the surface's kernel.
+Pointwise quantities are floats computed from the surface's kernel, code
+generated per surface definition that gives the position's partials: the
+forms, curvatures, Christoffel symbols, dn and the integrands read order 2,
+and only R1212 and the Codazzi and compatibility residuals read order 3
+(third derivatives, exact).  The formulas over those partials are written
+once, over jets, in ``_geometry``, and run as generated float code that
+keeps the Jet2 arithmetic.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.
 """
@@ -13,9 +17,10 @@ catalog documents which geometric side that is for each entry.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from . import jets
 from .errors import SingularSurfacePoint, ZeroVector
+from .expr import taped
 from .jets import Jet2
 from .quadrature import QuadSpec, quad2d
 from .vectors import Vec3, _spread
@@ -32,18 +37,15 @@ EPS_REG = 1e-12   # times E + G: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
 EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
 
-# index order of Jet2 coefficients, for readability below
-_F, _FU, _FV, _FUU, _FUV, _FVV, _FUUU, _FUUV, _FUVV, _FVVV = range(10)
-
-
 class ParametricSurface:
     """A map (u, v) -> R^3 evaluated into jets.
 
     ``evaluator`` receives the parameters as jets (Jet2 for surface work,
     Jet1 along composite curves) and must be written jet-generically.
     ``periodic`` gives the period per parameter or None; periodic
-    directions are never flagged as domain exits.  ``make_kernel(jet2)``
-    returns a faster ``kernel`` with jet2's values; it runs on first use.
+    directions are never flagged as domain exits.  ``make_kernel(jet2,
+    order)`` returns a faster kernel of that order with the values of
+    ``jet2``; it runs on the kernel's first use.
     """
 
     def __init__(self, evaluator, domain, periodic=(None, None),
@@ -51,18 +53,28 @@ class ParametricSurface:
         self.evaluator = evaluator
         self.domain = tuple(float(x) for x in domain)  # (u0, u1, v0, v1)
         self.periodic = periodic
-        self._make_kernel = make_kernel or (lambda jet2: jet2)
+        self._make_kernel = make_kernel
         self._scale = None
 
     @cached_property
     def kernel(self):
         """Floats (u, v) -> (x, y, z) triples r, r_u, r_v, r_uu, r_uv, r_vv."""
-        return self._make_kernel(self._jet_kernel)
+        if self._make_kernel is None:
+            jet = self._jet_kernel
+            return lambda u, v: jet(u, v)[:6]
+        return self._make_kernel(self._jet_kernel, 2)
+
+    @cached_property
+    def kernel3(self):
+        """``kernel``'s triples followed by r_uuu, r_uuv, r_uvv, r_vvv."""
+        if self._make_kernel is None:
+            return self._jet_kernel
+        return self._make_kernel(self._jet_kernel, 3)
 
     def _jet_kernel(self, u, v):
-        """The kernel from one Jet2 evaluation of the evaluator."""
+        """The ten triples of ``kernel3`` from one Jet2 evaluation."""
         x, y, z = self.evaluator(Jet2.variable_u(u), Jet2.variable_v(v))
-        return tuple(zip(x.c, y.c, z.c))[:6]
+        return tuple(zip(x.c, y.c, z.c))
 
     def eval(self, u, v):
         if not isinstance(u, (Jet2,)) and not hasattr(u, "value"):
@@ -72,7 +84,8 @@ class ParametricSurface:
 
     @property
     def scale(self):
-        """Length scale: the ``_spread`` of a 4x4 probe grid.  Cached."""
+        """Length scale: the ``_spread`` of r on a 4x4 probe grid, points
+        that raise left out.  Cached."""
         if self._scale is None:
             u0, u1, v0, v1 = self.domain
             probes = []
@@ -81,7 +94,7 @@ class ParametricSurface:
                     u = u0 + (u1 - u0) * (i + 0.5) / 4.0
                     v = v0 + (v1 - v0) * (j + 0.5) / 4.0
                     try:
-                        probes.append(self.eval(u, v).value())
+                        probes.append(self.kernel(u, v)[0])
                     except Exception:
                         continue
             self._scale = _spread(probes)
@@ -151,96 +164,111 @@ class CurvatureData:
     is_umbilic: bool
 
 
-class _SurfaceJets:
-    """All pointwise machinery derived from one Jet2 evaluation.
+def _geometry(r):
+    """The pointwise geometry of the position jet ``r``, written once over
+    jets: expr.taped records its Jet2 arithmetic as float code (so each
+    value equals the Jet2 coefficient it stands for).  Exactness: with r
+    through total order 3, the metric is exact to order 2, the normal to
+    order 2, b and Gamma to order 1."""
+    E1, E2 = r.du(), r.dv()
+    E, F, G = E1.dot(E1), E1.dot(E2), E2.dot(E2)
+    cross = E1.cross(E2)
+    cross_sq = cross.norm_sq()
+    sqrt_a = cross_sq.call("sqrt")
+    n = cross / sqrt_a
+    a = E * G - F * F
+    gamma2 = _christoffel2(E, F, G, E.du(), E.dv(), F.du(), F.dv(), G.du(),
+                           G.dv(), a)
+    return {"E": E, "F": F, "G": G, "a": a, "cross_sq": cross_sq,
+            "sqrt_a": sqrt_a, "nx": n.x, "ny": n.y, "nz": n.z,
+            "b11": E1.du().dot(n), "b12": E1.dv().dot(n),
+            "b22": E2.dv().dot(n),
+            **dict(zip(("g11_1", "g11_2", "g12_1", "g12_2", "g22_1", "g22_2"),
+                       gamma2))}
 
-    Exactness: position jets carry total order 3, so E_alpha jets are exact
-    to order 2, metric jets to order 2, b and Gamma jets to order 1.
-    """
 
-    def __init__(self, surface, u, v):
+# the quantities of _SurfacePoint, each group one program of _geometry's
+# (jet, slot) pairs; only _THIRD reads third partials of the position
+_METRIC = (("E", 0), ("F", 0), ("G", 0), ("a", 0), ("cross_sq", 0))
+_NORMAL = (("sqrt_a", 0), ("nx", 0), ("ny", 0), ("nz", 0), ("b11", 0),
+           ("b12", 0), ("b22", 0))
+_PARTIALS = (("E", 1), ("E", 2), ("F", 1), ("F", 2), ("G", 1), ("G", 2))
+_GAMMA2 = tuple((g, 0) for g in ("g11_1", "g11_2", "g12_1", "g12_2", "g22_1",
+                                 "g22_2"))
+_DN = (("nx", 1), ("ny", 1), ("nz", 1), ("nx", 2), ("ny", 2), ("nz", 2))
+_THIRD = (("F", 4), ("E", 5), ("G", 3),             # R1212
+          ("b12", 1), ("b11", 2), ("b22", 1), ("b12", 2),       # Codazzi
+          ("g22_2", 1), ("g12_2", 2), ("g22_1", 1), ("g12_1", 2))
+
+
+def _overflow(u, v):
+    return OverflowError(f"surface jets overflow at (u, v)=({u!r}, {v!r})")
+
+
+class _SurfacePoint:
+    """The pointwise geometry of a surface at (u, v), over floats.
+
+    Construction calls the surface's kernel once (``kernel3`` at
+    ``order`` 3), checks regularity and computes the metric, the normal
+    and e, f, g; the metric partials, Christoffel symbols, dn and the
+    third-order terms follow on first use, from the same kernel triples.
+    An overflow on the way names the point."""
+
+    def __init__(self, surface, u, v, order=2):
         self.surface = surface
-        self.u, self.v = float(u), float(v)
-        uj = Jet2.variable_u(self.u)
-        vj = Jet2.variable_v(self.v)
-        pos = surface.evaluator(uj, vj)
-        self.pos = pos
-        self.E1j = pos.du()
-        self.E2j = pos.dv()
-        self.E1 = self.E1j.value()
-        self.E2 = self.E2j.value()
-        # metric jets (exact to order 2)
-        self.a11 = self.E1j.dot(self.E1j)
-        self.a12 = self.E1j.dot(self.E2j)
-        self.a22 = self.E2j.dot(self.E2j)
-        crossj = self.E1j.cross(self.E2j)
-        cross_sq = crossj.norm_sq()
-        _check_regular(cross_sq.value, self.a11.value + self.a22.value, u, v)
-        self.sqrt_a_j = jets.sqrt(cross_sq)
-        self.nj = crossj / self.sqrt_a_j     # unit normal, exact to order 2
-        self.n = self.nj.value()
-        self.aj = self.a11 * self.a22 - self.a12 * self.a12
-        self._gamma2_jets = None
+        self.u, self.v = u, v = float(u), float(v)
+        self.k = self._call(surface.kernel3 if order == 3 else surface.kernel,
+                            u, v)
+        E, F, G, self.a, cross_sq = self._run(_METRIC)
+        self.EFG = E, F, G
+        _check_regular(cross_sq, E + G, u, v)
+        self.sqrt_a, nx, ny, nz, *efg = self._run(_NORMAL)
+        self.n = Vec3(nx, ny, nz)
+        self.efg = tuple(efg)
+        self.E1, self.E2 = Vec3(*self.k[1]), Vec3(*self.k[2])
 
-    # -- scalars -------------------------------------------------------------
+    def _call(self, fn, *args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            raise _overflow(self.u, self.v) from None
+
+    def _run(self, outputs):
+        return self._call(taped(_geometry, outputs), self.k)
 
     @property
-    def EFG(self):
-        return self.a11.value, self.a12.value, self.a22.value
-
-    @property
-    def sqrt_a(self):
-        return self.sqrt_a_j.value
-
-    @property
-    def a(self):
-        return self.aj.value
-
     def second_partials(self):
-        """d2r/du^a du^b as float Vec3s: (r_uu, r_uv, r_vv)."""
-        c = self.pos
-        return (
-            Vec3(c.x.c[_FUU], c.y.c[_FUU], c.z.c[_FUU]),
-            Vec3(c.x.c[_FUV], c.y.c[_FUV], c.z.c[_FUV]),
-            Vec3(c.x.c[_FVV], c.y.c[_FVV], c.z.c[_FVV]),
-        )
+        """(r_uu, r_uv, r_vv) as Vec3s."""
+        return tuple(Vec3(*r) for r in self.k[3:6])
 
-    def efg(self):
-        r_uu, r_uv, r_vv = self.second_partials()
-        return r_uu.dot(self.n), r_uv.dot(self.n), r_vv.dot(self.n)
+    @cached_property
+    def metric_partials(self):
+        """(E_u, E_v, F_u, F_v, G_u, G_v)."""
+        return self._run(_PARTIALS)
 
-    def b_jets(self):
-        """b11, b12, b22 as Jet2 (exact to order 1), for Codazzi."""
-        return (self.E1j.du().dot(self.nj),
-                self.E1j.dv().dot(self.nj),
-                self.E2j.dv().dot(self.nj))
-
-    def gamma2_jets(self):
-        """Second-kind Christoffel symbols as jets (exact to order 1),
-        in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2)."""
-        if self._gamma2_jets is None:
-            E, F, G = self.a11, self.a12, self.a22
-            self._gamma2_jets = _christoffel2(
-                E, F, G, E.du(), E.dv(), F.du(), F.dv(), G.du(), G.dv(),
-                self.aj)
-        return self._gamma2_jets
-
+    @cached_property
     def gamma2(self):
-        return tuple(g.value for g in self.gamma2_jets())
+        """Second-kind Christoffel symbols, in the order (11-1, 11-2, 12-1,
+        12-2, 22-1, 22-2)."""
+        return self._run(_GAMMA2)
 
+    @property
     def gamma1(self):
         """First-kind Christoffel symbols, same index order."""
-        Eu, Ev = self.a11.c[_FU], self.a11.c[_FV]
-        Fu, Fv = self.a12.c[_FU], self.a12.c[_FV]
-        Gu, Gv = self.a22.c[_FU], self.a22.c[_FV]
+        Eu, Ev, Fu, Fv, Gu, Gv = self.metric_partials
         return (0.5 * Eu, Fu - 0.5 * Ev, 0.5 * Ev, 0.5 * Gu,
                 Fv - 0.5 * Gu, 0.5 * Gv)
 
+    @cached_property
     def dn(self):
-        """(dn/du, dn/dv) as float Vec3s from the normal jet."""
-        n = self.nj
-        return (Vec3(n.x.c[_FU], n.y.c[_FU], n.z.c[_FU]),
-                Vec3(n.x.c[_FV], n.y.c[_FV], n.z.c[_FV]))
+        """(dn/du, dn/dv) as Vec3s."""
+        d = self._run(_DN)
+        return Vec3(*d[:3]), Vec3(*d[3:])
+
+    @cached_property
+    def third(self):
+        """The order-3 terms, as _THIRD lists them (at ``order`` 3 only)."""
+        return self._run(_THIRD)
 
 
 def _check_regular(a, trace, u, v):
@@ -275,8 +303,7 @@ def _metric_dot(E, F, G, X, Y):
     return E * X[0] * Y[0] + F * (X[0] * Y[1] + X[1] * Y[0]) + G * X[1] * Y[1]
 
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(NamedTuple):
     """Metric coefficients E, F, G, a = EG - F^2 and the second-kind
     Christoffel values; the lean path for geodesic/transport fields."""
 
@@ -290,8 +317,11 @@ class MetricData:
 def metric_and_gamma(surface, u, v):
     """Metric and second-kind Christoffel values at a regular point, from
     one call of the surface's order-2 kernel (no normal, no jets)."""
-    (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-     (xvv, yvv, zvv)) = surface.kernel(float(u), float(v))
+    try:
+        (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+         (xvv, yvv, zvv)) = surface.kernel(float(u), float(v))
+    except OverflowError:
+        raise _overflow(u, v) from None
     E = xu * xu + yu * yu + zu * zu
     F = xu * xv + yu * yv + zu * zv
     G = xv * xv + yv * yv + zv * zv
@@ -303,52 +333,48 @@ def metric_and_gamma(surface, u, v):
     Fv = (xuv * xv + yuv * yv + zuv * zv) + (xu * xvv + yu * yvv + zu * zvv)
     Gu = 2.0 * (xv * xuv + yv * yuv + zv * zuv)
     Gv = 2.0 * (xv * xvv + yv * yvv + zv * zvv)
-    return MetricData(E=E, F=F, G=G, a=a,
-                      gamma2=_christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a))
+    return MetricData(E, F, G, a,
+                      _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a))
 
 
 def surface_frame(surface, u, v):
-    sj = _SurfaceJets(surface, u, v)
-    return SurfaceFrame(E1=sj.E1, E2=sj.E2, n=sj.n, sqrt_a=sj.sqrt_a)
+    p = _SurfacePoint(surface, u, v)
+    return SurfaceFrame(E1=p.E1, E2=p.E2, n=p.n, sqrt_a=p.sqrt_a)
 
 
 def forms(surface, u, v):
     """First, second and third fundamental forms plus both Christoffel
     kinds at a regular point."""
-    sj = _SurfaceJets(surface, u, v)
-    return _forms_from_jets(sj)
+    return _forms_of(_SurfacePoint(surface, u, v))
 
 
-def _forms_from_jets(sj):
-    E, F, G = sj.EFG
-    e, f, g = sj.efg()
-    a = sj.a
+def _forms_of(p):
+    E, F, G = p.EFG
+    e, f, g = p.efg
+    a = p.a
     iu, im, iv = G / a, -F / a, E / a   # contravariant metric
     c11 = iu * e * e + 2.0 * im * e * f + iv * f * f
     c12 = iu * e * f + im * (e * g + f * f) + iv * f * g
     c22 = iu * f * f + 2.0 * im * f * g + iv * g * g
     return FormBundle(E=E, F=F, G=G, e=e, f=f, g=g,
                       c11=c11, c12=c12, c22=c22,
-                      gamma1=sj.gamma1(), gamma2=sj.gamma2(),
-                      sqrt_a=sj.sqrt_a, n=sj.n)
+                      gamma1=p.gamma1, gamma2=p.gamma2,
+                      sqrt_a=p.sqrt_a, n=p.n)
 
 
 def riemann_R1212(surface, u, v):
     """The single independent Riemann component, intrinsically:
     R1212 = (2 a12,uv - a11,vv - a22,uu)/2
             + a_ab (G^a_12 G^b_12 - G^a_11 G^b_22)."""
-    sj = _SurfaceJets(surface, u, v)
-    return _r1212_from_jets(sj)
-
-
-def _r1212_from_jets(sj):
-    a11, a12, a22 = sj.a11, sj.a12, sj.a22
-    term = 0.5 * (2.0 * a12.c[_FUV] - a11.c[_FVV] - a22.c[_FUU])
-    g = sj.gamma2()
+    p = _SurfacePoint(surface, u, v, order=3)
+    F_uv, E_vv, G_uu = p.third[:3]
+    term = 0.5 * (2.0 * F_uv - E_vv - G_uu)
+    g = p.gamma2
     g11 = (g[0], g[1])
     g12 = (g[2], g[3])
     g22 = (g[4], g[5])
-    amat = ((a11.value, a12.value), (a12.value, a22.value))
+    E, F, G = p.EFG
+    amat = ((E, F), (F, G))
     acc = 0.0
     for al in range(2):
         for be in range(2):
@@ -357,14 +383,13 @@ def _r1212_from_jets(sj):
 
 
 def curvatures(surface, u, v):
-    sj = _SurfaceJets(surface, u, v)
-    return _curvatures_from_jets(sj)
+    return _curvatures_of(_SurfacePoint(surface, u, v))
 
 
-def _curvatures_from_jets(sj):
-    E, F, G = sj.EFG
-    e, f, g = sj.efg()
-    a = sj.a
+def _curvatures_of(p):
+    E, F, G = p.EFG
+    e, f, g = p.efg
+    a = p.a
     disc_b = e * g - f * f
     K = disc_b / a
     H = (e * G - 2.0 * f * F + g * E) / (2.0 * a)
@@ -372,7 +397,7 @@ def _curvatures_from_jets(sj):
     kappa1 = H + math.sqrt(rad)
     kappa2 = H - math.sqrt(rad)
 
-    scale = sj.surface.scale
+    scale = p.surface.scale
     b_mag = e * e + f * f + g * g
     flat = b_mag <= (1e-10 * max(1.0, 1.0 / scale)) ** 2
     thr = 1e-10 * (b_mag + scale ** -2)
@@ -399,8 +424,8 @@ def _curvatures_from_jets(sj):
                 d1, d2 = d2, d1
             dir1_uv = _metric_unit(E, F, G, d1)
             dir2_uv = _metric_unit(E, F, G, d2)
-            dir1 = (sj.E1 * dir1_uv[0] + sj.E2 * dir1_uv[1]).normalized()
-            dir2 = (sj.E1 * dir2_uv[0] + sj.E2 * dir2_uv[1]).normalized()
+            dir1 = (p.E1 * dir1_uv[0] + p.E2 * dir1_uv[1]).normalized()
+            dir2 = (p.E1 * dir2_uv[0] + p.E2 * dir2_uv[1]).normalized()
 
     return CurvatureData(K=K, H=H, kappa1=kappa1, kappa2=kappa2,
                          dir1=dir1, dir2=dir2,
@@ -455,24 +480,24 @@ def gauss_weingarten_residuals(surface, u, v):
     """Scaled defect norms of the three Gauss equations
     dE_a/du^b = G^c_ab E_c + b_ab n and the two Weingarten equations
     dn/du^a = -b_a^b E_b.  Each residual is |lhs - rhs| / max(1, |lhs|, |rhs|)."""
-    sj = _SurfaceJets(surface, u, v)
-    E, F, G = sj.EFG
-    e, f, g = sj.efg()
-    a = sj.a
-    gam = sj.gamma2()
-    r_uu, r_uv, r_vv = sj.second_partials()
-    n = sj.n
+    p = _SurfacePoint(surface, u, v)
+    E, F, G = p.EFG
+    e, f, g = p.efg
+    a = p.a
+    gam = p.gamma2
+    r_uu, r_uv, r_vv = p.second_partials
+    n = p.n
     out = []
     for lhs, (g1, g2), b in (
         (r_uu, (gam[0], gam[1]), e),
         (r_uv, (gam[2], gam[3]), f),
         (r_vv, (gam[4], gam[5]), g),
     ):
-        rhs = sj.E1 * g1 + sj.E2 * g2 + n * b
+        rhs = p.E1 * g1 + p.E2 * g2 + n * b
         out.append(_scaled_defect(lhs, rhs))
-    dn_du, dn_dv = sj.dn()
-    w1 = sj.E1 * ((f * F - e * G) / a) + sj.E2 * ((e * F - f * E) / a)
-    w2 = sj.E1 * ((g * F - f * G) / a) + sj.E2 * ((f * F - g * E) / a)
+    dn_du, dn_dv = p.dn
+    w1 = p.E1 * ((f * F - e * G) / a) + p.E2 * ((e * F - f * E) / a)
+    w2 = p.E1 * ((g * F - f * G) / a) + p.E2 * ((f * F - g * E) / a)
     out.append(_scaled_defect(dn_du, w1))
     out.append(_scaled_defect(dn_dv, w2))
     return tuple(out)
@@ -489,24 +514,23 @@ def codazzi_compatibility_residuals(surface, u, v):
               b22,u - b12,v = b22 G^2_12 - b12 (G^2_22 - G^1_12) - b11 G^1_22
     Compatibility: eg - f^2 equals its Christoffel expression.
     """
-    sj = _SurfaceJets(surface, u, v)
-    b11, b12, b22 = sj.b_jets()
-    gam = sj.gamma2()
-    g111, g112, g121, g122, g221, g222 = gam
+    p = _SurfacePoint(surface, u, v, order=3)
+    e, f, g = b11, b12, b22 = p.efg
+    g111, g112, g121, g122, g221, g222 = p.gamma2
+    (b12_u, b11_v, b22_u, b12_v,
+     g222_u, g122_v, g221_u, g121_v) = p.third[3:]
 
-    lhs1 = b12.c[_FU] - b11.c[_FV]
-    rhs1 = b22.value * g112 - b12.value * (g122 - g111) - b11.value * g121
-    lhs2 = b22.c[_FU] - b12.c[_FV]
-    rhs2 = b22.value * g122 - b12.value * (g222 - g121) - b11.value * g221
+    lhs1 = b12_u - b11_v
+    rhs1 = b22 * g112 - b12 * (g122 - g111) - b11 * g121
+    lhs2 = b22_u - b12_v
+    rhs2 = b22 * g122 - b12 * (g222 - g121) - b11 * g221
     r1 = abs(lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1))
     r2 = abs(lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2))
 
-    gj = sj.gamma2_jets()
-    E, F, _ = sj.EFG
-    term_f = gj[5].c[_FU] - gj[3].c[_FV] + gj[4].value * g112 - gj[2].value * g122
-    term_e = (gj[4].c[_FU] - gj[2].c[_FV] + gj[4].value * g111
-              + gj[5].value * g121 - g121 * g121 - g122 * gj[4].value)
-    e, f, g = sj.efg()
+    E, F, _ = p.EFG
+    term_f = g222_u - g122_v + g221 * g112 - g121 * g122
+    term_e = (g221_u - g121_v + g221 * g111
+              + g222 * g121 - g121 * g121 - g122 * g221)
     lhs3 = e * g - f * f
     rhs3 = F * term_f + E * term_e
     r3 = abs(lhs3 - rhs3) / max(1.0, abs(lhs3), abs(rhs3))
@@ -516,9 +540,9 @@ def codazzi_compatibility_residuals(surface, u, v):
 def form_identity_residual(surface, u, v):
     """max over indices of |K a_ab - 2H b_ab + c_ab|, scaled by the largest
     coefficient magnitude entering the identity."""
-    sj = _SurfaceJets(surface, u, v)
-    fb = _forms_from_jets(sj)
-    cur = _curvatures_from_jets(sj)
+    p = _SurfacePoint(surface, u, v)
+    fb = _forms_of(p)
+    cur = _curvatures_of(p)
     K, H = cur.K, cur.H
     worst = 0.0
     scale = 1e-300
@@ -532,8 +556,12 @@ def form_identity_residual(surface, u, v):
 
 def _area_element(surface, u, v):
     """((r_uu, r_uv, r_vv), n, sqrt(a)) as Vec3s and a float, from the
-    order-2 kernel, with the arithmetic of _SurfaceJets' values."""
-    _, E1, E2, *second = [Vec3(*r) for r in surface.kernel(u, v)]
+    order-2 kernel, with the arithmetic of _SurfacePoint's values."""
+    try:
+        k = surface.kernel(u, v)
+    except OverflowError:
+        raise _overflow(u, v) from None
+    _, E1, E2, *second = [Vec3(*r) for r in k]
     cross = E1.cross(E2)
     a = cross.norm_sq()
     _check_regular(a, E1.dot(E1) + E2.dot(E2), u, v)
@@ -565,7 +593,7 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
 
 def angle_between(surface, u, v, A, B):
     """Angle in [0, pi] between tangent vectors given by surface components."""
-    E, F, G = _SurfaceJets(surface, u, v).EFG
+    E, F, G = _SurfacePoint(surface, u, v).EFG
     na = math.sqrt(_metric_dot(E, F, G, A, A))
     nb = math.sqrt(_metric_dot(E, F, G, B, B))
     if na == 0.0 or nb == 0.0:
@@ -576,11 +604,11 @@ def angle_between(surface, u, v, A, B):
 
 def sin_angle_between(surface, u, v, A, B):
     """sin(theta) via the surface alternating tensor, for cross-checks."""
-    sj = _SurfaceJets(surface, u, v)
-    E, F, G = sj.EFG
+    p = _SurfacePoint(surface, u, v)
+    E, F, G = p.EFG
     A = _metric_unit(E, F, G, A)
     B = _metric_unit(E, F, G, B)
-    return sj.sqrt_a * (A[0] * B[1] - A[1] * B[0])
+    return p.sqrt_a * (A[0] * B[1] - A[1] * B[0])
 
 
 def dupin_classification(surface, u, v):

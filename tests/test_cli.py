@@ -107,6 +107,13 @@ class TestEval:
         assert len(data["records"]) == 9
         assert all(r["value"]["K"] == 0.0 for r in data["records"])
 
+    def test_large_sphere_needs_no_third_partials(self, capsys):
+        # curvature reads order 2 of the position: K = 1/R^2 even where
+        # third partials of the jets would overflow
+        code, out = run(capsys, "eval", "--shape", "sphere", "--param",
+                        "R=1e30", "--at", "0.3,0.2", "--quantity", "K")
+        assert code == 0 and "K = 1e-60" in out
+
     def test_evaluation_error_exit_code(self, capsys):
         code, _ = run(capsys, "eval", "--shape", "helix", "--at", "t=0",
                       "--quantity", "nonsense")
@@ -546,8 +553,8 @@ class TestMalformedInput:
         assert line.startswith("error: ") and named in line
 
     @pytest.mark.parametrize("argv, code", [
-        (["eval", "--shape", "sphere", "--param", "R=1e30", "--at", "0.3,0.2",
-          "--quantity", "K"], 3),
+        (["eval", "--shape", "monge", "--param", "f=exp(1000*u)", "--at",
+          "0.8,0.2", "--quantity", "K"], 3),
         (["eval", "--shape", "sphere", "--param", "R=1e100", "--at",
           "0.3,0.2", "--quantity", "K"], 3),
         (["eval", "--shape", "sphere", "--param", "R=1e308", "--at",
@@ -560,6 +567,30 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "OverflowError" in err.strip().splitlines()[0]
+
+    @pytest.mark.parametrize("z, argv, named", [
+        # |r_u| near 1e110 against |r_v| = 1: singular by the relative floor
+        ("sin(1e110*u)", ["eval", "--at", "0.3,0.2", "--quantity",
+                          "curvatures"],
+         "SingularSurfacePoint: surface is singular at (u, v)=(0.3, 0.2)"),
+        ("exp(1000*u)", ["eval", "--at", "0.8,0.2", "--quantity",
+                         "curvatures"],
+         "OverflowError: surface jets overflow at (u, v)=(0.8, 0.2)"),
+        # regular, but Codazzi's third partials cube a first partial of
+        # 1e110
+        ("1e-100*sin(1e110*u)", ["verify", "--seed", "1", "--samples", "4"],
+         "error: OverflowError: surface jets overflow at (u, v)="
+         "(0.14898967434790517, 0.8335363874597433)"),
+    ], ids=["eval-singular", "eval-overflow", "verify-third-order"])
+    def test_overflow_names_the_point(self, z, argv, named, capsys,
+                                      tmp_path):
+        path = tmp_path / "steep.ps"
+        path.write_text("surface steep\nparam u in [0, 1]\n"
+                        f"param v in [0, 1]\nx = u\ny = v\nz = {z}\n")
+        assert main([argv[0], "--file", str(path), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err.strip().splitlines()[0]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",

@@ -314,8 +314,21 @@ def _outcome(fn, u, v):
 
 
 class TestPositionKernel:
-    """The generated order-2 kernel equals the Jet2 coefficients (==) and
-    raises what the Jet2 evaluation raises."""
+    """The generated kernels equal the Jet2 coefficients (==) and raise what
+    the Jet2 evaluation raises: ``kernel`` its first six triples,
+    ``kernel3`` all ten."""
+
+    @staticmethod
+    def _both(shape, u, v):
+        """(order-2 kernel, order-3 kernel, Jet2 reference) outcomes."""
+        want = _outcome(shape._jet_kernel, u, v)
+        return (_outcome(shape.kernel, u, v), _outcome(shape.kernel3, u, v),
+                want[:6] if isinstance(want[0], tuple) else want, want)
+
+    def _check(self, shape, u, v):
+        got2, got3, want2, want3 = self._both(shape, u, v)
+        assert got2 == want2
+        assert got3 == want3
 
     @pytest.mark.parametrize("name", [n for n in catalog.names()
                                       if catalog.entry(n).kind == "surface"])
@@ -323,14 +336,15 @@ class TestPositionKernel:
         shape = catalog.make(name)
         rng = random.Random(zlib.crc32(name.encode()))
         for u, v in surface_samples(name, shape, rng, 100):
-            assert shape.kernel(u, v) == shape._jet_kernel(u, v)
+            assert len(shape.kernel3(u, v)) == 10
+            self._check(shape, u, v)
 
     def test_every_construct_equals_jet2(self):
         shape = _surface(EVERYTHING)
         rng = random.Random(zlib.crc32(b"everything"))
         for _ in range(100):
             u, v = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
-            assert shape.kernel(u, v) == shape._jet_kernel(u, v)
+            self._check(shape, u, v)
 
     @pytest.mark.parametrize("consts", [{"n": -3.0}, {"n": 0.5}, {"m": 2.0},
                                         {"c": 0.0}],
@@ -340,15 +354,15 @@ class TestPositionKernel:
         # and a zero c that the Jet2 evaluation rejects
         shape = _surface(EVERYTHING, **consts)
         for u, v in ((0.3, 0.4), (0.8, 0.15)):
-            assert _outcome(shape.kernel, u, v) \
-                == _outcome(shape._jet_kernel, u, v)
+            self._check(shape, u, v)
 
     def test_variable_exponent_with_vanishing_partials(self):
         # (u + 2)^(c*v) with c = 0: the Jet2 path takes the integer power
         shape = _surface("surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
                          "const c = 0\nx = u\ny = v\nz = (u + 2)^(c*v)\n")
-        assert shape.kernel(0.3, 0.4) == shape._jet_kernel(0.3, 0.4)
+        self._check(shape, 0.3, 0.4)
         assert shape.kernel(0.3, 0.4)[1][2] == 0.0
+        assert shape.kernel3(0.3, 0.4)[6][2] == 0.0
 
     @pytest.mark.parametrize("z, exc, message", [
         ("log(u - 1)", DomainError, "log of non-positive value"),
@@ -364,13 +378,22 @@ class TestPositionKernel:
     def test_errors_match_jet2(self, z, exc, message):
         shape = _surface(f"surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
                          f"const c = 1\nx = u\ny = v\nz = {z}\n")
-        got = _outcome(shape.kernel, 0.5, 0.25)
-        assert got == _outcome(shape._jet_kernel, 0.5, 0.25)
-        assert got[0] is exc and message in got[1]
+        got2, got3, want2, want3 = self._both(shape, 0.5, 0.25)
+        assert got2 == got3 == want2 == want3
+        assert got2[0] is exc and message in got2[1]
+
+    def test_third_order_overflow_matches_jet2(self):
+        # Jet2._compose cubes a first partial near 1e110, which overflows;
+        # order 2 cubes none
+        shape = _surface("surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
+                         "x = u\ny = v\nz = 1e-100*sin(1e110*u)\n")
+        got2, got3, _, want3 = self._both(shape, 0.3, 0.2)
+        assert got3 == want3 and got3[0] is OverflowError
+        assert all(map(math.isfinite, sum(got2, ())))
 
     def test_random_definitions_match_jet2(self):
         rng = random.Random(zlib.crc32(b"random kernels"))
-        compared = 0
+        compared = [0, 0]
         for _ in range(60):
             comps = tuple(random_tree(rng, rng.randint(1, 4), ("u", "v"))
                           for _ in range(3))
@@ -380,10 +403,11 @@ class TestPositionKernel:
                 components=comps, component_names=("x", "y", "z")))
             for _ in range(4):
                 u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-                want = _outcome(shape._jet_kernel, u, v)
-                if (isinstance(want[0], tuple) and not all(
-                        map(math.isfinite, sum(want, ())))):
-                    continue
-                assert _outcome(shape.kernel, u, v) == want
-                compared += 1
-        assert compared >= 200
+                got2, got3, want2, want3 = self._both(shape, u, v)
+                for k, got, want in ((0, got2, want2), (1, got3, want3)):
+                    if (isinstance(want[0], tuple) and not all(
+                            map(math.isfinite, sum(want, ())))):
+                        continue
+                    assert got == want
+                    compared[k] += 1
+        assert min(compared) >= 200

@@ -733,19 +733,20 @@ class TestLiouvilleAndBonnet:
 
 
 class TestEvaluationsPerPoint:
-    """Each check evaluates the shape once per jet kind it needs: one Jet2
-    for the surface jets, one Jet1 for the composite space curve."""
+    """Each check evaluates the shape's definition only for the composite
+    space curve, once, in Jet1; the surface point reads the generated
+    kernel."""
 
     CURVE = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t
                                            + 0.2 * t * t), (0.0, 1.5))
 
     @pytest.mark.parametrize("check, expected", [
-        (bonnet_torsion_check, {"Jet2": 1, "Jet1": 1}),
-        (liouville_check, {"Jet2": 1, "Jet1": 1}),
-        (curvature_split, {"Jet2": 1, "Jet1": 1}),
-        (geodesic_torsion, {"Jet2": 1, "Jet1": 1}),
-        (kappa_n_quotient, {"Jet2": 1}),
-        (geodesic_torsion_principal, {"Jet2": 1}),
+        (bonnet_torsion_check, {"Jet1": 1}),
+        (liouville_check, {"Jet1": 1}),
+        (curvature_split, {"Jet1": 1}),
+        (geodesic_torsion, {"Jet1": 1}),
+        (kappa_n_quotient, {}),
+        (geodesic_torsion_principal, {}),
     ], ids=["bonnet", "liouville", "split", "tau_g", "kappa_n_quotient",
             "tau_g_principal"])
     def test_pointwise_checks(self, monkeypatch, check, expected):
@@ -769,4 +770,4 @@ class TestEvaluationsPerPoint:
         loop = BoundaryLoop(arcs=[SurfaceCurve.const_v(SPHERE, 0.3)],
                             corner_angles=[0.0], region_rects=[])
         gauss_bonnet_local(SPHERE, loop)
-        assert per_call == [{"Jet2": 1, "Jet1": 1}]
+        assert per_call == [{"Jet1": 1}]

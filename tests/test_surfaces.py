@@ -11,14 +11,17 @@ from diffgeo import catalog, expr
 from diffgeo import jets as J
 from diffgeo.errors import SingularSurfacePoint, ZeroVector
 from diffgeo.quadrature import QuadSpec
-from diffgeo.surfaces import (ParametricSurface, _SurfaceJets, angle_between,
+from diffgeo.surfaces import (ParametricSurface, _SurfacePoint, angle_between,
                               codazzi_compatibility_residuals, curvatures,
                               dupin_classification, form_identity_residual,
                               forms, gauss_weingarten_residuals,
                               metric_and_gamma, riemann_R1212,
                               sin_angle_between, surface_area, surface_frame,
                               total_curvature)
-from diffgeo.vectors import Vec3
+from diffgeo.surfacecurves import (SurfaceCurve, bonnet_torsion_check,
+                                   curvature_split, liouville_check,
+                                   principal_direction_field)
+from diffgeo.vectors import Vec3, _spread
 
 from conftest import count_evals, surface_samples
 
@@ -30,6 +33,30 @@ TORUS = catalog.make("torus")
 CATENOID = catalog.make("catenoid")
 CYLINDER = catalog.make("cylinder", rho=2.0)
 MONGE_SADDLE = catalog.make("monge", f="u^2 - v^2")
+SURFACE_NAMES = [n for n in catalog.names()
+                 if catalog.entry(n).kind == "surface"]
+# a callable written over jets, not a definition
+BOWL = ParametricSurface(
+    lambda u, v: Vec3(u * J.cos(v), u * J.sin(v), 0.5 * u * u + J.exp(u)),
+    (0.5, 2.0, -3.0, 3.0))
+
+
+def _plain(x):
+    """Results as nested tuples of floats, so that == compares values."""
+    if isinstance(x, Vec3):
+        return tuple(x)
+    if hasattr(x, "__dataclass_fields__"):
+        return tuple(_plain(getattr(x, f)) for f in x.__dataclass_fields__)
+    if isinstance(x, (tuple, list)):
+        return tuple(_plain(e) for e in x)
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return _plain(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestFrame:
@@ -72,6 +99,43 @@ class TestFrame:
         far = catalog.make("monge", f="1e200")
         assert far.scale == catalog.make("monge", f="0").scale
         surface_frame(far, 0.3, 0.2)    # regular, as the plane z = 0 is
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES + ["callable"])
+    def test_scale_equals_jet2_probe(self, name):
+        # the probes read the kernel's r, which is the Jet2 value slot
+        shape = BOWL if name == "callable" else catalog.make(name)
+        u0, u1, v0, v1 = shape.domain
+        probes = []
+        for i in range(4):
+            for j in range(4):
+                try:
+                    probes.append(shape.eval(u0 + (u1 - u0) * (i + 0.5) / 4,
+                                             v0 + (v1 - v0) * (j + 0.5) / 4)
+                                  .value())
+                except Exception:
+                    continue
+        assert shape.scale == _spread(probes)
+
+    @pytest.mark.parametrize("kernel", ["generated", "jet2"])
+    def test_overflow_names_the_point(self, kernel):
+        # regular at order 2; Jet2._compose's u ** 3 overflows on the
+        # first partial 1e110 of the sine's argument
+        steep = catalog.build(expr.load_definition(
+            "surface steep\nparam u in [0, 1]\nparam v in [0, 1]\n"
+            "x = u\ny = v\nz = 1e-100*sin(1e110*u)\n"))
+        fns = [codazzi_compatibility_residuals, riemann_R1212,
+               lambda s, u, v: curvature_split(
+                   SurfaceCurve.straight(s, (u, v), (1.0, 0.0)), 0.0)]
+        if kernel == "jet2":    # one Jet2 evaluation computes order 3
+            steep = ParametricSurface(steep.evaluator, steep.domain)
+            fns.append(curvatures)
+        else:
+            assert math.isfinite(curvatures(steep, 0.3, 0.2).H)
+        for fn in fns:
+            with pytest.raises(OverflowError,
+                               match=r"^surface jets overflow at "
+                                     r"\(u, v\)=\(0\.3, 0\.2\)$"):
+                fn(steep, 0.3, 0.2)
 
     def test_sphere_normal_radial_unit(self):
         fr = surface_frame(SPHERE2, 1.1, 0.0)
@@ -117,12 +181,12 @@ class TestForms:
         for name, shape in (("torus", TORUS), ("catenoid", CATENOID),
                             ("monge", MONGE_SADDLE)):
             for u, v in surface_samples(name, shape, rng, 8):
-                sj = _SurfaceJets(shape, u, v)
+                sj = _SurfacePoint(shape, u, v)
                 fb = forms(shape, u, v)
                 a = fb.a
                 Eup = (sj.E1 * (fb.G / a)) - (sj.E2 * (fb.F / a))
                 Evp = (sj.E2 * (fb.E / a)) - (sj.E1 * (fb.F / a))
-                r_uu, r_uv, r_vv = sj.second_partials()
+                r_uu, r_uv, r_vv = sj.second_partials
                 want = (r_uu.dot(Eup), r_uu.dot(Evp), r_uv.dot(Eup),
                         r_uv.dot(Evp), r_vv.dot(Eup), r_vv.dot(Evp))
                 for have, ref in zip(fb.gamma2, want):
@@ -132,15 +196,16 @@ class TestForms:
         # da_ab/du^c = [ac,b] + [bc,a]
         rng = random.Random(12)
         for u, v in surface_samples("torus", TORUS, rng, 10):
-            sj = _SurfaceJets(TORUS, u, v)
-            g1 = sj.gamma1()
+            sj = _SurfacePoint(TORUS, u, v)
+            g1 = sj.gamma1
             lut = {(1, 1, 1): g1[0], (1, 1, 2): g1[1], (1, 2, 1): g1[2],
                    (2, 1, 1): g1[2], (1, 2, 2): g1[3], (2, 1, 2): g1[3],
                    (2, 2, 1): g1[4], (2, 2, 2): g1[5]}
-            jets_a = {(1, 1): sj.a11, (1, 2): sj.a12, (2, 2): sj.a22}
-            for (al, be), jet in jets_a.items():
-                for ga, slot in ((1, 1), (2, 2)):
-                    d_val = jet.c[slot]
+            Eu, Ev, Fu, Fv, Gu, Gv = sj.metric_partials
+            partials = {(1, 1): (Eu, Ev), (1, 2): (Fu, Fv), (2, 2): (Gu, Gv)}
+            for (al, be), pair in partials.items():
+                for ga in (1, 2):
+                    d_val = pair[ga - 1]
                     want = lut[(al, ga, be)] + lut[(be, ga, al)]
                     assert abs(d_val - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -149,9 +214,9 @@ class TestForms:
         rng = random.Random(13)
         for name, shape in (("torus", TORUS), ("catenoid", CATENOID)):
             for u, v in surface_samples(name, shape, rng, 8):
-                sj = _SurfaceJets(shape, u, v)
+                sj = _SurfacePoint(shape, u, v)
                 fb = forms(shape, u, v)
-                dn_du, dn_dv = sj.dn()
+                dn_du, dn_dv = sj.dn
                 for have, want in ((fb.c11, dn_du.dot(dn_du)),
                                    (fb.c12, dn_du.dot(dn_dv)),
                                    (fb.c22, dn_dv.dot(dn_dv))):
@@ -298,8 +363,8 @@ class TestResidualVerifiers:
         rng = random.Random(22)
         for name, shape in (("sphere", SPHERE), ("torus", TORUS)):
             for u, v in surface_samples(name, shape, rng, 10):
-                sj = _SurfaceJets(shape, u, v)
-                dn_du, dn_dv = sj.dn()
+                sj = _SurfacePoint(shape, u, v)
+                dn_du, dn_dv = sj.dn
                 K = curvatures(shape, u, v).K
                 want = sj.E1.cross(sj.E2) * K
                 assert (dn_du.cross(dn_dv) - want).norm() \
@@ -407,21 +472,24 @@ class TestMetricFastPath:
         expr._kernel_binder.cache_clear()
         made = []
 
-        class Counted(expr._Order2):
+        class Counted(expr._Taylor):
             def __init__(self, *args):
                 made.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(expr, "_Order2", Counted)
+        monkeypatch.setattr(expr, "_Taylor", Counted)
         small, large = catalog.make("torus", R=2.0), catalog.make("torus", R=5.0)
-        assert small.kernel(0.7, 1.1) == small._jet_kernel(0.7, 1.1)
-        assert large.kernel(0.7, 1.1) == large._jet_kernel(0.7, 1.1)
+        assert small.kernel(0.7, 1.1) == small._jet_kernel(0.7, 1.1)[:6]
+        assert large.kernel(0.7, 1.1) == large._jet_kernel(0.7, 1.1)[:6]
         assert small.kernel(0.7, 1.1) != large.kernel(0.7, 1.1)
         assert len(made) == 1
+        assert small.kernel3(0.7, 1.1) == small._jet_kernel(0.7, 1.1)
+        assert large.kernel3(0.7, 1.1) == large._jet_kernel(0.7, 1.1)
+        assert [args[0] for args in made] == [2, 3]
 
     def test_jet2_fallback_equals_kernel(self):
         fallback = ParametricSurface(TORUS.evaluator, TORUS.domain)
-        assert fallback.kernel == fallback._jet_kernel
+        assert fallback.kernel3 == fallback._jet_kernel
         rng = random.Random(zlib.crc32(b"fallback"))
         for u, v in surface_samples("torus", TORUS, rng, 50):
             assert metric_and_gamma(fallback, u, v) \
@@ -436,3 +504,36 @@ class TestMetricFastPath:
             assert abs(md.G - fb.G) <= 1e-14 * max(1, fb.G)
             for a, b in zip(md.gamma2, fb.gamma2):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+class TestPointBundle:
+    """The point bundle fed by the generated kernels equals (==) the same
+    bundle fed by one Jet2 evaluation per point."""
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_kernel_fed_equals_jet2_fed(self, name):
+        shape = catalog.make(name)
+        ref = ParametricSurface(shape.evaluator, shape.domain, shape.periodic)
+        rng = random.Random(zlib.crc32(b"bundle " + name.encode()))
+        compared = 0
+        for u, v in surface_samples(name, shape, rng, 12):
+            d = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+            def results(s):
+                straight = SurfaceCurve.straight(s, (u, v), d, (-0.05, 0.05))
+                bent = SurfaceCurve(
+                    s, lambda t: (u + d[0] * t + 0.08 * t * t,
+                                  v + d[1] * t - 0.06 * t * t), (-0.05, 0.05))
+                return ([_outcome(fn, s, u, v) for fn in (
+                            curvatures, forms, riemann_R1212,
+                            gauss_weingarten_residuals,
+                            codazzi_compatibility_residuals,
+                            principal_direction_field)]
+                        + [_outcome(liouville_check, straight, 0.0),
+                           _outcome(bonnet_torsion_check, bent, 0.01)])
+
+            want = results(ref)
+            assert results(shape) == want
+            compared += sum(not (isinstance(w, tuple) and isinstance(
+                w[0], type)) for w in want)
+        assert compared >= 48
