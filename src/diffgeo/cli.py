@@ -14,11 +14,13 @@ import os
 import random
 import sys
 import time
+from functools import partial
 
 from . import catalog, report, verify
 from .curves import classify_curve, frenet, reconstruct_from_kappa_tau
 from .errors import DiffGeoError, InvalidParameter, UmbilicPoint, UnknownShape
-from .expr import compile_expr, eval_literal, load_definition, parse_text
+from .expr import (eval_literal, load_definition, parse_text,
+                   scalar_function)
 from .ode import OdeSpec
 from .quadrature import QuadSpec
 from .surfaces import curvatures, forms, total_curvature
@@ -52,12 +54,17 @@ def _grid(text):
     return counts
 
 
-def _number(text, what):
-    """A finite number written as an expression over numbers and pi."""
+def _argument(read, text, what):
+    """``read(text)``, whose errors are argument errors naming ``what``."""
     try:
-        x = eval_literal(text)
+        return read(text)
     except DiffGeoError as exc:
         raise _Usage(f"{what} {text!r}: {exc}") from None
+
+
+def _number(text, what):
+    """A finite number written as an expression over numbers and pi."""
+    x = _argument(eval_literal, text, what)
     if not math.isfinite(x):
         raise _Usage(f"{what} {text!r} is not finite")
     return x
@@ -105,6 +112,7 @@ def _parse_params(items, ent):
             raise _Usage(f"--param expects k=v, got {item!r}")
         k, v = (x.strip() for x in item.split("=", 1))
         if isinstance(ent.params.get(k), str):
+            _argument(parse_text, v, f"--param {k}")    # syntax only
             out[k] = v
         else:
             out[k] = _number(v, f"--param {k}")
@@ -380,8 +388,8 @@ def cmd_geodesic(args):
 
     rows = []
     for s, st in zip(path.s, path.states):
-        p = shape.eval(st[0], st[1]).value()
-        rows.append((s, st[0], st[1], p.x, p.y, p.z))
+        p = shape.kernel(st[0], st[1])[0]
+        rows.append((s, st[0], st[1], *p))
     _finish(rep, args, csv=("s,u,v,x,y,z".split(","), rows))
     print(f"  length {path.length!r}  max|kappa_g| {max_kg:.3e}")
     _print_summary(rep, skip=("length", "max_kappa_g"))
@@ -486,15 +494,9 @@ def cmd_gauss_bonnet(args):
 def cmd_reconstruct(args):
     rep = report.Report("reconstruct", {"source": "intrinsic",
                                         "kappa": args.kappa, "tau": args.tau})
-    kap_fn = compile_expr(parse_text(args.kappa))
-    tau_fn = compile_expr(parse_text(args.tau))
-
-    def kap(s):
-        return float(kap_fn({"s": s}))
-
-    def tau(s):
-        return float(tau_fn({"s": s}))
-
+    in_s = partial(scalar_function, param="s")
+    kap = _argument(in_s, args.kappa, "--kappa")
+    tau = _argument(in_s, args.tau, "--tau")
     spec = OdeSpec(tol=args.tol)
     rec = reconstruct_from_kappa_tau(
         kap, tau, Vec3(0.0, 0.0, 0.0),

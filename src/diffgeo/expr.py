@@ -24,20 +24,21 @@ Definition files are line oriented::
     z = b*t
 
 Curves declare one parameter, surfaces two (in order u, v), and
-``surfacecurve`` definitions one, with components u and v.  Evaluation
-lifts the parameters into jets, so every derivative a caller reads is an
-exact Taylor coefficient of the definition; :func:`position_kernel`
-generates straight-line code for a surface's partials through order 2 or
-3, and :func:`taped` for jet-generic formulas over such partials.
+``surfacecurve`` definitions one, with components u and v.  One compiler
+makes straight-line code of them (:func:`position_kernel`): at order 0 for
+float or jet parameters, whose derivatives are exact Taylor coefficients,
+and for a surface's partials through order 2 or 3 over floats; :func:`taped`
+records jet-generic formulas.  Expressions nest at most ``MAX_DEPTH`` deep.
 ``loop`` files (boundary arcs for Gauss-Bonnet) are described at
 :func:`_load_loop`.  Errors in either kind of file name the line at fault.
 """
 
 import math
 import re
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import FunctionType
 
 from . import jets
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
@@ -49,7 +50,7 @@ __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
     "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
-    "compile_expr", "eval_literal", "position_kernel", "taped",
+    "eval_literal", "scalar_function", "position_kernel", "taped",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -150,7 +151,17 @@ class Call:
     arg: object
 
 
+# The deepest expression the parser accepts: parentheses, calls, minus signs
+# and carets open at once (each two stack frames at most) and levels of the
+# tree (a sum of n terms has n), so what parses fits the recursion limit.
+MAX_DEPTH = 400
+
+
 class _Parser:
+    """Recursive descent over the grammar above: ``expr`` reads a sum of
+    products in a loop and ``operand`` the rest, atoms included, so a level
+    of parentheses costs two frames.  Both return (tree, levels)."""
+
     def __init__(self, tokens, end_pos):
         self.toks = tokens
         self.i = 0
@@ -159,84 +170,76 @@ class _Parser:
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self):
-        t = self.peek()
-        if t is not None:
-            self.i += 1
-        return t
-
     def fail(self, expected):
         t = self.peek()
-        pos = t.position if t is not None else self.end_pos
-        found = t.lexeme if t is not None else "end of input"
-        raise ParseError(pos, expected, found)
-
-    def expect_op(self, lexeme):
-        t = self.peek()
-        if t is None or t.lexeme != lexeme:
-            self.fail(f"'{lexeme}'")
-        return self.next()
-
-    def left_assoc(self, ops, operand):
-        node = operand()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != "operator" or t.lexeme not in ops:
-                return node
-            self.next()
-            node = BinOp(t.lexeme, node, operand())
-
-    def expr(self):
-        return self.left_assoc("+-", self.term)
-
-    def term(self):
-        return self.left_assoc("*/", self.unary)
-
-    def unary(self):
-        t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme == "^":
-            self.next()
-            node = BinOp("^", node, self.unary())
-        return node
-
-    def atom(self):
-        t = self.peek()
         if t is None:
+            raise ParseError(self.end_pos, expected, "end of input")
+        raise ParseError(t.position, expected, t.lexeme)
+
+    def take(self, lexemes):
+        """The next token, consumed, if its lexeme is one of ``lexemes``."""
+        t = self.peek()
+        if t is not None and t.lexeme in lexemes:
+            self.i += 1
+            return t
+        return None
+
+    def up(self, token, arg, right=None):
+        """(tree, levels) for the operator or call ``token`` over the
+        (tree, levels) operands; ``token`` is blamed past MAX_DEPTH."""
+        levels = max(arg[1], right[1] if right else 0)
+        if levels == MAX_DEPTH:
+            raise ParseError(token.position, f"an expression at most "
+                             f"{MAX_DEPTH} levels deep", token.lexeme)
+        if right:
+            return BinOp(token.lexeme, arg[0], right[0]), levels + 1
+        call = token.kind == "identifier"
+        return (Call(token.lexeme, arg[0]) if call else Neg(arg[0])), levels + 1
+
+    def expr(self, nesting=0):
+        """term (('+'|'-') term)* with term := unary (('*'|'/') unary)*."""
+        total = op = None
+        while True:
+            node = self.operand(nesting)
+            while (t := self.take("*/")) is not None:
+                node = self.up(t, node, self.operand(nesting))
+            if op is not None:
+                node = self.up(op, total, node)
+            total, op = node, self.take("+-")
+            if op is None:
+                return total
+
+    def operand(self, nesting):
+        """unary := '-' unary | power;  power := atom ('^' unary)?"""
+        if nesting > MAX_DEPTH:
+            self.fail(f"at most {MAX_DEPTH} nested parentheses, calls, minus "
+                      "signs and carets")
+        if (t := self.take("-")) is not None:
+            return self.up(t, self.operand(nesting + 1))
+        t = self.peek()
+        if t is None or not (t.kind in ("number", "identifier")
+                             or t.lexeme == "("):
             self.fail("an expression")
+        self.i += 1
         if t.kind == "number":
-            self.next()
-            return Num(float(t.lexeme))
-        if t.kind == "identifier":
-            self.next()
-            nxt = self.peek()
-            if nxt is not None and nxt.lexeme == "(":
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(t.lexeme, arg)
-            if t.lexeme in _CONSTANTS:
-                return Const(t.lexeme)
-            return Var(t.lexeme)
-        if t.lexeme == "(":
-            self.next()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail("an expression")
+            atom = Num(float(t.lexeme)), 1
+        elif t.kind == "identifier" and self.take("(") is None:
+            atom = (Const if t.lexeme in _CONSTANTS else Var)(t.lexeme), 1
+        else:       # a parenthesized expression or a call's argument
+            atom = self.expr(nesting + 1)
+            if self.take(")") is None:
+                self.fail("')'")
+            if t.kind == "identifier":
+                atom = self.up(t, atom)
+        if (t := self.take("^")) is not None:
+            return self.up(t, atom, self.operand(nesting + 1))
+        return atom
 
 
 def parse(tokens, end_pos=0):
     """Parse a full token stream into an Expr tree."""
     p = _Parser(list(tokens), end_pos)
-    node = p.expr()
+    node, _ = p.expr()
     left = p.peek()
     if left is not None:
         raise ParseError(left.position, "end of expression", left.lexeme)
@@ -269,7 +272,7 @@ def to_text(node):
         prec = _PREC[n.op]
         # '-' and '/' are left-associative; '^' is right-associative
         lp = go(n.left, prec if n.op != "^" else prec + 1, False)
-        rp = go(n.right, prec + (1 if n.op in "+-*/" else 0), True)
+        rp = go(n.right, prec + (1 if n.op in "+-*/" else 0), n.op != "^")
         body = f"{lp}{n.op}{rp}"
         need = parent_prec > prec or (parent_prec == prec and is_right)
         return f"({body})" if need else body
@@ -282,11 +285,10 @@ def to_text(node):
 # --------------------------------------------------------------------------
 
 def eval_scalar(node, env):
-    """Evaluate ``node`` once with ``env`` mapping identifier -> float or jet.
-
-    A tree evaluated more than once is compiled once with
-    :func:`compile_expr` instead."""
-    return compile_expr(node)(env)
+    """Evaluate ``node`` once with ``env`` mapping identifier -> float or
+    jet, through the order-0 code that :func:`position_kernel` binds."""
+    return _kernel_binder((_postfix(node),), tuple(env), (), 0)(
+        *env.values())[0][0]
 
 
 def _div(l, r):
@@ -295,84 +297,68 @@ def _div(l, r):
     return l / r
 
 
-def compile_expr(node):
-    """Compile an Expr tree into a closure over an env dict (identifier ->
-    float or jet), so that repeated evaluation pays no per-node dispatch;
-    shape evaluators sit inside ODE right-hand sides."""
-    if isinstance(node, Num):
-        c = node.value
-        return lambda env: c
-    if isinstance(node, Const):
-        c = _CONSTANTS[node.name]
-        return lambda env: c
-    if isinstance(node, Var):
-        name = node.name
-
-        def ref(env, name=name):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnknownIdentifier(
-                    f"undeclared identifier {name!r}") from None
-
-        return ref
-    if isinstance(node, Neg):
-        arg = compile_expr(node.arg)
-        return lambda env: -arg(env)
-    if isinstance(node, Call):
-        fn = FUNCTIONS.get(node.fn)
-        if fn is None:
-            name = node.fn
-
-            def bad(env, name=name):
-                if name in env or name in _CONSTANTS:
-                    raise ArityError(f"{name!r} is not a function")
-                raise UnknownIdentifier(f"unknown function {name!r}")
-
-            return bad
-        arg = compile_expr(node.arg)
-        return lambda env: fn(arg(env))
-    left = compile_expr(node.left)
-    right = compile_expr(node.right)
-    op = node.op
-    if op == "+":
-        return lambda env: left(env) + right(env)
-    if op == "-":
-        return lambda env: left(env) - right(env)
-    if op == "*":
-        return lambda env: left(env) * right(env)
-    if op == "/":
-        def div(env):
-            r = right(env)
-            if isinstance(r, (int, float)):
-                return _div(left(env), r)
-            return left(env) / r
-
-        return div
-    return lambda env: jets.power(left(env), right(env))
-
-
 def eval_literal(text):
-    """A number written as an expression over numbers and pi, e.g. ``pi/6``."""
+    """A number written as an expression over numbers and pi, e.g. ``pi/6``:
+    the folded value, or the error that folding left to the code to raise."""
+    program = _closed(text, (), "a number")
+    gen = _Taylor(0)
+    value = gen.gen(program)
+    return float(_kernel_binder((program,), (), (), 0)()[0][0] if gen.lines
+                 else value)
+
+
+def scalar_function(text, param):
+    """``text`` as the float function of its one free name ``param``.
+    Malformed text raises LexError or ParseError, another name
+    UnknownIdentifier."""
+    program = _closed(text, (param,), f"an expression in {param}")
+    kernel = _kernel_binder((program,), (param,), (), 0)
+    return lambda x: float(kernel(x)[0][0])
+
+
+def _closed(text, params, what):
+    """The program of ``text``, whose free names must be among ``params``."""
     node = parse_text(text)
-    free = _free_names(node, set())
+    free = sorted(_free_names(node) - set(params))
     if free:
         raise UnknownIdentifier(
-            f"a number may not reference {', '.join(map(repr, sorted(free)))}")
-    return float(compile_expr(node)({}))
+            f"{what} may not reference {', '.join(map(repr, free))}")
+    return _postfix(node)
 
 
-def _free_names(node, acc):
+def _free_names(node):
     if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, Neg):
-        _free_names(node.arg, acc)
-    elif isinstance(node, BinOp):
-        _free_names(node.left, acc)
-        _free_names(node.right, acc)
-    elif isinstance(node, Call):
-        _free_names(node.arg, acc)
-    return acc
+        return {node.name}
+    if isinstance(node, BinOp):
+        return _free_names(node.left) | _free_names(node.right)
+    return _free_names(node.arg) if isinstance(node, (Neg, Call)) else set()
+
+
+def _postfix(node):
+    """``node`` as flat postfix code in evaluation order, run by _Taylor and
+    hashed by the binder's cache without recursion: (op, arg) pairs, a
+    divisor before its dividend, a call of a non-function one 'fail' op."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, tuple):
+            out.append(n)
+        elif isinstance(n, Num):
+            out.append(("num", n.value))
+        elif isinstance(n, Const):
+            out.append(("num", _CONSTANTS[n.name]))
+        elif isinstance(n, Var):
+            out.append(("var", n.name))
+        elif isinstance(n, Neg):
+            todo += [("neg", None), n.arg]
+        elif isinstance(n, Call):
+            todo += ([("call", n.fn), n.arg] if n.fn in FUNCTIONS
+                     else [("fail", n.fn)])
+        elif n.op == "/":
+            todo += [("/", None), n.left, n.right]
+        else:
+            todo += [(n.op, None), n.right, n.left]
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -387,24 +373,33 @@ def position_kernel(definition, fallback, order=2):
     per template (components, parameter and constant names) and order, and
     bound here to the constant values.  ``fallback(u, v)`` gives the ten
     triples from one Jet2 evaluation; the kernel defers to it where the
-    Jet2 ``power`` branches on what the kernel does not decide."""
-    bind = _kernel_binder(definition.components, tuple(definition.params),
-                          tuple(definition.constants), order)
-    return bind(fallback, *definition.constants.values())
+    Jet2 ``power`` branches on what the kernel does not decide.  At
+    ``order`` 0 the kernel of any definition takes its parameters as floats
+    or jets and returns its one row of components; it needs no fallback."""
+    kernel = _kernel_binder(tuple(map(_postfix, definition.components)),
+                            tuple(definition.params),
+                            tuple(definition.constants), order)
+    return FunctionType(kernel.__code__, kernel.__globals__, kernel.__name__,
+                        (fallback, *definition.constants.values()))
 
 
 @lru_cache(maxsize=128)
-def _kernel_binder(components, params, constants, order):
+def _kernel_binder(programs, params, constants, order):
+    """The kernel generated for a template, its defaults (_fallback and the
+    constants) None until position_kernel binds them in a copy; one function
+    compiles faster than a closure."""
     gen = _Taylor(order, params, constants)
-    outs = [gen.add(gen.gen(c), gen.zero) for c in components]  # all jets
-    rows = ", ".join("(" + ", ".join(_fmt(o[k]) for o in outs) + ")"
-                     for k in range(gen.size))
-    args = "".join(f", _c{i}" for i in range(len(constants)))
-    return _compile([f"def _bind(_fallback{args}):",
-                     "    def _kernel(_u, _v):",
-                     *("        " + line for line in gen.lines),
-                     f"        return ({rows})", "    return _kernel"],
-                    "<position kernel>")["_bind"]
+    outs = [gen.add(gen.gen(p), gen.zero) if order else (gen.gen(p),)
+            for p in programs]  # all jets
+    rows = "".join("(" + "".join(_fmt(o[k]) + ", " for o in outs) + "), "
+                   for k in range(gen.size))
+    args = [*gen.params, "_fallback=None",
+            *(f"_c{i}=None" for i in range(len(constants)))]
+    # order 0 has few lines, which cost less to compile than to inline
+    return _compile([f"def _kernel({', '.join(args)}):",
+                     *("    " + line for line in gen.lines),
+                     f"    return ({rows})"], "<position kernel>", order > 0
+                    )["_kernel"]
 
 
 @lru_cache(maxsize=None)
@@ -448,9 +443,10 @@ def _tape(formulas):
     return tuple(gen.lines), named
 
 
-def _compile(lines, filename):
+def _compile(lines, filename, inline=True):
     namespace = dict(_KERNEL_GLOBALS)
-    exec(compile("\n".join(_inline(lines)), filename, "exec"), namespace)
+    lines = _inline(lines) if inline else lines
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace
 
 
@@ -544,28 +540,28 @@ _LEIBNIZ = (
 
 class _Taylor:
     """Source transformation (Griewank & Walther, Evaluating Derivatives,
-    ch. 13) of the Jet2 arithmetic through total ``order`` 2 or 3, for an
-    Expr tree over ``params`` and ``constants`` or for a tape: a jet is a
-    tuple of terms, the first 6 Jet2 coefficients f, fu, fv, fuu, fuv, fvv
-    or all 10 (then fuuu, fuuv, fuvv, fvvv), and a float is one term.
-    Operations keep the Jet2 operand order (``x / c`` is ``x * (1/c)``;
-    ``a - b`` is ``a + (-b)``, which rounds alike) and the closure
-    evaluator's order of subtrees, so values and errors match it.  Equal
-    code is emitted once."""
+    ch. 13) of the Jet2 arithmetic through total ``order`` 0, 2 or 3, for
+    programs (see _postfix) over ``params`` and ``constants`` or for a tape:
+    a jet is a tuple of terms, the first 6 Jet2 coefficients f, fu, fv, fuu,
+    fuv, fvv or all 10 (then fuuu, fuuv, fuvv, fvvv), and a float is one
+    term.  At order 0 a parameter is one term, so the code applies the
+    operators and functions of whatever type the argument has.  Jet tuples
+    keep Jet2's operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is
+    ``a + (-b)``) and programs the language's order of evaluation, so values
+    and errors match.  Equal code is emitted once."""
 
     def __init__(self, order, params=(), constants=()):
         self.size = (order + 1) * (order + 2) // 2
         self.zero = (None,) * self.size
-        self.bail = f"return _fallback(_u, _v)[:{self.size}]"
-        self.env = {}
-        if params:
-            u, v = params
-            self.env[u] = ("_u", 1.0) + self.zero[2:]
-            self.env[v] = ("_v", None, 1.0) + self.zero[3:]
+        self.params = [f"_p{i}" for i in range(len(params))]
+        self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
+        self.env = dict(zip(params, self.params))
+        if order and params:    # u and v lifted into jets
+            self.env[params[0]] = ("_p0", 1.0) + self.zero[2:]
+            self.env[params[1]] = ("_p1", None, 1.0) + self.zero[3:]
         self.env.update((c, f"_c{i}") for i, c in enumerate(constants))
         self.lines = []
         self.named = {}     # code -> the local that holds it
-        self.gen = lru_cache(maxsize=None)(self._gen)   # each subtree once
 
     def emit(self, code):
         if code not in self.named:
@@ -589,43 +585,48 @@ class _Taylor:
     def scalar(self, code, fn, *args):
         """A float operation, folded if its operands are literals."""
         if all(isinstance(a, float) for a in args):
-            with suppress(DiffGeoError, ArithmeticError, ValueError):
+            try:
                 return float(fn(*args))
+            except (DiffGeoError, ArithmeticError, ValueError):
+                pass    # raised again where the code runs
         return self.emit(code.format(*map(_fmt, args)))
 
     def fail(self, exc, message):
         self.lines.append(f"raise {exc.__name__}({message!r})")
         return 0.0
 
-    def _gen(self, node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return _CONSTANTS[node.name]
-        if isinstance(node, Var):
-            return self.env.get(node.name) or self.fail(
-                UnknownIdentifier, f"undeclared identifier {node.name!r}")
-        if isinstance(node, Neg):
-            return self.neg(self.gen(node.arg))
-        if isinstance(node, Call):
-            if node.fn in FUNCTIONS:
-                return self.call(node.fn, self.gen(node.arg))
-            if node.fn in self.env or node.fn in _CONSTANTS:
-                return self.fail(ArityError, f"{node.fn!r} is not a function")
-            return self.fail(UnknownIdentifier, f"unknown function {node.fn!r}")
-        if node.op == "/":    # the closure evaluates the divisor first
-            right = self.gen(node.right)
-            return self.div(self.gen(node.left), right)
-        left, right = self.gen(node.left), self.gen(node.right)
-        if node.op == "-":
-            return self.add(left, self.neg(right))
-        return {"+": self.add, "*": self.mul, "^": self.power}[node.op](
-            left, right)
+    def gen(self, program):
+        """The value of ``program``: a term, or a jet tuple of terms."""
+        stack = []
+        for op, arg in program:
+            if op == "num":
+                stack.append(arg)
+            elif op == "var":
+                stack.append(self.env.get(arg) or self.fail(
+                    UnknownIdentifier, f"undeclared identifier {arg!r}"))
+            elif op == "fail":
+                stack.append(
+                    self.fail(ArityError, f"{arg!r} is not a function")
+                    if arg in self.env or arg in _CONSTANTS else
+                    self.fail(UnknownIdentifier, f"unknown function {arg!r}"))
+            elif op == "neg":
+                stack.append(self.neg(stack.pop()))
+            elif op == "call":
+                stack.append(self.call(arg, stack.pop()))
+            else:
+                second = stack.pop()
+                stack.append(self.binary[op](self, stack.pop(), second))
+        return stack.pop()
 
     def neg(self, x):
         if isinstance(x, tuple):
             return tuple(None if t is None else self.neg(t) for t in x)
         return -x if isinstance(x, float) else self.emit(f"-{x}")
+
+    def sub(self, a, b):
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            return self.add(a, self.neg(b))
+        return self.scalar("{} - {}", lambda p, q: p - q, a, b)
 
     def add(self, a, b):
         if not isinstance(a, tuple):
@@ -719,6 +720,10 @@ class _Taylor:
             out = self.mul(out, base)
         return self.compose(f"_recip({_fmt(out[0])})", out) if n < 0 else out
 
+    # operands in program order: the divisor before the dividend
+    binary = {"+": add, "-": sub, "*": mul, "^": power,
+              "/": lambda self, divisor, x: self.div(x, divisor)}
+
 
 class _TapeJet:
     """A jet of _Taylor terms: jet-generic code run on it records its Jet2
@@ -797,38 +802,30 @@ class ShapeDefinition:
     component_names: tuple
 
     @cached_property
-    def compiled(self):
-        return tuple(compile_expr(c) for c in self.components)
+    def _kernel(self):
+        return position_kernel(self, None, 0)
 
     def eval(self, *args, check_domain=True):
-        """Evaluate at jet (or float) parameter values, in declaration order.
-
-        With ``check_domain``, out-of-domain value coefficients raise
-        DomainError.  Kernel wrappers evaluate with ``check_domain=False``
-        (the domain is sampling metadata; shooting solvers probe beyond
-        it)."""
-        names = list(self.params)
-        if len(args) != len(names):
-            raise ArityError(
-                f"{self.kind} takes {len(names)} parameter(s), got {len(args)}")
-        env = dict(self.constants)
-        for name, val in zip(names, args):
-            lo, hi = self.params[name]
-            v0 = val.value if hasattr(val, "value") else float(val)
-            if check_domain and not lo <= v0 <= hi:
-                raise DomainError(
-                    f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
-            env[name] = val
-        seed = env[names[0]]
-        vals = []
-        for fn in self.compiled:
-            out = fn(env)
-            if isinstance(out, (int, float)) and not isinstance(seed, (int, float)):
-                out = seed * 0.0 + out  # constant component lifted to jet kind
-            vals.append(out)
-        if len(vals) == 3:
-            return Vec3(*vals)
-        return tuple(vals)
+        """Evaluate at float or jet parameter values, in declaration order,
+        through the order-0 code of :func:`position_kernel`; a constant
+        component is lifted to the jet kind of the first argument.  With
+        ``check_domain``, out-of-domain value coefficients raise DomainError
+        (kernel wrappers pass False: the domain is sampling metadata, and
+        shooting solvers probe beyond it)."""
+        if len(args) != len(self.params):
+            raise ArityError(f"{self.kind} takes {len(self.params)} "
+                             f"parameter(s), got {len(args)}")
+        if check_domain:
+            for (name, (lo, hi)), val in zip(self.params.items(), args):
+                v0 = val.value if hasattr(val, "value") else float(val)
+                if not lo <= v0 <= hi:
+                    raise DomainError(
+                        f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
+        (vals,) = self._kernel(*args)
+        if not isinstance(args[0], (int, float)):
+            vals = tuple(args[0] * 0.0 + out if isinstance(out, (int, float))
+                         else out for out in vals)
+        return Vec3(*vals) if len(vals) == 3 else vals
 
 
 @dataclass(frozen=True)
@@ -921,7 +918,7 @@ def _load_shape(kind, name, header, lines):
             raise DefinitionError(f"missing component(s): {', '.join(missing)}")
     declared = set(params) | set(constants)
     for cname in wanted:
-        for free in sorted(_free_names(comps[cname], set())):
+        for free in sorted(_free_names(comps[cname])):
             if free not in declared:
                 raise UnknownIdentifier(
                     f"line {comp_line[cname]}: component {cname!r} "

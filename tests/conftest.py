@@ -2,12 +2,14 @@
 and frequently used shapes."""
 
 import collections
+import math
 import random
 
 import pytest
 
-from diffgeo import catalog
-from diffgeo.expr import BinOp, Call, Neg, Num, ShapeDefinition, Var
+from diffgeo import catalog, expr, jets
+from diffgeo.errors import ArityError, UnknownIdentifier
+from diffgeo.expr import BinOp, Call, Const, Neg, Num, ShapeDefinition, Var
 
 
 # --------------------------------------------------------------------------
@@ -81,6 +83,46 @@ def random_tree(rng, depth, var_names=("t",), functions=_ALL_FUNCTIONS):
 
 
 EVAL_SAFE = _SAFE_FUNCTIONS
+
+
+# --------------------------------------------------------------------------
+# reference evaluator (independent of the generated code)
+# --------------------------------------------------------------------------
+
+def reference_eval(node, env):
+    """The documented semantics of an Expr tree as a plain recursive walk:
+    ``env`` maps identifiers to floats or jets, a divisor is evaluated
+    before its dividend and divided by ``expr._div``, '^' is
+    ``jets.power``, a call goes to ``jets.FUNCTIONS``, and an identifier
+    fails in one of three ways."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return {"pi": math.pi}[node.name]
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise UnknownIdentifier(f"undeclared identifier {node.name!r}")
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -reference_eval(node.arg, env)
+    if isinstance(node, Call):
+        if node.fn in jets.FUNCTIONS:
+            return jets.FUNCTIONS[node.fn](reference_eval(node.arg, env))
+        if node.fn in env or node.fn == "pi":
+            raise ArityError(f"{node.fn!r} is not a function")
+        raise UnknownIdentifier(f"unknown function {node.fn!r}")
+    if node.op == "/":
+        divisor = reference_eval(node.right, env)
+        return expr._div(reference_eval(node.left, env), divisor)
+    left = reference_eval(node.left, env)
+    right = reference_eval(node.right, env)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    return jets.power(left, right)
 
 
 # --------------------------------------------------------------------------

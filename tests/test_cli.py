@@ -8,7 +8,10 @@ import os
 import pytest
 
 from diffgeo.cli import main
+from diffgeo.expr import MAX_DEPTH
 from diffgeo.report import dump_json, format_float
+
+from conftest import count_evals
 
 HELIX_PC = """
 curve helix
@@ -268,6 +271,15 @@ class TestGeodesic:
         data = json.loads(out_json.read_text())
         assert data["summary"]["max_kappa_g"] <= 1e-7
 
+    def test_path_rows_evaluate_no_jet2(self, capsys, tmp_path,
+                                        monkeypatch):
+        # x, y, z of each path sample come from the float kernel
+        counts = count_evals(monkeypatch)
+        code, _ = run(capsys, "geodesic", "--shape", "torus", "--from",
+                      "0,0", "--to", "2,1", "--csv", str(tmp_path / "g.csv"))
+        assert code == 0
+        assert counts["Jet2"] == 0
+
     def test_solver_failure_exit_code(self, capsys):
         # antipodal points: degenerate multiplicity propagates as exit 5
         code, _ = run(capsys, "geodesic", "--shape", "sphere", "--from",
@@ -427,6 +439,28 @@ class TestReconstruct:
                       "--length", "1.0")
         assert code == 3
 
+    @pytest.mark.parametrize("flag, text, named", [
+        ("--kappa", "0.8+", "expected an expression at byte offset 4"),
+        ("--kappa", "q", "an expression in s may not reference 'q'"),
+        ("--tau", "sin(", "expected an expression at byte offset 4"),
+        ("--tau", "s*t", "an expression in s may not reference 't'"),
+    ], ids=["kappa-syntax", "kappa-name", "tau-syntax", "tau-name"])
+    def test_malformed_expression_exit_2(self, flag, text, named, capsys):
+        exprs = {"--kappa": "0.8", "--tau": "0.4", flag: text}
+        code = main(["reconstruct", "--kappa", exprs["--kappa"], "--tau",
+                     exprs["--tau"], "--length", "1"])
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert line.startswith(f"error: {flag} {text!r}: ") and named in line
+
+    def test_run_time_error_exit_3(self, capsys):
+        # s = 0.5 is the middle of the 257 samples
+        code = main(["reconstruct", "--kappa", "1/(s-0.5)", "--tau", "0",
+                     "--length", "1"])
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert line == "error: DomainError: division by zero"
+
 
 BAD_FILES = {
     "bad.ps": "surface s\nparam u in [0, 1]\nparam v in 0, 1]\nx = u\n"
@@ -551,6 +585,31 @@ class TestMalformedInput:
         assert code == 2
         (line,) = err.strip().splitlines()
         assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--file", "deep.ps", "--at", "0.1,0.2", "--quantity", "K"],
+         "deep.ps: line 6: expected an expression at most"),
+        (["eval", "--shape", "sphere", "--at", "DEEP,0.2", "--quantity",
+          "K"], "--at 'sin(sin("),
+        (["eval", "--shape", "sphere", "--param", "R=DEEP", "--at", "0.1,0.2",
+          "--quantity", "K"], "--param R 'sin(sin("),
+        (["eval", "--shape", "monge", "--param", "f=DEEP", "--at", "0.1,0.2",
+          "--quantity", "K"], "--param f 'sin(sin("),
+        (["reconstruct", "--kappa", "DEEP", "--tau", "0", "--length", "1"],
+         "--kappa 'sin(sin("),
+    ], ids=["file", "at", "param", "param-text", "kappa"])
+    def test_over_deep_expression_exit_2(self, argv, named, capsys,
+                                         monkeypatch, tmp_path):
+        deep = "sin(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+        (tmp_path / "deep.ps").write_text(
+            "surface s\nparam u in [0, 1]\nparam v in [0, 1]\nx = u\n"
+            f"y = v\nz = u*{deep}\n")
+        monkeypatch.chdir(tmp_path)
+        code = main([a.replace("DEEP", deep) for a in argv])
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert line.startswith("error: ") and named in line
+        assert f"at most {MAX_DEPTH} levels deep" in line
 
     @pytest.mark.parametrize("argv, code", [
         (["eval", "--shape", "monge", "--param", "f=exp(1000*u)", "--at",

@@ -9,11 +9,14 @@ import pytest
 from diffgeo import catalog
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier)
-from diffgeo.expr import (ShapeDefinition, eval_scalar, load_definition,
-                          parse_text, to_text, tokenize)
+from diffgeo.expr import (MAX_DEPTH, ShapeDefinition, eval_literal,
+                          eval_scalar, load_definition, parse_text, to_text,
+                          tokenize)
 from diffgeo.jets import Jet1, Jet2
 
-from conftest import EVAL_SAFE, fd_derivative, random_tree, surface_samples
+from conftest import (EVAL_SAFE, fd_derivative, random_tree, reference_eval,
+                      surface_samples)
+from test_cli_fuzz import NUMBERS
 
 HELIX_TEXT = """
 # a circular helix
@@ -411,3 +414,192 @@ class TestPositionKernel:
                     assert got == want
                     compared[k] += 1
         assert min(compared) >= 200
+
+
+def _canon(value):
+    """``value`` as a comparable key: floats by repr (NaN equals NaN, -0.0
+    differs from 0.0), jets by kind and coefficients, vectors and tuples
+    component by component."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (Jet1, Jet2)):
+        return type(value).__name__, tuple(map(repr, value.c))
+    if hasattr(value, "z"):
+        value = (value.x, value.y, value.z)
+    return tuple(map(_canon, value))
+
+
+def _result(fn, *args):
+    """The canonical value of fn(*args), or the type and message of what it
+    raised."""
+    try:
+        return _canon(fn(*args))
+    except (DiffGeoError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_shape(definition, *args):
+    """ShapeDefinition.eval's contract through reference_eval: every
+    component in order, a float one lifted to the first argument's jet."""
+    env = dict(definition.constants)
+    env.update(zip(definition.params, args))
+    vals = [reference_eval(c, env) for c in definition.components]
+    if not isinstance(args[0], float):
+        vals = [args[0] * 0.0 + v if isinstance(v, float) else v for v in vals]
+    return vals
+
+
+def _arguments(definition, rng, point):
+    """Float, Jet1 and (surfaces) Jet2 arguments at ``point``: floats, the
+    variable lifts, and a general Jet1 such as a surface curve composes."""
+    general = tuple(Jet1(x, *(rng.uniform(-1.0, 1.0) for _ in range(4)))
+                    for x in point)
+    if len(point) == 1:
+        return [point, (Jet1.variable(point[0]),), general]
+    u, v = point
+    return [point, (Jet2.variable_u(u), Jet2.variable_v(v)), general]
+
+
+class TestOrderZero:
+    """ShapeDefinition.eval, eval_scalar and eval_literal, which run the
+    generated order-0 code, equal the reference walk of the same trees:
+    values by repr (signed zeros and NaN included) and errors by type and
+    message."""
+
+    def _check(self, definition, rng, points):
+        compared = 0
+        for point in points:
+            for args in _arguments(definition, rng, point):
+                want = _result(_reference_shape, definition, *args)
+                got = _result(lambda *a: definition.eval(
+                    *a, check_domain=False), *args)
+                assert got == want, (to_text(definition.components[0]), args)
+                env = dict(definition.constants)
+                env.update(zip(definition.params, args))
+                for c in definition.components:
+                    assert (_result(eval_scalar, c, env)
+                            == _result(reference_eval, c, env))
+                compared += 1
+        return compared
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_templates(self, name):
+        definition, _ = catalog.entry(name).definition()
+        rng = random.Random(zlib.crc32(b"order 0 " + name.encode()))
+        rect = catalog.entry(name).sample_domain or sum(
+            definition.params.values(), ())
+        points = [tuple(rng.uniform(rect[2 * k], rect[2 * k + 1])
+                        for k in range(len(definition.params)))
+                  for _ in range(4)]
+        assert self._check(definition, rng, points) == 12
+
+    @pytest.mark.parametrize("consts", [{}, {"n": -3.0}, {"n": 0.5},
+                                        {"m": 2.0}, {"c": 0.0}],
+                             ids=["as-written", "n=-3", "n=0.5", "m=2",
+                                  "c=0"])
+    def test_every_construct(self, consts):
+        definition = load_definition(EVERYTHING)
+        definition.constants.update(consts)
+        rng = random.Random(zlib.crc32(b"order 0 everything"))
+        points = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+                  for _ in range(5)]
+        self._check(definition, rng, points)
+
+    @pytest.mark.parametrize("z", [
+        "log(u - 1)", "u/(v - v)", "u/(c - 1)", "1/(c - 1) + u",
+        "(v - v)^-2 + u", "sqrt(u - 1)^0.5", "wobble(u)", "c(u)",
+        "log(u - 1) / wobble(u)", "wobble(log(u - 1))", "u(v)", "pi(u)",
+        "q + u", "u - 0", "0 - u", "-0", "0*u - 0", "u^0", "0^u", "u^v",
+        "exp(1000*u)"])
+    def test_errors_and_signed_zeros(self, z):
+        definition = ShapeDefinition(
+            kind="surface", name="s", params={"u": (0.0, 1.0), "v": (0.0, 1.0)},
+            constants={"c": 1.0}, components=tuple(map(parse_text,
+                                                       ("u", "v", z))),
+            component_names=("x", "y", "z"))
+        rng = random.Random(zlib.crc32(z.encode()))
+        self._check(definition, rng, [(0.5, 0.25), (0.0, 0.0), (1.0, 0.75)])
+
+    def test_random_definitions(self):
+        rng = random.Random(zlib.crc32(b"order 0 random"))
+        for _ in range(60):
+            comps = tuple(random_tree(rng, rng.randint(1, 4), ("u", "v"))
+                          for _ in range(3))
+            definition = ShapeDefinition(
+                kind="surface", name="random", constants={},
+                params={"u": (-1.0, 1.0), "v": (-1.0, 1.0)},
+                components=comps, component_names=("x", "y", "z"))
+            points = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                      for _ in range(4)]
+            self._check(definition, rng, points)
+
+    @pytest.mark.parametrize("text", NUMBERS)
+    def test_eval_literal(self, text):
+        got = _result(eval_literal, text)
+        want = _result(lambda: float(reference_eval(parse_text(text), {})))
+        if isinstance(want, tuple) and want[0] is UnknownIdentifier:
+            assert got == (UnknownIdentifier, "a number may not reference "
+                           + want[1].split()[-1])
+        else:
+            assert got == want
+
+
+# each construct nested k deep: k calls, k parentheses, k minus signs, k
+# carets, k pluses; a call, minus, caret or plus adds a level of the tree
+NESTED = {
+    "calls": lambda k: "sin(" * k + "u" + ")" * k,
+    "parentheses": lambda k: "(" * k + "u" + ")" * k,
+    "minus": lambda k: "-" * k + "u",
+    "carets": lambda k: "^".join(["u"] * (k + 1)),
+    "sum": lambda k: "+".join(["u"] * (k + 1)),
+}
+
+
+class TestDepthLimit:
+    """Text nested up to MAX_DEPTH parses and evaluates at orders 0, 2 and 3
+    under the test runner's stack; one level more is a ParseError."""
+
+    @staticmethod
+    def _definition(z):
+        return load_definition("surface s\nparam u in [0, 1]\n"
+                               f"param v in [0, 1]\nx = u\ny = v\nz = {z}\n")
+
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_deepest_accepted_evaluates(self, construct):
+        k = MAX_DEPTH if construct == "parentheses" else MAX_DEPTH - 1
+        z = NESTED[construct](k)
+        definition = self._definition(z)
+        shape = catalog.build(definition)
+        assert (_canon(definition.eval(0.3, 0.4))
+                == _canon(_reference_shape(definition, 0.3, 0.4)))
+        jet = shape.eval(0.3, 0.4).z.c
+        assert shape.kernel(0.3, 0.4)[1][2] == jet[1]
+        assert shape.kernel3(0.3, 0.4)[6][2] == jet[6]
+        text = to_text(definition.components[2])
+        assert to_text(parse_text(text)) == text
+
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_one_level_more_is_a_parse_error(self, construct):
+        k = MAX_DEPTH + 1 if construct == "parentheses" else MAX_DEPTH
+        with pytest.raises(ParseError, match=rf"^line 6: expected (an "
+                           rf"expression at most {MAX_DEPTH} levels deep|at "
+                           rf"most {MAX_DEPTH} nested parentheses)"):
+            self._definition(NESTED[construct](k))
+
+    @pytest.mark.parametrize("text", ["sin(" * 130 + "u" + ")" * 130,
+                                      "+".join(["u"] * 400)],
+                             ids=["sin-130", "sum-400"])
+    def test_long_expressions_still_evaluate(self, text):
+        tree = parse_text(text)
+        assert eval_scalar(tree, {"u": 0.5}) == reference_eval(tree,
+                                                               {"u": 0.5})
+
+    @pytest.mark.parametrize("text", ["sin(" * 5000 + "u" + ")" * 5000,
+                                      "(" * 5000 + "1" + ")" * 5000,
+                                      "-" * 5000 + "1", "2^" * 5000 + "1",
+                                      "+".join(["u"] * 5000)],
+                             ids=["calls", "parentheses", "minus", "carets",
+                                  "sum"])
+    def test_far_too_deep(self, text):
+        with pytest.raises(ParseError):
+            parse_text(text)
