@@ -105,14 +105,16 @@ def _samples(lo, hi):
 
 def _parse_params(items, ent):
     """--param k=v items; the value stays text where the entry's default is
-    an expression (monge's f)."""
+    an expression (monge's f), which must make a valid definition."""
     out = {}
     for item in items or ():
         if "=" not in item:
             raise _Usage(f"--param expects k=v, got {item!r}")
         k, v = (x.strip() for x in item.split("=", 1))
         if isinstance(ent.params.get(k), str):
-            _argument(parse_text, v, f"--param {k}")    # syntax only
+            _argument(parse_text, v, f"--param {k}")    # offsets in v
+            _argument(lambda text: ent.definition({k: text}), v,
+                      f"--param {k}")     # names and calls
             out[k] = v
         else:
             out[k] = _number(v, f"--param {k}")

@@ -28,9 +28,11 @@ Curves declare one parameter, surfaces two (in order u, v), and
 makes straight-line code of them (:func:`position_kernel`): at order 0 for
 float or jet parameters, whose derivatives are exact Taylor coefficients,
 and for a surface's partials through order 2 or 3 over floats; :func:`taped`
-records jet-generic formulas.  Expressions nest at most ``MAX_DEPTH`` deep.
-``loop`` files (boundary arcs for Gauss-Bonnet) are described at
-:func:`_load_loop`.  Errors in either kind of file name the line at fault.
+records jet-generic formulas.  Both compile the lines the generator emits.
+Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
+for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
+kind of file name the line at fault; an undeclared name and a call of
+anything but a function are such errors.
 """
 
 import math
@@ -118,35 +120,59 @@ def tokenize(text):
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Trees compare and hash by their preorder listing of (class, non-tree
+    fields), made in a loop, so the deepest tree the parser accepts needs no
+    recursion."""
+
+    def _preorder(self):
+        out, todo = [], [self]
+        while todo:
+            n = todo.pop()
+            fields = vars(n).values()
+            out.append((type(n), *(f for f in fields
+                                   if not isinstance(f, _Node))))
+            todo += reversed([f for f in fields if isinstance(f, _Node)])
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False)
+class Const(_Node):
     name: str  # builtin named constant (pi)
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str  # + - * / ^
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     fn: str
     arg: object
 
@@ -261,6 +287,8 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def to_text(node):
     def go(n, parent_prec, is_right):
         if isinstance(n, Num):
+            if math.isinf(n.value):     # parsed back as inf
+                return "-1e400" if n.value < 0 else "1e400"
             return repr(n.value) if n.value != int(n.value) else str(int(n.value))
         if isinstance(n, (Var, Const)):
             return n.name
@@ -317,21 +345,30 @@ def scalar_function(text, param):
 
 
 def _closed(text, params, what):
-    """The program of ``text``, whose free names must be among ``params``."""
-    node = parse_text(text)
-    free = sorted(_free_names(node) - set(params))
+    """The program of ``text``, whose free names must be among ``params``
+    and whose calls must be of functions."""
+    program = _postfix(parse_text(text))
+    free = sorted({arg for op, arg in program if op == "var"} - set(params))
     if free:
         raise UnknownIdentifier(
             f"{what} may not reference {', '.join(map(repr, free))}")
-    return _postfix(node)
+    _check_calls(program, params)
+    return program
 
 
-def _free_names(node):
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, BinOp):
-        return _free_names(node.left) | _free_names(node.right)
-    return _free_names(node.arg) if isinstance(node, (Neg, Call)) else set()
+def _call_error(name, names):
+    """The error of a call of ``name``, which is not a function: a
+    parameter or constant among ``names``, or unknown."""
+    if name in names or name in _CONSTANTS:
+        return ArityError(f"{name!r} is not a function")
+    return UnknownIdentifier(f"unknown function {name!r}")
+
+
+def _check_calls(program, names):
+    """Raise the error of the first call in ``program`` of a non-function."""
+    for op, arg in program:
+        if op == "fail":
+            raise _call_error(arg, names)
 
 
 def _postfix(node):
@@ -395,11 +432,9 @@ def _kernel_binder(programs, params, constants, order):
                    for k in range(gen.size))
     args = [*gen.params, "_fallback=None",
             *(f"_c{i}=None" for i in range(len(constants)))]
-    # order 0 has few lines, which cost less to compile than to inline
     return _compile([f"def _kernel({', '.join(args)}):",
                      *("    " + line for line in gen.lines),
-                     f"    return ({rows})"], "<position kernel>", order > 0
-                    )["_kernel"]
+                     f"    return ({rows})"], "<position kernel>")["_kernel"]
 
 
 @lru_cache(maxsize=None)
@@ -443,38 +478,10 @@ def _tape(formulas):
     return tuple(gen.lines), named
 
 
-def _compile(lines, filename, inline=True):
+def _compile(lines, filename):
     namespace = dict(_KERNEL_GLOBALS)
-    lines = _inline(lines) if inline else lines
     exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace
-
-
-_LOCAL = re.compile(r"\b_t\d+\b")
-_CALL = re.compile(r"\w\(|\*\*")
-
-
-def _inline(lines):
-    """Each local set once to plain arithmetic and read once, substituted
-    into its reader in parentheses: the same operations in the same order,
-    which raise nothing, in fewer statements.  ``raise`` lines quote names
-    and stay as they are."""
-    uses = {}
-    for line in lines:
-        if not line.lstrip().startswith("raise "):
-            for name in _LOCAL.findall(line.split(" = ", 1)[-1]):
-                uses[name] = uses.get(name, 0) + 1
-    pending, out = {}, []
-    for line in lines:
-        if not line.lstrip().startswith("raise "):
-            line = _LOCAL.sub(lambda m: pending.pop(m[0], m[0]), line)
-        head, assign, code = line.strip().partition(" = ")
-        if (assign and uses.get(head) == 1 and _LOCAL.fullmatch(head)
-                and not _CALL.search(code) and code.count("(") < 40):
-            pending[head] = f"({code})"    # < 40: far from Python's nesting cap
-        else:
-            out.append(line)
-    return out
 
 
 _KERNEL_GLOBALS = {
@@ -591,8 +598,8 @@ class _Taylor:
                 pass    # raised again where the code runs
         return self.emit(code.format(*map(_fmt, args)))
 
-    def fail(self, exc, message):
-        self.lines.append(f"raise {exc.__name__}({message!r})")
+    def fail(self, exc):
+        self.lines.append(f"raise {type(exc).__name__}({str(exc)!r})")
         return 0.0
 
     def gen(self, program):
@@ -603,12 +610,9 @@ class _Taylor:
                 stack.append(arg)
             elif op == "var":
                 stack.append(self.env.get(arg) or self.fail(
-                    UnknownIdentifier, f"undeclared identifier {arg!r}"))
+                    UnknownIdentifier(f"undeclared identifier {arg!r}")))
             elif op == "fail":
-                stack.append(
-                    self.fail(ArityError, f"{arg!r} is not a function")
-                    if arg in self.env or arg in _CONSTANTS else
-                    self.fail(UnknownIdentifier, f"unknown function {arg!r}"))
+                stack.append(self.fail(_call_error(arg, self.env)))
             elif op == "neg":
                 stack.append(self.neg(stack.pop()))
             elif op == "call":
@@ -765,8 +769,8 @@ class _TapeJet:
         return _TapeJet(self.gen, self.gen.div(float(other), self.c))
 
     def du(self):
-        """As Jet2.du, through order 2: the order-2 slots come from a jet
-        that carries order 3 (the position) and are zero otherwise."""
+        """The jet of the u-partial through order 2: its order-2 slots come
+        from a jet that carries order 3 (the position), else are zero."""
         return self._shift((1, 3, 4, 6, 7, 8))
 
     def dv(self):
@@ -918,11 +922,14 @@ def _load_shape(kind, name, header, lines):
             raise DefinitionError(f"missing component(s): {', '.join(missing)}")
     declared = set(params) | set(constants)
     for cname in wanted:
-        for free in sorted(_free_names(comps[cname])):
-            if free not in declared:
-                raise UnknownIdentifier(
-                    f"line {comp_line[cname]}: component {cname!r} "
-                    f"references undeclared identifier {free!r}")
+        program = _postfix(comps[cname])
+        free = sorted({arg for op, arg in program if op == "var"} - declared)
+        if free:
+            raise UnknownIdentifier(
+                f"line {comp_line[cname]}: component {cname!r} "
+                f"references undeclared identifier {free[0]!r}")
+        with _at_line(comp_line[cname]):
+            _check_calls(program, declared)
 
     return ShapeDefinition(
         kind=kind, name=name, params=params, constants=constants,

@@ -305,16 +305,6 @@ class Jet2:
     def value(self):
         return self.c[0]
 
-    def du(self):
-        """Jet of df/du; exact through total order 2 (order-3 slots zeroed)."""
-        f, fu, fv, fuu, fuv, fvv, fuuu, fuuv, fuvv, fvvv = self.c
-        return _raw2((fu, fuu, fuv, fuuu, fuuv, fuvv, 0.0, 0.0, 0.0, 0.0))
-
-    def dv(self):
-        """Jet of df/dv; exact through total order 2 (order-3 slots zeroed)."""
-        f, fu, fv, fuu, fuv, fvv, fuuu, fuuv, fuvv, fvvv = self.c
-        return _raw2((fv, fuv, fvv, fuuv, fuvv, fvvv, 0.0, 0.0, 0.0, 0.0))
-
     def __repr__(self):
         return f"Jet2{self.c}"
 

@@ -92,10 +92,6 @@ class SurfaceCurve:
         uj, vj = self.uv_jets(t)
         return uj.value, vj.value
 
-    def space_jets(self, t):
-        uj, vj = self.uv_jets(t)
-        return self.surface.evaluator(uj, vj)
-
 
 def _field_along_curve(f, fu, fv, uj, vj):
     """Jet1 of a surface scalar field with value ``f`` and partials
@@ -294,9 +290,10 @@ def geodesic_ivp(surface, u0, v0, direction, length, spec=OdeSpec()):
                         left_domain=outside(sol.ts[-1], sol.y_end))
 
 
-def _orthonormal_frame(E, F, G):
-    """Metric-orthonormal frame components: e1 along E1, e2 = Gram-Schmidt."""
-    a = E * G - F * F
+def _orthonormal_frame(md):
+    """Metric-orthonormal frame components from a MetricData: e1 along E1,
+    e2 = Gram-Schmidt."""
+    E, F, a = md.E, md.F, md.a
     e1 = (1.0 / math.sqrt(E), 0.0)
     e2 = (-F / math.sqrt(a * E), math.sqrt(E / a))
     return e1, e2
@@ -308,7 +305,7 @@ def _chord(surface, p0, p1):
     estimate of the chord."""
     dU, dV = surface.wrap_delta(p1[0] - p0[0], p1[1] - p0[1])
     md = metric_and_gamma(surface, p0[0], p0[1])
-    e1, e2 = _orthonormal_frame(md.E, md.F, md.G)
+    e1, e2 = _orthonormal_frame(md)
     x = _metric_dot(md.E, md.F, md.G, (dU, dV), e1)
     y = _metric_dot(md.E, md.F, md.G, (dU, dV), e2)
     length = 0.0
@@ -512,7 +509,7 @@ def parallel_transport(sc, A0, spec=OdeSpec()):
         E, F, G = md.E, md.F, md.G
         norms.append(math.sqrt(max(_metric_dot(E, F, G, (A1, A2), (A1, A2)),
                                    0.0)))
-        e1, e2 = _orthonormal_frame(E, F, G)
+        e1, e2 = _orthonormal_frame(md)
         x = _metric_dot(E, F, G, (A1, A2), e1)
         y_ = _metric_dot(E, F, G, (A1, A2), e2)
         ang = math.atan2(y_, x)
@@ -673,8 +670,8 @@ class BoundaryLoop:
             raise OpenLoop("boundary has no arcs")
         for j, arc in enumerate(self.arcs):
             nxt = self.arcs[(j + 1) % n]
-            p_end = arc.space_jets(arc.domain[1]).value()
-            p_start = nxt.space_jets(nxt.domain[0]).value()
+            p_end = Vec3(*arc.surface.kernel(*arc.point(arc.domain[1]))[0])
+            p_start = Vec3(*nxt.surface.kernel(*nxt.point(nxt.domain[0]))[0])
             scale = arc.surface.scale
             if (p_end - p_start).norm() > EPS_CLOSED * scale:
                 ue, ve = arc.point(arc.domain[1])

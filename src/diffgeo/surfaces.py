@@ -5,13 +5,18 @@ Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
 Pointwise quantities are floats computed from the surface's kernel, code
 generated per surface definition that gives the position's partials: the
-forms, curvatures, Christoffel symbols, dn and the integrands read order 2,
-and only R1212 and the Codazzi and compatibility residuals read order 3
-(third derivatives, exact).  The formulas over those partials are written
-once, over jets, in ``_geometry``, and run as generated float code that
-keeps the Jet2 arithmetic.
+forms, curvatures, Christoffel symbols, dn and the area and total-curvature
+integrands read order 2, and only R1212 and the Codazzi and compatibility
+residuals read order 3 (third derivatives, exact).  The formulas over those
+partials are written once, over jets, in ``_geometry``, and run as
+generated float code that keeps the Jet2 arithmetic; every such value is
+read from one point bundle, ``_SurfacePoint``.  Only ``metric_and_gamma``,
+the lean path of the geodesic and transport fields, writes its metric and
+Christoffel formulas over floats by hand.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
-catalog documents which geometric side that is for each entry.
+catalog documents which geometric side that is for each entry.  A point is
+singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
+(EPS_REG (E + G))^2.
 """
 
 import math
@@ -140,14 +145,7 @@ class FormBundle:
     gamma2: tuple   # second kind, same order
     sqrt_a: float
     n: Vec3
-
-    @property
-    def a(self):
-        return self.E * self.G - self.F * self.F
-
-    @property
-    def b(self):
-        return self.e * self.g - self.f * self.f
+    a: float        # EG - F^2
 
 
 @dataclass
@@ -221,7 +219,8 @@ class _SurfacePoint:
                             u, v)
         E, F, G, self.a, cross_sq = self._run(_METRIC)
         self.EFG = E, F, G
-        _check_regular(cross_sq, E + G, u, v)
+        _check_regular(cross_sq, E + G, u, v)   # n divides by its root,
+        _check_regular(self.a, E + G, u, v)     # Gamma, K and H by a
         self.sqrt_a, nx, ny, nz, *efg = self._run(_NORMAL)
         self.n = Vec3(nx, ny, nz)
         self.efg = tuple(efg)
@@ -359,7 +358,7 @@ def _forms_of(p):
     return FormBundle(E=E, F=F, G=G, e=e, f=f, g=g,
                       c11=c11, c12=c12, c22=c22,
                       gamma1=p.gamma1, gamma2=p.gamma2,
-                      sqrt_a=p.sqrt_a, n=p.n)
+                      sqrt_a=p.sqrt_a, n=p.n, a=a)
 
 
 def riemann_R1212(surface, u, v):
@@ -554,27 +553,12 @@ def form_identity_residual(surface, u, v):
     return worst / max(1.0, scale)
 
 
-def _area_element(surface, u, v):
-    """((r_uu, r_uv, r_vv), n, sqrt(a)) as Vec3s and a float, from the
-    order-2 kernel, with the arithmetic of _SurfacePoint's values."""
-    try:
-        k = surface.kernel(u, v)
-    except OverflowError:
-        raise _overflow(u, v) from None
-    _, E1, E2, *second = [Vec3(*r) for r in k]
-    cross = E1.cross(E2)
-    a = cross.norm_sq()
-    _check_regular(a, E1.dot(E1) + E2.dot(E2), u, v)
-    sqrt_a = math.sqrt(a)
-    return second, cross * (1.0 / sqrt_a), sqrt_a
-
-
 def surface_area(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     """Integral of sqrt(a) over the parameter rectangle (default: domain)."""
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        return _area_element(surface, u, v)[2]
+        return _SurfacePoint(surface, u, v).sqrt_a
 
     return quad2d(integrand, rect, spec)
 
@@ -584,9 +568,9 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        second, n, sqrt_a = _area_element(surface, u, v)
-        e, f, g = (r.dot(n) for r in second)
-        return (e * g - f * f) / sqrt_a
+        p = _SurfacePoint(surface, u, v)
+        e, f, g = p.efg
+        return (e * g - f * f) / p.sqrt_a
 
     return quad2d(integrand, rect, spec)
 

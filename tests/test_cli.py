@@ -39,6 +39,17 @@ y = v
 z = 0
 """
 
+# E1 and E2 nearly parallel: a = EG - F^2 cancels to zero, |E1 x E2| not
+SKEWED = """
+surface skew
+param u in [-1, 1]
+param v in [-1, 1]
+const d = 1e-08
+x = u + v
+y = u + (1+d)*v
+z = (u+v)^2 + (u+(1+d)*v)^2
+"""
+
 HEMISPHERE_LOOP = """
 loop hemisphere
 region -pi pi 0 pi/2
@@ -467,6 +478,10 @@ BAD_FILES = {
               "y = v\nz = 0\n",
     "bad.loop": "loop l\nregion 0 1 0 1\narc t in [0, 1]\nu = t\nv = 0\n"
                 "w = 3\n",
+    "wobble.ps": "surface s\nparam u in [0, 1]\nparam v in [0, 1]\nx = u\n"
+                 "y = v\nz = wobble(u)\n",
+    "const.ps": "surface s\nparam u in [0, 1]\nparam v in [0, 1]\n"
+                "const a = 2\nx = u\ny = v\nz = a(u)\n",
 }
 
 
@@ -488,8 +503,18 @@ class TestMalformedInput:
          None, "bad.ps: line 3: domain must be '[a, b]'"),
         (["gauss-bonnet", "--shape", "plane", "--loop-file", "bad.loop"],
          None, "bad.loop: line 6: unexpected component 'w'"),
+        (["eval", "--file", "wobble.ps", "--at", "0.1,0.2", "--quantity",
+          "K"], None, "wobble.ps: line 6: unknown function 'wobble'"),
+        (["eval", "--file", "const.ps", "--at", "0.1,0.2", "--quantity",
+          "K"], None, "const.ps: line 7: 'a' is not a function"),
+        (["reconstruct", "--kappa", "wobble(s)", "--tau", "0", "--length",
+          "1"], None, "--kappa 'wobble(s)': unknown function 'wobble'"),
+        (["eval", "--shape", "monge", "--param", "f=wobble(u)", "--at",
+          "0.1,0.2", "--quantity", "K"], None,
+         "--param f 'wobble(u)': line 7: unknown function 'wobble'"),
     ], ids=["at-arity", "grid-zero", "param-nan", "env-tol", "geodesic-tol",
-            "transport-tol", "file-line", "loop-line"])
+            "transport-tol", "file-line", "loop-line", "file-call",
+            "file-call-const", "kappa-call", "param-text-call"])
     def test_exit_2_naming_the_input(self, argv, env_tol, named, capsys,
                                      monkeypatch, tmp_path):
         for name, text in BAD_FILES.items():
@@ -650,6 +675,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err.strip().splitlines()[0]
+
+    @pytest.mark.parametrize("argv, code, point", [
+        (["eval", "--at", "0.3,0.2", "--quantity", "K"], 3, "(0.3, 0.2)"),
+        (["eval", "--at", "0.3,0.2", "--quantity", "forms"], 3, "(0.3, 0.2)"),
+        (["verify", "--seed", "1"], 3,
+         "(-0.7020206513041896, 0.6670727749194867)"),
+        (["geodesic", "--from", "0.3,0.2", "--dir", "1,0", "--length", "0.1"],
+         5, "(0.3, 0.2)"),
+    ], ids=["eval-K", "eval-forms", "verify", "geodesic"])
+    def test_cancelling_metric_is_singular(self, argv, code, point, capsys,
+                                           tmp_path):
+        path = tmp_path / "skew.ps"
+        path.write_text(SKEWED)
+        assert main([argv[0], "--file", str(path), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"SingularSurfacePoint: surface is singular at (u, v)={point}"
+                in err.strip().splitlines()[0])
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--shape", "sphere", "--at", "0.1,0.2", "--quantity", "K",

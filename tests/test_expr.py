@@ -3,6 +3,7 @@
 import math
 import random
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,14 @@ class TestParse:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             eval_scalar(parse_text("1/(2-2)"), {})
+
+    @pytest.mark.parametrize("text", ["1e400*u", "2^-1e400", *NUMBERS])
+    def test_roundtrip_numbers(self, text):
+        try:
+            tree = parse_text(text)
+        except (LexError, ParseError):
+            return      # no tree to print
+        assert parse_text(to_text(tree)) == tree
 
     def test_roundtrip_thousand_random_trees(self):
         rng = random.Random(2024)
@@ -241,10 +250,19 @@ class TestDefinitionErrors:
         ("loop l\nu = t\n", "line 2: 'u' line before the first arc"),
         ("loop l\narc t in [0, 1]\nu = t\nv = 0\n",
          "line 1: loop needs at least one region line"),
+        ("curve c\nparam t in [0, 1]\nx = t\ny = wobble(t)\nz = 0\n",
+         "line 4: unknown function 'wobble'"),
+        ("curve c\nparam t in [0, 1]\nconst a = 2\nx = t\ny = t\n"
+         "z = log(t + 1) / sin(a(t))\n", "line 6: 'a' is not a function"),
+        ("curve c\nparam t in [0, 1]\nx = t(t)\ny = pi(t)\nz = 0\n",
+         "line 3: 't' is not a function"),
+        ("loop l\nregion 0 1 0 1\narc t in [0, 1]\nu = t\nv = pi(t)\n",
+         "line 5: 'pi' is not a function"),
     ], ids=["param-domain", "unclosed-call", "undeclared", "const-name",
             "missing-component", "arc-domain", "arc-unknown-key",
             "arc-missing-component", "region-count", "before-arc",
-            "no-region"])
+            "no-region", "unknown-function", "call-const", "call-param",
+            "call-pi"])
     def test_message_names_the_line(self, text, message):
         with pytest.raises(DiffGeoError) as exc:
             load_definition(text)
@@ -303,9 +321,14 @@ z = c*pi
 
 
 def _surface(text, **consts):
-    definition = load_definition(text)
+    """catalog.build of ``text`` under ``consts``.  Its last line, z, is
+    parsed on its own: load_definition rejects a call of a non-function,
+    whose error the kernels must still raise where they run."""
+    head, z = text.rsplit("\nz = ", 1)
+    definition = load_definition(head + "\nz = 0\n")
     definition.constants.update(consts)
-    return catalog.build(definition)
+    return catalog.build(replace(definition, components=(
+        *definition.components[:2], parse_text(z))))
 
 
 def _outcome(fn, u, v):
@@ -585,6 +608,21 @@ class TestDepthLimit:
                            rf"expression at most {MAX_DEPTH} levels deep|at "
                            rf"most {MAX_DEPTH} nested parentheses)"):
             self._definition(NESTED[construct](k))
+
+    @pytest.mark.parametrize("construct", ["sum", "calls", "minus",
+                                           "carets"])
+    def test_deepest_trees_compare_and_hash(self, construct):
+        text = NESTED[construct](MAX_DEPTH - 1)
+        tree, again = parse_text(text), parse_text(text)
+        assert tree is not again and tree == again
+        assert hash(tree) == hash(again) and {tree: 1}[again] == 1
+        for other in (text.replace("u", "v", 1),
+                      "v".join(text.rsplit("u", 1))):
+            assert tree != parse_text(other)
+        # the named constant is not its value, however deep
+        deep = text.replace("u", "pi", 1)
+        assert parse_text(deep) != parse_text(deep.replace("pi",
+                                                           repr(math.pi)))
 
     @pytest.mark.parametrize("text", ["sin(" * 130 + "u" + ")" * 130,
                                       "+".join(["u"] * 400)],
