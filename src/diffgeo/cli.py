@@ -19,8 +19,7 @@ from functools import partial
 from . import catalog, report, verify
 from .curves import classify_curve, frenet, reconstruct_from_kappa_tau
 from .errors import DiffGeoError, InvalidParameter, UmbilicPoint, UnknownShape
-from .expr import (eval_literal, load_definition, parse_text,
-                   scalar_function)
+from .expr import _closed, eval_literal, load_definition, scalar_function
 from .ode import OdeSpec
 from .quadrature import QuadSpec
 from .surfaces import curvatures, forms, total_curvature
@@ -112,9 +111,14 @@ def _parse_params(items, ent):
             raise _Usage(f"--param expects k=v, got {item!r}")
         k, v = (x.strip() for x in item.split("=", 1))
         if isinstance(ent.params.get(k), str):
-            _argument(parse_text, v, f"--param {k}")    # offsets in v
+            # offsets, names and calls in v itself, then the whole template
+            base = ent.definition()[0]
+            names = (*base.params, *base.constants)
+            _argument(lambda text: _closed(
+                text, names, f"an expression in {', '.join(names)}"), v,
+                f"--param {k}")
             _argument(lambda text: ent.definition({k: text}), v,
-                      f"--param {k}")     # names and calls
+                      f"--param {k}")
             out[k] = v
         else:
             out[k] = _number(v, f"--param {k}")

@@ -122,8 +122,8 @@ def tokenize(text):
 
 class _Node:
     """Trees compare and hash by their preorder listing of (class, non-tree
-    fields), made in a loop, so the deepest tree the parser accepts needs no
-    recursion."""
+    fields), and print as the dataclass repr would, each made in a loop, so
+    the deepest tree the parser accepts needs no recursion."""
 
     def _preorder(self):
         out, todo = [], [self]
@@ -143,35 +143,52 @@ class _Node:
     def __hash__(self):
         return hash(tuple(self._preorder()))
 
+    def __repr__(self):
+        done = {}   # id -> repr of each node whose subtrees are printed
+        todo = [self]
+        while todo:
+            n = todo[-1]
+            fields = vars(n).items()
+            kids = [f for _, f in fields
+                    if isinstance(f, _Node) and id(f) not in done]
+            if kids:
+                todo += kids
+                continue
+            todo.pop()
+            args = (f"{k}={done[id(f)] if isinstance(f, _Node) else repr(f)}"
+                    for k, f in fields)
+            done[id(n)] = f"{type(n).__name__}({', '.join(args)})"
+        return done[id(self)]
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     name: str  # builtin named constant (pi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
     op: str  # + - * / ^
     left: object
     right: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     fn: str
     arg: object
@@ -577,7 +594,14 @@ class _Taylor:
         return self.named[code]
 
     def table(self, call):
-        """The locals holding d0..d3 of a derivative-table call."""
+        """The locals holding d0..d3 of a derivative-table call.  sin and
+        cos of one argument share one call: (s, c, -s, -c) rotated is
+        (c, -s, -c, s), and negation is exact."""
+        for name, other, turn in (("sin", "cos", 3), ("cos", "sin", 1)):
+            twin = f"_tab_{other}(" + call[len(f"_tab_{name}("):]
+            if call.startswith(f"_tab_{name}(") and twin in self.named:
+                d = self.named[twin]
+                return d[turn:] + d[:turn]
         if call not in self.named:
             self.named[call] = tuple(f"_t{len(self.lines)}_{k}"
                                      for k in range(4))

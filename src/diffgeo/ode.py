@@ -3,10 +3,13 @@
 A single explicit Dormand-Prince 5(4) pair drives every trajectory in the
 library (Frenet reconstruction, geodesics, parallel transport).  The Butcher
 table is written out as exact rationals so results are reproducible across
-platforms.  One call integrates a whole trajectory through a list of sample
-times: steps are clamped to land on each sample exactly, never interpolated
-onto it, so samples carry full integration accuracy, and the result holds
-the state at each sample and nothing else.  :func:`linspace` builds evenly
+platforms.  Each attempted step runs one generated attempt per state size:
+the stage loop as straight-line code, made on first use and cached, that
+adds in the loop's order, so it gives the loop's bits.  One call
+integrates a whole trajectory through a list of sample times: steps are
+clamped to land on each sample exactly, never interpolated onto it, so
+samples carry full integration accuracy, and the result holds the state at
+each sample and nothing else.  :func:`linspace` builds evenly
 spaced samples that end exactly at the last time.
 
 Step control has three settings, ``OdeSpec(tol, min_step, max_steps)``.  One
@@ -17,6 +20,7 @@ larger of the size proposed before the shortening and the new proposal.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import MaxStepsExceeded, StepUnderflow
 
@@ -72,32 +76,52 @@ def linspace(t0, t1, n):
     return [t0 + (t1 - t0) * k / (n - 1) for k in range(n - 1)] + [t1]
 
 
-def _weighted_sum(y, ks, h, coeffs):
-    n = len(y)
-    out = list(y)
-    for c, k in zip(coeffs, ks):
-        if c == 0.0:
-            continue
-        ch = c * h
-        for i in range(n):
-            out[i] += ch * k[i]
-    return out
+@lru_cache(maxsize=32)     # callers use a few state sizes
+def _attempt(n):
+    """The Dormand-Prince attempt for states of ``n`` components, generated
+    on first use: ``attempt(f, t, y, k1, hs, tol)`` evaluates the six
+    further stages, and returns the 5th-order state, its derivative (FSAL)
+    and the RMS of the embedded error estimate scaled by the mixed
+    tolerance.  The code is the stage loop written out with literal
+    coefficients and zero terms left out, adding in the loop's order: a
+    stage state is ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs``
+    rounded once, and an error component is ``(0.0 + e1*k1 + ...) * hs``.
+    The 5th-order weights are the last stage's, so its state is the
+    result."""
+    assert _B5 == _A[6] + (0.0,)
 
+    def tup(items):
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
-def _error_norm(y, y_new, ks, hs, spec):
-    """RMS of the embedded error estimate, scaled by the mixed tolerance."""
-    tol = spec.tol
-    err = 0.0
-    for i in range(len(y)):
-        e = 0.0
-        for c, k in zip(_ERR, ks):
-            if c != 0.0:
-                e += c * k[i]
-        e *= hs
-        sc = tol + tol * max(abs(y[i]), abs(y_new[i]))
-        q = e / sc
-        err += q * q
-    return (err / len(y)) ** 0.5
+    idx = range(n)
+    lines = ["def attempt(f, t, y, k1, hs, tol):",
+             f"    {tup([f'y{i}' for i in idx])} = y",
+             f"    {tup([f'k1_{i}' for i in idx])} = k1"]
+    for s in range(1, 7):
+        terms = [(j + 1, c) for j, c in enumerate(_A[s]) if c != 0.0]
+        lines += [f"    h{j} = {c!r} * hs" for j, c in terms]
+        state = [f"y{i}" + "".join(f" + h{j} * k{j}_{i}" for j, _ in terms)
+                 for i in idx]
+        if s < 6:
+            lines.append(f"    {tup([f'k{s + 1}_{i}' for i in idx])} = "
+                         f"f(t + {_C[s]!r} * hs, {tup(state)})")
+    lines += [f"    n{i} = {x}" for i, x in enumerate(state)]
+    lines.append(f"    y_new = {tup([f'n{i}' for i in idx])}")
+    lines.append(f"    k7 = f(t + {_C[6]!r} * hs, y_new)")
+    lines.append(f"    {tup([f'k7_{i}' for i in idx])} = k7")
+    for i in idx:
+        err = "".join(f" + {c!r} * k{j + 1}_{i}"
+                      for j, c in enumerate(_ERR) if c != 0.0)
+        lines += [f"    e = (0.0{err}) * hs",
+                  f"    a = abs(y{i})",
+                  f"    b = abs(n{i})",
+                  f"    q{i} = e / (tol + tol * (b if b > a else a))"]  # max(a, b)
+    squares = " + ".join(f"q{i} * q{i}" for i in idx)
+    lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5")
+    scope = {}
+    exec(compile("\n".join(lines), f"<dopri5 attempt, {n} components>",
+                 "exec"), scope)
+    return scope["attempt"]
 
 
 def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
@@ -118,14 +142,15 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
     if any((b - a) * direction <= 0.0 for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly monotone")
 
-    y = [float(v) for v in y0]
+    y = tuple(float(v) for v in y0)
+    attempt = _attempt(len(y))
     t = ts[0]
-    res = OdeResult(ts=[t], ys=[tuple(y)])
+    res = OdeResult(ts=[t], ys=[y])
     # a first step below min_step only where the whole span is shorter
     span = abs(ts[-1] - t)
     h = max(span / 16.0, min(span, spec.min_step))
     try:
-        f_now = field_fn(t, tuple(y))
+        f_now = field_fn(t, y)
         for target in ts[1:]:
             while (target - t) * direction > 0.0:
                 if res.n_steps >= spec.max_steps:
@@ -137,23 +162,17 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
                 h_step = remaining if clamped else h
                 hs = h_step * direction
 
-                ks = [f_now]
-                for i in range(1, 7):
-                    yi = _weighted_sum(y, ks, hs, _A[i])
-                    ks.append(field_fn(t + _C[i] * hs, tuple(yi)))
-
-                y_new = _weighted_sum(y, ks, hs, _B5)
-                # FSAL: ks[6] is the derivative at (t + h, y_new)
-                err = _error_norm(y, y_new, ks, hs, spec)
+                # FSAL: k7 is the derivative at (t + h, y_new)
+                y_new, k7, err = attempt(field_fn, t, y, f_now, hs, spec.tol)
 
                 if err <= 1.0:
                     t = target if clamped else t + hs
                     y = y_new
                     if post_step is not None:
-                        y = list(post_step(t, tuple(y)))
-                        f_now = field_fn(t, tuple(y))
+                        y = tuple(post_step(t, y))
+                        f_now = field_fn(t, y)
                     else:
-                        f_now = ks[6]
+                        f_now = k7
                     res.n_steps += 1
 
                 factor = (5.0 if err == 0.0
@@ -166,7 +185,7 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
                         f"ODE step fell below min_step={spec.min_step!r} "
                         f"at t={t!r}")
             res.ts.append(t)
-            res.ys.append(tuple(y))
+            res.ys.append(y)
             if stop is not None and stop(t, res.ys[-1]):
                 break
     except Exception as exc:

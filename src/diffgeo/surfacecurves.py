@@ -27,7 +27,7 @@ from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .surfaces import (_SurfacePoint, _curvatures_of, _metric_dot,
                        _metric_unit, _normal_curvature, _overflow,
-                       metric_and_gamma, total_curvature)
+                       gamma_field, metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -252,9 +252,11 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(surface):
+    gamma = gamma_field(surface)
+
     def rhs(s, y):
         u, v, du, dv = y
-        g = metric_and_gamma(surface, u, v).gamma2
+        g = gamma(u, v)
         ddu = -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv)
         ddv = -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv)
         return (du, dv, ddu, ddv)
@@ -487,10 +489,11 @@ def parallel_transport(sc, A0, spec=OdeSpec()):
     """Transport surface-vector components A along the curve:
     dA^a/dt = -G^a_bc A^c du^b/dt."""
     t0, t1 = sc.domain
+    gamma = gamma_field(sc.surface)
 
     def rhs(t, y):
         uj, vj = sc.uv_jets(t)
-        g = metric_and_gamma(sc.surface, uj.value, vj.value).gamma2
+        g = gamma(uj.value, vj.value)
         du, dv = uj.c[1], vj.c[1]
         A1, A2 = y
         dA1 = -(g[0] * du * A1 + g[2] * (du * A2 + dv * A1) + g[4] * dv * A2)

@@ -10,9 +10,12 @@ integrands read order 2, and only R1212 and the Codazzi and compatibility
 residuals read order 3 (third derivatives, exact).  The formulas over those
 partials are written once, over jets, in ``_geometry``, and run as
 generated float code that keeps the Jet2 arithmetic; every such value is
-read from one point bundle, ``_SurfacePoint``.  Only ``metric_and_gamma``,
-the lean path of the geodesic and transport fields, writes its metric and
-Christoffel formulas over floats by hand.
+read from one point bundle, ``_SurfacePoint``.  The geodesic and
+transport fields take the lean path instead: ``gamma_field`` forms E, F, G
+and a from one order-2 kernel call and passes them to the Christoffel
+formula, ``_christoffel2``, that ``_geometry`` uses over jets, with no
+bundle per call; ``metric_and_gamma`` is the same code with the metric
+kept, for one-off callers.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.  A point is
 singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
@@ -304,7 +307,7 @@ def _metric_dot(E, F, G, X, Y):
 
 class MetricData(NamedTuple):
     """Metric coefficients E, F, G, a = EG - F^2 and the second-kind
-    Christoffel values; the lean path for geodesic/transport fields."""
+    Christoffel values at one point."""
 
     E: float
     F: float
@@ -313,12 +316,13 @@ class MetricData(NamedTuple):
     gamma2: tuple
 
 
-def metric_and_gamma(surface, u, v):
-    """Metric and second-kind Christoffel values at a regular point, from
-    one call of the surface's order-2 kernel (no normal, no jets)."""
+def _metric_gamma(kernel, u, v):
+    """E, F, G, a and the second-kind Christoffel values at the regular
+    float point (u, v), from one call of an order-2 ``kernel`` (no normal,
+    no jets)."""
     try:
         (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = surface.kernel(float(u), float(v))
+         (xvv, yvv, zvv)) = kernel(u, v)
     except OverflowError:
         raise _overflow(u, v) from None
     E = xu * xu + yu * yu + zu * zu
@@ -332,8 +336,25 @@ def metric_and_gamma(surface, u, v):
     Fv = (xuv * xv + yuv * yv + zuv * zv) + (xu * xvv + yu * yvv + zu * zvv)
     Gu = 2.0 * (xv * xuv + yv * yuv + zv * zuv)
     Gv = 2.0 * (xv * xvv + yv * yvv + zv * zvv)
-    return MetricData(E, F, G, a,
-                      _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a))
+    return E, F, G, a, _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a)
+
+
+def gamma_field(surface):
+    """The field (u, v) -> second-kind Christoffel values of ``surface``, at
+    float points: the fused path of the geodesic and transport equations,
+    which reads the surface's kernel once, not per call."""
+    kernel = surface.kernel
+
+    def gamma2(u, v):
+        return _metric_gamma(kernel, u, v)[4]
+
+    return gamma2
+
+
+def metric_and_gamma(surface, u, v):
+    """Metric and second-kind Christoffel values at a regular point, from
+    one call of the surface's order-2 kernel (no normal, no jets)."""
+    return MetricData(*_metric_gamma(surface.kernel, float(u), float(v)))
 
 
 def surface_frame(surface, u, v):

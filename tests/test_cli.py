@@ -511,10 +511,17 @@ class TestMalformedInput:
           "1"], None, "--kappa 'wobble(s)': unknown function 'wobble'"),
         (["eval", "--shape", "monge", "--param", "f=wobble(u)", "--at",
           "0.1,0.2", "--quantity", "K"], None,
-         "--param f 'wobble(u)': line 7: unknown function 'wobble'"),
+         "--param f 'wobble(u)': unknown function 'wobble'"),
+        (["eval", "--shape", "monge", "--param", "f=u(v)", "--at",
+          "0.1,0.2", "--quantity", "K"], None,
+         "--param f 'u(v)': 'u' is not a function"),
+        (["eval", "--shape", "monge", "--param", "f=q + u", "--at",
+          "0.1,0.2", "--quantity", "K"], None,
+         "--param f 'q + u': an expression in u, v may not reference 'q'"),
     ], ids=["at-arity", "grid-zero", "param-nan", "env-tol", "geodesic-tol",
             "transport-tol", "file-line", "loop-line", "file-call",
-            "file-call-const", "kappa-call", "param-text-call"])
+            "file-call-const", "kappa-call", "param-text-call",
+            "param-text-param-call", "param-text-name"])
     def test_exit_2_naming_the_input(self, argv, env_tol, named, capsys,
                                      monkeypatch, tmp_path):
         for name, text in BAD_FILES.items():

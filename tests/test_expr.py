@@ -624,6 +624,22 @@ class TestDepthLimit:
         assert parse_text(deep) != parse_text(deep.replace("pi",
                                                            repr(math.pi)))
 
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_deepest_trees_print(self, construct):
+        k = MAX_DEPTH if construct == "parentheses" else MAX_DEPTH - 1
+        text = NESTED[construct](k)
+        out = repr(parse_text(text))
+        assert out.count("(") == out.count(")")
+        assert out.count("Var(name='u')") == text.count("u")
+        assert repr(parse_text("+".join(["u"] * MAX_DEPTH))).startswith(
+            "BinOp(op='+', left=BinOp(op='+', left=")
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(parse_text("-sin(u)^2 + v/pi")) == (
+            "BinOp(op='+', left=Neg(arg=BinOp(op='^', left=Call(fn='sin', "
+            "arg=Var(name='u')), right=Num(value=2.0))), right=BinOp(op='/', "
+            "left=Var(name='v'), right=Const(name='pi')))")
+
     @pytest.mark.parametrize("text", ["sin(" * 130 + "u" + ")" * 130,
                                       "+".join(["u"] * 400)],
                              ids=["sin-130", "sum-400"])

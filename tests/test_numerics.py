@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 import diffgeo
-from diffgeo import quadrature
+from diffgeo import ode, quadrature
 from diffgeo.errors import (MaxDepthExceeded, MaxStepsExceeded, NoConvergence,
                             StepUnderflow)
 from diffgeo.ode import OdeSpec, linspace, ode_solve
@@ -220,6 +221,169 @@ class TestOdeFieldCalls:
         part = exc.value.partial
         assert part.ts == grid[:len(part.ts)]
         assert 0.0 < part.ts[-1] < 0.5
+
+
+def _weighted_sum(y, ks, h, coeffs):
+    n = len(y)
+    out = list(y)
+    for c, k in zip(coeffs, ks):
+        if c == 0.0:
+            continue
+        ch = c * h
+        for i in range(n):
+            out[i] += ch * k[i]
+    return out
+
+
+def _error_norm(y, y_new, ks, hs, spec):
+    tol = spec.tol
+    err = 0.0
+    for i in range(len(y)):
+        e = 0.0
+        for c, k in zip(ode._ERR, ks):
+            if c != 0.0:
+                e += c * k[i]
+        e *= hs
+        sc = tol + tol * max(abs(y[i]), abs(y_new[i]))
+        q = e / sc
+        err += q * q
+    return (err / len(y)) ** 0.5
+
+
+def _reference_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None,
+                     stop=None):
+    """ode_solve as a loop over the Butcher table, the form the generated
+    attempt replaces; step control is the same."""
+    ts = [float(t) for t in ts]
+    direction = 1.0 if ts[-1] > ts[0] else -1.0
+    y = [float(v) for v in y0]
+    t = ts[0]
+    res = ode.OdeResult(ts=[t], ys=[tuple(y)])
+    span = abs(ts[-1] - t)
+    h = max(span / 16.0, min(span, spec.min_step))
+    try:
+        f_now = field_fn(t, tuple(y))
+        for target in ts[1:]:
+            while (target - t) * direction > 0.0:
+                if res.n_steps >= spec.max_steps:
+                    raise MaxStepsExceeded("steps")
+                remaining = abs(target - t)
+                clamped = h >= remaining
+                h_step = remaining if clamped else h
+                hs = h_step * direction
+                ks = [f_now]
+                for i in range(1, 7):
+                    yi = _weighted_sum(y, ks, hs, ode._A[i])
+                    ks.append(field_fn(t + ode._C[i] * hs, tuple(yi)))
+                y_new = _weighted_sum(y, ks, hs, ode._B5)
+                err = _error_norm(y, y_new, ks, hs, spec)
+                if err <= 1.0:
+                    t = target if clamped else t + hs
+                    y = y_new
+                    if post_step is not None:
+                        y = list(post_step(t, tuple(y)))
+                        f_now = field_fn(t, tuple(y))
+                    else:
+                        f_now = ks[6]
+                    res.n_steps += 1
+                factor = (5.0 if err == 0.0
+                          else min(5.0, max(0.2, 0.9 * err ** -0.2)))
+                h = (max(h, h_step * factor) if clamped and err <= 1.0
+                     else h_step * factor)
+                if h < spec.min_step < abs(ts[-1] - t):
+                    raise StepUnderflow("underflow")
+            res.ts.append(t)
+            res.ys.append(tuple(y))
+            if stop is not None and stop(t, res.ys[-1]):
+                break
+    except Exception as exc:
+        exc.partial = res
+        raise
+    return res
+
+
+class TestGeneratedAttempt:
+    """The generated Dormand-Prince attempt gives the same bits, steps and
+    field calls as the loop over the Butcher table."""
+
+    @staticmethod
+    def field(n, seed):
+        """A nonlinear field on n components with seeded coefficients."""
+        rng = random.Random(seed)
+        w = [rng.uniform(-2.0, 2.0) for _ in range(2 * n)]
+        calls = [0]
+
+        def fn(t, y):
+            calls[0] += 1
+            return tuple(w[i] * math.sin(y[(i + 1) % n] + t)
+                         - w[n + i] * y[i] * math.cos(y[i - 1])
+                         for i in range(n))
+
+        return fn, calls
+
+    def both(self, n, seed, *args, raises=None, **kwargs):
+        """(result or partial, field calls) of each solver."""
+        out = []
+        for solve in (ode_solve, _reference_solve):
+            fn, calls = self.field(n, seed)
+            wrapped = fn if raises is None else raises(fn)
+            try:
+                res = solve(wrapped, *args, **kwargs)
+            except Exception as exc:
+                res = (type(exc), exc.partial)
+            out.append((res, calls[0]))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 12])
+    def test_sizes(self, n):
+        y0 = tuple(0.1 * (i + 1) for i in range(n))
+        new, ref = self.both(n, zlib.crc32(b"size %d" % n), y0,
+                             linspace(0.0, 4.0, 9), OdeSpec(tol=1e-9))
+        assert new == ref
+        res, calls = ref
+        assert TestOdeFieldCalls.attempts(calls) > res.n_steps > 8  # rejects
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_post_step(self, n):
+        def renorm(t, y):
+            s = math.sqrt(sum(x * x for x in y))
+            return tuple(x / s for x in y)
+
+        y0 = tuple(1.0 / math.sqrt(n) for _ in range(n))
+        new, ref = self.both(n, zlib.crc32(b"post %d" % n), y0,
+                             linspace(0.0, 3.0, 7), post_step=renorm)
+        assert new == ref and ref[0].n_steps > 6
+
+    def test_stop(self):
+        def stop(t, y):
+            return y[0] < -0.3
+
+        new, ref = self.both(4, zlib.crc32(b"stop"), (0.1, 0.2, 0.3, 0.4),
+                             linspace(0.0, 2.0, 41), stop=stop)
+        assert new == ref and len(ref[0].ts) < 41
+
+    def test_field_raises_mid_solve(self):
+        def raises(fn):
+            def field(t, y):
+                if t > 1.3:
+                    raise OverflowError("field blew up")
+                return fn(t, y)
+            return field
+
+        new, ref = self.both(4, zlib.crc32(b"raise"), (0.1, 0.2, 0.3, 0.4),
+                             linspace(0.0, 2.0, 21), raises=raises)
+        assert new == ref
+        (kind, partial), _ = new
+        assert kind is OverflowError and 1 < len(partial.ts) < 21
+
+    def test_backward_and_underflow(self):
+        new, ref = self.both(2, zlib.crc32(b"back"), (1.0, -0.5),
+                             (2.0, 1.0, -1.5), OdeSpec(tol=1e-12))
+        assert new == ref
+        new, ref = self.both(2, zlib.crc32(b"under"), (1.0, -0.5),
+                             (0.0, 5.0), OdeSpec(tol=1e-12, min_step=0.005))
+        (kind, partial), _ = new
+        assert new == ref and kind is StepUnderflow and partial.n_steps > 9
 
 
 class TestHermiteInterpolation:

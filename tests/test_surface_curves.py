@@ -732,6 +732,45 @@ class TestLiouvilleAndBonnet:
             bonnet_torsion_check(sc, 0.0)
 
 
+class TestPinnedWork:
+    """Steps and field calls of three fixed solves, as the step control
+    makes them; a change to it shows here, not only in a benchmark."""
+
+    @staticmethod
+    def count_work(monkeypatch):
+        real = surfacecurves.ode_solve
+        work = {"solves": 0, "steps": 0, "calls": 0}
+
+        def ode_solve(field_fn, *args, **kwargs):
+            def field(t, y):
+                work["calls"] += 1
+                return field_fn(t, y)
+
+            work["solves"] += 1
+            res = real(field, *args, **kwargs)
+            work["steps"] += res.n_steps
+            return res
+
+        monkeypatch.setattr(surfacecurves, "ode_solve", ode_solve)
+        return work
+
+    def test_geodesic_ivp(self, monkeypatch):
+        work = self.count_work(monkeypatch)
+        geodesic_ivp(TORUS, 0, 0, (1, 0.7), 6)
+        assert work == {"solves": 1, "steps": 192, "calls": 1153}
+
+    def test_geodesic_bvp(self, monkeypatch):
+        work = self.count_work(monkeypatch)
+        path = geodesic_bvp(TORUS, (0, 0), (2, 1))
+        assert work == {"solves": 32, "steps": 2536, "calls": 15656}
+        assert path.length == 6.033013228616517
+
+    def test_parallel_transport(self, monkeypatch):
+        work = self.count_work(monkeypatch)
+        parallel_transport(SurfaceCurve.const_v(SPHERE, 0.5), (1.0, 0.0))
+        assert work == {"solves": 1, "steps": 256, "calls": 1537}
+
+
 class TestEvaluationsPerPoint:
     """Each check evaluates the shape's definition only for the composite
     space curve, once, in Jet1; the surface point reads the generated

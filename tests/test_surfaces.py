@@ -14,7 +14,8 @@ from diffgeo.quadrature import QuadSpec
 from diffgeo.surfaces import (ParametricSurface, _SurfacePoint, angle_between,
                               codazzi_compatibility_residuals, curvatures,
                               dupin_classification, form_identity_residual,
-                              forms, gauss_weingarten_residuals,
+                              forms, gamma_field,
+                              gauss_weingarten_residuals,
                               metric_and_gamma, riemann_R1212,
                               sin_angle_between, surface_area, surface_frame,
                               total_curvature)
@@ -497,6 +498,26 @@ class TestMetricFastPath:
         for u, v in surface_samples("torus", TORUS, rng, 50):
             assert metric_and_gamma(fallback, u, v) \
                 == metric_and_gamma(TORUS, u, v)
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_gamma_field_equals_metric_and_gamma(self, name):
+        shape = catalog.make(name)
+        gamma = gamma_field(shape)
+        rng = random.Random(zlib.crc32(b"gamma field " + name.encode()))
+        for u, v in surface_samples(name, shape, rng, 40):
+            assert gamma(u, v) == metric_and_gamma(shape, u, v).gamma2
+
+    @pytest.mark.parametrize("shape, point, error", [
+        (catalog.make("cone"), (0.0, 1.0), SingularSurfacePoint),
+        (catalog.make("sphere"), (0.3, math.pi / 2), SingularSurfacePoint),
+        (catalog.make("monge", f="exp(1000*u)"), (0.8, 0.2), OverflowError),
+        (catalog.make("monge", f="1e200*u"), (0.3, 0.2), OverflowError),
+    ], ids=["cone-apex", "pole", "jets-overflow", "metric-overflow"])
+    def test_gamma_field_errors(self, shape, point, error):
+        got = _outcome(gamma_field(shape), *point)
+        assert got == _outcome(metric_and_gamma, shape, *point)
+        assert got[0] is error and f"(u, v)=({point[0]!r}, {point[1]!r})" \
+            in got[1]
 
     def test_matches_forms(self):
         rng = random.Random(40)
