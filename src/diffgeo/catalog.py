@@ -90,7 +90,8 @@ def build(definition, periodic=(None, None)):
         (pname,) = definition.params
         return ParametricCurve(
             lambda t: definition.eval(t, check_domain=False),
-            definition.params[pname])
+            definition.params[pname],
+            make_kernel=lambda jet1: position_kernel(definition, jet1, 4))
     if definition.kind == "surface":
         pnames = list(definition.params)
         dom = definition.params[pnames[0]] + definition.params[pnames[1]]

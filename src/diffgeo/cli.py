@@ -203,9 +203,9 @@ def _vec(v):
     return [v.x, v.y, v.z]
 
 
-def _eval_curve_quantity(shape, t, q):
+def _eval_curve_quantity(shape, t, q, kind_of):
     if q == "class":
-        return classify_curve(shape).kind
+        return kind_of()
     fd = frenet(shape, t)
     if q == "kappa":
         return fd.kappa
@@ -217,6 +217,25 @@ def _eval_curve_quantity(shape, t, q):
                 "darboux": _vec(fd.darboux)}
     raise DiffGeoError(f"unknown curve quantity {q!r}; "
                        f"choose from {_CURVE_QUANTITIES}")
+
+
+def _once(fn):
+    """``fn`` called on first use only: later calls return its value, or
+    raise its error, again (a curve's class does not depend on t)."""
+    done = []
+
+    def once():
+        if not done:
+            try:
+                done.append((fn(), None))
+            except (DiffGeoError, OverflowError) as exc:
+                done.append((None, exc))
+        value, exc = done[0]
+        if exc is not None:
+            raise exc.with_traceback(None)
+        return value
+
+    return once
 
 
 def _eval_surface_quantity(shape, u, v, q):
@@ -303,11 +322,12 @@ def cmd_eval(args):
         raise _Usage("give --at or --grid")
 
     failed = None
+    kind_of = _once(lambda: classify_curve(shape).kind)
     for pt in points:
         for q in quantities:
             try:
                 if kind == "curve":
-                    val = _eval_curve_quantity(shape, pt[0], q)
+                    val = _eval_curve_quantity(shape, pt[0], q, kind_of)
                 else:
                     val = _eval_surface_quantity(shape, pt[0], pt[1], q)
                 rep.add_record(list(pt), q, val)
@@ -551,17 +571,21 @@ def _add_shape_args(p, files=True):
 
 
 def _add_common(p, tol=True, csv=True):
+    """--json, and --csv and --tol where asked; returns the --tol action,
+    whose default main() sets."""
     p.add_argument("--json", help="write the report as deterministic JSON")
     if csv:
         p.add_argument("--csv", help="write the trajectory as CSV")
     if tol:
-        p.add_argument("--tol", type=_tolerance,
-                       default=os.environ.get("DIFFGEO_TOL") or "1e-10",
-                       help="integration/quadrature tolerance "
-                            "(default 1e-10 or $DIFFGEO_TOL)")
+        return p.add_argument("--tol", type=_tolerance,
+                              help="integration/quadrature tolerance "
+                                   "(default 1e-10 or $DIFFGEO_TOL)")
+    return None
 
 
 def build_parser():
+    """The argument parser, and its --tol actions."""
+    tols = []
     ap = argparse.ArgumentParser(
         prog="diffgeo",
         description="Differential geometry of parametric curves and "
@@ -603,7 +627,7 @@ def build_parser():
     p.add_argument("--length", type=_length(signed=True),
                    help=f"arc length for --dir (nonzero, |length| <= "
                         f"{_MAX_LENGTH:g})")
-    _add_common(p)
+    tols.append(_add_common(p))
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("transport", help="parallel transport along a curve")
@@ -611,7 +635,7 @@ def build_parser():
     p.add_argument("--curve", help="surfacecurve definition file (.sc)")
     p.add_argument("--loop", help="builtin loop: const-v:<v0> or const-u:<u0>")
     p.add_argument("--vector", required=True, help="initial components A1,A2")
-    _add_common(p)
+    tols.append(_add_common(p))
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("gauss-bonnet", help="local/global Gauss-Bonnet budget")
@@ -620,7 +644,7 @@ def build_parser():
                    help="closed-surface variant over the full domain")
     p.add_argument("--chi", type=int, help="Euler characteristic")
     p.add_argument("--loop-file", help="boundary description (.loop)")
-    _add_common(p, csv=False)
+    tols.append(_add_common(p, csv=False))
     p.set_defaults(fn=cmd_gauss_bonnet)
 
     p = sub.add_parser("reconstruct",
@@ -631,13 +655,20 @@ def build_parser():
                    help=f"arc length (positive, at most {_MAX_LENGTH:g})")
     p.add_argument("--samples", type=_samples(2, 10000), default=257,
                    help="output samples (2 to 10000, default 257)")
-    _add_common(p)
+    tols.append(_add_common(p))
     p.set_defaults(fn=cmd_reconstruct)
-    return ap
+    return ap, tols
+
+
+_PARSER = []    # build_parser()'s result, made on the first main() call
 
 
 def main(argv=None):
-    ap = build_parser()
+    if not _PARSER:
+        _PARSER.extend(build_parser())
+    ap, tols = _PARSER
+    for action in tols:     # read when parsing, as a command-line value
+        action.default = os.environ.get("DIFFGEO_TOL") or "1e-10"
     args = ap.parse_args(argv)
     start = time.monotonic()
     try:

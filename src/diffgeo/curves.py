@@ -2,10 +2,16 @@
 classification, involutes, spherical indicatrices and reconstruction from
 curvature and torsion.
 
-All differential quantities come from order-4 jets of the curve evaluator,
-so curvature and torsion derivatives are exact Taylor coefficients rather
-than finite differences.  The torsion sign convention is the right-handed
-Frenet system dB/ds = -tau N.
+All differential quantities come from the order-4 jet of the position: the
+five coefficient triples r, r', r'', r''', r'''' at a point, so curvature and
+torsion derivatives are exact Taylor coefficients rather than finite
+differences.  A curve built from a definition reads them from a kernel
+generated per template (``expr.position_kernel`` at order 4); other curves
+take them from one Jet1 evaluation.  The Frenet formulas over that jet are
+written once, over jets, in ``_frenet``, and run as generated float code
+that keeps the Jet1 arithmetic (``expr.taped``); every such value is read
+from one point bundle, ``_CurveJets``.  The torsion sign convention is the
+right-handed Frenet system dB/ds = -tau N.
 """
 
 import bisect
@@ -13,9 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import jets
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
+from .expr import taped
 from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
@@ -41,18 +47,32 @@ class ParametricCurve:
 
     ``evaluator`` receives the parameter as a Jet1 (possibly a composed jet)
     and must return a Vec3 of Jet1 built jet-generically.
+    ``make_kernel(jet1)`` returns a faster kernel with the values of
+    ``jet1``; it runs on the kernel's first use.
     """
 
-    def __init__(self, evaluator, domain, unit_speed=False):
+    def __init__(self, evaluator, domain, unit_speed=False, make_kernel=None):
         self.evaluator = evaluator
         self.domain = (float(domain[0]), float(domain[1]))
         self.unit_speed = unit_speed
+        self._make_kernel = make_kernel
         self._scale = None
 
     def eval(self, t):
         if not isinstance(t, Jet1):
             t = Jet1.variable(t)
         return self.evaluator(t)
+
+    @cached_property
+    def kernel(self):
+        """Floats t -> (x, y, z) triples r, r', r'', r''', r''''."""
+        if self._make_kernel is None:
+            return self._jet_kernel
+        return self._make_kernel(self._jet_kernel)
+
+    def _jet_kernel(self, t):
+        """The five triples of ``kernel`` from one Jet1 evaluation."""
+        return _coefficients(self.evaluator(Jet1.variable(t)))
 
     @property
     def scale(self):
@@ -63,7 +83,7 @@ class ParametricCurve:
             for k in range(16):
                 t = t0 + (t1 - t0) * (k + 0.5) / 16.0
                 try:
-                    probes.append(self.eval(t).value())
+                    probes.append(self.kernel(t)[0])
                 except (DomainError, SingularPoint, InflectionPoint):
                     continue
             self._scale = _spread(probes)
@@ -74,6 +94,11 @@ class ParametricCurve:
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         return [mid + half * math.cos(math.pi * (2 * k + 1) / (2 * n))
                 for k in range(n)]
+
+
+def _coefficients(pos):
+    """The five (x, y, z) coefficient triples of a Vec3 of Jet1."""
+    return tuple(zip(pos.x.c, pos.y.c, pos.z.c))
 
 
 @dataclass
@@ -106,68 +131,124 @@ class CurveClass:
     ratio_rsd: float        # relative std deviation of tau/kappa
 
 
+def _frenet(r):
+    """The Frenet apparatus of the position jet ``r``, written once over
+    jets: expr.taped records its Jet1 arithmetic as float code (so each
+    value equals the Jet1 coefficient it stands for).  Exactness (orders
+    that are true Taylor coefficients): position 4, velocity and sigma 3,
+    T 3, B/N/kappa 2, tau 1."""
+    rd = r.derivative()
+    rdd = rd.derivative()
+    sig_sq = rd.norm_sq()
+    sigma = sig_sq.call("sqrt")
+    T = rd / sigma
+    C = rd.cross(rdd)
+    cn_sq = C.norm_sq()
+    cn = cn_sq.call("sqrt")
+    kappa = cn / (sigma * sigma * sigma)
+    B = C / cn
+    N = B.cross(T)
+    tau = rd.dot(rdd.cross(rdd.derivative())) / (cn * cn)
+    rk = 1.0 / kappa                # radius of curvature, exact to order 2
+    rt = 1.0 / tau                  # radius of torsion, exact to order 1
+    return {"sig_sq": sig_sq, "sigma": sigma, "cn_sq": cn_sq, "kappa": kappa,
+            "tau": tau, "rk": rk, "rt": rt,
+            "rt_drk_ds": rt * (rk.derivative() / sigma),
+            **{name + c: getattr(vec, c)
+               for name, vec in (("T", T), ("N", N), ("B", B))
+               for c in "xyz"}}
+
+
+def _vec(name, slot):
+    return tuple((name + c, slot) for c in "xyz")
+
+
+# the quantities of _CurveJets, each group one program of _frenet's
+# (jet, slot) pairs
+_SPEED = (("sig_sq", 0),)
+_SIGMA = (("sigma", 0), ("sigma", 1), ("sigma", 2), ("sigma", 3),
+          ("cn_sq", 0))
+_KAPPA = (("kappa", 0),)
+_TAU = (("tau", 0),)
+_T = _vec("T", 0)
+_DT = _vec("T", 1)
+_FRAME = _vec("T", 0) + _vec("N", 0) + _vec("B", 0)
+_FRAME_DT = _vec("T", 1) + _vec("N", 1) + _vec("B", 1)
+_RATES = (("kappa", 1), ("tau", 1))
+_SPHERE = (("rk", 0), ("rk", 1))
+_SPHERICITY = (("rk", 0), ("rt", 0), ("rt_drk_ds", 1))
+_JETS = {(name, n): tuple((name + c, s) for c in "xyz" for s in range(n))
+         for name in "TNB" for n in (2, 5)}
+
+
+def _overflow(t):
+    return OverflowError(f"curve jets overflow at t={t!r}")
+
+
 class _CurveJets:
-    """Frenet apparatus as jets of the position jet ``pos`` at ``t``, for
-    every space curve: a ParametricCurve or the composite r(u(t), v(t)) of a
-    surface curve.  The length ``scale`` sets the inflection floor and
+    """The Frenet apparatus at ``t`` over floats, for every space curve:
+    ``k`` holds the five (x, y, z) coefficient triples r, r', r'', r''',
+    r'''' at t, from a ParametricCurve's kernel or from one Jet1 evaluation
+    (the composite r(u(t), v(t)) of a surface curve).  Construction checks
+    regularity and computes sigma = |dr/dt| through its third derivative
+    and |r' x r''|^2; kappa, T, the frame, tau and their derivatives follow
+    on first use, each group one program of ``_frenet``.  The branches (the
+    regularity floor, r' x r'' = 0, the inflection floor) sit between the
+    programs.  The length ``scale`` sets the inflection floor and
     ``min_speed`` the regularity floor on |dr/dt|; a composite curve is
-    regular wherever its surface is and (u', v') != 0, so it keeps 0.
+    regular wherever its surface is and (u', v') != 0, so it keeps 0.  An
+    overflow on the way names t."""
 
-    Exactness bookkeeping (derivative orders that are true Taylor
-    coefficients): position 4, velocity 3, T 3, B/N/kappa 2, tau 1.
-    """
-
-    def __init__(self, pos, scale, t, min_speed=0.0):
+    def __init__(self, k, scale, t, min_speed=0.0):
         self.t = float(t)
         self.scale = scale
-        self.pos = pos
-        self.rd = pos.derivative()
-        self.rdd = self.rd.derivative()
-        sig_sq = self.rd.norm_sq()
-        if sig_sq.value <= min_speed * min_speed:
+        self.k = k
+        (sig_sq,) = self._run(_SPEED)
+        if sig_sq <= min_speed * min_speed:
             raise SingularPoint(t)
-        self.sigma = jets.sqrt(sig_sq)
-        # the rest is built on first use: arc length and dt/ds read sigma only
-
-    @cached_property
-    def T(self):
-        return self.rd / self.sigma
-
-    @cached_property
-    def rddd(self):
-        return self.rdd.derivative()
-
-    @cached_property
-    def C(self):
-        return self.rd.cross(self.rdd)
-
-    @cached_property
-    def Cn(self):
-        """|r' x r''|; its square (zero) where r' x r'' vanishes."""
-        cn_sq = self.C.norm_sq()
-        return jets.sqrt(cn_sq) if cn_sq.value > 0.0 else cn_sq
-
-    @cached_property
-    def kappa(self):
-        """kappa as a jet; None where r' x r'' vanishes."""
-        cn = self.Cn
-        return (cn / (self.sigma * self.sigma * self.sigma) if cn.value > 0.0
-                else None)
+        *sigma, self.cn_sq = self._run(_SIGMA)
+        self.sigma = tuple(sigma)   # |dr/dt| and its t-derivatives 1..3
 
     @classmethod
     def at(cls, curve, t):
-        """The kernel of a ParametricCurve at ``t``."""
-        return cls(curve.eval(Jet1.variable(t)), curve.scale, t,
-                   EPS_REG * curve.scale)
+        """The bundle of a ParametricCurve at ``t``."""
+        try:
+            k = curve.kernel(float(t))
+        except OverflowError:
+            raise _overflow(t) from None
+        return cls(k, curve.scale, t, EPS_REG * curve.scale)
+
+    def _run(self, outputs):
+        try:
+            return taped(_frenet, outputs, 4)(self.k)
+        except OverflowError:
+            raise _overflow(self.t) from None
+
+    def _ds_vec(self, d):
+        """d/ds of a vector whose t-derivative is ``d``."""
+        s = 1.0 / self.sigma[0]
+        return Vec3(d[0] * s, d[1] * s, d[2] * s)
+
+    @property
+    def pos(self):
+        return Vec3(*self.k[0])
+
+    @property
+    def rd(self):
+        return Vec3(*self.k[1])
+
+    @property
+    def rdd(self):
+        return Vec3(*self.k[2])
 
     @property
     def eps_inflect(self):
         return EPS_INFLECT / self.scale
 
-    @property
+    @cached_property
     def kappa_value(self):
         """kappa at t; 0.0 where r' x r'' vanishes."""
-        return 0.0 if self.kappa is None else self.kappa.value
+        return self._run(_KAPPA)[0] if self.cn_sq > 0.0 else 0.0
 
     @property
     def bent(self):
@@ -178,24 +259,41 @@ class _CurveJets:
         if not self.bent:
             raise InflectionPoint(self.t)
 
-    def frame_jets(self):
-        """(T, N, B) as Vec3 of Jet1; N, B exact through order 2."""
+    @cached_property
+    def T(self):
+        return Vec3(*self._run(_T))
+
+    @cached_property
+    def dT_ds(self):
+        return self._ds_vec(self._run(_DT))
+
+    @cached_property
+    def frame(self):
+        """(T, N, B) at t."""
         self.require_bent()
-        B = self.C / self.Cn
-        N = B.cross(self.T)
-        return self.T, N, B
+        x = self._run(_FRAME)
+        return Vec3(*x[0:3]), Vec3(*x[3:6]), Vec3(*x[6:9])
 
-    def tau_jet(self):
+    def frame_ds(self):
+        """(dT/ds, dN/ds, dB/ds) at t."""
         self.require_bent()
-        return self.rd.dot(self.rdd.cross(self.rddd)) / (self.Cn * self.Cn)
+        x = self._run(_FRAME_DT)
+        return (self._ds_vec(x[0:3]), self._ds_vec(x[3:6]),
+                self._ds_vec(x[6:9]))
 
-    def ds(self, jet):
-        """Value of d(jet)/ds at t (jet exact through order >= 1)."""
-        return jet.c[1] / self.sigma.value
+    @cached_property
+    def tau(self):
+        self.require_bent()
+        return self._run(_TAU)[0]
 
-    def ds_vec(self, vec):
-        s = 1.0 / self.sigma.value
-        return Vec3(vec.x.c[1] * s, vec.y.c[1] * s, vec.z.c[1] * s)
+    def vec_jet(self, name, n=5):
+        """The unit vector ``name`` (T, N or B) as a Vec3 of Jet1: its first
+        ``n`` coefficients (T exact through order 3, N and B through 2), the
+        rest zero."""
+        if name != "T":
+            self.require_bent()
+        x = self._run(_JETS[name, n])
+        return Vec3(*(Jet1(*x[i:i + n]) for i in (0, n, 2 * n)))
 
 
 def frenet(curve, t, partial=False):
@@ -206,13 +304,12 @@ def frenet(curve, t, partial=False):
     returned with N, B, tau, darboux as None.
     """
     cj = _CurveJets.at(curve, t)
-    T = cj.T.value()
     kap = cj.kappa_value
     if partial and not cj.bent:
-        return FrenetData(T=T, N=None, B=None, kappa=kap, tau=None, darboux=None)
-    _, Nj, Bj = cj.frame_jets()
-    N, B = Nj.value(), Bj.value()
-    tau = cj.tau_jet().value
+        return FrenetData(T=cj.T, N=None, B=None, kappa=kap, tau=None,
+                          darboux=None)
+    T, N, B = cj.frame
+    tau = cj.tau
     return FrenetData(T=T, N=N, B=B, kappa=kap, tau=tau,
                       darboux=T * tau + B * kap)
 
@@ -221,20 +318,20 @@ def frenet_residuals(curve, t):
     """Norms of the three Frenet-Serret defects at ``t``:
     |dT/ds - kappa N|, |dN/ds - (tau B - kappa T)|, |dB/ds + tau N|."""
     cj = _CurveJets.at(curve, t)
-    Tj, Nj, Bj = cj.frame_jets()
-    kap = cj.kappa.value
-    tau = cj.tau_jet().value
-    T, N, B = Tj.value(), Nj.value(), Bj.value()
-    r1 = (cj.ds_vec(Tj) - N * kap).norm()
-    r2 = (cj.ds_vec(Nj) - (B * tau - T * kap)).norm()
-    r3 = (cj.ds_vec(Bj) + N * tau).norm()
+    T, N, B = cj.frame
+    kap = cj.kappa_value
+    tau = cj.tau
+    dT, dN, dB = cj.frame_ds()
+    r1 = (dT - N * kap).norm()
+    r2 = (dN - (B * tau - T * kap)).norm()
+    r3 = (dB + N * tau).norm()
     return r1, r2, r3
 
 
 def arc_length(curve, t1, t2, spec=QuadSpec()):
     """L = integral of |dr/dt| over [t1, t2]."""
     def integrand(t):
-        return _CurveJets.at(curve, t).sigma.value
+        return _CurveJets.at(curve, t).sigma[0]
 
     return quad_adaptive(integrand, (t1, t2), spec)
 
@@ -250,7 +347,7 @@ def reparam_to_arclength(curve):
     total = arc_length(curve, t0, t1)
 
     def dt_ds(s, y):
-        return (1.0 / _CurveJets.at(curve, y[0]).sigma.value,)
+        return (1.0 / _CurveJets.at(curve, y[0]).sigma[0],)
 
     table = ode_solve(dt_ds, (t0,), linspace(0.0, total, _N_KNOTS))
     knot_s = table.ts
@@ -269,8 +366,8 @@ def reparam_to_arclength(curve):
             raise DomainError(f"arc length {s0!r} outside [0, {total!r}]")
         s0 = min(max(s0, 0.0), total)
         tv = t_of_s(s0)
-        sig = _CurveJets.at(curve, tv).sigma  # jet of |dr/dt|, exact to order 3
-        f1, f2, f3, f4 = sig.c[0], sig.c[1], sig.c[2], sig.c[3]
+        # |dr/dt| and its derivatives, exact to order 3
+        f1, f2, f3, f4 = _CurveJets.at(curve, tv).sigma
         # inverse-function derivatives of t(s) from s'(t) = sigma
         g1 = 1.0 / f1
         g2 = -f2 * g1 ** 3
@@ -284,26 +381,25 @@ def reparam_to_arclength(curve):
 
 def osculating_circle(curve, t):
     cj = _CurveJets.at(curve, t)
-    _, Nj, _ = cj.frame_jets()
-    kap = cj.kappa.value
-    center = cj.pos.value() + Nj.value() * (1.0 / kap)
+    _, N, _ = cj.frame
+    kap = cj.kappa_value
+    center = cj.pos + N * (1.0 / kap)
     return OsculatingCircle(center=center, radius=1.0 / kap)
 
 
 def osculating_sphere(curve, t):
     """Center r + R_k N + R_t R_k' B; radius sqrt(R_k^2 + (R_t R_k')^2)."""
     cj = _CurveJets.at(curve, t)
-    _, Nj, Bj = cj.frame_jets()
-    tau = cj.tau_jet().value
+    _, N, B = cj.frame
+    tau = cj.tau
     if abs(tau) <= cj.eps_inflect:
         raise ZeroTorsion(f"osculating sphere undefined: tau={tau!r} at t={t!r}")
     r_tau = 1.0 / tau
-    rk_jet = 1.0 / cj.kappa          # radius of curvature as a jet
-    rk_prime = cj.ds(rk_jet)         # dR_k/ds
+    rk, rk_dt = cj._run(_SPHERE)     # radius of curvature and d/dt of it
+    rk_prime = rk_dt / cj.sigma[0]   # dR_k/ds
     off = r_tau * rk_prime
-    center = cj.pos.value() + Nj.value() * rk_jet.value + Bj.value() * off
-    return OsculatingSphere(center=center,
-                            radius=math.hypot(rk_jet.value, off))
+    center = cj.pos + N * rk + B * off
+    return OsculatingSphere(center=center, radius=math.hypot(rk, off))
 
 
 def frenet_lines_and_planes(curve, t):
@@ -328,7 +424,7 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
         kap = cj.kappa_value
         kappas.append(kap)
         if cj.bent:
-            tau = cj.tau_jet().value
+            tau = cj.tau
             taus.append(tau)
             ratios.append(tau / kap)
     max_kappa = max(kappas)
@@ -354,14 +450,10 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
 def sphericity_residual(curve, t):
     """R_k/R_t + d/ds(R_t dR_k/ds); near zero along spherical curves."""
     cj = _CurveJets.at(curve, t)
-    tau_j = cj.tau_jet()
-    if abs(tau_j.value) <= cj.eps_inflect:
+    if abs(cj.tau) <= cj.eps_inflect:
         raise ZeroTorsion(f"tau vanishes at t={t!r}")
-    rk = 1.0 / cj.kappa                      # exact to order 2
-    drk_ds = rk.derivative() / cj.sigma      # exact to order 1
-    rt = 1.0 / tau_j                         # exact to order 1
-    inner = rt * drk_ds
-    return rk.value / rt.value + cj.ds(inner)
+    rk, rt, inner_dt = cj._run(_SPHERICITY)
+    return rk / rt + inner_dt / cj.sigma[0]
 
 
 def involute(curve, c):
@@ -386,12 +478,9 @@ def spherical_indicatrix(curve, which="T"):
         raise ValueError("which must be 'T', 'N' or 'B'")
 
     def evaluator(t_jet):
-        cj = _CurveJets(curve.evaluator(t_jet), curve.scale, t_jet.value,
-                        EPS_REG * curve.scale)
-        if which == "T":
-            return cj.T
-        _, N, B = cj.frame_jets()
-        return B if which == "B" else N
+        k = _coefficients(curve.evaluator(t_jet))
+        cj = _CurveJets(k, curve.scale, t_jet.value, EPS_REG * curve.scale)
+        return cj.vec_jet(which)
 
     return ParametricCurve(evaluator, curve.domain)
 
@@ -406,11 +495,9 @@ def indicatrix_kappa_tau(curve, t, which="T"):
     tau_B = (kappa' tau - kappa tau') / (tau (kappa^2 + tau^2)); both are
     cross-checked against the measured indicatrix curves in the tests."""
     cj = _CurveJets.at(curve, t)
-    kap_j = cj.kappa
-    tau_j = cj.tau_jet()
-    kap, tau = kap_j.value, tau_j.value
-    kp = cj.ds(kap_j)
-    tp = cj.ds(tau_j)
+    tau = cj.tau
+    kap = cj.kappa_value
+    kp, tp = (d / cj.sigma[0] for d in cj._run(_RATES))
     w = kap * kap + tau * tau
     if which == "T":
         kappa_ind = math.sqrt(w) / kap

@@ -27,8 +27,10 @@ Curves declare one parameter, surfaces two (in order u, v), and
 ``surfacecurve`` definitions one, with components u and v.  One compiler
 makes straight-line code of them (:func:`position_kernel`): at order 0 for
 float or jet parameters, whose derivatives are exact Taylor coefficients,
-and for a surface's partials through order 2 or 3 over floats; :func:`taped`
-records jet-generic formulas.  Both compile the lines the generator emits.
+for a surface's partials through order 2 or 3 over floats, and for a
+curve's derivatives through order 4 over floats; :func:`taped` records
+jet-generic formulas over either kind of position.  Both compile the lines
+the generator emits.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
 for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
 kind of file name the line at fault; an undeclared name and a call of
@@ -122,8 +124,9 @@ def tokenize(text):
 
 class _Node:
     """Trees compare and hash by their preorder listing of (class, non-tree
-    fields), and print as the dataclass repr would, each made in a loop, so
-    the deepest tree the parser accepts needs no recursion."""
+    fields), print as the dataclass repr would and pickle as that listing,
+    each made in a loop, so the deepest tree the parser accepts needs no
+    recursion.  Every node class lists its non-tree fields first."""
 
     def _preorder(self):
         out, todo = [], [self]
@@ -143,6 +146,9 @@ class _Node:
     def __hash__(self):
         return hash(tuple(self._preorder()))
 
+    def __reduce__(self):
+        return _from_preorder, (self._preorder(),)
+
     def __repr__(self):
         done = {}   # id -> repr of each node whose subtrees are printed
         todo = [self]
@@ -159,6 +165,17 @@ class _Node:
                     for k, f in fields)
             done[id(n)] = f"{type(n).__name__}({', '.join(args)})"
         return done[id(self)]
+
+
+def _from_preorder(listing):
+    """The tree of a ``_Node._preorder`` listing, built in a loop: read
+    backwards, each node's subtrees come before it, first child on top."""
+    stack = []
+    for cls, *fields in reversed(listing):
+        kids = len(cls.__dataclass_fields__) - len(fields)
+        children = [stack.pop() for _ in range(kids)]
+        stack.append(cls(*fields, *children))
+    return stack.pop()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -423,13 +440,15 @@ def position_kernel(definition, fallback, order=2):
     """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
     'surface' definition, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv
     and r_vvv: (x, y, z) float triples equal to the Jet2 coefficients of
-    ``definition.eval``, raising what it raises.  The code is generated once
-    per template (components, parameter and constant names) and order, and
-    bound here to the constant values.  ``fallback(u, v)`` gives the ten
-    triples from one Jet2 evaluation; the kernel defers to it where the
-    Jet2 ``power`` branches on what the kernel does not decide.  At
-    ``order`` 0 the kernel of any definition takes its parameters as floats
-    or jets and returns its one row of components; it needs no fallback."""
+    ``definition.eval``, raising what it raises.  At ``order`` 4 the kernel
+    ``t -> (r, r', r'', r''', r'''')`` of a 'curve' definition gives the
+    Jet1 coefficients the same way.  The code is generated once per template
+    (components, parameter and constant names) and order, and bound here to
+    the constant values.  ``fallback(u, v)`` (``fallback(t)``) gives the
+    triples from one jet evaluation; the kernel defers to it where the jet
+    ``power`` branches on what the kernel does not decide.  At ``order`` 0
+    the kernel of any definition takes its parameters as floats or jets and
+    returns its one row of components; it needs no fallback."""
     kernel = _kernel_binder(tuple(map(_postfix, definition.components)),
                             tuple(definition.params),
                             tuple(definition.constants), order)
@@ -443,8 +462,14 @@ def _kernel_binder(programs, params, constants, order):
     constants) None until position_kernel binds them in a copy; one function
     compiles faster than a closure."""
     gen = _Taylor(order, params, constants)
-    outs = [gen.add(gen.gen(p), gen.zero) if order else (gen.gen(p),)
-            for p in programs]  # all jets
+    outs = [gen.gen(p) for p in programs]
+    if not order:
+        outs = [(o,) for o in outs]
+    elif not all(isinstance(o, tuple) for o in outs):
+        # constant components lifted, as ShapeDefinition.eval does
+        lift = (gen.mul(gen.env[params[0]], 0.0) if gen.univariate
+                else gen.zero)
+        outs = [o if isinstance(o, tuple) else gen.add(lift, o) for o in outs]
     rows = "".join("(" + "".join(_fmt(o[k]) + ", " for o in outs) + "), "
                    for k in range(gen.size))
     args = [*gen.params, "_fallback=None",
@@ -455,15 +480,16 @@ def _kernel_binder(programs, params, constants, order):
 
 
 @lru_cache(maxsize=None)
-def taped(formulas, outputs):
+def taped(formulas, outputs, order=2):
     """Straight-line float code for ``formulas(r)``: jet-generic code over
     a position jet r (a Vec3) that returns a dict of jets.  The result is
     the function ``k -> tuple`` that reads the (x, y, z) triples ``k`` of a
     position kernel and returns, for each ``(name, slot)`` of ``outputs``,
     coefficient ``slot`` of the jet named ``name``, computed as Jet2
-    computes it.  Only the code those outputs need is kept, so ``k`` may
-    stop at order 2 when no output reads r's third partials."""
-    lines, named = _tape(formulas)
+    computes it, or as Jet1 does at ``order`` 4 (a curve's kernel).  Only
+    the code those outputs need is kept, so ``k`` may stop at order 2 when
+    no output reads r's third partials."""
+    lines, named = _tape(formulas, order)
     terms = [named[name][slot] for name, slot in outputs]
     need = {t for t in terms if isinstance(t, str)}
     body = []
@@ -482,14 +508,16 @@ def taped(formulas, outputs):
 
 
 @lru_cache(maxsize=None)
-def _tape(formulas):
-    """``formulas`` run once on a position jet of _TapeJet terms _r<slot><c>
-    through order 3: the generated lines, and the terms of each jet it
-    returned.  The tape keeps order 2: r's first partials are exact to
-    order 2, and Jet2 computes a slot of order 2 or less from such slots
-    alone."""
-    gen = _Taylor(2)
-    r = Vec3(*(_TapeJet(gen, tuple(f"_r{i}{c}" for i in range(10)))
+def _tape(formulas, order):
+    """``formulas`` run once on a position jet of _TapeJet terms _r<slot><c>:
+    the generated lines, and the terms of each jet it returned.  At
+    ``order`` 2 r runs through order 3 and the tape keeps order 2: r's first
+    partials are exact to order 2, and Jet2 computes a slot of order 2 or
+    less from such slots alone.  At ``order`` 4 r and the tape have Jet1's
+    five slots."""
+    gen = _Taylor(order)
+    slots = 5 if gen.univariate else 10
+    r = Vec3(*(_TapeJet(gen, tuple(f"_r{i}{c}" for i in range(slots)))
                for c in "xyz"))
     named = {name: jet.c for name, jet in formulas(r).items()}
     return tuple(gen.lines), named
@@ -514,6 +542,34 @@ def _fmt(term):
     if term is None or not isinstance(term, float):
         return term or "0.0"
     return f"({term!r})" if math.copysign(1.0, term) < 0 else repr(term)
+
+
+def _prod_exact(*factors):
+    """Left-to-right product as the jets round it, zeros included: only a
+    factor 1.0 is left out (x * 1.0 is x, bit for bit)."""
+    acc = factors[0]
+    for f in factors[1:]:
+        if isinstance(acc, float) and isinstance(f, float):
+            acc *= f
+        elif acc == 1.0:
+            acc = f
+        elif f != 1.0:
+            acc = f"{_fmt(acc)} * {_fmt(f)}"
+    return acc
+
+
+def _sum_exact(*terms):
+    """Left-to-right sum as the jets round it, signed zeros included: only
+    a term -0.0 is left out (x + -0.0 is x, bit for bit)."""
+    kept = [t for t in terms
+            if not (t == 0.0 and math.copysign(1.0, t) < 0.0)] or [-0.0]
+    acc = kept[0]
+    for t in kept[1:]:
+        if isinstance(acc, float) and isinstance(t, float):
+            acc += t
+        else:
+            acc = f"{_fmt(acc)} + {_fmt(t)}"
+    return acc
 
 
 def _prod(*factors):
@@ -548,7 +604,7 @@ def _sum(*terms):
 
 # Leibniz's rule for a Jet2 product, slot by slot: the terms in Jet2's
 # order, each (multiplier..., slot of the left factor, slot of the right)
-_LEIBNIZ = (
+_LEIBNIZ2 = (
     ((0, 0),),
     ((1, 0), (0, 1)),
     ((2, 0), (0, 2)),
@@ -561,27 +617,45 @@ _LEIBNIZ = (
     ((9, 0), (3.0, 5, 2), (3.0, 2, 5), (0, 9)),
 )
 
+# the same for a Jet1 product, in Jet1's order
+_LEIBNIZ1 = (
+    ((0, 0),),
+    ((1, 0), (0, 1)),
+    ((2, 0), (2.0, 1, 1), (0, 2)),
+    ((3, 0), (3.0, 2, 1), (3.0, 1, 2), (0, 3)),
+    ((4, 0), (4.0, 3, 1), (6.0, 2, 2), (4.0, 1, 3), (0, 4)),
+)
+
 
 class _Taylor:
     """Source transformation (Griewank & Walther, Evaluating Derivatives,
-    ch. 13) of the Jet2 arithmetic through total ``order`` 0, 2 or 3, for
-    programs (see _postfix) over ``params`` and ``constants`` or for a tape:
-    a jet is a tuple of terms, the first 6 Jet2 coefficients f, fu, fv, fuu,
-    fuv, fvv or all 10 (then fuuu, fuuv, fuvv, fvvv), and a float is one
-    term.  At order 0 a parameter is one term, so the code applies the
+    ch. 13) of the jet arithmetic, for programs (see _postfix) over
+    ``params`` and ``constants`` or for a tape: at ``order`` 2 or 3 the Jet2
+    arithmetic through that total order, at ``order`` 4 (the one univariate
+    order) the Jet1 arithmetic.  A jet is a tuple of terms: the first 6 Jet2
+    coefficients f, fu, fv, fuu, fuv, fvv or all 10 (then fuuu, fuuv, fuvv,
+    fvvv), or the 5 Jet1 coefficients f, f', f'', f''', f''''.  A float is
+    one term.  At order 0 a parameter is one term, so the code applies the
     operators and functions of whatever type the argument has.  Jet tuples
-    keep Jet2's operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is
+    keep the jets' operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is
     ``a + (-b)``) and programs the language's order of evaluation, so values
     and errors match.  Equal code is emitted once."""
 
     def __init__(self, order, params=(), constants=()):
-        self.size = (order + 1) * (order + 2) // 2
-        self.zero = (None,) * self.size
+        self.univariate = order == 4
+        self.size = 5 if self.univariate else (order + 1) * (order + 2) // 2
+        self.leibniz = _LEIBNIZ1 if self.univariate else _LEIBNIZ2[:self.size]
+        # order 4 keeps Jet1's zeros, so values match to the signed zero;
+        # orders 2 and 3 leave known zeros out (None)
+        self.zero = (0.0 if self.univariate else None,) * self.size
+        self.prod = _prod_exact if self.univariate else _prod
+        self.sum = _sum_exact if self.univariate else _sum
         self.params = [f"_p{i}" for i in range(len(params))]
         self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
         self.env = dict(zip(params, self.params))
-        if order and params:    # u and v lifted into jets
+        if order and params:    # t, or u and v, lifted into jets
             self.env[params[0]] = ("_p0", 1.0) + self.zero[2:]
+        if order and params[1:]:
             self.env[params[1]] = ("_p1", None, 1.0) + self.zero[3:]
         self.env.update((c, f"_c{i}") for i, c in enumerate(constants))
         self.lines = []
@@ -594,23 +668,26 @@ class _Taylor:
         return self.named[code]
 
     def table(self, call):
-        """The locals holding d0..d3 of a derivative-table call.  sin and
-        cos of one argument share one call: (s, c, -s, -c) rotated is
-        (c, -s, -c, s), and negation is exact."""
+        """The locals holding d0..d3 of a derivative-table call, and d4 at
+        order 4.  sin and cos of one argument share one call: (s, c, -s, -c)
+        rotated is (c, -s, -c, s), d4 is d0, and negation is exact."""
         for name, other, turn in (("sin", "cos", 3), ("cos", "sin", 1)):
             twin = f"_tab_{other}(" + call[len(f"_tab_{name}("):]
             if call.startswith(f"_tab_{name}(") and twin in self.named:
-                d = self.named[twin]
-                return d[turn:] + d[:turn]
+                d = self.named[twin][:4]
+                d = d[turn:] + d[:turn]
+                return d + d[:1] if self.univariate else d
         if call not in self.named:
-            self.named[call] = tuple(f"_t{len(self.lines)}_{k}"
-                                     for k in range(4))
-            self.lines.append(f"{', '.join(self.named[call])}, _ = {call}")
+            names = [f"_t{len(self.lines)}_{k}" for k in range(5)]
+            if not self.univariate:
+                names[4] = "_"
+            self.named[call] = tuple(names[:5 if self.univariate else 4])
+            self.lines.append(f"{', '.join(names)} = {call}")
         return self.named[call]
 
     def coef(self, expr):
         if expr is None or isinstance(expr, float):
-            return None if expr == 0.0 else expr
+            return None if expr == 0.0 and not self.univariate else expr
         return expr if expr.isidentifier() else self.emit(expr)
 
     def scalar(self, code, fn, *args):
@@ -651,8 +728,14 @@ class _Taylor:
             return tuple(None if t is None else self.neg(t) for t in x)
         return -x if isinstance(x, float) else self.emit(f"-{x}")
 
+    def lift(self, x):
+        """The float term ``x`` as a constant jet, as Jet1 coerces it."""
+        return (x,) + self.zero[1:]
+
     def sub(self, a, b):
         if isinstance(a, tuple) or isinstance(b, tuple):
+            if self.univariate and not isinstance(b, tuple):
+                b = self.lift(b)    # Jet1 negates the coerced jet
             return self.add(a, self.neg(b))
         return self.scalar("{} - {}", lambda p, q: p - q, a, b)
 
@@ -661,8 +744,8 @@ class _Taylor:
             if not isinstance(b, tuple):
                 return self.scalar("{} + {}", lambda p, q: p + q, a, b)
             a, b = b, a
-        b = b if isinstance(b, tuple) else (b,) + self.zero[1:]
-        return tuple(self.coef(_sum(p, q)) for p, q in zip(a, b))
+        b = b if isinstance(b, tuple) else self.lift(b)
+        return tuple(self.coef(self.sum(p, q)) for p, q in zip(a, b))
 
     def mul(self, f, g):
         if not isinstance(f, tuple):
@@ -670,22 +753,39 @@ class _Taylor:
                 return self.scalar("{} * {}", lambda p, q: p * q, f, g)
             f, g = g, f     # the jet is the left factor
         if not isinstance(g, tuple):
-            return tuple(self.coef(_prod(t, g)) for t in f)
-        return tuple(self.coef(_sum(*(_prod(*k, f[i], g[j])
-                                      for *k, i, j in row)))
-                     for row in _LEIBNIZ[:self.size])
+            if not self.univariate:
+                return tuple(self.coef(_prod(t, g)) for t in f)
+            g = self.lift(g)
+        return tuple(self.coef(self.sum(*(self.prod(*k, f[i], g[j])
+                                          for *k, i, j in row)))
+                     for row in self.leibniz)
 
     def div(self, a, b):
         if isinstance(b, tuple):
             return self.mul(a, self.compose(f"_recip({_fmt(b[0])})", b))
         if isinstance(a, tuple):
+            if self.univariate:     # Jet1 composes 1/b with the lifted b
+                return self.mul(a, self.compose1(self.derivatives(
+                    f"_recip({_fmt(b)})", jets._tab_recip, b), self.lift(b)))
             return self.mul(a, self.scalar("_recip({})[0]",
                                            lambda q: jets._tab_recip(q)[0], b))
         return self.scalar("_div({}, {})", _div, a, b)
 
+    def derivatives(self, call, fn, x):
+        """The derivative table ``fn(x)`` of ``call``: literals when ``x``
+        is one and the table does not raise, else the locals of the call."""
+        if isinstance(x, float):
+            try:
+                return tuple(map(float, fn(x)))
+            except (DiffGeoError, ArithmeticError, ValueError):
+                pass    # raised again where the code runs
+        return self.table(call)
+
     def compose(self, table_call, x):
         """Faa di Bruno through the order of ``x`` against a derivative
-        table, as Jet2._compose writes it."""
+        table, as Jet2._compose (Jet1._compose at order 4) writes it."""
+        if self.univariate:
+            return self.compose1(self.table(table_call), x)
         d0, d1, d2, d3 = self.table(table_call)
         _, u, v, uu, uv, vv, *third = x
         c = self.coef
@@ -708,10 +808,22 @@ class _Taylor:
             c(_sum(_prod(d1, vvv), _prod(3.0, d2, v, vv),
                    _prod(d3, self.cube(v)))))
 
-    def cube(self, x):
-        """``x ** 3``, as Jet2 rounds it (not as x * x * x)."""
-        return None if x is None else self.scalar("{} ** 3", lambda p: p ** 3,
-                                                  x)
+    def compose1(self, d, x):
+        """Faa di Bruno as Jet1._compose writes it, against the table
+        ``d``, zeros included."""
+        d0, d1, d2, d3, d4 = d
+        _, u1, u2, u3, u4 = x
+        c, p, s = self.coef, _prod_exact, _sum_exact
+        return (d0, c(p(d1, u1)),
+                c(s(p(d1, u2), p(d2, u1, u1))),
+                c(s(p(d1, u3), p(3.0, d2, u1, u2), p(d3, self.cube(u1)))),
+                c(s(p(d1, u4), p(d2, c(s(p(4.0, u1, u3), p(3.0, u2, u2)))),
+                    p(6.0, d3, u1, u1, u2), p(d4, self.cube(u1, 4)))))
+
+    def cube(self, x, n=3):
+        """``x ** n``, as the jets round it (not as x * x * x)."""
+        return None if x is None else self.scalar(f"{{}} ** {n}",
+                                                  lambda p: p ** n, x)
 
     def call(self, name, x):
         if isinstance(x, tuple):
@@ -723,7 +835,7 @@ class _Taylor:
             # jets.power takes exp(p * log(base)) unless every partial of p
             # is zero; that case, which order 2 cannot decide, goes to the
             # fallback at any order
-            partials = [t for t in p[1:] if t is not None]
+            partials = [t for t in p[1:] if t is not None and t != 0.0]
             if not any(isinstance(t, float) for t in partials):
                 self.lines.append(f"if not ({' or '.join(partials) or 0}): "
                                   + self.bail)
@@ -743,10 +855,17 @@ class _Taylor:
         if n < 0:
             self.lines.append(f"if {_fmt(base[0])} == 0.0: raise DomainError("
                               "'zero base with negative exponent')")
-        out = base if n else (1.0,) + self.zero[1:]
+        if self.univariate:     # as jets._int_power writes it
+            out = base if n else self.add(self.mul(base, 0.0), 1.0)
+        else:
+            out = base if n else (1.0,) + self.zero[1:]
         for _ in range(int(abs(n)) - 1):
             out = self.mul(out, base)
-        return self.compose(f"_recip({_fmt(out[0])})", out) if n < 0 else out
+        if n >= 0:
+            return out
+        if self.univariate:
+            return self.div(1.0, out)
+        return self.compose(f"_recip({_fmt(out[0])})", out)
 
     # operands in program order: the divisor before the dividend
     binary = {"+": add, "-": sub, "*": mul, "^": power,
@@ -755,8 +874,9 @@ class _Taylor:
 
 class _TapeJet:
     """A jet of _Taylor terms: jet-generic code run on it records its Jet2
-    arithmetic as the generator's lines (the tape of Griewank & Walther,
-    ch. 6).  ``call(name)`` stands for ``jets.<name>``."""
+    (at order 4, Jet1) arithmetic as the generator's lines (the tape of
+    Griewank & Walther, ch. 6).  ``call(name)`` stands for
+    ``jets.<name>``."""
 
     __slots__ = ("gen", "c")
 
@@ -800,9 +920,13 @@ class _TapeJet:
     def dv(self):
         return self._shift((2, 4, 5, 7, 8, 9))
 
+    def derivative(self):
+        """The jet of d/dt, its top slot zero, as Jet1.derivative."""
+        return self._shift((1, 2, 3, 4, 5))
+
     def _shift(self, slots):
-        c = self.c
-        return _TapeJet(self.gen, tuple(c[i] if i < len(c) else None
+        c, zero = self.c, self.gen.zero[0]
+        return _TapeJet(self.gen, tuple(c[i] if i < len(c) else zero
                                         for i in slots))
 
     def call(self, name):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import jets
-from .curves import _CurveJets
+from .curves import _coefficients, _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
                      NoUniqueConjugate, OpenLoop, SingularSurfacePoint,
@@ -25,9 +25,9 @@ from .interpolate import HermiteChannel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .surfaces import (_SurfacePoint, _curvatures_of, _metric_dot,
-                       _metric_unit, _normal_curvature, _overflow,
-                       gamma_field, metric_and_gamma, total_curvature)
+from .surfaces import (_curvatures_of, _metric_dot, _metric_unit,
+                       _normal_curvature, _overflow, _point, gamma_field,
+                       metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -120,7 +120,7 @@ class CurvatureSplit:
 def _point_jets(sc, t):
     """(the surface point under the curve point, uv jets)."""
     uj, vj = sc.uv_jets(t)
-    return _SurfacePoint(sc.surface, uj.value, vj.value), uj, vj
+    return _point(sc.surface, uj.value, vj.value), uj, vj
 
 
 def _composite_jets(sc, t):
@@ -129,15 +129,16 @@ def _composite_jets(sc, t):
     p, uj, vj = _point_jets(sc, t)
     scale = sc.surface.scale
     try:
-        cj = _CurveJets(sc.surface.evaluator(uj, vj), scale, t)
+        cj = _CurveJets(_coefficients(sc.surface.evaluator(uj, vj)), scale,
+                        t)
     except OverflowError:
         raise _overflow(p.u, p.v) from None
     return p, uj, vj, cj
 
 
 def _split(p, cj):
-    T = cj.T.value()
-    K_vec = cj.ds_vec(cj.T)                        # dT/ds
+    T = cj.T
+    K_vec = cj.dT_ds
     n = p.n
     u_vec = n.cross(T)
     return CurvatureSplit(K_vec=K_vec, kappa_n=n.dot(K_vec),
@@ -161,15 +162,13 @@ def kappa_n_quotient(sc, t):
 def kappa_g_extrinsic(sc, t):
     """kappa_g = r''.(n x r') / |r'|^3 (speed-corrected form)."""
     p, _, _, cj = _composite_jets(sc, t)
-    return (cj.rdd.value().dot(p.n.cross(cj.rd.value()))
-            / cj.sigma.value ** 3)
+    return cj.rdd.dot(p.n.cross(cj.rd)) / cj.sigma[0] ** 3
 
 
 def kappa_g_intrinsic(sc, t):
     """kappa_g from the Christoffel symbols and intrinsic path data."""
     p, uj, vj, cj = _composite_jets(sc, t)
-    s1 = cj.sigma.value
-    s2 = cj.sigma.c[1]
+    s1, s2 = cj.sigma[:2]
     # d/ds and d2/ds2 of the parameters
     u1, v1 = uj.c[1] / s1, vj.c[1] / s1
     u2 = uj.c[2] / s1 ** 2 - uj.c[1] * s2 / s1 ** 3
@@ -185,8 +184,8 @@ def kappa_g_intrinsic(sc, t):
 
 def _geodesic_torsion(p, uj, vj, cj):
     dn_du, dn_dv = p.dn
-    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma.value
-    return p.n.dot(n_s.cross(cj.T.value()))
+    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma[0]
+    return p.n.dot(n_s.cross(cj.T))
 
 
 def geodesic_torsion(sc, t):
@@ -536,7 +535,7 @@ def asymptotic_directions(surface, u, v):
 
     Returns the string 'all' at flat points, else a list of 0, 1 or 2
     (du, dv) pairs."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     cur = _curvatures_of(p)
     if cur.shape == "Flat":
         return "all"
@@ -564,7 +563,7 @@ def asymptotic_directions(surface, u, v):
 def principal_direction_field(surface, u, v):
     """Two metric-unit principal directions plus their Rodrigues defects
     |dn + kappa_i dr| (per metric-unit step)."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     cur = _curvatures_of(p)
     if cur.is_umbilic:
         raise UmbilicPoint(f"no principal directions at ({u!r}, {v!r})")
@@ -580,7 +579,7 @@ def principal_direction_field(surface, u, v):
 
 def conjugate_direction(surface, u, v, direction):
     """The direction conjugate to ``direction``: b(d, delta) = 0."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     e, f, g = p.efg
     d1, d2 = float(direction[0]), float(direction[1])
     w1 = e * d1 + f * d2
@@ -703,7 +702,7 @@ def _exterior_angle(arc_in, arc_out):
     u0, v0 = uj.value, vj.value
     uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
     t_out = (uj2.c[1], vj2.c[1])
-    p = _SurfacePoint(surface, u0, v0)
+    p = _point(surface, u0, v0)
     cross = p.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
     return math.atan2(cross, _metric_dot(*p.EFG, t_in, t_out))
 
@@ -716,8 +715,8 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
     for arc in loop.arcs:
         def integrand(t, arc=arc):
             p, _, _, cj = _composite_jets(arc, t)
-            kappa_g = p.n.cross(cj.T.value()).dot(cj.ds_vec(cj.T))
-            return kappa_g * cj.sigma.value
+            kappa_g = p.n.cross(cj.T).dot(cj.dT_ds)
+            return kappa_g * cj.sigma[0]
 
         sum_kg += quad_adaptive(integrand, arc.domain, spec)
 
@@ -763,7 +762,7 @@ def liouville_check(sc, t):
     # phi(t) through jets: x = sqrt(E) du/dt, y = sqrt(G) dv/dt
     x = jets.sqrt(_field_along_curve(E, Eu, Ev, uj, vj)) * uj.derivative()
     y = jets.sqrt(_field_along_curve(G, Gu, Gv, uj, vj)) * vj.derivative()
-    dphi_ds = _turning_rate(x, y) / cj.sigma.value
+    dphi_ds = _turning_rate(x, y) / cj.sigma[0]
     phi = math.atan2(y.value, x.value)
 
     kg = _split(p, cj).kappa_g
@@ -779,7 +778,8 @@ def bonnet_torsion_check(sc, t):
     tau_g = tau + dphi/ds; the unsigned-arccos statement of the formula
     matches after orienting the angle."""
     p, uj, vj, cj = _composite_jets(sc, t)
-    T, N, _ = cj.frame_jets()
+    N = cj.vec_jet("N", 2)             # exact through order 1 suffices
+    T = cj.vec_jet("T", 2)
     split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(
@@ -788,6 +788,6 @@ def bonnet_torsion_check(sc, t):
     n_t = _normal_along_curve(p, uj, vj)
     u_t = n_t.cross(T)                 # geodesic normal along the curve
     # signed angle of N in the (n, u) frame: phi = atan2(N.u, N.n)
-    dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma.value
+    dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma[0]
     tau_g = _geodesic_torsion(p, uj, vj, cj)
-    return tau_g - (cj.tau_jet().value + dphi_ds)
+    return tau_g - (cj.tau + dphi_ds)

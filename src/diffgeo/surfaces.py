@@ -63,6 +63,7 @@ class ParametricSurface:
         self.periodic = periodic
         self._make_kernel = make_kernel
         self._scale = None
+        self._last_point = None     # (key, bundle) of the last _point
 
     @cached_property
     def kernel(self):
@@ -273,6 +274,19 @@ class _SurfacePoint:
         return self._run(_THIRD)
 
 
+def _point(surface, u, v, order=2):
+    """The _SurfacePoint of ``surface`` at (u, v) and ``order``: the one
+    built last, when that was at exactly this point (signed zeros told
+    apart) and order, else a new one.  Pointwise checks ask for one point
+    many times in a row."""
+    u, v = float(u), float(v)
+    key = (u, v, order, math.copysign(1.0, u), math.copysign(1.0, v))
+    last = surface._last_point
+    if last is None or last[0] != key:
+        last = surface._last_point = key, _SurfacePoint(surface, u, v, order)
+    return last[1]
+
+
 def _check_regular(a, trace, u, v):
     """Raise unless sqrt(a) = |E1 x E2| > EPS_REG * ``trace`` (E + G), i.e.
     unless sigma_min/sigma_max of the Jacobian clears about EPS_REG; an inf
@@ -358,14 +372,14 @@ def metric_and_gamma(surface, u, v):
 
 
 def surface_frame(surface, u, v):
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     return SurfaceFrame(E1=p.E1, E2=p.E2, n=p.n, sqrt_a=p.sqrt_a)
 
 
 def forms(surface, u, v):
     """First, second and third fundamental forms plus both Christoffel
     kinds at a regular point."""
-    return _forms_of(_SurfacePoint(surface, u, v))
+    return _forms_of(_point(surface, u, v))
 
 
 def _forms_of(p):
@@ -386,7 +400,7 @@ def riemann_R1212(surface, u, v):
     """The single independent Riemann component, intrinsically:
     R1212 = (2 a12,uv - a11,vv - a22,uu)/2
             + a_ab (G^a_12 G^b_12 - G^a_11 G^b_22)."""
-    p = _SurfacePoint(surface, u, v, order=3)
+    p = _point(surface, u, v, order=3)
     F_uv, E_vv, G_uu = p.third[:3]
     term = 0.5 * (2.0 * F_uv - E_vv - G_uu)
     g = p.gamma2
@@ -403,7 +417,7 @@ def riemann_R1212(surface, u, v):
 
 
 def curvatures(surface, u, v):
-    return _curvatures_of(_SurfacePoint(surface, u, v))
+    return _curvatures_of(_point(surface, u, v))
 
 
 def _curvatures_of(p):
@@ -500,7 +514,7 @@ def gauss_weingarten_residuals(surface, u, v):
     """Scaled defect norms of the three Gauss equations
     dE_a/du^b = G^c_ab E_c + b_ab n and the two Weingarten equations
     dn/du^a = -b_a^b E_b.  Each residual is |lhs - rhs| / max(1, |lhs|, |rhs|)."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     E, F, G = p.EFG
     e, f, g = p.efg
     a = p.a
@@ -534,7 +548,7 @@ def codazzi_compatibility_residuals(surface, u, v):
               b22,u - b12,v = b22 G^2_12 - b12 (G^2_22 - G^1_12) - b11 G^1_22
     Compatibility: eg - f^2 equals its Christoffel expression.
     """
-    p = _SurfacePoint(surface, u, v, order=3)
+    p = _point(surface, u, v, order=3)
     e, f, g = b11, b12, b22 = p.efg
     g111, g112, g121, g122, g221, g222 = p.gamma2
     (b12_u, b11_v, b22_u, b12_v,
@@ -560,7 +574,7 @@ def codazzi_compatibility_residuals(surface, u, v):
 def form_identity_residual(surface, u, v):
     """max over indices of |K a_ab - 2H b_ab + c_ab|, scaled by the largest
     coefficient magnitude entering the identity."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     fb = _forms_of(p)
     cur = _curvatures_of(p)
     K, H = cur.K, cur.H
@@ -579,7 +593,7 @@ def surface_area(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        return _SurfacePoint(surface, u, v).sqrt_a
+        return _point(surface, u, v).sqrt_a
 
     return quad2d(integrand, rect, spec)
 
@@ -589,7 +603,7 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     rect = surface.domain if rect is None else rect
 
     def integrand(u, v):
-        p = _SurfacePoint(surface, u, v)
+        p = _point(surface, u, v)
         e, f, g = p.efg
         return (e * g - f * f) / p.sqrt_a
 
@@ -598,7 +612,7 @@ def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
 
 def angle_between(surface, u, v, A, B):
     """Angle in [0, pi] between tangent vectors given by surface components."""
-    E, F, G = _SurfacePoint(surface, u, v).EFG
+    E, F, G = _point(surface, u, v).EFG
     na = math.sqrt(_metric_dot(E, F, G, A, A))
     nb = math.sqrt(_metric_dot(E, F, G, B, B))
     if na == 0.0 or nb == 0.0:
@@ -609,7 +623,7 @@ def angle_between(surface, u, v, A, B):
 
 def sin_angle_between(surface, u, v, A, B):
     """sin(theta) via the surface alternating tensor, for cross-checks."""
-    p = _SurfacePoint(surface, u, v)
+    p = _point(surface, u, v)
     E, F, G = p.EFG
     A = _metric_unit(E, F, G, A)
     B = _metric_unit(E, F, G, B)

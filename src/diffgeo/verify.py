@@ -91,11 +91,11 @@ def curve_suites(shape, rng, n, rect):
         cj = _CurveJets.at(shape, t)
         if not cj.bent:
             raise _Skip
-        _, Nj, Bj = cj.frame_jets()
-        tau = cj.tau_jet().value
-        kap = cj.kappa.value
-        return (cj.ds_vec(Nj).norm() ** 2 - (kap ** 2 + tau ** 2),
-                abs(kap * tau) - abs(cj.ds_vec(cj.T).dot(cj.ds_vec(Bj))))
+        dT, dN, dB = cj.frame_ds()
+        tau = cj.tau
+        kap = cj.kappa_value
+        return (dN.norm() ** 2 - (kap ** 2 + tau ** 2),
+                abs(kap * tau) - abs(dT.dot(dB)))
 
     def reparam(t):
         fd = frenet(shape, t, partial=True)

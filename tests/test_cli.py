@@ -7,7 +7,11 @@ import os
 
 import pytest
 
-from diffgeo.cli import main
+from diffgeo import cli
+from diffgeo.cli import build_parser, main
+from diffgeo.curves import classify_curve
+from diffgeo.errors import DomainError
+from diffgeo.ode import OdeSpec
 from diffgeo.expr import MAX_DEPTH
 from diffgeo.report import dump_json, format_float
 
@@ -164,6 +168,62 @@ class TestEval:
         data = json.loads(out_json.read_text())
         assert len(data["records"]) == 5
         assert all(abs(r["value"] - 0.8) < 1e-10 for r in data["records"])
+
+    def test_curve_class_once_per_run(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(shape):
+            calls.append(shape)
+            return classify_curve(shape)
+
+        monkeypatch.setattr(cli, "classify_curve", counted)
+        code, out = run(capsys, "eval", "--shape", "helix", "--grid", "16",
+                        "--quantity", "class", "--quantity", "kappa")
+        assert code == 0 and len(calls) == 1
+        assert out.count(" class = Helix") == 16
+
+    def test_curve_class_error_at_every_point(self, capsys, monkeypatch,
+                                              tmp_path):
+        def failing(shape):
+            raise DomainError("no class")
+
+        monkeypatch.setattr(cli, "classify_curve", failing)
+        out_json = tmp_path / "r.json"
+        assert main(["eval", "--shape", "helix", "--grid", "3", "--quantity",
+                     "class", "--json", str(out_json)]) == 3
+        err = capsys.readouterr().err
+        records = json.loads(out_json.read_text())["records"]
+        assert [r["status"] for r in records] == ["DomainError: no class"] * 3
+        first = records[0]["point"][0]
+        assert err.splitlines()[0] == (f"error at point ({first!r},) (class): "
+                                       "DomainError: no class")
+
+
+class TestParser:
+    def test_built_once_reading_the_tolerance_each_run(self, capsys,
+                                                         monkeypatch):
+        built, tols = [], []
+        monkeypatch.setattr(cli, "_PARSER", [])
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build_parser())
+        monkeypatch.setattr(cli, "OdeSpec",
+                            lambda tol: tols.append(tol) or OdeSpec(tol=tol))
+        monkeypatch.delenv("DIFFGEO_TOL", raising=False)
+        argv = ["reconstruct", "--kappa", "1", "--tau", "0", "--length", "1",
+                "--samples", "2"]
+        assert main(argv) == 0
+        monkeypatch.setenv("DIFFGEO_TOL", "1e-7")
+        assert main(argv) == 0
+        monkeypatch.setenv("DIFFGEO_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "'abc'" in capsys.readouterr().err.strip().splitlines()[-1]
+        monkeypatch.delenv("DIFFGEO_TOL")
+        assert main(argv + ["--tol", "1e-9"]) == 0
+        assert main(argv) == 0
+        assert tols == [1e-10, 1e-7, 1e-9, 1e-10]
+        assert built == [1]
 
 
 class TestVerify:
@@ -672,12 +732,21 @@ class TestMalformedInput:
         ("1e-100*sin(1e110*u)", ["verify", "--seed", "1", "--samples", "4"],
          "error: OverflowError: surface jets overflow at (u, v)="
          "(0.14898967434790517, 0.8335363874597433)"),
-    ], ids=["eval-singular", "eval-overflow", "verify-third-order"])
+        # a curve: sigma's jet cubes a derivative of |r'|^2 near 1e264
+        ("curve: exp(t)^(t*300)", ["eval", "--at", "0.99", "--quantity",
+                                   "kappa"],
+         "OverflowError: curve jets overflow at t=0.99"),
+    ], ids=["eval-singular", "eval-overflow", "verify-third-order",
+            "eval-curve"])
     def test_overflow_names_the_point(self, z, argv, named, capsys,
                                       tmp_path):
         path = tmp_path / "steep.ps"
-        path.write_text("surface steep\nparam u in [0, 1]\n"
-                        f"param v in [0, 1]\nx = u\ny = v\nz = {z}\n")
+        if z.startswith("curve: "):
+            path.write_text("curve big\nparam t in [0, 1]\nx = t\n"
+                            f"y = t^2\nz = {z[7:]}\n")
+        else:
+            path.write_text("surface steep\nparam u in [0, 1]\n"
+                            f"param v in [0, 1]\nx = u\ny = v\nz = {z}\n")
         assert main([argv[0], "--file", str(path), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -92,18 +92,17 @@ class TestFrenet:
 
     def test_torsion_curvature_product_identity(self):
         cj = _CurveJets.at(HELIX, 1.1)
-        Tj, _, Bj = cj.frame_jets()
-        lhs = abs(cj.kappa.value * cj.tau_jet().value)
-        rhs = abs(cj.ds_vec(Tj).dot(cj.ds_vec(Bj)))
+        dT, _, dB = cj.frame_ds()
+        lhs = abs(cj.kappa_value * cj.tau)
+        rhs = abs(dT.dot(dB))
         assert abs(lhs - rhs) <= 1e-10
 
     def test_lancret_identity(self):
         for t in (0.4, 1.7):
             cj = _CurveJets.at(ELLIPSE, t)
-            _, Nj, _ = cj.frame_jets()
-            kap, tau = cj.kappa.value, cj.tau_jet().value
-            assert abs(cj.ds_vec(Nj).norm() ** 2 - (kap ** 2 + tau ** 2)) \
-                <= 1e-9
+            _, dN, _ = cj.frame_ds()
+            kap, tau = cj.kappa_value, cj.tau
+            assert abs(dN.norm() ** 2 - (kap ** 2 + tau ** 2)) <= 1e-9
 
     def test_reparameterization_invariance(self):
         # t = w + 0.3 sin w is smooth and monotone

@@ -1,7 +1,10 @@
 """Tokenizer, parser, pretty printer and shape-definition loading."""
 
+import copy
 import math
+import pickle
 import random
+import re
 import zlib
 from dataclasses import replace
 
@@ -10,9 +13,9 @@ import pytest
 from diffgeo import catalog
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier)
-from diffgeo.expr import (MAX_DEPTH, ShapeDefinition, eval_literal,
-                          eval_scalar, load_definition, parse_text, to_text,
-                          tokenize)
+from diffgeo.expr import (MAX_DEPTH, BinOp, Call, Const, Neg, Num,
+                          ShapeDefinition, Var, eval_literal, eval_scalar,
+                          load_definition, parse_text, to_text, tokenize)
 from diffgeo.jets import Jet1, Jet2
 
 from conftest import (EVAL_SAFE, fd_derivative, random_tree, reference_eval,
@@ -439,6 +442,95 @@ class TestPositionKernel:
         assert min(compared) >= 200
 
 
+def _curve(text, **consts):
+    """catalog.build of the curve ``text`` under ``consts``, its z line
+    parsed on its own (see _surface)."""
+    head, z = text.rsplit("\nz = ", 1)
+    definition = load_definition(head + "\nz = 0\n")
+    definition.constants.update(consts)
+    return catalog.build(replace(definition, components=(
+        *definition.components[:2], parse_text(z))))
+
+
+# EVERYTHING along a curve: p the parameter, q a function of it
+EVERYTHING_CURVE = re.sub(
+    r"\bq\b", "(p*p/2 + 0.3)",
+    EVERYTHING.replace("surface everything", "curve everything").replace(
+        "param q in [0.1, 0.9]\n", ""))
+
+
+class TestCurveKernel:
+    """ParametricCurve.kernel, generated at order 4, equals the Jet1
+    coefficients of one evaluation bit for bit (signed zeros and NaN
+    included) and raises what that evaluation raises."""
+
+    @staticmethod
+    def _check(curve, t):
+        got = _result(curve.kernel, t)
+        assert got == _result(curve._jet_kernel, t), t
+        return got
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names()
+                                      if catalog.entry(n).kind == "curve"])
+    def test_catalog_equals_jet1(self, name):
+        curve = catalog.make(name)
+        assert curve.kernel is not curve._jet_kernel
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(100):
+            assert len(self._check(curve, rng.uniform(*curve.domain))) == 5
+
+    def test_every_construct_equals_jet1(self):
+        curve = _curve(EVERYTHING_CURVE)
+        rng = random.Random(zlib.crc32(b"everything curve"))
+        for _ in range(100):
+            self._check(curve, rng.uniform(0.1, 0.9))
+
+    @pytest.mark.parametrize("consts", [{"n": -3.0}, {"n": 0.5}, {"m": 2.0},
+                                        {"c": 0.0}, {"n": 0.0}],
+                             ids=["n=-3", "n=0.5", "m=2", "c=0", "n=0"])
+    def test_run_time_exponents(self, consts):
+        curve = _curve(EVERYTHING_CURVE, **consts)
+        for t in (0.3, 0.8):
+            self._check(curve, t)
+
+    @pytest.mark.parametrize("z, exc, message", [
+        ("log(t - 1)", DomainError, "log of non-positive value"),
+        ("t/(t - t)", DomainError, "division by zero"),
+        ("t/(c - 1)", DomainError, "division by zero"),
+        ("(t - t)^-2 + t", DomainError, "zero base with negative exponent"),
+        ("wobble(t)", UnknownIdentifier, "unknown function 'wobble'"),
+        ("c(t)", ArityError, "'c' is not a function"),
+        ("1e-100*sin(1e110*t)", OverflowError, "out of range"),
+    ])
+    def test_errors_match_jet1(self, z, exc, message):
+        curve = _curve(f"curve s\nparam t in [0, 1]\nconst c = 1\nx = t\n"
+                       f"y = -t\nz = {z}\n")
+        got = self._check(curve, 0.5)
+        assert got[0] is exc and message in got[1]
+
+    def test_variable_exponent_with_vanishing_partials(self):
+        curve = _curve("curve s\nparam t in [0, 1]\nconst c = 0\nx = t\n"
+                       "y = t\nz = (t + 2)^(c*t)\n")
+        assert self._check(curve, 0.3)[1][2] == repr(0.0)
+
+    def test_random_definitions_match_jet1(self):
+        rng = random.Random(zlib.crc32(b"random curve kernels"))
+        for _ in range(100):
+            comps = tuple(random_tree(rng, rng.randint(1, 4), ("t",))
+                          for _ in range(3))
+            curve = catalog.build(ShapeDefinition(
+                kind="curve", name="random", constants={},
+                params={"t": (-1.0, 1.0)}, components=comps,
+                component_names=("x", "y", "z")))
+            for _ in range(4):
+                self._check(curve, rng.uniform(-1.0, 1.0))
+
+    def test_not_built_by_make_or_eval(self):
+        curve = catalog.make("helix")
+        curve.eval(0.3)
+        assert "kernel" not in vars(curve)
+
+
 def _canon(value):
     """``value`` as a comparable key: floats by repr (NaN equals NaN, -0.0
     differs from 0.0), jets by kind and coefficients, vectors and tuples
@@ -633,6 +725,20 @@ class TestDepthLimit:
         assert out.count("Var(name='u')") == text.count("u")
         assert repr(parse_text("+".join(["u"] * MAX_DEPTH))).startswith(
             "BinOp(op='+', left=BinOp(op='+', left=")
+
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_deepest_trees_pickle(self, construct):
+        k = MAX_DEPTH if construct == "parentheses" else MAX_DEPTH - 1
+        tree = parse_text(NESTED[construct](k))
+        again = pickle.loads(pickle.dumps(tree))
+        assert again == tree and repr(again) == repr(tree)
+        assert copy.deepcopy(tree) == tree
+
+    def test_hand_built_trees_pickle(self):
+        for tree in (Num(-1.0), Neg(Num(-0.0)), BinOp("^", Var("u"),
+                                                      Call("sin", Const("pi")))):
+            again = pickle.loads(pickle.dumps(tree))
+            assert repr(again) == repr(tree)
 
     def test_repr_is_the_dataclass_form(self):
         assert repr(parse_text("-sin(u)^2 + v/pi")) == (

@@ -561,3 +561,57 @@ class TestPointBundle:
             compared += sum(not (isinstance(w, tuple) and isinstance(
                 w[0], type)) for w in want)
         assert compared >= 48
+
+
+class TestPointReuse:
+    """A surface reuses its last point bundle at exactly the same (u, v)
+    and order: one kernel call serves a run of checks at one point."""
+
+    @staticmethod
+    def _counted(shape):
+        calls = []
+        for attr in ("kernel", "kernel3"):
+            fn = getattr(shape, attr)
+            setattr(shape, attr, lambda u, v, fn=fn, attr=attr: (
+                calls.append((attr, repr(u), repr(v))) or fn(u, v)))
+        return calls
+
+    def test_kernel_calls(self):
+        shape = catalog.make("torus")
+        assert shape.scale > 0.0    # the cached scale probe is not counted
+        calls = self._counted(shape)
+        curvatures(shape, 0.3, 0.4)
+        forms(shape, 0.3, 0.4)
+        surface_frame(shape, 0.3, 0.4)
+        gauss_weingarten_residuals(shape, 0.3, 0.4)
+        assert calls == [("kernel", "0.3", "0.4")]
+        riemann_R1212(shape, 0.3, 0.4)
+        codazzi_compatibility_residuals(shape, 0.3, 0.4)
+        forms(shape, 0.3, 0.4)      # the order-2 bundle is no longer last
+        forms(shape, 0.3, 0.5)
+        curvatures(shape, 0.0, 0.5)
+        curvatures(shape, -0.0, 0.5)   # a signed zero is another point
+        assert calls[1:] == [("kernel3", "0.3", "0.4"),
+                             ("kernel", "0.3", "0.4"),
+                             ("kernel", "0.3", "0.5"),
+                             ("kernel", "0.0", "0.5"),
+                             ("kernel", "-0.0", "0.5")]
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_reused_values_equal_fresh_bundles(self, name):
+        checks = (curvatures, forms, surface_frame, gauss_weingarten_residuals,
+                  form_identity_residual, riemann_R1212,
+                  codazzi_compatibility_residuals)
+        shared = catalog.make(name)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for u, v in surface_samples(name, shared, rng, 3):
+            for check in checks + checks:
+                try:
+                    want = repr(check(catalog.make(name), u, v))
+                except SingularSurfacePoint as exc:
+                    want = repr(exc)
+                try:
+                    got = repr(check(shared, u, v))
+                except SingularSurfacePoint as exc:
+                    got = repr(exc)
+                assert got == want, (check.__name__, u, v)
