@@ -48,6 +48,12 @@ CASES = {
     "geodesic-sphere-bvp": (0, [
         "geodesic", "--shape", "sphere", "--param", "R=1", "--from", "u=0,v=0",
         "--to", "u=1.2,v=0.4"]),
+    "geodesic-saddle-bvp": (0, [
+        "geodesic", "--file", "@saddle.ps", "--from=-0.5,-0.4",
+        "--to=0.6,0.5"]),
+    "geodesic-saddle-ivp": (0, [
+        "geodesic", "--file", "@saddle.ps", "--from=-0.5,-0.4",
+        "--dir=1,0.6", "--length", "1.2"]),
     "geodesic-cylinder-ivp": (0, [
         "geodesic", "--shape", "cylinder", "--from", "0,0", "--dir", "1,1",
         "--length", "10"]),
@@ -66,6 +72,9 @@ CASES = {
         "gauss-bonnet", "--shape", "sphere", "--loop-file", "@hemisphere.loop"]),
     "gauss-bonnet-triangle-loop": (0, [
         "gauss-bonnet", "--shape", "plane", "--loop-file", "@triangle.loop"]),
+    "gauss-bonnet-saddle-rect": (0, [
+        "gauss-bonnet", "--file", "@saddle.ps", "--loop-file",
+        "@saddle-rect.loop"]),
     "reconstruct-helix": (0, [
         "reconstruct", "--kappa", "0.8", "--tau", "0.4",
         "--length", "12.566370614359172"]),
