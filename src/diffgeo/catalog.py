@@ -97,9 +97,7 @@ def build(definition, periodic=(None, None)):
         dom = definition.params[pnames[0]] + definition.params[pnames[1]]
         return ParametricSurface(
             lambda u, v: definition.eval(u, v, check_domain=False), dom,
-            periodic=periodic,
-            make_kernel=lambda jet2, order: position_kernel(definition, jet2,
-                                                           order))
+            periodic=periodic, definition=definition)
     raise DiffGeoError(f"a shape must be a 'curve' or 'surface' definition, "
                        f"got a {definition.kind!r}")
 

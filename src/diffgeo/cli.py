@@ -18,7 +18,8 @@ from functools import partial
 
 from . import catalog, report, verify
 from .curves import classify_curve, frenet, reconstruct_from_kappa_tau
-from .errors import DiffGeoError, InvalidParameter, UmbilicPoint, UnknownShape
+from .errors import (DiffGeoError, InvalidParameter, UmbilicPoint,
+                     UnknownShape, ZeroVector)
 from .expr import _closed, eval_literal, load_definition, scalar_function
 from .ode import OdeSpec
 from .quadrature import QuadSpec
@@ -457,7 +458,10 @@ def cmd_transport(args):
     rep = report.Report("transport", desc)
     sc = _load_surface_curve(args, shape)
     A0 = _parse_point(args.vector, "--vector", 2)
-    state = parallel_transport(sc, A0, spec)
+    try:
+        state = parallel_transport(sc, A0, spec)
+    except ZeroVector as exc:
+        raise ZeroVector(f"--vector {args.vector!r}: {exc}") from None
     rep.summary["holonomy"] = state.holonomy
     rep.summary["norm_drift"] = max(state.norms) - min(state.norms)
 

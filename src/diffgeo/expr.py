@@ -30,13 +30,17 @@ float or jet parameters, whose derivatives are exact Taylor coefficients,
 for a surface's partials through order 2 or 3 over floats, and for a
 curve's derivatives through order 4 over floats; :func:`taped` records
 jet-generic formulas over either kind of position.  Both compile the lines
-the generator emits.
+the generator emits.  :func:`surface_program` puts a consumer of a surface
+kernel after the kernel in one function, with one of two prologues: the
+kernel's own lines, or, for a surface built from a callable or a template
+whose kernel defers to its fallback, one call of the kernel.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
 for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
 kind of file name the line at fault; an undeclared name and a call of
 anything but a function are such errors.
 """
 
+import collections
 import math
 import re
 from contextlib import contextmanager
@@ -449,29 +453,30 @@ def position_kernel(definition, fallback, order=2):
     ``power`` branches on what the kernel does not decide.  At ``order`` 0
     the kernel of any definition takes its parameters as floats or jets and
     returns its one row of components; it needs no fallback."""
-    kernel = _kernel_binder(tuple(map(_postfix, definition.components)),
-                            tuple(definition.params),
-                            tuple(definition.constants), order)
-    return FunctionType(kernel.__code__, kernel.__globals__, kernel.__name__,
-                        (fallback, *definition.constants.values()))
+    kernel = _kernel_binder(*_template(definition), order)
+    return _bind(kernel, fallback, *definition.constants.values())
+
+
+def _template(definition):
+    """What generated code depends on: the component programs, the
+    parameter and the constant names."""
+    return (tuple(map(_postfix, definition.components)),
+            tuple(definition.params), tuple(definition.constants))
+
+
+def _bind(fn, *defaults):
+    """A copy of the generated ``fn`` with these defaults: one function
+    compiles faster than a closure."""
+    return FunctionType(fn.__code__, fn.__globals__, fn.__name__, defaults)
 
 
 @lru_cache(maxsize=128)
 def _kernel_binder(programs, params, constants, order):
     """The kernel generated for a template, its defaults (_fallback and the
-    constants) None until position_kernel binds them in a copy; one function
-    compiles faster than a closure."""
+    constants) None until position_kernel binds them in a copy."""
     gen = _Taylor(order, params, constants)
-    outs = [gen.gen(p) for p in programs]
-    if not order:
-        outs = [(o,) for o in outs]
-    elif not all(isinstance(o, tuple) for o in outs):
-        # constant components lifted, as ShapeDefinition.eval does
-        lift = (gen.mul(gen.env[params[0]], 0.0) if gen.univariate
-                else gen.zero)
-        outs = [o if isinstance(o, tuple) else gen.add(lift, o) for o in outs]
-    rows = "".join("(" + "".join(_fmt(o[k]) + ", " for o in outs) + "), "
-                   for k in range(gen.size))
+    rows = "".join("(" + "".join(_fmt(t) + ", " for t in row) + "), "
+                   for row in gen.rows(programs))
     args = [*gen.params, "_fallback=None",
             *(f"_c{i}=None" for i in range(len(constants)))]
     return _compile([f"def _kernel({', '.join(args)}):",
@@ -489,22 +494,30 @@ def taped(formulas, outputs, order=2):
     computes it, or as Jet1 does at ``order`` 4 (a curve's kernel).  Only
     the code those outputs need is kept, so ``k`` may stop at order 2 when
     no output reads r's third partials."""
+    body, terms, slots = _pruned(formulas, outputs, order)
+    return _compile(["def _program(_k):",
+                     *(f"    _r{i}x, _r{i}y, _r{i}z = _k[{i}]" for i in slots),
+                     *("    " + line for line in body),
+                     f"    return ({''.join(_fmt(t) + ', ' for t in terms)})"],
+                    "<tape>")["_program"]
+
+
+@lru_cache(maxsize=None)
+def _pruned(formulas, outputs, order):
+    """The lines of the tape of ``formulas`` that ``outputs`` need, in tape
+    order, the outputs' terms and the slots of r those lines read."""
     lines, named = _tape(formulas, order)
-    terms = [named[name][slot] for name, slot in outputs]
+    terms = tuple(named[name][slot] for name, slot in outputs)
     need = {t for t in terms if isinstance(t, str)}
     body = []
     for line in reversed(lines):
         targets, code = line.split(" = ", 1)
         if need.intersection(targets.split(", ")):
-            body.append("    " + line)
+            body.append(line)
             need.update(re.findall(r"_\w+", code))
     slots = sorted({int(n[2:-1]) for n in need
                     if re.fullmatch(r"_r\d[xyz]", n)})
-    return _compile(["def _program(_k):",
-                     *(f"    _r{i}x, _r{i}y, _r{i}z = _k[{i}]" for i in slots),
-                     *reversed(body),
-                     f"    return ({''.join(_fmt(t) + ', ' for t in terms)})"],
-                    "<tape>")["_program"]
+    return tuple(reversed(body)), terms, slots
 
 
 @lru_cache(maxsize=None)
@@ -514,8 +527,9 @@ def _tape(formulas, order):
     ``order`` 2 r runs through order 3 and the tape keeps order 2: r's first
     partials are exact to order 2, and Jet2 computes a slot of order 2 or
     less from such slots alone.  At ``order`` 4 r and the tape have Jet1's
-    five slots."""
-    gen = _Taylor(order)
+    five slots.  The tape's locals are named _g<n>, apart from a kernel's
+    _t<n>, so that a surface program can hold both."""
+    gen = _Taylor(order, local="_g")
     slots = 5 if gen.univariate else 10
     r = Vec3(*(_TapeJet(gen, tuple(f"_r{i}{c}" for i in range(slots)))
                for c in "xyz"))
@@ -523,8 +537,8 @@ def _tape(formulas, order):
     return tuple(gen.lines), named
 
 
-def _compile(lines, filename):
-    namespace = dict(_KERNEL_GLOBALS)
+def _compile(lines, filename, names=()):
+    namespace = dict(_KERNEL_GLOBALS, **dict(names))
     exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace
 
@@ -641,7 +655,8 @@ class _Taylor:
     ``a + (-b)``) and programs the language's order of evaluation, so values
     and errors match.  Equal code is emitted once."""
 
-    def __init__(self, order, params=(), constants=()):
+    def __init__(self, order, params=(), constants=(), local="_t"):
+        self.order = order
         self.univariate = order == 4
         self.size = 5 if self.univariate else (order + 1) * (order + 2) // 2
         self.leibniz = _LEIBNIZ1 if self.univariate else _LEIBNIZ2[:self.size]
@@ -650,22 +665,48 @@ class _Taylor:
         self.zero = (0.0 if self.univariate else None,) * self.size
         self.prod = _prod_exact if self.univariate else _prod
         self.sum = _sum_exact if self.univariate else _sum
-        self.params = [f"_p{i}" for i in range(len(params))]
-        self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
-        self.env = dict(zip(params, self.params))
-        if order and params:    # t, or u and v, lifted into jets
-            self.env[params[0]] = ("_p0", 1.0) + self.zero[2:]
-        if order and params[1:]:
-            self.env[params[1]] = ("_p1", None, 1.0) + self.zero[3:]
-        self.env.update((c, f"_c{i}") for i, c in enumerate(constants))
+        self.env = {c: f"_c{i}" for i, c in enumerate(constants)}
+        self.bind(params, [f"_p{i}" for i in range(len(params))])
+        self.local = local  # the prefix of the locals it names
         self.lines = []
         self.named = {}     # code -> the local that holds it
+        self.deferred = False   # whether a line returns the fallback's value
+
+    def bind(self, params, names):
+        """Read the parameters ``params`` from the locals ``names``: as
+        they are at order 0, else lifted into jets (t, or u and v)."""
+        self.params = list(names)
+        self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
+        self.env.update(zip(params, self.params))
+        if self.order and params:
+            self.env[params[0]] = (self.params[0], 1.0) + self.zero[2:]
+        if self.order and params[1:]:
+            self.env[params[1]] = (self.params[1], None, 1.0) + self.zero[3:]
+        self.first = self.env[params[0]] if params else None
+
+    def rows(self, programs):
+        """The terms of a kernel of the component ``programs``: one row of
+        components per coefficient, or the one row at order 0."""
+        outs = [self.gen(p) for p in programs]
+        if not self.order:
+            outs = [(o,) for o in outs]
+        elif not all(isinstance(o, tuple) for o in outs):
+            # constant components lifted, as ShapeDefinition.eval does
+            lift = self.mul(self.first, 0.0) if self.univariate else self.zero
+            outs = [o if isinstance(o, tuple) else self.add(lift, o)
+                    for o in outs]
+        return [tuple(o[k] for o in outs) for k in range(self.size)]
 
     def emit(self, code):
         if code not in self.named:
-            self.named[code] = f"_t{len(self.lines)}"
+            self.named[code] = f"{self.local}{len(self.lines)}"
             self.lines.append(f"{self.named[code]} = {code}")
         return self.named[code]
+
+    def defer(self, condition):
+        """Return the fallback's value where ``condition`` holds."""
+        self.lines.append(f"if {condition}: {self.bail}")
+        self.deferred = True
 
     def table(self, call):
         """The locals holding d0..d3 of a derivative-table call, and d4 at
@@ -678,7 +719,7 @@ class _Taylor:
                 d = d[turn:] + d[:turn]
                 return d + d[:1] if self.univariate else d
         if call not in self.named:
-            names = [f"_t{len(self.lines)}_{k}" for k in range(5)]
+            names = [f"{self.local}{len(self.lines)}_{k}" for k in range(5)]
             if not self.univariate:
                 names[4] = "_"
             self.named[call] = tuple(names[:5 if self.univariate else 4])
@@ -837,8 +878,7 @@ class _Taylor:
             # fallback at any order
             partials = [t for t in p[1:] if t is not None and t != 0.0]
             if not any(isinstance(t, float) for t in partials):
-                self.lines.append(f"if not ({' or '.join(partials) or 0}): "
-                                  + self.bail)
+                self.defer(f"not ({' or '.join(partials) or 0})")
             return self.call("exp", self.mul(p, self.call("log", base)))
         n = p if isinstance(p, float) and p.is_integer() else None
         if not isinstance(base, tuple):
@@ -849,8 +889,7 @@ class _Taylor:
             if not (isinstance(p, float) and math.isfinite(p) and n is None):
                 # jets.power multiplies out an integer exponent, here one
                 # known only at run time or a long one
-                self.lines.append(f"if {_fmt(p)} == int({_fmt(p)}): "
-                                  + self.bail)
+                self.defer(f"{_fmt(p)} == int({_fmt(p)})")
             return self.compose(f"_tab_pow({_fmt(base[0])}, {_fmt(p)})", base)
         if n < 0:
             self.lines.append(f"if {_fmt(base[0])} == 0.0: raise DomainError("
@@ -876,7 +915,8 @@ class _TapeJet:
     """A jet of _Taylor terms: jet-generic code run on it records its Jet2
     (at order 4, Jet1) arithmetic as the generator's lines (the tape of
     Griewank & Walther, ch. 6).  ``call(name)`` stands for
-    ``jets.<name>``."""
+    ``jets.<name>``.  A jet of one float term, as a surface program's
+    formulas read, records float arithmetic: a - b and a / b as written."""
 
     __slots__ = ("gen", "c")
 
@@ -896,10 +936,14 @@ class _TapeJet:
         return _TapeJet(self.gen, self.gen.neg(self.c))
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(self.c, tuple):
+            return self + (-other)
+        return self._apply(self.gen.sub, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(self.c, tuple):
+            return (-self) + other
+        return _TapeJet(self.gen, self.gen.sub(float(other), self.c))
 
     def __mul__(self, other):
         return self._apply(self.gen.mul, other)
@@ -907,10 +951,15 @@ class _TapeJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._apply(self.gen.div, other)
+        return self._apply(self._div, other)
 
     def __rtruediv__(self, other):
-        return _TapeJet(self.gen, self.gen.div(float(other), self.c))
+        return _TapeJet(self.gen, self._div(float(other), self.c))
+
+    def _div(self, a, b):
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            return self.gen.div(a, b)
+        return self.gen.scalar("{} / {}", lambda p, q: p / q, a, b)
 
     def du(self):
         """The jet of the u-partial through order 2: its order-2 slots come
@@ -931,6 +980,143 @@ class _TapeJet:
 
     def call(self, name):
         return _TapeJet(self.gen, self.gen.call(name, self.c))
+
+
+# --------------------------------------------------------------------------
+# surface programs: a consumer of the kernel generated with it
+# --------------------------------------------------------------------------
+
+def surface_program(formulas, sizes, definition, kernel):
+    """``formulas(rec, *args)``, float code over a surface's kernel, as one
+    straight-line function of ``args``, each a float (size 1) or a sequence
+    of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
+    reads the surface through the generator ``rec`` (see _Recorder).
+
+    One generator, two prologues.  The first is the kernel's own lines,
+    generated from ``definition`` once per template and program and bound
+    here to the constant values.  The second is one call of ``kernel()``,
+    the surface's kernel: for a surface without a definition, or a
+    template whose kernel defers to its fallback.  Each value equals the
+    one that ``formulas`` computes over floats from the kernel's triples."""
+    if definition is not None:
+        fn = _program_binder(formulas, sizes, *_template(definition))
+        if fn is not None:
+            return _bind(fn, *definition.constants.values())
+    return _bind(_program_binder(formulas, sizes, None, (), ()), kernel())
+
+
+@lru_cache(maxsize=128)
+def _program_binder(formulas, sizes, programs, params, constants):
+    """The program of ``formulas`` over the kernel of the component
+    ``programs``, or over the kernel it is given when ``programs`` is None,
+    its defaults None until surface_program binds them; None when that
+    kernel defers to its fallback."""
+    rec = _Recorder(programs, params, constants)
+    args = [f"_a{i}" for i in range(len(sizes))]
+    defaults = (["_kernel=None"] if programs is None
+                else [f"_c{i}=None" for i in range(len(constants))])
+    lines = [f"def _program({', '.join(args + defaults)}):"]
+    lines += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
+              for a, n in zip(args, sizes) if n > 1]
+    out = formulas(rec, *(_TapeJet(rec, a) if n == 1 else tuple(
+        _TapeJet(rec, f"{a}_{j}") for j in range(n))
+        for a, n in zip(args, sizes)))
+    if rec.deferred:
+        return None
+    run = []    # guarded lines, in one try before the next free line
+    for line, free in _inline([(line, i in rec.free) for i, line in
+                               enumerate(rec.lines)]
+                              + [(f"return {_source(out)}", True)]):
+        if free and run:
+            lines += ["    try:", *run, "    except OverflowError:",
+                      f"        raise _overflow({rec.point}) from None"]
+            run = []
+        (lines if free else run).append(" " * (4 if free else 8) + line)
+    return _compile(lines, f"<surface program {formulas.__name__}>",
+                    rec.names)["_program"]
+
+
+def _source(x):
+    """Source of a term, or of a (nested) tuple of them."""
+    if isinstance(x, tuple):
+        return "(" + "".join(_source(t) + ", " for t in x) + ")"
+    return _fmt(x.c)
+
+
+class _Recorder(_Taylor):
+    """The generator of a surface program, for its formulas to read:
+
+    - ``kernel(u, v, overflow)``: the order-2 kernel triples at (u, v).  An
+      OverflowError in any line but ``check``'s raises ``overflow(u, v)``;
+    - ``tape(formulas, outputs, k)``: the lines of ``taped(formulas,
+      outputs)`` over the triples ``k``;
+    - ``check(fn, *args)``: a call of ``fn`` where the code runs."""
+
+    def __init__(self, programs, params, constants):
+        super().__init__(2, (), constants)
+        self.free = set()   # indices of the lines outside the guard
+        self.names = {}     # the program's globals
+        self.template = programs, params
+
+    def kernel(self, u, v, overflow):
+        self.names["_overflow"] = overflow
+        self.point = f"{u.c}, {v.c}"
+        programs, params = self.template
+        if programs is None:
+            rows = [[f"_r{i}{c}" for c in "xyz"] for i in range(6)]
+            self.lines.append(", ".join(f"({', '.join(r)})" for r in rows)
+                              + f" = _kernel({self.point})")
+        else:
+            self.bind(params, (u.c, v.c))
+            rows = self.rows(programs)
+        return tuple(tuple(_TapeJet(self, 0.0 if t is None else t)
+                           for t in row) for row in rows)
+
+    def tape(self, formulas, outputs, k):
+        body, terms, _ = _pruned(formulas, outputs, 2)
+
+        def read(text):
+            return re.sub(r"\b_r(\d)([xyz])\b", lambda m: _fmt(
+                k[int(m[1])]["xyz".index(m[2])].c), text)
+
+        for line in map(read, body):
+            if line not in self.lines:  # a line of an earlier group
+                self.lines.append(line)
+        return tuple(_TapeJet(self, read(t) if isinstance(t, str)
+                              else 0.0 if t is None else t) for t in terms)
+
+    def check(self, fn, *args):
+        self.names[fn.__name__] = fn
+        self.free.add(len(self.lines))
+        self.lines.append(
+            f"{fn.__name__}({', '.join(_fmt(a.c) for a in args)})")
+
+
+_LOCAL = re.compile(r"\b_[tg]\d+\b")
+_PURE = re.compile(r"[\w.() +*-]{,300}")   # no division, indexing or call
+
+
+def _inline(lines):
+    """``lines``, (source, flag) pairs, with each local _t<n> or _g<n> that
+    holds float + - * arithmetic written into the one line that reads it,
+    so that it stays on the stack, or left out when no line reads it.
+    Python's float + - * raise nothing, so no value and no error changes."""
+    split = [m.groups() if (m := re.fullmatch(r"([\w, ]+) = (.*)", line))
+             else (None, line) for line, _ in lines]    # (targets, code)
+    reads = collections.Counter(n for _, code in split
+                                for n in _LOCAL.findall(code))
+    held, out = {}, []      # local -> the source it is replaced by
+    for (target, code), (_, flag) in zip(split, lines):
+        code = _LOCAL.sub(lambda m: f"({held.pop(m[0])})" if m[0] in held
+                          else m[0], code)
+        if not (target and _LOCAL.fullmatch(target) and _PURE.fullmatch(code)
+                and not re.search(r"\w\(|\*\*", code)):
+            out.append((f"{target} = {code}" if target else code, flag))
+        elif reads[target] == 1:
+            held[target] = code
+        elif reads[target]:
+            out.append((f"{target} = {code}", flag))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .surfaces import (_curvatures_of, _metric_dot, _metric_unit,
-                       _normal_curvature, _overflow, _point, gamma_field,
+                       _metric_terms, _normal_curvature, _overflow, _point,
                        metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
@@ -250,17 +250,19 @@ class GeodesicPath:
                             (self.s[0], self.s[-1]))
 
 
+def _geodesic(rec, s, y):
+    """The geodesic equations as the first-order field
+    (s, (u, v, u', v')) -> (u', v', u'', v''), recorded into one program
+    per surface template (``ParametricSurface.program``)."""
+    u, v, du, dv = y
+    g = _metric_terms(rec, u, v)[4]
+    ddu = -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv)
+    ddv = -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv)
+    return du, dv, ddu, ddv
+
+
 def _geodesic_rhs(surface):
-    gamma = gamma_field(surface)
-
-    def rhs(s, y):
-        u, v, du, dv = y
-        g = gamma(u, v)
-        ddu = -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv)
-        ddv = -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv)
-        return (du, dv, ddu, ddv)
-
-    return rhs
+    return surface.program(_geodesic, (1, 4))
 
 
 def unit_speed_direction(surface, u, v, direction):
@@ -484,37 +486,51 @@ class TransportState:
         return [a - base for a in self.frame_angles]
 
 
+def _transport(rec, u, v, du, dv, A1, A2):
+    """The transport equations' field (u, v, u', v', A1, A2) -> dA/dt,
+    recorded into one program per surface template."""
+    g = _metric_terms(rec, u, v)[4]
+    dA1 = -(g[0] * du * A1 + g[2] * (du * A2 + dv * A1) + g[4] * dv * A2)
+    dA2 = -(g[1] * du * A1 + g[3] * (du * A2 + dv * A1) + g[5] * dv * A2)
+    return dA1, dA2
+
+
+def _frame_components(md, A):
+    """The components of the surface vector ``A`` in the orthonormal frame
+    of the MetricData ``md``."""
+    e1, e2 = _orthonormal_frame(md)
+    return (_metric_dot(md.E, md.F, md.G, A, e1),
+            _metric_dot(md.E, md.F, md.G, A, e2))
+
+
 def parallel_transport(sc, A0, spec=OdeSpec()):
     """Transport surface-vector components A along the curve:
-    dA^a/dt = -G^a_bc A^c du^b/dt."""
+    dA^a/dt = -G^a_bc A^c du^b/dt.  A vector of zero metric norm has no
+    angle to transport: ZeroVector."""
     t0, t1 = sc.domain
-    gamma = gamma_field(sc.surface)
+    A0 = (float(A0[0]), float(A0[1]))
+    samples = linspace(t0, t1, _N_TRANSPORT)
+    md0 = metric_and_gamma(sc.surface, *sc.point(samples[0]))
+    if math.hypot(*_frame_components(md0, A0)) == 0.0:
+        raise ZeroVector("the transported vector has zero metric norm")
+    field = sc.surface.program(_transport, (1,) * 6)
 
     def rhs(t, y):
         uj, vj = sc.uv_jets(t)
-        g = gamma(uj.value, vj.value)
-        du, dv = uj.c[1], vj.c[1]
-        A1, A2 = y
-        dA1 = -(g[0] * du * A1 + g[2] * (du * A2 + dv * A1) + g[4] * dv * A2)
-        dA2 = -(g[1] * du * A1 + g[3] * (du * A2 + dv * A1) + g[5] * dv * A2)
-        return (dA1, dA2)
+        return field(uj.value, vj.value, uj.c[1], vj.c[1], y[0], y[1])
 
-    sol = ode_solve(rhs, (float(A0[0]), float(A0[1])),
-                    linspace(t0, t1, _N_TRANSPORT), spec)
+    sol = ode_solve(rhs, A0, samples, spec)
     ts, comps = sol.ts, sol.ys
 
     norms, angles = [], []
     prev = None
-    for t, (A1, A2) in zip(ts, comps):
-        u, v = sc.point(t)
-        md = metric_and_gamma(sc.surface, u, v)
-        E, F, G = md.E, md.F, md.G
-        norms.append(math.sqrt(max(_metric_dot(E, F, G, (A1, A2), (A1, A2)),
-                                   0.0)))
-        e1, e2 = _orthonormal_frame(md)
-        x = _metric_dot(E, F, G, (A1, A2), e1)
-        y_ = _metric_dot(E, F, G, (A1, A2), e2)
-        ang = math.atan2(y_, x)
+    for i, (t, (A1, A2)) in enumerate(zip(ts, comps)):
+        # the first sample's metric is read above
+        md = md0 if i == 0 else metric_and_gamma(sc.surface, *sc.point(t))
+        norms.append(math.sqrt(max(_metric_dot(md.E, md.F, md.G, (A1, A2),
+                                               (A1, A2)), 0.0)))
+        x, y = _frame_components(md, (A1, A2))
+        ang = math.atan2(y, x)
         if prev is not None:
             while ang - prev > math.pi:
                 ang -= 2.0 * math.pi

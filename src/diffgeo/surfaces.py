@@ -5,17 +5,19 @@ Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
 Pointwise quantities are floats computed from the surface's kernel, code
 generated per surface definition that gives the position's partials: the
-forms, curvatures, Christoffel symbols, dn and the area and total-curvature
-integrands read order 2, and only R1212 and the Codazzi and compatibility
-residuals read order 3 (third derivatives, exact).  The formulas over those
-partials are written once, over jets, in ``_geometry``, and run as
-generated float code that keeps the Jet2 arithmetic; every such value is
-read from one point bundle, ``_SurfacePoint``.  The geodesic and
-transport fields take the lean path instead: ``gamma_field`` forms E, F, G
-and a from one order-2 kernel call and passes them to the Christoffel
-formula, ``_christoffel2``, that ``_geometry`` uses over jets, with no
-bundle per call; ``metric_and_gamma`` is the same code with the metric
-kept, for one-off callers.
+forms, curvatures, Christoffel symbols and dn read order 2, and only R1212
+and the Codazzi and compatibility residuals read order 3 (third
+derivatives, exact).  The formulas over those partials are written once,
+over jets, in ``_geometry``, and run as generated float code that keeps
+the Jet2 arithmetic; every such value is read from one point bundle,
+``_SurfacePoint``.
+The solvers' inner loops read no bundle.  Each is one program generated
+per surface template (``ParametricSurface.program``), the kernel's lines
+followed by the consumer's: ``_metric_terms`` (E, F, G, a and the
+Christoffel formula ``_christoffel2`` that ``_geometry`` uses over jets)
+under the geodesic and transport fields and ``metric_and_gamma``, and
+``_geometry``'s metric and normal programs under the ``surface_area`` and
+``total_curvature`` integrands, which equal the bundle's values.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.  A point is
 singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
@@ -28,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import SingularSurfacePoint, ZeroVector
-from .expr import taped
+from .expr import position_kernel, surface_program, taped
 from .jets import Jet2
 from .quadrature import QuadSpec, quad2d
 from .vectors import Vec3, _spread
@@ -51,34 +53,45 @@ class ParametricSurface:
     ``evaluator`` receives the parameters as jets (Jet2 for surface work,
     Jet1 along composite curves) and must be written jet-generically.
     ``periodic`` gives the period per parameter or None; periodic
-    directions are never flagged as domain exits.  ``make_kernel(jet2,
-    order)`` returns a faster kernel of that order with the values of
-    ``jet2``; it runs on the kernel's first use.
+    directions are never flagged as domain exits.  ``definition`` is the
+    'surface' definition that ``evaluator`` evaluates, if any: the kernels
+    and programs are then code generated from it, on first use.
     """
 
     def __init__(self, evaluator, domain, periodic=(None, None),
-                 make_kernel=None):
+                 definition=None):
         self.evaluator = evaluator
         self.domain = tuple(float(x) for x in domain)  # (u0, u1, v0, v1)
         self.periodic = periodic
-        self._make_kernel = make_kernel
+        self.definition = definition
         self._scale = None
         self._last_point = None     # (key, bundle) of the last _point
+        self._programs = {}
 
     @cached_property
     def kernel(self):
         """Floats (u, v) -> (x, y, z) triples r, r_u, r_v, r_uu, r_uv, r_vv."""
-        if self._make_kernel is None:
+        if self.definition is None:
             jet = self._jet_kernel
             return lambda u, v: jet(u, v)[:6]
-        return self._make_kernel(self._jet_kernel, 2)
+        return position_kernel(self.definition, self._jet_kernel, 2)
 
     @cached_property
     def kernel3(self):
         """``kernel``'s triples followed by r_uuu, r_uuv, r_uvv, r_vvv."""
-        if self._make_kernel is None:
+        if self.definition is None:
             return self._jet_kernel
-        return self._make_kernel(self._jet_kernel, 3)
+        return position_kernel(self.definition, self._jet_kernel, 3)
+
+    def program(self, formulas, sizes):
+        """``formulas`` over this surface's kernel as one generated
+        function of arguments of ``sizes`` (``expr.surface_program``),
+        made on first use."""
+        fn = self._programs.get(formulas)
+        if fn is None:
+            fn = self._programs[formulas] = surface_program(
+                formulas, sizes, self.definition, lambda: self.kernel)
+        return fn
 
     def _jet_kernel(self, u, v):
         """The ten triples of ``kernel3`` from one Jet2 evaluation."""
@@ -302,7 +315,7 @@ def _check_regular(a, trace, u, v):
 def _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a):
     """Second-kind Christoffel symbols from the metric, its first partials
     and a = EG - F^2, in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2).
-    Written for floats and Jet2 alike."""
+    Written for jets and tape terms alike."""
     inv2a = 1.0 / (2.0 * a)
     return (
         (G * Eu - 2.0 * F * Fu + F * Ev) * inv2a,
@@ -330,20 +343,19 @@ class MetricData(NamedTuple):
     gamma2: tuple
 
 
-def _metric_gamma(kernel, u, v):
+def _metric_terms(rec, u, v):
     """E, F, G, a and the second-kind Christoffel values at the regular
-    float point (u, v), from one call of an order-2 ``kernel`` (no normal,
-    no jets)."""
-    try:
-        (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = kernel(u, v)
-    except OverflowError:
-        raise _overflow(u, v) from None
+    point (u, v), from the order-2 kernel triples alone (no normal, no
+    jets): float formulas recorded into a surface program (``rec``, see
+    ``ParametricSurface.program``), in the order of sums that the solver
+    goldens were made with."""
+    (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+     (xvv, yvv, zvv)) = rec.kernel(u, v, _overflow)
     E = xu * xu + yu * yu + zu * zu
     F = xu * xv + yu * yv + zu * zv
     G = xv * xv + yv * yv + zv * zv
     a = E * G - F * F
-    _check_regular(a, E + G, u, v)
+    rec.check(_check_regular, a, E + G, u, v)
     Eu = 2.0 * (xu * xuu + yu * yuu + zu * zuu)
     Ev = 2.0 * (xu * xuv + yu * yuv + zu * zuv)
     Fu = (xuu * xv + yuu * yv + zuu * zv) + (xu * xuv + yu * yuv + zu * zuv)
@@ -353,22 +365,33 @@ def _metric_gamma(kernel, u, v):
     return E, F, G, a, _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a)
 
 
-def gamma_field(surface):
-    """The field (u, v) -> second-kind Christoffel values of ``surface``, at
-    float points: the fused path of the geodesic and transport equations,
-    which reads the surface's kernel once, not per call."""
-    kernel = surface.kernel
+def _normal_terms(rec, u, v):
+    """sqrt(a), e, f and g at (u, v), recorded as _SurfacePoint computes
+    them: the _METRIC program, its two regularity checks, then _NORMAL."""
+    k = rec.kernel(u, v, _overflow)
+    E, F, G, a, cross_sq = rec.tape(_geometry, _METRIC, k)
+    rec.check(_check_regular, cross_sq, E + G, u, v)
+    rec.check(_check_regular, a, E + G, u, v)
+    sqrt_a, _, _, _, e, f, g = rec.tape(_geometry, _NORMAL, k)
+    return sqrt_a, e, f, g
 
-    def gamma2(u, v):
-        return _metric_gamma(kernel, u, v)[4]
 
-    return gamma2
+def _area_element(rec, u, v):
+    return _normal_terms(rec, u, v)[0]
+
+
+def _curvature_element(rec, u, v):
+    """K sqrt(a) = (eg - f^2) / sqrt(a)."""
+    sqrt_a, e, f, g = _normal_terms(rec, u, v)
+    return (e * g - f * f) / sqrt_a
 
 
 def metric_and_gamma(surface, u, v):
     """Metric and second-kind Christoffel values at a regular point, from
-    one call of the surface's order-2 kernel (no normal, no jets)."""
-    return MetricData(*_metric_gamma(surface.kernel, float(u), float(v)))
+    the surface's generated program over its order-2 kernel (no normal, no
+    jets)."""
+    return MetricData(*surface.program(_metric_terms, (1, 1))(float(u),
+                                                              float(v)))
 
 
 def surface_frame(surface, u, v):
@@ -591,23 +614,13 @@ def form_identity_residual(surface, u, v):
 def surface_area(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     """Integral of sqrt(a) over the parameter rectangle (default: domain)."""
     rect = surface.domain if rect is None else rect
-
-    def integrand(u, v):
-        return _point(surface, u, v).sqrt_a
-
-    return quad2d(integrand, rect, spec)
+    return quad2d(surface.program(_area_element, (1, 1)), rect, spec)
 
 
 def total_curvature(surface, rect=None, spec=QuadSpec(tol=1e-9)):
     """Integral of K dsigma = K sqrt(a) du dv over the rectangle."""
     rect = surface.domain if rect is None else rect
-
-    def integrand(u, v):
-        p = _point(surface, u, v)
-        e, f, g = p.efg
-        return (e * g - f * f) / p.sqrt_a
-
-    return quad2d(integrand, rect, spec)
+    return quad2d(surface.program(_curvature_element, (1, 1)), rect, spec)
 
 
 def angle_between(surface, u, v, A, B):

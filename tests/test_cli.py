@@ -379,6 +379,22 @@ class TestTransport:
         norms = [float(r.split(",")[3]) for r in rows]
         assert max(norms) - min(norms) <= 1e-8
 
+    def test_zero_vector_is_an_error(self, capsys):
+        code = main(["transport", "--shape", "sphere", "--loop",
+                     "const-v:0.3", "--vector", "0,0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("error: ZeroVector: --vector '0,0': the transported "
+                       "vector has zero metric norm\n")
+
+    def test_tiny_vector_has_the_holonomy(self, capsys):
+        # its metric norm squared underflows, its frame components do not
+        code, out = run(capsys, "transport", "--shape", "sphere", "--loop",
+                        "const-v:0.3", "--vector", "1e-300,0")
+        assert code == 0
+        holonomy = float(out.split("holonomy:")[1].split()[0])
+        assert abs(holonomy + 2 * math.pi * math.sin(0.3)) <= 1e-6
+
     def test_surfacecurve_file(self, capsys, tmp_path):
         sc = tmp_path / "diag.sc"
         sc.write_text(DIAGONAL_SC)

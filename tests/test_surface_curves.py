@@ -466,6 +466,14 @@ class TestParallelTransport:
             angles.append(angle_between(SPHERE, u, v, a, b))
         assert max(angles) - min(angles) <= 1e-8
 
+    def test_zero_vector_has_no_holonomy(self):
+        loop = SurfaceCurve.const_v(SPHERE, 0.3)
+        for zero in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+            with pytest.raises(ZeroVector, match="zero metric norm"):
+                parallel_transport(loop, zero)
+        tiny = parallel_transport(loop, (1e-300, 0.0))
+        assert abs(tiny.holonomy + 2.0 * math.pi * math.sin(0.3)) <= 1e-6
+
     def test_samples_end_at_the_curve_end(self):
         # t0 + (t1 - t0) * 256 / 256 rounds above t1 here
         sc = SurfaceCurve(TORUS, lambda t: (0.5 + t, 1.0 + 0.5 * t),

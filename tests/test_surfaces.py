@@ -14,12 +14,12 @@ from diffgeo.quadrature import QuadSpec
 from diffgeo.surfaces import (ParametricSurface, _SurfacePoint, angle_between,
                               codazzi_compatibility_residuals, curvatures,
                               dupin_classification, form_identity_residual,
-                              forms, gamma_field,
-                              gauss_weingarten_residuals,
+                              forms, gauss_weingarten_residuals,
                               metric_and_gamma, riemann_R1212,
                               sin_angle_between, surface_area, surface_frame,
                               total_curvature)
-from diffgeo.surfacecurves import (SurfaceCurve, bonnet_torsion_check,
+from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs,
+                                   bonnet_torsion_check,
                                    curvature_split, liouville_check,
                                    principal_direction_field)
 from diffgeo.vectors import Vec3, _spread
@@ -501,11 +501,18 @@ class TestMetricFastPath:
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_gamma_field_equals_metric_and_gamma(self, name):
+        # the geodesic field's program and metric_and_gamma's read the same
+        # Christoffel values
         shape = catalog.make(name)
-        gamma = gamma_field(shape)
+        field = _geodesic_rhs(shape)
         rng = random.Random(zlib.crc32(b"gamma field " + name.encode()))
         for u, v in surface_samples(name, shape, rng, 40):
-            assert gamma(u, v) == metric_and_gamma(shape, u, v).gamma2
+            du, dv = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            g = metric_and_gamma(shape, u, v).gamma2
+            want = (du, dv,
+                    -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv),
+                    -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv))
+            assert repr(field(0.0, (u, v, du, dv))) == repr(want)
 
     @pytest.mark.parametrize("shape, point, error", [
         (catalog.make("cone"), (0.0, 1.0), SingularSurfacePoint),
@@ -514,7 +521,8 @@ class TestMetricFastPath:
         (catalog.make("monge", f="1e200*u"), (0.3, 0.2), OverflowError),
     ], ids=["cone-apex", "pole", "jets-overflow", "metric-overflow"])
     def test_gamma_field_errors(self, shape, point, error):
-        got = _outcome(gamma_field(shape), *point)
+        field = _geodesic_rhs(shape)
+        got = _outcome(lambda u, v: field(0.0, (u, v, 1.0, 0.5)), *point)
         assert got == _outcome(metric_and_gamma, shape, *point)
         assert got[0] is error and f"(u, v)=({point[0]!r}, {point[1]!r})" \
             in got[1]
