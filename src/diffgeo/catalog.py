@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .curves import ParametricCurve
 from .errors import DiffGeoError, InvalidParameter, NoReference, UnknownShape
-from .expr import load_definition, position_kernel
+from .expr import load_definition
 from .surfaces import ParametricSurface
 
 __all__ = ["CatalogEntry", "make", "build", "reference", "entry", "names"]
@@ -90,8 +90,7 @@ def build(definition, periodic=(None, None)):
         (pname,) = definition.params
         return ParametricCurve(
             lambda t: definition.eval(t, check_domain=False),
-            definition.params[pname],
-            make_kernel=lambda jet1: position_kernel(definition, jet1, 4))
+            definition.params[pname], definition=definition)
     if definition.kind == "surface":
         pnames = list(definition.params)
         dom = definition.params[pnames[0]] + definition.params[pnames[1]]

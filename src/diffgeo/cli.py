@@ -172,12 +172,6 @@ def _load_surface(args):
     return shape, desc
 
 
-def _surface_curve(definition, shape):
-    """A 'surfacecurve' definition over ``shape``."""
-    (pname,) = definition.params
-    return SurfaceCurve(shape, definition.eval, definition.params[pname])
-
-
 def _sample_rect(args_shape_name, shape):
     if args_shape_name:
         ent = catalog.entry(args_shape_name)
@@ -430,7 +424,7 @@ def _load_surface_curve(args, shape):
             raise _Usage(
                 "transport --curve file must be a 'surfacecurve' definition "
                 "(u =, v =)")
-        return _surface_curve(definition, shape)
+        return SurfaceCurve.of_definition(shape, definition)
     if args.loop:
         which, _, val = args.loop.partition(":")
         value = _number(val, "--loop")
@@ -486,7 +480,8 @@ def _load_loop(path, shape):
     if definition.kind != "loop":
         raise _Usage("--loop-file must be a 'loop' definition")
     return BoundaryLoop(
-        arcs=[_surface_curve(arc, shape) for arc in definition.arcs],
+        arcs=[SurfaceCurve.of_definition(shape, arc)
+              for arc in definition.arcs],
         corner_angles=list(definition.corners),
         region_rects=list(definition.regions))
 

@@ -6,12 +6,15 @@ All differential quantities come from the order-4 jet of the position: the
 five coefficient triples r, r', r'', r''', r'''' at a point, so curvature and
 torsion derivatives are exact Taylor coefficients rather than finite
 differences.  A curve built from a definition reads them from a kernel
-generated per template (``expr.position_kernel`` at order 4); other curves
-take them from one Jet1 evaluation.  The Frenet formulas over that jet are
-written once, over jets, in ``_frenet``, and run as generated float code
-that keeps the Jet1 arithmetic (``expr.taped``); every such value is read
-from one point bundle, ``_CurveJets``.  The torsion sign convention is the
-right-handed Frenet system dB/ds = -tau N.
+generated per template (``expr.position_kernel`` at order 4); Hermite
+interpolants, arc-length reparametrizations (through the base template's
+kernel with a jet input) and spherical indicatrices compute them over
+floats; other curves take them from one Jet1 evaluation.  The Frenet
+formulas over that jet are written once, over jets, in ``_frenet``, and
+run as generated float code that keeps the Jet1 arithmetic
+(``expr.taped``); every such value is read from one point bundle,
+``_CurveJets``.  The torsion sign convention is the right-handed Frenet
+system dB/ds = -tau N.
 """
 
 import bisect
@@ -21,9 +24,9 @@ from functools import cached_property
 
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
-from .expr import taped
-from .interpolate import HermiteChannel
-from .jets import Jet1
+from .expr import position_kernel, taped
+from .interpolate import HermiteChannel, taylor_kernel
+from .jets import Jet1, compose1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .vectors import Vec3, _spread
@@ -46,16 +49,21 @@ class ParametricCurve:
     """A map t -> R^3 evaluated into jets.
 
     ``evaluator`` receives the parameter as a Jet1 (possibly a composed jet)
-    and must return a Vec3 of Jet1 built jet-generically.
-    ``make_kernel(jet1)`` returns a faster kernel with the values of
-    ``jet1``; it runs on the kernel's first use.
+    and must return a Vec3 of Jet1 built jet-generically.  ``definition``
+    is the 'curve' definition that ``evaluator`` evaluates, if any: the
+    kernels are then code generated from it, on first use.  ``kernel``
+    gives the float kernel directly, for curves whose coefficients are
+    computed over floats.
     """
 
-    def __init__(self, evaluator, domain, unit_speed=False, make_kernel=None):
+    def __init__(self, evaluator, domain, unit_speed=False, definition=None,
+                 kernel=None):
         self.evaluator = evaluator
         self.domain = (float(domain[0]), float(domain[1]))
         self.unit_speed = unit_speed
-        self._make_kernel = make_kernel
+        self.definition = definition
+        if kernel is not None:
+            self.kernel = kernel
         self._scale = None
 
     def eval(self, t):
@@ -66,13 +74,27 @@ class ParametricCurve:
     @cached_property
     def kernel(self):
         """Floats t -> (x, y, z) triples r, r', r'', r''', r''''."""
-        if self._make_kernel is None:
+        if self.definition is None:
             return self._jet_kernel
-        return self._make_kernel(self._jet_kernel)
+        return position_kernel(self.definition, self._jet_kernel, 4)
+
+    @cached_property
+    def composite(self):
+        """Floats: the five Taylor rows (t_k,) of a change of parameter
+        t(s) -> the five triples of r(t(s)), equal to the Jet1
+        coefficients of ``evaluator`` at that jet."""
+        if self.definition is None:
+            return self._jet_composite
+        return position_kernel(self.definition, self._jet_composite, 4,
+                               jets=True)
 
     def _jet_kernel(self, t):
         """The five triples of ``kernel`` from one Jet1 evaluation."""
         return _coefficients(self.evaluator(Jet1.variable(t)))
+
+    def _jet_composite(self, rows):
+        """The triples of ``composite`` from one Jet1 evaluation."""
+        return _coefficients(self.evaluator(Jet1(*(r[0] for r in rows))))
 
     @property
     def scale(self):
@@ -286,13 +308,17 @@ class _CurveJets:
         self.require_bent()
         return self._run(_TAU)[0]
 
-    def vec_jet(self, name, n=5):
-        """The unit vector ``name`` (T, N or B) as a Vec3 of Jet1: its first
-        ``n`` coefficients (T exact through order 3, N and B through 2), the
-        rest zero."""
+    def vec_coefficients(self, name, n=5):
+        """The first ``n`` t-derivatives of the unit vector ``name`` (T, N
+        or B; T exact through order 3, N and B through 2): x's, then y's,
+        then z's."""
         if name != "T":
             self.require_bent()
-        x = self._run(_JETS[name, n])
+        return self._run(_JETS[name, n])
+
+    def vec_jet(self, name, n=5):
+        """The same as a Vec3 of Jet1, the rest of each jet zero."""
+        x = self.vec_coefficients(name, n)
         return Vec3(*(Jet1(*x[i:i + n]) for i in (0, n, 2 * n)))
 
 
@@ -341,7 +367,9 @@ def reparam_to_arclength(curve):
 
     Inversion integrates dt/ds = 1/|dr/dt|; each evaluation refines from the
     nearest cached knot and lifts t(s) into jets by the inverse-function
-    derivatives, so jet output stays exact through order 4.
+    derivatives, so jet output stays exact through order 4.  The float
+    kernel composes those derivatives with s by Faa di Bruno over floats
+    and reads r(t(s)) from the curve's composite kernel.
     """
     t0, t1 = curve.domain
     total = arc_length(curve, t0, t1)
@@ -360,8 +388,8 @@ def reparam_to_arclength(curve):
         seg = ode_solve(dt_ds, (knot_t[lo],), (knot_s[lo], s0))
         return seg.y_end[0]
 
-    def evaluator(s_jet):
-        s0 = s_jet.value
+    def t_derivatives(s0):
+        """t(s0) and its four s-derivatives."""
         if not -1e-9 <= s0 <= total + 1e-9:
             raise DomainError(f"arc length {s0!r} outside [0, {total!r}]")
         s0 = min(max(s0, 0.0), total)
@@ -373,10 +401,18 @@ def reparam_to_arclength(curve):
         g2 = -f2 * g1 ** 3
         g3 = (3.0 * f2 * f2 - f1 * f3) * g1 ** 5
         g4 = (-15.0 * f2 ** 3 + 10.0 * f1 * f2 * f3 - f1 * f1 * f4) * g1 ** 7
-        t_jet = s_jet._compose((tv, g1, g2, g3, g4))
-        return curve.eval(t_jet)
+        return tv, g1, g2, g3, g4
 
-    return ParametricCurve(evaluator, (0.0, total), unit_speed=True)
+    def evaluator(s_jet):
+        return curve.eval(s_jet._compose(t_derivatives(s_jet.value)))
+
+    def kernel(s):
+        s = float(s)
+        t = compose1((s, 1.0, 0.0, 0.0, 0.0), t_derivatives(s))
+        return curve.composite(tuple((c,) for c in t))
+
+    return ParametricCurve(evaluator, (0.0, total), unit_speed=True,
+                           kernel=kernel)
 
 
 def osculating_circle(curve, t):
@@ -482,7 +518,12 @@ def spherical_indicatrix(curve, which="T"):
         cj = _CurveJets(k, curve.scale, t_jet.value, EPS_REG * curve.scale)
         return cj.vec_jet(which)
 
-    return ParametricCurve(evaluator, curve.domain)
+    def kernel(t):
+        cj = _CurveJets(curve.kernel(t), curve.scale, t, EPS_REG * curve.scale)
+        x = cj.vec_coefficients(which)
+        return tuple(zip(x[0:5], x[5:10], x[10:15]))
+
+    return ParametricCurve(evaluator, curve.domain, kernel=kernel)
 
 
 def indicatrix_kappa_tau(curve, t, which="T"):
@@ -542,7 +583,8 @@ class ReconstructedCurve:
         def evaluator(s_jet):
             return Vec3(chans[0](s_jet), chans[1](s_jet), chans[2](s_jet))
 
-        return ParametricCurve(evaluator, (knots[0], knots[-1]), unit_speed=True)
+        return ParametricCurve(evaluator, (knots[0], knots[-1]),
+                               unit_speed=True, kernel=taylor_kernel(chans))
 
 
 def _gram_schmidt(T, N, B):

@@ -28,12 +28,15 @@ Curves declare one parameter, surfaces two (in order u, v), and
 makes straight-line code of them (:func:`position_kernel`): at order 0 for
 float or jet parameters, whose derivatives are exact Taylor coefficients,
 for a surface's partials through order 2 or 3 over floats, and for a
-curve's derivatives through order 4 over floats; :func:`taped` records
-jet-generic formulas over either kind of position.  Both compile the lines
-the generator emits.  :func:`surface_program` puts a consumer of a surface
-kernel after the kernel in one function, with one of two prologues: the
-kernel's own lines, or, for a surface built from a callable or a template
-whose kernel defers to its fallback, one call of the kernel.
+curve's derivatives through order 4 over floats; at order 4 the parameters
+may also be jets, given as the rows of their Taylor coefficients, which
+makes the composite r(u(t), v(t)) along a surface curve.  :func:`taped`
+records jet-generic formulas over either kind of position and
+:func:`jet_program` Jet1 arithmetic over float arguments.  Each compiles
+the lines the generator emits.  :func:`surface_program` puts a consumer of
+a surface kernel after the kernel in one function, with one of two
+prologues: the kernel's own lines, or, for a surface built from a callable
+or a template whose kernel defers to its fallback, one call of the kernel.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
 for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
 kind of file name the line at fault; an undeclared name and a call of
@@ -440,7 +443,7 @@ def _postfix(node):
 # position kernels and tapes: the Jet2 arithmetic as straight-line source
 # --------------------------------------------------------------------------
 
-def position_kernel(definition, fallback, order=2):
+def position_kernel(definition, fallback, order=2, jets=False):
     """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
     'surface' definition, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv
     and r_vvv: (x, y, z) float triples equal to the Jet2 coefficients of
@@ -452,8 +455,15 @@ def position_kernel(definition, fallback, order=2):
     triples from one jet evaluation; the kernel defers to it where the jet
     ``power`` branches on what the kernel does not decide.  At ``order`` 0
     the kernel of any definition takes its parameters as floats or jets and
-    returns its one row of components; it needs no fallback."""
-    kernel = _kernel_binder(*_template(definition), order)
+    returns its one row of components; it needs no fallback.
+
+    With ``jets`` (order 4) the parameters are jets: the kernel takes one
+    argument, the five rows of their Taylor coefficients, as a kernel of
+    a 'surfacecurve' (rows (u, v)) or a curve parameter (rows (t,)) returns
+    them, and gives the Jet1 coefficients of ``definition.eval`` at those
+    jets, the composite r(u(t), v(t)) or r(t(s)); ``fallback(rows)`` gives
+    them from one jet evaluation."""
+    kernel = _kernel_binder(*_template(definition), order, jets)
     return _bind(kernel, fallback, *definition.constants.values())
 
 
@@ -471,17 +481,20 @@ def _bind(fn, *defaults):
 
 
 @lru_cache(maxsize=128)
-def _kernel_binder(programs, params, constants, order):
+def _kernel_binder(programs, params, constants, order, jets=False):
     """The kernel generated for a template, its defaults (_fallback and the
-    constants) None until position_kernel binds them in a copy."""
-    gen = _Taylor(order, params, constants)
+    constants) None until position_kernel binds them in a copy.  Above
+    order 0, where the arguments are floats, the lines are inlined."""
+    gen = _Taylor(order, params, constants, jets)
     rows = "".join("(" + "".join(_fmt(t) + ", " for t in row) + "), "
                    for row in gen.rows(programs))
     args = [*gen.params, "_fallback=None",
             *(f"_c{i}=None" for i in range(len(constants)))]
+    body = [(line, True) for line in gen.lines] + [(f"return ({rows})", True)]
     return _compile([f"def _kernel({', '.join(args)}):",
-                     *("    " + line for line in gen.lines),
-                     f"    return ({rows})"], "<position kernel>")["_kernel"]
+                     *("    " + line for line, _ in
+                       (_inline(body) if order else body))],
+                    "<position kernel>")["_kernel"]
 
 
 @lru_cache(maxsize=None)
@@ -495,10 +508,11 @@ def taped(formulas, outputs, order=2):
     the code those outputs need is kept, so ``k`` may stop at order 2 when
     no output reads r's third partials."""
     body, terms, slots = _pruned(formulas, outputs, order)
+    body = _inline([(line, True) for line in body] + [
+        (f"return ({''.join(_fmt(t) + ', ' for t in terms)})", True)])
     return _compile(["def _program(_k):",
                      *(f"    _r{i}x, _r{i}y, _r{i}z = _k[{i}]" for i in slots),
-                     *("    " + line for line in body),
-                     f"    return ({''.join(_fmt(t) + ', ' for t in terms)})"],
+                     *("    " + line for line, _ in body)],
                     "<tape>")["_program"]
 
 
@@ -547,6 +561,7 @@ _KERNEL_GLOBALS = {
     **{f"_tab_{name}": table for name, table in jets._TABLES.items()},
     **{f"_fn_{name}": fn for name, fn in FUNCTIONS.items()},
     "_recip": jets._tab_recip, "_tab_pow": jets._tab_pow, "_div": _div,
+    "_sin": math.sin, "_cos": math.cos,
     "_power": jets.power, "inf": math.inf, "nan": math.nan, **{
         e.__name__: e for e in (DomainError, ArityError, UnknownIdentifier)}}
 
@@ -655,7 +670,8 @@ class _Taylor:
     ``a + (-b)``) and programs the language's order of evaluation, so values
     and errors match.  Equal code is emitted once."""
 
-    def __init__(self, order, params=(), constants=(), local="_t"):
+    def __init__(self, order, params=(), constants=(), jets=False,
+                 local="_t"):
         self.order = order
         self.univariate = order == 4
         self.size = 5 if self.univariate else (order + 1) * (order + 2) // 2
@@ -665,23 +681,34 @@ class _Taylor:
         self.zero = (0.0 if self.univariate else None,) * self.size
         self.prod = _prod_exact if self.univariate else _prod
         self.sum = _sum_exact if self.univariate else _sum
-        self.env = {c: f"_c{i}" for i, c in enumerate(constants)}
-        self.bind(params, [f"_p{i}" for i in range(len(params))])
         self.local = local  # the prefix of the locals it names
         self.lines = []
         self.named = {}     # code -> the local that holds it
         self.deferred = False   # whether a line returns the fallback's value
+        self.env = {c: f"_c{i}" for i, c in enumerate(constants)}
+        self.bind(params, [f"_p{i}" for i in range(len(params))], jets)
 
-    def bind(self, params, names):
+    def bind(self, params, names, jets=False):
         """Read the parameters ``params`` from the locals ``names``: as
-        they are at order 0, else lifted into jets (t, or u and v)."""
+        they are at order 0, else lifted into jets (t, or u and v).  With
+        ``jets`` (order 4) they are jets already, read from one argument
+        ``_k`` that holds the rows of their coefficients, as a kernel
+        returns rows: parameter i's coefficient k is ``_p<i>_<k>``."""
+        if jets:
+            rows = [[f"{p}_{k}" for p in names] for k in range(self.size)]
+            self.lines.append(", ".join(f"({''.join(n + ', ' for n in row)})"
+                                        for row in rows) + " = _k")
+            self.env.update((p, tuple(row[i] for row in rows))
+                            for i, p in enumerate(params))
+            names = ["_k"]
+        else:
+            self.env.update(zip(params, names))
+            if self.order and params:
+                self.env[params[0]] = (names[0], 1.0) + self.zero[2:]
+            if self.order and params[1:]:
+                self.env[params[1]] = (names[1], None, 1.0) + self.zero[3:]
         self.params = list(names)
         self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
-        self.env.update(zip(params, self.params))
-        if self.order and params:
-            self.env[params[0]] = (self.params[0], 1.0) + self.zero[2:]
-        if self.order and params[1:]:
-            self.env[params[1]] = (self.params[1], None, 1.0) + self.zero[3:]
         self.first = self.env[params[0]] if params else None
 
     def rows(self, programs):
@@ -709,15 +736,22 @@ class _Taylor:
         self.deferred = True
 
     def table(self, call):
-        """The locals holding d0..d3 of a derivative-table call, and d4 at
-        order 4.  sin and cos of one argument share one call: (s, c, -s, -c)
-        rotated is (c, -s, -c, s), d4 is d0, and negation is exact."""
-        for name, other, turn in (("sin", "cos", 3), ("cos", "sin", 1)):
-            twin = f"_tab_{other}(" + call[len(f"_tab_{name}("):]
-            if call.startswith(f"_tab_{name}(") and twin in self.named:
-                d = self.named[twin][:4]
-                d = d[turn:] + d[:turn]
-                return d + d[:1] if self.univariate else d
+        """The terms d0..d3 of a derivative-table call, and d4 at order 4:
+        locals that the call sets.  The tables of sin and cos are not
+        called: they are (s, c, -s, -c, s) and (c, -s, -c, s, c), so sin
+        and cos of one argument share one line that computes s and c, as
+        the tables do, and a term -s is negated where it is read (negation
+        is exact)."""
+        if call.startswith(("_tab_sin(", "_tab_cos(")):
+            arg = call[len("_tab_sin("):-1]
+            if ("sincos", arg) not in self.named:
+                s, c = (f"{self.local}{len(self.lines)}_{k}" for k in "sc")
+                self.named["sincos", arg] = s, c
+                self.lines.append(f"{s}, {c} = _sin({arg}), _cos({arg})")
+            s, c = self.named["sincos", arg]
+            d = ((s, c, f"-{s}", f"-{c}") if call[5] == "s"
+                 else (c, f"-{s}", f"-{c}", s))
+            return d + d[:1] if self.univariate else d
         if call not in self.named:
             names = [f"{self.local}{len(self.lines)}_{k}" for k in range(5)]
             if not self.univariate:
@@ -743,6 +777,12 @@ class _Taylor:
     def fail(self, exc):
         self.lines.append(f"raise {type(exc).__name__}({str(exc)!r})")
         return 0.0
+
+    def jet(self, *terms):
+        """The jet of the float terms ``terms`` (_TapeJets), its other
+        coefficients zero, as ``Jet1(*terms)`` is at order 4."""
+        return _TapeJet(self, tuple(t.c for t in terms)
+                        + self.zero[len(terms):])
 
     def gen(self, program):
         """The value of ``program``: a term, or a jet tuple of terms."""
@@ -969,6 +1009,10 @@ class _TapeJet:
     def dv(self):
         return self._shift((2, 4, 5, 7, 8, 9))
 
+    def __getitem__(self, slot):
+        """Coefficient ``slot``, a jet of one float term."""
+        return _TapeJet(self.gen, self.c[slot])
+
     def derivative(self):
         """The jet of d/dt, its top slot zero, as Jet1.derivative."""
         return self._shift((1, 2, 3, 4, 5))
@@ -1005,13 +1049,23 @@ def surface_program(formulas, sizes, definition, kernel):
     return _bind(_program_binder(formulas, sizes, None, (), ()), kernel())
 
 
+def jet_program(formulas, sizes):
+    """``formulas(rec, *args)`` as one straight-line float function of
+    ``args``, sized as for surface_program.  The formulas are jet-generic
+    code over jets that ``rec.jet(*terms)`` builds from float terms; they
+    run once, and their Jet1 arithmetic is recorded (order 4), so each value
+    and error equals Jet1's.  Made once per formulas."""
+    return _program_binder(formulas, sizes, None, (), (), 4)
+
+
 @lru_cache(maxsize=128)
-def _program_binder(formulas, sizes, programs, params, constants):
+def _program_binder(formulas, sizes, programs, params, constants, order=2):
     """The program of ``formulas`` over the kernel of the component
     ``programs``, or over the kernel it is given when ``programs`` is None,
     its defaults None until surface_program binds them; None when that
-    kernel defers to its fallback."""
-    rec = _Recorder(programs, params, constants)
+    kernel defers to its fallback.  At ``order`` 4 the formulas read no
+    kernel (jet_program)."""
+    rec = _Recorder(programs, params, constants, order)
     args = [f"_a{i}" for i in range(len(sizes))]
     defaults = (["_kernel=None"] if programs is None
                 else [f"_c{i}=None" for i in range(len(constants))])
@@ -1024,8 +1078,9 @@ def _program_binder(formulas, sizes, programs, params, constants):
     if rec.deferred:
         return None
     run = []    # guarded lines, in one try before the next free line
-    for line, free in _inline([(line, i in rec.free) for i, line in
-                               enumerate(rec.lines)]
+    guarded = "_overflow" in rec.names      # whether a kernel was read
+    for line, free in _inline([(line, i in rec.free or not guarded)
+                               for i, line in enumerate(rec.lines)]
                               + [(f"return {_source(out)}", True)]):
         if free and run:
             lines += ["    try:", *run, "    except OverflowError:",
@@ -1052,8 +1107,8 @@ class _Recorder(_Taylor):
       outputs)`` over the triples ``k``;
     - ``check(fn, *args)``: a call of ``fn`` where the code runs."""
 
-    def __init__(self, programs, params, constants):
-        super().__init__(2, (), constants)
+    def __init__(self, programs, params, constants, order=2):
+        super().__init__(order, (), constants)
         self.free = set()   # indices of the lines outside the guard
         self.names = {}     # the program's globals
         self.template = programs, params
@@ -1154,16 +1209,21 @@ class ShapeDefinition:
             raise ArityError(f"{self.kind} takes {len(self.params)} "
                              f"parameter(s), got {len(args)}")
         if check_domain:
-            for (name, (lo, hi)), val in zip(self.params.items(), args):
-                v0 = val.value if hasattr(val, "value") else float(val)
-                if not lo <= v0 <= hi:
-                    raise DomainError(
-                        f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
+            self.check_domain(*(val.value if hasattr(val, "value")
+                                else float(val) for val in args))
         (vals,) = self._kernel(*args)
         if not isinstance(args[0], (int, float)):
             vals = tuple(args[0] * 0.0 + out if isinstance(out, (int, float))
                          else out for out in vals)
         return Vec3(*vals) if len(vals) == 3 else vals
+
+    def check_domain(self, *values):
+        """Raise DomainError unless each float parameter value lies in its
+        parameter's domain."""
+        for (name, (lo, hi)), v0 in zip(self.params.items(), values):
+            if not lo <= v0 <= hi:
+                raise DomainError(
+                    f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
-"""Piecewise quintic Hermite interpolation over jets.
+"""Piecewise quintic Hermite interpolation over jets and floats.
 
 Trajectory samples (value, first and second derivative at each knot) become
 a C^2 evaluator whose jets are exact derivatives of the interpolant.  Used
 to re-feed integrated geodesics and reconstructed curves through the same
 differential pipeline as closed-form shapes: the interpolant is a genuine
-curve, so residual checks on it are not satisfied by construction.
+curve, so residual checks on it are not satisfied by construction.  Over
+floats, :func:`taylor_kernel` gives the Taylor coefficients of channels
+that share their knots from generated code, equal to the jets' coefficients.
 """
 
 from bisect import bisect_right
+from functools import lru_cache
 
-__all__ = ["HermiteChannel"]
+from .expr import _kernel_binder, _postfix, parse_text
+
+__all__ = ["HermiteChannel", "taylor_kernel"]
 
 
 class HermiteChannel:
@@ -35,15 +40,52 @@ class HermiteChannel:
                 -6.0 * y0 - 3.0 * dh - 0.5 * ah + 6.0 * y1 - 3.0 * dh1 + 0.5 * ah1,
             ))
 
-    def __call__(self, s):
-        """Evaluate at a float or jet ``s`` (jets flow through the polynomial)."""
-        s0 = s.value if hasattr(s, "value") else float(s)
+    def segment(self, s0):
+        """(i, knot i, 1 / width) of the piece that the float ``s0`` falls
+        in; outside the knots, the nearest end piece."""
         i = bisect_right(self.knots, s0) - 1
         i = min(max(i, 0), len(self.coeffs) - 1)
-        h = self.knots[i + 1] - self.knots[i]
-        x = (s - self.knots[i]) * (1.0 / h)
+        return i, self.knots[i], 1.0 / (self.knots[i + 1] - self.knots[i])
+
+    def __call__(self, s):
+        """Evaluate at a float or jet ``s`` (jets flow through the polynomial)."""
+        i, knot, inv_h = self.segment(s.value if hasattr(s, "value")
+                                      else float(s))
+        x = (s - knot) * inv_h
         k = self.coeffs[i]
         out = k[5]
         for c in (k[4], k[3], k[2], k[1], k[0]):
             out = out * x + c
         return out
+
+
+# the Horner form that HermiteChannel.__call__ evaluates, x = (s - a) * b
+_HORNER = "((((k5*x + k4)*x + k3)*x + k2)*x + k1)*x + k0".replace(
+    "x", "((s - a)*b)")
+
+
+@lru_cache(maxsize=None)
+def _horner(n):
+    """The order-4 kernel of n channels' Horner forms, the knot a, 1 / width
+    b and each channel's coefficients k<j>_0 .. k<j>_5 its constants."""
+    return _kernel_binder(
+        tuple(_postfix(parse_text(_HORNER.replace("k", f"k{j}_")))
+              for j in range(n)),
+        ("s",), ("a", "b", *(f"k{j}_{m}" for j in range(n)
+                             for m in range(6))), 4)
+
+
+def taylor_kernel(channels):
+    """The float kernel s -> the five rows (one coefficient of each channel
+    per row) of the Taylor coefficients of ``channels`` at s, for channels
+    over the same knots: as ``HermiteChannel.__call__`` computes them on a
+    Jet1 variable, bit for bit, from order-4 code generated once per number
+    of channels."""
+    horner, first = _horner(len(channels)), channels[0]
+
+    def kernel(s):
+        i, knot, inv_h = first.segment(s)
+        return horner(s, None, knot, inv_h,
+                      *(c for ch in channels for c in ch.coeffs[i]))
+
+    return kernel

@@ -255,15 +255,22 @@ class Jet1:
 
     def _compose(self, d):
         """Faa di Bruno through order 4; ``d`` = (phi, phi', .., phi'''')."""
-        _, u1, u2, u3, u4 = self.c
-        return _raw1((
-            d[0],
-            d[1] * u1,
-            d[1] * u2 + d[2] * u1 * u1,
-            d[1] * u3 + 3.0 * d[2] * u1 * u2 + d[3] * u1 ** 3,
-            d[1] * u4 + d[2] * (4.0 * u1 * u3 + 3.0 * u2 * u2)
-            + 6.0 * d[3] * u1 * u1 * u2 + d[4] * u1 ** 4,
-        ))
+        return _raw1(compose1(self.c, d))
+
+
+def compose1(c, d):
+    """The Jet1 coefficients of phi(x), for the coefficients ``c`` of x and
+    ``d`` = (phi, phi', .., phi'''') at its value: Faa di Bruno through
+    order 4 over floats, rounded as Jet1 rounds it."""
+    _, u1, u2, u3, u4 = c
+    return (
+        d[0],
+        d[1] * u1,
+        d[1] * u2 + d[2] * u1 * u1,
+        d[1] * u3 + 3.0 * d[2] * u1 * u2 + d[3] * u1 ** 3,
+        d[1] * u4 + d[2] * (4.0 * u1 * u3 + 3.0 * u2 * u2)
+        + 6.0 * d[3] * u1 * u1 * u2 + d[4] * u1 ** 4,
+    )
 
 
 def lift1(value, variable=False):

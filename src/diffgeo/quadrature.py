@@ -108,6 +108,9 @@ def _adaptive(rule, split, whole, spec):
         return recurse(whole, rule(*whole)[0], spec.tol, 1)
     except _Halt as halt:
         raise MaxDepthExceeded(halt.best, halt.message) from None
+    finally:
+        del recurse     # it refers to itself: free it, and the integrand
+
 
 
 def quad_adaptive(f, interval, spec=QuadSpec()):

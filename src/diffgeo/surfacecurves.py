@@ -4,30 +4,37 @@ and holonomy, asymptotic/principal/conjugate directions, Liouville and
 Bonnet checks, and the local/global Gauss-Bonnet budgets.
 
 A surface curve is a parameter-plane path t -> (u(t), v(t)) over a host
-surface.  Its composite space curve is evaluated by feeding the curve's
-Jet1 parameters straight through the surface evaluator, so space-curve
-derivatives (up to fourth order) are exact; its speed, Frenet frame,
-curvature and torsion come from ``curves._CurveJets``.  Surface fields
-along the curve (the normal, metric coefficients) are composed from the
-pointwise values and first partials with the chain rule.
+surface.  Its float kernel gives the Taylor coefficients of u and v at t,
+as five rows (u_k, v_k): the built-in lines and parabolas write them
+directly, 'surfacecurve' definitions and loop arcs run generated order-4
+code, and Hermite paths (geodesics, asymptotic lines) read their
+quintics.  The surface's composite kernel, order-4 code generated per
+surface template with those rows as jet inputs, carries them through
+r(u(t), v(t)), so space-curve derivatives (up to fourth order) are exact;
+the speed, Frenet frame, curvature and torsion come from
+``curves._CurveJets``.  Surface fields along the curve (the normal, metric
+coefficients) are composed from the pointwise values and first partials
+with the chain rule, in Jet1 arithmetic recorded once as float code
+(``expr.jet_program``).  Jets are evaluated only for curves and surfaces
+built from Python callables.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from . import jets
-from .curves import _coefficients, _CurveJets
+from .curves import _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
                      NoUniqueConjugate, OpenLoop, SingularSurfacePoint,
                      StepUnderflow, UmbilicPoint, ZeroVector)
-from .interpolate import HermiteChannel
+from .expr import jet_program, position_kernel
+from .interpolate import HermiteChannel, taylor_kernel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .surfaces import (_curvatures_of, _metric_dot, _metric_unit,
-                       _metric_terms, _normal_curvature, _overflow, _point,
-                       metric_and_gamma, total_curvature)
+from .surfaces import (_metric_dot, _metric_terms, _metric_unit,
+                       _normal_curvature, _overflow, _point, metric_and_gamma,
+                       total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -52,14 +59,18 @@ _N_ASYMPTOTIC = 65   # Hermite knots of a traced asymptotic line
 class SurfaceCurve:
     """t -> (u(t), v(t)) on a host surface.
 
-    ``uv`` receives the parameter as Jet1 and returns a (u_jet, v_jet) pair
-    built jet-generically.
+    ``kernel(t)`` gives, at a float t, the five rows (u_k, v_k) of the
+    curve's Taylor coefficients (plain derivatives, k = 0..4) as Jet1
+    computes them from ``uv``.  ``uv`` receives the parameter as Jet1 and
+    returns a (u_jet, v_jet) pair built jet-generically; a curve built
+    without a kernel reads its rows from one ``uv`` evaluation.
     """
 
-    def __init__(self, surface, uv, domain):
+    def __init__(self, surface, uv, domain, kernel=None):
         self.surface = surface
         self.uv = uv
         self.domain = (float(domain[0]), float(domain[1]))
+        self.kernel = kernel or self._jet_kernel
 
     @staticmethod
     def const_v(surface, v0):
@@ -67,7 +78,11 @@ class SurfaceCurve:
         def uv(t):
             return t, t * 0.0 + v0
 
-        return SurfaceCurve(surface, uv, surface.domain[0:2])
+        def kernel(t):
+            t = float(t)
+            return tuple(zip((t, 1.0, 0.0, 0.0, 0.0), _line(v0, 0.0, t)))
+
+        return SurfaceCurve(surface, uv, surface.domain[0:2], kernel)
 
     @staticmethod
     def const_u(surface, u0):
@@ -75,7 +90,11 @@ class SurfaceCurve:
         def uv(t):
             return t * 0.0 + u0, t
 
-        return SurfaceCurve(surface, uv, surface.domain[2:4])
+        def kernel(t):
+            t = float(t)
+            return tuple(zip(_line(u0, 0.0, t), (t, 1.0, 0.0, 0.0, 0.0)))
+
+        return SurfaceCurve(surface, uv, surface.domain[2:4], kernel)
 
     @staticmethod
     def straight(surface, p0, direction, domain=(0.0, 1.0)):
@@ -83,27 +102,86 @@ class SurfaceCurve:
         def uv(t):
             return p0[0] + t * direction[0], p0[1] + t * direction[1]
 
-        return SurfaceCurve(surface, uv, domain)
+        def kernel(t):
+            return tuple(zip(_line(p0[0], direction[0], t),
+                             _line(p0[1], direction[1], t)))
+
+        return SurfaceCurve(surface, uv, domain, kernel)
+
+    @staticmethod
+    def quadratic(surface, p0, direction, bend, domain):
+        """Parameter-space parabola p0 + t * direction + t^2 * bend."""
+        def uv(t):
+            return (p0[0] + direction[0] * t + bend[0] * t * t,
+                    p0[1] + direction[1] * t + bend[1] * t * t)
+
+        def kernel(t):
+            return tuple(zip(_quadratic(p0[0], direction[0], bend[0], t),
+                             _quadratic(p0[1], direction[1], bend[1], t)))
+
+        return SurfaceCurve(surface, uv, domain, kernel)
+
+    @staticmethod
+    def of_definition(surface, definition):
+        """A 'surfacecurve' definition over ``surface``: rows from its
+        generated order-4 kernel, at parameter values in its domain
+        (DomainError outside, as ``definition.eval`` raises)."""
+        (domain,) = definition.params.values()
+        rows = position_kernel(definition, lambda t: tuple(zip(*(
+            j.c for j in definition.eval(Jet1.variable(t),
+                                         check_domain=False)))), 4)
+
+        def kernel(t):
+            definition.check_domain(t)
+            return rows(t)
+
+        return SurfaceCurve(surface, definition.eval, domain, kernel)
+
+    def _jet_kernel(self, t):
+        """The rows of ``kernel`` from one ``uv`` evaluation."""
+        uj, vj = self.uv_jets(t)
+        return tuple(zip(uj.c, vj.c))
 
     def uv_jets(self, t):
         return self.uv(Jet1.variable(float(t)))
 
     def point(self, t):
-        uj, vj = self.uv_jets(t)
-        return uj.value, vj.value
+        return self.kernel(t)[0]
 
 
-def _field_along_curve(f, fu, fv, uj, vj):
-    """Jet1 of a surface scalar field with value ``f`` and partials
-    ``fu``, ``fv`` at the point, composed with the curve jets: exact
-    through order 1, its higher coefficients zero (the callers' turning
-    rates read orders 0 and 1 only)."""
-    return Jet1(f, fu * uj.c[1] + fv * vj.c[1])
+def _line(p, d, t):
+    """The coefficients of p + t * d for the Jet1 variable t, rounded as
+    Jet1 rounds them (zeros and their signs included); with d = 0.0, those
+    of t * 0.0 + p."""
+    z = t * 0.0
+    h = 0.0 * d + 0.0 + z
+    return t * d + p, d + z + 0.0, h, h, h
 
 
-def _normal_along_curve(p, uj, vj):
-    return Vec3(*(_field_along_curve(n, n_u, n_v, uj, vj)
-                  for n, n_u, n_v in zip(p.n, *p.dn)))
+def _quadratic(p, d, q, t):
+    """The same for p + d * t + q * t * t: the line plus the Jet1 product
+    of q t (c) with the variable t, written out term by term."""
+    z = t * 0.0
+    c0, c1, c2 = t * q, q + z, 0.0 * q + 0.0 + z      # q t
+    return tuple(a + b for a, b in zip(_line(p, d, t), (
+        c0 * t, c1 * t + c0, c2 * t + 2.0 * c1 + c0 * 0.0,
+        c2 * t + 3.0 * c2 + 3.0 * c1 * 0.0 + c0 * 0.0,
+        c2 * t + 4.0 * c2 + 6.0 * c2 * 0.0 + 4.0 * c1 * 0.0 + c0 * 0.0)))
+
+
+def _field_along_curve(rec, f, fu, fv, du, dv):
+    """The jet of a surface scalar field with value ``f`` and partials
+    ``fu``, ``fv`` at the point, along a curve with parameter velocity
+    (du, dv): exact through order 1, its higher coefficients zero (the
+    callers' turning rates read orders 0 and 1 only)."""
+    return rec.jet(f, fu * du + fv * dv)
+
+
+def _normal_along_curve(rec, n, dn, du, dv):
+    """The jet of the unit normal ``n`` along the curve, from dn/du and
+    dn/dv (``dn``, six terms)."""
+    return Vec3(*(_field_along_curve(rec, n[i], dn[i], dn[3 + i], du, dv)
+                  for i in range(3)))
 
 
 @dataclass
@@ -117,23 +195,22 @@ class CurvatureSplit:
     n: Vec3
 
 
-def _point_jets(sc, t):
-    """(the surface point under the curve point, uv jets)."""
-    uj, vj = sc.uv_jets(t)
-    return _point(sc.surface, uj.value, vj.value), uj, vj
+def _point_rows(sc, t):
+    """(the surface point under the curve point, the curve's rows at t)."""
+    k = sc.kernel(t)
+    return _point(sc.surface, *k[0]), k
 
 
-def _composite_jets(sc, t):
-    """_point_jets plus the Frenet kernel of the composite space curve
+def _composite(sc, t):
+    """_point_rows plus the Frenet kernel of the composite space curve
     r(u(t), v(t)), whose floors follow the surface scale."""
-    p, uj, vj = _point_jets(sc, t)
+    p, k = _point_rows(sc, t)
     scale = sc.surface.scale
     try:
-        cj = _CurveJets(_coefficients(sc.surface.evaluator(uj, vj)), scale,
-                        t)
+        cj = _CurveJets(sc.surface.composite(k), scale, t)
     except OverflowError:
         raise _overflow(p.u, p.v) from None
-    return p, uj, vj, cj
+    return p, k, cj
 
 
 def _split(p, cj):
@@ -149,30 +226,31 @@ def _split(p, cj):
 def curvature_split(sc, t):
     """Split of the curvature vector into normal and geodesic parts:
     K = kappa_n n + kappa_g (n x T)."""
-    p, _, _, cj = _composite_jets(sc, t)
+    p, _, cj = _composite(sc, t)
     return _split(p, cj)
 
 
 def kappa_n_quotient(sc, t):
     """Normal curvature as II/I in the curve's direction."""
-    p, uj, vj = _point_jets(sc, t)
-    return _normal_curvature(*p.EFG, *p.efg, (uj.c[1], vj.c[1]))
+    p, k = _point_rows(sc, t)
+    return _normal_curvature(*p.EFG, *p.efg, k[1])
 
 
 def kappa_g_extrinsic(sc, t):
     """kappa_g = r''.(n x r') / |r'|^3 (speed-corrected form)."""
-    p, _, _, cj = _composite_jets(sc, t)
+    p, _, cj = _composite(sc, t)
     return cj.rdd.dot(p.n.cross(cj.rd)) / cj.sigma[0] ** 3
 
 
 def kappa_g_intrinsic(sc, t):
     """kappa_g from the Christoffel symbols and intrinsic path data."""
-    p, uj, vj, cj = _composite_jets(sc, t)
+    p, k, cj = _composite(sc, t)
     s1, s2 = cj.sigma[:2]
+    (du, dv), (ddu, ddv) = k[1], k[2]
     # d/ds and d2/ds2 of the parameters
-    u1, v1 = uj.c[1] / s1, vj.c[1] / s1
-    u2 = uj.c[2] / s1 ** 2 - uj.c[1] * s2 / s1 ** 3
-    v2 = vj.c[2] / s1 ** 2 - vj.c[1] * s2 / s1 ** 3
+    u1, v1 = du / s1, dv / s1
+    u2 = ddu / s1 ** 2 - du * s2 / s1 ** 3
+    v2 = ddv / s1 ** 2 - dv * s2 / s1 ** 3
     g = p.gamma2
     sa = p.sqrt_a
     return sa * (g[1] * u1 ** 3
@@ -182,26 +260,27 @@ def kappa_g_intrinsic(sc, t):
                  + u1 * v2 - u2 * v1)
 
 
-def _geodesic_torsion(p, uj, vj, cj):
+def _geodesic_torsion(p, k, cj):
     dn_du, dn_dv = p.dn
-    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma[0]
+    du, dv = k[1]
+    n_s = (dn_du * du + dn_dv * dv) / cj.sigma[0]
     return p.n.dot(n_s.cross(cj.T))
 
 
 def geodesic_torsion(sc, t):
     """tau_g = n . (dn/ds x dr/ds) along the curve."""
-    return _geodesic_torsion(*_composite_jets(sc, t))
+    return _geodesic_torsion(*_composite(sc, t))
 
 
 def geodesic_torsion_principal(sc, t):
     """(kappa1 - kappa2) sin th cos th with th the angle from the first
     principal direction to the curve tangent; umbilics are rejected."""
-    p, uj, vj = _point_jets(sc, t)
-    cur = _curvatures_of(p)
+    p, k = _point_rows(sc, t)
+    cur = p.curvatures
     if cur.is_umbilic:
         raise UmbilicPoint("principal-direction route undefined at an umbilic")
     E, F, G = p.EFG
-    d = _metric_unit(E, F, G, (uj.c[1], vj.c[1]))
+    d = _metric_unit(E, F, G, k[1])
     d1 = cur.dir1_uv
     c = _metric_dot(E, F, G, d, d1)
     s = p.sqrt_a * (d[0] * d1[1] - d[1] * d1[0])
@@ -209,9 +288,9 @@ def geodesic_torsion_principal(sc, t):
 
 
 def _turning_rate(x, y):
-    """d/dt of the angle atan2(y, x) of two Jet1 values."""
-    x0, y0 = x.value, y.value
-    return (x0 * y.c[1] - y0 * x.c[1]) / (x0 * x0 + y0 * y0)
+    """d/dt of the angle atan2(y, x) of two jets."""
+    x0, y0 = x[0], y[0]
+    return (x0 * y[1] - y0 * x[1]) / (x0 * x0 + y0 * y0)
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +326,7 @@ class GeodesicPath:
         cu = HermiteChannel(self.s, u_vals, u_d1, u_d2)
         cv = HermiteChannel(self.s, v_vals, v_d1, v_d2)
         return SurfaceCurve(self.surface, lambda t: (cu(t), cv(t)),
-                            (self.s[0], self.s[-1]))
+                            (self.s[0], self.s[-1]), taylor_kernel((cu, cv)))
 
 
 def _geodesic(rec, s, y):
@@ -495,12 +574,35 @@ def _transport(rec, u, v, du, dv, A1, A2):
     return dA1, dA2
 
 
+def _transport_rhs(sc):
+    """The transport equations along ``sc``: (t, A) -> dA/dt."""
+    field, kernel = sc.surface.program(_transport, (1,) * 6), sc.kernel
+
+    def rhs(t, y):
+        (u, v), (du, dv) = kernel(t)[:2]
+        return field(u, v, du, dv, y[0], y[1])
+
+    return rhs
+
+
 def _frame_components(md, A):
     """The components of the surface vector ``A`` in the orthonormal frame
     of the MetricData ``md``."""
     e1, e2 = _orthonormal_frame(md)
     return (_metric_dot(md.E, md.F, md.G, A, e1),
             _metric_dot(md.E, md.F, md.G, A, e2))
+
+
+def _metric_norm(md, A):
+    """sqrt(I(A, A)), with A scaled by 2^-e (e the frexp exponent of its
+    larger component) before I(A, A) and the root by 2^e after, so that a
+    tiny or huge vector does not underflow or overflow.  Scaling by a power
+    of two is exact: where the unscaled sum does neither, the norm is the
+    same to the last bit."""
+    e = math.frexp(max(abs(A[0]), abs(A[1])))[1]
+    a = (math.ldexp(A[0], -e), math.ldexp(A[1], -e))
+    return math.ldexp(math.sqrt(max(_metric_dot(md.E, md.F, md.G, a, a),
+                                    0.0)), e)
 
 
 def parallel_transport(sc, A0, spec=OdeSpec()):
@@ -513,13 +615,7 @@ def parallel_transport(sc, A0, spec=OdeSpec()):
     md0 = metric_and_gamma(sc.surface, *sc.point(samples[0]))
     if math.hypot(*_frame_components(md0, A0)) == 0.0:
         raise ZeroVector("the transported vector has zero metric norm")
-    field = sc.surface.program(_transport, (1,) * 6)
-
-    def rhs(t, y):
-        uj, vj = sc.uv_jets(t)
-        return field(uj.value, vj.value, uj.c[1], vj.c[1], y[0], y[1])
-
-    sol = ode_solve(rhs, A0, samples, spec)
+    sol = ode_solve(_transport_rhs(sc), A0, samples, spec)
     ts, comps = sol.ts, sol.ys
 
     norms, angles = [], []
@@ -527,8 +623,7 @@ def parallel_transport(sc, A0, spec=OdeSpec()):
     for i, (t, (A1, A2)) in enumerate(zip(ts, comps)):
         # the first sample's metric is read above
         md = md0 if i == 0 else metric_and_gamma(sc.surface, *sc.point(t))
-        norms.append(math.sqrt(max(_metric_dot(md.E, md.F, md.G, (A1, A2),
-                                               (A1, A2)), 0.0)))
+        norms.append(_metric_norm(md, (A1, A2)))
         x, y = _frame_components(md, (A1, A2))
         ang = math.atan2(y, x)
         if prev is not None:
@@ -552,7 +647,7 @@ def asymptotic_directions(surface, u, v):
     Returns the string 'all' at flat points, else a list of 0, 1 or 2
     (du, dv) pairs."""
     p = _point(surface, u, v)
-    cur = _curvatures_of(p)
+    cur = p.curvatures
     if cur.shape == "Flat":
         return "all"
     if cur.shape == "Elliptic":
@@ -580,7 +675,7 @@ def principal_direction_field(surface, u, v):
     """Two metric-unit principal directions plus their Rodrigues defects
     |dn + kappa_i dr| (per metric-unit step)."""
     p = _point(surface, u, v)
-    cur = _curvatures_of(p)
+    cur = p.curvatures
     if cur.is_umbilic:
         raise UmbilicPoint(f"no principal directions at ({u!r}, {v!r})")
     dn_du, dn_dv = p.dn
@@ -660,7 +755,8 @@ def asymptotic_line_trace(surface, start, length, branch=0):
         state["last"] = (du, dv)
     cu = HermiteChannel(ss, us, d1u, d2u)
     cv = HermiteChannel(ss, vs, d1v, d2v)
-    return SurfaceCurve(surface, lambda t: (cu(t), cv(t)), (ss[0], ss[-1]))
+    return SurfaceCurve(surface, lambda t: (cu(t), cv(t)), (ss[0], ss[-1]),
+                        taylor_kernel((cu, cv)))
 
 
 # --------------------------------------------------------------------------
@@ -712,15 +808,18 @@ class GaussBonnetBudget:
 
 def _exterior_angle(arc_in, arc_out):
     """Signed exterior angle between one-sided tangents at a junction."""
-    surface = arc_in.surface
-    uj, vj = arc_in.uv_jets(arc_in.domain[1])
-    t_in = (uj.c[1], vj.c[1])
-    u0, v0 = uj.value, vj.value
-    uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
-    t_out = (uj2.c[1], vj2.c[1])
-    p = _point(surface, u0, v0)
+    (u0, v0), t_in = arc_in.kernel(arc_in.domain[1])[:2]
+    t_out = arc_out.kernel(arc_out.domain[0])[1]
+    p = _point(arc_in.surface, u0, v0)
     cross = p.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
     return math.atan2(cross, _metric_dot(*p.EFG, t_in, t_out))
+
+
+def _kappa_g_dt(arc, t):
+    """kappa_g |dr/dt| at t: the boundary integrand of Gauss-Bonnet."""
+    p, _, cj = _composite(arc, t)
+    kappa_g = p.n.cross(cj.T).dot(cj.dT_ds)
+    return kappa_g * cj.sigma[0]
 
 
 def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
@@ -729,12 +828,8 @@ def gauss_bonnet_local(surface, loop, spec=QuadSpec(tol=1e-7)):
     loop.validate()
     sum_kg = 0.0
     for arc in loop.arcs:
-        def integrand(t, arc=arc):
-            p, _, _, cj = _composite_jets(arc, t)
-            kappa_g = p.n.cross(cj.T).dot(cj.dT_ds)
-            return kappa_g * cj.sigma[0]
-
-        sum_kg += quad_adaptive(integrand, arc.domain, spec)
+        sum_kg += quad_adaptive(lambda t, arc=arc: _kappa_g_dt(arc, t),
+                                arc.domain, spec)
 
     sum_angles = 0.0
     n = len(loop.arcs)
@@ -764,7 +859,7 @@ def gauss_bonnet_global(surface, rect, chi, spec=QuadSpec(tol=1e-7)):
 def liouville_check(sc, t):
     """Defect of kappa_g = dphi/ds + kappa_u cos(phi) + kappa_v sin(phi)
     on an orthogonal patch (F = 0)."""
-    p, uj, vj, cj = _composite_jets(sc, t)
+    p, k, cj = _composite(sc, t)
     E, F, G = p.EFG
     scale2 = max(1.0, sc.surface.scale * sc.surface.scale)
     if abs(F) > 1e-9 * scale2:
@@ -775,14 +870,27 @@ def liouville_check(sc, t):
     kappa_u = -Ev / (2.0 * E * math.sqrt(G))
     kappa_v = Gu / (2.0 * G * math.sqrt(E))
 
-    # phi(t) through jets: x = sqrt(E) du/dt, y = sqrt(G) dv/dt
-    x = jets.sqrt(_field_along_curve(E, Eu, Ev, uj, vj)) * uj.derivative()
-    y = jets.sqrt(_field_along_curve(G, Gu, Gv, uj, vj)) * vj.derivative()
-    dphi_ds = _turning_rate(x, y) / cj.sigma[0]
-    phi = math.atan2(y.value, x.value)
+    rate, x, y = jet_program(_liouville_angle, (6, 8))(
+        (E, Eu, Ev, G, Gu, Gv), (*k[1], *k[2], *k[3], *k[4]))
+    dphi_ds = rate / cj.sigma[0]
+    phi = math.atan2(y, x)
 
     kg = _split(p, cj).kappa_g
     return kg - (dphi_ds + kappa_u * math.cos(phi) + kappa_v * math.sin(phi))
+
+
+def _liouville_angle(rec, metric, rows):
+    """(d phi/dt, x, y) for the angle phi = atan2(y, x) of the tangent
+    against the u-curve on an orthogonal patch: x = sqrt(E) du/dt and
+    y = sqrt(G) dv/dt along the curve, from E, G, their partials and the
+    curve's rows 1..4, as Jet1 computes them."""
+    E, Eu, Ev, G, Gu, Gv = metric
+    du, dv = rows[0::2], rows[1::2]     # derivatives 1..4 of u and v
+    x = (_field_along_curve(rec, E, Eu, Ev, du[0], dv[0]).call("sqrt")
+         * rec.jet(*du))
+    y = (_field_along_curve(rec, G, Gu, Gv, du[0], dv[0]).call("sqrt")
+         * rec.jet(*dv))
+    return _turning_rate(x, y), x[0], y[0]
 
 
 def bonnet_torsion_check(sc, t):
@@ -793,17 +901,26 @@ def bonnet_torsion_check(sc, t):
     system in the oriented Darboux frame (T, n x T, n) gives
     tau_g = tau + dphi/ds; the unsigned-arccos statement of the formula
     matches after orienting the angle."""
-    p, uj, vj, cj = _composite_jets(sc, t)
-    N = cj.vec_jet("N", 2)             # exact through order 1 suffices
-    T = cj.vec_jet("T", 2)
+    p, k, cj = _composite(sc, t)
+    N = cj.vec_coefficients("N", 2)     # exact through order 1 suffices
+    T = cj.vec_coefficients("T", 2)
     split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
-    n_t = _normal_along_curve(p, uj, vj)
-    u_t = n_t.cross(T)                 # geodesic normal along the curve
-    # signed angle of N in the (n, u) frame: phi = atan2(N.u, N.n)
-    dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma[0]
-    tau_g = _geodesic_torsion(p, uj, vj, cj)
+    dphi_ds = jet_program(_bonnet_angle, (3, 6, 2, 6, 6))(
+        tuple(p.n), (*p.dn[0], *p.dn[1]), k[1], N, T) / cj.sigma[0]
+    tau_g = _geodesic_torsion(p, k, cj)
     return tau_g - (cj.tau + dphi_ds)
+
+
+def _bonnet_angle(rec, n, dn, velocity, N, T):
+    """d/dt of the signed angle phi = atan2(N.u, N.n) of the principal
+    normal N in the (n, u) frame, u = n x T the geodesic normal, along the
+    curve, as Jet1 computes it from n, dn/du, dn/dv, (u', v') and the
+    coefficients 0 and 1 of N and T (x's, then y's, then z's)."""
+    n_t = _normal_along_curve(rec, n, dn, *velocity)
+    N, T = (Vec3(*(rec.jet(*w[i:i + 2]) for i in (0, 2, 4))) for w in (N, T))
+    u_t = n_t.cross(T)
+    return _turning_rate(n_t.dot(N), u_t.dot(N))

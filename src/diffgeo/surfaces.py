@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import SingularSurfacePoint, ZeroVector
 from .expr import position_kernel, surface_program, taped
-from .jets import Jet2
+from .jets import Jet1, Jet2
 from .quadrature import QuadSpec, quad2d
 from .vectors import Vec3, _spread
 
@@ -46,12 +46,16 @@ __all__ = [
 EPS_REG = 1e-12   # times E + G: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
 EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
+# point bundles a surface keeps: a default verify table, 40 sample points
+# at orders 2 and 3
+_N_POINTS = 80
 
 class ParametricSurface:
     """A map (u, v) -> R^3 evaluated into jets.
 
     ``evaluator`` receives the parameters as jets (Jet2 for surface work,
-    Jet1 along composite curves) and must be written jet-generically.
+    Jet1 along composite curves) and must be written jet-generically; it
+    is called only where no kernel is generated.
     ``periodic`` gives the period per parameter or None; periodic
     directions are never flagged as domain exits.  ``definition`` is the
     'surface' definition that ``evaluator`` evaluates, if any: the kernels
@@ -65,7 +69,7 @@ class ParametricSurface:
         self.periodic = periodic
         self.definition = definition
         self._scale = None
-        self._last_point = None     # (key, bundle) of the last _point
+        self._points = {}   # _point's store: key -> bundle, oldest first
         self._programs = {}
 
     @cached_property
@@ -83,6 +87,35 @@ class ParametricSurface:
             return self._jet_kernel
         return position_kernel(self.definition, self._jet_kernel, 3)
 
+    @cached_property
+    def composite(self):
+        """Floats: the five Taylor rows (u_k, v_k) of a surface curve at t
+        -> the five (x, y, z) triples r, r', .., r'''' of the composite
+        r(u(t), v(t)) (order-4 code with jet inputs), equal to the Jet1
+        coefficients of ``evaluator`` at those jets."""
+        if self.definition is None:
+            return self._jet_composite
+        return position_kernel(self.definition, self._jet_composite, 4,
+                               jets=True)
+
+    # the jet fallbacks hold the evaluator, not the surface: with no cycle
+    # through its kernels, a surface and the point bundles it stores are
+    # freed as soon as the surface is dropped
+    @cached_property
+    def _jet_kernel(self):
+        """Floats (u, v) -> the ten triples of ``kernel3``, from one Jet2
+        evaluation."""
+        evaluator = self.evaluator
+        return lambda u, v: _jet_triples(evaluator, Jet2.variable_u(u),
+                                         Jet2.variable_v(v))
+
+    @cached_property
+    def _jet_composite(self):
+        """Rows -> the triples of ``composite``, from one Jet1 evaluation."""
+        evaluator = self.evaluator
+        return lambda rows: _jet_triples(evaluator, *(Jet1(*c)
+                                                      for c in zip(*rows)))
+
     def program(self, formulas, sizes):
         """``formulas`` over this surface's kernel as one generated
         function of arguments of ``sizes`` (``expr.surface_program``),
@@ -92,11 +125,6 @@ class ParametricSurface:
             fn = self._programs[formulas] = surface_program(
                 formulas, sizes, self.definition, lambda: self.kernel)
         return fn
-
-    def _jet_kernel(self, u, v):
-        """The ten triples of ``kernel3`` from one Jet2 evaluation."""
-        x, y, z = self.evaluator(Jet2.variable_u(u), Jet2.variable_v(v))
-        return tuple(zip(x.c, y.c, z.c))
 
     def eval(self, u, v):
         if not isinstance(u, (Jet2,)) and not hasattr(u, "value"):
@@ -139,6 +167,12 @@ class ParametricSurface:
         return du, dv
 
 
+def _jet_triples(evaluator, u, v):
+    """The (x, y, z) triples of the jet coefficients of r(u, v)."""
+    x, y, z = evaluator(u, v)
+    return tuple(zip(x.c, y.c, z.c))
+
+
 @dataclass
 class SurfaceFrame:
     E1: Vec3
@@ -165,8 +199,9 @@ class FormBundle:
     a: float        # EG - F^2
 
 
-@dataclass
-class CurvatureData:
+class CurvatureData(NamedTuple):
+    """Curvatures at one point; immutable, as points share them."""
+
     K: float
     H: float
     kappa1: float
@@ -227,10 +262,11 @@ class _SurfacePoint:
     ``order`` 3), checks regularity and computes the metric, the normal
     and e, f, g; the metric partials, Christoffel symbols, dn and the
     third-order terms follow on first use, from the same kernel triples.
-    An overflow on the way names the point."""
+    An overflow on the way names the point.  It keeps the surface's scale,
+    for the curvatures, and no reference to the surface that stores it."""
 
     def __init__(self, surface, u, v, order=2):
-        self.surface = surface
+        self.scale = surface.scale
         self.u, self.v = u, v = float(u), float(v)
         self.k = self._call(surface.kernel3 if order == 3 else surface.kernel,
                             u, v)
@@ -286,18 +322,29 @@ class _SurfacePoint:
         """The order-3 terms, as _THIRD lists them (at ``order`` 3 only)."""
         return self._run(_THIRD)
 
+    @cached_property
+    def curvatures(self):
+        """K, H, the principal curvatures and directions and the shape: one
+        immutable CurvatureData, shared by every caller at this point."""
+        return _curvatures(self)
+
 
 def _point(surface, u, v, order=2):
-    """The _SurfacePoint of ``surface`` at (u, v) and ``order``: the one
-    built last, when that was at exactly this point (signed zeros told
-    apart) and order, else a new one.  Pointwise checks ask for one point
-    many times in a row."""
+    """The _SurfacePoint of ``surface`` at (u, v) and ``order``, from the
+    surface's store of its last _N_POINTS bundles, keyed by the exact point
+    (signed zeros told apart) and order.  A point not in the store is built
+    and stored, the oldest evicted first, so the last point is always kept.
+    Pointwise checks, ``verify`` above all, ask for each point many times."""
     u, v = float(u), float(v)
     key = (u, v, order, math.copysign(1.0, u), math.copysign(1.0, v))
-    last = surface._last_point
-    if last is None or last[0] != key:
-        last = surface._last_point = key, _SurfacePoint(surface, u, v, order)
-    return last[1]
+    store = surface._points
+    p = store.get(key)
+    if p is None:
+        p = _SurfacePoint(surface, u, v, order)
+        if len(store) == _N_POINTS:
+            del store[next(iter(store))]
+        store[key] = p
+    return p
 
 
 def _check_regular(a, trace, u, v):
@@ -440,10 +487,10 @@ def riemann_R1212(surface, u, v):
 
 
 def curvatures(surface, u, v):
-    return _curvatures_of(_point(surface, u, v))
+    return _point(surface, u, v).curvatures
 
 
-def _curvatures_of(p):
+def _curvatures(p):
     E, F, G = p.EFG
     e, f, g = p.efg
     a = p.a
@@ -454,7 +501,7 @@ def _curvatures_of(p):
     kappa1 = H + math.sqrt(rad)
     kappa2 = H - math.sqrt(rad)
 
-    scale = p.surface.scale
+    scale = p.scale
     b_mag = e * e + f * f + g * g
     flat = b_mag <= (1e-10 * max(1.0, 1.0 / scale)) ** 2
     thr = 1e-10 * (b_mag + scale ** -2)
@@ -599,7 +646,7 @@ def form_identity_residual(surface, u, v):
     coefficient magnitude entering the identity."""
     p = _point(surface, u, v)
     fb = _forms_of(p)
-    cur = _curvatures_of(p)
+    cur = p.curvatures
     K, H = cur.K, cur.H
     worst = 0.0
     scale = 1e-300

@@ -147,10 +147,8 @@ def surface_suites(shape, rng, n, rect):
                       + cd.kappa2 * math.sin(th) ** 2))
 
     def meusnier(u, v, d):
-        q1, q2 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
-        bent = SurfaceCurve(shape, lambda t: (u + d[0] * t + q1 * t * t,
-                                              v + d[1] * t + q2 * t * t),
-                            (-0.1, 0.1))
+        q = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        bent = SurfaceCurve.quadratic(shape, (u, v), d, q, (-0.1, 0.1))
         return (curvature_split(straight(u, v, d, 0.1), 0.0).kappa_n
                 - curvature_split(bent, 0.0).kappa_n,)
 
@@ -161,9 +159,8 @@ def surface_suites(shape, rng, n, rect):
             raise _Abandon from None
 
     def bonnet(u, v, d):
-        bent = SurfaceCurve(shape, lambda t: (u + d[0] * t + 0.08 * t * t,
-                                              v + d[1] * t - 0.06 * t * t),
-                            (-0.05, 0.05))
+        bent = SurfaceCurve.quadratic(shape, (u, v), d, (0.08, -0.06),
+                                      (-0.05, 0.05))
         try:
             return (bonnet_torsion_check(bent, 0.0),)
         except (InflectionPoint, AsymptoticPoint):

@@ -1,10 +1,21 @@
 """The solver fields and integrands as plain Python over the surface's
-kernel and its point bundle: the chain that the generated surface programs
-replace, kept as the reference they must equal by ``repr``, errors
-included.  Nothing here is generated."""
+kernel and its point bundle, and the surface-curve checks as Jet1
+arithmetic over a curve's ``uv`` jets and the surface's ``evaluator``: the
+chains that the generated surface programs, curve rows, composite kernels
+and recorded jet programs replace, kept as the reference they must equal
+by ``repr``, errors included.  Nothing here is generated."""
 
+import math
+
+from diffgeo import jets
+from diffgeo.curves import _coefficients, _CurveJets
+from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
+from diffgeo.jets import Jet1
+from diffgeo.surfacecurves import _split, _transport
 from diffgeo.surfaces import (MetricData, _check_regular, _christoffel2,
-                              _overflow, _SurfacePoint)
+                              _metric_dot, _metric_unit, _normal_curvature,
+                              _overflow, _point, _SurfacePoint)
+from diffgeo.vectors import Vec3
 
 
 def metric_gamma(kernel, u, v):
@@ -65,3 +76,151 @@ def curvature_integrand(surface):
         return (e * g - f * f) / p.sqrt_a
 
     return integrand
+
+
+# --------------------------------------------------------------------------
+# surface curves: the Jet1 chains that the curves' float rows, the
+# composite kernels and the recorded jet programs replace
+# --------------------------------------------------------------------------
+
+def point_jets(sc, t):
+    uj, vj = sc.uv_jets(t)
+    return _point(sc.surface, uj.value, vj.value), uj, vj
+
+
+def composite_jets(sc, t):
+    p, uj, vj = point_jets(sc, t)
+    scale = sc.surface.scale
+    try:
+        cj = _CurveJets(_coefficients(sc.surface.evaluator(uj, vj)), scale,
+                        t)
+    except OverflowError:
+        raise _overflow(p.u, p.v) from None
+    return p, uj, vj, cj
+
+
+def curvature_split(sc, t):
+    p, _, _, cj = composite_jets(sc, t)
+    return _split(p, cj)
+
+
+def kappa_n_quotient(sc, t):
+    p, uj, vj = point_jets(sc, t)
+    return _normal_curvature(*p.EFG, *p.efg, (uj.c[1], vj.c[1]))
+
+
+def kappa_g_extrinsic(sc, t):
+    p, _, _, cj = composite_jets(sc, t)
+    return cj.rdd.dot(p.n.cross(cj.rd)) / cj.sigma[0] ** 3
+
+
+def kappa_g_intrinsic(sc, t):
+    p, uj, vj, cj = composite_jets(sc, t)
+    s1, s2 = cj.sigma[:2]
+    u1, v1 = uj.c[1] / s1, vj.c[1] / s1
+    u2 = uj.c[2] / s1 ** 2 - uj.c[1] * s2 / s1 ** 3
+    v2 = vj.c[2] / s1 ** 2 - vj.c[1] * s2 / s1 ** 3
+    g = p.gamma2
+    sa = p.sqrt_a
+    return sa * (g[1] * u1 ** 3
+                 + (2.0 * g[3] - g[0]) * u1 * u1 * v1
+                 + (g[5] - 2.0 * g[2]) * u1 * v1 * v1
+                 - g[4] * v1 ** 3
+                 + u1 * v2 - u2 * v1)
+
+
+def _geodesic_torsion(p, uj, vj, cj):
+    dn_du, dn_dv = p.dn
+    n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma[0]
+    return p.n.dot(n_s.cross(cj.T))
+
+
+def geodesic_torsion(sc, t):
+    return _geodesic_torsion(*composite_jets(sc, t))
+
+
+def geodesic_torsion_principal(sc, t):
+    p, uj, vj = point_jets(sc, t)
+    cur = p.curvatures
+    if cur.is_umbilic:
+        raise UmbilicPoint("principal-direction route undefined at an umbilic")
+    E, F, G = p.EFG
+    d = _metric_unit(E, F, G, (uj.c[1], vj.c[1]))
+    d1 = cur.dir1_uv
+    c = _metric_dot(E, F, G, d, d1)
+    s = p.sqrt_a * (d[0] * d1[1] - d[1] * d1[0])
+    return (cur.kappa1 - cur.kappa2) * s * c
+
+
+def _field_along_curve(f, fu, fv, uj, vj):
+    return Jet1(f, fu * uj.c[1] + fv * vj.c[1])
+
+
+def _turning_rate(x, y):
+    x0, y0 = x.value, y.value
+    return (x0 * y.c[1] - y0 * x.c[1]) / (x0 * x0 + y0 * y0)
+
+
+def liouville_check(sc, t):
+    p, uj, vj, cj = composite_jets(sc, t)
+    E, F, G = p.EFG
+    scale2 = max(1.0, sc.surface.scale * sc.surface.scale)
+    if abs(F) > 1e-9 * scale2:
+        raise NonOrthogonalPatch(
+            f"F = {F!r} at t={t!r}; Liouville needs orthogonal "
+            "coordinate curves")
+    Eu, Ev, _, _, Gu, Gv = p.metric_partials
+    kappa_u = -Ev / (2.0 * E * math.sqrt(G))
+    kappa_v = Gu / (2.0 * G * math.sqrt(E))
+    x = jets.sqrt(_field_along_curve(E, Eu, Ev, uj, vj)) * uj.derivative()
+    y = jets.sqrt(_field_along_curve(G, Gu, Gv, uj, vj)) * vj.derivative()
+    dphi_ds = _turning_rate(x, y) / cj.sigma[0]
+    phi = math.atan2(y.value, x.value)
+    kg = _split(p, cj).kappa_g
+    return kg - (dphi_ds + kappa_u * math.cos(phi) + kappa_v * math.sin(phi))
+
+
+def bonnet_torsion_check(sc, t):
+    p, uj, vj, cj = composite_jets(sc, t)
+    N = cj.vec_jet("N", 2)
+    T = cj.vec_jet("T", 2)
+    split = _split(p, cj)
+    if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
+        raise AsymptoticPoint(
+            f"Bonnet formula does not apply along asymptotic direction "
+            f"at t={t!r}")
+    n_t = Vec3(*(_field_along_curve(n, n_u, n_v, uj, vj)
+                 for n, n_u, n_v in zip(p.n, *p.dn)))
+    u_t = n_t.cross(T)
+    dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma[0]
+    tau_g = _geodesic_torsion(p, uj, vj, cj)
+    return tau_g - (cj.tau + dphi_ds)
+
+
+def transport_rhs(sc):
+    field = sc.surface.program(_transport, (1,) * 6)
+
+    def rhs(t, y):
+        uj, vj = sc.uv_jets(t)
+        return field(uj.value, vj.value, uj.c[1], vj.c[1], y[0], y[1])
+
+    return rhs
+
+
+def gauss_bonnet_integrand(arc):
+    def integrand(t):
+        p, _, _, cj = composite_jets(arc, t)
+        kappa_g = p.n.cross(cj.T).dot(cj.dT_ds)
+        return kappa_g * cj.sigma[0]
+
+    return integrand
+
+
+def exterior_angle(arc_in, arc_out):
+    uj, vj = arc_in.uv_jets(arc_in.domain[1])
+    t_in = (uj.c[1], vj.c[1])
+    uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
+    t_out = (uj2.c[1], vj2.c[1])
+    p = _point(arc_in.surface, uj.value, vj.value)
+    cross = p.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
+    return math.atan2(cross, _metric_dot(*p.EFG, t_in, t_out))

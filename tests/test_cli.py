@@ -395,6 +395,24 @@ class TestTransport:
         holonomy = float(out.split("holonomy:")[1].split()[0])
         assert abs(holonomy + 2 * math.pi * math.sin(0.3)) <= 1e-6
 
+    def test_tiny_vector_keeps_its_norm(self, capsys, tmp_path):
+        # I(A, A) is about 1e-600, below the smallest float: the norms are
+        # taken of A scaled by a power of two
+        csv = tmp_path / "t.csv"
+        code, out = run(capsys, "transport", "--shape", "sphere", "--loop",
+                        "const-v:0.3", "--vector", "1e-300,0", "--csv",
+                        str(csv))
+        assert code == 0
+        rows = csv.read_text().splitlines()[1:]
+        norms = [float(row.split(",")[3]) for row in rows]
+        assert len(norms) == 257
+        for norm in norms:      # |A| = cos(0.3) |A1| on the unit sphere
+            assert abs(norm / (math.cos(0.3) * 1e-300) - 1.0) <= 1e-9
+        drift = float(out.split("norm_drift:")[1].split()[0])
+        assert 0.0 <= drift <= 1e-9 * 1e-300
+        holonomy = float(out.split("holonomy:")[1].split()[0])
+        assert abs(holonomy + 2 * math.pi * math.sin(0.3)) <= 1e-6
+
     def test_surfacecurve_file(self, capsys, tmp_path):
         sc = tmp_path / "diag.sc"
         sc.write_text(DIAGONAL_SC)

@@ -1,17 +1,19 @@
 """Surface kernel: forms, Christoffel symbols, curvatures, residual
 verifiers, areas and classification."""
 
+import collections
 import math
 import random
 import zlib
 
 import pytest
 
-from diffgeo import catalog, expr
+from diffgeo import catalog, cli, expr, surfaces
 from diffgeo import jets as J
 from diffgeo.errors import SingularSurfacePoint, ZeroVector
 from diffgeo.quadrature import QuadSpec
-from diffgeo.surfaces import (ParametricSurface, _SurfacePoint, angle_between,
+from diffgeo.surfaces import (_N_POINTS, ParametricSurface, _SurfacePoint,
+                              angle_between,
                               codazzi_compatibility_residuals, curvatures,
                               dupin_classification, form_identity_residual,
                               forms, gauss_weingarten_residuals,
@@ -572,8 +574,9 @@ class TestPointBundle:
 
 
 class TestPointReuse:
-    """A surface reuses its last point bundle at exactly the same (u, v)
-    and order: one kernel call serves a run of checks at one point."""
+    """A surface keeps its last _N_POINTS point bundles, keyed by the exact
+    (u, v) and order, the oldest evicted first: one kernel call serves
+    every check at one point while it is stored."""
 
     @staticmethod
     def _counted(shape):
@@ -595,15 +598,49 @@ class TestPointReuse:
         assert calls == [("kernel", "0.3", "0.4")]
         riemann_R1212(shape, 0.3, 0.4)
         codazzi_compatibility_residuals(shape, 0.3, 0.4)
-        forms(shape, 0.3, 0.4)      # the order-2 bundle is no longer last
+        forms(shape, 0.3, 0.4)      # the order-2 bundle is still stored
         forms(shape, 0.3, 0.5)
         curvatures(shape, 0.0, 0.5)
         curvatures(shape, -0.0, 0.5)   # a signed zero is another point
         assert calls[1:] == [("kernel3", "0.3", "0.4"),
-                             ("kernel", "0.3", "0.4"),
                              ("kernel", "0.3", "0.5"),
                              ("kernel", "0.0", "0.5"),
                              ("kernel", "-0.0", "0.5")]
+        # 75 more points fill the store; the next evicts the oldest only
+        for i in range(75):
+            forms(shape, 1.0, 0.01 * i)
+        del calls[:]
+        forms(shape, 1.0, 0.0)
+        forms(shape, 0.3, 0.4)
+        assert calls == []
+        forms(shape, 2.0, 0.0)      # evicts (0.3, 0.4) at order 2
+        forms(shape, 0.3, 0.5)
+        forms(shape, 0.3, 0.4)      # evicts (0.3, 0.4) at order 3
+        riemann_R1212(shape, 0.3, 0.4)
+        assert calls == [("kernel", "2.0", "0.0"), ("kernel", "0.3", "0.4"),
+                         ("kernel3", "0.3", "0.4")]
+        assert len(shape._points) == _N_POINTS
+
+    def test_curvatures_are_shared_and_frozen(self):
+        shape = catalog.make("torus")
+        cd = curvatures(shape, 0.3, 0.4)
+        assert curvatures(shape, 0.3, 0.4) is cd
+        with pytest.raises(AttributeError):
+            cd.K = 0.0
+
+    @pytest.mark.parametrize("name", ["torus", "pseudosphere", "enneper"])
+    def test_verify_builds_each_bundle_once(self, monkeypatch, name):
+        built = collections.Counter()
+        real = surfaces._SurfacePoint.__init__
+
+        def counted(self, surface, u, v, order=2):
+            built[repr(u), repr(v), order] += 1
+            real(self, surface, u, v, order)
+
+        monkeypatch.setattr(surfaces._SurfacePoint, "__init__", counted)
+        assert cli.main(["verify", "--shape", name, "--seed", "5"]) == 0
+        assert max(built.values()) == 1
+        assert len(built) == 80
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_reused_values_equal_fresh_bundles(self, name):
