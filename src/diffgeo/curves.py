@@ -88,13 +88,21 @@ class ParametricCurve:
         return position_kernel(self.definition, self._jet_composite, 4,
                                jets=True)
 
-    def _jet_kernel(self, t):
-        """The five triples of ``kernel`` from one Jet1 evaluation."""
-        return _coefficients(self.evaluator(Jet1.variable(t)))
+    # the jet fallbacks hold the evaluator, not the curve, as a surface's
+    # do: a curve is freed as soon as it is dropped
+    @cached_property
+    def _jet_kernel(self):
+        """Floats t -> the five triples of ``kernel``, from one Jet1
+        evaluation."""
+        evaluator = self.evaluator
+        return lambda t: _coefficients(evaluator(Jet1.variable(t)))
 
-    def _jet_composite(self, rows):
-        """The triples of ``composite`` from one Jet1 evaluation."""
-        return _coefficients(self.evaluator(Jet1(*(r[0] for r in rows))))
+    @cached_property
+    def _jet_composite(self):
+        """Rows -> the triples of ``composite``, from one Jet1 evaluation."""
+        evaluator = self.evaluator
+        return lambda rows: _coefficients(evaluator(Jet1(*(r[0]
+                                                           for r in rows))))
 
     @property
     def scale(self):

@@ -6,11 +6,15 @@ table is written out as exact rationals so results are reproducible across
 platforms.  Each attempted step runs one generated attempt per state size:
 the stage loop as straight-line code, made on first use and cached, that
 adds in the loop's order, so it gives the loop's bits.  One call
-integrates a whole trajectory through a list of sample times: steps are
-clamped to land on each sample exactly, never interpolated onto it, so
-samples carry full integration accuracy, and the result holds the state at
-each sample and nothing else.  :func:`linspace` builds evenly
-spaced samples that end exactly at the last time.
+integrates a whole trajectory through a list of sample times and returns
+the state at each sample and nothing else.  By default steps are clamped
+to land on each sample exactly, never interpolated onto it, so samples
+carry full integration accuracy.  With ``dense`` the steps follow error
+control alone and land only on the last time; the samples inside a step
+are read from the pair's order-4 continuous extension (Hairer, Norsett &
+Wanner, *Solving ODEs I*, 2nd ed., II.6), which costs no further field
+call.  :func:`linspace` builds evenly spaced samples that end exactly at
+the last time.
 
 Step control has three settings, ``OdeSpec(tol, min_step, max_steps)``.  One
 tolerance is both the absolute and the relative part of the local error
@@ -40,6 +44,10 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# the continuous extension's order-4 term (Shampine, Math. Comp. 46, 1986)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 
 @dataclass(frozen=True)
@@ -76,39 +84,51 @@ def linspace(t0, t1, n):
     return [t0 + (t1 - t0) * k / (n - 1) for k in range(n - 1)] + [t1]
 
 
+def _tup(items):
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _compiled(lines, name, n):
+    scope = {}
+    exec(compile("\n".join(lines), f"<dopri5 {name}, {n} components>",
+                 "exec"), scope)
+    return scope[name]
+
+
 @lru_cache(maxsize=32)     # callers use a few state sizes
-def _attempt(n):
+def _attempt(n, stages=False):
     """The Dormand-Prince attempt for states of ``n`` components, generated
     on first use: ``attempt(f, t, y, k1, hs, tol)`` evaluates the six
     further stages, and returns the 5th-order state, its derivative (FSAL)
     and the RMS of the embedded error estimate scaled by the mixed
-    tolerance.  The code is the stage loop written out with literal
-    coefficients and zero terms left out, adding in the loop's order: a
-    stage state is ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs``
-    rounded once, and an error component is ``(0.0 + e1*k1 + ...) * hs``.
-    The 5th-order weights are the last stage's, so its state is the
-    result."""
+    tolerance; with ``stages``, also the stage derivatives (k3, k4, k5, k6)
+    that the continuous extension reads besides k1 and k7.  The code is
+    the stage loop written out with literal coefficients and zero terms
+    left out, adding in the loop's order: a stage state is
+    ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs`` rounded once, and
+    an error component is ``(0.0 + e1*k1 + ...) * hs``.  The 5th-order
+    weights are the last stage's, so its state is the result."""
     assert _B5 == _A[6] + (0.0,)
-
-    def tup(items):
-        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
-
     idx = range(n)
     lines = ["def attempt(f, t, y, k1, hs, tol):",
-             f"    {tup([f'y{i}' for i in idx])} = y",
-             f"    {tup([f'k1_{i}' for i in idx])} = k1"]
+             f"    {_tup([f'y{i}' for i in idx])} = y",
+             f"    {_tup([f'k1_{i}' for i in idx])} = k1"]
     for s in range(1, 7):
         terms = [(j + 1, c) for j, c in enumerate(_A[s]) if c != 0.0]
         lines += [f"    h{j} = {c!r} * hs" for j, c in terms]
         state = [f"y{i}" + "".join(f" + h{j} * k{j}_{i}" for j, _ in terms)
                  for i in idx]
         if s < 6:
-            lines.append(f"    {tup([f'k{s + 1}_{i}' for i in idx])} = "
-                         f"f(t + {_C[s]!r} * hs, {tup(state)})")
+            call = f"f(t + {_C[s]!r} * hs, {_tup(state)})"
+            parts = _tup([f"k{s + 1}_{i}" for i in idx])
+            if stages and s >= 2:
+                lines += [f"    k{s + 1} = {call}", f"    {parts} = k{s + 1}"]
+            else:
+                lines.append(f"    {parts} = {call}")
     lines += [f"    n{i} = {x}" for i, x in enumerate(state)]
-    lines.append(f"    y_new = {tup([f'n{i}' for i in idx])}")
+    lines.append(f"    y_new = {_tup([f'n{i}' for i in idx])}")
     lines.append(f"    k7 = f(t + {_C[6]!r} * hs, y_new)")
-    lines.append(f"    {tup([f'k7_{i}' for i in idx])} = k7")
+    lines.append(f"    {_tup([f'k7_{i}' for i in idx])} = k7")
     for i in idx:
         err = "".join(f" + {c!r} * k{j + 1}_{i}"
                       for j, c in enumerate(_ERR) if c != 0.0)
@@ -117,14 +137,44 @@ def _attempt(n):
                   f"    b = abs(n{i})",
                   f"    q{i} = e / (tol + tol * (b if b > a else a))"]  # max(a, b)
     squares = " + ".join(f"q{i} * q{i}" for i in idx)
-    lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5")
-    scope = {}
-    exec(compile("\n".join(lines), f"<dopri5 attempt, {n} components>",
-                 "exec"), scope)
-    return scope["attempt"]
+    lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5"
+                 + (", (k3, k4, k5, k6)" if stages else ""))
+    return _compiled(lines, "attempt", n)
 
 
-def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
+@lru_cache(maxsize=32)
+def _dense(n):
+    """The continuous extension for states of ``n`` components, generated
+    on first use: ``dense(y, yn, k1, k3, k4, k5, k6, k7, hs, thetas)``
+    gives the states at ``t + theta * hs`` for each theta of the step
+    from (t, y) to yn.  Per component, with d = yn - y, b = hs*k1 - d,
+    c = d - hs*k7 - b and e = (0.0 + d1*k1 + d3*k3 + ...) * hs (the
+    ``_D`` weights), a state is
+    ``y + th * (d + (1 - th) * (b + th * (c + (1 - th) * e)))``: of order
+    4, matching y and yn with their derivatives k1 and k7 at the ends."""
+    idx = range(n)
+    lines = ["def dense(y, yn, k1, k3, k4, k5, k6, k7, hs, thetas):"]
+    for name in ("y", "yn", "k1", "k3", "k4", "k5", "k6", "k7"):
+        lines.append(f"    {_tup([f'{name}_{i}' for i in idx])} = {name}")
+    for i in idx:
+        e = "".join(f" + {c!r} * k{j + 1}_{i}"
+                    for j, c in enumerate(_D) if c != 0.0)
+        lines += [f"    d{i} = yn_{i} - y_{i}",
+                  f"    b{i} = hs * k1_{i} - d{i}",
+                  f"    c{i} = d{i} - hs * k7_{i} - b{i}",
+                  f"    e{i} = (0.0{e}) * hs"]
+    reads = [f"y_{i} + th * (d{i} + th1 * (b{i} + th * (c{i} + th1 * e{i})))"
+             for i in idx]
+    lines += ["    out = []",
+              "    for th in thetas:",
+              "        th1 = 1.0 - th",
+              f"        out.append({_tup(reads)})",
+              "    return out"]
+    return _compiled(lines, "dense", n)
+
+
+def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,
+              dense=False):
     """Integrate ``y' = field_fn(t, y)`` from ``y0`` at ``ts[0]`` through the
     strictly monotone sample times ``ts``; a span is ``(t0, t1)``.
 
@@ -134,6 +184,10 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
     first; when it returns true the solve ends with that sample.  An
     exception raised during the solve, by step control or by the field,
     carries the samples reached so far as ``partial`` (an OdeResult).
+
+    With ``dense`` the steps land only on ``ts[-1]``, and each sample
+    before it is read from the continuous extension of the step that
+    passes it (order 4, less accurate than a landed sample).
     """
     ts = [float(t) for t in ts]
     if len(ts) < 2 or ts[-1] == ts[0]:
@@ -143,15 +197,16 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
         raise ValueError("sample times must be strictly monotone")
 
     y = tuple(float(v) for v in y0)
-    attempt = _attempt(len(y))
+    attempt = _attempt(len(y), dense)
     t = ts[0]
     res = OdeResult(ts=[t], ys=[y])
     # a first step below min_step only where the whole span is shorter
     span = abs(ts[-1] - t)
     h = max(span / 16.0, min(span, spec.min_step))
+    read = _reader(ts, res, direction, _dense(len(y)), stop) if dense else None
     try:
         f_now = field_fn(t, y)
-        for target in ts[1:]:
+        for target in (ts[-1:] if dense else ts[1:]):
             while (target - t) * direction > 0.0:
                 if res.n_steps >= spec.max_steps:
                     raise MaxStepsExceeded(
@@ -163,10 +218,19 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
                 hs = h_step * direction
 
                 # FSAL: k7 is the derivative at (t + h, y_new)
-                y_new, k7, err = attempt(field_fn, t, y, f_now, hs, spec.tol)
+                if read is None:
+                    y_new, k7, err = attempt(field_fn, t, y, f_now, hs,
+                                             spec.tol)
+                else:
+                    y_new, k7, err, ks = attempt(field_fn, t, y, f_now, hs,
+                                                 spec.tol)
 
                 if err <= 1.0:
-                    t = target if clamped else t + hs
+                    t_new = target if clamped else t + hs
+                    if read is not None and read(t, y, y_new, f_now, ks, k7,
+                                                 hs, t_new):
+                        return res      # stop fired on a read sample
+                    t = t_new
                     y = y_new
                     if post_step is not None:
                         y = tuple(post_step(t, y))
@@ -192,3 +256,30 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None):
         exc.partial = res
         raise
     return res
+
+
+def _reader(ts, res, direction, dense, stop):
+    """For a dense solve: ``read(t, y, y_new, k1, ks, k7, hs, t_new)``
+    appends to ``res`` the samples of ``ts`` before ``ts[-1]`` that the
+    accepted step (t, y) -> (t_new, y_new) passes (a sample at t_new is
+    left to the next step, which reads it at theta 0), asking ``stop`` at
+    each; it returns true when ``stop`` did."""
+    nxt = 1
+
+    def read(t, y, y_new, k1, ks, k7, hs, t_new):
+        nonlocal nxt
+        k = j = nxt
+        while (ts[j] - t_new) * direction < 0.0:    # ts[-1] ends the scan
+            j += 1
+        if j == k:
+            return False
+        nxt = j
+        for s, y_s in zip(ts[k:j], dense(y, y_new, k1, *ks, k7, hs,
+                                         [(s - t) / hs for s in ts[k:j]])):
+            res.ts.append(s)
+            res.ys.append(y_s)
+            if stop is not None and stop(s, y_s):
+                return True
+        return False
+
+    return read

@@ -25,37 +25,66 @@ def format_float(x):
     return format(x, ".17g")
 
 
-def _render(obj, out):
+def _string(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _scalar(obj):
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _render(str(k), out)
-            out.append(":")
-            _render(v, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render(obj, out):
+    """Append the JSON text of ``obj`` to ``out``.  The items of the
+    innermost open container are written in a loop; entering a nested one
+    saves the loop's place on a stack, so nesting costs no call frames."""
+    append = out.append
+    stack = []      # the enclosing containers: (items left, closer, keyed)
+    items, closer, keyed, first = iter((obj,)), "", False, True
+    while True:
+        for item in items:
+            if first:
+                first = False
+            else:
+                append(",")
+            if keyed:
+                key, item = item
+                append(_string(str(key)) + ":")
+            kind = type(item)
+            if kind is float:
+                append(format_float(item))
+            elif kind is str:
+                append(_string(item))
+            elif isinstance(item, (list, tuple)):
+                stack.append((items, closer, keyed))
+                append("[")
+                items, closer, keyed, first = iter(item), "]", False, True
+                break
+            elif isinstance(item, dict):
+                stack.append((items, closer, keyed))
+                append("{")
+                items, closer, keyed, first = (iter(item.items()), "}", True,
+                                               True)
+                break
+            else:
+                append(_scalar(item))
+        else:
+            append(closer)
+            if not stack:
+                return
+            items, closer, keyed = stack.pop()
+            first = False
 
 
 def dump_json(obj):

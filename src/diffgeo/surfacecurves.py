@@ -21,6 +21,7 @@ built from Python callables.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .curves import _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
@@ -137,10 +138,14 @@ class SurfaceCurve:
 
         return SurfaceCurve(surface, definition.eval, domain, kernel)
 
-    def _jet_kernel(self, t):
-        """The rows of ``kernel`` from one ``uv`` evaluation."""
-        uj, vj = self.uv_jets(t)
-        return tuple(zip(uj.c, vj.c))
+    # the fallback holds ``uv``, not the curve: a curve is freed as soon as
+    # it is dropped
+    @cached_property
+    def _jet_kernel(self):
+        """Floats t -> the rows of ``kernel``, from one ``uv`` evaluation."""
+        uv = self.uv
+        return lambda t: tuple(zip(*(j.c for j in uv(Jet1.variable(
+            float(t))))))
 
     def uv_jets(self, t):
         return self.uv(Jet1.variable(float(t)))
@@ -412,24 +417,29 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
     and the length s.
 
     Eight launch angles fan out from the parameter-space chord direction.
-    One coarse scan of each ranks it by its sample nearest p1.  From the
-    three best, a Broyden iteration solves gamma_theta(s) = p1, starting
-    at that sample: each further iterate is one solve over (0, s), the s
-    column of the Jacobian is the exact end velocity, and the theta column
-    starts as the flat Jacobi field and takes rank-one secant updates.  A
-    seed is dropped when its s leaves (0, s_max] or its launch angle comes
-    within 1e-4 of a root already found.  If two distinct paths tie in
-    length within 1e-8 the ambiguity is reported as DegenerateMultiplicity
-    (carrying every tied path).  The returned path is integrated once
-    more and must end within endpoint_tol of p1."""
+    One coarse scan of each ranks it by its sample nearest p1; its steps
+    follow error control alone, and the samples are read from the
+    integrator's continuous extension.  From the three best, a Broyden
+    iteration solves gamma_theta(s) = p1, starting at that sample: each
+    further iterate is one solve over (0, s), the s column of the Jacobian
+    is the exact end velocity, and the theta column starts as the flat
+    Jacobi field and takes rank-one secant updates.  Iterates are shot at
+    the scan tolerance until one misses p1 by at most 1% of endpoint_tol;
+    that iterate is shot again at ``spec``, and the iteration goes on at
+    ``spec`` from there, keeping its Jacobian.  Only a shot at ``spec``
+    records a root.  A seed is dropped when its s leaves (0, s_max] or its
+    launch angle comes within 1e-4 of a root already found.  If two
+    distinct paths tie in length within 1e-8 the ambiguity is reported as
+    DegenerateMultiplicity (carrying every tied path).  The returned path
+    is integrated once more and must end within endpoint_tol of p1."""
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
     e1, e2, theta0, d_chord = _chord(surface, p0, p1)
     if d_chord <= endpoint_tol:
         raise ZeroVector("boundary points coincide")
     s_max = 1.6 * d_chord + 0.01 * (1.0 + d_chord)
-    # ranking seeds only needs trajectories good to well below the
-    # endpoint tolerance
+    # ranking seeds, and iterating while the miss is large, only needs
+    # trajectories good to well below the endpoint tolerance
     scan_spec = replace(spec, tol=max(spec.tol,
                                       min(1e-8, 0.01 * endpoint_tol)))
     goal = 0.01 * endpoint_tol
@@ -440,20 +450,31 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
         c, s = math.cos(theta), math.sin(theta)
         return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1])
 
-    def shoot(theta, ts, at_spec):
+    def shoot(theta, ts, at_spec, dense=False):
         d = launch(theta)
-        return ode_solve(rhs, (p0[0], p0[1], d[0], d[1]), ts, at_spec)
+        return ode_solve(rhs, (p0[0], p0[1], d[0], d[1]), ts, at_spec,
+                         dense=dense)
 
     def miss(y):
         """Parameter-space residual y - p1 and its metric length at p1."""
         r = surface.wrap_delta(y[0] - p1[0], y[1] - p1[1])
         return r, math.sqrt(max(_metric_dot(m1.E, m1.F, m1.G, r, r), 0.0))
 
+    def trial(theta, s, at_spec):
+        """End state, residual and miss of one shot over (0, s); the state
+        None and the miss inf where the shot fails."""
+        try:
+            y = shoot(theta, (0.0, s), at_spec).y_end
+        except _SHOT_ERRORS:
+            return None, None, math.inf
+        return (y, *miss(y))
+
     seeds = []    # (miss of the nearest sample, seed, theta, its s, state)
     for i in range(_N_SEEDS):
         theta = theta0 + 2.0 * math.pi * i / _N_SEEDS
         try:
-            sol = shoot(theta, linspace(0.0, s_max, _N_SCAN), scan_spec)
+            sol = shoot(theta, linspace(0.0, s_max, _N_SCAN), scan_spec,
+                        dense=True)
         except _SHOT_ERRORS as exc:
             sol = exc.partial   # rank on the samples reached
         if len(sol.ts) > 1:
@@ -476,16 +497,13 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
         secant still corrects the theta column."""
         nonlocal best
         jac = at = None     # at: accepted (theta, s, residual, miss, velocity)
+        at_spec = scan_spec
         for it in range(_N_ITER):
             if known(theta):
                 return
-            try:
-                y = shoot(theta, (0.0, s), spec).y_end if it else y0
-            except _SHOT_ERRORS:
-                y, m = None, math.inf
-            else:
-                r, m = miss(y)
-            if m <= goal:
+            y, r, m = trial(theta, s, at_spec) if it else (y0, *miss(y0))
+            # a root is recorded only from a shot at the caller's spec
+            if m <= goal and it and at_spec == spec:
                 solutions.append((s, i, theta))
                 return
             best = min(best, (m, theta))
@@ -503,6 +521,17 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
                     jac[c] += (r[c] - at[2][c] - jac[c] * d_th
                                - at[4][c] * d_s) * w
             if m < (at[3] if at else math.inf):
+                if m <= goal:
+                    # tighten: this iterate again at spec, the accepted
+                    # one from here on
+                    at_spec = spec
+                    y, r, m = trial(theta, s, spec)
+                    if m <= goal:
+                        solutions.append((s, i, theta))
+                        return
+                    if y is None:
+                        return
+                    best = min(best, (m, theta))
                 at, cuts = (theta, s, r, m, (y[2], y[3])), 0
                 du, dv = at[4]
                 det = jac[0] * dv - jac[1] * du

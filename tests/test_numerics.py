@@ -223,6 +223,114 @@ class TestOdeFieldCalls:
         assert 0.0 < part.ts[-1] < 0.5
 
 
+class TestDenseOutput:
+    """With ``dense``, steps follow error control alone and land only on
+    the last time; the samples before it are read from the continuous
+    extension."""
+
+    @staticmethod
+    def rotation(t, y):
+        return (-y[1], y[0])
+
+    def test_reads_match_closed_form(self):
+        grid = linspace(0.0, 6.0, 97)
+        res = ode_solve(self.rotation, (1.0, 0.0), grid, OdeSpec(tol=1e-8),
+                        dense=True)
+        assert res.ts == grid
+        # fewer steps than samples, and reads within a few tolerances
+        assert res.n_steps < 60
+        for t, (c, s) in zip(res.ts, res.ys):
+            assert abs(c - math.cos(t)) <= 1e-7
+            assert abs(s - math.sin(t)) <= 1e-7
+
+    def test_steps_follow_error_control_alone(self):
+        # the steps are the ones of a solve over the whole span, so the
+        # landed end is the same bit for bit
+        grid = linspace(0.0, 6.0, 49)
+        res = ode_solve(self.rotation, (1.0, 0.0), grid, dense=True)
+        span = ode_solve(self.rotation, (1.0, 0.0), (0.0, 6.0))
+        assert res.n_steps == span.n_steps
+        assert repr(res.ys[-1]) == repr(span.ys[-1])
+        back = ode_solve(self.rotation, (1.0, 0.0), grid[::-1], dense=True)
+        assert back.ts == grid[::-1]
+        assert repr(back.ys[-1]) == repr(ode_solve(
+            self.rotation, (1.0, 0.0), (6.0, 0.0)).ys[-1])
+
+    def test_reads_match_landed_samples(self):
+        grid = linspace(0.0, 3.0, 33)
+        spec = OdeSpec(tol=1e-10)
+        landed = ode_solve(self.rotation, (0.6, 0.8), grid, spec)
+        read = ode_solve(self.rotation, (0.6, 0.8), grid, spec, dense=True)
+        assert read.ts == landed.ts and read.n_steps < landed.n_steps
+        assert max(abs(a - b) for ya, yb in zip(read.ys, landed.ys)
+                   for a, b in zip(ya, yb)) <= 1e-9
+
+    def test_order_four(self):
+        # y = t^4 is a polynomial of the extension's order: the reads are
+        # exact up to rounding, whatever the step
+        grid = linspace(0.0, 2.0, 41)
+        res = ode_solve(lambda t, y: (4.0 * t ** 3,), (0.0,), grid,
+                        OdeSpec(tol=1e-3), dense=True)
+        assert res.n_steps < 10
+        for t, (y,) in zip(res.ts, res.ys):
+            assert abs(y - t ** 4) <= 1e-14 * 16.0
+
+    def test_field_calls(self):
+        field, calls = TestOdeFieldCalls.counted(
+            lambda t, y: (y[1], -y[0] * (1.0 + y[0] * y[0])))
+        res = ode_solve(field, (1.0, 0.0), linspace(0.0, 8.0, 49),
+                        OdeSpec(tol=1e-9), dense=True)
+        assert TestOdeFieldCalls.attempts(calls[0]) > res.n_steps > 0
+
+        field, calls = TestOdeFieldCalls.counted(self.rotation)
+
+        def renorm(t, y):
+            n = math.hypot(y[0], y[1])
+            return (y[0] / n, y[1] / n)
+
+        res = ode_solve(field, (1.0, 0.0), linspace(0.0, 5.0, 41),
+                        post_step=renorm, dense=True)
+        assert len(res.ts) == 41
+        assert TestOdeFieldCalls.attempts(calls[0], res.n_steps) \
+            >= res.n_steps > 0
+
+    def test_stop_ends_at_the_read(self):
+        grid = linspace(0.0, 2.0, 21)
+        full = ode_solve(self.rotation, (1.0, 0.0), grid, dense=True)
+        seen = []
+
+        def stop(t, y):
+            seen.append(t)
+            return y[0] < 0.5
+
+        res = ode_solve(self.rotation, (1.0, 0.0), grid, stop=stop,
+                        dense=True)
+        k = len(res.ts)
+        assert seen == grid[1:k] and 2 < k < len(grid)
+        assert res.ts == grid[:k] and res.ys == full.ys[:k]
+        assert res.ys[-1][0] < 0.5 <= res.ys[-2][0]
+
+    def test_field_error_carries_the_reads_reached(self):
+        grid = linspace(0.0, 4.0, 41)
+        full = ode_solve(self.rotation, (1.0, 0.0), grid, dense=True)
+
+        def fn(t, y):
+            if t > 2.3:
+                raise OverflowError("field blew up")
+            return self.rotation(t, y)
+
+        field, calls = TestOdeFieldCalls.counted(fn)
+        with pytest.raises(OverflowError) as exc:
+            ode_solve(field, (1.0, 0.0), grid, dense=True)
+        part = exc.value.partial
+        k = len(part.ts)
+        assert 1 < k < len(grid)
+        assert part.ts == grid[:k] and part.ys == full.ys[:k]
+        assert part.ts[-1] <= 2.3
+        done, cut = divmod(calls[0] - 1, 6)
+        assert done >= part.n_steps and 0 < cut < 6
+
+
 def _weighted_sum(y, ks, h, coeffs):
     n = len(y)
     out = list(y)
@@ -250,10 +358,28 @@ def _error_norm(y, y_new, ks, hs, spec):
     return (err / len(y)) ** 0.5
 
 
+def _reference_dense(y, y_new, ks, hs, theta):
+    """The continuous extension at ``theta`` as a loop over the ``_D``
+    weights."""
+    out = []
+    for i in range(len(y)):
+        d = y_new[i] - y[i]
+        b = hs * ks[0][i] - d
+        c = d - hs * ks[6][i] - b
+        e = 0.0
+        for w, k in zip(ode._D, ks):
+            if w != 0.0:
+                e += w * k[i]
+        e *= hs
+        th1 = 1.0 - theta
+        out.append(y[i] + theta * (d + th1 * (b + theta * (c + th1 * e))))
+    return tuple(out)
+
+
 def _reference_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None,
-                     stop=None):
+                     stop=None, dense=False):
     """ode_solve as a loop over the Butcher table, the form the generated
-    attempt replaces; step control is the same."""
+    attempt and continuous extension replace; step control is the same."""
     ts = [float(t) for t in ts]
     direction = 1.0 if ts[-1] > ts[0] else -1.0
     y = [float(v) for v in y0]
@@ -261,9 +387,10 @@ def _reference_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None,
     res = ode.OdeResult(ts=[t], ys=[tuple(y)])
     span = abs(ts[-1] - t)
     h = max(span / 16.0, min(span, spec.min_step))
+    k_read = 1      # the next sample a dense solve reads
     try:
         f_now = field_fn(t, tuple(y))
-        for target in ts[1:]:
+        for target in (ts[-1:] if dense else ts[1:]):
             while (target - t) * direction > 0.0:
                 if res.n_steps >= spec.max_steps:
                     raise MaxStepsExceeded("steps")
@@ -278,7 +405,16 @@ def _reference_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None,
                 y_new = _weighted_sum(y, ks, hs, ode._B5)
                 err = _error_norm(y, y_new, ks, hs, spec)
                 if err <= 1.0:
-                    t = target if clamped else t + hs
+                    t_new = target if clamped else t + hs
+                    while dense and (ts[k_read] - t_new) * direction < 0.0:
+                        s = ts[k_read]
+                        y_s = _reference_dense(y, y_new, ks, hs, (s - t) / hs)
+                        res.ts.append(s)
+                        res.ys.append(y_s)
+                        k_read += 1
+                        if stop is not None and stop(s, y_s):
+                            return res
+                    t = t_new
                     y = y_new
                     if post_step is not None:
                         y = list(post_step(t, tuple(y)))
@@ -304,7 +440,10 @@ def _reference_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None,
 
 class TestGeneratedAttempt:
     """The generated Dormand-Prince attempt gives the same bits, steps and
-    field calls as the loop over the Butcher table."""
+    field calls as the loop over the Butcher table, compared by ``repr``
+    (so the signs of zeros too)."""
+
+    DENSE = False
 
     @staticmethod
     def field(n, seed):
@@ -322,26 +461,27 @@ class TestGeneratedAttempt:
         return fn, calls
 
     def both(self, n, seed, *args, raises=None, **kwargs):
-        """(result or partial, field calls) of each solver."""
+        """(result or partial, field calls) of each solver, asserted equal
+        by ``repr``."""
         out = []
         for solve in (ode_solve, _reference_solve):
             fn, calls = self.field(n, seed)
             wrapped = fn if raises is None else raises(fn)
             try:
-                res = solve(wrapped, *args, **kwargs)
+                res = solve(wrapped, *args, dense=self.DENSE, **kwargs)
             except Exception as exc:
                 res = (type(exc), exc.partial)
             out.append((res, calls[0]))
+        assert repr(out[0]) == repr(out[1])
         return out
 
     @pytest.mark.parametrize("n", [1, 2, 4, 12])
     def test_sizes(self, n):
         y0 = tuple(0.1 * (i + 1) for i in range(n))
-        new, ref = self.both(n, zlib.crc32(b"size %d" % n), y0,
-                             linspace(0.0, 4.0, 9), OdeSpec(tol=1e-9))
-        assert new == ref
-        res, calls = ref
+        _, (res, calls) = self.both(n, zlib.crc32(b"size %d" % n), y0,
+                                    linspace(0.0, 4.0, 9), OdeSpec(tol=1e-9))
         assert TestOdeFieldCalls.attempts(calls) > res.n_steps > 8  # rejects
+        assert len(res.ts) == 9
 
     @pytest.mark.parametrize("n", [2, 12])
     def test_post_step(self, n):
@@ -350,17 +490,17 @@ class TestGeneratedAttempt:
             return tuple(x / s for x in y)
 
         y0 = tuple(1.0 / math.sqrt(n) for _ in range(n))
-        new, ref = self.both(n, zlib.crc32(b"post %d" % n), y0,
-                             linspace(0.0, 3.0, 7), post_step=renorm)
-        assert new == ref and ref[0].n_steps > 6
+        _, (res, _) = self.both(n, zlib.crc32(b"post %d" % n), y0,
+                                linspace(0.0, 3.0, 7), post_step=renorm)
+        assert res.n_steps > 6 and len(res.ts) == 7
 
     def test_stop(self):
         def stop(t, y):
             return y[0] < -0.3
 
-        new, ref = self.both(4, zlib.crc32(b"stop"), (0.1, 0.2, 0.3, 0.4),
-                             linspace(0.0, 2.0, 41), stop=stop)
-        assert new == ref and len(ref[0].ts) < 41
+        _, (res, _) = self.both(4, zlib.crc32(b"stop"), (0.1, 0.2, 0.3, 0.4),
+                                linspace(0.0, 2.0, 41), stop=stop)
+        assert len(res.ts) < 41
 
     def test_field_raises_mid_solve(self):
         def raises(fn):
@@ -370,20 +510,25 @@ class TestGeneratedAttempt:
                 return fn(t, y)
             return field
 
-        new, ref = self.both(4, zlib.crc32(b"raise"), (0.1, 0.2, 0.3, 0.4),
-                             linspace(0.0, 2.0, 21), raises=raises)
-        assert new == ref
-        (kind, partial), _ = new
+        ((kind, partial), _), _ = self.both(
+            4, zlib.crc32(b"raise"), (0.1, 0.2, 0.3, 0.4),
+            linspace(0.0, 2.0, 21), raises=raises)
         assert kind is OverflowError and 1 < len(partial.ts) < 21
 
     def test_backward_and_underflow(self):
-        new, ref = self.both(2, zlib.crc32(b"back"), (1.0, -0.5),
-                             (2.0, 1.0, -1.5), OdeSpec(tol=1e-12))
-        assert new == ref
-        new, ref = self.both(2, zlib.crc32(b"under"), (1.0, -0.5),
-                             (0.0, 5.0), OdeSpec(tol=1e-12, min_step=0.005))
-        (kind, partial), _ = new
-        assert new == ref and kind is StepUnderflow and partial.n_steps > 9
+        self.both(2, zlib.crc32(b"back"), (1.0, -0.5), (2.0, 1.0, -1.5),
+                  OdeSpec(tol=1e-12))
+        ((kind, partial), _), _ = self.both(
+            2, zlib.crc32(b"under"), (1.0, -0.5), (0.0, 5.0),
+            OdeSpec(tol=1e-12, min_step=0.005))
+        assert kind is StepUnderflow and partial.n_steps > 9
+
+
+class TestGeneratedDenseOutput(TestGeneratedAttempt):
+    """The same with ``dense``: the generated continuous extension gives
+    the loop's reads."""
+
+    DENSE = True
 
 
 class TestHermiteInterpolation:

@@ -2,8 +2,11 @@
 IVP/BVP, parallel transport, direction fields, Gauss-Bonnet and the
 Liouville/Bonnet checks."""
 
+import gc
 import math
 import random
+import weakref
+import zlib
 
 import pytest
 
@@ -360,8 +363,8 @@ class TestGeodesicBVP:
 
     def test_truncated_scan_still_ranks_seed(self, monkeypatch):
         # every trial geodesic hits a chart singularity past s = 1: the
-        # scans keep the samples they reached, the seed aimed at the target
-        # ranks first from them, and its iteration leaves the chart
+        # scans keep the samples they read before it, the seed aimed at the
+        # target ranks first from them, and its iteration leaves the chart
         real_rhs = surfacecurves._geodesic_rhs
 
         def rhs_singular_past_1(surface):
@@ -374,14 +377,44 @@ class TestGeodesicBVP:
 
             return field
 
+        real_solve = surfacecurves.ode_solve
+        solves = []     # (start, sample times, dense, result or partial)
+
+        def ode_solve(field_fn, y0, ts, *args, dense=False, **kwargs):
+            try:
+                res = real_solve(field_fn, y0, ts, *args, dense=dense,
+                                 **kwargs)
+            except SingularSurfacePoint as exc:
+                res = exc.partial
+                raise
+            finally:
+                solves.append((y0, list(ts), dense, res))
+            return res
+
         monkeypatch.setattr(surfacecurves, "_geodesic_rhs",
                             rhs_singular_past_1)
+        monkeypatch.setattr(surfacecurves, "ode_solve", ode_solve)
         with pytest.raises(NoConvergence) as exc:
             geodesic_bvp(PLANE, (0.0, 0.0), (3.0, 0.0))
-        reached = [s for s in linspace(0.0, 1.6 * 3.0 + 0.04, 48) if s <= 1.0]
+        grid = linspace(0.0, 1.6 * 3.0 + 0.04, 48)
+        scans = [rec for rec in solves if rec[2]]
+        assert len(scans) == 8 and solves[:8] == scans
+        for _, ts, _, part in scans:
+            k = len(part.ts)
+            assert ts == grid and part.ts == grid[:k]
+            assert 1 < k < len(grid) and part.ts[-1] <= 1.0
+        # seed 0 is launched along the chord; its reads are exact on the
+        # plane, and the first iterate after the scans starts from its last
+        y0, _, _, aimed = scans[0]
+        assert y0 == (0.0, 0.0, 1.0, 0.0)
+        assert all(abs(u - s) <= 1e-15 and v == 0.0
+                   for s, (u, v, _, _) in zip(aimed.ts, aimed.ys))
+        y0, ts, _, _ = solves[8]
+        assert y0 == (0.0, 0.0, 1.0, 0.0) and ts[0] == 0.0
+        assert abs(ts[-1] - 3.0) <= 1e-12
         theta, miss = exc.value.best
         assert theta == 0.0
-        assert abs(miss - (3.0 - reached[-1])) <= 1e-12
+        assert miss <= 3.0 - aimed.ts[-1]
 
     def test_built_path_checked_against_target(self, monkeypatch):
         # the returned path is integrated again; its own end must hit p1
@@ -413,10 +446,35 @@ class TestGeodesicBVP:
         ids=["sphere", "torus"])
     def test_solve_count_bounded(self, monkeypatch, surface, p0, p1):
         # eight scans, one solve per further iterate from at most three
-        # seeds, and the final build
+        # seeds, one more where a seed's iteration tightens, and the final
+        # build
         solves = count_solves(monkeypatch)
         geodesic_bvp(surface, p0, p1)
         assert len(solves) <= 40
+
+    @pytest.mark.parametrize("surface", [SPHERE, CYLINDER],
+                             ids=["sphere", "cylinder"])
+    def test_wide_separation_closed_form(self, surface):
+        # endpoints far apart in the chart, where a seed's scan reads few
+        # of its samples from each step: great-circle arcs on the unit
+        # sphere, helices on the cylinder of radius 2
+        rng = random.Random(zlib.crc32(b"wide bvp"))
+        done = 0
+        while done < 3:
+            p0 = (rng.uniform(-math.pi, math.pi), rng.uniform(-0.8, 0.8))
+            du = rng.choice((-1.0, 1.0)) * rng.uniform(1.2, 2.4)
+            p1 = (math.remainder(p0[0] + du, 2.0 * math.pi),
+                  rng.uniform(-0.8, 0.8))
+            if surface is SPHERE:
+                length = sphere_angle(p0, p1)
+                if not 1.5 < length < 2.4:
+                    continue
+            else:
+                p1 = (p1[0], p0[1] + rng.uniform(-2.5, 2.5))
+                length = math.hypot(2.0 * du, p1[1] - p0[1])
+            path = geodesic_bvp(surface, p0, p1)
+            assert abs(path.length - length) <= 1e-7 * length
+            done += 1
 
     def test_unreachable_tolerance_reports_no_convergence(self):
         from diffgeo.errors import NoConvergence
@@ -752,6 +810,61 @@ class TestLiouvilleAndBonnet:
             bonnet_torsion_check(sc, 0.0)
 
 
+class TestFreedByReferenceCounting:
+    """Curves and surfaces hold no reference cycle through their kernels'
+    jet fallbacks, so they are freed when dropped, with the cycle
+    collector off."""
+
+    @staticmethod
+    def freed(make):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = weakref.ref(make())
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_catalog_curve(self):
+        def make():
+            curve = catalog.make("helix")
+            curve.kernel(0.3)
+            curve.composite(((0.3,), (1.0,), (0.0,), (0.0,), (0.0,)))
+            frenet(curve, 0.3)
+            return curve
+
+        assert self.freed(make)
+
+    def test_callable_curve(self):
+        def make():
+            curve = ParametricCurve(lambda t: Vec3(t, t * t, t * 0.0 + 1.0),
+                                    (0.0, 1.0))
+            curve.kernel(0.3)
+            curve.composite(((0.3,), (1.0,), (0.0,), (0.0,), (0.0,)))
+            return curve
+
+        assert self.freed(make)
+
+    def test_callable_surface_curve(self):
+        def make():
+            sc = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t),
+                              (0.0, 1.0))
+            sc.point(0.4)
+            kappa_n_quotient(sc, 0.4)
+            return sc
+
+        assert self.freed(make)
+
+    def test_catalog_surface(self):
+        def make():
+            surface = catalog.make("torus")
+            curvatures(surface, 0.7, 1.1)
+            return surface
+
+        assert self.freed(make)
+
+
 class TestPinnedWork:
     """Steps and field calls of three fixed solves, as the step control
     makes them; a change to it shows here, not only in a benchmark."""
@@ -782,8 +895,8 @@ class TestPinnedWork:
     def test_geodesic_bvp(self, monkeypatch):
         work = self.count_work(monkeypatch)
         path = geodesic_bvp(TORUS, (0, 0), (2, 1))
-        assert work == {"solves": 32, "steps": 2536, "calls": 15656}
-        assert path.length == 6.033013228616517
+        assert work == {"solves": 36, "steps": 1616, "calls": 10302}
+        assert path.length == 6.033013228632926
 
     def test_parallel_transport(self, monkeypatch):
         work = self.count_work(monkeypatch)
