@@ -88,9 +88,8 @@ def build(definition, periodic=(None, None)):
     evaluation does not check it (shooting solvers probe beyond it)."""
     if definition.kind == "curve":
         (pname,) = definition.params
-        return ParametricCurve(
-            lambda t: definition.eval(t, check_domain=False),
-            definition.params[pname], definition=definition)
+        return ParametricCurve(None, definition.params[pname],
+                               definition=definition)
     if definition.kind == "surface":
         pnames = list(definition.params)
         dom = definition.params[pnames[0]] + definition.params[pnames[1]]

@@ -2,25 +2,26 @@
 classification, involutes, spherical indicatrices and reconstruction from
 curvature and torsion.
 
-All differential quantities come from the order-4 jet of the position: the
-five coefficient triples r, r', r'', r''', r'''' at a point, so curvature and
-torsion derivatives are exact Taylor coefficients rather than finite
-differences.  A curve built from a definition reads them from a kernel
-generated per template (``expr.position_kernel`` at order 4); Hermite
-interpolants, arc-length reparametrizations (through the base template's
-kernel with a jet input) and spherical indicatrices compute them over
-floats; other curves take them from one Jet1 evaluation.  The Frenet
-formulas over that jet are written once, over jets, in ``_frenet``, and
-run as generated float code that keeps the Jet1 arithmetic
-(``expr.taped``); every such value is read from one point bundle,
-``_CurveJets``.  The torsion sign convention is the right-handed Frenet
-system dB/ds = -tau N.
+A curve is its float kernel: at a float t, the five coefficient triples r,
+r', r'', r''', r'''' of the position, so curvature and torsion derivatives
+are exact Taylor coefficients rather than finite differences.  A curve
+built from a definition runs code generated per template
+(``expr.position_kernel`` at order 4); Hermite interpolants read their
+quintics; arc-length reparametrizations compose the base kernel with the
+inverse of the arc length by Faa di Bruno over floats; involutes and
+spherical indicatrices are written over the base kernel.  A Python
+function over Jet1 makes a kernel through :func:`jet_kernel`, the one
+path that evaluates jets.  The Frenet formulas over the kernel are written
+once, over jets, in ``_frenet``, and run as generated float code that
+keeps the Jet1 arithmetic (``expr.taped``); every such value is read from
+one point bundle, ``_CurveJets``.  The torsion sign convention is the
+right-handed Frenet system dB/ds = -tau N.
 """
 
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
@@ -32,12 +33,13 @@ from .quadrature import QuadSpec, quad_adaptive
 from .vectors import Vec3, _spread
 
 __all__ = [
-    "ParametricCurve", "FrenetData", "OsculatingCircle", "OsculatingSphere",
-    "CurveClass", "frenet", "frenet_residuals", "arc_length",
-    "reparam_to_arclength", "osculating_circle", "osculating_sphere",
-    "frenet_lines_and_planes", "classify_curve", "sphericity_residual",
-    "involute", "spherical_indicatrix", "indicatrix_kappa_tau",
-    "reconstruct_from_kappa_tau", "ReconstructedCurve",
+    "ParametricCurve", "jet_kernel", "FrenetData", "OsculatingCircle",
+    "OsculatingSphere", "CurveClass", "frenet", "frenet_residuals",
+    "arc_length", "reparam_to_arclength", "osculating_circle",
+    "osculating_sphere", "frenet_lines_and_planes", "classify_curve",
+    "sphericity_residual", "involute", "spherical_indicatrix",
+    "indicatrix_kappa_tau", "reconstruct_from_kappa_tau",
+    "ReconstructedCurve",
 ]
 
 EPS_REG = 1e-12       # times curve scale: regularity floor for |dr/dt|
@@ -46,63 +48,49 @@ _N_KNOTS = 256        # arc-length knots cached by reparam_to_arclength
 
 
 class ParametricCurve:
-    """A map t -> R^3 evaluated into jets.
+    """A map t -> R^3 given by its float kernel.
 
-    ``evaluator`` receives the parameter as a Jet1 (possibly a composed jet)
-    and must return a Vec3 of Jet1 built jet-generically.  ``definition``
-    is the 'curve' definition that ``evaluator`` evaluates, if any: the
-    kernels are then code generated from it, on first use.  ``kernel``
-    gives the float kernel directly, for curves whose coefficients are
-    computed over floats.
+    ``kernel(t)`` gives, at a float t, the five (x, y, z) triples r, r',
+    r'', r''', r'''' of the position's derivatives.  ``definition`` is the
+    'curve' definition that the curve evaluates, if any: the kernel (None
+    here) is then code generated from it, on first use.  A Python function
+    over Jet1 makes a kernel through :func:`jet_kernel`.
     """
 
-    def __init__(self, evaluator, domain, unit_speed=False, definition=None,
-                 kernel=None):
-        self.evaluator = evaluator
+    def __init__(self, kernel, domain, unit_speed=False, definition=None):
+        if kernel is not None:
+            self.kernel = kernel
+        elif definition is None:
+            raise TypeError("a curve needs a kernel or a definition")
         self.domain = (float(domain[0]), float(domain[1]))
         self.unit_speed = unit_speed
         self.definition = definition
-        if kernel is not None:
-            self.kernel = kernel
         self._scale = None
 
     def eval(self, t):
-        if not isinstance(t, Jet1):
-            t = Jet1.variable(t)
-        return self.evaluator(t)
+        """The position at the float ``t``, a Vec3: from the definition's
+        order-0 code for a definition curve (float arithmetic, so a
+        quotient may differ from ``kernel(t)[0]`` in the last bit), else
+        from the kernel."""
+        if self.definition is not None:
+            return self.definition.eval(float(t), check_domain=False)
+        return Vec3(*self.kernel(t)[0])
 
+    # the deferral fallback holds the definition, not the curve: a curve
+    # is freed as soon as it is dropped
     @cached_property
     def kernel(self):
         """Floats t -> (x, y, z) triples r, r', r'', r''', r''''."""
-        if self.definition is None:
-            return self._jet_kernel
-        return position_kernel(self.definition, self._jet_kernel, 4)
+        definition = self.definition
+        return position_kernel(definition, jet_kernel(
+            partial(definition.eval, check_domain=False)), 4)
 
-    @cached_property
-    def composite(self):
+    def composite(self, rows):
         """Floats: the five Taylor rows (t_k,) of a change of parameter
-        t(s) -> the five triples of r(t(s)), equal to the Jet1
-        coefficients of ``evaluator`` at that jet."""
-        if self.definition is None:
-            return self._jet_composite
-        return position_kernel(self.definition, self._jet_composite, 4,
-                               jets=True)
-
-    # the jet fallbacks hold the evaluator, not the curve, as a surface's
-    # do: a curve is freed as soon as it is dropped
-    @cached_property
-    def _jet_kernel(self):
-        """Floats t -> the five triples of ``kernel``, from one Jet1
-        evaluation."""
-        evaluator = self.evaluator
-        return lambda t: _coefficients(evaluator(Jet1.variable(t)))
-
-    @cached_property
-    def _jet_composite(self):
-        """Rows -> the triples of ``composite``, from one Jet1 evaluation."""
-        evaluator = self.evaluator
-        return lambda rows: _coefficients(evaluator(Jet1(*(r[0]
-                                                           for r in rows))))
+        t(s) -> the five triples of r(t(s)), by Faa di Bruno over the
+        kernel at t_0 (``jets.compose1`` per coordinate)."""
+        t = tuple(row[0] for row in rows)
+        return tuple(zip(*(compose1(t, d) for d in zip(*self.kernel(t[0])))))
 
     @property
     def scale(self):
@@ -129,6 +117,13 @@ class ParametricCurve:
 def _coefficients(pos):
     """The five (x, y, z) coefficient triples of a Vec3 of Jet1."""
     return tuple(zip(pos.x.c, pos.y.c, pos.z.c))
+
+
+def jet_kernel(fn):
+    """The kernel of the curve ``fn``, a Python function of a Jet1
+    parameter that returns a Vec3 of Jet1 built jet-generically: floats t
+    -> the five triples of ``fn`` at the Jet1 variable t."""
+    return lambda t: _coefficients(fn(Jet1.variable(t)))
 
 
 @dataclass
@@ -218,8 +213,8 @@ def _overflow(t):
 class _CurveJets:
     """The Frenet apparatus at ``t`` over floats, for every space curve:
     ``k`` holds the five (x, y, z) coefficient triples r, r', r'', r''',
-    r'''' at t, from a ParametricCurve's kernel or from one Jet1 evaluation
-    (the composite r(u(t), v(t)) of a surface curve).  Construction checks
+    r'''' at t, from a ParametricCurve's kernel or a surface's composite
+    kernel (r(u(t), v(t)) along a surface curve).  Construction checks
     regularity and computes sigma = |dr/dt| through its third derivative
     and |r' x r''|^2; kappa, T, the frame, tau and their derivatives follow
     on first use, each group one program of ``_frenet``.  The branches (the
@@ -324,11 +319,6 @@ class _CurveJets:
             self.require_bent()
         return self._run(_JETS[name, n])
 
-    def vec_jet(self, name, n=5):
-        """The same as a Vec3 of Jet1, the rest of each jet zero."""
-        x = self.vec_coefficients(name, n)
-        return Vec3(*(Jet1(*x[i:i + n]) for i in (0, n, 2 * n)))
-
 
 def frenet(curve, t, partial=False):
     """Full Frenet data at ``t``.
@@ -374,10 +364,10 @@ def reparam_to_arclength(curve):
     """The same trace parameterized by arc length (domain [0, L]).
 
     Inversion integrates dt/ds = 1/|dr/dt|; each evaluation refines from the
-    nearest cached knot and lifts t(s) into jets by the inverse-function
-    derivatives, so jet output stays exact through order 4.  The float
-    kernel composes those derivatives with s by Faa di Bruno over floats
-    and reads r(t(s)) from the curve's composite kernel.
+    nearest cached knot, and the inverse-function rule gives t(s)'s four
+    s-derivatives, so the kernel stays exact through order 4: it composes
+    them with s by Faa di Bruno over floats and reads r(t(s)) from the
+    curve's composite.
     """
     t0, t1 = curve.domain
     total = arc_length(curve, t0, t1)
@@ -411,16 +401,12 @@ def reparam_to_arclength(curve):
         g4 = (-15.0 * f2 ** 3 + 10.0 * f1 * f2 * f3 - f1 * f1 * f4) * g1 ** 7
         return tv, g1, g2, g3, g4
 
-    def evaluator(s_jet):
-        return curve.eval(s_jet._compose(t_derivatives(s_jet.value)))
-
     def kernel(s):
         s = float(s)
         t = compose1((s, 1.0, 0.0, 0.0, 0.0), t_derivatives(s))
         return curve.composite(tuple((c,) for c in t))
 
-    return ParametricCurve(evaluator, (0.0, total), unit_speed=True,
-                           kernel=kernel)
+    return ParametricCurve(kernel, (0.0, total), unit_speed=True)
 
 
 def osculating_circle(curve, t):
@@ -451,7 +437,7 @@ def frenet_lines_and_planes(curve, t):
     lines along T, N, B; osculating/rectifying/normal planes with normals
     B, N, T respectively."""
     fd = frenet(curve, t)
-    p = curve.eval(t).value()
+    p = Vec3(*curve.kernel(t)[0])
     lines = {"tangent": (p, fd.T), "normal": (p, fd.N), "binormal": (p, fd.B)}
     planes = {"osculating": (p, fd.B), "rectifying": (p, fd.N),
               "normal": (p, fd.T)}
@@ -502,18 +488,20 @@ def sphericity_residual(curve, t):
 
 def involute(curve, c):
     """The involute r_e(s) + (c - s) T_e(s) of an arclength-parameterized
-    curve; its tangent is orthogonal to the base tangent at each s."""
+    curve; its tangent is orthogonal to the base tangent at each s.  With
+    T_e = r_e', row k of its kernel is r_k + (c - s) r_{k+1} - k r_k, r_5
+    taken as zero (the base kernel stops at order 4)."""
     if not curve.unit_speed:
         raise ValueError("involute needs a naturally parameterized curve; "
                          "use reparam_to_arclength first")
 
-    def evaluator(s_jet):
-        pos = curve.eval(s_jet)
-        tangent = pos.derivative()  # unit tangent of the base curve
-        factor = -s_jet + c
-        return pos + tangent * factor
+    def kernel(s):
+        r = curve.kernel(s)
+        f = c - float(s)
+        return tuple(tuple(x + (f * y - k * x) for x, y in zip(r[k], nxt))
+                     for k, nxt in enumerate(r[1:] + ((0.0, 0.0, 0.0),)))
 
-    return ParametricCurve(evaluator, curve.domain)
+    return ParametricCurve(kernel, curve.domain)
 
 
 def spherical_indicatrix(curve, which="T"):
@@ -521,17 +509,12 @@ def spherical_indicatrix(curve, which="T"):
     if which not in ("T", "N", "B"):
         raise ValueError("which must be 'T', 'N' or 'B'")
 
-    def evaluator(t_jet):
-        k = _coefficients(curve.evaluator(t_jet))
-        cj = _CurveJets(k, curve.scale, t_jet.value, EPS_REG * curve.scale)
-        return cj.vec_jet(which)
-
     def kernel(t):
         cj = _CurveJets(curve.kernel(t), curve.scale, t, EPS_REG * curve.scale)
         x = cj.vec_coefficients(which)
         return tuple(zip(x[0:5], x[5:10], x[10:15]))
 
-    return ParametricCurve(evaluator, curve.domain, kernel=kernel)
+    return ParametricCurve(kernel, curve.domain)
 
 
 def indicatrix_kappa_tau(curve, t, which="T"):
@@ -587,12 +570,8 @@ class ReconstructedCurve:
             d1 = [getattr(v, axis) for v in self.T]
             d2 = [getattr(v, axis) for v in self._rdd]
             chans.append(HermiteChannel(knots, vals, d1, d2))
-
-        def evaluator(s_jet):
-            return Vec3(chans[0](s_jet), chans[1](s_jet), chans[2](s_jet))
-
-        return ParametricCurve(evaluator, (knots[0], knots[-1]),
-                               unit_speed=True, kernel=taylor_kernel(chans))
+        return ParametricCurve(taylor_kernel(chans), (knots[0], knots[-1]),
+                               unit_speed=True)
 
 
 def _gram_schmidt(T, N, B):

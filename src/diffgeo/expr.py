@@ -30,9 +30,14 @@ float or jet parameters, whose derivatives are exact Taylor coefficients,
 for a surface's partials through order 2 or 3 over floats, and for a
 curve's derivatives through order 4 over floats; at order 4 the parameters
 may also be jets, given as the rows of their Taylor coefficients, which
-makes the composite r(u(t), v(t)) along a surface curve.  :func:`taped`
-records jet-generic formulas over either kind of position and
-:func:`jet_program` Jet1 arithmetic over float arguments.  Each compiles
+makes the composite r(u(t), v(t)) along a surface curve.  Order 4 keeps
+Jet1's zeros, so it equals Jet1 bit for bit; orders 2 and 3 leave known
+zeros out, so they equal Jet2 by ``==``, but a zero may carry the other
+sign.  CLI commands evaluate shapes through this code alone: jets are
+evaluated only for shapes built from Python callables and where a kernel
+defers to its fallback.  :func:`taped` records jet-generic formulas over
+either kind of position and :func:`jet_program` Jet1 arithmetic over
+float arguments.  Each compiles
 the lines the generator emits.  :func:`surface_program` puts a consumer of
 a surface kernel after the kernel in one function, with one of two
 prologues: the kernel's own lines, or, for a surface built from a callable
@@ -446,23 +451,25 @@ def _postfix(node):
 def position_kernel(definition, fallback, order=2, jets=False):
     """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
     'surface' definition, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv
-    and r_vvv: (x, y, z) float triples equal to the Jet2 coefficients of
-    ``definition.eval``, raising what it raises.  At ``order`` 4 the kernel
+    and r_vvv: (x, y, z) float triples equal by ``==`` to the Jet2
+    coefficients of ``definition.eval``, raising what it raises; a zero
+    may carry the other sign, because orders 2 and 3 leave out the terms
+    known to be zero that Jet2 adds.  At ``order`` 4 the kernel
     ``t -> (r, r', r'', r''', r'''')`` of a 'curve' definition gives the
-    Jet1 coefficients the same way.  The code is generated once per template
-    (components, parameter and constant names) and order, and bound here to
-    the constant values.  ``fallback(u, v)`` (``fallback(t)``) gives the
-    triples from one jet evaluation; the kernel defers to it where the jet
-    ``power`` branches on what the kernel does not decide.  At ``order`` 0
+    Jet1 coefficients the same way, bit for bit, signed zeros included.
+    The code is generated once per template (components, parameter and
+    constant names) and order, and bound here to the constant values.
+    ``fallback(u, v)`` (``fallback(t)``) gives the triples from one jet
+    evaluation; the kernel defers to it where the jet ``power`` branches
+    on what the kernel does not decide.  At ``order`` 0
     the kernel of any definition takes its parameters as floats or jets and
     returns its one row of components; it needs no fallback.
 
     With ``jets`` (order 4) the parameters are jets: the kernel takes one
-    argument, the five rows of their Taylor coefficients, as a kernel of
-    a 'surfacecurve' (rows (u, v)) or a curve parameter (rows (t,)) returns
-    them, and gives the Jet1 coefficients of ``definition.eval`` at those
-    jets, the composite r(u(t), v(t)) or r(t(s)); ``fallback(rows)`` gives
-    them from one jet evaluation."""
+    argument, the five rows (u_k, v_k) of their Taylor coefficients, as a
+    surface curve's kernel returns them, and gives the Jet1 coefficients
+    of ``definition.eval`` at those jets, the composite r(u(t), v(t));
+    ``fallback(rows)`` gives them from one jet evaluation."""
     kernel = _kernel_binder(*_template(definition), order, jets)
     return _bind(kernel, fallback, *definition.constants.values())
 

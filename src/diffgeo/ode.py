@@ -96,13 +96,13 @@ def _compiled(lines, name, n):
 
 
 @lru_cache(maxsize=32)     # callers use a few state sizes
-def _attempt(n, stages=False):
+def _attempt(n):
     """The Dormand-Prince attempt for states of ``n`` components, generated
     on first use: ``attempt(f, t, y, k1, hs, tol)`` evaluates the six
-    further stages, and returns the 5th-order state, its derivative (FSAL)
-    and the RMS of the embedded error estimate scaled by the mixed
-    tolerance; with ``stages``, also the stage derivatives (k3, k4, k5, k6)
-    that the continuous extension reads besides k1 and k7.  The code is
+    further stages, and returns the 5th-order state, its derivative (FSAL),
+    the RMS of the embedded error estimate scaled by the mixed tolerance
+    and the stage derivatives (k3, k4, k5, k6) that the continuous
+    extension reads besides k1 and k7.  The code is
     the stage loop written out with literal coefficients and zero terms
     left out, adding in the loop's order: a stage state is
     ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs`` rounded once, and
@@ -121,7 +121,7 @@ def _attempt(n, stages=False):
         if s < 6:
             call = f"f(t + {_C[s]!r} * hs, {_tup(state)})"
             parts = _tup([f"k{s + 1}_{i}" for i in idx])
-            if stages and s >= 2:
+            if s >= 2:
                 lines += [f"    k{s + 1} = {call}", f"    {parts} = k{s + 1}"]
             else:
                 lines.append(f"    {parts} = {call}")
@@ -137,8 +137,8 @@ def _attempt(n, stages=False):
                   f"    b = abs(n{i})",
                   f"    q{i} = e / (tol + tol * (b if b > a else a))"]  # max(a, b)
     squares = " + ".join(f"q{i} * q{i}" for i in idx)
-    lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5"
-                 + (", (k3, k4, k5, k6)" if stages else ""))
+    lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5, "
+                 "(k3, k4, k5, k6)")
     return _compiled(lines, "attempt", n)
 
 
@@ -197,7 +197,7 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,
         raise ValueError("sample times must be strictly monotone")
 
     y = tuple(float(v) for v in y0)
-    attempt = _attempt(len(y), dense)
+    attempt = _attempt(len(y))
     t = ts[0]
     res = OdeResult(ts=[t], ys=[y])
     # a first step below min_step only where the whole span is shorter
@@ -218,12 +218,8 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,
                 hs = h_step * direction
 
                 # FSAL: k7 is the derivative at (t + h, y_new)
-                if read is None:
-                    y_new, k7, err = attempt(field_fn, t, y, f_now, hs,
+                y_new, k7, err, ks = attempt(field_fn, t, y, f_now, hs,
                                              spec.tol)
-                else:
-                    y_new, k7, err, ks = attempt(field_fn, t, y, f_now, hs,
-                                                 spec.tol)
 
                 if err <= 1.0:
                     t_new = target if clamped else t + hs

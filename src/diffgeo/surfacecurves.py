@@ -4,24 +4,25 @@ and holonomy, asymptotic/principal/conjugate directions, Liouville and
 Bonnet checks, and the local/global Gauss-Bonnet budgets.
 
 A surface curve is a parameter-plane path t -> (u(t), v(t)) over a host
-surface.  Its float kernel gives the Taylor coefficients of u and v at t,
-as five rows (u_k, v_k): the built-in lines and parabolas write them
+surface, given by its float kernel: the Taylor coefficients of u and v at
+t, as five rows (u_k, v_k).  The built-in lines and parabolas write them
 directly, 'surfacecurve' definitions and loop arcs run generated order-4
 code, and Hermite paths (geodesics, asymptotic lines) read their
-quintics.  The surface's composite kernel, order-4 code generated per
-surface template with those rows as jet inputs, carries them through
-r(u(t), v(t)), so space-curve derivatives (up to fourth order) are exact;
-the speed, Frenet frame, curvature and torsion come from
-``curves._CurveJets``.  Surface fields along the curve (the normal, metric
-coefficients) are composed from the pointwise values and first partials
-with the chain rule, in Jet1 arithmetic recorded once as float code
-(``expr.jet_program``).  Jets are evaluated only for curves and surfaces
-built from Python callables.
+quintics.  A Python function over Jet1 makes a kernel through
+:func:`jet_kernel`; only such curves, and surfaces built from Python
+callables, evaluate jets.  The surface's composite kernel, order-4 code
+generated per surface template with those rows as jet inputs, carries
+them through r(u(t), v(t)), so space-curve derivatives (up to fourth
+order) are exact; the speed, Frenet frame, curvature and torsion come
+from ``curves._CurveJets``.  Surface fields along the curve (the normal,
+metric coefficients) are composed from the pointwise values and first
+partials with the chain rule, in Jet1 arithmetic recorded once as float
+code (``expr.jet_program``).
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import partial
 
 from .curves import _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
@@ -39,8 +40,8 @@ from .surfaces import (_metric_dot, _metric_terms, _metric_unit,
 from .vectors import Vec3
 
 __all__ = [
-    "SurfaceCurve", "CurvatureSplit", "GeodesicPath", "TransportState",
-    "BoundaryLoop", "GaussBonnetBudget",
+    "SurfaceCurve", "jet_kernel", "CurvatureSplit", "GeodesicPath",
+    "TransportState", "BoundaryLoop", "GaussBonnetBudget",
     "curvature_split", "geodesic_torsion", "geodesic_ivp", "geodesic_bvp",
     "parallel_transport", "asymptotic_directions",
     "principal_direction_field", "conjugate_direction",
@@ -58,69 +59,53 @@ _N_ASYMPTOTIC = 65   # Hermite knots of a traced asymptotic line
 
 
 class SurfaceCurve:
-    """t -> (u(t), v(t)) on a host surface.
+    """t -> (u(t), v(t)) on a host surface, given by its float kernel.
 
     ``kernel(t)`` gives, at a float t, the five rows (u_k, v_k) of the
-    curve's Taylor coefficients (plain derivatives, k = 0..4) as Jet1
-    computes them from ``uv``.  ``uv`` receives the parameter as Jet1 and
-    returns a (u_jet, v_jet) pair built jet-generically; a curve built
-    without a kernel reads its rows from one ``uv`` evaluation.
+    curve's Taylor coefficients (plain derivatives, k = 0..4).  A Python
+    function over Jet1 makes a kernel through :func:`jet_kernel`.
     """
 
-    def __init__(self, surface, uv, domain, kernel=None):
+    def __init__(self, surface, kernel, domain):
         self.surface = surface
-        self.uv = uv
+        self.kernel = kernel
         self.domain = (float(domain[0]), float(domain[1]))
-        self.kernel = kernel or self._jet_kernel
 
     @staticmethod
     def const_v(surface, v0):
         """The u-coordinate sweep at fixed v (a latitude-style loop)."""
-        def uv(t):
-            return t, t * 0.0 + v0
-
         def kernel(t):
             t = float(t)
             return tuple(zip((t, 1.0, 0.0, 0.0, 0.0), _line(v0, 0.0, t)))
 
-        return SurfaceCurve(surface, uv, surface.domain[0:2], kernel)
+        return SurfaceCurve(surface, kernel, surface.domain[0:2])
 
     @staticmethod
     def const_u(surface, u0):
         """The v-coordinate sweep at fixed u (a meridian-style loop)."""
-        def uv(t):
-            return t * 0.0 + u0, t
-
         def kernel(t):
             t = float(t)
             return tuple(zip(_line(u0, 0.0, t), (t, 1.0, 0.0, 0.0, 0.0)))
 
-        return SurfaceCurve(surface, uv, surface.domain[2:4], kernel)
+        return SurfaceCurve(surface, kernel, surface.domain[2:4])
 
     @staticmethod
     def straight(surface, p0, direction, domain=(0.0, 1.0)):
         """Parameter-space straight line p0 + t * direction."""
-        def uv(t):
-            return p0[0] + t * direction[0], p0[1] + t * direction[1]
-
         def kernel(t):
             return tuple(zip(_line(p0[0], direction[0], t),
                              _line(p0[1], direction[1], t)))
 
-        return SurfaceCurve(surface, uv, domain, kernel)
+        return SurfaceCurve(surface, kernel, domain)
 
     @staticmethod
     def quadratic(surface, p0, direction, bend, domain):
         """Parameter-space parabola p0 + t * direction + t^2 * bend."""
-        def uv(t):
-            return (p0[0] + direction[0] * t + bend[0] * t * t,
-                    p0[1] + direction[1] * t + bend[1] * t * t)
-
         def kernel(t):
             return tuple(zip(_quadratic(p0[0], direction[0], bend[0], t),
                              _quadratic(p0[1], direction[1], bend[1], t)))
 
-        return SurfaceCurve(surface, uv, domain, kernel)
+        return SurfaceCurve(surface, kernel, domain)
 
     @staticmethod
     def of_definition(surface, definition):
@@ -128,30 +113,24 @@ class SurfaceCurve:
         generated order-4 kernel, at parameter values in its domain
         (DomainError outside, as ``definition.eval`` raises)."""
         (domain,) = definition.params.values()
-        rows = position_kernel(definition, lambda t: tuple(zip(*(
-            j.c for j in definition.eval(Jet1.variable(t),
-                                         check_domain=False)))), 4)
+        rows = position_kernel(definition, jet_kernel(
+            partial(definition.eval, check_domain=False)), 4)
 
         def kernel(t):
             definition.check_domain(t)
             return rows(t)
 
-        return SurfaceCurve(surface, definition.eval, domain, kernel)
-
-    # the fallback holds ``uv``, not the curve: a curve is freed as soon as
-    # it is dropped
-    @cached_property
-    def _jet_kernel(self):
-        """Floats t -> the rows of ``kernel``, from one ``uv`` evaluation."""
-        uv = self.uv
-        return lambda t: tuple(zip(*(j.c for j in uv(Jet1.variable(
-            float(t))))))
-
-    def uv_jets(self, t):
-        return self.uv(Jet1.variable(float(t)))
+        return SurfaceCurve(surface, kernel, domain)
 
     def point(self, t):
         return self.kernel(t)[0]
+
+
+def jet_kernel(uv):
+    """The kernel of the surface curve ``uv``, a Python function of a Jet1
+    parameter that returns a (u, v) pair of Jet1 built jet-generically:
+    floats t -> the five rows of ``uv`` at the Jet1 variable t."""
+    return lambda t: tuple(zip(*(j.c for j in uv(Jet1.variable(t)))))
 
 
 def _line(p, d, t):
@@ -330,8 +309,8 @@ class GeodesicPath:
             v_d2.append(ddv)
         cu = HermiteChannel(self.s, u_vals, u_d1, u_d2)
         cv = HermiteChannel(self.s, v_vals, v_d1, v_d2)
-        return SurfaceCurve(self.surface, lambda t: (cu(t), cv(t)),
-                            (self.s[0], self.s[-1]), taylor_kernel((cu, cv)))
+        return SurfaceCurve(self.surface, taylor_kernel((cu, cv)),
+                            (self.s[0], self.s[-1]))
 
 
 def _geodesic(rec, s, y):
@@ -784,8 +763,7 @@ def asymptotic_line_trace(surface, start, length, branch=0):
         state["last"] = (du, dv)
     cu = HermiteChannel(ss, us, d1u, d2u)
     cv = HermiteChannel(ss, vs, d1v, d2v)
-    return SurfaceCurve(surface, lambda t: (cu(t), cv(t)), (ss[0], ss[-1]),
-                        taylor_kernel((cu, cv)))
+    return SurfaceCurve(surface, taylor_kernel((cu, cv)), (ss[0], ss[-1]))
 
 
 # --------------------------------------------------------------------------

@@ -9,14 +9,21 @@ there and :class:`_Abandon` where it applies nowhere on the shape.
 The points come from one ``random.Random`` as the table is built; random
 directions are drawn from it as :func:`run` reaches each point, so a report
 depends on the seed and on which suites run.  Each row runs at most once.
+
+Every residual is computed over floats: the curves that the suites build
+are float kernels, and the reparametrization suite's change of parameter
+t = w + 0.1 sin w is order-4 code generated on first use, composed with
+the shape's kernel by ``ParametricCurve.composite``.  No suite evaluates a
+jet.
 """
 
 import math
+from functools import lru_cache
 
-from . import jets
 from .curves import ParametricCurve, _CurveJets, frenet, frenet_residuals
 from .errors import (AsymptoticPoint, InflectionPoint, NonOrthogonalPatch,
                      UmbilicPoint)
+from .expr import _kernel_binder, _postfix, parse_text
 from .roots import root_find
 from .surfaces import (curvatures, forms, riemann_R1212,
                        form_identity_residual, gauss_weingarten_residuals,
@@ -70,12 +77,21 @@ def run(residual, points, tol):
     return ("PASS" if worst <= tol else "FAIL"), worst, ""
 
 
+@lru_cache(maxsize=None)
+def _substitution():
+    """Floats w -> the five rows (t_k,) of t = w + 0.1 sin w: order-4 code,
+    generated on first use."""
+    return _kernel_binder((_postfix(parse_text("w + 0.1*sin(w)")),), ("w",),
+                          (), 4)
+
+
 def curve_suites(shape, rng, n, rect):
     """The rows for a curve, at ``n`` points of ``rect`` drawn by ``rng``."""
     pts = [(rng.uniform(rect[0], rect[1]),) for _ in range(n)]
     t0, t1 = shape.domain
     # the same trace under the smooth monotone substitution t = w + 0.1 sin w
-    resub = ParametricCurve(lambda w: shape.eval(w + 0.1 * jets.sin(w)),
+    substitution = _substitution()
+    resub = ParametricCurve(lambda w: shape.composite(substitution(w)),
                             (t0 - 1, t1 + 1))
 
     def frenet_serret(t):

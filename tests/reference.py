@@ -1,17 +1,19 @@
 """The solver fields and integrands as plain Python over the surface's
 kernel and its point bundle, and the surface-curve checks as Jet1
-arithmetic over a curve's ``uv`` jets and the surface's ``evaluator``: the
-chains that the generated surface programs, curve rows, composite kernels
-and recorded jet programs replace, kept as the reference they must equal
-by ``repr``, errors included.  Nothing here is generated."""
+arithmetic over a curve's Jet1 form (:class:`JetCurve`) and the surface's
+``evaluator``: the chains that the generated surface programs, curve
+rows, composite kernels and recorded jet programs replace, kept as the
+reference they must equal by ``repr``, errors included.  Nothing here is
+generated."""
 
 import math
 
 from diffgeo import jets
 from diffgeo.curves import _coefficients, _CurveJets
 from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
+from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1
-from diffgeo.surfacecurves import _split, _transport
+from diffgeo.surfacecurves import _geodesic_rhs, _split, _transport
 from diffgeo.surfaces import (MetricData, _check_regular, _christoffel2,
                               _metric_dot, _metric_unit, _normal_curvature,
                               _overflow, _point, _SurfacePoint)
@@ -79,9 +81,53 @@ def curvature_integrand(surface):
 
 
 # --------------------------------------------------------------------------
+# verify's reparametrization: the Jet1 chain its float rows replace
+# --------------------------------------------------------------------------
+
+def resubstituted(curve, w):
+    """The Jet1 coefficients of t = w + 0.1 sin w at the Jet1 variable w,
+    and the five (x, y, z) triples of the definition curve ``curve``
+    evaluated on that jet."""
+    wj = Jet1.variable(w)
+    tj = wj + 0.1 * jets.sin(wj)
+    return tj.c, _coefficients(curve.definition.eval(tj, check_domain=False))
+
+
+# --------------------------------------------------------------------------
 # surface curves: the Jet1 chains that the curves' float rows, the
 # composite kernels and the recorded jet programs replace
 # --------------------------------------------------------------------------
+
+class JetCurve:
+    """The Jet1 form of the float surface curve ``sc``: ``uv`` is a Python
+    function of a Jet1 parameter that returns the (u, v) jets, over the
+    same surface and domain."""
+
+    def __init__(self, sc, uv):
+        self.surface, self.domain, self.uv = sc.surface, sc.domain, uv
+
+    def uv_jets(self, t):
+        return self.uv(Jet1.variable(float(t)))
+
+
+def geodesic_path_uv(path):
+    """The Jet1 form of ``path.as_curve()``: its quintic Hermite channels
+    through the states, second derivatives from the geodesic equations,
+    evaluated on jets."""
+    rhs = _geodesic_rhs(path.surface)
+    acc = [rhs(s, st)[2:] for s, st in zip(path.s, path.states)]
+    cu, cv = (HermiteChannel(path.s, [st[i] for st in path.states],
+                             [st[2 + i] for st in path.states],
+                             [a[i] for a in acc]) for i in (0, 1))
+    return lambda t: (cu(t), cv(t))
+
+
+def _vec_jet(cj, name, n):
+    """The first ``n`` t-derivatives of the Frenet vector ``name`` as a
+    Vec3 of Jet1, the rest of each jet zero."""
+    x = cj.vec_coefficients(name, n)
+    return Vec3(*(Jet1(*x[i:i + n]) for i in (0, n, 2 * n)))
+
 
 def point_jets(sc, t):
     uj, vj = sc.uv_jets(t)
@@ -182,8 +228,8 @@ def liouville_check(sc, t):
 
 def bonnet_torsion_check(sc, t):
     p, uj, vj, cj = composite_jets(sc, t)
-    N = cj.vec_jet("N", 2)
-    T = cj.vec_jet("T", 2)
+    N = _vec_jet(cj, "N", 2)
+    T = _vec_jet(cj, "T", 2)
     split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(

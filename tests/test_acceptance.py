@@ -13,7 +13,8 @@ import pytest
 from diffgeo import catalog
 from diffgeo.cli import main as cli_main
 from diffgeo.curves import (ParametricCurve, frenet, frenet_residuals,
-                            reconstruct_from_kappa_tau, reparam_to_arclength)
+                            jet_kernel, reconstruct_from_kappa_tau,
+                            reparam_to_arclength)
 from diffgeo.errors import DomainError
 from diffgeo.expr import eval_scalar, parse_text, to_text
 from diffgeo.jets import Jet1
@@ -21,6 +22,7 @@ from diffgeo.quadrature import QuadSpec, quad2d
 from diffgeo.surfaces import (curvatures, codazzi_compatibility_residuals,
                               forms, gauss_weingarten_residuals,
                               riemann_R1212)
+from diffgeo import surfacecurves
 from diffgeo.surfacecurves import (BoundaryLoop, SurfaceCurve,
                                    asymptotic_line_trace, curvature_split,
                                    gauss_bonnet_global, gauss_bonnet_local,
@@ -64,7 +66,7 @@ def test_criterion_02_frenet_serret_residuals():
 
         return Vec3(poly(coeffs[0]), poly(coeffs[1]), poly(coeffs[2]))
 
-    cubic = ParametricCurve(cubic_ev, (-1.0, 1.0))
+    cubic = ParametricCurve(jet_kernel(cubic_ev), (-1.0, 1.0))
     ok = True
     for curve, (t0, t1) in ((HELIX, (-3, 3)), (ellipse, (0.1, 6.1)),
                             (cubic, (-0.9, 0.9))):
@@ -144,8 +146,8 @@ def test_criterion_06_gauss_bonnet():
     m_up = SurfaceCurve.straight(SPHERE, (math.pi / 2, 0.0), (0.0, 1.0),
                                  quarter)
     m0 = SurfaceCurve.straight(SPHERE, (0.0, 0.0), (0.0, 1.0), quarter)
-    m_down = SurfaceCurve(SPHERE, lambda t: m0.uv(math.pi / 2 - t),
-                          (0.0, math.pi / 2))
+    m_down = SurfaceCurve(SPHERE, surfacecurves.jet_kernel(
+        lambda t: (t * 0.0, math.pi / 2 - t)), (0.0, math.pi / 2))
     gb = gauss_bonnet_local(SPHERE, BoundaryLoop(
         arcs=[eqq, m_up, m_down], corner_angles=[math.pi / 2] * 3,
         region_rects=[(0.0, math.pi / 2, 0.0, math.pi / 2)]))
@@ -153,10 +155,12 @@ def test_criterion_06_gauss_bonnet():
     # planar semicircular disc
     polar = catalog.make("plane-polar")
     R = 2.0
-    ray_out = SurfaceCurve(polar, lambda t: (t, t * 0.0), (1e-9, R))
-    arc = SurfaceCurve(polar, lambda t: (t * 0.0 + R, t), (0.0, math.pi))
-    ray_in = SurfaceCurve(polar, lambda t: (R + 1e-9 - t, t * 0.0 + math.pi),
-                          (1e-9, R))
+    ray_out = SurfaceCurve(polar, surfacecurves.jet_kernel(
+        lambda t: (t, t * 0.0)), (1e-9, R))
+    arc = SurfaceCurve(polar, surfacecurves.jet_kernel(
+        lambda t: (t * 0.0 + R, t)), (0.0, math.pi))
+    ray_in = SurfaceCurve(polar, surfacecurves.jet_kernel(
+        lambda t: (R + 1e-9 - t, t * 0.0 + math.pi)), (1e-9, R))
     gb = gauss_bonnet_local(polar, BoundaryLoop(
         arcs=[ray_out, arc, ray_in],
         corner_angles=[math.pi / 2, math.pi / 2, 0.0],
@@ -220,9 +224,8 @@ def test_criterion_08_parallel_transport_holonomy():
         ok &= abs(mism) <= 1e-6
         ok &= (max(st.norms) - min(st.norms)) <= 1e-8
     # a non-loop path on the torus: norm drift and pairwise angle
-    sc = SurfaceCurve(TORUS, lambda t: (1.0 + 0.8 * t,
-                                        2.0 + 0.5 * t + 0.3 * t * t),
-                      (0.0, 3.0))
+    sc = SurfaceCurve(TORUS, surfacecurves.jet_kernel(
+        lambda t: (1.0 + 0.8 * t, 2.0 + 0.5 * t + 0.3 * t * t)), (0.0, 3.0))
     s1 = parallel_transport(sc, (1.0, 0.0))
     s2 = parallel_transport(sc, (0.2, 0.8))
     ok &= (max(s1.norms) - min(s1.norms)) / s1.norms[0] <= 1e-8
@@ -266,10 +269,9 @@ def test_criterion_09_euler_and_meusnier():
         if math.hypot(*d) < 0.2:
             d = (0.9, 0.1)
         c1 = SurfaceCurve.straight(TORUS, (u, v), d, (-0.05, 0.05))
-        c2 = SurfaceCurve(TORUS,
-                          lambda t, d=d: (u + d[0] * t + 0.25 * t * t,
-                                          v + d[1] * t - 0.15 * t * t),
-                          (-0.05, 0.05))
+        c2 = SurfaceCurve(TORUS, surfacecurves.jet_kernel(
+            lambda t, d=d: (u + d[0] * t + 0.25 * t * t,
+                            v + d[1] * t - 0.15 * t * t)), (-0.05, 0.05))
         ok &= abs(curvature_split(c1, 0.0).kappa_n
                   - curvature_split(c2, 0.0).kappa_n) <= 1e-8
     verdict(9, "Euler theorem and Meusnier property", ok)
@@ -278,7 +280,7 @@ def test_criterion_09_euler_and_meusnier():
 def test_criterion_10_beltrami_enneper():
     helicoid = catalog.make("helicoid")
     tr = asymptotic_line_trace(helicoid, (1.3, 0.4), 2.0, branch=1)
-    pc = ParametricCurve(lambda tj: helicoid.evaluator(*tr.uv(tj)),
+    pc = ParametricCurve(lambda t: helicoid.composite(tr.kernel(t)),
                          tr.domain)
     ok = True
     for k in range(1, 31):
@@ -293,7 +295,7 @@ def test_criterion_11_curve_reconstruction_roundtrip():
     length = 4.0 * math.pi
     # intrinsic data measured off the helix itself
     helix_s = reparam_to_arclength(
-        ParametricCurve(HELIX.evaluator, (0.0, 1.05 * length)))
+        ParametricCurve(HELIX.kernel, (0.0, 1.05 * length)))
     kappas = [frenet(helix_s, s).kappa for s in (0.5, 3.0, 7.0)]
     taus = [frenet(helix_s, s).tau for s in (0.5, 3.0, 7.0)]
     assert max(kappas) - min(kappas) <= 1e-9
@@ -302,7 +304,7 @@ def test_criterion_11_curve_reconstruction_roundtrip():
     rec = reconstruct_from_kappa_tau(
         lambda s: kap0, lambda s: tau0, Vec3(0, 0, 0),
         (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)), length)
-    ref = [helix_s.eval(s).value() for s in rec.s]
+    ref = [helix_s.eval(s) for s in rec.s]
     A = np.array([[p.x, p.y, p.z] for p in rec.r])
     B = np.array([[p.x, p.y, p.z] for p in ref])
     A0, B0 = A - A.mean(axis=0), B - B.mean(axis=0)

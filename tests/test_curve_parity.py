@@ -1,8 +1,9 @@
 """Surface curves over floats against the Jet1 chains they replace, kept in
 ``reference``: a curve's rows (written directly, generated for definitions
-and loop arcs, read from Hermite quintics), the surfaces' composite
-kernels (order-4 code with jet inputs) and every check along a curve,
-equal by ``repr``, errors matched by type and message."""
+and loop arcs, read from Hermite quintics) against its Jet1 form, the
+surfaces' composite kernels (order-4 code with jet inputs) and every
+check along a curve, equal by ``repr``, errors matched by type and
+message."""
 
 import math
 import os
@@ -17,6 +18,7 @@ from diffgeo.curves import _coefficients
 from diffgeo.interpolate import HermiteChannel, taylor_kernel
 from diffgeo.jets import Jet1
 from diffgeo.surfacecurves import (SurfaceCurve, _exterior_angle, _kappa_g_dt,
+                                   jet_kernel,
                                    _transport_rhs, bonnet_torsion_check,
                                    curvature_split, geodesic_ivp,
                                    geodesic_torsion, geodesic_torsion_principal,
@@ -66,13 +68,13 @@ def _jet_rows(uv, t):
 
 
 def _curves(shape, u, v, rng):
-    """(curve, parameter values, the pre-float Jet1 form of its uv) for
-    every kind of curve through (u, v)."""
+    """(curve, parameter values, the Jet1 form of its uv) for every kind of
+    curve through (u, v)."""
     d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
     q = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     ts = [0.0, -0.0, rng.uniform(-0.05, 0.05)]
-    sc = SurfaceCurve.of_definition(
-        shape, expr.load_definition(SC.format(u=u, v=v)))
+    definition = expr.load_definition(SC.format(u=u, v=v))
+    sc = SurfaceCurve.of_definition(shape, definition)
     loop = expr.load_definition(LOOP.format(u0=u, u1=u + 0.1, v0=v,
                                             v1=v + 0.08))
     arcs = [SurfaceCurve.of_definition(shape, arc) for arc in loop.arcs]
@@ -92,12 +94,11 @@ def _curves(shape, u, v, rng):
         (SurfaceCurve.quadratic(shape, (u, v), d, (0.08, -0.06),
                                 (-0.05, 0.05)), ts,
          lambda t: (u + d[0] * t + 0.08 * t * t, v + d[1] * t - 0.06 * t * t)),
-        (sc, [0.0, -0.2, 0.2, rng.uniform(-0.2, 0.2)], sc.uv),
-        (arcs[0], [0.0, 1.0, 0.5], arcs[0].uv),
-        (arcs[1], [0.0, 1.0, 0.5], arcs[1].uv),
-        (SurfaceCurve(shape, lambda t: (cu(t), cv(t)), (0.0, 0.1),
-                      taylor_kernel((cu, cv))), [0.0, 0.03, 0.05, 0.1, 0.2],
-         lambda t: (cu(t), cv(t))),
+        (sc, [0.0, -0.2, 0.2, rng.uniform(-0.2, 0.2)], definition.eval),
+        (arcs[0], [0.0, 1.0, 0.5], loop.arcs[0].eval),
+        (arcs[1], [0.0, 1.0, 0.5], loop.arcs[1].eval),
+        (SurfaceCurve(shape, taylor_kernel((cu, cv)), (0.0, 0.1)),
+         [0.0, 0.03, 0.05, 0.1, 0.2], lambda t: (cu(t), cv(t))),
     ]
 
 
@@ -134,7 +135,7 @@ def test_rows_equal_jet1_signed_zeros_included():
             for t in ts + [rng.choice(values)]:
                 want = _outcome(_jet_rows, uv, t)
                 assert _outcome(sc.kernel, t) == want, (u, v, t)
-                assert _outcome(sc._jet_kernel, t) == want
+                assert _outcome(jet_kernel(uv), t) == want
                 checked += isinstance(want, str)
     assert checked >= 1400
 
@@ -163,20 +164,23 @@ def test_checks_along_curves_equal_the_jet1_chains(name, shape, points):
     values = 0
     for u, v in points:
         curves = _curves(shape, u, v, rng)
-        for sc, ts, _ in curves:
-            rhs, ref_rhs = _transport_rhs(sc), reference.transport_rhs(sc)
+        for sc, ts, uv in curves:
+            jc = reference.JetCurve(sc, uv)
+            rhs, ref_rhs = _transport_rhs(sc), reference.transport_rhs(jc)
             for t in ts:
                 for check in CHECKS:
-                    want = _outcome(getattr(reference, check.__name__), sc, t)
+                    want = _outcome(getattr(reference, check.__name__), jc, t)
                     assert _outcome(check, sc, t) == want, (check, u, v, t)
                     values += isinstance(want, str)
                 y = (rng.uniform(-1, 1), rng.uniform(-1, 1))
                 assert _outcome(rhs, t, y) == _outcome(ref_rhs, t, y)
                 assert (_outcome(_kappa_g_dt, sc, t) ==
-                        _outcome(reference.gauss_bonnet_integrand(sc), t))
-        for (a, *_), (b, *_) in zip(curves, curves[1:]):
+                        _outcome(reference.gauss_bonnet_integrand(jc), t))
+        for (a, _, uv_a), (b, _, uv_b) in zip(curves, curves[1:]):
             assert (_outcome(_exterior_angle, a, b)
-                    == _outcome(reference.exterior_angle, a, b))
+                    == _outcome(reference.exterior_angle,
+                                reference.JetCurve(a, uv_a),
+                                reference.JetCurve(b, uv_b)))
     assert values >= len(points) * 100
 
 
@@ -188,11 +192,13 @@ def test_geodesic_paths(name):
     for u, v in surface_samples(name, shape, rng, 3):
         path = geodesic_ivp(shape, u, v, (rng.uniform(-1, 1), 1.0), 0.7)
         sc = path.as_curve()
+        uv = reference.geodesic_path_uv(path)
+        jc = reference.JetCurve(sc, uv)
         for s in [0.0, path.length] + [rng.uniform(0, 0.7) for _ in range(4)]:
-            assert repr(sc.kernel(s)) == repr(_jet_rows(sc.uv, s))
+            assert repr(sc.kernel(s)) == repr(_jet_rows(uv, s))
             for check in CHECKS:
                 assert (_outcome(check, sc, s) ==
-                        _outcome(getattr(reference, check.__name__), sc, s))
+                        _outcome(getattr(reference, check.__name__), jc, s))
 
 
 def test_errors_name_the_point():
@@ -200,8 +206,13 @@ def test_errors_name_the_point():
     pole = SurfaceCurve.straight(sphere, (0.3, math.pi / 2), (1.0, 0.0))
     huge = SurfaceCurve.straight(catalog.make("sphere", R=1e200), (0.3, 0.2),
                                  (1.0, 0.5))
-    for sc, error in ((pole, "SingularSurfacePoint"), (huge, "OverflowError")):
+    for sc, uv, error in (
+            (pole, lambda t: (0.3 + t * 1.0, math.pi / 2 + t * 0.0),
+             "SingularSurfacePoint"),
+            (huge, lambda t: (0.3 + t * 1.0, 0.2 + t * 0.5),
+             "OverflowError")):
+        jc = reference.JetCurve(sc, uv)
         for check in CHECKS:
             got = _outcome(check, sc, 0.0)
-            assert got == _outcome(getattr(reference, check.__name__), sc, 0.0)
+            assert got == _outcome(getattr(reference, check.__name__), jc, 0.0)
             assert got[0] == error

@@ -3,6 +3,7 @@ classification, involutes, indicatrices and intrinsic reconstruction."""
 
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from diffgeo import catalog
 from diffgeo import jets as J
 from diffgeo.curves import (ParametricCurve, arc_length, classify_curve,
                             frenet, frenet_lines_and_planes, frenet_residuals,
-                            indicatrix_kappa_tau, involute, osculating_circle,
+                            indicatrix_kappa_tau, involute, jet_kernel,
+                            osculating_circle,
                             osculating_sphere, reconstruct_from_kappa_tau,
                             reparam_to_arclength, spherical_indicatrix,
                             sphericity_residual)
-from diffgeo.curves import _CurveJets
+from diffgeo.curves import _coefficients, _CurveJets
 from diffgeo.errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                             SingularPoint, ZeroTorsion)
+from diffgeo.jets import Jet1
 from diffgeo.vectors import Vec3
 
 HELIX = catalog.make("helix")           # a=1, b=0.5: kappa=0.8, tau=0.4
@@ -37,7 +40,12 @@ def cubic_curve(seed):
 
         return Vec3(poly(c[0]), poly(c[1]), poly(c[2]))
 
-    return ParametricCurve(ev, (-1.0, 1.0))
+    return ParametricCurve(jet_kernel(ev), (-1.0, 1.0))
+
+
+def test_a_curve_needs_a_kernel_or_a_definition():
+    with pytest.raises(TypeError, match="kernel or a definition"):
+        ParametricCurve(None, (0.0, 1.0))
 
 
 class TestFrenet:
@@ -61,8 +69,8 @@ class TestFrenet:
 
     def test_singular_point(self):
         # r = (t^2, t^3, 0) has r'(0) = 0
-        c = ParametricCurve(lambda t: Vec3(t * t, t * t * t, t * 0.0),
-                            (-1, 1))
+        c = ParametricCurve(
+            jet_kernel(lambda t: Vec3(t * t, t * t * t, t * 0.0)), (-1, 1))
         with pytest.raises(SingularPoint):
             frenet(c, 0.0)
 
@@ -109,9 +117,10 @@ class TestFrenet:
         base = catalog.make("helix")
 
         def sub(w):
-            return base.eval(w + 0.3 * J.sin(w))
+            return base.definition.eval(w + 0.3 * J.sin(w),
+                                        check_domain=False)
 
-        warped = ParametricCurve(sub, (-4, 4))
+        warped = ParametricCurve(jet_kernel(sub), (-4, 4))
         for w in (-1.2, 0.5, 2.0):
             fd = frenet(warped, w)
             assert abs(fd.kappa - 0.8) <= 1e-9
@@ -125,18 +134,18 @@ class TestFrenet:
         shift = Vec3(0.5, -2.0, 1.25)
 
         def moved(t):
-            p = SPIRAL.eval(t)
+            p = SPIRAL.definition.eval(t, check_domain=False)
             return Vec3(
                 R[0][0] * p.x + R[0][1] * p.y + R[0][2] * p.z + shift.x,
                 R[1][0] * p.x + R[1][1] * p.y + R[1][2] * p.z + shift.y,
                 R[2][0] * p.x + R[2][1] * p.y + R[2][2] * p.z + shift.z)
 
         def mirrored(t):
-            p = SPIRAL.eval(t)
+            p = SPIRAL.definition.eval(t, check_domain=False)
             return Vec3(-p.x, p.y, p.z)
 
-        c_m = ParametricCurve(moved, SPIRAL.domain)
-        c_r = ParametricCurve(mirrored, SPIRAL.domain)
+        c_m = ParametricCurve(jet_kernel(moved), SPIRAL.domain)
+        c_r = ParametricCurve(jet_kernel(mirrored), SPIRAL.domain)
         for t in (0.8, 2.5, 4.4):
             a = frenet(SPIRAL, t)
             b = frenet(c_m, t)
@@ -153,7 +162,8 @@ class TestArcLength:
         assert abs(arc_length(c, 0.0, 2 * math.pi) - 4 * math.pi) <= 1e-10
 
     def test_unit_speed_line(self):
-        c = ParametricCurve(lambda t: Vec3(t, t * 0.0, t * 0.0), (0, 10))
+        c = ParametricCurve(jet_kernel(lambda t: Vec3(t, t * 0.0, t * 0.0)),
+                            (0, 10))
         assert abs(arc_length(c, 0.0, 5.0) - 5.0) <= 1e-12
 
     def test_helix_closed_form(self):
@@ -162,11 +172,11 @@ class TestArcLength:
 
     def test_reparam_unit_speed(self):
         cs = reparam_to_arclength(
-            ParametricCurve(HELIX.evaluator, (0.0, 4 * math.pi)))
+            ParametricCurve(HELIX.kernel, (0.0, 4 * math.pi)))
         total = cs.domain[1]
         assert abs(total - 4 * math.pi * math.sqrt(1.25)) <= 1e-8
         for s in (0.2 * total, 0.5 * total, 0.9 * total):
-            speed = cs.eval(s).derivative().value().norm()
+            speed = Vec3(*cs.kernel(s)[1]).norm()
             assert abs(speed - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("k", [7, 128, 254])
@@ -243,8 +253,8 @@ class TestClassification:
         assert classify_curve(SPIRAL).kind == "General"
 
     def test_singular_sample_reported(self):
-        c = ParametricCurve(lambda t: Vec3(t * t, t * t * t, t * 0.0),
-                            (-1, 1))
+        c = ParametricCurve(
+            jet_kernel(lambda t: Vec3(t * t, t * t * t, t * 0.0)), (-1, 1))
         # an odd sample count puts a Chebyshev node on the cusp at t=0
         with pytest.raises(SingularPoint) as exc:
             classify_curve(c, n_samples=65)
@@ -254,7 +264,7 @@ class TestClassification:
 class TestSphericalCurves:
     def test_spiral_on_unit_sphere(self):
         for t in (0.5, 1.1, 2.2, 4.0):
-            assert abs(SPIRAL.eval(t).value().norm() - 1.0) <= 1e-12
+            assert abs(SPIRAL.eval(t).norm() - 1.0) <= 1e-12
             assert abs(sphericity_residual(SPIRAL, t)) <= 1e-6
 
     def test_helix_not_spherical(self):
@@ -268,7 +278,7 @@ class TestSphericalCurves:
 @pytest.fixture(scope="module")
 def helix_s():
     return reparam_to_arclength(
-        ParametricCurve(HELIX.evaluator, (0.0, 4 * math.pi)))
+        ParametricCurve(HELIX.kernel, (0.0, 4 * math.pi)))
 
 
 class TestInvolutes:
@@ -282,8 +292,8 @@ class TestInvolutes:
         L = helix_s.domain[1]
         for k in range(20):
             s = L * (k + 0.5) / 20.0
-            base_T = helix_s.eval(s).derivative().value()
-            inv_T = inv.eval(s).derivative().value()
+            base_T = Vec3(*helix_s.kernel(s)[1])
+            inv_T = Vec3(*inv.kernel(s)[1])
             assert abs(base_T.dot(inv_T)) <= 1e-8
 
     def test_involute_spacing_constant(self, helix_s):
@@ -291,12 +301,12 @@ class TestInvolutes:
         inv_b = involute(helix_s, 3.0)
         L = helix_s.domain[1]
         for s in (0.2 * L, 0.5 * L, 0.8 * L):
-            gap = (inv_b.eval(s).value() - inv_a.eval(s).value()).norm()
+            gap = (inv_b.eval(s) - inv_a.eval(s)).norm()
             assert abs(gap - 1.0) <= 1e-10
 
     def test_circle_involutes_congruent(self):
         circle_s = reparam_to_arclength(
-            ParametricCurve(CIRCLE3.evaluator, (0.0, 2 * math.pi)))
+            ParametricCurve(CIRCLE3.kernel, (0.0, 2 * math.pi)))
         inv_a = involute(circle_s, 1.0)
         inv_b = involute(circle_s, 2.0)
         # same trace shifted by arc length: points of inv_b at s match
@@ -305,8 +315,8 @@ class TestInvolutes:
         rot = lambda p: Vec3(math.cos(th) * p.x - math.sin(th) * p.y,
                              math.sin(th) * p.x + math.cos(th) * p.y, p.z)
         for s in (2.0, 4.0, 6.0):
-            a = inv_a.eval(s - 1.0).value()
-            b = inv_b.eval(s).value()
+            a = inv_a.eval(s - 1.0)
+            b = inv_b.eval(s)
             assert (rot(a) - b).norm() <= 1e-8
 
 
@@ -326,7 +336,7 @@ class TestIndicatrices:
     def test_helix_indicatrix_is_a_circle(self):
         ind = spherical_indicatrix(HELIX, "T")
         cls = classify_curve(
-            ParametricCurve(ind.evaluator, (0.0, 2 * math.pi)))
+            ParametricCurve(ind.kernel, (0.0, 2 * math.pi)))
         assert cls.kind == "Planar"
         # constant curvature too: a circle
         ks = [frenet(ind, t).kappa for t in (0.3, 1.0, 2.0)]
@@ -336,8 +346,8 @@ class TestIndicatrices:
         ind_t = spherical_indicatrix(SPIRAL, "T")
         ind_b = spherical_indicatrix(SPIRAL, "B")
         for t in (0.5, 1.5, 3.0):
-            a = ind_t.eval(t).derivative().value()
-            b = ind_b.eval(t).derivative().value()
+            a = Vec3(*ind_t.kernel(t)[1])
+            b = Vec3(*ind_b.kernel(t)[1])
             assert a.cross(b).norm() / (a.norm() * b.norm()) <= 1e-8
 
     def test_line_has_no_binormal_indicatrix(self):
@@ -361,6 +371,65 @@ class TestIndicatrices:
             k_b, _ = indicatrix_kappa_tau(SPIRAL, t, "B")
             ind_b = spherical_indicatrix(SPIRAL, "B")
             assert abs(frenet(ind_b, t).kappa - k_b) <= 1e-10 * max(1.0, k_b)
+
+
+class TestKernelsAgainstJet1Forms:
+    """The involute, indicatrix and arc-length kernels against the Jet1
+    arithmetic they replace, at seeded points: every coefficient within
+    REL of the largest (they agree exactly at every point sampled here)."""
+
+    REL = 1e-15
+
+    @staticmethod
+    def _rows_jet(rows):
+        return Vec3(*(Jet1(*c) for c in zip(*rows)))
+
+    def _agree(self, got, want):
+        size = max(abs(x) for row in want for x in row)
+        assert max(abs(a - b) for ga, wa in zip(got, want)
+                   for a, b in zip(ga, wa)) <= self.REL * size
+
+    @pytest.mark.parametrize("name", ["helix", "spherical-spiral"])
+    def test_involute(self, name):
+        base = reparam_to_arclength(catalog.make(name))
+        rng = random.Random(zlib.crc32(b"involute " + name.encode()))
+        for _ in range(50):
+            s, c = rng.uniform(*base.domain), rng.uniform(-3.0, 3.0)
+            pos = self._rows_jet(base.kernel(s))
+            want = pos + pos.derivative() * (-Jet1.variable(s) + c)
+            self._agree(involute(base, c).kernel(s), _coefficients(want))
+
+    @pytest.mark.parametrize("which", "TNB")
+    def test_indicatrix(self, which):
+        ind = spherical_indicatrix(SPIRAL, which)
+        rng = random.Random(zlib.crc32(b"indicatrix " + which.encode()))
+        for _ in range(50):
+            t = rng.uniform(*SPIRAL.domain)
+            pos = SPIRAL.definition.eval(Jet1.variable(t), check_domain=False)
+            rd = pos.derivative()
+            T = rd / J.sqrt(rd.norm_sq())
+            C = rd.cross(rd.derivative())
+            B = C / J.sqrt(C.norm_sq())
+            want = {"T": T, "N": B.cross(T), "B": B}[which]
+            self._agree(ind.kernel(t), _coefficients(want))
+
+    def test_reparam(self):
+        # z = t / 2 on the helix gives t(s) exactly; its s-derivatives
+        # follow from the speed by the inverse-function rule
+        helix_s = reparam_to_arclength(HELIX)
+        rng = random.Random(zlib.crc32(b"reparam"))
+        for _ in range(50):
+            s = rng.uniform(*helix_s.domain)
+            t = helix_s.kernel(s)[0][2] / 0.5
+            f1, f2, f3, f4 = _CurveJets.at(HELIX, t).sigma
+            g1 = 1.0 / f1
+            g2 = -f2 * g1 ** 3
+            g3 = (3.0 * f2 * f2 - f1 * f3) * g1 ** 5
+            g4 = (-15.0 * f2 ** 3 + 10.0 * f1 * f2 * f3
+                  - f1 * f1 * f4) * g1 ** 7
+            t_jet = Jet1.variable(s)._compose((t, g1, g2, g3, g4))
+            want = HELIX.definition.eval(t_jet, check_domain=False)
+            self._agree(helix_s.kernel(s), _coefficients(want))
 
 
 def _procrustes_rms(points_a, points_b):
@@ -388,9 +457,8 @@ class TestReconstruction:
             lambda s: 0.8, lambda s: 0.4, Vec3(0, 0, 0),
             (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)), L)
         helix_s = reparam_to_arclength(
-            ParametricCurve(HELIX.evaluator, (0.0, L / math.sqrt(1.25))))
-        ref = [helix_s.eval(min(s, helix_s.domain[1])).value()
-               for s in rec.s]
+            ParametricCurve(HELIX.kernel, (0.0, L / math.sqrt(1.25))))
+        ref = [helix_s.eval(min(s, helix_s.domain[1])) for s in rec.s]
         assert _procrustes_rms(rec.r, ref) <= 1e-5
 
     def test_rotated_seed_same_trace(self):

@@ -7,10 +7,12 @@ import random
 import re
 import zlib
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from diffgeo import catalog
+from diffgeo.curves import jet_kernel
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier)
 from diffgeo.expr import (MAX_DEPTH, BinOp, Call, Const, Neg, Num,
@@ -467,14 +469,15 @@ class TestCurveKernel:
     @staticmethod
     def _check(curve, t):
         got = _result(curve.kernel, t)
-        assert got == _result(curve._jet_kernel, t), t
+        assert got == _result(jet_kernel(partial(curve.definition.eval,
+                                                 check_domain=False)), t), t
         return got
 
     @pytest.mark.parametrize("name", [n for n in catalog.names()
                                       if catalog.entry(n).kind == "curve"])
     def test_catalog_equals_jet1(self, name):
         curve = catalog.make(name)
-        assert curve.kernel is not curve._jet_kernel
+        assert curve.kernel.__code__.co_filename == "<position kernel>"
         rng = random.Random(zlib.crc32(name.encode()))
         for _ in range(100):
             assert len(self._check(curve, rng.uniform(*curve.domain))) == 5

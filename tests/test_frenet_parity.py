@@ -13,12 +13,12 @@ import pytest
 from diffgeo import catalog, jets
 from diffgeo.curves import (EPS_INFLECT, EPS_REG, _RATES, _SPHERE,
                             _SPHERICITY, ParametricCurve, _coefficients,
-                            _CurveJets, reconstruct_from_kappa_tau,
+                            _CurveJets, jet_kernel, reconstruct_from_kappa_tau,
                             reparam_to_arclength, spherical_indicatrix)
 from diffgeo.errors import (DiffGeoError, InflectionPoint, SingularPoint)
 from diffgeo.expr import ShapeDefinition, load_definition
+from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1
-from diffgeo.surfacecurves import SurfaceCurve
 from diffgeo.vectors import Vec3
 
 from conftest import EVAL_SAFE, random_tree, surface_samples
@@ -110,7 +110,7 @@ def _reference_queries(r):
 
     def jet(which, n):
         vec = r.T if which == "T" else r.frame_jets()["TNB".index(which)]
-        return tuple(Jet1(*j.c[:n]) for j in vec)
+        return tuple(j.c[:n] for j in vec)
 
     return [
         ("sigma", lambda: r.sigma.c[:4]),
@@ -131,6 +131,10 @@ def _reference_queries(r):
 
 def _float_queries(cj):
     """The same pairs over the float bundle ``cj``."""
+    def jet(which, n):
+        x = cj.vec_coefficients(which, n)
+        return tuple(x[i:i + n] for i in (0, n, 2 * n))
+
     return [
         ("sigma", lambda: cj.sigma),
         ("kappa", lambda: cj.kappa_value),
@@ -143,7 +147,7 @@ def _float_queries(cj):
         ("rates", _bent_only(cj, lambda: cj._run(_RATES))),
         ("sphere", _bent_only(cj, lambda: cj._run(_SPHERE))),
         ("sphericity", _bent_only(cj, lambda: cj._run(_SPHERICITY))),
-        *((f"jet {w} {n}", lambda w=w, n=n: tuple(cj.vec_jet(w, n)))
+        *((f"jet {w} {n}", lambda w=w, n=n: jet(w, n))
           for w in "TNB" for n in (2, 5)),
     ]
 
@@ -175,14 +179,23 @@ def _outcomes(build, queries):
     return [(name, _outcome(fn)) for name, fn in queries(bundle)]
 
 
-def _check_curve(curve, ts):
-    """Both bundles of ``curve`` at each t: returns how many points had a
-    bent (full) apparatus."""
+def _kernel_jet(curve, t):
+    """The position jet of ``curve`` at t: the definition's Jet1
+    evaluation, else the kernel's coefficients as Jet1."""
+    if curve.definition is not None:
+        return curve.definition.eval(Jet1.variable(t), check_domain=False)
+    return Vec3(*(Jet1(*c) for c in zip(*curve.kernel(t))))
+
+
+def _check_curve(curve, ts, position=_kernel_jet):
+    """Both bundles of ``curve`` at each t, the reference's from the Jet1
+    ``position(curve, t)``: returns how many points had a bent (full)
+    apparatus."""
     bent = 0
     for t in ts:
         got = _outcomes(lambda: _CurveJets.at(curve, t), _float_queries)
         want = _outcomes(lambda: _JetCurveJets(
-            curve.eval(Jet1.variable(t)), curve.scale, t,
+            position(curve, t), curve.scale, t,
             EPS_REG * curve.scale), _reference_queries)
         assert got == want, t
         bent += ("bent", True) in got
@@ -229,20 +242,30 @@ def test_hermite_reparametrized_and_indicatrices():
     rec = reconstruct_from_kappa_tau(
         lambda s: 0.8 + 0.1 * s, lambda s: 0.4, Vec3(0.0, 0.0, 0.0),
         (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0)), 3.0)
+    # the interpolant's Jet1 form: its channels evaluated on jets
+    chans = [HermiteChannel(rec.s, [getattr(p, c) for p in rec.r],
+                            [getattr(v, c) for v in rec.T],
+                            [getattr(v, c) for v in rec._rdd]) for c in "xyz"]
+
+    def hermite(curve, t):
+        s = Jet1.variable(t)
+        return Vec3(*(ch(s) for ch in chans))
+
     spiral = catalog.make("spherical-spiral")
-    curves = {"hermite": rec.as_curve(),
-              "reparam": reparam_to_arclength(catalog.make("helix")),
-              **{f"indicatrix {w}": spherical_indicatrix(spiral, w)
-                 for w in "TNB"}}
-    for label, curve in curves.items():
+    curves = {"hermite": (rec.as_curve(), hermite),
+              "reparam": (reparam_to_arclength(catalog.make("helix")),
+                          _kernel_jet),
+              **{f"indicatrix {w}": (spherical_indicatrix(spiral, w),
+                                     _kernel_jet) for w in "TNB"}}
+    for label, (curve, position) in curves.items():
         lo, hi = curve.domain
         ts = _points(label, (lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo)), 8)
-        assert _check_curve(curve, ts) == 8, label
+        assert _check_curve(curve, ts, position) == 8, label
 
 
 def test_callable_curve_singular_point():
-    curve = ParametricCurve(lambda t: Vec3(t * t, t * t * t, t * 0.0),
-                            (-1.0, 1.0))
+    curve = ParametricCurve(
+        jet_kernel(lambda t: Vec3(t * t, t * t * t, t * 0.0)), (-1.0, 1.0))
     assert _check_curve(curve, [0.0, 0.5]) == 1
 
 
@@ -252,12 +275,11 @@ def test_surface_curve_composites(name):
     rng = random.Random(zlib.crc32(name.encode()))
     for u0, v0 in surface_samples(name, surface, rng, 6):
         du, dv = rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
-        sc = SurfaceCurve(surface, lambda t, u0=u0, v0=v0, du=du, dv=dv: (
-            u0 + du * t + 0.05 * t * t, v0 + dv * t), (0.0, 1.0))
         t = rng.uniform(0.0, 0.2)
 
-        def position(sc=sc, t=t):
-            return surface.evaluator(*sc.uv_jets(t))
+        def position(u0=u0, v0=v0, du=du, dv=dv, t=t):
+            t = Jet1.variable(t)
+            return surface.evaluator(u0 + du * t + 0.05 * t * t, v0 + dv * t)
 
         got = _outcomes(lambda: _CurveJets(_coefficients(position()),
                                            surface.scale, t), _float_queries)

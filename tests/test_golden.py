@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from diffgeo import jets, verify
+from diffgeo import jets
 from diffgeo.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -105,31 +105,17 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_no_jet_arithmetic(name, tmp_path, capsys, monkeypatch):
-    # Jet1 and Jet2 are made by their constructors or by _raw1/_raw2;
-    # only the curve reparam-invariance suite, whose reparametrization is a
-    # Python callable over jets, may make them
+    # Jet1 and Jet2 are made by their constructors or by _raw1/_raw2; no
+    # CLI command makes either
     made = collections.Counter()
     for owner, attr in ((jets, "_raw1"), (jets, "_raw2"),
                         (jets.Jet1, "__init__"), (jets.Jet2, "__init__")):
         real = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *a, real=real, **k: (
-            made.update(["cli"]), real(*a, **k))[1])
-    real_run = verify.run
-
-    def run(residual, points, tol):
-        before = made["cli"]
-        try:
-            return real_run(residual, points, tol)
-        finally:
-            made[residual.__name__] += made["cli"] - before
-            made["cli"] = before
-
-    monkeypatch.setattr(verify, "run", run)
+            made.update(["jets"]), real(*a, **k))[1])
     assert run_case(name, str(tmp_path / "report.json")) == CASES[name][0]
     capsys.readouterr()
-    assert made["reparam"] >= (100 if name == "verify-helix" else 0)
-    del made["reparam"]
-    assert +made == collections.Counter()
+    assert made["jets"] == 0
 
 
 if __name__ == "__main__":

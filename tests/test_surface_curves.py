@@ -10,7 +10,7 @@ import zlib
 
 import pytest
 
-from diffgeo import catalog, surfacecurves
+from diffgeo import catalog, curves, surfacecurves
 from diffgeo.curves import ParametricCurve, frenet
 from diffgeo.errors import (AsymptoticPoint, DegenerateMultiplicity,
                             NoConvergence, NonOrthogonalPatch,
@@ -26,7 +26,7 @@ from diffgeo.surfacecurves import (BoundaryLoop, SurfaceCurve,
                                    curvature_split, gauss_bonnet_global,
                                    gauss_bonnet_local, geodesic_bvp,
                                    geodesic_ivp, geodesic_torsion,
-                                   geodesic_torsion_principal,
+                                   geodesic_torsion_principal, jet_kernel,
                                    kappa_g_extrinsic, kappa_g_intrinsic,
                                    kappa_n_quotient, liouville_check,
                                    parallel_transport,
@@ -67,8 +67,14 @@ def count_solves(monkeypatch):
 
 
 def reversed_curve(sc):
+    """``sc`` run backwards: its rows at t0 + t1 - t, odd ones negated."""
     t0, t1 = sc.domain
-    return SurfaceCurve(sc.surface, lambda t: sc.uv(t0 + t1 - t), (t0, t1))
+
+    def kernel(t):
+        return tuple(tuple(-c if k % 2 else c for c in row)
+                     for k, row in enumerate(sc.kernel(t0 + t1 - t)))
+
+    return SurfaceCurve(sc.surface, kernel, (t0, t1))
 
 
 def sphere_angle(p0, p1):
@@ -119,8 +125,9 @@ class TestCurvatureSplit:
             q1, q2 = rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
             sc = SurfaceCurve(
                 TORUS,
-                lambda t, d=d, q1=q1, q2=q2:
-                (u + d[0] * t + q1 * t * t, v + d[1] * t + q2 * t * t),
+                jet_kernel(lambda t, d=d, q1=q1, q2=q2:
+                           (u + d[0] * t + q1 * t * t,
+                            v + d[1] * t + q2 * t * t)),
                 (-0.3, 0.3))
             cs = curvature_split(sc, 0.0)
             assert abs(cs.kappa_n - kappa_n_quotient(sc, 0.0)) <= 1e-9
@@ -187,8 +194,8 @@ class TestCurvatureSplit:
                 d = (0.8, 0.4)
             c1 = SurfaceCurve.straight(TORUS, (u, v), d, (-0.1, 0.1))
             c2 = SurfaceCurve(
-                TORUS, lambda t, d=d: (u + d[0] * t + 0.3 * t * t,
-                                       v + d[1] * t - 0.2 * t * t),
+                TORUS, jet_kernel(lambda t, d=d: (u + d[0] * t + 0.3 * t * t,
+                                                  v + d[1] * t - 0.2 * t * t)),
                 (-0.1, 0.1))
             assert abs(curvature_split(c1, 0.0).kappa_n
                        - curvature_split(c2, 0.0).kappa_n) <= 1e-8
@@ -508,8 +515,8 @@ class TestParallelTransport:
         assert max(st.norms) - min(st.norms) <= 1e-8
 
     def test_norm_constant_along_any_path(self):
-        sc = SurfaceCurve(TORUS, lambda t: (1.0 + 0.8 * t, 2.0 + 0.5 * t
-                                            + 0.3 * t * t), (0.0, 3.0))
+        sc = SurfaceCurve(TORUS, jet_kernel(lambda t: (
+            1.0 + 0.8 * t, 2.0 + 0.5 * t + 0.3 * t * t)), (0.0, 3.0))
         st = parallel_transport(sc, (0.4, 0.9))
         rel = (max(st.norms) - min(st.norms)) / st.norms[0]
         assert rel <= 1e-8
@@ -546,7 +553,8 @@ class TestParallelTransport:
 
     def test_samples_end_at_the_curve_end(self):
         # t0 + (t1 - t0) * 256 / 256 rounds above t1 here
-        sc = SurfaceCurve(TORUS, lambda t: (0.5 + t, 1.0 + 0.5 * t),
+        sc = SurfaceCurve(TORUS, jet_kernel(lambda t: (0.5 + t,
+                                                       1.0 + 0.5 * t)),
                           (7 * 0.1, 1.8))
         st = parallel_transport(sc, (1.0, 0.0))
         assert st.ts == linspace(7 * 0.1, 1.8, 257)
@@ -558,10 +566,8 @@ class TestParallelTransport:
         d0 = (path.states[0][2], path.states[0][3])
         st = parallel_transport(sc, d0)
         for t, (a1, a2) in zip(st.ts[1::16], st.components[1::16]):
-            uj, vj = sc.uv_jets(t)
-            u, v = uj.value, vj.value
-            ang = angle_between(sc.surface, u, v, (a1, a2),
-                                (uj.c[1], vj.c[1]))
+            (u, v), velocity = sc.kernel(t)[:2]
+            ang = angle_between(sc.surface, u, v, (a1, a2), velocity)
             assert ang <= 1e-6
 
 
@@ -645,7 +651,7 @@ class TestDirectionFields:
 class TestBeltramiEnneper:
     def test_traced_asymptotic_line_torsion(self):
         tr = asymptotic_line_trace(HELICOID, (1.3, 0.4), 2.0, branch=1)
-        pc = ParametricCurve(lambda tj: HELICOID.evaluator(*tr.uv(tj)),
+        pc = ParametricCurve(lambda t: HELICOID.composite(tr.kernel(t)),
                              tr.domain)
         for k in range(1, 30):
             s = 2.0 * k / 30.0
@@ -695,11 +701,12 @@ class TestGaussBonnet:
 
     def test_planar_semicircular_disc(self):
         R = 2.0
-        ray_out = SurfaceCurve(POLAR, lambda t: (t, t * 0.0), (1e-9, R))
-        arc = SurfaceCurve(POLAR, lambda t: (t * 0.0 + R, t), (0.0, math.pi))
-        ray_in = SurfaceCurve(POLAR,
-                              lambda t: (R + 1e-9 - t, t * 0.0 + math.pi),
-                              (1e-9, R))
+        ray_out = SurfaceCurve(POLAR, jet_kernel(lambda t: (t, t * 0.0)),
+                               (1e-9, R))
+        arc = SurfaceCurve(POLAR, jet_kernel(lambda t: (t * 0.0 + R, t)),
+                           (0.0, math.pi))
+        ray_in = SurfaceCurve(POLAR, jet_kernel(
+            lambda t: (R + 1e-9 - t, t * 0.0 + math.pi)), (1e-9, R))
         loop = BoundaryLoop(
             arcs=[ray_out, arc, ray_in],
             corner_angles=[math.pi / 2, math.pi / 2, 0.0],
@@ -714,7 +721,8 @@ class TestGaussBonnet:
         # right-angle corner in the plane, computed from one-sided tangents
         a1 = SurfaceCurve.straight(PLANE, (0.0, 0.0), (1.0, 0.0), (0, 1))
         a2 = SurfaceCurve.straight(PLANE, (1.0, 0.0), (0.0, 1.0), (0, 1))
-        a3 = SurfaceCurve(PLANE, lambda t: (1.0 - t, 1.0 - t), (0.0, 1.0))
+        a3 = SurfaceCurve(PLANE, jet_kernel(lambda t: (1.0 - t, 1.0 - t)),
+                          (0.0, 1.0))
         loop = BoundaryLoop(arcs=[a1, a2, a3], corner_angles=None,
                             region_rects=[])
         from diffgeo.surfacecurves import _exterior_angle
@@ -763,12 +771,13 @@ class TestLiouvilleAndBonnet:
                    - math.tan(math.pi / 6)) <= 1e-10
 
     def test_polar_ray(self):
-        ray = SurfaceCurve(POLAR, lambda t: (t, t * 0.0 + 0.8), (0.5, 4.0))
+        ray = SurfaceCurve(POLAR, jet_kernel(lambda t: (t, t * 0.0 + 0.8)),
+                           (0.5, 4.0))
         assert abs(liouville_check(ray, 1.0)) <= 1e-12
 
     def test_general_curve_on_torus(self):
-        sc = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t
-                                            + 0.2 * t * t), (0.0, 1.5))
+        sc = SurfaceCurve(TORUS, jet_kernel(lambda t: (
+            1.0 + t, 2.0 + 0.7 * t + 0.2 * t * t)), (0.0, 1.5))
         assert abs(liouville_check(sc, 0.4)) <= 1e-7
 
     def test_nonorthogonal_patch_rejected(self):
@@ -794,8 +803,8 @@ class TestLiouvilleAndBonnet:
             if math.hypot(*d) < 0.2:
                 d = (0.7, -0.6)
             sc = SurfaceCurve(
-                TORUS, lambda t, d=d: (u + d[0] * t + 0.15 * t * t,
-                                       v + d[1] * t - 0.1 * t * t),
+                TORUS, jet_kernel(lambda t, d=d: (u + d[0] * t + 0.15 * t * t,
+                                                  v + d[1] * t - 0.1 * t * t)),
                 (-0.2, 0.2))
             try:
                 assert abs(bonnet_torsion_check(sc, 0.0)) <= 1e-7
@@ -838,8 +847,8 @@ class TestFreedByReferenceCounting:
 
     def test_callable_curve(self):
         def make():
-            curve = ParametricCurve(lambda t: Vec3(t, t * t, t * 0.0 + 1.0),
-                                    (0.0, 1.0))
+            curve = ParametricCurve(curves.jet_kernel(
+                lambda t: Vec3(t, t * t, t * 0.0 + 1.0)), (0.0, 1.0))
             curve.kernel(0.3)
             curve.composite(((0.3,), (1.0,), (0.0,), (0.0,), (0.0,)))
             return curve
@@ -848,8 +857,8 @@ class TestFreedByReferenceCounting:
 
     def test_callable_surface_curve(self):
         def make():
-            sc = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t),
-                              (0.0, 1.0))
+            sc = SurfaceCurve(TORUS, jet_kernel(
+                lambda t: (1.0 + t, 2.0 + 0.7 * t)), (0.0, 1.0))
             sc.point(0.4)
             kappa_n_quotient(sc, 0.4)
             return sc
@@ -909,8 +918,8 @@ class TestEvaluationsPerPoint:
     the generated kernel, and the composite space curve the generated
     composite kernel (order-4 code with jet inputs)."""
 
-    CURVE = SurfaceCurve(TORUS, lambda t: (1.0 + t, 2.0 + 0.7 * t
-                                           + 0.2 * t * t), (0.0, 1.5))
+    CURVE = SurfaceCurve(TORUS, jet_kernel(lambda t: (
+        1.0 + t, 2.0 + 0.7 * t + 0.2 * t * t)), (0.0, 1.5))
 
     @pytest.mark.parametrize("check, expected", [
         (bonnet_torsion_check, {}),

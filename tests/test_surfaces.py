@@ -20,7 +20,7 @@ from diffgeo.surfaces import (_N_POINTS, ParametricSurface, _SurfacePoint,
                               metric_and_gamma, riemann_R1212,
                               sin_angle_between, surface_area, surface_frame,
                               total_curvature)
-from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs,
+from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs, jet_kernel,
                                    bonnet_torsion_check,
                                    curvature_split, liouville_check,
                                    principal_direction_field)
@@ -556,8 +556,9 @@ class TestPointBundle:
             def results(s):
                 straight = SurfaceCurve.straight(s, (u, v), d, (-0.05, 0.05))
                 bent = SurfaceCurve(
-                    s, lambda t: (u + d[0] * t + 0.08 * t * t,
-                                  v + d[1] * t - 0.06 * t * t), (-0.05, 0.05))
+                    s, jet_kernel(lambda t: (u + d[0] * t + 0.08 * t * t,
+                                             v + d[1] * t - 0.06 * t * t)),
+                    (-0.05, 0.05))
                 return ([_outcome(fn, s, u, v) for fn in (
                             curvatures, forms, riemann_R1212,
                             gauss_weingarten_residuals,

@@ -4,9 +4,11 @@ rules."""
 
 import math
 import random
+import zlib
 
 import pytest
 
+import reference
 from diffgeo import catalog, verify
 from diffgeo.verify import _Abandon, _Skip
 
@@ -57,6 +59,31 @@ def test_catalog_verdicts(name):
         else:
             assert mark == "PASS", (suite, worst, detail)
             assert detail == ""
+
+
+CURVES = [n for n in catalog.names() if catalog.entry(n).kind == "curve"]
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_resubstitution_equals_the_jet1_path(name):
+    # the rows of t = w + 0.1 sin w equal the Jet1 chain they replace by
+    # repr; the composite r(t(w)), Faa di Bruno over the kernel at t(w),
+    # agrees with the definition evaluated on that jet within 1e-15 of the
+    # largest coefficient (bit for bit where the chain rule meets no
+    # product of two functions of t)
+    shape = catalog.make(name)
+    substitution = verify._substitution()
+    rng = random.Random(zlib.crc32(b"resubstitution " + name.encode()))
+    t0, t1 = shape.domain
+    for _ in range(200):
+        w = rng.uniform(t0 - 1.0, t1 + 1.0)
+        rows = substitution(w)
+        t_jet, want = reference.resubstituted(shape, w)
+        assert repr(tuple(r[0] for r in rows)) == repr(t_jet)
+        got = shape.composite(rows)
+        size = max(abs(x) for row in want for x in row)
+        assert max(abs(a - b) for ga, wa in zip(got, want)
+                   for a, b in zip(ga, wa)) <= 1e-15 * size, w
 
 
 def test_directions_are_drawn_as_the_suite_runs():
