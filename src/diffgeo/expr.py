@@ -41,7 +41,9 @@ float arguments.  Each compiles
 the lines the generator emits.  :func:`surface_program` puts a consumer of
 a surface kernel after the kernel in one function, with one of two
 prologues: the kernel's own lines, or, for a surface built from a callable
-or a template whose kernel defers to its fallback, one call of the kernel.
+or a template whose kernel defers to its fallback, one call of the kernel;
+an ODE field's program carries its Dormand-Prince attempt, with the
+program's lines written into each stage.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
 for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
 kind of file name the line at fault; an undeclared name and a call of
@@ -60,6 +62,7 @@ from . import jets
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
                      LexError, ParseError, UnknownIdentifier)
 from .jets import FUNCTIONS
+from .ode import attempt_source
 from .vectors import Vec3
 
 __all__ = [
@@ -1037,23 +1040,35 @@ class _TapeJet:
 # surface programs: a consumer of the kernel generated with it
 # --------------------------------------------------------------------------
 
-def surface_program(formulas, sizes, definition, kernel):
+def surface_program(formulas, sizes, definition, kernel, curve=None):
     """``formulas(rec, *args)``, float code over a surface's kernel, as one
     straight-line function of ``args``, each a float (size 1) or a sequence
     of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
-    reads the surface through the generator ``rec`` (see _Recorder).
+    reads the surface through the generator ``rec`` (see _Recorder);
+    ``curve`` is the curve kernel that ``rec.curve`` reads, if it is read.
 
     One generator, two prologues.  The first is the kernel's own lines,
     generated from ``definition`` once per template and program and bound
     here to the constant values.  The second is one call of ``kernel()``,
     the surface's kernel: for a surface without a definition, or a
     template whose kernel defers to its fallback.  Each value equals the
-    one that ``formulas`` computes over floats from the kernel's triples."""
-    if definition is not None:
-        fn = _program_binder(formulas, sizes, *_template(definition))
-        if fn is not None:
-            return _bind(fn, *definition.constants.values())
-    return _bind(_program_binder(formulas, sizes, None, (), ()), kernel())
+    one that ``formulas`` computes over floats from the kernel's triples.
+    A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
+    ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
+    made = definition is not None and _program_binder(
+        formulas, sizes, *_template(definition))
+    if made:
+        bound = tuple(definition.constants.values())
+    else:
+        made = _program_binder(formulas, sizes, None, (), ())
+        bound = (kernel(),)
+    fn, attempt = made
+    if "_curve" in fn.__code__.co_varnames:
+        bound += (curve,)
+    program = _bind(fn, *bound)
+    if attempt is not None:
+        program.attempt = _bind(attempt, *bound)
+    return program
 
 
 def jet_program(formulas, sizes):
@@ -1062,40 +1077,58 @@ def jet_program(formulas, sizes):
     code over jets that ``rec.jet(*terms)`` builds from float terms; they
     run once, and their Jet1 arithmetic is recorded (order 4), so each value
     and error equals Jet1's.  Made once per formulas."""
-    return _program_binder(formulas, sizes, None, (), (), 4)
+    return _program_binder(formulas, sizes, None, (), (), 4)[0]
 
 
 @lru_cache(maxsize=128)
 def _program_binder(formulas, sizes, programs, params, constants, order=2):
     """The program of ``formulas`` over the kernel of the component
     ``programs``, or over the kernel it is given when ``programs`` is None,
-    its defaults None until surface_program binds them; None when that
-    kernel defers to its fallback.  At ``order`` 4 the formulas read no
-    kernel (jet_program)."""
+    and for sizes (1, n) its fused attempt, the program's lines written
+    into each stage of ``ode.attempt_source``, else None; their defaults
+    (the constants or _kernel, then _curve where a curve is read) None
+    until surface_program binds them.  None when that kernel defers to its
+    fallback.  At ``order`` 4 the formulas read no kernel (jet_program)."""
     rec = _Recorder(programs, params, constants, order)
     args = [f"_a{i}" for i in range(len(sizes))]
-    defaults = (["_kernel=None"] if programs is None
-                else [f"_c{i}=None" for i in range(len(constants))])
-    lines = [f"def _program({', '.join(args + defaults)}):"]
-    lines += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
-              for a, n in zip(args, sizes) if n > 1]
     out = formulas(rec, *(_TapeJet(rec, a) if n == 1 else tuple(
         _TapeJet(rec, f"{a}_{j}") for j in range(n))
         for a, n in zip(args, sizes)))
     if rec.deferred:
         return None
-    run = []    # guarded lines, in one try before the next free line
+    lines = [f"def _program({', '.join(args + rec.defaults)}):"]
+    lines += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
+              for a, n in zip(args, sizes) if n > 1]
+    lines += _body(rec, [f"return {_source(out)}"])
+    name = formulas.__name__
+    program = _compile(lines, f"<surface program {name}>",
+                       rec.names)["_program"]
+    if not (len(sizes) == 2 and sizes[0] == 1 < sizes[1]):
+        return program, None
+    n = sizes[1]
+    body = _body(rec, [_source(x) for x in out])
+    fused = ("_a0", [f"_a1_{j}" for j in range(n)], body[:-n],
+             [line.strip() for line in body[-n:]], rec.defaults)
+    return program, _compile(attempt_source(n, fused),
+                             f"<dopri5 {name}, {n} components>",
+                             rec.names)["attempt"]
+
+
+def _body(rec, tail):
+    """The recorded lines, then the free lines ``tail``, inlined and
+    indented for a function body: each run of guarded lines in one try
+    that turns an OverflowError into the program's."""
+    lines, run = [], []     # guarded lines, in one try before the next free
     guarded = "_overflow" in rec.names      # whether a kernel was read
     for line, free in _inline([(line, i in rec.free or not guarded)
                                for i, line in enumerate(rec.lines)]
-                              + [(f"return {_source(out)}", True)]):
+                              + [(line, True) for line in tail]):
         if free and run:
             lines += ["    try:", *run, "    except OverflowError:",
                       f"        raise _overflow({rec.point}) from None"]
             run = []
         (lines if free else run).append(" " * (4 if free else 8) + line)
-    return _compile(lines, f"<surface program {formulas.__name__}>",
-                    rec.names)["_program"]
+    return lines
 
 
 def _source(x):
@@ -1112,13 +1145,17 @@ class _Recorder(_Taylor):
       OverflowError in any line but ``check``'s raises ``overflow(u, v)``;
     - ``tape(formulas, outputs, k)``: the lines of ``taped(formulas,
       outputs)`` over the triples ``k``;
-    - ``check(fn, *args)``: a call of ``fn`` where the code runs."""
+    - ``check(fn, *args, floor)``: a call of ``fn`` where the code runs,
+      behind a fast path;
+    - ``curve(t)``: the rows (u, v) and (u', v') of a curve kernel at t."""
 
     def __init__(self, programs, params, constants, order=2):
         super().__init__(order, (), constants)
         self.free = set()   # indices of the lines outside the guard
         self.names = {}     # the program's globals
         self.template = programs, params
+        self.defaults = (["_kernel=None"] if programs is None else
+                         [f"_c{i}=None" for i in range(len(constants))])
 
     def kernel(self, u, v, overflow):
         self.names["_overflow"] = overflow
@@ -1147,11 +1184,26 @@ class _Recorder(_Taylor):
         return tuple(_TapeJet(self, read(t) if isinstance(t, str)
                               else 0.0 if t is None else t) for t in terms)
 
-    def check(self, fn, *args):
+    def check(self, fn, *args, floor):
+        """A call ``fn(*args)``, outside the overflow guard, made only where
+        the first argument is not both below inf and above ``floor``: the
+        caller's word that ``fn`` raises nowhere else."""
         self.names[fn.__name__] = fn
         self.free.add(len(self.lines))
+        x = _fmt(args[0].c)
         self.lines.append(
+            f"if not ({x} < inf and {x} > {_fmt(floor.c)}): "
             f"{fn.__name__}({', '.join(_fmt(a.c) for a in args)})")
+
+    def curve(self, t):
+        """(u, v) and (u', v'), the first two rows of the curve kernel
+        ``_curve`` (the program's last default) at ``t``, read outside the
+        overflow guard: the curve's errors are its own."""
+        self.free.add(len(self.lines))
+        self.lines.append(f"(_u, _v), (_du, _dv) = _curve({_fmt(t.c)})[:2]")
+        self.defaults.append("_curve=None")
+        return tuple(tuple(_TapeJet(self, n) for n in pair)
+                     for pair in (("_u", "_v"), ("_du", "_dv")))
 
 
 _LOCAL = re.compile(r"\b_[tg]\d+\b")

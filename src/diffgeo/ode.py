@@ -3,9 +3,14 @@
 A single explicit Dormand-Prince 5(4) pair drives every trajectory in the
 library (Frenet reconstruction, geodesics, parallel transport).  The Butcher
 table is written out as exact rationals so results are reproducible across
-platforms.  Each attempted step runs one generated attempt per state size:
-the stage loop as straight-line code, made on first use and cached, that
-adds in the loop's order, so it gives the loop's bits.  One call
+platforms.  Each attempted step runs one generated attempt: the stage loop
+as straight-line code, made on first use and cached, that adds in the
+loop's order, so it gives the loop's bits.  The generic attempt, one per
+state size, calls the field at each stage.  A generated surface field
+(``expr.surface_program``) carries a fused attempt from the same
+generator, with the field's own lines written into each stage in place of
+the call; it gives the generic attempt's bits over that field and raises
+what it raises, with no call per stage.  One call
 integrates a whole trajectory through a list of sample times and returns
 the state at each sample and nothing else.  By default steps are clamped
 to land on each sample exactly, never interpolated onto it, so samples
@@ -18,11 +23,15 @@ the last time.
 
 Step control has three settings, ``OdeSpec(tol, min_step, max_steps)``.  One
 tolerance is both the absolute and the relative part of the local error
-bound ``tol * (1 + |y|)``, and the step size has no cap.  A step shortened
+bound: each component's error estimate is divided by
+``tol + tol * max(|y|, |y_new|)``, the larger of its values at the two
+ends of the step, and a step passes when the RMS of those ratios is at
+most 1.  The step size has no cap.  A step shortened
 to land on a sample does not shrink the next one, which starts from the
 larger of the size proposed before the shortening and the new proposal.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -97,38 +106,68 @@ def _compiled(lines, name, n):
 
 @lru_cache(maxsize=32)     # callers use a few state sizes
 def _attempt(n):
-    """The Dormand-Prince attempt for states of ``n`` components, generated
-    on first use: ``attempt(f, t, y, k1, hs, tol)`` evaluates the six
-    further stages, and returns the 5th-order state, its derivative (FSAL),
-    the RMS of the embedded error estimate scaled by the mixed tolerance
-    and the stage derivatives (k3, k4, k5, k6) that the continuous
-    extension reads besides k1 and k7.  The code is
-    the stage loop written out with literal coefficients and zero terms
-    left out, adding in the loop's order: a stage state is
-    ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs`` rounded once, and
-    an error component is ``(0.0 + e1*k1 + ...) * hs``.  The 5th-order
-    weights are the last stage's, so its state is the result."""
+    """The generic attempt for states of ``n`` components (see
+    :func:`attempt_source`), generated on first use."""
+    return _compiled(attempt_source(n), "attempt", n)
+
+
+def attempt_source(n, fused=None):
+    """The lines of a Dormand-Prince attempt for states of ``n`` components:
+    ``attempt(f, t, y, k1, hs, tol)`` evaluates the six further stages, and
+    returns the 5th-order state, its derivative (FSAL), the RMS of the
+    embedded error estimate scaled by the mixed tolerance and the stage
+    derivatives (k3, k4, k5, k6) that the continuous extension reads
+    besides k1 and k7.  The code is the stage loop written out with literal
+    coefficients and zero terms left out, adding in the loop's order: a
+    stage state is ``y + c1*hs*k1 + c2*hs*k2 + ...`` with each ``c*hs``
+    rounded once, and an error component is ``(0.0 + e1*k1 + ...) * hs``.
+    The 5th-order weights are the last stage's, so its state is the result.
+
+    A stage calls ``f(t + c*hs, state)``, unless ``fused`` writes a
+    generated field into the attempt: ``(time, names, body, value,
+    defaults)``, the names that the field's code reads for t and for each
+    component of y, its lines, the source of each component of its value,
+    and its parameters with defaults, which the attempt takes after its
+    own.  A stage then sets those names to its time (if the code reads it)
+    and state and runs the lines, the same float operations as the call:
+    the attempt equals the generic one over that field, bit for bit, and
+    raises what it raises."""
     assert _B5 == _A[6] + (0.0,)
     idx = range(n)
-    lines = ["def attempt(f, t, y, k1, hs, tol):",
+    if fused:
+        t_name, names, body, value, defaults = fused
+        reads_t = any(re.search(rf"\b{t_name}\b", x) for x in body + value)
+    extra = "".join(f", {d}" for d in defaults) if fused else ""
+    lines = [f"def attempt(f, t, y, k1, hs, tol{extra}):",
              f"    {_tup([f'y{i}' for i in idx])} = y",
              f"    {_tup([f'k1_{i}' for i in idx])} = k1"]
+
+    def stage(s, state):
+        """The lines that set k<s>_<i>, and the tuple k<s> from k3 on, to
+        the field at stage ``s``'s time and ``state``."""
+        time = f"t + {_C[s - 1]!r} * hs"
+        parts = _tup([f"k{s}_{i}" for i in idx])
+        if fused is None:
+            call = f"f({time}, {'y_new' if s == 7 else _tup(state)})"
+            if s == 2:
+                return [f"    {parts} = {call}"]
+            return [f"    k{s} = {call}", f"    {parts} = k{s}"]
+        out = [f"    {name} = {x}" for name, x in zip(names, state)]
+        if reads_t:
+            out.append(f"    {t_name} = {time}")
+        out += [*body, *(f"    k{s}_{i} = {x}" for i, x in enumerate(value))]
+        return out if s == 2 else out + [f"    k{s} = {parts}"]
+
     for s in range(1, 7):
         terms = [(j + 1, c) for j, c in enumerate(_A[s]) if c != 0.0]
         lines += [f"    h{j} = {c!r} * hs" for j, c in terms]
         state = [f"y{i}" + "".join(f" + h{j} * k{j}_{i}" for j, _ in terms)
                  for i in idx]
         if s < 6:
-            call = f"f(t + {_C[s]!r} * hs, {_tup(state)})"
-            parts = _tup([f"k{s + 1}_{i}" for i in idx])
-            if s >= 2:
-                lines += [f"    k{s + 1} = {call}", f"    {parts} = k{s + 1}"]
-            else:
-                lines.append(f"    {parts} = {call}")
+            lines += stage(s + 1, state)
     lines += [f"    n{i} = {x}" for i, x in enumerate(state)]
     lines.append(f"    y_new = {_tup([f'n{i}' for i in idx])}")
-    lines.append(f"    k7 = f(t + {_C[6]!r} * hs, y_new)")
-    lines.append(f"    {_tup([f'k7_{i}' for i in idx])} = k7")
+    lines += stage(7, [f"n{i}" for i in idx])
     for i in idx:
         err = "".join(f" + {c!r} * k{j + 1}_{i}"
                       for j, c in enumerate(_ERR) if c != 0.0)
@@ -139,7 +178,7 @@ def _attempt(n):
     squares = " + ".join(f"q{i} * q{i}" for i in idx)
     lines.append(f"    return y_new, k7, (({squares}) / {n}) ** 0.5, "
                  "(k3, k4, k5, k6)")
-    return _compiled(lines, "attempt", n)
+    return lines
 
 
 @lru_cache(maxsize=32)
@@ -188,6 +227,10 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,
     With ``dense`` the steps land only on ``ts[-1]``, and each sample
     before it is read from the continuous extension of the step that
     passes it (order 4, less accurate than a landed sample).
+
+    A field that carries its own attempt in ``field_fn.attempt`` (a
+    generated surface field does) is stepped by it; any other callable by
+    the generic attempt, which calls it at each stage.
     """
     ts = [float(t) for t in ts]
     if len(ts) < 2 or ts[-1] == ts[0]:
@@ -197,7 +240,7 @@ def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,
         raise ValueError("sample times must be strictly monotone")
 
     y = tuple(float(v) for v in y0)
-    attempt = _attempt(len(y))
+    attempt = getattr(field_fn, "attempt", None) or _attempt(len(y))
     t = ts[0]
     res = OdeResult(ts=[t], ys=[y])
     # a first step below min_step only where the whole span is shorter

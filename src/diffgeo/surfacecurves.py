@@ -17,7 +17,10 @@ order) are exact; the speed, Frenet frame, curvature and torsion come
 from ``curves._CurveJets``.  Surface fields along the curve (the normal,
 metric coefficients) are composed from the pointwise values and first
 partials with the chain rule, in Jet1 arithmetic recorded once as float
-code (``expr.jet_program``).
+code (``expr.jet_program``).  The geodesic and parallel-transport
+equations are surface programs over one tangent projection (``_accel``),
+and each carries the Dormand-Prince attempt that ``ode_solve`` steps it
+with, its lines written into every stage.
 """
 
 import math
@@ -34,8 +37,8 @@ from .interpolate import HermiteChannel, taylor_kernel
 from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
-from .surfaces import (_metric_dot, _metric_terms, _metric_unit,
-                       _normal_curvature, _overflow, _point, metric_and_gamma,
+from .surfaces import (_metric_dot, _metric_unit, _normal_curvature,
+                       _overflow, _point, _regular, metric_and_gamma,
                        total_curvature)
 from .vectors import Vec3
 
@@ -313,15 +316,32 @@ class GeodesicPath:
                             (self.s[0], self.s[-1]))
 
 
+def _accel(rec, u, v, X, Y):
+    """-Gamma^k_ij X^i Y^j (k = 1, 2) at the regular point (u, v), recorded
+    into a surface program (``rec``, see ``ParametricSurface.program``) by
+    tangent projection (do Carmo, *Differential Geometry of Curves and
+    Surfaces*, 4-3): with w = r_ij X^i Y^j, Gamma^k_ij X^i Y^j is
+    g^kl <r_l, w>, so one 3-vector, two dot products and the 2x2 solve by
+    the inverse metric, from the order-2 kernel triples alone."""
+    ru, rv, ruu, ruv, rvv = (Vec3(*r)
+                             for r in rec.kernel(u, v, _overflow)[1:])
+    E, F, G = ru.dot(ru), ru.dot(rv), rv.dot(rv)
+    a = E * G - F * F
+    _regular(rec, a, E + G, u, v)
+    w = (ruu * (X[0] * Y[0]) + ruv * (X[0] * Y[1] + X[1] * Y[0])
+         + rvv * (X[1] * Y[1]))
+    p, q = ru.dot(w), rv.dot(w)
+    inv_a = 1.0 / a
+    return (F * q - G * p) * inv_a, (F * p - E * q) * inv_a
+
+
 def _geodesic(rec, s, y):
     """The geodesic equations as the first-order field
-    (s, (u, v, u', v')) -> (u', v', u'', v''), recorded into one program
-    per surface template (``ParametricSurface.program``)."""
+    (s, (u, v, u', v')) -> (u', v', u'', v''), with
+    (u'', v'') = -Gamma(X, X) for X = (u', v'), recorded into one program
+    per surface template that carries its fused attempt."""
     u, v, du, dv = y
-    g = _metric_terms(rec, u, v)[4]
-    ddu = -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv)
-    ddv = -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv)
-    return du, dv, ddu, ddv
+    return (du, dv, *_accel(rec, u, v, (du, dv), (du, dv)))
 
 
 def _geodesic_rhs(surface):
@@ -573,24 +593,18 @@ class TransportState:
         return [a - base for a in self.frame_angles]
 
 
-def _transport(rec, u, v, du, dv, A1, A2):
-    """The transport equations' field (u, v, u', v', A1, A2) -> dA/dt,
-    recorded into one program per surface template."""
-    g = _metric_terms(rec, u, v)[4]
-    dA1 = -(g[0] * du * A1 + g[2] * (du * A2 + dv * A1) + g[4] * dv * A2)
-    dA2 = -(g[1] * du * A1 + g[3] * (du * A2 + dv * A1) + g[5] * dv * A2)
-    return dA1, dA2
+def _transport(rec, t, A):
+    """The transport equations' field (t, A) -> dA/dt = -Gamma(X, A) along
+    the curve that ``rec.curve`` reads, X its velocity (u', v'): one
+    program per surface template that carries its fused attempt, the
+    curve's kernel called first at each stage."""
+    (u, v), velocity = rec.curve(t)
+    return _accel(rec, u, v, velocity, A)
 
 
 def _transport_rhs(sc):
     """The transport equations along ``sc``: (t, A) -> dA/dt."""
-    field, kernel = sc.surface.program(_transport, (1,) * 6), sc.kernel
-
-    def rhs(t, y):
-        (u, v), (du, dv) = kernel(t)[:2]
-        return field(u, v, du, dv, y[0], y[1])
-
-    return rhs
+    return sc.surface.program(_transport, (1, 2), sc.kernel)
 
 
 def _frame_components(md, A):

@@ -13,11 +13,15 @@ the Jet2 arithmetic; every such value is read from one point bundle,
 ``_SurfacePoint``.
 The solvers' inner loops read no bundle.  Each is one program generated
 per surface template (``ParametricSurface.program``), the kernel's lines
-followed by the consumer's: ``_metric_terms`` (E, F, G, a and the
-Christoffel formula ``_christoffel2`` that ``_geometry`` uses over jets)
-under the geodesic and transport fields and ``metric_and_gamma``, and
-``_geometry``'s metric and normal programs under the ``surface_area`` and
-``total_curvature`` integrands, which equal the bundle's values.
+followed by the consumer's: the tangent projection of
+``surfacecurves._accel`` under the geodesic and transport fields,
+``_metric_terms`` (E, F, G, a and the Christoffel formula
+``_christoffel2`` that ``_geometry`` uses over jets) under
+``metric_and_gamma``, and ``_geometry``'s metric and normal programs under
+the ``surface_area`` and ``total_curvature`` integrands, which equal the
+bundle's values.  A program's regularity checks are comparisons written
+into it (``_regular``); only a point that fails one calls
+``_check_regular``, which raises.
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.  A point is
 singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
@@ -116,14 +120,17 @@ class ParametricSurface:
         return lambda rows: _jet_triples(evaluator, *(Jet1(*c)
                                                       for c in zip(*rows)))
 
-    def program(self, formulas, sizes):
+    def program(self, formulas, sizes, curve=None):
         """``formulas`` over this surface's kernel as one generated
         function of arguments of ``sizes`` (``expr.surface_program``),
-        made on first use."""
-        fn = self._programs.get(formulas)
+        made on first use.  Formulas that read a curve are bound to the
+        curve kernel ``curve`` on each call, and not kept."""
+        fn = self._programs.get(formulas) if curve is None else None
         if fn is None:
-            fn = self._programs[formulas] = surface_program(
-                formulas, sizes, self.definition, lambda: self.kernel)
+            fn = surface_program(formulas, sizes, self.definition,
+                                 lambda: self.kernel, curve)
+            if curve is None:
+                self._programs[formulas] = fn
         return fn
 
     def eval(self, u, v):
@@ -359,6 +366,14 @@ def _check_regular(a, trace, u, v):
         raise SingularSurfacePoint(u, v)
 
 
+def _regular(rec, a, trace, u, v):
+    """``_check_regular(a, trace, u, v)`` recorded into a surface program
+    behind its fast path: the call, which raises, is made only where a is
+    not both finite and above (EPS_REG * trace)^2."""
+    eps = EPS_REG * trace
+    rec.check(_check_regular, a, trace, u, v, floor=eps * eps)
+
+
 def _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a):
     """Second-kind Christoffel symbols from the metric, its first partials
     and a = EG - F^2, in the order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2).
@@ -402,7 +417,7 @@ def _metric_terms(rec, u, v):
     F = xu * xv + yu * yv + zu * zv
     G = xv * xv + yv * yv + zv * zv
     a = E * G - F * F
-    rec.check(_check_regular, a, E + G, u, v)
+    _regular(rec, a, E + G, u, v)
     Eu = 2.0 * (xu * xuu + yu * yuu + zu * zuu)
     Ev = 2.0 * (xu * xuv + yu * yuv + zu * zuv)
     Fu = (xuu * xv + yuu * yv + zuu * zv) + (xu * xuv + yu * yuv + zu * zuv)
@@ -417,8 +432,8 @@ def _normal_terms(rec, u, v):
     them: the _METRIC program, its two regularity checks, then _NORMAL."""
     k = rec.kernel(u, v, _overflow)
     E, F, G, a, cross_sq = rec.tape(_geometry, _METRIC, k)
-    rec.check(_check_regular, cross_sq, E + G, u, v)
-    rec.check(_check_regular, a, E + G, u, v)
+    _regular(rec, cross_sq, E + G, u, v)
+    _regular(rec, a, E + G, u, v)
     sqrt_a, _, _, _, e, f, g = rec.tape(_geometry, _NORMAL, k)
     return sqrt_a, e, f, g
 

@@ -13,7 +13,7 @@ from diffgeo.curves import _coefficients, _CurveJets
 from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
 from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1
-from diffgeo.surfacecurves import _geodesic_rhs, _split, _transport
+from diffgeo.surfacecurves import _geodesic_rhs, _split
 from diffgeo.surfaces import (MetricData, _check_regular, _christoffel2,
                               _metric_dot, _metric_unit, _normal_curvature,
                               _overflow, _point, _SurfacePoint)
@@ -46,23 +46,40 @@ def metric_and_gamma(surface, u, v):
     return MetricData(*metric_gamma(surface.kernel, float(u), float(v)))
 
 
+def accel(kernel, u, v, X, Y):
+    """-Gamma^k_ij X^i Y^j by tangent projection: w = r_ij X^i Y^j, then
+    the inverse metric times (<r_u, w>, <r_v, w>), from one call of an
+    order-2 ``kernel``."""
+    try:
+        _, ru, rv, ruu, ruv, rvv = kernel(u, v)
+    except OverflowError:
+        raise _overflow(u, v) from None
+    E = ru[0] * ru[0] + ru[1] * ru[1] + ru[2] * ru[2]
+    F = ru[0] * rv[0] + ru[1] * rv[1] + ru[2] * rv[2]
+    G = rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2]
+    a = E * G - F * F
+    _check_regular(a, E + G, u, v)
+    c11 = X[0] * Y[0]
+    c12 = X[0] * Y[1] + X[1] * Y[0]
+    c22 = X[1] * Y[1]
+    w = [p * c11 + q * c12 + r * c22 for p, q, r in zip(ruu, ruv, rvv)]
+    p = ru[0] * w[0] + ru[1] * w[1] + ru[2] * w[2]
+    q = rv[0] * w[0] + rv[1] * w[1] + rv[2] * w[2]
+    inv_a = 1.0 / a
+    return ((F * q - G * p) * inv_a, (F * p - E * q) * inv_a)
+
+
 def geodesic_field(surface):
     def rhs(s, y):
         u, v, du, dv = y
-        g = metric_gamma(surface.kernel, u, v)[4]
-        ddu = -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv)
-        ddv = -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv)
-        return (du, dv, ddu, ddv)
+        return (du, dv, *accel(surface.kernel, u, v, (du, dv), (du, dv)))
 
     return rhs
 
 
 def transport_field(surface):
     def field(u, v, du, dv, A1, A2):
-        g = metric_gamma(surface.kernel, u, v)[4]
-        dA1 = -(g[0] * du * A1 + g[2] * (du * A2 + dv * A1) + g[4] * dv * A2)
-        dA2 = -(g[1] * du * A1 + g[3] * (du * A2 + dv * A1) + g[5] * dv * A2)
-        return (dA1, dA2)
+        return accel(surface.kernel, u, v, (du, dv), (A1, A2))
 
     return field
 
@@ -244,7 +261,7 @@ def bonnet_torsion_check(sc, t):
 
 
 def transport_rhs(sc):
-    field = sc.surface.program(_transport, (1,) * 6)
+    field = transport_field(sc.surface)
 
     def rhs(t, y):
         uj, vj = sc.uv_jets(t)

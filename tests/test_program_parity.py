@@ -1,7 +1,12 @@
 """The generated surface programs (the geodesic and transport fields, the
 metric and Christoffel values, the area and total-curvature integrands)
-equal the plain Python chain they replace, kept in ``reference``, by
-``repr``, and raise what it raises, with the same message."""
+equal the plain Python formulas kept in ``reference`` by ``repr``, and
+raise what they raise, with the same message: the fields' tangent
+projection, the metric and its one Christoffel formula, and the point
+bundle's area element and K sqrt(a).  Each field's fused Dormand-Prince
+attempt equals the generic attempt over the same program by ``repr``,
+errors included, so that a solve gives the same bits whether the field's
+lines are written into the attempt or called at each stage."""
 
 import math
 import os
@@ -13,8 +18,9 @@ import zlib
 import pytest
 
 import reference
-from diffgeo import catalog, expr, jets
-from diffgeo.surfacecurves import _geodesic, _transport
+from diffgeo import catalog, expr, jets, ode
+from diffgeo.surfacecurves import (SurfaceCurve, _geodesic, _geodesic_rhs,
+                                   _transport, _transport_rhs)
 from diffgeo.surfaces import (ParametricSurface, _area_element,
                               _curvature_element, metric_and_gamma)
 from diffgeo.vectors import Vec3
@@ -63,7 +69,6 @@ def _pairs(shape):
     """(generated, reference) pairs of functions of (u, v, w), w four
     floats: a velocity, or a velocity and a vector."""
     geodesic = shape.program(_geodesic, (1, 4))
-    transport = shape.program(_transport, (1,) * 6)
     area = shape.program(_area_element, (1, 1))
     curvature = shape.program(_curvature_element, (1, 1))
     ref_geodesic = reference.geodesic_field(shape)
@@ -75,12 +80,19 @@ def _pairs(shape):
          lambda u, v, w: reference.metric_and_gamma(shape, u, v)),
         (lambda u, v, w: geodesic(0.5, (u, v, w[0], w[1])),
          lambda u, v, w: ref_geodesic(0.5, (u, v, w[0], w[1]))),
-        (lambda u, v, w: transport(u, v, *w),
+        (lambda u, v, w: _transport_at(shape, u, v, w[:2])(0.5, w[2:]),
          lambda u, v, w: ref_transport(u, v, *w)),
         (lambda u, v, w: area(u, v), lambda u, v, w: ref_area(u, v)),
         (lambda u, v, w: curvature(u, v),
          lambda u, v, w: ref_curvature(u, v)),
     )
+
+
+def _transport_at(shape, u, v, velocity):
+    """The transport field along a curve whose kernel gives (u, v) and
+    ``velocity`` at every t."""
+    return shape.program(_transport, (1, 2),
+                         lambda t: ((u, v), tuple(velocity)))
 
 
 def _compare(shape, points, seed):
@@ -181,3 +193,86 @@ def test_nothing_generated_at_import_make_or_eval():
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+# --------------------------------------------------------------------------
+# the fused Dormand-Prince attempts
+# --------------------------------------------------------------------------
+
+def _attempts_agree(field, t, y, k1, hs):
+    """The field's fused attempt, given no field to call, and the generic
+    one over the same program give the same outcome; returns it."""
+    got = _outcome(field.attempt, None, t, y, k1, hs, 1e-10)
+    assert got == _outcome(ode._attempt(len(y)), field, t, y, k1, hs,
+                           1e-10), (t, y, k1, hs)
+    return got
+
+
+FUSED = [(name, lambda name=name: catalog.make(name), None)
+         for name in SURFACE_NAMES] + [
+    ("bowl", lambda: BOWL, (0.5, 2.0, -3.0, 3.0)),
+    ("deferring", lambda: catalog.build(expr.load_definition(DEFERRING)),
+     (-1.0, 1.0, -1.0, 1.0))]
+
+
+@pytest.mark.parametrize("name, make, rect", FUSED, ids=[f[0] for f in FUSED])
+def test_fused_attempts_equal_the_generic_attempt(name, make, rect):
+    shape = make()
+    rng = random.Random(zlib.crc32(b"fused " + name.encode()))
+    if rect is None:
+        points = surface_samples(name, shape, rng, 25)
+    else:
+        points = [(rng.uniform(*rect[:2]), rng.uniform(*rect[2:]))
+                  for _ in range(25)]
+    geodesic = _geodesic_rhs(shape)
+    values = 0
+    for u, v in points:
+        d = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        bend = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        transport = _transport_rhs(SurfaceCurve.quadratic(shape, (u, v), d,
+                                                          bend, (-1.0, 1.0)))
+        for field, y in ((geodesic, (u, v) + d),
+                         (transport, (rng.uniform(-2.0, 2.0),
+                                      rng.uniform(-2.0, 2.0)))):
+            k1 = tuple(rng.uniform(-1.0, 1.0) for _ in y)
+            hs = rng.choice((1e-3, 0.05, 0.3, 1.0)) * rng.choice((1.0, -1.0))
+            values += isinstance(_attempts_agree(field, 0.0, y, k1, hs), str)
+    assert values >= 40
+
+
+@pytest.mark.parametrize("shape, point, error", [
+    (catalog.make("cone"), (0.0, 1.0), "SingularSurfacePoint"),
+    (catalog.make("sphere"), (0.3, math.pi / 2), "SingularSurfacePoint"),
+    (catalog.make("monge", f="exp(1000*u)"), (0.8, 0.2), "OverflowError"),
+], ids=["cone-apex", "pole", "jets-overflow"])
+def test_fused_attempt_errors(shape, point, error):
+    # from 0.2 short of ``point`` in u and v, moving at (1, 1): with hs = 1
+    # the second stage, at t + hs/5, lands on it to the last bit or so
+    start = (point[0] - 0.2, point[1] - 0.2)
+    stage = tuple(x + 0.2 * 1.0 * 1.0 for x in start)   # y + (hs/5) * k1
+    transport = _transport_rhs(SurfaceCurve(
+        shape, lambda t: ((start[0] + t, start[1] + t), (1.0, 1.0)),
+        (0.0, 1.0)))
+    for field, y, k1 in (
+            (_geodesic_rhs(shape), start + (1.0, 1.0), (1.0, 1.0, 0.0, 0.0)),
+            (transport, (0.4, -0.3), (0.0, 0.0))):
+        got = _attempts_agree(field, 0.0, y, k1, 1.0)
+        assert got[0].__name__ == error
+        assert f"(u, v)=({stage[0]!r}, {stage[1]!r})" in got[1]
+
+
+def test_fused_attempt_errors_at_later_stages():
+    # steps of growing size from a regular point of exp(1000*u) raise at
+    # later stages: singular points (E + G outgrows a), then overflows of
+    # the metric (the fast path's branch) and of the kernel (the guard)
+    field = _geodesic_rhs(catalog.make("monge", f="exp(1000*u)"))
+    y = (0.0, 0.0, 1.0, 0.5)
+    raised = {}
+    for hs in (1e-3 * 1.3 ** k for k in range(30)):
+        got = _attempts_agree(field, 0.0, y, field(0.0, y), hs)
+        if isinstance(got, tuple):
+            raised.setdefault(got[1].split(" at ")[0], set()).add(got[1])
+    assert sorted(raised) == ["surface is singular",
+                              "surface jets overflow",
+                              "surface metric overflows"]
+    assert len(set().union(*raised.values())) >= 10

@@ -905,7 +905,7 @@ class TestPinnedWork:
         work = self.count_work(monkeypatch)
         path = geodesic_bvp(TORUS, (0, 0), (2, 1))
         assert work == {"solves": 36, "steps": 1616, "calls": 10302}
-        assert path.length == 6.033013228632926
+        assert path.length == 6.033013228632915
 
     def test_parallel_transport(self, monkeypatch):
         work = self.count_work(monkeypatch)

@@ -20,7 +20,8 @@ from diffgeo.surfaces import (_N_POINTS, ParametricSurface, _SurfacePoint,
                               metric_and_gamma, riemann_R1212,
                               sin_angle_between, surface_area, surface_frame,
                               total_curvature)
-from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs, jet_kernel,
+from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs,
+                                   _transport_rhs, jet_kernel,
                                    bonnet_torsion_check,
                                    curvature_split, liouville_check,
                                    principal_direction_field)
@@ -503,18 +504,27 @@ class TestMetricFastPath:
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_gamma_field_equals_metric_and_gamma(self, name):
-        # the geodesic field's program and metric_and_gamma's read the same
-        # Christoffel values
+        # the fields' tangent projection and metric_and_gamma's Christoffel
+        # formula are two roundings of -Gamma(X, Y): they agree to 1e-14
+        # relative to max(1, |value|) (the worst seen is about 1e-15)
         shape = catalog.make(name)
-        field = _geodesic_rhs(shape)
+        geodesic = _geodesic_rhs(shape)
         rng = random.Random(zlib.crc32(b"gamma field " + name.encode()))
         for u, v in surface_samples(name, shape, rng, 40):
-            du, dv = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            du, dv, A1, A2 = (rng.uniform(-1.0, 1.0) for _ in range(4))
+            transport = _transport_rhs(SurfaceCurve(
+                shape, lambda t: ((u, v), (du, dv)), (0.0, 1.0)))
             g = metric_and_gamma(shape, u, v).gamma2
-            want = (du, dv,
-                    -(g[0] * du * du + 2.0 * g[2] * du * dv + g[4] * dv * dv),
-                    -(g[1] * du * du + 2.0 * g[3] * du * dv + g[5] * dv * dv))
-            assert repr(field(0.0, (u, v, du, dv))) == repr(want)
+            for got, (X, Y) in (
+                    (geodesic(0.0, (u, v, du, dv))[2:], ((du, dv), (du, dv))),
+                    (transport(0.0, (A1, A2)), ((du, dv), (A1, A2)))):
+                c11, c22 = X[0] * Y[0], X[1] * Y[1]
+                c12 = X[0] * Y[1] + X[1] * Y[0]
+                want = (-(g[0] * c11 + g[2] * c12 + g[4] * c22),
+                        -(g[1] * c11 + g[3] * c12 + g[5] * c22))
+                for x, ref in zip(got, want):
+                    assert abs(x - ref) <= 1e-14 * max(1.0, abs(ref)), \
+                        (u, v, X, Y)
 
     @pytest.mark.parametrize("shape, point, error", [
         (catalog.make("cone"), (0.0, 1.0), SingularSurfacePoint),
