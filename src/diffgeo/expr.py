@@ -44,6 +44,8 @@ prologues: the kernel's own lines, or, for a surface built from a callable
 or a template whose kernel defers to its fallback, one call of the kernel;
 an ODE field's program carries its Dormand-Prince attempt, with the
 program's lines written into each stage.
+A parsed definition is immutable and :func:`load_definition` shares it
+per text, so a text is parsed once however many shapes are built from it.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
 for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
 kind of file name the line at fault; an undeclared name and a call of
@@ -56,7 +58,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import FunctionType
+from types import FunctionType, MappingProxyType
 
 from . import jets
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
@@ -473,15 +475,8 @@ def position_kernel(definition, fallback, order=2, jets=False):
     surface curve's kernel returns them, and gives the Jet1 coefficients
     of ``definition.eval`` at those jets, the composite r(u(t), v(t));
     ``fallback(rows)`` gives them from one jet evaluation."""
-    kernel = _kernel_binder(*_template(definition), order, jets)
+    kernel = _kernel_binder(*definition._template, order, jets)
     return _bind(kernel, fallback, *definition.constants.values())
-
-
-def _template(definition):
-    """What generated code depends on: the component programs, the
-    parameter and the constant names."""
-    return (tuple(map(_postfix, definition.components)),
-            tuple(definition.params), tuple(definition.constants))
 
 
 def _bind(fn, *defaults):
@@ -1056,7 +1051,7 @@ def surface_program(formulas, sizes, definition, kernel, curve=None):
     A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
     ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
     made = definition is not None and _program_binder(
-        formulas, sizes, *_template(definition))
+        formulas, sizes, *definition._template)
     if made:
         bound = tuple(definition.constants.values())
     else:
@@ -1244,6 +1239,12 @@ class ShapeDefinition:
     ``kind`` is 'curve', 'surface' or 'surfacecurve'; ``params`` maps each
     parameter name to its closed domain interval; ``components`` holds the
     Expr trees in output order (x,y,z -- or u,v for surface curves).
+
+    A definition is immutable: ``params`` and ``constants`` are read-only
+    views of copies, so one parsed definition is shared by every shape
+    built from its text (``load_definition`` parses each text once).  What
+    it caches (its template, order-0 kernel and surface scales) is derived
+    from it alone.
     """
 
     kind: str
@@ -1252,6 +1253,23 @@ class ShapeDefinition:
     constants: dict
     components: tuple
     component_names: tuple
+
+    def __post_init__(self):
+        for attr in ("params", "constants"):
+            object.__setattr__(self, attr,
+                               MappingProxyType(dict(getattr(self, attr))))
+
+    @cached_property
+    def _template(self):
+        """What generated code depends on: the component programs, the
+        parameter and the constant names."""
+        return (tuple(map(_postfix, self.components)), tuple(self.params),
+                tuple(self.constants))
+
+    @cached_property
+    def _scales(self):
+        """domain -> ``ParametricSurface.scale`` of this surface there."""
+        return {}
 
     @cached_property
     def _kernel(self):
@@ -1312,9 +1330,12 @@ def _at_line(lineno):
         raise
 
 
+@lru_cache(maxsize=128)
 def load_definition(text):
     """Parse definition-file text into a validated ShapeDefinition, or a
-    LoopDefinition for a 'loop' file.  Errors name the line at fault."""
+    LoopDefinition for a 'loop' file.  Errors name the line at fault.
+    Each text is parsed once (errors are raised afresh): the definition is
+    immutable and shared by every caller."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

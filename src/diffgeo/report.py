@@ -1,7 +1,10 @@
 """Deterministic report serialization for the CLI.
 
-JSON output is rendered by a small writer with pinned float formatting
-(17 significant digits, lowercase exponent) and insertion-ordered keys, so
+JSON output is rendered by a small writer with insertion-ordered keys and
+one pinned float rule, which CSV cells share (``format_float``): an
+integral value below 1e16 in magnitude prints as ``repr`` does (``2.0``,
+``-0.0``), any other finite value as ``"%.17g"`` (17 significant digits,
+lowercase exponent), and NaN or an infinity raises ValueError.  So
 identical invocations produce byte-identical files.  Wall-clock timing is
 deliberately kept out of the JSON payload for the same reason; it goes to
 stderr instead.  Files are written to a temp name and atomically renamed.
@@ -18,11 +21,11 @@ SCHEMA = "diffgeo-report/1"
 
 def format_float(x):
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and -1e16 < x < 1e16:
         return repr(x)  # keeps the trailing .0
-    return format(x, ".17g")
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return "%.17g" % x
 
 
 def _string(text):

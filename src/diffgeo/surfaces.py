@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import SingularSurfacePoint, ZeroVector
+from .errors import DiffGeoError, SingularSurfacePoint, ZeroVector
 from .expr import position_kernel, surface_program, taped
 from .jets import Jet1, Jet2
 from .quadrature import QuadSpec, quad2d
@@ -72,7 +72,6 @@ class ParametricSurface:
         self.domain = tuple(float(x) for x in domain)  # (u0, u1, v0, v1)
         self.periodic = periodic
         self.definition = definition
-        self._scale = None
         self._points = {}   # _point's store: key -> bundle, oldest first
         self._programs = {}
 
@@ -139,11 +138,13 @@ class ParametricSurface:
             v = Jet2.variable_v(v)
         return self.evaluator(u, v)
 
-    @property
+    @cached_property
     def scale(self):
         """Length scale: the ``_spread`` of r on a 4x4 probe grid, points
-        that raise left out.  Cached."""
-        if self._scale is None:
+        where the kernel raises as at a bad point left out.  A definition
+        surface's is kept on the definition per domain."""
+        known = {} if self.definition is None else self.definition._scales
+        if self.domain not in known:
             u0, u1, v0, v1 = self.domain
             probes = []
             for i in range(4):
@@ -152,10 +153,10 @@ class ParametricSurface:
                     v = v0 + (v1 - v0) * (j + 0.5) / 4.0
                     try:
                         probes.append(self.kernel(u, v)[0])
-                    except Exception:
+                    except (DiffGeoError, ArithmeticError, ValueError):
                         continue
-            self._scale = _spread(probes)
-        return self._scale
+            known[self.domain] = _spread(probes)
+        return known[self.domain]
 
     def contains(self, u, v):
         u0, u1, v0, v1 = self.domain

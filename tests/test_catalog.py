@@ -7,12 +7,13 @@ import zlib
 
 import pytest
 
-from diffgeo import catalog
+from diffgeo import catalog, expr
 from diffgeo.curves import frenet
 from diffgeo.errors import (InvalidParameter, NoReference,
                             SingularSurfacePoint, UnknownShape)
 from diffgeo.ode import ode_solve
 from diffgeo.surfaces import curvatures, surface_frame
+from diffgeo.vectors import _spread
 
 from conftest import surface_samples
 
@@ -46,6 +47,32 @@ class TestRegistry:
     def test_no_reference(self):
         with pytest.raises(NoReference):
             catalog.reference("enneper", quantity="tau", point=(0, 0))
+
+
+class TestSharedDefinitions:
+    """Jobs share one parsed definition per text; each builds its own
+    surface, whose point bundles and programs no other job reads."""
+
+    def test_surfaces_stay_per_job(self):
+        first, second = catalog.make("torus"), catalog.make("torus")
+        assert first.definition is second.definition
+        assert first is not second
+        assert first._points is not second._points
+        assert first._programs is not second._programs
+        curvatures(first, 0.3, 0.4)
+        assert first._points and not second._points
+        u0, u1, v0, v1 = second.domain
+        probes = [second.kernel(u0 + (u1 - u0) * (i + 0.5) / 4.0,
+                                v0 + (v1 - v0) * (j + 0.5) / 4.0)[0]
+                  for i in range(4) for j in range(4)]
+        assert repr(first.scale) == repr(second.scale) == repr(
+            _spread(probes))
+
+    def test_parse_cache_is_bounded(self):
+        for k in range(300):
+            catalog.make("torus", R=2.0 + k / 64.0)
+        info = expr.load_definition.cache_info()
+        assert 0 < info.currsize == info.maxsize
 
 
 class TestReferenceAgreement:

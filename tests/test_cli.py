@@ -4,6 +4,10 @@ deterministic artifacts."""
 import json
 import math
 import os
+import random
+import re
+import sys
+import zlib
 
 import pytest
 
@@ -830,6 +834,16 @@ class TestMalformedInput:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _format_float_reference(x):
+    """The float rule as first written, kept to pin format_float's bytes."""
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    if x == int(x) and abs(x) < 1e16:
+        return repr(x)  # keeps the trailing .0
+    return format(x, ".17g")
+
+
 class TestReportFormat:
     def test_float_formatting(self):
         assert format_float(0.25) == "0.25"
@@ -838,6 +852,25 @@ class TestReportFormat:
         assert "e" in format_float(1.5e-20)
         with pytest.raises(ValueError):
             format_float(float("nan"))
+
+    def test_float_formatting_matches_reference(self):
+        rng = random.Random(zlib.crc32(b"format_float"))
+        values = []
+        for _ in range(20000):
+            exponent = rng.randint(-324, 308)
+            mantissa = rng.uniform(1.0, 1.79 if exponent == 308 else 10.0)
+            values.append(float(f"{rng.choice('+-')}{mantissa!r}e{exponent}"))
+        values += [0.0, -0.0, 5e-324, sys.float_info.max, sys.float_info.min,
+                   2.0 ** 53, 1e16 - 2, 1e16, -1e16, 1e17]
+        values += [float(k) for k in range(-1000, 1001)]
+        for x in values:
+            assert format_float(x) == _format_float_reference(x), repr(x)
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError) as want:
+                _format_float_reference(x)
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(want.value))}$"):
+                format_float(x)
 
     def test_json_escaping_and_order(self):
         s = dump_json({"b": 1, "a": [True, None, "x\"y"]})

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import os
 import pickle
 import random
 import re
@@ -11,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from diffgeo import catalog
+from diffgeo import catalog, cli
 from diffgeo.curves import jet_kernel
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier)
@@ -23,6 +24,9 @@ from diffgeo.jets import Jet1, Jet2
 from conftest import (EVAL_SAFE, fd_derivative, random_tree, reference_eval,
                       surface_samples)
 from test_cli_fuzz import NUMBERS
+
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                      "inputs")
 
 HELIX_TEXT = """
 # a circular helix
@@ -269,9 +273,44 @@ class TestDefinitionErrors:
             "no-region", "unknown-function", "call-const", "call-param",
             "call-pi"])
     def test_message_names_the_line(self, text, message):
-        with pytest.raises(DiffGeoError) as exc:
-            load_definition(text)
-        assert str(exc.value).startswith(message)
+        raised = []
+        for _ in range(2):      # errors are not cached: each call raises anew
+            with pytest.raises(DiffGeoError) as exc:
+                load_definition(text)
+            assert str(exc.value).startswith(message)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+
+
+class TestSharedDefinitions:
+    """load_definition parses each text once and shares the definition,
+    which is read-only."""
+
+    def test_one_parse_per_text(self):
+        assert load_definition(HELIX_TEXT) is load_definition(HELIX_TEXT)
+
+    @pytest.mark.parametrize("source", ["catalog", "file", "loop-arc"])
+    def test_read_only(self, source):
+        if source == "catalog":
+            definition = catalog.make("torus").definition
+        elif source == "file":
+            definition = cli._read_definition(os.path.join(INPUTS,
+                                                           "saddle.ps"))
+        else:
+            (definition,) = cli._read_definition(
+                os.path.join(INPUTS, "hemisphere.loop")).arcs
+        before = dict(definition.params), dict(definition.constants)
+        for mapping in (definition.params, definition.constants):
+            with pytest.raises(TypeError):
+                mapping["R"] = 2.0
+        assert (definition.params, definition.constants) == before
+
+    def test_keeps_a_copy(self):
+        consts = {"a": 3.0}
+        definition = replace(load_definition(HELIX_TEXT), constants=consts)
+        consts["a"] = 4.0
+        assert definition.constants == {"a": 3.0}
+        assert load_definition(HELIX_TEXT).constants == {"a": 1.0, "b": 0.5}
 
 
 class TestJetEvaluationVsFiniteDifferences:
@@ -331,7 +370,8 @@ def _surface(text, **consts):
     whose error the kernels must still raise where they run."""
     head, z = text.rsplit("\nz = ", 1)
     definition = load_definition(head + "\nz = 0\n")
-    definition.constants.update(consts)
+    definition = replace(definition,
+                         constants={**definition.constants, **consts})
     return catalog.build(replace(definition, components=(
         *definition.components[:2], parse_text(z))))
 
@@ -449,7 +489,8 @@ def _curve(text, **consts):
     parsed on its own (see _surface)."""
     head, z = text.rsplit("\nz = ", 1)
     definition = load_definition(head + "\nz = 0\n")
-    definition.constants.update(consts)
+    definition = replace(definition,
+                         constants={**definition.constants, **consts})
     return catalog.build(replace(definition, components=(
         *definition.components[:2], parse_text(z))))
 
@@ -617,7 +658,8 @@ class TestOrderZero:
                                   "c=0"])
     def test_every_construct(self, consts):
         definition = load_definition(EVERYTHING)
-        definition.constants.update(consts)
+        definition = replace(definition,
+                             constants={**definition.constants, **consts})
         rng = random.Random(zlib.crc32(b"order 0 everything"))
         points = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
                   for _ in range(5)]

@@ -86,12 +86,13 @@ CASES = {
 }
 
 
-def run_case(name, out_path):
-    """Run one case writing its report to ``out_path``; returns the exit code."""
+def run_case(name, out_path, *extra):
+    """Run one case writing its report to ``out_path``, with the options
+    ``extra`` added; returns the exit code."""
     _, argv = CASES[name]
     argv = [os.path.join(INPUTS, a[1:]) if a.startswith("@") else a
             for a in argv]
-    return main(argv + ["--json", out_path])
+    return main(argv + ["--json", out_path, *extra])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -101,6 +102,28 @@ def test_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_jobs_share_no_state(tmp_path, capsys):
+    # jobs in one interpreter share parsed definitions: each case, run
+    # after every other case in one order and then in the other, writes
+    # its golden JSON both times and the same CSV (which has no golden)
+    names = sorted(CASES)
+    csvs = {}
+    for order in (names, names[::-1]):
+        for name in order:
+            out, csv = tmp_path / (name + ".json"), tmp_path / (name + ".csv")
+            extra = (("--csv", str(csv)) if CASES[name][1][0] in (
+                "geodesic", "transport", "reconstruct") else ())
+            assert run_case(name, str(out), *extra) == CASES[name][0], name
+            capsys.readouterr()
+            with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
+                assert out.read_bytes() == fh.read(), name
+            if extra:
+                csvs.setdefault(name, []).append(csv.read_bytes())
+    assert len(csvs) == 9
+    for name, (forward, backward) in csvs.items():
+        assert forward == backward, name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -120,6 +120,27 @@ class TestFrame:
                     continue
         assert shape.scale == _spread(probes)
 
+    @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError,
+                                       RuntimeError])
+    def test_scale_leaves_out_bad_points_only(self, fault):
+        # a probe raising as at a bad point is left out of the scale; any
+        # other exception is a bug in the evaluator, and propagates
+        def evaluator(u, v):
+            if u.value < 0.7 and v.value < -2.0:    # the first probe only
+                raise fault("probe (0, 0)")
+            return BOWL.evaluator(u, v)
+
+        shape = ParametricSurface(evaluator, BOWL.domain)
+        if fault is RuntimeError:
+            with pytest.raises(RuntimeError, match="probe"):
+                shape.scale
+            return
+        u0, u1, v0, v1 = shape.domain
+        probes = [BOWL.kernel(u0 + (u1 - u0) * (i + 0.5) / 4,
+                              v0 + (v1 - v0) * (j + 0.5) / 4)[0]
+                  for i in range(4) for j in range(4) if i or j]
+        assert shape.scale == _spread(probes)
+
     @pytest.mark.parametrize("kernel", ["generated", "jet2"])
     def test_overflow_names_the_point(self, kernel):
         # regular at order 2; Jet2._compose's u ** 3 overflows on the
