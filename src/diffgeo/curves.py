@@ -29,7 +29,7 @@ from .expr import position_kernel, taped
 from .interpolate import HermiteChannel, taylor_kernel
 from .jets import Jet1, compose1
 from .ode import OdeSpec, linspace, ode_solve
-from .quadrature import QuadSpec, quad_adaptive
+from .quadrature import QuadSpec, _sum, quad_adaptive
 from .vectors import Vec3, _spread
 
 __all__ = [
@@ -461,8 +461,8 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
     max_tau = max((abs(x) for x in taus), default=0.0)
     rsd = 0.0
     if ratios:
-        mean = sum(ratios) / len(ratios)
-        var = sum((x - mean) ** 2 for x in ratios) / len(ratios)
+        mean = _sum(ratios) / len(ratios)
+        var = _sum((x - mean) ** 2 for x in ratios) / len(ratios)
         rsd = math.sqrt(var) / abs(mean) if mean != 0.0 else float("inf")
 
     if max_kappa <= tol / curve.scale:

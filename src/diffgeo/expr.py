@@ -24,26 +24,26 @@ Definition files are line oriented::
     z = b*t
 
 Curves declare one parameter, surfaces two (in order u, v), and
-``surfacecurve`` definitions one, with components u and v.  One compiler
-makes straight-line code of them (:func:`position_kernel`): at order 0 for
-float or jet parameters, whose derivatives are exact Taylor coefficients,
-for a surface's partials through order 2 or 3 over floats, and for a
-curve's derivatives through order 4 over floats; at order 4 the parameters
-may also be jets, given as the rows of their Taylor coefficients, which
-makes the composite r(u(t), v(t)) along a surface curve.  Order 4 keeps
-Jet1's zeros, so it equals Jet1 bit for bit; orders 2 and 3 leave known
-zeros out, so they equal Jet2 by ``==``, but a zero may carry the other
-sign.  CLI commands evaluate shapes through this code alone: jets are
-evaluated only for shapes built from Python callables and where a kernel
-defers to its fallback.  :func:`taped` records jet-generic formulas over
-either kind of position and :func:`jet_program` Jet1 arithmetic over
-float arguments.  Each compiles
-the lines the generator emits.  :func:`surface_program` puts a consumer of
-a surface kernel after the kernel in one function, with one of two
-prologues: the kernel's own lines, or, for a surface built from a callable
-or a template whose kernel defers to its fallback, one call of the kernel;
-an ODE field's program carries its Dormand-Prince attempt, with the
-program's lines written into each stage.
+``surfacecurve`` definitions one, with components u and v.
+
+All generated code comes from one recorder: the jet arithmetic, run once
+over symbolic terms, is recorded as single-assignment records, which one
+printer prunes, folds and prints once, and one cache keeps per template,
+formulas and order.  :func:`position_kernel` makes straight-line code of a
+definition: at order 0 for float or jet parameters, for a surface's
+partials through order 2 or 3 over floats, for a curve's derivatives
+through order 4 over floats, and at order 4 over jet parameters (the rows
+of their Taylor coefficients) for the composite r(u(t), v(t)) along a
+surface curve.  Order 4 keeps Jet1's zeros, so it equals Jet1 bit for bit;
+orders 2 and 3 leave known zeros out, so they equal Jet2 by ``==``, but a
+zero may carry the other sign.  CLI commands evaluate shapes through this
+code alone: jets are evaluated only for shapes built from Python callables
+and where a kernel defers to its fallback.  :func:`taped` records
+jet-generic formulas over a position, :func:`jet_program` Jet1 arithmetic
+over float arguments, and :func:`surface_program` a consumer of a surface
+kernel after the kernel's own records, or after one call of the kernel of
+a surface built from a callable or a template whose kernel defers; an ODE
+field's program carries its fused Dormand-Prince attempt.
 A parsed definition is immutable and :func:`load_definition` shares it
 per text, so a text is parsed once however many shapes are built from it.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
@@ -54,17 +54,15 @@ anything but a function are such errors.
 
 import collections
 import math
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import FunctionType, MappingProxyType
 
-from . import jets
+from . import jets, ode
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
                      LexError, ParseError, UnknownIdentifier)
 from .jets import FUNCTIONS
-from .ode import attempt_source
 from .vectors import Vec3
 
 __all__ = [
@@ -366,7 +364,7 @@ def to_text(node):
 def eval_scalar(node, env):
     """Evaluate ``node`` once with ``env`` mapping identifier -> float or
     jet, through the order-0 code that :func:`position_kernel` binds."""
-    return _kernel_binder((_postfix(node),), tuple(env), (), 0)(
+    return _GENERATED[((_postfix(node),), tuple(env), ()), _KERNEL, 0](
         *env.values())[0][0]
 
 
@@ -380,10 +378,10 @@ def eval_literal(text):
     """A number written as an expression over numbers and pi, e.g. ``pi/6``:
     the folded value, or the error that folding left to the code to raise."""
     program = _closed(text, (), "a number")
-    gen = _Taylor(0)
-    value = gen.gen(program)
-    return float(_kernel_binder((program,), (), (), 0)()[0][0] if gen.lines
-                 else value)
+    rec = _Recorder(0)
+    value = rec.gen(program)
+    return float(_GENERATED[((program,), (), ()), _KERNEL, 0]()[0][0]
+                 if rec.records else value)
 
 
 def scalar_function(text, param):
@@ -391,7 +389,7 @@ def scalar_function(text, param):
     Malformed text raises LexError or ParseError, another name
     UnknownIdentifier."""
     program = _closed(text, (param,), f"an expression in {param}")
-    kernel = _kernel_binder((program,), (param,), (), 0)
+    kernel = _GENERATED[((program,), (param,), ()), _KERNEL, 0]
     return lambda x: float(kernel(x)[0][0])
 
 
@@ -423,9 +421,10 @@ def _check_calls(program, names):
 
 
 def _postfix(node):
-    """``node`` as flat postfix code in evaluation order, run by _Taylor and
-    hashed by the binder's cache without recursion: (op, arg) pairs, a
-    divisor before its dividend, a call of a non-function one 'fail' op."""
+    """``node`` as flat postfix code in evaluation order, run by _Recorder
+    and hashed by the generated-code cache without recursion: (op, arg)
+    pairs, a divisor before its dividend, a call of a non-function one
+    'fail' op."""
     out, todo = [], [node]
     while todo:
         n = todo.pop()
@@ -450,7 +449,7 @@ def _postfix(node):
 
 
 # --------------------------------------------------------------------------
-# position kernels and tapes: the Jet2 arithmetic as straight-line source
+# generated code: one recorder, one printer, one cache
 # --------------------------------------------------------------------------
 
 def position_kernel(definition, fallback, order=2, jets=False):
@@ -475,34 +474,10 @@ def position_kernel(definition, fallback, order=2, jets=False):
     surface curve's kernel returns them, and gives the Jet1 coefficients
     of ``definition.eval`` at those jets, the composite r(u(t), v(t));
     ``fallback(rows)`` gives them from one jet evaluation."""
-    kernel = _kernel_binder(*definition._template, order, jets)
+    kernel = _GENERATED[definition._template, (_kernel_code, jets), order]
     return _bind(kernel, fallback, *definition.constants.values())
 
 
-def _bind(fn, *defaults):
-    """A copy of the generated ``fn`` with these defaults: one function
-    compiles faster than a closure."""
-    return FunctionType(fn.__code__, fn.__globals__, fn.__name__, defaults)
-
-
-@lru_cache(maxsize=128)
-def _kernel_binder(programs, params, constants, order, jets=False):
-    """The kernel generated for a template, its defaults (_fallback and the
-    constants) None until position_kernel binds them in a copy.  Above
-    order 0, where the arguments are floats, the lines are inlined."""
-    gen = _Taylor(order, params, constants, jets)
-    rows = "".join("(" + "".join(_fmt(t) + ", " for t in row) + "), "
-                   for row in gen.rows(programs))
-    args = [*gen.params, "_fallback=None",
-            *(f"_c{i}=None" for i in range(len(constants)))]
-    body = [(line, True) for line in gen.lines] + [(f"return ({rows})", True)]
-    return _compile([f"def _kernel({', '.join(args)}):",
-                     *("    " + line for line, _ in
-                       (_inline(body) if order else body))],
-                    "<position kernel>")["_kernel"]
-
-
-@lru_cache(maxsize=None)
 def taped(formulas, outputs, order=2):
     """Straight-line float code for ``formulas(r)``: jet-generic code over
     a position jet r (a Vec3) that returns a dict of jets.  The result is
@@ -512,54 +487,167 @@ def taped(formulas, outputs, order=2):
     computes it, or as Jet1 does at ``order`` 4 (a curve's kernel).  Only
     the code those outputs need is kept, so ``k`` may stop at order 2 when
     no output reads r's third partials."""
-    body, terms, slots = _pruned(formulas, outputs, order)
-    body = _inline([(line, True) for line in body] + [
-        (f"return ({''.join(_fmt(t) + ', ' for t in terms)})", True)])
-    return _compile(["def _program(_k):",
-                     *(f"    _r{i}x, _r{i}y, _r{i}z = _k[{i}]" for i in slots),
-                     *("    " + line for line, _ in body)],
-                    "<tape>")["_program"]
+    return _GENERATED[None, (_tape_code, formulas, outputs), order]
 
 
-@lru_cache(maxsize=None)
-def _pruned(formulas, outputs, order):
-    """The lines of the tape of ``formulas`` that ``outputs`` need, in tape
-    order, the outputs' terms and the slots of r those lines read."""
-    lines, named = _tape(formulas, order)
-    terms = tuple(named[name][slot] for name, slot in outputs)
-    need = {t for t in terms if isinstance(t, str)}
-    body = []
-    for line in reversed(lines):
-        targets, code = line.split(" = ", 1)
-        if need.intersection(targets.split(", ")):
-            body.append(line)
-            need.update(re.findall(r"_\w+", code))
-    slots = sorted({int(n[2:-1]) for n in need
-                    if re.fullmatch(r"_r\d[xyz]", n)})
-    return tuple(reversed(body)), terms, slots
+def surface_program(formulas, sizes, definition, kernel, curve=None):
+    """``formulas(rec, *args)``, float code over a surface's kernel, as one
+    straight-line function of ``args``, each a float (size 1) or a sequence
+    of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
+    reads the surface through the recorder ``rec`` (see _Recorder);
+    ``curve`` is the curve kernel that ``rec.curve`` reads, if it is read.
+
+    One recorder, two prologues.  The first is the kernel's own records,
+    generated from ``definition`` once per template and program and bound
+    here to the constant values.  The second is one call of ``kernel()``,
+    the surface's kernel: for a surface without a definition, or a
+    template whose kernel defers to its fallback.  Each value equals the
+    one that ``formulas`` computes over floats from the kernel's triples.
+    A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
+    ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
+    program = (_program_code, formulas, sizes)
+    made = definition is not None and _GENERATED[definition._template,
+                                                 program, 2]
+    if made:
+        bound = tuple(definition.constants.values())
+    else:
+        made = _GENERATED[None, program, 2]
+        bound = (kernel(),)
+    fn, attempt = made
+    if "_curve" in fn.__code__.co_varnames:
+        bound += (curve,)
+    program = _bind(fn, *bound)
+    if attempt is not None:
+        program.attempt = _bind(attempt, *bound)
+    return program
 
 
-@lru_cache(maxsize=None)
-def _tape(formulas, order):
-    """``formulas`` run once on a position jet of _TapeJet terms _r<slot><c>:
-    the generated lines, and the terms of each jet it returned.  At
+def jet_program(formulas, sizes):
+    """``formulas(rec, *args)`` as one straight-line float function of
+    ``args``, sized as for surface_program.  The formulas are jet-generic
+    code over jets that ``rec.jet(*terms)`` builds from float terms; they
+    run once, and their Jet1 arithmetic is recorded (order 4), so each value
+    and error equals Jet1's.  Made once per formulas."""
+    return _GENERATED[None, (_program_code, formulas, sizes), 4][0]
+
+
+def _bind(fn, *defaults):
+    """A copy of the generated ``fn`` with these defaults: one function
+    compiles faster than a closure."""
+    return FunctionType(fn.__code__, fn.__globals__, fn.__name__, defaults)
+
+
+class _Cache(dict):
+    """The one cache of generated code: (template, formulas, order) -> what
+    ``formulas`` (a maker and its arguments) generates over ``template``
+    (component programs, parameter and constant names, or None) at
+    ``order``, made on first use, the oldest of 256 dropped.  The defaults
+    of what is made stay None until a caller binds them in a copy."""
+
+    def __missing__(self, key):
+        template, (make, *args), order = key
+        made = make(template, order, *args)
+        if len(self) == 256:
+            del self[next(iter(self))]
+        self[key] = made
+        return made
+
+
+_GENERATED = _Cache()
+
+
+def _kernel_code(template, order, jets):
+    """The position kernel of ``template`` (see position_kernel)."""
+    programs, params, constants = template
+    rec = _Recorder(order, params, constants, jets)
+    ret = _source(rec.rows(programs), "return ")
+    args = [*rec.params, "_fallback=None",
+            *(f"_c{i}=None" for i in range(len(constants)))]
+    return _compile([f"def _kernel({', '.join(args)}):",
+                     *_body(rec.records + [ret], order)],
+                    "<position kernel>")["_kernel"]
+
+
+_KERNEL = (_kernel_code, False)
+
+
+def _recording(template, order, formulas):
+    """``formulas`` run once on a position jet of _TapeJet terms
+    _r<slot><c>: the records, and the terms of each jet it returned.  At
     ``order`` 2 r runs through order 3 and the tape keeps order 2: r's first
     partials are exact to order 2, and Jet2 computes a slot of order 2 or
     less from such slots alone.  At ``order`` 4 r and the tape have Jet1's
     five slots.  The tape's locals are named _g<n>, apart from a kernel's
     _t<n>, so that a surface program can hold both."""
-    gen = _Taylor(order, local="_g")
-    slots = 5 if gen.univariate else 10
-    r = Vec3(*(_TapeJet(gen, tuple(f"_r{i}{c}" for i in range(slots)))
-               for c in "xyz"))
+    rec = _Recorder(order, local="_g")
+    r = Vec3(*(_TapeJet(rec, tuple(f"_r{i}{c}" for i in range(
+        5 if rec.univariate else 10))) for c in "xyz"))
     named = {name: jet.c for name, jet in formulas(r).items()}
-    return tuple(gen.lines), named
+    return tuple(rec.records), named
+
+
+def _tape_code(template, order, formulas, outputs):
+    """The function of taped: the records of the tape that the outputs
+    read, after an unpacking of each slot of ``_k`` that they read."""
+    records, named = _GENERATED[None, (_recording, formulas), order]
+    terms = tuple(named[name][slot] for name, slot in outputs)
+    records = tuple(((f"_r{i}x", f"_r{i}y", f"_r{i}z"), f"_k[{i}]", ())
+                    for i in range(5 if order == 4 else 10)) + records
+    body = [records[i] for i in _live(records, terms)]
+    return _compile(["def _program(_k):",
+                     *_body(body + [_source(terms, "return ")], order)],
+                    "<tape>")["_program"]
+
+
+def _program_code(template, order, formulas, sizes):
+    """The program of ``formulas`` over the kernel of ``template``, or over
+    the kernel it is given (``template`` None), and for sizes (1, n) its
+    fused attempt (``ode.attempt_source``), else None; None when that
+    kernel defers to its fallback.  At ``order`` 4 (jet_program) the
+    formulas read no kernel."""
+    rec = _Recorder(order, (), template[2] if template else ())
+    rec.template = template
+    rec.defaults = (["_kernel=None"] if template is None else
+                    [f"_c{i}=None" for i in range(len(template[2]))])
+    args = [f"_a{i}" for i in range(len(sizes))]
+    out = formulas(rec, *(_TapeJet(rec, a) if n == 1 else tuple(
+        _TapeJet(rec, f"{a}_{j}") for j in range(n))
+        for a, n in zip(args, sizes)))
+    if rec.deferred:
+        return None
+    head = [f"def _program({', '.join(args + rec.defaults)}):"]
+    head += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
+             for a, n in zip(args, sizes) if n > 1]
+    name, point = formulas.__name__, rec.point
+    guarded = set(range(len(rec.records))) - rec.free if point else ()
+    program = _compile(head + _body(rec.records + [_source(out, "return ")],
+                                    order, point, guarded),
+                       f"<surface program {name}>", rec.names)["_program"]
+    if not (len(sizes) == 2 and sizes[0] == 1 < sizes[1]):
+        return program, None
+    n = sizes[1]
+    records = rec.records + [_source(x) for x in out]
+    body = _body(records, order, point, guarded)
+    reads_t = any("_a0" in records[i][2] for i in _live(records, (), True))
+    fused = ("_a0" if reads_t else None, [f"_a1_{j}" for j in range(n)],
+             body[:-n], [line.strip() for line in body[-n:]], rec.defaults)
+    return program, _compile(ode.attempt_source(n, fused),
+                             f"<dopri5 {name}, {n} components>",
+                             rec.names)["attempt"]
+
+
+def _source(x, head=""):
+    """The statement that prints ``head``, then the term ``x`` (or a
+    _TapeJet's) or the (nested) tuple ``x`` of them."""
+    if not isinstance(x, tuple):
+        return (), head + "{}", (_fmt(getattr(x, "c", x)),)
+    parts = [_source(t) for t in x]
+    return ((), head + "(" + "".join(op + ", " for _, op, _ in parts) + ")",
+            tuple(o for *_, operands in parts for o in operands))
 
 
 def _compile(lines, filename, names=()):
-    namespace = dict(_KERNEL_GLOBALS, **dict(names))
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
-    return namespace
+    return ode._compile(lines, filename, dict(_KERNEL_GLOBALS, **dict(names)))
 
 
 _KERNEL_GLOBALS = {
@@ -578,62 +666,64 @@ def _fmt(term):
     return f"({term!r})" if math.copysign(1.0, term) < 0 else repr(term)
 
 
-def _prod_exact(*factors):
-    """Left-to-right product as the jets round it, zeros included: only a
-    factor 1.0 is left out (x * 1.0 is x, bit for bit)."""
-    acc = factors[0]
-    for f in factors[1:]:
-        if isinstance(acc, float) and isinstance(f, float):
-            acc *= f
-        elif acc == 1.0:
-            acc = f
-        elif f != 1.0:
-            acc = f"{_fmt(acc)} * {_fmt(f)}"
-    return acc
+def _arithmetic(op):
+    """Whether the code ``op`` is float + - * and negation alone, which
+    raise nothing: no call, ``**``, division or indexing."""
+    return "**" not in op and set(op.replace("{}", "")) <= set(" +-*")
 
 
-def _sum_exact(*terms):
-    """Left-to-right sum as the jets round it, signed zeros included: only
-    a term -0.0 is left out (x + -0.0 is x, bit for bit)."""
-    kept = [t for t in terms
-            if not (t == 0.0 and math.copysign(1.0, t) < 0.0)] or [-0.0]
-    acc = kept[0]
-    for t in kept[1:]:
-        if isinstance(acc, float) and isinstance(t, float):
-            acc += t
-        else:
-            acc = f"{_fmt(acc)} + {_fmt(t)}"
-    return acc
+def _live(records, need, effects=False):
+    """The indices, in order, of the ``records`` that assign one of the
+    terms ``need`` or a name that a live record reads, and with ``effects``
+    each statement or code that may raise (errors stay those of the jets):
+    one backward pass over single assignments is a fixed point."""
+    need, live = {t for t in need if isinstance(t, str)}, []
+    for i in range(len(records) - 1, -1, -1):
+        targets, op, operands = records[i]
+        if (effects and not (targets and _arithmetic(op))
+                or not need.isdisjoint(targets)):
+            live.append(i)
+            need.update(operands)
+    return live[::-1]
 
 
-def _prod(*factors):
-    """Left-to-right product, or None when a factor is known to be zero."""
-    if any(f is None or f == 0.0 for f in factors):
-        return None
-    acc = factors[0]
-    for f in factors[1:]:
-        if isinstance(acc, float) and isinstance(f, float):
-            acc *= f
-        elif acc == 1.0:    # x * 1.0 is x, bit for bit
-            acc = f
-        elif f != 1.0:
-            acc = f"{_fmt(acc)} * {_fmt(f)}"
-    return acc
-
-
-def _sum(*terms):
-    """Left-to-right sum; a term known to be zero only adds an exact 0."""
-    acc = None
-    for t in terms:
-        if t is None or t == 0.0:
+def _body(records, passes, point=None, guarded=()):
+    """``records`` printed as a function body.  With ``passes`` (above
+    order 0, where every value is a float) dead records are left out, and
+    a local that one record reads and whose code is float + - * over names
+    and literals, at most 300 characters, is written in parentheses into
+    that record: no value and no error changes.  With a ``point``, each run
+    of ``guarded`` records goes in one try that turns an OverflowError
+    into ``_overflow(point)``."""
+    live = _live(records, (), True) if passes else range(len(records))
+    reads = collections.Counter(o for i in live for o in records[i][2]
+                                ) if passes else {}
+    held, lines, run = {}, [], []   # held: local -> the code it stands for
+    for i in live:
+        targets, op, operands = records[i]
+        code = op.format(*(f"({held.pop(o)})" if o in held else o
+                           for o in operands))
+        if (len(targets) == 1 and reads.get(targets[0]) == 1
+                and len(code) <= 300 and _arithmetic(op)):
+            held[targets[0]] = code
             continue
-        if acc is None:
-            acc = t
-        elif isinstance(acc, float) and isinstance(t, float):
-            acc += t
-        else:
-            acc = f"{_fmt(acc)} + {_fmt(t)}"
-    return acc
+        free = i not in guarded     # run: guarded lines, in one try
+        if free and run:
+            lines += ["    try:", *run, "    except OverflowError:",
+                      f"        raise _overflow({point}) from None"]
+            run = []
+        (lines if free else run).append(" " * (4 if free else 8) + (
+            f"{', '.join(targets)} = {code}" if targets else code))
+    return lines
+
+
+def _joined(a, sep, b):
+    """The code ``a <sep> b`` of two terms or codes, not yet recorded: a
+    list [op, *operands]."""
+    a = a if isinstance(a, list) else ["{}", _fmt(a)]
+    if isinstance(b, list):
+        return [a[0] + sep + b[0], *a[1:], *b[1:]]
+    return [a[0] + sep + "{}", *a[1:], _fmt(b)]
 
 
 # Leibniz's rule for a Jet2 product, slot by slot: the terms in Jet2's
@@ -661,19 +751,25 @@ _LEIBNIZ1 = (
 )
 
 
-class _Taylor:
+class _Recorder:
     """Source transformation (Griewank & Walther, Evaluating Derivatives,
     ch. 13) of the jet arithmetic, for programs (see _postfix) over
-    ``params`` and ``constants`` or for a tape: at ``order`` 2 or 3 the Jet2
-    arithmetic through that total order, at ``order`` 4 (the one univariate
-    order) the Jet1 arithmetic.  A jet is a tuple of terms: the first 6 Jet2
-    coefficients f, fu, fv, fuu, fuv, fvv or all 10 (then fuuu, fuuv, fuvv,
-    fvvv), or the 5 Jet1 coefficients f, f', f'', f''', f''''.  A float is
-    one term.  At order 0 a parameter is one term, so the code applies the
-    operators and functions of whatever type the argument has.  Jet tuples
-    keep the jets' operand order (``x / c`` is ``x * (1/c)``; ``a - b`` is
-    ``a + (-b)``) and programs the language's order of evaluation, so values
-    and errors match.  Equal code is emitted once."""
+    ``params`` and ``constants``, for a tape or for a surface program: at
+    ``order`` 2 or 3 the Jet2 arithmetic through that total order, at
+    ``order`` 4 (the one univariate order) the Jet1 arithmetic.  A jet is a
+    tuple of terms: the first 6 Jet2 coefficients f, fu, fv, fuu, fuv, fvv
+    or all 10 (then fuuu, fuuv, fuvv, fvvv), or the 5 Jet1 coefficients f,
+    f', f'', f''', f''''.  A float is one term.  At order 0 a parameter is
+    one term, so the code applies the operators and functions of whatever
+    type the argument has.  Jet tuples keep the jets' operand order
+    (``x / c`` is ``x * (1/c)``; ``a - b`` is ``a + (-b)``) and programs the
+    language's order of evaluation, so values and errors match.
+
+    The code is Griewank & Walther's evaluation procedure (ch. 2): records
+    ``(targets, op, operands)`` that assign each local once (a statement
+    assigns none), ``op`` the source with a ``{}`` for each operand.  Equal
+    (op, operands) are recorded once.  A surface program's formulas read
+    the surface through ``kernel``, ``tape``, ``check`` and ``curve``."""
 
     def __init__(self, order, params=(), constants=(), jets=False,
                  local="_t"):
@@ -684,12 +780,14 @@ class _Taylor:
         # order 4 keeps Jet1's zeros, so values match to the signed zero;
         # orders 2 and 3 leave known zeros out (None)
         self.zero = (0.0 if self.univariate else None,) * self.size
-        self.prod = _prod_exact if self.univariate else _prod
-        self.sum = _sum_exact if self.univariate else _sum
         self.local = local  # the prefix of the locals it names
-        self.lines = []
-        self.named = {}     # code -> the local that holds it
+        self.records = []
+        self.named = {}     # (op, operands) -> the targets that hold it
         self.deferred = False   # whether a line returns the fallback's value
+        self.free = set()   # indices of the records outside the guard
+        self.names = {}     # a program's globals
+        self.point = None   # the source of (u, v) where a kernel was read
+        self.taped = set()  # the tape records already recorded
         self.env = {c: f"_c{i}" for i, c in enumerate(constants)}
         self.bind(params, [f"_p{i}" for i in range(len(params))], jets)
 
@@ -701,8 +799,8 @@ class _Taylor:
         returns rows: parameter i's coefficient k is ``_p<i>_<k>``."""
         if jets:
             rows = [[f"{p}_{k}" for p in names] for k in range(self.size)]
-            self.lines.append(", ".join(f"({''.join(n + ', ' for n in row)})"
-                                        for row in rows) + " = _k")
+            self.record((", ".join(f"({''.join(n + ', ' for n in row)})"
+                                   for row in rows),), "_k")
             self.env.update((p, tuple(row[i] for row in rows))
                             for i, p in enumerate(params))
             names = ["_k"]
@@ -727,60 +825,102 @@ class _Taylor:
             lift = self.mul(self.first, 0.0) if self.univariate else self.zero
             outs = [o if isinstance(o, tuple) else self.add(lift, o)
                     for o in outs]
-        return [tuple(o[k] for o in outs) for k in range(self.size)]
+        return tuple(tuple(o[k] for o in outs) for k in range(self.size))
 
-    def emit(self, code):
-        if code not in self.named:
-            self.named[code] = f"{self.local}{len(self.lines)}"
-            self.lines.append(f"{self.named[code]} = {code}")
-        return self.named[code]
+    def record(self, targets, op, *operands):
+        """Record a line of no new value: a statement or an unpacking."""
+        self.records.append((targets, op, tuple(map(_fmt, operands))))
 
-    def defer(self, condition):
+    def emit(self, op, *operands):
+        """The local that holds ``op`` over the operands' source."""
+        key = op, operands
+        if key not in self.named:
+            self.named[key] = f"{self.local}{len(self.records)}"
+            self.records.append(((self.named[key],), *key))
+        return self.named[key]
+
+    def defer(self, condition, *operands):
         """Return the fallback's value where ``condition`` holds."""
-        self.lines.append(f"if {condition}: {self.bail}")
+        self.record((), f"if {condition}: {self.bail}", *operands)
         self.deferred = True
 
-    def table(self, call):
-        """The terms d0..d3 of a derivative-table call, and d4 at order 4:
-        locals that the call sets.  The tables of sin and cos are not
-        called: they are (s, c, -s, -c, s) and (c, -s, -c, s, c), so sin
-        and cos of one argument share one line that computes s and c, as
-        the tables do, and a term -s is negated where it is read (negation
-        is exact)."""
-        if call.startswith(("_tab_sin(", "_tab_cos(")):
-            arg = call[len("_tab_sin("):-1]
-            if ("sincos", arg) not in self.named:
-                s, c = (f"{self.local}{len(self.lines)}_{k}" for k in "sc")
-                self.named["sincos", arg] = s, c
-                self.lines.append(f"{s}, {c} = _sin({arg}), _cos({arg})")
-            s, c = self.named["sincos", arg]
-            d = ((s, c, f"-{s}", f"-{c}") if call[5] == "s"
-                 else (c, f"-{s}", f"-{c}", s))
-            return d + d[:1] if self.univariate else d
-        if call not in self.named:
-            names = [f"{self.local}{len(self.lines)}_{k}" for k in range(5)]
-            if not self.univariate:
-                names[4] = "_"
-            self.named[call] = tuple(names[:5 if self.univariate else 4])
-            self.lines.append(f"{', '.join(names)} = {call}")
-        return self.named[call]
+    def table(self, fn, *args):
+        """The terms d0..d3 of the derivative-table call ``fn(*args)``, and
+        d4 at order 4: locals that the call sets.  The tables of sin and
+        cos are not called: they are (s, c, -s, -c, s) and (c, -s, -c, s,
+        c), so sin and cos of one argument share one line that computes s
+        and c, as the tables do, and a term -s is code, negated where it is
+        read (negation is exact)."""
+        sincos = fn in ("_tab_sin", "_tab_cos")
+        op = ("_sin({}), _cos({})" if sincos
+              else f"{fn}({', '.join(['{}'] * len(args))})")
+        key = op, tuple(map(_fmt, args * 2 if sincos else args))
+        if key not in self.named:
+            n = f"{self.local}{len(self.records)}_"
+            self.named[key] = ((n + "s", n + "c") if sincos else tuple(
+                n + str(k) for k in range(5 if self.univariate else 4)))
+            self.records.append((self.named[key] + (
+                () if sincos or self.univariate else ("_",)), *key))
+        if not sincos:
+            return self.named[key]
+        s, c = self.named[key]
+        neg_s, neg_c = ["-{}", s], ["-{}", c]
+        d = (s, c, neg_s, neg_c) if fn == "_tab_sin" else (c, neg_s, neg_c, s)
+        return d + d[:1] if self.univariate else d
 
     def coef(self, expr):
         if expr is None or isinstance(expr, float):
             return None if expr == 0.0 and not self.univariate else expr
-        return expr if expr.isidentifier() else self.emit(expr)
+        if isinstance(expr, list):
+            return self.emit(*expr)
+        return expr if expr.isidentifier() else self.emit("{}", expr)
 
-    def scalar(self, code, fn, *args):
+    def prod(self, *factors):
+        """Left-to-right product as the jets round it: only a factor 1.0
+        is left out (x * 1.0 is x, bit for bit).  At orders 2 and 3 a
+        factor known to be zero makes it None (zero)."""
+        if not self.univariate and any(f is None or f == 0.0
+                                       for f in factors):
+            return None
+        acc = factors[0]
+        for f in factors[1:]:
+            if isinstance(acc, float) and isinstance(f, float):
+                acc *= f
+            elif acc == 1.0:
+                acc = f
+            elif f != 1.0:
+                acc = _joined(acc, " * ", f)
+        return acc
+
+    def sum(self, *terms):
+        """Left-to-right sum as the jets round it, signed zeros included:
+        only a term -0.0 is left out (x + -0.0 is x, bit for bit).  At
+        orders 2 and 3 a term known to be zero only adds an exact 0, so
+        each is left out, and a sum of none is None."""
+        if self.univariate:
+            kept = [t for t in terms if not (
+                t == 0.0 and math.copysign(1.0, t) < 0.0)] or [-0.0]
+        else:
+            kept = [t for t in terms if not (t is None or t == 0.0)] or [None]
+        acc = kept[0]
+        for t in kept[1:]:
+            if isinstance(acc, float) and isinstance(t, float):
+                acc += t
+            else:
+                acc = _joined(acc, " + ", t)
+        return acc
+
+    def scalar(self, op, fn, *args):
         """A float operation, folded if its operands are literals."""
         if all(isinstance(a, float) for a in args):
             try:
                 return float(fn(*args))
             except (DiffGeoError, ArithmeticError, ValueError):
                 pass    # raised again where the code runs
-        return self.emit(code.format(*map(_fmt, args)))
+        return self.emit(op, *map(_fmt, args))
 
     def fail(self, exc):
-        self.lines.append(f"raise {type(exc).__name__}({str(exc)!r})")
+        self.record((), f"raise {type(exc).__name__}({str(exc)!r})")
         return 0.0
 
     def jet(self, *terms):
@@ -812,7 +952,7 @@ class _Taylor:
     def neg(self, x):
         if isinstance(x, tuple):
             return tuple(None if t is None else self.neg(t) for t in x)
-        return -x if isinstance(x, float) else self.emit(f"-{x}")
+        return -x if isinstance(x, float) else self.emit("-{}", _fmt(x))
 
     def lift(self, x):
         """The float term ``x`` as a constant jet, as Jet1 coerces it."""
@@ -840,7 +980,7 @@ class _Taylor:
             f, g = g, f     # the jet is the left factor
         if not isinstance(g, tuple):
             if not self.univariate:
-                return tuple(self.coef(_prod(t, g)) for t in f)
+                return tuple(self.coef(self.prod(t, g)) for t in f)
             g = self.lift(g)
         return tuple(self.coef(self.sum(*(self.prod(*k, f[i], g[j])
                                           for *k, i, j in row)))
@@ -848,58 +988,56 @@ class _Taylor:
 
     def div(self, a, b):
         if isinstance(b, tuple):
-            return self.mul(a, self.compose(f"_recip({_fmt(b[0])})", b))
+            return self.mul(a, self.compose(self.table("_recip", b[0]), b))
         if isinstance(a, tuple):
             if self.univariate:     # Jet1 composes 1/b with the lifted b
                 return self.mul(a, self.compose1(self.derivatives(
-                    f"_recip({_fmt(b)})", jets._tab_recip, b), self.lift(b)))
+                    "_recip", jets._tab_recip, b), self.lift(b)))
             return self.mul(a, self.scalar("_recip({})[0]",
                                            lambda q: jets._tab_recip(q)[0], b))
         return self.scalar("_div({}, {})", _div, a, b)
 
-    def derivatives(self, call, fn, x):
-        """The derivative table ``fn(x)`` of ``call``: literals when ``x``
-        is one and the table does not raise, else the locals of the call."""
+    def derivatives(self, fn, table, x):
+        """The derivative table ``table(x)`` that ``fn`` names: literals when
+        ``x`` is one and the table does not raise, else the locals of the
+        call."""
         if isinstance(x, float):
             try:
-                return tuple(map(float, fn(x)))
+                return tuple(map(float, table(x)))
             except (DiffGeoError, ArithmeticError, ValueError):
                 pass    # raised again where the code runs
-        return self.table(call)
+        return self.table(fn, x)
 
-    def compose(self, table_call, x):
-        """Faa di Bruno through the order of ``x`` against a derivative
-        table, as Jet2._compose (Jet1._compose at order 4) writes it."""
+    def compose(self, d, x):
+        """Faa di Bruno through the order of ``x`` against the derivative
+        table ``d``, as Jet2._compose (Jet1._compose at order 4) writes
+        it."""
         if self.univariate:
-            return self.compose1(self.table(table_call), x)
-        d0, d1, d2, d3 = self.table(table_call)
+            return self.compose1(d, x)
+        d0, d1, d2, d3 = d
         _, u, v, uu, uv, vv, *third = x
-        c = self.coef
-        out = (d0, c(_prod(d1, u)), c(_prod(d1, v)),
-               c(_sum(_prod(d1, uu), _prod(d2, u, u))),
-               c(_sum(_prod(d1, uv), _prod(d2, u, v))),
-               c(_sum(_prod(d1, vv), _prod(d2, v, v))))
+        c, p, s = self.coef, self.prod, self.sum
+        out = (d0, c(p(d1, u)), c(p(d1, v)),
+               c(s(p(d1, uu), p(d2, u, u))),
+               c(s(p(d1, uv), p(d2, u, v))),
+               c(s(p(d1, vv), p(d2, v, v))))
         if not third:
             return out
         uuu, uuv, uvv, vvv = third
         return out + (
-            c(_sum(_prod(d1, uuu), _prod(3.0, d2, u, uu),
-                   _prod(d3, self.cube(u)))),
-            c(_sum(_prod(d1, uuv),
-                   _prod(d2, c(_sum(_prod(v, uu), _prod(2.0, u, uv)))),
-                   _prod(d3, u, u, v))),
-            c(_sum(_prod(d1, uvv),
-                   _prod(d2, c(_sum(_prod(u, vv), _prod(2.0, v, uv)))),
-                   _prod(d3, u, v, v))),
-            c(_sum(_prod(d1, vvv), _prod(3.0, d2, v, vv),
-                   _prod(d3, self.cube(v)))))
+            c(s(p(d1, uuu), p(3.0, d2, u, uu), p(d3, self.cube(u)))),
+            c(s(p(d1, uuv), p(d2, c(s(p(v, uu), p(2.0, u, uv)))),
+                p(d3, u, u, v))),
+            c(s(p(d1, uvv), p(d2, c(s(p(u, vv), p(2.0, v, uv)))),
+                p(d3, u, v, v))),
+            c(s(p(d1, vvv), p(3.0, d2, v, vv), p(d3, self.cube(v)))))
 
     def compose1(self, d, x):
         """Faa di Bruno as Jet1._compose writes it, against the table
         ``d``, zeros included."""
         d0, d1, d2, d3, d4 = d
         _, u1, u2, u3, u4 = x
-        c, p, s = self.coef, _prod_exact, _sum_exact
+        c, p, s = self.coef, self.prod, self.sum
         return (d0, c(p(d1, u1)),
                 c(s(p(d1, u2), p(d2, u1, u1))),
                 c(s(p(d1, u3), p(3.0, d2, u1, u2), p(d3, self.cube(u1)))),
@@ -913,7 +1051,7 @@ class _Taylor:
 
     def call(self, name, x):
         if isinstance(x, tuple):
-            return self.compose(f"_tab_{name}({_fmt(x[0])})", x)
+            return self.compose(self.table(f"_tab_{name}", x[0]), x)
         return self.scalar(f"_fn_{name}({{}})", FUNCTIONS[name], x)
 
     def power(self, base, p):
@@ -923,22 +1061,23 @@ class _Taylor:
             # fallback at any order
             partials = [t for t in p[1:] if t is not None and t != 0.0]
             if not any(isinstance(t, float) for t in partials):
-                self.defer(f"not ({' or '.join(partials) or 0})")
+                self.defer(f"not ({' or '.join(['{}'] * len(partials)) or 0})",
+                           *partials)
             return self.call("exp", self.mul(p, self.call("log", base)))
         n = p if isinstance(p, float) and p.is_integer() else None
         if not isinstance(base, tuple):
             if isinstance(base, str) and n is not None and 1 <= n <= 64:
-                return self.coef(_prod(*[base] * int(n)))
+                return self.coef(self.prod(*[base] * int(n)))
             return self.scalar("_power({}, {})", jets.power, base, p)
         if n is None or abs(n) > 64:
             if not (isinstance(p, float) and math.isfinite(p) and n is None):
                 # jets.power multiplies out an integer exponent, here one
                 # known only at run time or a long one
-                self.defer(f"{_fmt(p)} == int({_fmt(p)})")
-            return self.compose(f"_tab_pow({_fmt(base[0])}, {_fmt(p)})", base)
+                self.defer("{} == int({})", p, p)
+            return self.compose(self.table("_tab_pow", base[0], p), base)
         if n < 0:
-            self.lines.append(f"if {_fmt(base[0])} == 0.0: raise DomainError("
-                              "'zero base with negative exponent')")
+            self.record((), "if {} == 0.0: raise DomainError("
+                        "'zero base with negative exponent')", base[0])
         if self.univariate:     # as jets._int_power writes it
             out = base if n else self.add(self.mul(base, 0.0), 1.0)
         else:
@@ -949,19 +1088,75 @@ class _Taylor:
             return out
         if self.univariate:
             return self.div(1.0, out)
-        return self.compose(f"_recip({_fmt(out[0])})", out)
+        return self.compose(self.table("_recip", out[0]), out)
 
     # operands in program order: the divisor before the dividend
     binary = {"+": add, "-": sub, "*": mul, "^": power,
               "/": lambda self, divisor, x: self.div(x, divisor)}
 
+    # ---- what a surface program's formulas read --------------------------
+
+    def kernel(self, u, v, overflow):
+        """The order-2 kernel triples at (u, v).  An OverflowError in any
+        line but ``check``'s raises ``overflow(u, v)``."""
+        self.names["_overflow"] = overflow
+        self.point = f"{u.c}, {v.c}"
+        if self.template is None:
+            rows = [[f"_r{i}{c}" for c in "xyz"] for i in range(6)]
+            self.record((", ".join(f"({', '.join(r)})" for r in rows),),
+                        "_kernel({}, {})", u.c, v.c)
+        else:
+            programs, params, _ = self.template
+            self.bind(params, (u.c, v.c))
+            rows = self.rows(programs)
+        return tuple(tuple(_TapeJet(self, 0.0 if t is None else t)
+                           for t in row) for row in rows)
+
+    def tape(self, formulas, outputs, k):
+        """The records of the tape of ``formulas`` that ``outputs`` read,
+        each position slot _r<i><c> replaced by the term of ``k`` it names,
+        and each recorded once."""
+        records, named = _GENERATED[None, (_recording, formulas), 2]
+        slot = {f"_r{i}{c}": _fmt(t.c) for i, row in enumerate(k)
+                for c, t in zip("xyz", row)}
+        terms = [named[name][s] for name, s in outputs]
+        for i in _live(records, terms):
+            targets, op, operands = records[i]
+            record = targets, op, tuple(slot.get(o, o) for o in operands)
+            if record not in self.taped:
+                self.taped.add(record)
+                self.records.append(record)
+        return tuple(_TapeJet(self, slot.get(t, t) if isinstance(t, str)
+                              else 0.0 if t is None else t) for t in terms)
+
+    def check(self, fn, *args, floor):
+        """A call ``fn(*args)``, outside the overflow guard, made only where
+        the first argument is not both below inf and above ``floor``: the
+        caller's word that ``fn`` raises nowhere else."""
+        self.names[fn.__name__] = fn
+        self.free.add(len(self.records))
+        x = args[0].c
+        self.record((), "if not ({} < inf and {} > {}): " + fn.__name__
+                    + f"({', '.join(['{}'] * len(args))})",
+                    x, x, floor.c, *(a.c for a in args))
+
+    def curve(self, t):
+        """(u, v) and (u', v'), the first two rows of the curve kernel
+        ``_curve`` (the program's last default) at ``t``, read outside the
+        overflow guard: the curve's errors are its own."""
+        self.free.add(len(self.records))
+        self.record(("(_u, _v), (_du, _dv)",), "_curve({})[:2]", t.c)
+        self.defaults.append("_curve=None")
+        return tuple(tuple(_TapeJet(self, n) for n in pair)
+                     for pair in (("_u", "_v"), ("_du", "_dv")))
+
 
 class _TapeJet:
-    """A jet of _Taylor terms: jet-generic code run on it records its Jet2
-    (at order 4, Jet1) arithmetic as the generator's lines (the tape of
-    Griewank & Walther, ch. 6).  ``call(name)`` stands for
-    ``jets.<name>``.  A jet of one float term, as a surface program's
-    formulas read, records float arithmetic: a - b and a / b as written."""
+    """A jet of _Recorder terms: jet-generic code run on it records its
+    Jet2 (at order 4, Jet1) arithmetic (the tape of Griewank & Walther,
+    ch. 6).  ``call(name)`` stands for ``jets.<name>``.  A jet of one float
+    term, as a surface program's formulas read, records float arithmetic:
+    a - b and a / b as written."""
 
     __slots__ = ("gen", "c")
 
@@ -1029,203 +1224,6 @@ class _TapeJet:
 
     def call(self, name):
         return _TapeJet(self.gen, self.gen.call(name, self.c))
-
-
-# --------------------------------------------------------------------------
-# surface programs: a consumer of the kernel generated with it
-# --------------------------------------------------------------------------
-
-def surface_program(formulas, sizes, definition, kernel, curve=None):
-    """``formulas(rec, *args)``, float code over a surface's kernel, as one
-    straight-line function of ``args``, each a float (size 1) or a sequence
-    of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
-    reads the surface through the generator ``rec`` (see _Recorder);
-    ``curve`` is the curve kernel that ``rec.curve`` reads, if it is read.
-
-    One generator, two prologues.  The first is the kernel's own lines,
-    generated from ``definition`` once per template and program and bound
-    here to the constant values.  The second is one call of ``kernel()``,
-    the surface's kernel: for a surface without a definition, or a
-    template whose kernel defers to its fallback.  Each value equals the
-    one that ``formulas`` computes over floats from the kernel's triples.
-    A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
-    ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
-    made = definition is not None and _program_binder(
-        formulas, sizes, *definition._template)
-    if made:
-        bound = tuple(definition.constants.values())
-    else:
-        made = _program_binder(formulas, sizes, None, (), ())
-        bound = (kernel(),)
-    fn, attempt = made
-    if "_curve" in fn.__code__.co_varnames:
-        bound += (curve,)
-    program = _bind(fn, *bound)
-    if attempt is not None:
-        program.attempt = _bind(attempt, *bound)
-    return program
-
-
-def jet_program(formulas, sizes):
-    """``formulas(rec, *args)`` as one straight-line float function of
-    ``args``, sized as for surface_program.  The formulas are jet-generic
-    code over jets that ``rec.jet(*terms)`` builds from float terms; they
-    run once, and their Jet1 arithmetic is recorded (order 4), so each value
-    and error equals Jet1's.  Made once per formulas."""
-    return _program_binder(formulas, sizes, None, (), (), 4)[0]
-
-
-@lru_cache(maxsize=128)
-def _program_binder(formulas, sizes, programs, params, constants, order=2):
-    """The program of ``formulas`` over the kernel of the component
-    ``programs``, or over the kernel it is given when ``programs`` is None,
-    and for sizes (1, n) its fused attempt, the program's lines written
-    into each stage of ``ode.attempt_source``, else None; their defaults
-    (the constants or _kernel, then _curve where a curve is read) None
-    until surface_program binds them.  None when that kernel defers to its
-    fallback.  At ``order`` 4 the formulas read no kernel (jet_program)."""
-    rec = _Recorder(programs, params, constants, order)
-    args = [f"_a{i}" for i in range(len(sizes))]
-    out = formulas(rec, *(_TapeJet(rec, a) if n == 1 else tuple(
-        _TapeJet(rec, f"{a}_{j}") for j in range(n))
-        for a, n in zip(args, sizes)))
-    if rec.deferred:
-        return None
-    lines = [f"def _program({', '.join(args + rec.defaults)}):"]
-    lines += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
-              for a, n in zip(args, sizes) if n > 1]
-    lines += _body(rec, [f"return {_source(out)}"])
-    name = formulas.__name__
-    program = _compile(lines, f"<surface program {name}>",
-                       rec.names)["_program"]
-    if not (len(sizes) == 2 and sizes[0] == 1 < sizes[1]):
-        return program, None
-    n = sizes[1]
-    body = _body(rec, [_source(x) for x in out])
-    fused = ("_a0", [f"_a1_{j}" for j in range(n)], body[:-n],
-             [line.strip() for line in body[-n:]], rec.defaults)
-    return program, _compile(attempt_source(n, fused),
-                             f"<dopri5 {name}, {n} components>",
-                             rec.names)["attempt"]
-
-
-def _body(rec, tail):
-    """The recorded lines, then the free lines ``tail``, inlined and
-    indented for a function body: each run of guarded lines in one try
-    that turns an OverflowError into the program's."""
-    lines, run = [], []     # guarded lines, in one try before the next free
-    guarded = "_overflow" in rec.names      # whether a kernel was read
-    for line, free in _inline([(line, i in rec.free or not guarded)
-                               for i, line in enumerate(rec.lines)]
-                              + [(line, True) for line in tail]):
-        if free and run:
-            lines += ["    try:", *run, "    except OverflowError:",
-                      f"        raise _overflow({rec.point}) from None"]
-            run = []
-        (lines if free else run).append(" " * (4 if free else 8) + line)
-    return lines
-
-
-def _source(x):
-    """Source of a term, or of a (nested) tuple of them."""
-    if isinstance(x, tuple):
-        return "(" + "".join(_source(t) + ", " for t in x) + ")"
-    return _fmt(x.c)
-
-
-class _Recorder(_Taylor):
-    """The generator of a surface program, for its formulas to read:
-
-    - ``kernel(u, v, overflow)``: the order-2 kernel triples at (u, v).  An
-      OverflowError in any line but ``check``'s raises ``overflow(u, v)``;
-    - ``tape(formulas, outputs, k)``: the lines of ``taped(formulas,
-      outputs)`` over the triples ``k``;
-    - ``check(fn, *args, floor)``: a call of ``fn`` where the code runs,
-      behind a fast path;
-    - ``curve(t)``: the rows (u, v) and (u', v') of a curve kernel at t."""
-
-    def __init__(self, programs, params, constants, order=2):
-        super().__init__(order, (), constants)
-        self.free = set()   # indices of the lines outside the guard
-        self.names = {}     # the program's globals
-        self.template = programs, params
-        self.defaults = (["_kernel=None"] if programs is None else
-                         [f"_c{i}=None" for i in range(len(constants))])
-
-    def kernel(self, u, v, overflow):
-        self.names["_overflow"] = overflow
-        self.point = f"{u.c}, {v.c}"
-        programs, params = self.template
-        if programs is None:
-            rows = [[f"_r{i}{c}" for c in "xyz"] for i in range(6)]
-            self.lines.append(", ".join(f"({', '.join(r)})" for r in rows)
-                              + f" = _kernel({self.point})")
-        else:
-            self.bind(params, (u.c, v.c))
-            rows = self.rows(programs)
-        return tuple(tuple(_TapeJet(self, 0.0 if t is None else t)
-                           for t in row) for row in rows)
-
-    def tape(self, formulas, outputs, k):
-        body, terms, _ = _pruned(formulas, outputs, 2)
-
-        def read(text):
-            return re.sub(r"\b_r(\d)([xyz])\b", lambda m: _fmt(
-                k[int(m[1])]["xyz".index(m[2])].c), text)
-
-        for line in map(read, body):
-            if line not in self.lines:  # a line of an earlier group
-                self.lines.append(line)
-        return tuple(_TapeJet(self, read(t) if isinstance(t, str)
-                              else 0.0 if t is None else t) for t in terms)
-
-    def check(self, fn, *args, floor):
-        """A call ``fn(*args)``, outside the overflow guard, made only where
-        the first argument is not both below inf and above ``floor``: the
-        caller's word that ``fn`` raises nowhere else."""
-        self.names[fn.__name__] = fn
-        self.free.add(len(self.lines))
-        x = _fmt(args[0].c)
-        self.lines.append(
-            f"if not ({x} < inf and {x} > {_fmt(floor.c)}): "
-            f"{fn.__name__}({', '.join(_fmt(a.c) for a in args)})")
-
-    def curve(self, t):
-        """(u, v) and (u', v'), the first two rows of the curve kernel
-        ``_curve`` (the program's last default) at ``t``, read outside the
-        overflow guard: the curve's errors are its own."""
-        self.free.add(len(self.lines))
-        self.lines.append(f"(_u, _v), (_du, _dv) = _curve({_fmt(t.c)})[:2]")
-        self.defaults.append("_curve=None")
-        return tuple(tuple(_TapeJet(self, n) for n in pair)
-                     for pair in (("_u", "_v"), ("_du", "_dv")))
-
-
-_LOCAL = re.compile(r"\b_[tg]\d+\b")
-_PURE = re.compile(r"[\w.() +*-]{,300}")   # no division, indexing or call
-
-
-def _inline(lines):
-    """``lines``, (source, flag) pairs, with each local _t<n> or _g<n> that
-    holds float + - * arithmetic written into the one line that reads it,
-    so that it stays on the stack, or left out when no line reads it.
-    Python's float + - * raise nothing, so no value and no error changes."""
-    split = [m.groups() if (m := re.fullmatch(r"([\w, ]+) = (.*)", line))
-             else (None, line) for line, _ in lines]    # (targets, code)
-    reads = collections.Counter(n for _, code in split
-                                for n in _LOCAL.findall(code))
-    held, out = {}, []      # local -> the source it is replaced by
-    for (target, code), (_, flag) in zip(split, lines):
-        code = _LOCAL.sub(lambda m: f"({held.pop(m[0])})" if m[0] in held
-                          else m[0], code)
-        if not (target and _LOCAL.fullmatch(target) and _PURE.fullmatch(code)
-                and not re.search(r"\w\(|\*\*", code)):
-            out.append((f"{target} = {code}" if target else code, flag))
-        elif reads[target] == 1:
-            held[target] = code
-        elif reads[target]:
-            out.append((f"{target} = {code}", flag))
-    return out
 
 
 # --------------------------------------------------------------------------

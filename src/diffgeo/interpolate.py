@@ -10,9 +10,8 @@ that share their knots from generated code, equal to the jets' coefficients.
 """
 
 from bisect import bisect_right
-from functools import lru_cache
 
-from .expr import _kernel_binder, _postfix, parse_text
+from .expr import _GENERATED, _KERNEL, _postfix, parse_text
 
 __all__ = ["HermiteChannel", "taylor_kernel"]
 
@@ -59,20 +58,10 @@ class HermiteChannel:
         return out
 
 
-# the Horner form that HermiteChannel.__call__ evaluates, x = (s - a) * b
-_HORNER = "((((k5*x + k4)*x + k3)*x + k2)*x + k1)*x + k0".replace(
-    "x", "((s - a)*b)")
-
-
-@lru_cache(maxsize=None)
-def _horner(n):
-    """The order-4 kernel of n channels' Horner forms, the knot a, 1 / width
-    b and each channel's coefficients k<j>_0 .. k<j>_5 its constants."""
-    return _kernel_binder(
-        tuple(_postfix(parse_text(_HORNER.replace("k", f"k{j}_")))
-              for j in range(n)),
-        ("s",), ("a", "b", *(f"k{j}_{m}" for j in range(n)
-                             for m in range(6))), 4)
+# the program of the Horner form that HermiteChannel.__call__ evaluates,
+# x = (s - a) * b, over the coefficients k0 .. k5
+_HORNER = _postfix(parse_text("((((k5*x + k4)*x + k3)*x + k2)*x + k1)*x + k0"
+                              .replace("x", "((s - a)*b)")))
 
 
 def taylor_kernel(channels):
@@ -81,7 +70,13 @@ def taylor_kernel(channels):
     over the same knots: as ``HermiteChannel.__call__`` computes them on a
     Jet1 variable, bit for bit, from order-4 code generated once per number
     of channels."""
-    horner, first = _horner(len(channels)), channels[0]
+    n, first = len(channels), channels[0]
+    # the Horner forms' constants: the knot a, 1 / width b and each
+    # channel's coefficients, k<j>_0 .. k<j>_5 for channel j
+    horner = _GENERATED[(tuple(tuple(
+        (op, f"k{j}_{arg[1]}" if op == "var" and arg[0] == "k" else arg)
+        for op, arg in _HORNER) for j in range(n)), ("s",), ("a", "b", *(
+            f"k{j}_{m}" for j in range(n) for m in range(6)))), _KERNEL, 4]
 
     def kernel(s):
         i, knot, inv_h = first.segment(s)

@@ -31,7 +31,6 @@ to land on a sample does not shrink the next one, which starts from the
 larger of the size proposed before the shortening and the new proposal.
 """
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -97,18 +96,18 @@ def _tup(items):
     return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
-def _compiled(lines, name, n):
-    scope = {}
-    exec(compile("\n".join(lines), f"<dopri5 {name}, {n} components>",
-                 "exec"), scope)
-    return scope[name]
+def _compile(lines, filename, namespace):
+    """Run generated ``lines`` in ``namespace``: the one place they compile."""
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace
 
 
 @lru_cache(maxsize=32)     # callers use a few state sizes
 def _attempt(n):
     """The generic attempt for states of ``n`` components (see
     :func:`attempt_source`), generated on first use."""
-    return _compiled(attempt_source(n), "attempt", n)
+    return _compile(attempt_source(n), f"<dopri5 attempt, {n} components>",
+                    {})["attempt"]
 
 
 def attempt_source(n, fused=None):
@@ -125,18 +124,17 @@ def attempt_source(n, fused=None):
 
     A stage calls ``f(t + c*hs, state)``, unless ``fused`` writes a
     generated field into the attempt: ``(time, names, body, value,
-    defaults)``, the names that the field's code reads for t and for each
-    component of y, its lines, the source of each component of its value,
-    and its parameters with defaults, which the attempt takes after its
-    own.  A stage then sets those names to its time (if the code reads it)
-    and state and runs the lines, the same float operations as the call:
-    the attempt equals the generic one over that field, bit for bit, and
-    raises what it raises."""
+    defaults)``, the names that the field's code reads for t (or None)
+    and for each component of y, its lines, the source of each component
+    of its value, and its parameters with defaults, which the attempt
+    takes after its own.  A stage then sets those names to its time (if
+    the code reads it) and state and runs the lines, the same float
+    operations as the call: the attempt equals the generic one over that
+    field, bit for bit, and raises what it raises."""
     assert _B5 == _A[6] + (0.0,)
     idx = range(n)
     if fused:
         t_name, names, body, value, defaults = fused
-        reads_t = any(re.search(rf"\b{t_name}\b", x) for x in body + value)
     extra = "".join(f", {d}" for d in defaults) if fused else ""
     lines = [f"def attempt(f, t, y, k1, hs, tol{extra}):",
              f"    {_tup([f'y{i}' for i in idx])} = y",
@@ -153,7 +151,7 @@ def attempt_source(n, fused=None):
                 return [f"    {parts} = {call}"]
             return [f"    k{s} = {call}", f"    {parts} = k{s}"]
         out = [f"    {name} = {x}" for name, x in zip(names, state)]
-        if reads_t:
+        if t_name:
             out.append(f"    {t_name} = {time}")
         out += [*body, *(f"    k{s}_{i} = {x}" for i, x in enumerate(value))]
         return out if s == 2 else out + [f"    k{s} = {parts}"]
@@ -209,7 +207,7 @@ def _dense(n):
               "        th1 = 1.0 - th",
               f"        out.append({_tup(reads)})",
               "    return out"]
-    return _compiled(lines, "dense", n)
+    return _compile(lines, f"<dopri5 dense, {n} components>", {})["dense"]
 
 
 def ode_solve(field_fn, y0, ts, spec=OdeSpec(), *, post_step=None, stop=None,

@@ -21,7 +21,8 @@ panels not yet visited.
 
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 from .errors import MaxDepthExceeded
 
@@ -88,8 +89,8 @@ def _adaptive(rule, split, whole, spec):
     def recurse(panel, coarse, tol, depth):
         parts = split(panel)
         vals, floors = zip(*(rule(*p) for p in parts))
-        refined = sum(vals)
-        if tol < sum(floors):
+        refined = _sum(vals)
+        if tol < _sum(floors):
             raise _Halt(refined, _BELOW_ROUNDING)
         if abs(refined - coarse) <= tol:
             return refined
@@ -100,9 +101,9 @@ def _adaptive(rule, split, whole, spec):
             try:
                 done.append(recurse(p, v, tol / len(parts), depth + 1))
             except _Halt as halt:
-                halt.best += sum(done) + sum(vals[k + 1:])
+                halt.best += _sum(done) + _sum(vals[k + 1:])
                 raise
-        return sum(done)
+        return _sum(done)
 
     try:
         return recurse(whole, rule(*whole)[0], spec.tol, 1)
@@ -160,3 +161,9 @@ def quad2d(f, rect, spec=QuadSpec()):
                 (a0, am, bm, b1), (am, a1, bm, b1))
 
     return _adaptive(partial(_panel2d, f), quarters, (u0, u1, v0, v1), spec)
+
+
+def _sum(values):
+    """``values`` added left to right from 0.0: builtin ``sum`` compensates
+    since Python 3.12, which would change reports."""
+    return reduce(add, values, 0.0)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .errors import DiffGeoError, SingularSurfacePoint, ZeroVector
 from .expr import position_kernel, surface_program, taped
 from .jets import Jet1, Jet2
-from .quadrature import QuadSpec, quad2d
+from .quadrature import QuadSpec, _sum, quad2d
 from .vectors import Vec3, _spread
 
 __all__ = [
@@ -670,7 +670,7 @@ def form_identity_residual(surface, u, v):
                           (fb.G, fb.g, fb.c22)):
         terms = (K * a_c, -2.0 * H * b_c, c_c)
         scale = max(scale, *(abs(t) for t in terms))
-        worst = max(worst, abs(sum(terms)))
+        worst = max(worst, abs(_sum(terms)))
     return worst / max(1.0, scale)
 
 

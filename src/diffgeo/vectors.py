@@ -75,7 +75,7 @@ class Vec3:
         return Vec3(self.x.derivative(), self.y.derivative(), self.z.derivative())
 
     def du(self):
-        """Componentwise partials of tape jets (see expr._TapeJet)."""
+        """Componentwise partials of the recorder's jets (expr._TapeJet)."""
         return Vec3(self.x.du(), self.y.du(), self.z.du())
 
     def dv(self):

@@ -18,12 +18,11 @@ jet.
 """
 
 import math
-from functools import lru_cache
 
 from .curves import ParametricCurve, _CurveJets, frenet, frenet_residuals
 from .errors import (AsymptoticPoint, InflectionPoint, NonOrthogonalPatch,
                      UmbilicPoint)
-from .expr import _kernel_binder, _postfix, parse_text
+from .expr import _GENERATED, _KERNEL, _postfix, parse_text
 from .roots import root_find
 from .surfaces import (curvatures, forms, riemann_R1212,
                        form_identity_residual, gauss_weingarten_residuals,
@@ -77,12 +76,13 @@ def run(residual, points, tol):
     return ("PASS" if worst <= tol else "FAIL"), worst, ""
 
 
-@lru_cache(maxsize=None)
+_SUBSTITUTION = _postfix(parse_text("w + 0.1*sin(w)"))
+
+
 def _substitution():
     """Floats w -> the five rows (t_k,) of t = w + 0.1 sin w: order-4 code,
     generated on first use."""
-    return _kernel_binder((_postfix(parse_text("w + 0.1*sin(w)")),), ("w",),
-                          (), 4)
+    return _GENERATED[((_SUBSTITUTION,), ("w",), ()), _KERNEL, 4]
 
 
 def curve_suites(shape, rng, n, rect):

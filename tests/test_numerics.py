@@ -15,7 +15,7 @@ from diffgeo import ode, quadrature
 from diffgeo.errors import (MaxDepthExceeded, MaxStepsExceeded, NoConvergence,
                             StepUnderflow)
 from diffgeo.ode import OdeSpec, linspace, ode_solve
-from diffgeo.quadrature import QuadSpec, quad2d, quad_adaptive
+from diffgeo.quadrature import QuadSpec, _sum, quad2d, quad_adaptive
 from diffgeo.roots import root_find
 
 
@@ -638,6 +638,12 @@ class TestQuadrature:
     def test_empty_intervals(self):
         assert quad_adaptive(math.sin, (1.0, 1.0)) == 0.0
         assert quad2d(lambda u, v: 1.0, (0, 0, 0, 1)) == 0.0
+
+    def test_sums_add_left_to_right(self):
+        # as builtin sum adds floats before Python 3.12, which compensates
+        # (1.0 here), so reports are the same on every supported Python
+        assert _sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.copysign(1.0, _sum([-0.0])) == 1.0
 
 
 class TestNoRuntimeDependencies:

@@ -8,6 +8,7 @@ attempt equals the generic attempt over the same program by ``repr``,
 errors included, so that a solve gives the same bits whether the field's
 lines are written into the attempt or called at each stage."""
 
+import ast
 import math
 import os
 import random
@@ -17,6 +18,7 @@ import zlib
 
 import pytest
 
+import generated_code
 import reference
 from diffgeo import catalog, expr, jets, ode
 from diffgeo.surfacecurves import (SurfaceCurve, _geodesic, _geodesic_rhs,
@@ -176,16 +178,40 @@ def test_singular_normal_regular_metric():
                                                  False]
 
 
+_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.Load,
+               ast.Add, ast.Sub, ast.Mult, ast.USub)
+
+
+def test_no_program_assigns_an_unread_arithmetic_line():
+    # float + - * and negation raise nothing, so such a line that nothing
+    # reads is dead; the printed source is read back with ast
+    programs = generated_code.collect()
+    assert len(programs) > 80
+    for filename, source in programs:
+        for fn in ast.parse(source).body:
+            reads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            dead = [ast.unparse(line) for line in ast.walk(fn)
+                    if isinstance(line, ast.Assign)
+                    and len(line.targets) == 1
+                    and isinstance(line.targets[0], ast.Name)
+                    and line.targets[0].id not in reads
+                    and all(isinstance(n, _ARITHMETIC)
+                            for n in ast.walk(line.value))]
+            assert not dead, (filename, dead)
+
+
 def test_nothing_generated_at_import_make_or_eval():
     # a fresh interpreter: this one has generated code for other tests
     probe = (
         "from diffgeo import catalog, cli, expr\n"
         "from diffgeo.surfaces import ParametricSurface\n"
         "shapes = [catalog.make(n) for n in catalog.names()]\n"
-        "made = [expr._kernel_binder.cache_info().currsize]\n"
+        "made = [len(expr._GENERATED)]\n"
         "assert cli.main(['eval', '--shape', 'torus', '--at', '0.3,0.4',\n"
         "                 '--quantity', 'curvatures']) == 0\n"
-        "made.append(expr._program_binder.cache_info().currsize)\n"
+        "made.append(sum(f[0] is expr._program_code\n"
+        "                for _, f, _ in expr._GENERATED))\n"
         "made += [len(s._programs) for s in shapes\n"
         "         if isinstance(s, ParametricSurface)]\n"
         "assert made == [0] * len(made), made\n")

@@ -494,21 +494,21 @@ class TestMetricFastPath:
         assert not counts
 
     def test_one_generation_per_template(self, monkeypatch):
-        expr._kernel_binder.cache_clear()
+        expr._GENERATED.clear()
         made = []
 
-        class Counted(expr._Taylor):
+        class Counted(expr._Recorder):
             def __init__(self, *args):
                 made.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(expr, "_Taylor", Counted)
+        monkeypatch.setattr(expr, "_Recorder", Counted)
         small, large = catalog.make("torus", R=2.0), catalog.make("torus", R=5.0)
         assert small.kernel(0.7, 1.1) == small._jet_kernel(0.7, 1.1)[:6]
         assert large.kernel(0.7, 1.1) == large._jet_kernel(0.7, 1.1)[:6]
         assert small.kernel(0.7, 1.1) != large.kernel(0.7, 1.1)
         assert small.eval(0.7, 1.1) != large.eval(0.7, 1.1)
-        # templates only: eval_literal folds the numbers with _Taylor(0)
+        # templates only: eval_literal folds the numbers with _Recorder(0)
         orders = [args[0] for args in made if args[1:]]
         assert sorted(orders) == [0, 2]
         assert small.kernel3(0.7, 1.1) == small._jet_kernel(0.7, 1.1)
