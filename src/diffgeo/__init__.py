@@ -1,10 +1,11 @@
 """diffgeo: numerical differential geometry of parametric curves and
 surfaces.
 
-The kernels evaluate shapes into truncated-Taylor jets, so curvature,
-torsion, fundamental forms, Christoffel symbols and every residual checked
-by the verification suites come from exact derivatives of the defining
-expressions rather than finite differences.
+Every shape, a definition or a jet-generic Python function, is evaluated
+through code generated once from its truncated-Taylor (jet) arithmetic, so
+curvature, torsion, fundamental forms, Christoffel symbols and every
+residual checked by the verification suites come from exact derivatives
+of the defining expressions rather than finite differences.
 """
 
 from . import catalog, errors
@@ -16,7 +17,6 @@ from .curves import (CurveClass, FrenetData, OsculatingCircle,
                      reconstruct_from_kappa_tau, reparam_to_arclength,
                      spherical_indicatrix, sphericity_residual)
 from .expr import ShapeDefinition, load_definition, parse_text, to_text
-from .jets import Jet1, Jet2, lift1, lift2
 from .ode import OdeSpec, ode_solve
 from .quadrature import QuadSpec, quad2d, quad_adaptive
 from .roots import root_find

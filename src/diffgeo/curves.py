@@ -9,25 +9,25 @@ built from a definition runs code generated per template
 (``expr.position_kernel`` at order 4); Hermite interpolants read their
 quintics; arc-length reparametrizations compose the base kernel with the
 inverse of the arc length by Faa di Bruno over floats; involutes and
-spherical indicatrices are written over the base kernel.  A Python
-function over Jet1 makes a kernel through :func:`jet_kernel`, the one
-path that evaluates jets.  The Frenet formulas over the kernel are written
-once, over jets, in ``_frenet``, and run as generated float code that
-keeps the Jet1 arithmetic (``expr.taped``); every such value is read from
-one point bundle, ``_CurveJets``.  The torsion sign convention is the
-right-handed Frenet system dB/ds = -tau N.
+spherical indicatrices are written over the base kernel.  A jet-generic
+Python function of t makes a kernel through :func:`jet_kernel`, recorded
+once as generated code, as a definition is.  The Frenet formulas over the
+kernel are written once, over jets, in ``_frenet``, and run as generated
+float code that keeps the Jet1 arithmetic (``expr.taped``); every such
+value is read from one point bundle, ``_CurveJets``.  The torsion sign
+convention is the right-handed Frenet system dB/ds = -tau N.
 """
 
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
-from .expr import position_kernel, taped
+from .expr import position_kernel, recorded, taped
 from .interpolate import HermiteChannel, taylor_kernel
-from .jets import Jet1, compose1
+from .jets import compose1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, _sum, quad_adaptive
 from .vectors import Vec3, _spread
@@ -53,8 +53,8 @@ class ParametricCurve:
     ``kernel(t)`` gives, at a float t, the five (x, y, z) triples r, r',
     r'', r''', r'''' of the position's derivatives.  ``definition`` is the
     'curve' definition that the curve evaluates, if any: the kernel (None
-    here) is then code generated from it, on first use.  A Python function
-    over Jet1 makes a kernel through :func:`jet_kernel`.
+    here) is then code generated from it, on first use.  A jet-generic
+    Python function of t makes a kernel through :func:`jet_kernel`.
     """
 
     def __init__(self, kernel, domain, unit_speed=False, definition=None):
@@ -76,14 +76,10 @@ class ParametricCurve:
             return self.definition.eval(float(t), check_domain=False)
         return Vec3(*self.kernel(t)[0])
 
-    # the deferral fallback holds the definition, not the curve: a curve
-    # is freed as soon as it is dropped
     @cached_property
     def kernel(self):
         """Floats t -> (x, y, z) triples r, r', r'', r''', r''''."""
-        definition = self.definition
-        return position_kernel(definition, jet_kernel(
-            partial(definition.eval, check_domain=False)), 4)
+        return position_kernel(self.definition, 4)
 
     def composite(self, rows):
         """Floats: the five Taylor rows (t_k,) of a change of parameter
@@ -114,16 +110,12 @@ class ParametricCurve:
                 for k in range(n)]
 
 
-def _coefficients(pos):
-    """The five (x, y, z) coefficient triples of a Vec3 of Jet1."""
-    return tuple(zip(pos.x.c, pos.y.c, pos.z.c))
-
-
 def jet_kernel(fn):
-    """The kernel of the curve ``fn``, a Python function of a Jet1
-    parameter that returns a Vec3 of Jet1 built jet-generically: floats t
-    -> the five triples of ``fn`` at the Jet1 variable t."""
-    return lambda t: _coefficients(fn(Jet1.variable(t)))
+    """The kernel of the curve ``fn``, a jet-generic Python function of t
+    that returns a Vec3: floats t -> the five triples of its Jet1
+    coefficients at the variable t, from code recorded on the first call
+    (``expr.recorded``)."""
+    return recorded(fn)
 
 
 @dataclass

@@ -45,6 +45,11 @@ class DomainError(DiffGeoError):
     the declared interval."""
 
 
+class UnrecordableFunction(DiffGeoError):
+    """A shape's Python function reads a jet's value (to branch on it, or
+    for ``math``), so it cannot be recorded as code; the message names it."""
+
+
 # --- numerics -------------------------------------------------------------
 
 class StepUnderflow(DiffGeoError):

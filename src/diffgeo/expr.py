@@ -36,14 +36,15 @@ through order 4 over floats, and at order 4 over jet parameters (the rows
 of their Taylor coefficients) for the composite r(u(t), v(t)) along a
 surface curve.  Order 4 keeps Jet1's zeros, so it equals Jet1 bit for bit;
 orders 2 and 3 leave known zeros out, so they equal Jet2 by ``==``, but a
-zero may carry the other sign.  CLI commands evaluate shapes through this
-code alone: jets are evaluated only for shapes built from Python callables
-and where a kernel defers to its fallback.  :func:`taped` records
-jet-generic formulas over a position, :func:`jet_program` Jet1 arithmetic
-over float arguments, and :func:`surface_program` a consumer of a surface
-kernel after the kernel's own records, or after one call of the kernel of
-a surface built from a callable or a template whose kernel defers; an ODE
-field's program carries its fused Dormand-Prince attempt.
+zero may carry the other sign; '^' keeps one rule of its own
+(``_Recorder.power``).  A shape built from a jet-generic Python function
+(:class:`Recording`) is recorded the same way, its function run once on
+recorded jets, so every shape is evaluated through this code alone.
+:func:`taped` records jet-generic formulas over a position,
+:func:`jet_program` Jet1 arithmetic over float arguments, and
+:func:`surface_program` a consumer of a surface kernel after the kernel's
+own records; an ODE field's program carries its fused Dormand-Prince
+attempt.
 A parsed definition is immutable and :func:`load_definition` shares it
 per text, so a text is parsed once however many shapes are built from it.
 Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
@@ -61,7 +62,8 @@ from types import FunctionType, MappingProxyType
 
 from . import jets, ode
 from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
-                     LexError, ParseError, UnknownIdentifier)
+                     LexError, ParseError, UnknownIdentifier,
+                     UnrecordableFunction)
 from .jets import FUNCTIONS
 from .vectors import Vec3
 
@@ -70,6 +72,7 @@ __all__ = [
     "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
     "eval_literal", "scalar_function", "position_kernel", "taped",
+    "Recording", "recorded",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -452,30 +455,49 @@ def _postfix(node):
 # generated code: one recorder, one printer, one cache
 # --------------------------------------------------------------------------
 
-def position_kernel(definition, fallback, order=2, jets=False):
+def position_kernel(shape, order=2, jets=False):
     """The kernel ``(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` of a
-    'surface' definition, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv
-    and r_vvv: (x, y, z) float triples equal by ``==`` to the Jet2
-    coefficients of ``definition.eval``, raising what it raises; a zero
-    may carry the other sign, because orders 2 and 3 leave out the terms
-    known to be zero that Jet2 adds.  At ``order`` 4 the kernel
-    ``t -> (r, r', r'', r''', r'''')`` of a 'curve' definition gives the
-    Jet1 coefficients the same way, bit for bit, signed zeros included.
-    The code is generated once per template (components, parameter and
-    constant names) and order, and bound here to the constant values.
-    ``fallback(u, v)`` (``fallback(t)``) gives the triples from one jet
-    evaluation; the kernel defers to it where the jet ``power`` branches
-    on what the kernel does not decide.  At ``order`` 0
-    the kernel of any definition takes its parameters as floats or jets and
-    returns its one row of components; it needs no fallback.
+    surface, followed at ``order`` 3 by r_uuu, r_uuv, r_uvv and r_vvv:
+    (x, y, z) float triples equal by ``==`` to the Jet2 coefficients of the
+    shape evaluated on jets, raising what that raises, '^' aside (see
+    _Recorder.power); a zero may carry the other sign, because orders 2
+    and 3 leave out the terms known to be zero that Jet2 adds.  At
+    ``order`` 4 the kernel ``t -> (r, r', r'', r''', r'''')`` of a curve
+    (the rows (u_k, v_k) of a surface curve) gives the Jet1 coefficients
+    the same way, bit for bit, signed zeros included.  ``shape`` is a
+    ShapeDefinition or a Recording.  The code is generated once per
+    template (the component programs or the function, parameter and
+    constant names) and order, and bound here to the constant values.  At
+    ``order`` 0 the kernel of a definition takes its parameters as floats
+    or jets and returns its one row of components.
 
     With ``jets`` (order 4) the parameters are jets: the kernel takes one
     argument, the five rows (u_k, v_k) of their Taylor coefficients, as a
     surface curve's kernel returns them, and gives the Jet1 coefficients
-    of ``definition.eval`` at those jets, the composite r(u(t), v(t));
-    ``fallback(rows)`` gives them from one jet evaluation."""
-    kernel = _GENERATED[definition._template, (_kernel_code, jets), order]
-    return _bind(kernel, fallback, *definition.constants.values())
+    of the surface at those jets, the composite r(u(t), v(t))."""
+    kernel = _GENERATED[shape._template, (_kernel_code, jets), order]
+    return _bind(kernel, *shape.constants.values())
+
+
+class Recording:
+    """A jet-generic Python function of ``params`` as a shape, as a
+    definition is one: its code is recorded by running it once on _TapeJets
+    (a float component is lifted).  One that reads a jet's value raises
+    UnrecordableFunction, naming it, where its first code is made."""
+
+    constants = MappingProxyType({})
+
+    def __init__(self, fn, params):
+        self._template = (fn, tuple(params), ())
+        self._scales = {}   # as ShapeDefinition._scales
+
+
+def recorded(fn):
+    """The order-4 kernel of ``fn``, a jet-generic function of one
+    parameter (a curve's or a surface curve's): floats t -> the five rows
+    of its Jet1 coefficients at the variable t, recorded on first use."""
+    template = Recording(fn, ("t",))._template
+    return lambda t: _GENERATED[template, _KERNEL, 4](t)
 
 
 def taped(formulas, outputs, order=2):
@@ -490,30 +512,22 @@ def taped(formulas, outputs, order=2):
     return _GENERATED[None, (_tape_code, formulas, outputs), order]
 
 
-def surface_program(formulas, sizes, definition, kernel, curve=None):
+def surface_program(formulas, sizes, shape, curve=None):
     """``formulas(rec, *args)``, float code over a surface's kernel, as one
     straight-line function of ``args``, each a float (size 1) or a sequence
     of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
     reads the surface through the recorder ``rec`` (see _Recorder);
     ``curve`` is the curve kernel that ``rec.curve`` reads, if it is read.
 
-    One recorder, two prologues.  The first is the kernel's own records,
-    generated from ``definition`` once per template and program and bound
-    here to the constant values.  The second is one call of ``kernel()``,
-    the surface's kernel: for a surface without a definition, or a
-    template whose kernel defers to its fallback.  Each value equals the
+    The program is the kernel's own records, then the formulas', generated
+    once per template of ``shape`` (a ShapeDefinition or a Recording) and
+    program, and bound here to the constant values.  Each value equals the
     one that ``formulas`` computes over floats from the kernel's triples.
     A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
     ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
-    program = (_program_code, formulas, sizes)
-    made = definition is not None and _GENERATED[definition._template,
-                                                 program, 2]
-    if made:
-        bound = tuple(definition.constants.values())
-    else:
-        made = _GENERATED[None, program, 2]
-        bound = (kernel(),)
-    fn, attempt = made
+    fn, attempt = _GENERATED[shape._template,
+                             (_program_code, formulas, sizes), 2]
+    bound = tuple(shape.constants.values())
     if "_curve" in fn.__code__.co_varnames:
         bound += (curve,)
     program = _bind(fn, *bound)
@@ -540,15 +554,19 @@ def _bind(fn, *defaults):
 class _Cache(dict):
     """The one cache of generated code: (template, formulas, order) -> what
     ``formulas`` (a maker and its arguments) generates over ``template``
-    (component programs, parameter and constant names, or None) at
-    ``order``, made on first use, the oldest of 256 dropped.  The defaults
-    of what is made stay None until a caller binds them in a copy."""
+    (component programs or a function, parameter and constant names, or
+    None) at ``order``, made on first use.  Each kind of code (one maker's,
+    order 0 apart) keeps its last 256 entries, so one-off expressions and
+    shapes evict no tape or program in use.  The defaults of what is made
+    stay None until a caller binds them in a copy."""
 
     def __missing__(self, key):
         template, (make, *args), order = key
         made = make(template, order, *args)
-        if len(self) == 256:
-            del self[next(iter(self))]
+        kind = [k for k in self
+                if k[1][0] is make and bool(k[2]) == bool(order)]
+        if len(kind) == 256:
+            del self[kind[0]]
         self[key] = made
         return made
 
@@ -560,9 +578,8 @@ def _kernel_code(template, order, jets):
     """The position kernel of ``template`` (see position_kernel)."""
     programs, params, constants = template
     rec = _Recorder(order, params, constants, jets)
-    ret = _source(rec.rows(programs), "return ")
-    args = [*rec.params, "_fallback=None",
-            *(f"_c{i}=None" for i in range(len(constants)))]
+    ret = _source(rec.rows(programs, params), "return ")
+    args = [*rec.params, *(f"_c{i}=None" for i in range(len(constants)))]
     return _compile([f"def _kernel({', '.join(args)}):",
                      *_body(rec.records + [ret], order)],
                     "<position kernel>")["_kernel"]
@@ -600,21 +617,18 @@ def _tape_code(template, order, formulas, outputs):
 
 
 def _program_code(template, order, formulas, sizes):
-    """The program of ``formulas`` over the kernel of ``template``, or over
-    the kernel it is given (``template`` None), and for sizes (1, n) its
-    fused attempt (``ode.attempt_source``), else None; None when that
-    kernel defers to its fallback.  At ``order`` 4 (jet_program) the
-    formulas read no kernel."""
-    rec = _Recorder(order, (), template[2] if template else ())
+    """The program of ``formulas`` over the kernel of ``template``, and
+    for sizes (1, n) its fused attempt (``ode.attempt_source``), else None.
+    At ``order`` 4 (jet_program) the formulas read no kernel, and
+    ``template`` is None."""
+    constants = template[2] if template else ()
+    rec = _Recorder(order, (), constants)
     rec.template = template
-    rec.defaults = (["_kernel=None"] if template is None else
-                    [f"_c{i}=None" for i in range(len(template[2]))])
+    rec.defaults = [f"_c{i}=None" for i in range(len(constants))]
     args = [f"_a{i}" for i in range(len(sizes))]
     out = formulas(rec, *(_TapeJet(rec, a) if n == 1 else tuple(
         _TapeJet(rec, f"{a}_{j}") for j in range(n))
         for a, n in zip(args, sizes)))
-    if rec.deferred:
-        return None
     head = [f"def _program({', '.join(args + rec.defaults)}):"]
     head += [f"    {', '.join(f'{a}_{j}' for j in range(n))} = {a}"
              for a, n in zip(args, sizes) if n > 1]
@@ -783,7 +797,6 @@ class _Recorder:
         self.local = local  # the prefix of the locals it names
         self.records = []
         self.named = {}     # (op, operands) -> the targets that hold it
-        self.deferred = False   # whether a line returns the fallback's value
         self.free = set()   # indices of the records outside the guard
         self.names = {}     # a program's globals
         self.point = None   # the source of (u, v) where a kernel was read
@@ -811,13 +824,18 @@ class _Recorder:
             if self.order and params[1:]:
                 self.env[params[1]] = (names[1], None, 1.0) + self.zero[3:]
         self.params = list(names)
-        self.bail = f"return _fallback({', '.join(self.params)})[:{self.size}]"
         self.first = self.env[params[0]] if params else None
 
-    def rows(self, programs):
-        """The terms of a kernel of the component ``programs``: one row of
+    def rows(self, programs, params):
+        """The terms of a kernel of the component ``programs``, or of the
+        function ``programs`` run once on the jets of ``params``: one row of
         components per coefficient, or the one row at order 0."""
-        outs = [self.gen(p) for p in programs]
+        if callable(programs):
+            outs = [x.c if isinstance(x, _TapeJet) else float(x)
+                    for x in _run(programs, [_TapeJet(self, self.env[p])
+                                             for p in params])]
+        else:
+            outs = [self.gen(p) for p in programs]
         if not self.order:
             outs = [(o,) for o in outs]
         elif not all(isinstance(o, tuple) for o in outs):
@@ -838,11 +856,6 @@ class _Recorder:
             self.named[key] = f"{self.local}{len(self.records)}"
             self.records.append(((self.named[key],), *key))
         return self.named[key]
-
-    def defer(self, condition, *operands):
-        """Return the fallback's value where ``condition`` holds."""
-        self.record((), f"if {condition}: {self.bail}", *operands)
-        self.deferred = True
 
     def table(self, fn, *args):
         """The terms d0..d3 of the derivative-table call ``fn(*args)``, and
@@ -1055,14 +1068,12 @@ class _Recorder:
         return self.scalar(f"_fn_{name}({{}})", FUNCTIONS[name], x)
 
     def power(self, base, p):
+        """``base ^ p`` as jets.power, but by a rule that branches on no
+        run-time value: a jet exponent is exp(p log(base)) everywhere, where
+        jets.power takes base^p0 if p's partials vanish; any exponent but a
+        literal integer of at most 64 composes x^p's table (_tab_pow), where
+        jets.power multiplies an integer out.  Each agrees to rounding."""
         if isinstance(p, tuple):
-            # jets.power takes exp(p * log(base)) unless every partial of p
-            # is zero; that case, which order 2 cannot decide, goes to the
-            # fallback at any order
-            partials = [t for t in p[1:] if t is not None and t != 0.0]
-            if not any(isinstance(t, float) for t in partials):
-                self.defer(f"not ({' or '.join(['{}'] * len(partials)) or 0})",
-                           *partials)
             return self.call("exp", self.mul(p, self.call("log", base)))
         n = p if isinstance(p, float) and p.is_integer() else None
         if not isinstance(base, tuple):
@@ -1070,10 +1081,6 @@ class _Recorder:
                 return self.coef(self.prod(*[base] * int(n)))
             return self.scalar("_power({}, {})", jets.power, base, p)
         if n is None or abs(n) > 64:
-            if not (isinstance(p, float) and math.isfinite(p) and n is None):
-                # jets.power multiplies out an integer exponent, here one
-                # known only at run time or a long one
-                self.defer("{} == int({})", p, p)
             return self.compose(self.table("_tab_pow", base[0], p), base)
         if n < 0:
             self.record((), "if {} == 0.0: raise DomainError("
@@ -1101,14 +1108,9 @@ class _Recorder:
         line but ``check``'s raises ``overflow(u, v)``."""
         self.names["_overflow"] = overflow
         self.point = f"{u.c}, {v.c}"
-        if self.template is None:
-            rows = [[f"_r{i}{c}" for c in "xyz"] for i in range(6)]
-            self.record((", ".join(f"({', '.join(r)})" for r in rows),),
-                        "_kernel({}, {})", u.c, v.c)
-        else:
-            programs, params, _ = self.template
-            self.bind(params, (u.c, v.c))
-            rows = self.rows(programs)
+        programs, params, _ = self.template
+        self.bind(params, (u.c, v.c))
+        rows = self.rows(programs, params)
         return tuple(tuple(_TapeJet(self, 0.0 if t is None else t)
                            for t in row) for row in rows)
 
@@ -1156,7 +1158,8 @@ class _TapeJet:
     Jet2 (at order 4, Jet1) arithmetic (the tape of Griewank & Walther,
     ch. 6).  ``call(name)`` stands for ``jets.<name>``.  A jet of one float
     term, as a surface program's formulas read, records float arithmetic:
-    a - b and a / b as written."""
+    a - b and a / b as written.  It has no value: reading one raises
+    UnrecordableFunction."""
 
     __slots__ = ("gen", "c")
 
@@ -1167,6 +1170,12 @@ class _TapeJet:
         other = other.c if isinstance(other, _TapeJet) else float(other)
         return _TapeJet(self.gen, op(self.c, other))
 
+    def _no_value(self, *_):
+        raise UnrecordableFunction("it reads the value of a jet")
+
+    value = property(_no_value)
+    __float__ = __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_value
+
     def __add__(self, other):
         return self._apply(self.gen.add, other)
 
@@ -1176,13 +1185,15 @@ class _TapeJet:
         return _TapeJet(self.gen, self.gen.neg(self.c))
 
     def __sub__(self, other):
-        if isinstance(self.c, tuple):
-            return self + (-other)
         return self._apply(self.gen.sub, other)
 
+    def __pow__(self, other):
+        return self._apply(self.gen.power, other)
+
+    def __rpow__(self, other):
+        return _TapeJet(self.gen, self.gen.power(float(other), self.c))
+
     def __rsub__(self, other):
-        if isinstance(self.c, tuple):
-            return (-self) + other
         return _TapeJet(self.gen, self.gen.sub(float(other), self.c))
 
     def __mul__(self, other):
@@ -1224,6 +1235,17 @@ class _TapeJet:
 
     def call(self, name):
         return _TapeJet(self.gen, self.gen.call(name, self.c))
+
+
+def _run(fn, args):
+    """``fn(*args)``, recorded: a read of a jet's value names ``fn``."""
+    try:
+        return fn(*args)
+    except UnrecordableFunction as exc:
+        name = getattr(fn, "__qualname__", repr(fn))
+        raise UnrecordableFunction(f"{name} cannot be recorded: {exc}; "
+                                   "write it over jets, with no branch on "
+                                   "their values") from None
 
 
 # --------------------------------------------------------------------------
@@ -1271,7 +1293,7 @@ class ShapeDefinition:
 
     @cached_property
     def _kernel(self):
-        return position_kernel(self, None, 0)
+        return position_kernel(self, 0)
 
     def eval(self, *args, check_domain=True):
         """Evaluate at float or jet parameter values, in declaration order,

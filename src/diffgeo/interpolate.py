@@ -80,7 +80,7 @@ def taylor_kernel(channels):
 
     def kernel(s):
         i, knot, inv_h = first.segment(s)
-        return horner(s, None, knot, inv_h,
+        return horner(s, knot, inv_h,
                       *(c for ch in channels for c in ch.coeffs[i]))
 
     return kernel

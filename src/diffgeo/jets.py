@@ -15,8 +15,10 @@ of the variable lift at 3 reads (9, 6, 2, 0, 0).  Elementary functions are
 composed by Faa di Bruno's formula against per-function derivative tables;
 the tables are exercised against finite differences in the test suite.
 
-The module-level functions ``sin``, ``cos``, ... dispatch on ``float``,
-``Jet1`` and ``Jet2`` so the same formula code evaluates values and jets.
+The module-level functions ``sin``, ``cos``, ... and :func:`power`
+dispatch on ``float``, ``Jet1`` and ``Jet2`` so the same formula code
+evaluates values and jets; a jet being recorded (``expr._TapeJet``) does
+its own arithmetic, so the same code is recorded once as generated code.
 """
 
 import math
@@ -24,7 +26,7 @@ import math
 from .errors import DomainError
 
 __all__ = [
-    "Jet1", "Jet2", "lift1", "lift2",
+    "Jet1", "Jet2",
     "sin", "cos", "tan", "exp", "log", "sqrt",
     "sinh", "cosh", "tanh", "asin", "acos", "atan",
     "power", "FUNCTIONS",
@@ -127,13 +129,18 @@ def _tab_recip(a):
 
 
 def _tab_pow(a, p):
-    if a <= 0.0:
+    """The table of x^p: for an integer p at any base but a zero one with
+    p < 0, else at a positive base.  A derivative whose factor p(p-1)..
+    vanishes is 0.0."""
+    if not float(p).is_integer() and a <= 0.0:
         raise DomainError(
             f"power with non-integer exponent needs a positive base, got {a!r}")
+    if a == 0.0 and p < 0.0:
+        raise DomainError("zero base with negative exponent")
     d = []
     coeff = 1.0
     for k in range(5):
-        d.append(coeff * a ** (p - k))
+        d.append(coeff * a ** (p - k) if coeff else 0.0)
         coeff *= (p - k)
     return tuple(d)
 
@@ -273,11 +280,6 @@ def compose1(c, d):
     )
 
 
-def lift1(value, variable=False):
-    """Seed a Jet1: the identity parameter when ``variable``, else a constant."""
-    return Jet1.variable(value) if variable else Jet1.constant(value)
-
-
 # --------------------------------------------------------------------------
 # Jet2
 # --------------------------------------------------------------------------
@@ -404,11 +406,6 @@ class Jet2:
         ))
 
 
-def lift2(u, v):
-    """Seed the two Jet2 parameters (du=1 for the first, dv=1 for the second)."""
-    return Jet2.variable_u(u), Jet2.variable_v(v)
-
-
 # --------------------------------------------------------------------------
 # elementary functions, dispatching on float, Jet1 and Jet2
 # --------------------------------------------------------------------------
@@ -417,6 +414,8 @@ def _elementary(name, table):
     def fn(x):
         if isinstance(x, (Jet1, Jet2)):
             return x._compose(table(x.value))
+        if hasattr(x, "call"):     # a jet being recorded (expr._TapeJet)
+            return x.call(name)
         try:
             return table(float(x))[0]
         except (ValueError, OverflowError) as exc:  # pragma: no cover - math guard
@@ -454,8 +453,11 @@ def power(base, exponent):
 
     Integer exponents use repeated multiplication (valid for any base);
     other exponents require a positive base value.  A jet exponent with
-    nonzero derivatives goes through exp(exponent * log(base)).
+    nonzero derivatives goes through exp(exponent * log(base)).  A jet
+    being recorded takes the rule of generated code (``expr._Recorder``).
     """
+    if hasattr(base, "call") or hasattr(exponent, "call"):
+        return base ** exponent
     exp_scalar = None
     if isinstance(exponent, (int, float)):
         exp_scalar = float(exponent)

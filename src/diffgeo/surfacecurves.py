@@ -8,9 +8,9 @@ surface, given by its float kernel: the Taylor coefficients of u and v at
 t, as five rows (u_k, v_k).  The built-in lines and parabolas write them
 directly, 'surfacecurve' definitions and loop arcs run generated order-4
 code, and Hermite paths (geodesics, asymptotic lines) read their
-quintics.  A Python function over Jet1 makes a kernel through
-:func:`jet_kernel`; only such curves, and surfaces built from Python
-callables, evaluate jets.  The surface's composite kernel, order-4 code
+quintics.  A jet-generic Python function of t makes a kernel through
+:func:`jet_kernel`, recorded once as generated code, as a definition is.
+The surface's composite kernel, order-4 code
 generated per surface template with those rows as jet inputs, carries
 them through r(u(t), v(t)), so space-curve derivatives (up to fourth
 order) are exact; the speed, Frenet frame, curvature and torsion come
@@ -25,16 +25,14 @@ with, its lines written into every stage.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .curves import _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
                      NoUniqueConjugate, OpenLoop, SingularSurfacePoint,
                      StepUnderflow, UmbilicPoint, ZeroVector)
-from .expr import jet_program, position_kernel
+from .expr import jet_program, position_kernel, recorded
 from .interpolate import HermiteChannel, taylor_kernel
-from .jets import Jet1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .surfaces import (_metric_dot, _metric_unit, _normal_curvature,
@@ -65,8 +63,9 @@ class SurfaceCurve:
     """t -> (u(t), v(t)) on a host surface, given by its float kernel.
 
     ``kernel(t)`` gives, at a float t, the five rows (u_k, v_k) of the
-    curve's Taylor coefficients (plain derivatives, k = 0..4).  A Python
-    function over Jet1 makes a kernel through :func:`jet_kernel`.
+    curve's Taylor coefficients (plain derivatives, k = 0..4).  A
+    jet-generic Python function of t makes a kernel through
+    :func:`jet_kernel`.
     """
 
     def __init__(self, surface, kernel, domain):
@@ -116,8 +115,7 @@ class SurfaceCurve:
         generated order-4 kernel, at parameter values in its domain
         (DomainError outside, as ``definition.eval`` raises)."""
         (domain,) = definition.params.values()
-        rows = position_kernel(definition, jet_kernel(
-            partial(definition.eval, check_domain=False)), 4)
+        rows = position_kernel(definition, 4)
 
         def kernel(t):
             definition.check_domain(t)
@@ -130,10 +128,11 @@ class SurfaceCurve:
 
 
 def jet_kernel(uv):
-    """The kernel of the surface curve ``uv``, a Python function of a Jet1
-    parameter that returns a (u, v) pair of Jet1 built jet-generically:
-    floats t -> the five rows of ``uv`` at the Jet1 variable t."""
-    return lambda t: tuple(zip(*(j.c for j in uv(Jet1.variable(t)))))
+    """The kernel of the surface curve ``uv``, a jet-generic Python
+    function of t that returns a (u, v) pair: floats t -> the five rows of
+    their Jet1 coefficients at the variable t, from code recorded on the
+    first call (``expr.recorded``)."""
+    return recorded(uv)
 
 
 def _line(p, d, t):

@@ -4,7 +4,8 @@ local-shape and umbilic classification, and residual verifiers for the
 Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
 Pointwise quantities are floats computed from the surface's kernel, code
-generated per surface definition that gives the position's partials: the
+generated per surface definition, or recorded once from a jet-generic
+Python function, that gives the position's partials: the
 forms, curvatures, Christoffel symbols and dn read order 2, and only R1212
 and the Codazzi and compatibility residuals read order 3 (third
 derivatives, exact).  The formulas over those partials are written once,
@@ -34,8 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DiffGeoError, SingularSurfacePoint, ZeroVector
-from .expr import position_kernel, surface_program, taped
-from .jets import Jet1, Jet2
+from .expr import Recording, position_kernel, surface_program, taped
 from .quadrature import QuadSpec, _sum, quad2d
 from .vectors import Vec3, _spread
 
@@ -55,15 +55,16 @@ EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
 _N_POINTS = 80
 
 class ParametricSurface:
-    """A map (u, v) -> R^3 evaluated into jets.
+    """A map (u, v) -> R^3, evaluated through generated code.
 
-    ``evaluator`` receives the parameters as jets (Jet2 for surface work,
-    Jet1 along composite curves) and must be written jet-generically; it
-    is called only where no kernel is generated.
+    ``evaluator`` is the map as a Python function of u and v, written
+    jet-generically (with the arithmetic, ``**`` and the functions of
+    :mod:`diffgeo.jets`): run once on recorded jets, on first use, it
+    becomes the surface's kernels and programs (``expr.Recording``).
+    ``definition`` is the 'surface' definition that ``evaluator``
+    evaluates, if any: the code is then generated from the definition.
     ``periodic`` gives the period per parameter or None; periodic
-    directions are never flagged as domain exits.  ``definition`` is the
-    'surface' definition that ``evaluator`` evaluates, if any: the kernels
-    and programs are then code generated from it, on first use.
+    directions are never flagged as domain exits.
     """
 
     def __init__(self, evaluator, domain, periodic=(None, None),
@@ -72,23 +73,20 @@ class ParametricSurface:
         self.domain = tuple(float(x) for x in domain)  # (u0, u1, v0, v1)
         self.periodic = periodic
         self.definition = definition
+        self._shape = (Recording(evaluator, ("u", "v")) if definition is None
+                       else definition)
         self._points = {}   # _point's store: key -> bundle, oldest first
         self._programs = {}
 
     @cached_property
     def kernel(self):
         """Floats (u, v) -> (x, y, z) triples r, r_u, r_v, r_uu, r_uv, r_vv."""
-        if self.definition is None:
-            jet = self._jet_kernel
-            return lambda u, v: jet(u, v)[:6]
-        return position_kernel(self.definition, self._jet_kernel, 2)
+        return position_kernel(self._shape, 2)
 
     @cached_property
     def kernel3(self):
         """``kernel``'s triples followed by r_uuu, r_uuv, r_uvv, r_vvv."""
-        if self.definition is None:
-            return self._jet_kernel
-        return position_kernel(self.definition, self._jet_kernel, 3)
+        return position_kernel(self._shape, 3)
 
     @cached_property
     def composite(self):
@@ -96,28 +94,7 @@ class ParametricSurface:
         -> the five (x, y, z) triples r, r', .., r'''' of the composite
         r(u(t), v(t)) (order-4 code with jet inputs), equal to the Jet1
         coefficients of ``evaluator`` at those jets."""
-        if self.definition is None:
-            return self._jet_composite
-        return position_kernel(self.definition, self._jet_composite, 4,
-                               jets=True)
-
-    # the jet fallbacks hold the evaluator, not the surface: with no cycle
-    # through its kernels, a surface and the point bundles it stores are
-    # freed as soon as the surface is dropped
-    @cached_property
-    def _jet_kernel(self):
-        """Floats (u, v) -> the ten triples of ``kernel3``, from one Jet2
-        evaluation."""
-        evaluator = self.evaluator
-        return lambda u, v: _jet_triples(evaluator, Jet2.variable_u(u),
-                                         Jet2.variable_v(v))
-
-    @cached_property
-    def _jet_composite(self):
-        """Rows -> the triples of ``composite``, from one Jet1 evaluation."""
-        evaluator = self.evaluator
-        return lambda rows: _jet_triples(evaluator, *(Jet1(*c)
-                                                      for c in zip(*rows)))
+        return position_kernel(self._shape, 4, jets=True)
 
     def program(self, formulas, sizes, curve=None):
         """``formulas`` over this surface's kernel as one generated
@@ -126,16 +103,15 @@ class ParametricSurface:
         curve kernel ``curve`` on each call, and not kept."""
         fn = self._programs.get(formulas) if curve is None else None
         if fn is None:
-            fn = surface_program(formulas, sizes, self.definition,
-                                 lambda: self.kernel, curve)
+            fn = surface_program(formulas, sizes, self._shape, curve)
             if curve is None:
                 self._programs[formulas] = fn
         return fn
 
     def eval(self, u, v):
-        if not isinstance(u, (Jet2,)) and not hasattr(u, "value"):
-            u = Jet2.variable_u(u)
-            v = Jet2.variable_v(v)
+        """The position at (u, v) from ``evaluator``: a Vec3 of floats at
+        floats (a definition's order-0 code), of jets at jets.  No kernel
+        is generated."""
         return self.evaluator(u, v)
 
     @cached_property
@@ -143,16 +119,16 @@ class ParametricSurface:
         """Length scale: the ``_spread`` of r on a 4x4 probe grid, points
         where the kernel raises as at a bad point left out.  A definition
         surface's is kept on the definition per domain."""
-        known = {} if self.definition is None else self.definition._scales
+        known = self._shape._scales
         if self.domain not in known:
             u0, u1, v0, v1 = self.domain
-            probes = []
+            kernel, probes = self.kernel, []   # made, or raising, here
             for i in range(4):
                 for j in range(4):
                     u = u0 + (u1 - u0) * (i + 0.5) / 4.0
                     v = v0 + (v1 - v0) * (j + 0.5) / 4.0
                     try:
-                        probes.append(self.kernel(u, v)[0])
+                        probes.append(kernel(u, v)[0])
                     except (DiffGeoError, ArithmeticError, ValueError):
                         continue
             known[self.domain] = _spread(probes)
@@ -173,12 +149,6 @@ class ParametricSurface:
         if pv is not None:
             dv = (dv + 0.5 * pv) % pv - 0.5 * pv
         return du, dv
-
-
-def _jet_triples(evaluator, u, v):
-    """The (x, y, z) triples of the jet coefficients of r(u, v)."""
-    x, y, z = evaluator(u, v)
-    return tuple(zip(x.c, y.c, z.c))
 
 
 @dataclass

@@ -66,10 +66,6 @@ class Vec3:
     def normalized(self):
         return self / self.norm()
 
-    def value(self):
-        """Drop jets: the Vec3 of value coefficients."""
-        return Vec3(_val(self.x), _val(self.y), _val(self.z))
-
     def derivative(self):
         """Componentwise Jet1.derivative (curve use only)."""
         return Vec3(self.x.derivative(), self.y.derivative(), self.z.derivative())
@@ -80,10 +76,6 @@ class Vec3:
 
     def dv(self):
         return Vec3(self.x.dv(), self.y.dv(), self.z.dv())
-
-
-def _val(s):
-    return s.value if hasattr(s, "value") else float(s)
 
 
 def _spread(points):

@@ -10,6 +10,7 @@ import pytest
 from diffgeo import catalog, expr, jets
 from diffgeo.errors import ArityError, UnknownIdentifier
 from diffgeo.expr import BinOp, Call, Const, Neg, Num, ShapeDefinition, Var
+from diffgeo.vectors import Vec3
 
 
 # --------------------------------------------------------------------------
@@ -89,12 +90,13 @@ EVAL_SAFE = _SAFE_FUNCTIONS
 # reference evaluator (independent of the generated code)
 # --------------------------------------------------------------------------
 
-def reference_eval(node, env):
+def reference_eval(node, env, power=jets.power):
     """The documented semantics of an Expr tree as a plain recursive walk:
     ``env`` maps identifiers to floats or jets, a divisor is evaluated
     before its dividend and divided by ``expr._div``, '^' is
-    ``jets.power``, a call goes to ``jets.FUNCTIONS``, and an identifier
-    fails in one of three ways."""
+    ``jets.power`` (or ``power``, given the exponent's tree too), a call
+    goes to ``jets.FUNCTIONS``, and an identifier fails in one of three
+    ways."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):
@@ -104,25 +106,57 @@ def reference_eval(node, env):
             raise UnknownIdentifier(f"undeclared identifier {node.name!r}")
         return env[node.name]
     if isinstance(node, Neg):
-        return -reference_eval(node.arg, env)
+        return -reference_eval(node.arg, env, power)
     if isinstance(node, Call):
         if node.fn in jets.FUNCTIONS:
-            return jets.FUNCTIONS[node.fn](reference_eval(node.arg, env))
+            arg = reference_eval(node.arg, env, power)
+            return jets.FUNCTIONS[node.fn](arg)
         if node.fn in env or node.fn == "pi":
             raise ArityError(f"{node.fn!r} is not a function")
         raise UnknownIdentifier(f"unknown function {node.fn!r}")
     if node.op == "/":
-        divisor = reference_eval(node.right, env)
-        return expr._div(reference_eval(node.left, env), divisor)
-    left = reference_eval(node.left, env)
-    right = reference_eval(node.right, env)
+        divisor = reference_eval(node.right, env, power)
+        return expr._div(reference_eval(node.left, env, power), divisor)
+    left = reference_eval(node.left, env, power)
+    right = reference_eval(node.right, env, power)
     if node.op == "+":
         return left + right
     if node.op == "-":
         return left - right
     if node.op == "*":
         return left * right
-    return jets.power(left, right)
+    if power is jets.power:
+        return power(left, right)
+    return power(left, right, node.right)
+
+
+def kernel_power(base, p, exponent):
+    """'^' by the rule of generated code (``expr._Recorder.power``), in
+    jet arithmetic, for the exponent's tree ``exponent``: a jet exponent is
+    exp(p log(base)); over a jet base, an exponent other than a literal
+    integer of at most 64 composes the table of x^p; else jets.power."""
+    if isinstance(p, (jets.Jet1, jets.Jet2)):
+        return jets.exp(p * jets.log(base))
+    literal = not any(n[0] is Var for n in exponent._preorder())
+    if isinstance(base, (jets.Jet1, jets.Jet2)) and not (
+            literal and float(p).is_integer() and abs(p) <= 64):
+        return base._compose(jets._tab_pow(base.value, p))
+    return jets.power(base, p)
+
+
+def rule_evaluator(definition):
+    """The jet evaluator of ``definition`` by the tree walk, '^' taken by
+    the rule of generated code (kernel_power): the jet reference of its
+    kernels where an exponent is known only at run time or is a jet whose
+    partials vanish.  A float component is lifted to the first jet."""
+    def evaluator(*args):
+        env = dict(definition.constants)
+        env.update(zip(definition.params, args))
+        return Vec3(*(args[0] * 0.0 + v if isinstance(v, float) else v
+                      for v in (reference_eval(c, env, kernel_power)
+                                for c in definition.components)))
+
+    return evaluator
 
 
 # --------------------------------------------------------------------------

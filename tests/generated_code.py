@@ -1,8 +1,10 @@
 """The source of every program the library generates while the golden CLI
-reports run and the catalog's surfaces make their ``surface_area`` and
-``total_curvature`` programs, read where ``diffgeo.ode._compile`` compiles
-it.  Every cache of generated code and of parsed definitions is emptied
-first, so each program is made again.
+reports run, the catalog's surfaces make their ``surface_area`` and
+``total_curvature`` programs, and the tests' recorded shapes (``BOWL``, a
+curve and a surface curve of jet-generic functions) and the ``DEFERRING``
+template make their kernels and programs, read where
+``diffgeo.ode._compile`` compiles it.  Every cache of generated code and
+of parsed definitions is emptied first, so each program is made again.
 
 Run as a script, it prints each program after a line that names its file,
 so that the printed source of two trees can be compared with diff::
@@ -16,9 +18,11 @@ import os
 import sys
 import tempfile
 
-from diffgeo import catalog, expr, ode
+from diffgeo import catalog, curves, expr, jets, ode, surfacecurves
+from diffgeo.surfacecurves import _geodesic
 from diffgeo.surfaces import (ParametricSurface, _area_element,
-                              _curvature_element)
+                              _curvature_element, _metric_terms)
+from diffgeo.vectors import Vec3
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_golden import CASES, run_case  # noqa: E402
@@ -47,9 +51,24 @@ def collect():
                 if isinstance(shape, ParametricSurface):
                     for formulas in (_area_element, _curvature_element):
                         shape.program(formulas, (1, 1))
+            _recorded()
     finally:
         ode._compile = compile_
     return made
+
+
+def _recorded():
+    """Make the kernels and programs of the tests' recorded shapes and of
+    the DEFERRING template."""
+    from test_program_parity import BOWL, DEFERRING
+    for shape in (ParametricSurface(BOWL.evaluator, BOWL.domain),
+                  catalog.build(expr.load_definition(DEFERRING))):
+        shape.kernel, shape.kernel3, shape.composite
+        shape.program(_geodesic, (1, 4))
+        for formulas in (_metric_terms, _area_element, _curvature_element):
+            shape.program(formulas, (1, 1))
+    curves.jet_kernel(lambda t: Vec3(t, t * t, jets.sin(t) / t))(0.5)
+    surfacecurves.jet_kernel(lambda t: (1.0 + t * t, jets.exp(-t)))(0.5)
 
 
 if __name__ == "__main__":

@@ -9,15 +9,52 @@ generated."""
 import math
 
 from diffgeo import jets
-from diffgeo.curves import _coefficients, _CurveJets
+from diffgeo.curves import _CurveJets
 from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
 from diffgeo.interpolate import HermiteChannel
-from diffgeo.jets import Jet1
+from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import _geodesic_rhs, _split
-from diffgeo.surfaces import (MetricData, _check_regular, _christoffel2,
-                              _metric_dot, _metric_unit, _normal_curvature,
-                              _overflow, _point, _SurfacePoint)
+from diffgeo.surfaces import (MetricData, ParametricSurface, _check_regular,
+                              _christoffel2, _metric_dot, _metric_unit,
+                              _normal_curvature, _overflow, _point,
+                              _SurfacePoint)
 from diffgeo.vectors import Vec3
+
+
+def coefficients(pos):
+    """The (x, y, z) coefficient triples of a Vec3 of jets."""
+    return tuple(zip(pos.x.c, pos.y.c, pos.z.c))
+
+
+def jet1_rows(fn, t):
+    """The five rows of the Jet1 coefficients of the curve or surface
+    curve ``fn`` (a Vec3, or a (u, v) pair, of jets) at the Jet1 variable
+    t: what ``curves.jet_kernel`` and ``surfacecurves.jet_kernel`` record."""
+    return tuple(zip(*(j.c for j in fn(Jet1.variable(t)))))
+
+
+def jet2_triples(surface, u, v):
+    """The ten triples of ``surface.evaluator`` at the Jet2 variables u
+    and v: what ``kernel3`` gives, and ``kernel`` the first six of."""
+    return coefficients(surface.evaluator(Jet2.variable_u(u),
+                                          Jet2.variable_v(v)))
+
+
+def jet1_composite(surface, rows):
+    """The five triples of ``surface.evaluator`` at the Jet1 parameters
+    whose coefficients are the rows (u_k, v_k): what ``composite`` gives."""
+    return coefficients(surface.evaluator(*(Jet1(*c) for c in zip(*rows))))
+
+
+def jet_fed(shape):
+    """A surface of ``shape``'s evaluator whose kernels are one jet
+    evaluation per call: Jet2 for ``kernel`` and ``kernel3``, Jet1 for
+    ``composite``.  Its programs are recorded from the evaluator."""
+    fed = ParametricSurface(shape.evaluator, shape.domain, shape.periodic)
+    fed.kernel = lambda u, v: jet2_triples(shape, u, v)[:6]
+    fed.kernel3 = lambda u, v: jet2_triples(shape, u, v)
+    fed.composite = lambda rows: jet1_composite(shape, rows)
+    return fed
 
 
 def metric_gamma(kernel, u, v):
@@ -107,7 +144,7 @@ def resubstituted(curve, w):
     evaluated on that jet."""
     wj = Jet1.variable(w)
     tj = wj + 0.1 * jets.sin(wj)
-    return tj.c, _coefficients(curve.definition.eval(tj, check_domain=False))
+    return tj.c, coefficients(curve.definition.eval(tj, check_domain=False))
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +192,7 @@ def composite_jets(sc, t):
     p, uj, vj = point_jets(sc, t)
     scale = sc.surface.scale
     try:
-        cj = _CurveJets(_coefficients(sc.surface.evaluator(uj, vj)), scale,
+        cj = _CurveJets(coefficients(sc.surface.evaluator(uj, vj)), scale,
                         t)
     except OverflowError:
         raise _overflow(p.u, p.v) from None

@@ -175,7 +175,7 @@ class TestSpecialGeometry:
             x_target = rho / math.cosh(v)
             sol = ode_solve(field, (0.0,), (rho - 1e-12, x_target))
             y_ode = sol.y_end[0]
-            p = shape.eval(0.0, v).value()
+            p = shape.eval(0.0, v)
             assert abs(math.hypot(p.x, p.y) - x_target) <= 1e-12
             worst = max(worst, abs(p.z - y_ode))
         assert worst <= 1e-6
@@ -183,7 +183,7 @@ class TestSpecialGeometry:
     def test_spherical_spiral_on_unit_sphere(self):
         c = catalog.make("spherical-spiral")
         for t in (0.3, 2.0, 5.0):
-            assert abs(c.eval(t).value().norm() - 1.0) <= 1e-12
+            assert abs(c.eval(t).norm() - 1.0) <= 1e-12
 
     def test_enneper_matches_curvature_formula(self):
         shape = catalog.make("enneper")

@@ -9,12 +9,12 @@ import math
 import os
 import random
 import zlib
+from functools import partial
 
 import pytest
 
 import reference
 from diffgeo import catalog, expr
-from diffgeo.curves import _coefficients
 from diffgeo.interpolate import HermiteChannel, taylor_kernel
 from diffgeo.jets import Jet1
 from diffgeo.surfacecurves import (SurfaceCurve, _exterior_angle, _kappa_g_dt,
@@ -25,7 +25,7 @@ from diffgeo.surfacecurves import (SurfaceCurve, _exterior_angle, _kappa_g_dt,
                                    kappa_g_extrinsic, kappa_g_intrinsic,
                                    kappa_n_quotient, liouville_check)
 
-from conftest import surface_samples
+from conftest import rule_evaluator, surface_samples
 from test_program_parity import BOWL, DEFERRING, INPUTS
 
 SURFACE_NAMES = [n for n in catalog.names()
@@ -112,8 +112,17 @@ def _shapes():
          [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]),
         ("bowl", BOWL,
          [(rng.uniform(0.6, 1.8), rng.uniform(-2, 2)) for _ in range(4)]),
-        ("deferring", catalog.build(expr.load_definition(DEFERRING)),
+        ("deferring", _by_the_rule(expr.load_definition(DEFERRING)),
          [(0.3, 0.0), (-0.4, 0.5), (0.3, -0.0), (0.2, 0.1)])]
+
+
+def _by_the_rule(definition):
+    """The surface of ``definition``, its jet reference the evaluator that
+    takes '^' by the rule of generated code: along a curve of constant v,
+    (2+u)^(v*v*v) is a jet exponent whose partials vanish."""
+    surface = catalog.build(definition)
+    surface.evaluator = rule_evaluator(definition)
+    return surface
 
 
 SHAPES = _shapes()
@@ -131,11 +140,22 @@ def test_rows_equal_jet1_signed_zeros_included():
     checked = 0
     for _ in range(40):
         u, v = rng.choice(values), rng.choice(values)
-        for sc, ts, uv in _curves(shape, u, v, rng):
+        curves = _curves(shape, u, v, rng)
+        for sc, ts, uv in curves:
+            # a definition's eval checks its domain on the values, and a
+            # Hermite channel finds its segment by them, which a recorded
+            # function cannot read
+            free = (partial(uv, check_domain=False) if isinstance(
+                getattr(uv, "__self__", None), expr.ShapeDefinition) else uv)
+            recorded = jet_kernel(free)
             for t in ts + [rng.choice(values)]:
                 want = _outcome(_jet_rows, uv, t)
                 assert _outcome(sc.kernel, t) == want, (u, v, t)
-                assert _outcome(jet_kernel(uv), t) == want
+                got = _outcome(recorded, t)
+                if sc is curves[-1][0]:
+                    assert got[0] == "UnrecordableFunction"
+                else:
+                    assert got == _outcome(_jet_rows, free, t)
                 checked += isinstance(want, str)
     assert checked >= 1400
 
@@ -150,7 +170,7 @@ def test_composite_kernel_equals_the_evaluator(name, shape, points):
             for t in ts:
                 rows = sc.kernel(t)
                 uc, vc = zip(*rows)
-                want = _outcome(lambda: _coefficients(
+                want = _outcome(lambda: reference.coefficients(
                     shape.evaluator(Jet1(*uc), Jet1(*vc))))
                 assert _outcome(shape.composite, rows) == want, (u, v, t)
                 values += isinstance(want, str)

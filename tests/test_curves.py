@@ -17,11 +17,13 @@ from diffgeo.curves import (ParametricCurve, arc_length, classify_curve,
                             osculating_sphere, reconstruct_from_kappa_tau,
                             reparam_to_arclength, spherical_indicatrix,
                             sphericity_residual)
-from diffgeo.curves import _coefficients, _CurveJets
+from diffgeo.curves import _CurveJets
 from diffgeo.errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                             SingularPoint, ZeroTorsion)
 from diffgeo.jets import Jet1
 from diffgeo.vectors import Vec3
+
+from reference import coefficients
 
 HELIX = catalog.make("helix")           # a=1, b=0.5: kappa=0.8, tau=0.4
 CIRCLE3 = catalog.make("circle", R=3.0)
@@ -397,7 +399,7 @@ class TestKernelsAgainstJet1Forms:
             s, c = rng.uniform(*base.domain), rng.uniform(-3.0, 3.0)
             pos = self._rows_jet(base.kernel(s))
             want = pos + pos.derivative() * (-Jet1.variable(s) + c)
-            self._agree(involute(base, c).kernel(s), _coefficients(want))
+            self._agree(involute(base, c).kernel(s), coefficients(want))
 
     @pytest.mark.parametrize("which", "TNB")
     def test_indicatrix(self, which):
@@ -411,7 +413,7 @@ class TestKernelsAgainstJet1Forms:
             C = rd.cross(rd.derivative())
             B = C / J.sqrt(C.norm_sq())
             want = {"T": T, "N": B.cross(T), "B": B}[which]
-            self._agree(ind.kernel(t), _coefficients(want))
+            self._agree(ind.kernel(t), coefficients(want))
 
     def test_reparam(self):
         # z = t / 2 on the helix gives t(s) exactly; its s-derivatives
@@ -429,7 +431,7 @@ class TestKernelsAgainstJet1Forms:
                   - f1 * f1 * f4) * g1 ** 7
             t_jet = Jet1.variable(s)._compose((t, g1, g2, g3, g4))
             want = HELIX.definition.eval(t_jet, check_domain=False)
-            self._agree(helix_s.kernel(s), _coefficients(want))
+            self._agree(helix_s.kernel(s), coefficients(want))
 
 
 def _procrustes_rms(points_a, points_b):

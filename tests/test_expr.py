@@ -12,17 +12,21 @@ from functools import partial
 
 import pytest
 
-from diffgeo import catalog, cli
-from diffgeo.curves import jet_kernel
+from diffgeo import catalog, cli, curves, surfacecurves
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
-                            ParseError, UnknownIdentifier)
+                            ParseError, UnknownIdentifier,
+                            UnrecordableFunction)
 from diffgeo.expr import (MAX_DEPTH, BinOp, Call, Const, Neg, Num,
                           ShapeDefinition, Var, eval_literal, eval_scalar,
                           load_definition, parse_text, to_text, tokenize)
 from diffgeo.jets import Jet1, Jet2
+from diffgeo.surfacecurves import SurfaceCurve
+from diffgeo.surfaces import ParametricSurface
+from diffgeo.vectors import Vec3
 
+import reference
 from conftest import (EVAL_SAFE, fd_derivative, random_tree, reference_eval,
-                      surface_samples)
+                      rule_evaluator, surface_samples)
 from test_cli_fuzz import NUMBERS
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
@@ -390,14 +394,14 @@ class TestPositionKernel:
     ``kernel3`` all ten."""
 
     @staticmethod
-    def _both(shape, u, v):
+    def _both(shape, u, v, jets=reference.jet2_triples):
         """(order-2 kernel, order-3 kernel, Jet2 reference) outcomes."""
-        want = _outcome(shape._jet_kernel, u, v)
+        want = _outcome(partial(jets, shape), u, v)
         return (_outcome(shape.kernel, u, v), _outcome(shape.kernel3, u, v),
                 want[:6] if isinstance(want[0], tuple) else want, want)
 
-    def _check(self, shape, u, v):
-        got2, got3, want2, want3 = self._both(shape, u, v)
+    def _check(self, shape, u, v, jets=reference.jet2_triples):
+        got2, got3, want2, want3 = self._both(shape, u, v, jets)
         assert got2 == want2
         assert got3 == want3
 
@@ -422,10 +426,12 @@ class TestPositionKernel:
                              ids=["n=-3", "n=0.5", "m=2", "c=0"])
     def test_run_time_exponents(self, consts):
         # the same generated code binds other values: integer or not,
-        # and a zero c that the Jet2 evaluation rejects
+        # and a zero c that the Jet2 evaluation rejects; an exponent known
+        # at run time composes the table of x^p, where jets.power
+        # multiplies an integer one out
         shape = _surface(EVERYTHING, **consts)
         for u, v in ((0.3, 0.4), (0.8, 0.15)):
-            self._check(shape, u, v)
+            self._check(shape, u, v, _kernel_rule)
 
     def test_variable_exponent_with_vanishing_partials(self):
         # (u + 2)^(c*v) with c = 0: the Jet2 path takes the integer power
@@ -483,6 +489,109 @@ class TestPositionKernel:
                     compared[k] += 1
         assert min(compared) >= 200
 
+    def test_not_built_by_make_or_eval(self):
+        surface = catalog.make("torus")
+        p = surface.eval(0.3, 0.4)
+        assert all(isinstance(c, float) for c in p)
+        assert not {"kernel", "kernel3", "composite"} & set(vars(surface))
+
+
+class TestPowerRule:
+    """'^' in generated code (expr._Recorder.power) branches on no value
+    known only at run time: a jet exponent is exp(p log(base)) everywhere,
+    and an exponent known only at run time composes the table of x^p,
+    which takes any base for an integer p but a zero one with p < 0."""
+
+    BASE = ("surface s\nparam u in [-1, 1]\nparam v in [-1, 1]\n"
+            "const n = 3\nx = u\ny = v\n")
+
+    def _shape(self, z, **consts):
+        return _surface(self.BASE + f"z = {z}\n", **consts)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0], ids=["+0", "-0"])
+    def test_jet_exponent_whose_partials_vanish(self, v):
+        # at v = 0 every partial of v*v*v through order 2 vanishes; Jet2
+        # sees the third, 6, and takes exp(p log(base)) too
+        shape = self._shape("(2+u)^(v*v*v)")
+        assert shape.kernel(0.3, v) == reference.jet2_triples(shape, 0.3,
+                                                              v)[:6]
+        assert shape.kernel3(0.3, v) == reference.jet2_triples(shape, 0.3, v)
+        assert shape.kernel3(0.3, v)[9][2] == 6.0 * math.log(2.3)
+        # along v = const every partial vanishes: jets.power takes
+        # base^0, the kernel exp(0 log(base)), both 1 with zero derivatives
+        rows = SurfaceCurve.const_v(shape, v).kernel(0.3)
+        assert (repr(shape.composite(rows))
+                == repr(reference.jet1_composite(shape, rows))
+                == repr(((0.3, 0.0, 1.0), (1.0, 0.0, 0.0))
+                        + ((0.0, 0.0, 0.0),) * 3))
+
+    def test_jet_exponent_needs_a_positive_base(self):
+        # jets.power gives (u-2)^0 = 1 where the exponent's partials vanish
+        shape = self._shape("(u-2)^(v*v*v*v)")
+        assert reference.jet2_triples(shape, 0.3, 0.0)[0][2] == 1.0
+        for kernel in (shape.kernel, shape.kernel3):
+            with pytest.raises(DomainError, match="log of non-positive"):
+                kernel(0.3, 0.0)
+
+    def test_run_time_integer_exponent_at_a_negative_base(self):
+        shape = self._shape("u^n")
+        want = ((-0.5, 0.0, -0.125), (1.0, 0.0, 0.75), (0.0, 1.0, 0.0),
+                (0.0, 0.0, -3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                (0.0, 0.0, 6.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                (0.0, 0.0, 0.0))
+        assert shape.kernel3(-0.5, 0.0) == want
+        assert shape.kernel(-0.5, 0.0) == want[:6]
+        assert reference.jet2_triples(shape, -0.5, 0.0) == want
+        rows = SurfaceCurve.const_v(shape, 0.0).kernel(-0.5)
+        assert shape.composite(rows) == reference.jet1_composite(shape, rows)
+
+    def test_run_time_negative_exponent_at_a_zero_base(self):
+        shape = self._shape("u^n", n=-3.0)
+        for kernel in (shape.kernel, shape.kernel3,
+                       partial(reference.jet2_triples, shape)):
+            with pytest.raises(DomainError,
+                               match="zero base with negative exponent"):
+                kernel(0.0, 0.5)
+
+
+class TestRecordedFunctions:
+    """A jet-generic Python function is recorded once as a shape's code;
+    one that reads a jet's value cannot be, and says so, naming it."""
+
+    def test_branch_on_a_value_names_the_function(self):
+        def bent(u, v):
+            return Vec3(u, v, u * u if u.value > 0.0 else -u * u)
+
+        surface = ParametricSurface(bent, (-1.0, 1.0, -1.0, 1.0))
+        with pytest.raises(UnrecordableFunction,
+                           match=r"^TestRecordedFunctions\.test_branch_on_a_"
+                                 r"value_names_the_function\.<locals>\.bent "
+                                 r"cannot be recorded: it reads the value "
+                                 r"of a jet"):
+            surface.kernel
+        with pytest.raises(UnrecordableFunction):
+            surface.scale
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: Vec3(t, t, t if t > 0.0 else -t),
+        lambda t: Vec3(t, t, t * math.sin(t)),
+        lambda t: Vec3(t, t, t * float(t)),
+    ], ids=["comparison", "math", "float"])
+    def test_curve_reads_a_value(self, fn):
+        kernel = curves.jet_kernel(fn)
+        with pytest.raises(UnrecordableFunction, match="<lambda> cannot be "
+                                                       "recorded"):
+            kernel(0.5)
+
+    def test_domain_check_is_a_read(self):
+        arc = load_definition("surfacecurve s\nparam t in [0, 1]\nu = t\n"
+                              "v = t*t\n")
+        with pytest.raises(UnrecordableFunction,
+                           match="^ShapeDefinition.eval cannot be recorded"):
+            surfacecurves.jet_kernel(arc.eval)(0.5)
+        free = surfacecurves.jet_kernel(partial(arc.eval, check_domain=False))
+        assert free(0.5) == reference.jet1_rows(arc.eval, 0.5)
+
 
 def _curve(text, **consts):
     """catalog.build of the curve ``text`` under ``consts``, its z line
@@ -508,10 +617,13 @@ class TestCurveKernel:
     included) and raises what that evaluation raises."""
 
     @staticmethod
-    def _check(curve, t):
+    def _check(curve, t, rule=False):
         got = _result(curve.kernel, t)
-        assert got == _result(jet_kernel(partial(curve.definition.eval,
-                                                 check_domain=False)), t), t
+        if rule:
+            assert got == _result(_kernel_rule, curve, t), t
+            return got
+        fn = partial(curve.definition.eval, check_domain=False)
+        assert got == _result(reference.jet1_rows, fn, t), t
         return got
 
     @pytest.mark.parametrize("name", [n for n in catalog.names()
@@ -535,7 +647,7 @@ class TestCurveKernel:
     def test_run_time_exponents(self, consts):
         curve = _curve(EVERYTHING_CURVE, **consts)
         for t in (0.3, 0.8):
-            self._check(curve, t)
+            self._check(curve, t, rule=True)
 
     @pytest.mark.parametrize("z, exc, message", [
         ("log(t - 1)", DomainError, "log of non-positive value"),
@@ -606,6 +718,16 @@ def _reference_shape(definition, *args):
     if not isinstance(args[0], float):
         vals = [args[0] * 0.0 + v if isinstance(v, float) else v for v in vals]
     return vals
+
+
+def _kernel_rule(shape, *args):
+    """The coefficient rows of ``shape``'s definition at the jet variables
+    t, or u and v, from the tree walk with '^' taken by the rule of
+    generated code (conftest.rule_evaluator): what its kernels compute."""
+    variables = ((Jet1.variable,) if len(args) == 1
+                 else (Jet2.variable_u, Jet2.variable_v))
+    return reference.coefficients(rule_evaluator(shape.definition)(*(
+        lift(a) for lift, a in zip(variables, args))))
 
 
 def _arguments(definition, rng, point):
@@ -732,7 +854,7 @@ class TestDepthLimit:
         shape = catalog.build(definition)
         assert (_canon(definition.eval(0.3, 0.4))
                 == _canon(_reference_shape(definition, 0.3, 0.4)))
-        jet = shape.eval(0.3, 0.4).z.c
+        jet = shape.evaluator(Jet2.variable_u(0.3), Jet2.variable_v(0.4)).z.c
         assert shape.kernel(0.3, 0.4)[1][2] == jet[1]
         assert shape.kernel3(0.3, 0.4)[6][2] == jet[6]
         text = to_text(definition.components[2])

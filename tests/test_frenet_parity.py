@@ -12,7 +12,7 @@ import pytest
 
 from diffgeo import catalog, jets
 from diffgeo.curves import (EPS_INFLECT, EPS_REG, _RATES, _SPHERE,
-                            _SPHERICITY, ParametricCurve, _coefficients,
+                            _SPHERICITY, ParametricCurve,
                             _CurveJets, jet_kernel, reconstruct_from_kappa_tau,
                             reparam_to_arclength, spherical_indicatrix)
 from diffgeo.errors import (DiffGeoError, InflectionPoint, SingularPoint)
@@ -22,6 +22,7 @@ from diffgeo.jets import Jet1
 from diffgeo.vectors import Vec3
 
 from conftest import EVAL_SAFE, random_tree, surface_samples
+from reference import coefficients
 from test_expr import EVERYTHING
 
 CURVES = ("line", "circle", "ellipse", "helix", "spherical-spiral")
@@ -98,8 +99,11 @@ def _bent_only(bundle, fn):
 
 def _reference_queries(r):
     """(name, thunk) pairs over the reference bundle ``r``."""
+    def values(v):
+        return Vec3(*(c.value for c in v))
+
     def frame():
-        return tuple(v.value() for v in r.frame_jets())
+        return tuple(map(values, r.frame_jets()))
 
     def rk():
         return 1.0 / r.kappa
@@ -116,7 +120,7 @@ def _reference_queries(r):
         ("sigma", lambda: r.sigma.c[:4]),
         ("kappa", lambda: r.kappa_value),
         ("bent", lambda: r.bent),
-        ("T", lambda: r.T.value()),
+        ("T", lambda: values(r.T)),
         ("dT_ds", lambda: r.ds_vec(r.T)),
         ("frame", frame),
         ("tau", lambda: r.tau_jet().value),
@@ -281,7 +285,7 @@ def test_surface_curve_composites(name):
             t = Jet1.variable(t)
             return surface.evaluator(u0 + du * t + 0.05 * t * t, v0 + dv * t)
 
-        got = _outcomes(lambda: _CurveJets(_coefficients(position()),
+        got = _outcomes(lambda: _CurveJets(coefficients(position()),
                                            surface.scale, t), _float_queries)
         want = _outcomes(lambda: _JetCurveJets(position(), surface.scale, t),
                          _reference_queries)

@@ -1,7 +1,9 @@
 """Jet arithmetic and elementary-function correctness against finite
 differences, plus the algebraic laws the rest of the library leans on."""
 
+import ast
 import math
+import os
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from diffgeo import jets as J
 from diffgeo.errors import DomainError
-from diffgeo.jets import Jet1, Jet2, lift1, lift2
+from diffgeo.jets import Jet1, Jet2
 from diffgeo.vectors import Vec3
 
 from conftest import fd_derivative, fd_partial
@@ -24,18 +26,20 @@ def jets_close(a, b, tol):
 
 
 class TestLifts:
+    """Floats lifted to jets: the variables and constants."""
+
     def test_variable_seed(self):
-        assert lift1(3.0, variable=True).c == (3.0, 1.0, 0.0, 0.0, 0.0)
+        assert Jet1.variable(3.0).c == (3.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_constant_seed(self):
-        assert lift1(math.pi).c == (math.pi, 0.0, 0.0, 0.0, 0.0)
+        assert Jet1.constant(math.pi).c == (math.pi, 0.0, 0.0, 0.0, 0.0)
 
     def test_square_of_variable(self):
-        t = lift1(3.0, variable=True)
+        t = Jet1.variable(3.0)
         assert (t * t).c == (9.0, 6.0, 2.0, 0.0, 0.0)
 
     def test_jet2_variable_seeds(self):
-        u, v = lift2(0.5, 1.5)
+        u, v = Jet2.variable_u(0.5), Jet2.variable_v(1.5)
         assert u.c[0] == 0.5 and u.c[1] == 1.0 and all(c == 0.0 for c in u.c[2:])
         assert v.c[0] == 1.5 and v.c[2] == 1.0
         assert v.c[1] == 0.0
@@ -153,7 +157,7 @@ class TestArithmeticLaws:
 
 class TestJet2:
     def test_mixed_partials_stored_once(self):
-        u, v = lift2(0.7, -0.4)
+        u, v = Jet2.variable_u(0.7), Jet2.variable_v(-0.4)
         g = J.sin(u * v) + u * u * v
         # fuv sits at a single slot; evaluating in either operand order
         # cannot disagree with itself
@@ -166,7 +170,7 @@ class TestJet2:
             return math.sin(u * v) + math.exp(0.3 * u) * math.cos(v) + u ** 3
 
         u0, v0 = 0.52, 1.17
-        uj, vj = lift2(u0, v0)
+        uj, vj = Jet2.variable_u(u0), Jet2.variable_v(v0)
         g = (J.sin(uj * vj) + J.exp(0.3 * uj) * J.cos(vj)
              + J.power(uj, 3))
         idx = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4,
@@ -176,7 +180,7 @@ class TestJet2:
         assert abs(have - want) <= 2e-5 * max(1.0, abs(want))
 
     def test_division(self):
-        u, v = lift2(0.8, 0.2)
+        u, v = Jet2.variable_u(0.8), Jet2.variable_v(0.2)
         g = (u + v) / (1.0 + u * v)
         h = (u + v) * (1.0 / (1.0 + u * v))
         assert jets_close(g, h, 1e-14)
@@ -199,3 +203,24 @@ class TestVec3:
         n = vec.norm()
         assert abs(n.value - 1.0) < 1e-15
         assert abs(n.c[1]) < 1e-15  # unit circle: |r| constant
+
+
+def test_only_jets_names_the_jet_types():
+    # every shape is evaluated through generated code: the jet types are
+    # the tests' reference, and no other module reads them
+    src = os.path.join(os.path.dirname(J.__file__))
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "jets.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom))
+                  for a in n.names}
+        assert not {"Jet1", "Jet2"} & names, name
+        if name == "expr.py":
+            text = ast.unparse(tree)
+            assert "_fallback" not in text and "defer" not in text

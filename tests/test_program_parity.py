@@ -9,6 +9,7 @@ errors included, so that a solve gives the same bits whether the field's
 lines are written into the attempt or called at each stage."""
 
 import ast
+import collections
 import math
 import os
 import random
@@ -33,8 +34,9 @@ SURFACE_NAMES = [n for n in catalog.names()
                  if catalog.entry(n).kind == "surface"]
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "inputs")
-# the kernel of this template defers to its Jet2 fallback: at v = 0 every
-# partial of the exponent v*v*v vanishes, which order 2 cannot decide
+# a jet exponent whose partials through order 2 vanish at v = 0, which
+# order 2 cannot tell from a constant one: jets.power branches there, and
+# the kernels, which once deferred to a Jet2 fallback, take exp(p log b)
 DEFERRING = """
 surface deferring
 param u in [-1, 1]
@@ -112,9 +114,10 @@ def _compare(shape, points, seed):
 
 
 def _inlined(fn):
-    """Whether a program inlines its kernel (the first prologue) rather
-    than calling it (the second)."""
-    return "_kernel" not in fn.__code__.co_varnames
+    """Whether a program writes its kernel's lines in, with no call of a
+    kernel or of a fallback."""
+    names = fn.__code__.co_varnames + fn.__code__.co_names
+    return not {"_kernel", "_fallback"} & set(names)
 
 
 @pytest.mark.parametrize("name", SURFACE_NAMES)
@@ -136,20 +139,20 @@ def test_file_surface_with_a_non_orthogonal_chart():
     assert _inlined(shape.program(_curvature_element, (1, 1)))
 
 
-def test_callable_surface_calls_its_kernel():
+def test_callable_surface_inlines_its_kernel():
     rng = random.Random(11)
     points = [(rng.uniform(0.5, 2.0), rng.uniform(-3, 3)) for _ in range(30)]
     assert _compare(BOWL, points, "bowl") == 150
-    assert not _inlined(BOWL.program(_geodesic, (1, 4)))
+    assert _inlined(BOWL.program(_geodesic, (1, 4)))
 
 
-def test_deferring_template_calls_its_kernel():
+def test_deferring_template_inlines_its_kernel():
     shape = catalog.build(expr.load_definition(DEFERRING))
     rng = random.Random(13)
     points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
     points += [(0.3, 0.0), (-0.7, 0.0), (0.3, -0.0)]
     assert _compare(shape, points, "deferring") == 115
-    assert not _inlined(shape.program(_geodesic, (1, 4)))
+    assert _inlined(shape.program(_geodesic, (1, 4)))
 
 
 @pytest.mark.parametrize("shape, point, error", [
@@ -199,6 +202,28 @@ def test_no_program_assigns_an_unread_arithmetic_line():
                     and all(isinstance(n, _ARITHMETIC)
                             for n in ast.walk(line.value))]
             assert not dead, (filename, dead)
+
+
+def test_programs_outlive_one_off_expressions(monkeypatch):
+    # each kind of generated code keeps its own entries: the order-0
+    # kernels of 300 distinct expressions evict no program
+    monkeypatch.setattr(expr, "_GENERATED", expr._Cache())
+    compiled, compile_ = collections.Counter(), ode._compile
+
+    def counted(lines, filename, namespace):
+        compiled[filename] += 1
+        return compile_(lines, filename, namespace)
+
+    monkeypatch.setattr(ode, "_compile", counted)
+    y = (0.3, 0.4, 1.0, 0.5)
+    before = catalog.make("torus").program(_geodesic, (1, 4))(0.0, y)
+    for i in range(300):
+        assert expr.scalar_function(f"x + {i}", "x")(0.5) == 0.5 + i
+    after = catalog.make("torus").program(_geodesic, (1, 4))(0.0, y)
+    assert before == after
+    assert compiled["<surface program _geodesic>"] == 1
+    assert compiled["<dopri5 _geodesic, 4 components>"] == 1
+    assert compiled["<position kernel>"] == 300
 
 
 def test_nothing_generated_at_import_make_or_eval():

@@ -27,6 +27,7 @@ from diffgeo.surfacecurves import (SurfaceCurve, _geodesic_rhs,
                                    principal_direction_field)
 from diffgeo.vectors import Vec3, _spread
 
+import reference
 from conftest import count_evals, surface_samples
 
 PLANE = catalog.make("plane")
@@ -81,7 +82,7 @@ class TestFrame:
             "surface wide\nparam u in [-1e7, 1e7]\nparam v in [-1e7, 1e7]\n"
             "x = u\ny = v\nz = 0\n"))
         if kernel == "jet2":
-            wide = ParametricSurface(wide.evaluator, wide.domain)
+            wide = reference.jet_fed(wide)
         assert metric_and_gamma(wide, 0.3, 0.2).a == 1.0
         assert curvatures(wide, 0.3, 0.2).K == 0.0
         assert total_curvature(wide, (0.0, 1.0, 0.0, 1.0)) == 0.0
@@ -91,9 +92,9 @@ class TestFrame:
         ("sphere", (0.3, -math.pi / 2))], ids=["cone-apex", "north", "south"])
     def test_chart_singularities_on_every_path(self, name, point):
         shape = catalog.make(name)
-        fallback = ParametricSurface(shape.evaluator, shape.domain)
         for fn in (metric_and_gamma, surface_frame):
-            for s in (shape, fallback):
+            for s in (shape, ParametricSurface(shape.evaluator, shape.domain),
+                      reference.jet_fed(shape)):
                 with pytest.raises(SingularSurfacePoint):
                     fn(s, *point)
 
@@ -113,9 +114,9 @@ class TestFrame:
         for i in range(4):
             for j in range(4):
                 try:
-                    probes.append(shape.eval(u0 + (u1 - u0) * (i + 0.5) / 4,
-                                             v0 + (v1 - v0) * (j + 0.5) / 4)
-                                  .value())
+                    probes.append(reference.jet2_triples(
+                        shape, u0 + (u1 - u0) * (i + 0.5) / 4,
+                        v0 + (v1 - v0) * (j + 0.5) / 4)[0])
                 except Exception:
                     continue
         assert shape.scale == _spread(probes)
@@ -124,13 +125,14 @@ class TestFrame:
                                        RuntimeError])
     def test_scale_leaves_out_bad_points_only(self, fault):
         # a probe raising as at a bad point is left out of the scale; any
-        # other exception is a bug in the evaluator, and propagates
-        def evaluator(u, v):
-            if u.value < 0.7 and v.value < -2.0:    # the first probe only
+        # other exception is a bug in the kernel, and propagates
+        def kernel(u, v):
+            if u < 0.7 and v < -2.0:    # the first probe only
                 raise fault("probe (0, 0)")
-            return BOWL.evaluator(u, v)
+            return BOWL.kernel(u, v)
 
-        shape = ParametricSurface(evaluator, BOWL.domain)
+        shape = ParametricSurface(BOWL.evaluator, BOWL.domain)
+        shape.kernel = kernel
         if fault is RuntimeError:
             with pytest.raises(RuntimeError, match="probe"):
                 shape.scale
@@ -152,7 +154,7 @@ class TestFrame:
                lambda s, u, v: curvature_split(
                    SurfaceCurve.straight(s, (u, v), (1.0, 0.0)), 0.0)]
         if kernel == "jet2":    # one Jet2 evaluation computes order 3
-            steep = ParametricSurface(steep.evaluator, steep.domain)
+            steep = reference.jet_fed(steep)
             fns.append(curvatures)
         else:
             assert math.isfinite(curvatures(steep, 0.3, 0.2).H)
@@ -164,7 +166,7 @@ class TestFrame:
 
     def test_sphere_normal_radial_unit(self):
         fr = surface_frame(SPHERE2, 1.1, 0.0)
-        p = SPHERE2.eval(1.1, 0.0).value()
+        p = SPHERE2.eval(1.1, 0.0)
         # outward normal: n parallel to the position vector
         assert (fr.n - p * (1.0 / p.norm())).norm() <= 1e-12
         assert abs(fr.n.norm() - 1.0) <= 1e-12
@@ -504,24 +506,28 @@ class TestMetricFastPath:
 
         monkeypatch.setattr(expr, "_Recorder", Counted)
         small, large = catalog.make("torus", R=2.0), catalog.make("torus", R=5.0)
-        assert small.kernel(0.7, 1.1) == small._jet_kernel(0.7, 1.1)[:6]
-        assert large.kernel(0.7, 1.1) == large._jet_kernel(0.7, 1.1)[:6]
+        jet2 = reference.jet2_triples
+        assert small.kernel(0.7, 1.1) == jet2(small, 0.7, 1.1)[:6]
+        assert large.kernel(0.7, 1.1) == jet2(large, 0.7, 1.1)[:6]
         assert small.kernel(0.7, 1.1) != large.kernel(0.7, 1.1)
         assert small.eval(0.7, 1.1) != large.eval(0.7, 1.1)
         # templates only: eval_literal folds the numbers with _Recorder(0)
         orders = [args[0] for args in made if args[1:]]
         assert sorted(orders) == [0, 2]
-        assert small.kernel3(0.7, 1.1) == small._jet_kernel(0.7, 1.1)
-        assert large.kernel3(0.7, 1.1) == large._jet_kernel(0.7, 1.1)
+        assert small.kernel3(0.7, 1.1) == jet2(small, 0.7, 1.1)
+        assert large.kernel3(0.7, 1.1) == jet2(large, 0.7, 1.1)
         assert sorted(args[0] for args in made if args[1:]) == [0, 2, 3]
 
     def test_jet2_fallback_equals_kernel(self):
-        fallback = ParametricSurface(TORUS.evaluator, TORUS.domain)
-        assert fallback.kernel3 == fallback._jet_kernel
+        # the metric over one Jet2 evaluation per point, and the program
+        # recorded from the torus' evaluator, equal the definition's
+        recorded = ParametricSurface(TORUS.evaluator, TORUS.domain)
+        jet2 = reference.jet_fed(TORUS).kernel
         rng = random.Random(zlib.crc32(b"fallback"))
         for u, v in surface_samples("torus", TORUS, rng, 50):
-            assert metric_and_gamma(fallback, u, v) \
-                == metric_and_gamma(TORUS, u, v)
+            want = metric_and_gamma(TORUS, u, v)
+            assert metric_and_gamma(recorded, u, v) == want
+            assert reference.metric_gamma(jet2, u, v) == tuple(want)
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_gamma_field_equals_metric_and_gamma(self, name):
@@ -578,7 +584,7 @@ class TestPointBundle:
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_kernel_fed_equals_jet2_fed(self, name):
         shape = catalog.make(name)
-        ref = ParametricSurface(shape.evaluator, shape.domain, shape.periodic)
+        ref = reference.jet_fed(shape)
         rng = random.Random(zlib.crc32(b"bundle " + name.encode()))
         compared = 0
         for u, v in surface_samples(name, shape, rng, 12):
