@@ -16,11 +16,11 @@ each entry documents which geometric side that is.  Notable choices:
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .curves import ParametricCurve
 from .errors import DiffGeoError, InvalidParameter, NoReference, UnknownShape
 from .expr import load_definition
+from .records import Frozen, _set
 from .surfaces import ParametricSurface
 
 __all__ = ["CatalogEntry", "make", "build", "reference", "entry", "names"]
@@ -28,19 +28,30 @@ __all__ = ["CatalogEntry", "make", "build", "reference", "entry", "names"]
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str                      # curve | surface
-    params: dict                   # name -> default value
-    template: str                  # definition text with {param} slots
-    orientation: str = ""
-    periodic: tuple = (None, None)
-    is_closed: bool = False
-    chi: int = None
-    sample_domain: tuple = None    # shrunk domain for random/grid sampling
-    references: dict = field(default_factory=dict)
-    validate: object = None        # callable(params) raising InvalidParameter
+class CatalogEntry(Frozen):
+    """``kind`` is curve or surface; ``params`` maps each parameter name to
+    its default value; ``template`` is the definition text with {param}
+    slots; ``sample_domain`` is a shrunk domain for random and grid
+    sampling; ``validate`` is a callable(params) raising InvalidParameter."""
+
+    __slots__ = _fields = ("name", "kind", "params", "template",
+                           "orientation", "periodic", "is_closed", "chi",
+                           "sample_domain", "references", "validate")
+
+    def __init__(self, name, kind, params, template, orientation="",
+                 periodic=(None, None), is_closed=False, chi=None,
+                 sample_domain=None, references=None, validate=None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "params", params)
+        _set(self, "template", template)
+        _set(self, "orientation", orientation)
+        _set(self, "periodic", periodic)
+        _set(self, "is_closed", is_closed)
+        _set(self, "chi", chi)
+        _set(self, "sample_domain", sample_domain)
+        _set(self, "references", {} if references is None else references)
+        _set(self, "validate", validate)
 
     def definition(self, overrides=None):
         params = dict(self.params)

@@ -20,7 +20,6 @@ convention is the right-handed Frenet system dB/ds = -tau N.
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
@@ -30,6 +29,7 @@ from .interpolate import HermiteChannel, taylor_kernel
 from .jets import compose1
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, _sum, quad_adaptive
+from .records import Frozen, Record, _set
 from .vectors import Vec3, _spread
 
 __all__ = [
@@ -118,34 +118,48 @@ def jet_kernel(fn):
     return recorded(fn)
 
 
-@dataclass
-class FrenetData:
-    T: Vec3
-    N: object          # Vec3, or None at an inflection point
-    B: object
-    kappa: float
-    tau: object        # float, or None at an inflection point
-    darboux: object    # tau*T + kappa*B, or None
+class FrenetData(Record):
+    """T, N, B (Vec3s), kappa, tau and the Darboux vector tau*T + kappa*B;
+    N, B, tau and the Darboux vector are None at an inflection point."""
+
+    __slots__ = _fields = ("T", "N", "B", "kappa", "tau", "darboux")
+
+    def __init__(self, T, N, B, kappa, tau, darboux):
+        self.T = T
+        self.N = N
+        self.B = B
+        self.kappa = kappa
+        self.tau = tau
+        self.darboux = darboux
 
 
-@dataclass(frozen=True)
-class OsculatingCircle:
-    center: Vec3
-    radius: float
+class _CenterRadius(Frozen):
+    __slots__ = _fields = ("center", "radius")
+
+    def __init__(self, center, radius):
+        _set(self, "center", center)
+        _set(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class OsculatingSphere:
-    center: Vec3
-    radius: float
+class OsculatingCircle(_CenterRadius):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    kind: str               # StraightLine | Planar | Helix | General
-    max_kappa: float
-    max_abs_tau: float
-    ratio_rsd: float        # relative std deviation of tau/kappa
+class OsculatingSphere(_CenterRadius):
+    __slots__ = ()
+
+
+class CurveClass(Frozen):
+    """``kind`` is StraightLine, Planar, Helix or General; ``ratio_rsd`` is
+    the relative standard deviation of tau/kappa."""
+
+    __slots__ = _fields = ("kind", "max_kappa", "max_abs_tau", "ratio_rsd")
+
+    def __init__(self, kind, max_kappa, max_abs_tau, ratio_rsd):
+        _set(self, "kind", kind)
+        _set(self, "max_kappa", max_kappa)
+        _set(self, "max_abs_tau", max_abs_tau)
+        _set(self, "ratio_rsd", ratio_rsd)
 
 
 def _frenet(r):
@@ -540,14 +554,19 @@ def indicatrix_kappa_tau(curve, t, which="T"):
 # reconstruction from kappa(s), tau(s)
 # --------------------------------------------------------------------------
 
-@dataclass
-class ReconstructedCurve:
-    s: list
-    r: list       # Vec3 samples
-    T: list
-    N: list
-    B: list
-    _rdd: list = None  # r'' = kappa N at the knots, for interpolation
+class ReconstructedCurve(Record):
+    """Samples at arc lengths ``s``: positions ``r`` and the frame T, N, B
+    (Vec3s); ``_rdd`` is r'' = kappa N at the knots, for interpolation."""
+
+    __slots__ = _fields = ("s", "r", "T", "N", "B", "_rdd")
+
+    def __init__(self, s, r, T, N, B, _rdd=None):
+        self.s = s
+        self.r = r
+        self.T = T
+        self.N = N
+        self.B = B
+        self._rdd = _rdd
 
     def as_curve(self):
         """Quintic-Hermite interpolant through the integrated states.

@@ -56,8 +56,8 @@ anything but a function are such errors.
 import collections
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add, mul, neg
 from types import FunctionType, MappingProxyType
 
 from . import jets, ode
@@ -65,6 +65,7 @@ from .errors import (ArityError, DefinitionError, DiffGeoError, DomainError,
                      LexError, ParseError, UnknownIdentifier,
                      UnrecordableFunction)
 from .jets import FUNCTIONS
+from .records import Frozen, _set
 from .vectors import Vec3
 
 __all__ = [
@@ -79,11 +80,16 @@ _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
 _CONSTANTS = {"pi": math.pi}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str      # number | identifier | operator | paren | keyword
-    lexeme: str
-    position: int  # byte offset into the source text
+class Token(Frozen):
+    """``kind`` is number, identifier, operator, paren or keyword;
+    ``position`` is the byte offset into the source text."""
+
+    __slots__ = _fields = ("kind", "lexeme", "position")
+
+    def __init__(self, kind, lexeme, position):
+        _set(self, "kind", kind)
+        _set(self, "lexeme", lexeme)
+        _set(self, "position", position)
 
 
 def tokenize(text):
@@ -140,17 +146,19 @@ def tokenize(text):
 # AST
 # --------------------------------------------------------------------------
 
-class _Node:
+class _Node(Frozen):
     """Trees compare and hash by their preorder listing of (class, non-tree
-    fields), print as the dataclass repr would and pickle as that listing,
-    each made in a loop, so the deepest tree the parser accepts needs no
-    recursion.  Every node class lists its non-tree fields first."""
+    fields), print as ``Record`` does and pickle as that listing, each made
+    in a loop, so the deepest tree the parser accepts needs no recursion.
+    Every node class lists its non-tree fields first."""
+
+    __slots__ = ()
 
     def _preorder(self):
         out, todo = [], [self]
         while todo:
             n = todo.pop()
-            fields = vars(n).values()
+            fields = n._values()
             out.append((type(n), *(f for f in fields
                                    if not isinstance(f, _Node))))
             todo += reversed([f for f in fields if isinstance(f, _Node)])
@@ -172,7 +180,7 @@ class _Node:
         todo = [self]
         while todo:
             n = todo[-1]
-            fields = vars(n).items()
+            fields = list(zip(n._fields, n._values()))
             kids = [f for _, f in fields
                     if isinstance(f, _Node) and id(f) not in done]
             if kids:
@@ -190,43 +198,55 @@ def _from_preorder(listing):
     backwards, each node's subtrees come before it, first child on top."""
     stack = []
     for cls, *fields in reversed(listing):
-        kids = len(cls.__dataclass_fields__) - len(fields)
+        kids = len(cls._fields) - len(fields)
         children = [stack.pop() for _ in range(kids)]
         stack.append(cls(*fields, *children))
     return stack.pop()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
-    name: str  # builtin named constant (pi)
+    __slots__ = _fields = ("name",)    # builtin named constant (pi)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
-    arg: object
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
-    op: str  # + - * / ^
-    left: object
-    right: object
+    __slots__ = _fields = ("op", "left", "right")    # op: + - * / ^
+
+    def __init__(self, op, left, right):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
-    fn: str
-    arg: object
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 # The deepest expression the parser accepts: parentheses, calls, minus signs
@@ -740,6 +760,10 @@ def _joined(a, sep, b):
     return [a[0] + sep + "{}", *a[1:], _fmt(b)]
 
 
+# the float operations of a tape that _Recorder.tape folds over literals
+_FOLDS = {"{} * {}": mul, "{} + {}": add, "-{}": neg}
+
+
 # Leibniz's rule for a Jet2 product, slot by slot: the terms in Jet2's
 # order, each (multiplier..., slot of the left factor, slot of the right)
 _LEIBNIZ2 = (
@@ -989,7 +1013,9 @@ class _Recorder:
     def mul(self, f, g):
         if not isinstance(f, tuple):
             if not isinstance(g, tuple):
-                return self.scalar("{} * {}", lambda p, q: p * q, f, g)
+                if self.order and 1.0 in (f, g):    # floats: x * 1.0 is x
+                    return g if f == 1.0 else f
+                return self.scalar("{} * {}", mul, f, g)
             f, g = g, f     # the jet is the left factor
         if not isinstance(g, tuple):
             if not self.univariate:
@@ -1117,27 +1143,41 @@ class _Recorder:
     def tape(self, formulas, outputs, k):
         """The records of the tape of ``formulas`` that ``outputs`` read,
         each position slot _r<i><c> replaced by the term of ``k`` it names,
-        and each recorded once."""
+        and each recorded once.  A record that cannot change a bit is
+        folded, its local replaced by its term: a sum, product or negation
+        of literals, computed here by the same float operation, and x * 1.0
+        or 1.0 * x, which is x."""
         records, named = _GENERATED[None, (_recording, formulas), 2]
-        slot = {f"_r{i}{c}": _fmt(t.c) for i, row in enumerate(k)
+        term = {f"_r{i}{c}": t.c for i, row in enumerate(k)
                 for c, t in zip("xyz", row)}
         terms = [named[name][s] for name, s in outputs]
         for i in _live(records, terms):
             targets, op, operands = records[i]
-            record = targets, op, tuple(slot.get(o, o) for o in operands)
-            if record not in self.taped:
-                self.taped.add(record)
-                self.records.append(record)
-        return tuple(_TapeJet(self, slot.get(t, t) if isinstance(t, str)
+            args = [term.get(o, o) for o in operands]
+            fold = _FOLDS.get(op)
+            if fold and all(isinstance(a, float) for a in args):
+                term[targets[0]] = fold(*args)
+            elif op == "{} * {}" and 1.0 in args:
+                term[targets[0]] = args[1] if args[0] == 1.0 else args[0]
+            else:
+                record = targets, op, tuple(map(_fmt, args))
+                if record not in self.taped:
+                    self.taped.add(record)
+                    self.records.append(record)
+        return tuple(_TapeJet(self, term.get(t, t) if isinstance(t, str)
                               else 0.0 if t is None else t) for t in terms)
 
     def check(self, fn, *args, floor):
         """A call ``fn(*args)``, outside the overflow guard, made only where
         the first argument is not both below inf and above ``floor``: the
-        caller's word that ``fn`` raises nowhere else."""
+        caller's word that ``fn`` raises nowhere else.  Literals that pass
+        record nothing."""
+        x = args[0].c
+        if isinstance(x, float) and isinstance(floor.c, float) and (
+                floor.c < x < math.inf):
+            return
         self.names[fn.__name__] = fn
         self.free.add(len(self.records))
-        x = args[0].c
         self.record((), "if not ({} < inf and {} > {}): " + fn.__name__
                     + f"({', '.join(['{}'] * len(args))})",
                     x, x, floor.c, *(a.c for a in args))
@@ -1252,8 +1292,7 @@ def _run(fn, args):
 # shape definitions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeDefinition:
+class ShapeDefinition(Frozen):
     """A parsed curve/surface/surface-curve definition.
 
     ``kind`` is 'curve', 'surface' or 'surfacecurve'; ``params`` maps each
@@ -1267,17 +1306,18 @@ class ShapeDefinition:
     from it alone.
     """
 
-    kind: str
-    name: str
-    params: dict
-    constants: dict
-    components: tuple
-    component_names: tuple
+    # no __slots__: the cached properties below need a __dict__
+    _fields = ("kind", "name", "params", "constants", "components",
+               "component_names")
 
-    def __post_init__(self):
-        for attr in ("params", "constants"):
-            object.__setattr__(self, attr,
-                               MappingProxyType(dict(getattr(self, attr))))
+    def __init__(self, kind, name, params, constants, components,
+                 component_names):
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "params", MappingProxyType(dict(params)))
+        _set(self, "constants", MappingProxyType(dict(constants)))
+        _set(self, "components", components)
+        _set(self, "component_names", component_names)
 
     @cached_property
     def _template(self):
@@ -1323,18 +1363,20 @@ class ShapeDefinition:
                     f"parameter {name}={v0!r} outside [{lo!r}, {hi!r}]")
 
 
-@dataclass(frozen=True)
-class LoopDefinition:
+class LoopDefinition(Frozen):
     """A parsed loop file: the boundary arcs in order (each a
     'surfacecurve' ShapeDefinition), the exterior angle after each arc
     (None = compute it from the tangents) and the parameter rectangles
     (u0, u1, v0, v1) that make up the enclosed region."""
 
-    name: str
-    arcs: tuple
-    corners: tuple
-    regions: tuple
+    __slots__ = _fields = ("name", "arcs", "corners", "regions")
     kind = "loop"
+
+    def __init__(self, name, arcs, corners, regions):
+        _set(self, "name", name)
+        _set(self, "arcs", arcs)
+        _set(self, "corners", corners)
+        _set(self, "regions", regions)
 
 
 _PARAM_COUNT = {"curve": 1, "surface": 2, "surfacecurve": 1}

@@ -31,10 +31,10 @@ to land on a sample does not shrink the next one, which starts from the
 larger of the size proposed before the shortening and the new proposal.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import MaxStepsExceeded, StepUnderflow
+from .records import Frozen, Record, _set
 
 __all__ = ["OdeSpec", "OdeResult", "ode_solve", "linspace"]
 
@@ -58,28 +58,30 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -1453857185 / 822651844, 69997945 / 29380423)
 
 
-@dataclass(frozen=True)
-class OdeSpec:
+class OdeSpec(Frozen):
     """Step control for :func:`ode_solve`: error tolerance, smallest step,
     most accepted steps."""
 
-    tol: float = 1e-10
-    min_step: float = 1e-14
-    max_steps: int = 100_000
+    __slots__ = _fields = ("tol", "min_step", "max_steps")
 
-    def __post_init__(self):
-        if self.tol <= 0.0:
+    def __init__(self, tol=1e-10, min_step=1e-14, max_steps=100_000):
+        if tol <= 0.0:
             raise ValueError("tolerance must be positive")
+        _set(self, "tol", tol)
+        _set(self, "min_step", min_step)
+        _set(self, "max_steps", max_steps)
 
 
-@dataclass
-class OdeResult:
+class OdeResult(Record):
     """Sampled trajectory: state ``ys[i]`` (a tuple) at each sample time
     ``ts[i]`` reached; ``n_steps`` counts the accepted steps."""
 
-    ts: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    n_steps: int = 0
+    __slots__ = _fields = ("ts", "ys", "n_steps")
+
+    def __init__(self, ts=None, ys=None, n_steps=0):
+        self.ts = [] if ts is None else ts
+        self.ys = [] if ys is None else ys
+        self.n_steps = n_steps
 
     @property
     def y_end(self):

@@ -20,11 +20,11 @@ panels not yet visited.
 """
 
 import sys
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 
 from .errors import MaxDepthExceeded
+from .records import Frozen, _set
 
 __all__ = ["QuadSpec", "quad_adaptive", "quad2d"]
 
@@ -47,16 +47,16 @@ _BELOW_ROUNDING = "quadrature tolerance below rounding"
 _AT_MAX_DEPTH = "quadrature subdivision limit reached"
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    tol: float = 1e-10
-    max_depth: int = 30
+class QuadSpec(Frozen):
+    __slots__ = _fields = ("tol", "max_depth")
 
-    def __post_init__(self):
-        if self.tol <= 0.0:
+    def __init__(self, tol=1e-10, max_depth=30):
+        if tol <= 0.0:
             raise ValueError("tol must be positive")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        _set(self, "tol", tol)
+        _set(self, "max_depth", max_depth)
 
 
 class _Halt(Exception):

@@ -7,12 +7,13 @@ integral value below 1e16 in magnitude prints as ``repr`` does (``2.0``,
 lowercase exponent), and NaN or an infinity raises ValueError.  So
 identical invocations produce byte-identical files.  Wall-clock timing is
 deliberately kept out of the JSON payload for the same reason; it goes to
-stderr instead.  Files are written to a temp name and atomically renamed.
+stderr instead.  Files are written to a temp name and atomically renamed;
+they get the mode that ``open`` would give them (0o666 less the umask).
 """
 
+import itertools
 import math
 import os
-import tempfile
 
 __all__ = ["Report", "format_float", "dump_json", "write_json", "write_csv"]
 
@@ -96,9 +97,19 @@ def dump_json(obj):
     return "".join(out)
 
 
+_SERIAL = itertools.count()    # temp names: .diffgeo-<pid>-<n>.tmp
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".diffgeo-", suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    for n in _SERIAL:
+        tmp = os.path.join(directory, f".diffgeo-{os.getpid()}-{n}.tmp")
+        try:
+            fd = os.open(tmp, _CREATE, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -24,7 +24,6 @@ with, its lines written into every stage.
 """
 
 import math
-from dataclasses import dataclass, replace
 
 from .curves import _CurveJets
 from .errors import (AsymptoticPoint, DegenerateMultiplicity,
@@ -35,6 +34,7 @@ from .expr import jet_program, position_kernel, recorded
 from .interpolate import HermiteChannel, taylor_kernel
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
+from .records import Record
 from .surfaces import (_metric_dot, _metric_unit, _normal_curvature,
                        _overflow, _point, _regular, metric_and_gamma,
                        total_curvature)
@@ -170,15 +170,22 @@ def _normal_along_curve(rec, n, dn, du, dv):
                   for i in range(3)))
 
 
-@dataclass
-class CurvatureSplit:
-    K_vec: Vec3      # curvature vector dT/ds
-    kappa_n: float
-    kappa_g: float
-    u_vec: Vec3      # geodesic normal n x T
-    kappa: float
-    T: Vec3
-    n: Vec3
+class CurvatureSplit(Record):
+    """The curvature vector ``K_vec`` = dT/ds, its normal and geodesic
+    parts ``kappa_n`` and ``kappa_g``, the geodesic normal ``u_vec`` = n x T,
+    kappa, T and n."""
+
+    __slots__ = _fields = ("K_vec", "kappa_n", "kappa_g", "u_vec", "kappa",
+                           "T", "n")
+
+    def __init__(self, K_vec, kappa_n, kappa_g, u_vec, kappa, T, n):
+        self.K_vec = K_vec
+        self.kappa_n = kappa_n
+        self.kappa_g = kappa_g
+        self.u_vec = u_vec
+        self.kappa = kappa
+        self.T = T
+        self.n = n
 
 
 def _point_rows(sc, t):
@@ -283,13 +290,19 @@ def _turning_rate(x, y):
 # geodesics
 # --------------------------------------------------------------------------
 
-@dataclass
-class GeodesicPath:
-    surface: object
-    s: list                  # arc length samples
-    states: list             # (u, v, du/ds, dv/ds) at each sample
-    length: float
-    left_domain: bool = False   # the path ends at its first sample outside
+class GeodesicPath(Record):
+    """Arc length samples ``s``, the state (u, v, du/ds, dv/ds) at each and
+    the length; ``left_domain``: the path ends at its first sample outside
+    the domain."""
+
+    __slots__ = _fields = ("surface", "s", "states", "length", "left_domain")
+
+    def __init__(self, surface, s, states, length, left_domain=False):
+        self.surface = surface
+        self.s = s
+        self.states = states
+        self.length = length
+        self.left_domain = left_domain
 
     @property
     def end_uv(self):
@@ -438,8 +451,8 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
     s_max = 1.6 * d_chord + 0.01 * (1.0 + d_chord)
     # ranking seeds, and iterating while the miss is large, only needs
     # trajectories good to well below the endpoint tolerance
-    scan_spec = replace(spec, tol=max(spec.tol,
-                                      min(1e-8, 0.01 * endpoint_tol)))
+    scan_spec = OdeSpec(max(spec.tol, min(1e-8, 0.01 * endpoint_tol)),
+                        spec.min_step, spec.max_steps)
     goal = 0.01 * endpoint_tol
     rhs = _geodesic_rhs(surface)
     m1 = metric_and_gamma(surface, p1[0], p1[1])
@@ -573,13 +586,19 @@ def geodesic_bvp(surface, p0, p1, spec=OdeSpec(), endpoint_tol=1e-6):
 # parallel transport
 # --------------------------------------------------------------------------
 
-@dataclass
-class TransportState:
-    curve: object
-    ts: list
-    components: list     # (A1, A2) samples
-    norms: list          # metric norms |A|
-    frame_angles: list   # unwrapped angle in the orthonormal frame
+class TransportState(Record):
+    """At each parameter sample: the components (A1, A2), the metric norm
+    |A| and the unwrapped angle in the orthonormal frame."""
+
+    __slots__ = _fields = ("curve", "ts", "components", "norms",
+                           "frame_angles")
+
+    def __init__(self, curve, ts, components, norms, frame_angles):
+        self.curve = curve
+        self.ts = ts
+        self.components = components
+        self.norms = norms
+        self.frame_angles = frame_angles
 
     @property
     def holonomy(self):
@@ -783,8 +802,7 @@ def asymptotic_line_trace(surface, start, length, branch=0):
 # Gauss-Bonnet
 # --------------------------------------------------------------------------
 
-@dataclass
-class BoundaryLoop:
+class BoundaryLoop(Record):
     """Piecewise boundary of a simply connected parameter region.
 
     ``arcs`` run end-to-start in order; ``corner_angles[j]`` is the exterior
@@ -792,9 +810,12 @@ class BoundaryLoop:
     tangents); ``region_rects`` decompose the enclosed parameter region for
     the area integral."""
 
-    arcs: list
-    corner_angles: list
-    region_rects: list
+    __slots__ = _fields = ("arcs", "corner_angles", "region_rects")
+
+    def __init__(self, arcs, corner_angles, region_rects):
+        self.arcs = arcs
+        self.corner_angles = corner_angles
+        self.region_rects = region_rects
 
     def validate(self):
         """Arcs must connect end-to-start in ambient space (so boundaries
@@ -815,11 +836,13 @@ class BoundaryLoop:
                     f"{(j + 1) % n} starts at ({us:.6g}, {vs:.6g})")
 
 
-@dataclass
-class GaussBonnetBudget:
-    sum_kg: float
-    sum_angles: float
-    total_K: float
+class GaussBonnetBudget(Record):
+    __slots__ = _fields = ("sum_kg", "sum_angles", "total_K")
+
+    def __init__(self, sum_kg, sum_angles, total_K):
+        self.sum_kg = sum_kg
+        self.sum_angles = sum_angles
+        self.total_K = total_K
 
     @property
     def defect(self):

@@ -30,13 +30,12 @@ singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import DiffGeoError, SingularSurfacePoint, ZeroVector
 from .expr import Recording, position_kernel, surface_program, taped
 from .quadrature import QuadSpec, _sum, quad2d
+from .records import Record, Row, _new_row
 from .vectors import Vec3, _spread
 
 __all__ = [
@@ -151,45 +150,56 @@ class ParametricSurface:
         return du, dv
 
 
-@dataclass
-class SurfaceFrame:
-    E1: Vec3
-    E2: Vec3
-    n: Vec3
-    sqrt_a: float
+class SurfaceFrame(Record):
+    __slots__ = _fields = ("E1", "E2", "n", "sqrt_a")
+
+    def __init__(self, E1, E2, n, sqrt_a):
+        self.E1 = E1
+        self.E2 = E2
+        self.n = n
+        self.sqrt_a = sqrt_a
 
 
-@dataclass
-class FormBundle:
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-    c11: float
-    c12: float
-    c22: float
-    gamma1: tuple   # first kind, order (11-1, 11-2, 12-1, 12-2, 22-1, 22-2)
-    gamma2: tuple   # second kind, same order
-    sqrt_a: float
-    n: Vec3
-    a: float        # EG - F^2
+class FormBundle(Record):
+    """The three fundamental forms' coefficients, the Christoffel values of
+    the first and second kind in the order (11-1, 11-2, 12-1, 12-2, 22-1,
+    22-2), sqrt(a), the unit normal and a = EG - F^2."""
+
+    __slots__ = _fields = ("E", "F", "G", "e", "f", "g", "c11", "c12",
+                           "c22", "gamma1", "gamma2", "sqrt_a", "n", "a")
+
+    def __init__(self, E, F, G, e, f, g, c11, c12, c22, gamma1, gamma2,
+                 sqrt_a, n, a):
+        self.E = E
+        self.F = F
+        self.G = G
+        self.e = e
+        self.f = f
+        self.g = g
+        self.c11 = c11
+        self.c12 = c12
+        self.c22 = c22
+        self.gamma1 = gamma1
+        self.gamma2 = gamma2
+        self.sqrt_a = sqrt_a
+        self.n = n
+        self.a = a
 
 
-class CurvatureData(NamedTuple):
-    """Curvatures at one point; immutable, as points share them."""
+class CurvatureData(Row):
+    """Curvatures at one point; immutable, as points share them.  ``dir1``
+    and ``dir2`` are unit tangent Vec3s and ``dir1_uv``, ``dir2_uv`` their
+    metric-unit parameter components, all None at umbilics; ``shape`` is
+    Flat, Elliptic, Parabolic or Hyperbolic."""
 
-    K: float
-    H: float
-    kappa1: float
-    kappa2: float
-    dir1: object      # unit tangent Vec3, or None at umbilics
-    dir2: object
-    dir1_uv: object   # metric-unit parameter components, or None
-    dir2_uv: object
-    shape: str        # Flat | Elliptic | Parabolic | Hyperbolic
-    is_umbilic: bool
+    __slots__ = ()
+    _fields = ("K", "H", "kappa1", "kappa2", "dir1", "dir2", "dir1_uv",
+               "dir2_uv", "shape", "is_umbilic")
+
+    def __new__(cls, K, H, kappa1, kappa2, dir1, dir2, dir1_uv, dir2_uv,
+                shape, is_umbilic):
+        return _new_row(cls, (K, H, kappa1, kappa2, dir1, dir2, dir1_uv,
+                              dir2_uv, shape, is_umbilic))
 
 
 def _geometry(r):
@@ -365,15 +375,15 @@ def _metric_dot(E, F, G, X, Y):
     return E * X[0] * Y[0] + F * (X[0] * Y[1] + X[1] * Y[0]) + G * X[1] * Y[1]
 
 
-class MetricData(NamedTuple):
+class MetricData(Row):
     """Metric coefficients E, F, G, a = EG - F^2 and the second-kind
     Christoffel values at one point."""
 
-    E: float
-    F: float
-    G: float
-    a: float
-    gamma2: tuple
+    __slots__ = ()
+    _fields = ("E", "F", "G", "a", "gamma2")
+
+    def __new__(cls, E, F, G, a, gamma2):
+        return _new_row(cls, (E, F, G, a, gamma2))
 
 
 def _metric_terms(rec, u, v):

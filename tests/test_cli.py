@@ -884,6 +884,43 @@ class TestReportFormat:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # no stray temp files either
 
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    def test_report_mode_follows_umask(self, capsys, tmp_path, umask):
+        target = tmp_path / "x.json"
+        old = os.umask(umask)
+        try:
+            code, _ = run(capsys, "eval", "--shape", "torus", "--at",
+                          "0.3,0.4", "--quantity", "K", "--json",
+                          str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from diffgeo import report
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            report.write_csv(str(tmp_path / "x.csv"), ["t"], [[1.0]])
+        assert list(tmp_path.glob(".diffgeo-*.tmp")) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        from diffgeo import report
+        monkeypatch.setattr(report, "_SERIAL", iter(range(2)))
+        taken = tmp_path / f".diffgeo-{os.getpid()}-0.tmp"
+        taken.write_text("another writer's")
+        report.write_json(str(tmp_path / "x.json"), {"a": 1})
+        assert (tmp_path / "x.json").read_text() == '{"a":1}\n'
+        assert taken.read_text() == "another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name,
+                                                              "x.json"]
+
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("DIFFGEO_TOL", "1e-8")
         code, _ = run(capsys, "geodesic", "--shape", "plane", "--from",

@@ -7,7 +7,6 @@ import pickle
 import random
 import re
 import zlib
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -31,6 +30,14 @@ from test_cli_fuzz import NUMBERS
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "inputs")
+
+
+def _copy_with(definition, **changes):
+    """A copy of the ShapeDefinition ``definition`` with ``changes``, every
+    other field copied."""
+    fields = {name: getattr(definition, name) for name in definition._fields}
+    return ShapeDefinition(**{**fields, **changes})
+
 
 HELIX_TEXT = """
 # a circular helix
@@ -311,7 +318,8 @@ class TestSharedDefinitions:
 
     def test_keeps_a_copy(self):
         consts = {"a": 3.0}
-        definition = replace(load_definition(HELIX_TEXT), constants=consts)
+        definition = _copy_with(load_definition(HELIX_TEXT),
+                                constants=consts)
         consts["a"] = 4.0
         assert definition.constants == {"a": 3.0}
         assert load_definition(HELIX_TEXT).constants == {"a": 1.0, "b": 0.5}
@@ -374,9 +382,9 @@ def _surface(text, **consts):
     whose error the kernels must still raise where they run."""
     head, z = text.rsplit("\nz = ", 1)
     definition = load_definition(head + "\nz = 0\n")
-    definition = replace(definition,
-                         constants={**definition.constants, **consts})
-    return catalog.build(replace(definition, components=(
+    definition = _copy_with(definition,
+                            constants={**definition.constants, **consts})
+    return catalog.build(_copy_with(definition, components=(
         *definition.components[:2], parse_text(z))))
 
 
@@ -598,9 +606,9 @@ def _curve(text, **consts):
     parsed on its own (see _surface)."""
     head, z = text.rsplit("\nz = ", 1)
     definition = load_definition(head + "\nz = 0\n")
-    definition = replace(definition,
-                         constants={**definition.constants, **consts})
-    return catalog.build(replace(definition, components=(
+    definition = _copy_with(definition,
+                            constants={**definition.constants, **consts})
+    return catalog.build(_copy_with(definition, components=(
         *definition.components[:2], parse_text(z))))
 
 
@@ -780,8 +788,8 @@ class TestOrderZero:
                                   "c=0"])
     def test_every_construct(self, consts):
         definition = load_definition(EVERYTHING)
-        definition = replace(definition,
-                             constants={**definition.constants, **consts})
+        definition = _copy_with(definition,
+                                constants={**definition.constants, **consts})
         rng = random.Random(zlib.crc32(b"order 0 everything"))
         points = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
                   for _ in range(5)]

@@ -1,5 +1,6 @@
 """ODE integrator, adaptive quadrature and root finding."""
 
+import json
 import math
 import os
 import random
@@ -655,6 +656,34 @@ class TestNoRuntimeDependencies:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_import_loads_no_heavy_module(self):
+        """In a fresh ``python -S`` (no site imports), neither import adds a
+        module that costs milliseconds, and ``import diffgeo`` compiles no
+        generated source (as dataclasses and namedtuple would)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(diffgeo.__file__)))
+        probe = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "compiled = []\n"
+            "sys.addaudithook(lambda event, args: event == 'compile'\n"
+            "                 and compiled.append(str(args[1])))\n"
+            "before = set(sys.modules)\n"
+            "import diffgeo\n"
+            "lib = set(sys.modules) - before\n"
+            "strings = [f for f in compiled if not f.endswith('.py')]\n"
+            "import diffgeo.cli\n"
+            "print(json.dumps([sorted(lib), sorted(set(sys.modules) - before\n"
+            "                                     - lib), strings]))\n")
+        out = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                             capture_output=True, text=True, check=True)
+        lib, cli, strings = json.loads(out.stdout)
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                 "tempfile", "shutil"}
+        assert "diffgeo.surfaces" in lib and "diffgeo.cli" in cli
+        assert heavy.isdisjoint(lib), sorted(heavy & set(lib))
+        assert heavy.isdisjoint(cli), sorted(heavy & set(cli))
+        assert strings == []
 
     def test_gauss_rule_literals_equal_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(15)

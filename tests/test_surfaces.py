@@ -50,8 +50,8 @@ def _plain(x):
     """Results as nested tuples of floats, so that == compares values."""
     if isinstance(x, Vec3):
         return tuple(x)
-    if hasattr(x, "__dataclass_fields__"):
-        return tuple(_plain(getattr(x, f)) for f in x.__dataclass_fields__)
+    if hasattr(x, "_fields"):
+        return tuple(_plain(getattr(x, f)) for f in x._fields)
     if isinstance(x, (tuple, list)):
         return tuple(_plain(e) for e in x)
     return x
