@@ -11,7 +11,9 @@ Grammar (comments run from ``#`` to end of line)::
 ``^`` is right-associative and binds tighter than unary minus, so ``-2^2``
 is ``-(2^2) = -4``.  Function names are the reserved single-argument set
 from :mod:`diffgeo.jets`; ``pi`` is the one builtin constant.  Identifiers
-are case-sensitive.
+are case-sensitive.  Expressions nest at most ``MAX_DEPTH`` deep.  The
+parser writes an expression's program (see :func:`parse`) as it reads it,
+the postfix code that every evaluator runs and :func:`to_text` prints.
 
 Definition files are line oriented::
 
@@ -47,10 +49,9 @@ own records; an ODE field's program carries its fused Dormand-Prince
 attempt.
 A parsed definition is immutable and :func:`load_definition` shares it
 per text, so a text is parsed once however many shapes are built from it.
-Expressions nest at most ``MAX_DEPTH`` deep.  ``loop`` files (boundary arcs
-for Gauss-Bonnet) are described at :func:`_load_loop`.  Errors in either
-kind of file name the line at fault; an undeclared name and a call of
-anything but a function are such errors.
+``loop`` files (boundary arcs for Gauss-Bonnet) are described at
+:func:`_load_loop`.  Errors in either kind of file name the line at fault;
+an undeclared name and a call of anything but a function are such errors.
 """
 
 import collections
@@ -70,7 +71,6 @@ from .vectors import Vec3
 
 __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
-    "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
     "eval_literal", "scalar_function", "position_kernel", "taped",
     "Recording", "recorded",
@@ -143,127 +143,23 @@ def tokenize(text):
 
 
 # --------------------------------------------------------------------------
-# AST
+# programs
 # --------------------------------------------------------------------------
 
-class _Node(Frozen):
-    """Trees compare and hash by their preorder listing of (class, non-tree
-    fields), print as ``Record`` does and pickle as that listing, each made
-    in a loop, so the deepest tree the parser accepts needs no recursion.
-    Every node class lists its non-tree fields first."""
-
-    __slots__ = ()
-
-    def _preorder(self):
-        out, todo = [], [self]
-        while todo:
-            n = todo.pop()
-            fields = n._values()
-            out.append((type(n), *(f for f in fields
-                                   if not isinstance(f, _Node))))
-            todo += reversed([f for f in fields if isinstance(f, _Node)])
-        return out
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._preorder() == other._preorder()
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
-
-    def __reduce__(self):
-        return _from_preorder, (self._preorder(),)
-
-    def __repr__(self):
-        done = {}   # id -> repr of each node whose subtrees are printed
-        todo = [self]
-        while todo:
-            n = todo[-1]
-            fields = list(zip(n._fields, n._values()))
-            kids = [f for _, f in fields
-                    if isinstance(f, _Node) and id(f) not in done]
-            if kids:
-                todo += kids
-                continue
-            todo.pop()
-            args = (f"{k}={done[id(f)] if isinstance(f, _Node) else repr(f)}"
-                    for k, f in fields)
-            done[id(n)] = f"{type(n).__name__}({', '.join(args)})"
-        return done[id(self)]
-
-
-def _from_preorder(listing):
-    """The tree of a ``_Node._preorder`` listing, built in a loop: read
-    backwards, each node's subtrees come before it, first child on top."""
-    stack = []
-    for cls, *fields in reversed(listing):
-        kids = len(cls._fields) - len(fields)
-        children = [stack.pop() for _ in range(kids)]
-        stack.append(cls(*fields, *children))
-    return stack.pop()
-
-
-class Num(_Node):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value):
-        _set(self, "value", value)
-
-
-class Var(_Node):
-    __slots__ = _fields = ("name",)
-
-    def __init__(self, name):
-        _set(self, "name", name)
-
-
-class Const(_Node):
-    __slots__ = _fields = ("name",)    # builtin named constant (pi)
-
-    def __init__(self, name):
-        _set(self, "name", name)
-
-
-class Neg(_Node):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg):
-        _set(self, "arg", arg)
-
-
-class BinOp(_Node):
-    __slots__ = _fields = ("op", "left", "right")    # op: + - * / ^
-
-    def __init__(self, op, left, right):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-
-class Call(_Node):
-    __slots__ = _fields = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-
-
 # The deepest expression the parser accepts: parentheses, calls, minus signs
-# and carets open at once (each two stack frames at most) and levels of the
-# tree (a sum of n terms has n), so what parses fits the recursion limit.
+# and carets open at once (each two stack frames at most) and levels (a sum
+# of n terms has n), so what parses fits the recursion limit.
 MAX_DEPTH = 400
 
 
 class _Parser:
-    """Recursive descent over the grammar above: ``expr`` reads a sum of
-    products in a loop and ``operand`` the rest, atoms included, so a level
-    of parentheses costs two frames.  Both return (tree, levels)."""
+    """Recursive descent over the grammar above, writing the program to
+    ``out`` as it reads: ``expr`` reads a sum of products in a loop and
+    ``operand`` the rest, atoms included, so a level of parentheses costs
+    two frames.  Both return the levels of what they read."""
 
     def __init__(self, tokens, end_pos):
-        self.toks = tokens
-        self.i = 0
-        self.end_pos = end_pos
+        self.toks, self.i, self.end_pos, self.out = tokens, 0, end_pos, []
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -282,28 +178,37 @@ class _Parser:
             return t
         return None
 
-    def up(self, token, arg, right=None):
-        """(tree, levels) for the operator or call ``token`` over the
-        (tree, levels) operands; ``token`` is blamed past MAX_DEPTH."""
-        levels = max(arg[1], right[1] if right else 0)
+    def up(self, token, levels, start, mid=None):
+        """Write the operator or call ``token`` over the code from
+        ``start`` (its operands split at ``mid``) of ``levels`` levels, and
+        return its levels; ``token`` is blamed past MAX_DEPTH."""
         if levels == MAX_DEPTH:
             raise ParseError(token.position, f"an expression at most "
                              f"{MAX_DEPTH} levels deep", token.lexeme)
-        if right:
-            return BinOp(token.lexeme, arg[0], right[0]), levels + 1
-        call = token.kind == "identifier"
-        return (Call(token.lexeme, arg[0]) if call else Neg(arg[0])), levels + 1
+        out, name = self.out, token.lexeme
+        if name == "/":
+            out[start:] = out[mid:] + out[start:mid]
+        if token.kind != "identifier":
+            out.append(("neg", None) if mid is None else (name, None))
+        elif name in FUNCTIONS:
+            out.append(("call", name))
+        else:
+            out[start:] = [("fail", name)]
+        return levels + 1
 
     def expr(self, nesting=0):
         """term (('+'|'-') term)* with term := unary (('*'|'/') unary)*."""
-        total = op = None
+        start, total, op = len(self.out), None, None
         while True:
-            node = self.operand(nesting)
+            term = len(self.out)
+            levels = self.operand(nesting)
             while (t := self.take("*/")) is not None:
-                node = self.up(t, node, self.operand(nesting))
+                mid = len(self.out)
+                levels = self.up(t, max(levels, self.operand(nesting)),
+                                 term, mid)
             if op is not None:
-                node = self.up(op, total, node)
-            total, op = node, self.take("+-")
+                levels = self.up(op, max(total, levels), start, term)
+            total, op = levels, self.take("+-")
             if op is None:
                 return total
 
@@ -312,82 +217,106 @@ class _Parser:
         if nesting > MAX_DEPTH:
             self.fail(f"at most {MAX_DEPTH} nested parentheses, calls, minus "
                       "signs and carets")
+        start = len(self.out)
         if (t := self.take("-")) is not None:
-            return self.up(t, self.operand(nesting + 1))
+            return self.up(t, self.operand(nesting + 1), start)
         t = self.peek()
         if t is None or not (t.kind in ("number", "identifier")
                              or t.lexeme == "("):
             self.fail("an expression")
         self.i += 1
+        levels = 1
         if t.kind == "number":
-            atom = Num(float(t.lexeme)), 1
+            self.out.append(("num", float(t.lexeme)))
         elif t.kind == "identifier" and self.take("(") is None:
-            atom = (Const if t.lexeme in _CONSTANTS else Var)(t.lexeme), 1
+            self.out.append(("num", _CONSTANTS[t.lexeme])
+                            if t.lexeme in _CONSTANTS else ("var", t.lexeme))
         else:       # a parenthesized expression or a call's argument
-            atom = self.expr(nesting + 1)
+            levels = self.expr(nesting + 1)
             if self.take(")") is None:
                 self.fail("')'")
             if t.kind == "identifier":
-                atom = self.up(t, atom)
+                levels = self.up(t, levels, start)
         if (t := self.take("^")) is not None:
-            return self.up(t, atom, self.operand(nesting + 1))
-        return atom
+            mid = len(self.out)
+            return self.up(t, max(levels, self.operand(nesting + 1)),
+                           start, mid)
+        return levels
 
 
 def parse(tokens, end_pos=0):
-    """Parse a full token stream into an Expr tree."""
+    """The program of a full token stream: flat postfix code in evaluation
+    order, run by _Recorder and hashed by the generated-code cache without
+    recursion.  Its (op, arg) pairs are ("num", value) (``pi`` is its
+    value), ("var", name), and ("neg", None), ("call", function) or (op,
+    None) for + - * / ^ after the operands, a divisor before its dividend;
+    a call of a non-function is one ("fail", name)."""
     p = _Parser(list(tokens), end_pos)
-    node, _ = p.expr()
+    p.expr()
     left = p.peek()
     if left is not None:
         raise ParseError(left.position, "end of expression", left.lexeme)
-    return node
+    return tuple(p.out)
 
 
 def parse_text(text):
-    toks = tokenize(text)
-    return parse(toks, len(text))
+    return parse(tokenize(text), len(text))
 
 
 # --------------------------------------------------------------------------
-# pretty printing (round-trips through parse into a structurally equal tree)
+# pretty printing (round-trips through parse into an equal program)
 # --------------------------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def to_text(node):
-    def go(n, parent_prec, is_right):
-        if isinstance(n, Num):
-            if math.isinf(n.value):     # parsed back as inf
-                return "-1e400" if n.value < 0 else "1e400"
-            return repr(n.value) if n.value != int(n.value) else str(int(n.value))
-        if isinstance(n, (Var, Const)):
-            return n.name
-        if isinstance(n, Call):
-            return f"{n.fn}({go(n.arg, 0, False)})"
-        if isinstance(n, Neg):
-            body = f"-{go(n.arg, _PREC['neg'], False)}"
-            return f"({body})" if parent_prec > _PREC["neg"] else body
-        prec = _PREC[n.op]
-        # '-' and '/' are left-associative; '^' is right-associative
-        lp = go(n.left, prec if n.op != "^" else prec + 1, False)
-        rp = go(n.right, prec + (1 if n.op in "+-*/" else 0), n.op != "^")
-        body = f"{lp}{n.op}{rp}"
-        need = parent_prec > prec or (parent_prec == prec and is_right)
-        return f"({body})" if need else body
+def _operand(item, outer, right=False):
+    """The text of the operand ``item`` (text, op) under an operator of
+    precedence ``outer``, in parentheses where it would bind otherwise."""
+    text, op = item
+    prec = _PREC.get(op, 5)
+    if outer > prec or (outer == prec and right and op != "neg"):
+        return f"({text})"
+    return text
 
-    return go(node, 0, False)
+
+def to_text(program):
+    """Text that parses back to ``program``, printed with a stack.  A
+    program that holds a 'fail' op raises ValueError: the argument of that
+    call is not in the program, and no loader accepts the call."""
+    stack = []      # (text, op) of each operand
+    for op, arg in program:
+        if op == "num" and math.isinf(arg):     # parsed back as inf
+            text = "-1e400" if arg < 0 else "1e400"
+        elif op == "num":
+            text = repr(arg) if arg != int(arg) else str(int(arg))
+        elif op == "var":
+            text = arg
+        elif op == "fail":
+            raise ValueError(f"cannot print the call of {arg!r}, which is "
+                             "not a function: the program keeps no argument")
+        elif op == "call":
+            text = f"{arg}({stack.pop()[0]})"
+        elif op == "neg":
+            text = "-" + _operand(stack.pop(), _PREC["neg"])
+        else:
+            second, first = stack.pop(), stack.pop()
+            left, right = (second, first) if op == "/" else (first, second)
+            prec, caret = _PREC[op], op == "^"
+            text = (_operand(left, prec + caret) + op
+                    + _operand(right, prec + (not caret), not caret))
+        stack.append((text, op))
+    return stack.pop()[0]
 
 
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
 
-def eval_scalar(node, env):
-    """Evaluate ``node`` once with ``env`` mapping identifier -> float or
-    jet, through the order-0 code that :func:`position_kernel` binds."""
-    return _GENERATED[((_postfix(node),), tuple(env), ()), _KERNEL, 0](
+def eval_scalar(program, env):
+    """Evaluate ``program`` once with ``env`` mapping identifier -> float
+    or jet, through the order-0 code that :func:`position_kernel` binds."""
+    return _GENERATED[((program,), tuple(env), ()), _KERNEL, 0](
         *env.values())[0][0]
 
 
@@ -419,12 +348,20 @@ def scalar_function(text, param):
 def _closed(text, params, what):
     """The program of ``text``, whose free names must be among ``params``
     and whose calls must be of functions."""
-    program = _postfix(parse_text(text))
-    free = sorted({arg for op, arg in program if op == "var"} - set(params))
+    return _checked(parse_text(text), params, lambda free: (
+        f"{what} may not reference {', '.join(map(repr, free))}"))
+
+
+def _checked(program, names, unknown):
+    """``program``, if every free name of it is among ``names`` and it
+    calls only functions; else UnknownIdentifier(unknown(the free names,
+    sorted)) or the error of its first call of a non-function."""
+    free = sorted({arg for op, arg in program if op == "var"} - set(names))
     if free:
-        raise UnknownIdentifier(
-            f"{what} may not reference {', '.join(map(repr, free))}")
-    _check_calls(program, params)
+        raise UnknownIdentifier(unknown(free))
+    for op, arg in program:
+        if op == "fail":
+            raise _call_error(arg, names)
     return program
 
 
@@ -434,41 +371,6 @@ def _call_error(name, names):
     if name in names or name in _CONSTANTS:
         return ArityError(f"{name!r} is not a function")
     return UnknownIdentifier(f"unknown function {name!r}")
-
-
-def _check_calls(program, names):
-    """Raise the error of the first call in ``program`` of a non-function."""
-    for op, arg in program:
-        if op == "fail":
-            raise _call_error(arg, names)
-
-
-def _postfix(node):
-    """``node`` as flat postfix code in evaluation order, run by _Recorder
-    and hashed by the generated-code cache without recursion: (op, arg)
-    pairs, a divisor before its dividend, a call of a non-function one
-    'fail' op."""
-    out, todo = [], [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, tuple):
-            out.append(n)
-        elif isinstance(n, Num):
-            out.append(("num", n.value))
-        elif isinstance(n, Const):
-            out.append(("num", _CONSTANTS[n.name]))
-        elif isinstance(n, Var):
-            out.append(("var", n.name))
-        elif isinstance(n, Neg):
-            todo += [("neg", None), n.arg]
-        elif isinstance(n, Call):
-            todo += ([("call", n.fn), n.arg] if n.fn in FUNCTIONS
-                     else [("fail", n.fn)])
-        elif n.op == "/":
-            todo += [("/", None), n.left, n.right]
-        else:
-            todo += [(n.op, None), n.right, n.left]
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -791,7 +693,7 @@ _LEIBNIZ1 = (
 
 class _Recorder:
     """Source transformation (Griewank & Walther, Evaluating Derivatives,
-    ch. 13) of the jet arithmetic, for programs (see _postfix) over
+    ch. 13) of the jet arithmetic, for programs (see :func:`parse`) over
     ``params`` and ``constants``, for a tape or for a surface program: at
     ``order`` 2 or 3 the Jet2 arithmetic through that total order, at
     ``order`` 4 (the one univariate order) the Jet1 arithmetic.  A jet is a
@@ -1297,13 +1199,13 @@ class ShapeDefinition(Frozen):
 
     ``kind`` is 'curve', 'surface' or 'surfacecurve'; ``params`` maps each
     parameter name to its closed domain interval; ``components`` holds the
-    Expr trees in output order (x,y,z -- or u,v for surface curves).
+    programs in output order (x,y,z -- or u,v for surface curves).
 
     A definition is immutable: ``params`` and ``constants`` are read-only
     views of copies, so one parsed definition is shared by every shape
     built from its text (``load_definition`` parses each text once).  What
-    it caches (its template, order-0 kernel and surface scales) is derived
-    from it alone.
+    it caches (its order-0 kernel and surface scales) is derived from it
+    alone.
     """
 
     # no __slots__: the cached properties below need a __dict__
@@ -1318,13 +1220,8 @@ class ShapeDefinition(Frozen):
         _set(self, "constants", MappingProxyType(dict(constants)))
         _set(self, "components", components)
         _set(self, "component_names", component_names)
-
-    @cached_property
-    def _template(self):
-        """What generated code depends on: the component programs, the
-        parameter and the constant names."""
-        return (tuple(map(_postfix, self.components)), tuple(self.params),
-                tuple(self.constants))
+        _set(self, "_template", (tuple(components), tuple(params),
+                                 tuple(constants)))
 
     @cached_property
     def _scales(self):
@@ -1458,14 +1355,10 @@ def _load_shape(kind, name, header, lines):
             raise DefinitionError(f"missing component(s): {', '.join(missing)}")
     declared = set(params) | set(constants)
     for cname in wanted:
-        program = _postfix(comps[cname])
-        free = sorted({arg for op, arg in program if op == "var"} - declared)
-        if free:
-            raise UnknownIdentifier(
-                f"line {comp_line[cname]}: component {cname!r} "
-                f"references undeclared identifier {free[0]!r}")
         with _at_line(comp_line[cname]):
-            _check_calls(program, declared)
+            _checked(comps[cname], declared, lambda free: (
+                f"component {cname!r} references undeclared identifier "
+                f"{free[0]!r}"))
 
     return ShapeDefinition(
         kind=kind, name=name, params=params, constants=constants,

@@ -11,7 +11,7 @@ that share their knots from generated code, equal to the jets' coefficients.
 
 from bisect import bisect_right
 
-from .expr import _GENERATED, _KERNEL, _postfix, parse_text
+from .expr import _GENERATED, _KERNEL, parse_text
 
 __all__ = ["HermiteChannel", "taylor_kernel"]
 
@@ -60,8 +60,8 @@ class HermiteChannel:
 
 # the program of the Horner form that HermiteChannel.__call__ evaluates,
 # x = (s - a) * b, over the coefficients k0 .. k5
-_HORNER = _postfix(parse_text("((((k5*x + k4)*x + k3)*x + k2)*x + k1)*x + k0"
-                              .replace("x", "((s - a)*b)")))
+_HORNER = parse_text("((((k5*x + k4)*x + k3)*x + k2)*x + k1)*x + k0"
+                     .replace("x", "((s - a)*b)"))
 
 
 def taylor_kernel(channels):

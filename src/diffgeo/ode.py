@@ -145,7 +145,7 @@ def attempt_source(n, fused=None):
     def stage(s, state):
         """The lines that set k<s>_<i>, and the tuple k<s> from k3 on, to
         the field at stage ``s``'s time and ``state``."""
-        time = f"t + {_C[s - 1]!r} * hs"
+        time = "t + hs" if _C[s - 1] == 1.0 else f"t + {_C[s - 1]!r} * hs"
         parts = _tup([f"k{s}_{i}" for i in idx])
         if fused is None:
             call = f"f({time}, {'y_new' if s == 7 else _tup(state)})"

@@ -27,6 +27,13 @@ class Vec3:
         yield self.y
         yield self.z
 
+    def __eq__(self, other):
+        return (tuple(self) == tuple(other) if type(other) is Vec3
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
     def __add__(self, other):
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 

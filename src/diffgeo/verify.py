@@ -22,7 +22,7 @@ import math
 from .curves import ParametricCurve, _CurveJets, frenet, frenet_residuals
 from .errors import (AsymptoticPoint, InflectionPoint, NonOrthogonalPatch,
                      UmbilicPoint)
-from .expr import _GENERATED, _KERNEL, _postfix, parse_text
+from .expr import _GENERATED, _KERNEL, parse_text
 from .roots import root_find
 from .surfaces import (curvatures, forms, riemann_R1212,
                        form_identity_residual, gauss_weingarten_residuals,
@@ -76,7 +76,7 @@ def run(residual, points, tol):
     return ("PASS" if worst <= tol else "FAIL"), worst, ""
 
 
-_SUBSTITUTION = _postfix(parse_text("w + 0.1*sin(w)"))
+_SUBSTITUTION = parse_text("w + 0.1*sin(w)")
 
 
 def _substitution():

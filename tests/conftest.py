@@ -1,4 +1,4 @@
-"""Shared helpers: finite-difference oracles, random expression trees,
+"""Shared helpers: finite-difference oracles, random expressions,
 and frequently used shapes."""
 
 import collections
@@ -9,7 +9,7 @@ import pytest
 
 from diffgeo import catalog, expr, jets
 from diffgeo.errors import ArityError, UnknownIdentifier
-from diffgeo.expr import BinOp, Call, Const, Neg, Num, ShapeDefinition, Var
+from diffgeo.expr import ShapeDefinition, parse_text
 from diffgeo.vectors import Vec3
 
 
@@ -56,31 +56,37 @@ def fd_partial(f, u, v, iu, iv, h=5e-3):
 
 
 # --------------------------------------------------------------------------
-# random expression trees
+# random expressions
 # --------------------------------------------------------------------------
 
 _SAFE_FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "tanh", "atan")
 _ALL_FUNCTIONS = _SAFE_FUNCTIONS + ("tan", "log", "sqrt", "asin", "acos")
 
 
-def random_tree(rng, depth, var_names=("t",), functions=_ALL_FUNCTIONS):
-    """Random Expr tree of depth <= ``depth`` over the given variables."""
+def random_text(rng, depth, var_names=("t",), functions=_ALL_FUNCTIONS):
+    """Random expression text, at most ``depth`` operators deep, over the
+    given variables; every compound operand is parenthesized."""
+    def sub():
+        return f"({random_text(rng, depth - 1, var_names, functions)})"
+
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
-            return Num(round(rng.uniform(0.1, 3.0), 3))
-        return Var(rng.choice(var_names))
+            return repr(round(rng.uniform(0.1, 3.0), 3))
+        return rng.choice(var_names)
     pick = rng.random()
     if pick < 0.15:
-        return Neg(random_tree(rng, depth - 1, var_names, functions))
+        return f"-{sub()}"
     if pick < 0.40:
-        return Call(rng.choice(functions),
-                    random_tree(rng, depth - 1, var_names, functions))
+        return rng.choice(functions) + sub()
     if pick < 0.52:
-        return BinOp("^", random_tree(rng, depth - 1, var_names, functions),
-                     Num(float(rng.randint(2, 3))))
+        return f"{sub()}^{rng.randint(2, 3)}"
     op = rng.choice("+-*/")
-    return BinOp(op, random_tree(rng, depth - 1, var_names, functions),
-                 random_tree(rng, depth - 1, var_names, functions))
+    return sub() + op + sub()
+
+
+def random_program(rng, depth, var_names=("t",), functions=_ALL_FUNCTIONS):
+    """The program of a random_text."""
+    return parse_text(random_text(rng, depth, var_names, functions))
 
 
 EVAL_SAFE = _SAFE_FUNCTIONS
@@ -90,54 +96,55 @@ EVAL_SAFE = _SAFE_FUNCTIONS
 # reference evaluator (independent of the generated code)
 # --------------------------------------------------------------------------
 
-def reference_eval(node, env, power=jets.power):
-    """The documented semantics of an Expr tree as a plain recursive walk:
-    ``env`` maps identifiers to floats or jets, a divisor is evaluated
-    before its dividend and divided by ``expr._div``, '^' is
-    ``jets.power`` (or ``power``, given the exponent's tree too), a call
-    goes to ``jets.FUNCTIONS``, and an identifier fails in one of three
-    ways."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return {"pi": math.pi}[node.name]
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise UnknownIdentifier(f"undeclared identifier {node.name!r}")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -reference_eval(node.arg, env, power)
-    if isinstance(node, Call):
-        if node.fn in jets.FUNCTIONS:
-            arg = reference_eval(node.arg, env, power)
-            return jets.FUNCTIONS[node.fn](arg)
-        if node.fn in env or node.fn == "pi":
-            raise ArityError(f"{node.fn!r} is not a function")
-        raise UnknownIdentifier(f"unknown function {node.fn!r}")
-    if node.op == "/":
-        divisor = reference_eval(node.right, env, power)
-        return expr._div(reference_eval(node.left, env, power), divisor)
-    left = reference_eval(node.left, env, power)
-    right = reference_eval(node.right, env, power)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if power is jets.power:
-        return power(left, right)
-    return power(left, right, node.right)
+def reference_eval(program, env, power=jets.power):
+    """The documented semantics of a program as a plain stack walk:
+    ``env`` maps identifiers to floats or jets, a divisor (which comes
+    first) is divided into its dividend by ``expr._div``, '^' is
+    ``jets.power`` (or ``power``, told whether the exponent holds no
+    name), a call goes to ``jets.FUNCTIONS``, and an identifier fails in
+    one of three ways."""
+    stack = []      # (value, whether its expression holds no name)
+    for op, arg in program:
+        if op == "num":
+            stack.append((arg, True))
+        elif op == "var":
+            if arg not in env:
+                raise UnknownIdentifier(f"undeclared identifier {arg!r}")
+            stack.append((env[arg], False))
+        elif op == "fail":
+            if arg in env or arg == "pi":
+                raise ArityError(f"{arg!r} is not a function")
+            raise UnknownIdentifier(f"unknown function {arg!r}")
+        elif op in ("neg", "call"):
+            x, literal = stack.pop()
+            stack.append((-x if op == "neg" else jets.FUNCTIONS[arg](x),
+                          literal))
+        else:
+            (second, literal2), (first, literal1) = stack.pop(), stack.pop()
+            if op == "/":
+                value = expr._div(second, first)
+            elif op == "+":
+                value = first + second
+            elif op == "-":
+                value = first - second
+            elif op == "*":
+                value = first * second
+            elif power is jets.power:
+                value = power(first, second)
+            else:
+                value = power(first, second, literal2)
+            stack.append((value, literal1 and literal2))
+    return stack.pop()[0]
 
 
-def kernel_power(base, p, exponent):
+def kernel_power(base, p, literal):
     """'^' by the rule of generated code (``expr._Recorder.power``), in
-    jet arithmetic, for the exponent's tree ``exponent``: a jet exponent is
-    exp(p log(base)); over a jet base, an exponent other than a literal
-    integer of at most 64 composes the table of x^p; else jets.power."""
+    jet arithmetic, ``literal`` when the exponent holds no name: a jet
+    exponent is exp(p log(base)); over a jet base, an exponent other than
+    a literal integer of at most 64 composes the table of x^p; else
+    jets.power."""
     if isinstance(p, (jets.Jet1, jets.Jet2)):
         return jets.exp(p * jets.log(base))
-    literal = not any(n[0] is Var for n in exponent._preorder())
     if isinstance(base, (jets.Jet1, jets.Jet2)) and not (
             literal and float(p).is_integer() and abs(p) <= 64):
         return base._compose(jets._tab_pow(base.value, p))
@@ -145,7 +152,7 @@ def kernel_power(base, p, exponent):
 
 
 def rule_evaluator(definition):
-    """The jet evaluator of ``definition`` by the tree walk, '^' taken by
+    """The jet evaluator of ``definition`` by the stack walk, '^' taken by
     the rule of generated code (kernel_power): the jet reference of its
     kernels where an exponent is known only at run time or is a jet whose
     partials vanish.  A float component is lifted to the first jet."""

@@ -31,7 +31,7 @@ from diffgeo.surfacecurves import (BoundaryLoop, SurfaceCurve,
 from diffgeo.surfaces import angle_between
 from diffgeo.vectors import Vec3
 
-from conftest import EVAL_SAFE, fd_derivative, random_tree, surface_samples
+from conftest import EVAL_SAFE, fd_derivative, random_program, surface_samples
 
 HELIX = catalog.make("helix")            # a=1, b=0.5
 SPHERE = catalog.make("sphere")
@@ -326,14 +326,14 @@ def test_criterion_12_jets_and_parser():
     ok = True
     checked = 0
     while checked < 500:
-        tree = random_tree(rng, rng.randint(1, 6), functions=EVAL_SAFE)
+        program = random_program(rng, rng.randint(1, 6), functions=EVAL_SAFE)
         t0 = rng.uniform(-1.0, 1.0)
 
         def plain(x):
-            return eval_scalar(tree, {"t": x})
+            return eval_scalar(program, {"t": x})
 
         try:
-            jet = eval_scalar(tree, {"t": Jet1.variable(t0)})
+            jet = eval_scalar(program, {"t": Jet1.variable(t0)})
             probe = [plain(t0 + q) for q in (-0.2, -0.1, 0.0, 0.1, 0.2)]
         except DomainError:
             continue
@@ -356,9 +356,10 @@ def test_criterion_12_jets_and_parser():
 
     rng2 = random.Random(4242)
     for _ in range(1000):
-        tree = random_tree(rng2, rng2.randint(1, 6))
-        ok &= parse_text(to_text(tree)) == tree
-    verdict(12, "jet-vs-FD on 500 trees; parser round-trip on 1000", ok)
+        program = random_program(rng2, rng2.randint(1, 6))
+        ok &= parse_text(to_text(program)) == program
+    verdict(12, "jet-vs-FD on 500 expressions; parser round-trip on 1000",
+            ok)
 
 
 def test_criterion_13_cli_determinism(tmp_path, capsys):

@@ -15,16 +15,16 @@ from diffgeo import catalog, cli, curves, surfacecurves
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier,
                             UnrecordableFunction)
-from diffgeo.expr import (MAX_DEPTH, BinOp, Call, Const, Neg, Num,
-                          ShapeDefinition, Var, eval_literal, eval_scalar,
-                          load_definition, parse_text, to_text, tokenize)
+from diffgeo.expr import (MAX_DEPTH, ShapeDefinition, eval_literal,
+                          eval_scalar, load_definition, parse_text, to_text,
+                          tokenize)
 from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import SurfaceCurve
 from diffgeo.surfaces import ParametricSurface
 from diffgeo.vectors import Vec3
 
 import reference
-from conftest import (EVAL_SAFE, fd_derivative, random_tree, reference_eval,
+from conftest import (EVAL_SAFE, fd_derivative, random_program, reference_eval,
                       rule_evaluator, surface_samples)
 from test_cli_fuzz import NUMBERS
 
@@ -120,16 +120,56 @@ class TestParse:
     @pytest.mark.parametrize("text", ["1e400*u", "2^-1e400", *NUMBERS])
     def test_roundtrip_numbers(self, text):
         try:
-            tree = parse_text(text)
+            program = parse_text(text)
         except (LexError, ParseError):
-            return      # no tree to print
-        assert parse_text(to_text(tree)) == tree
+            return      # no program to print
+        assert parse_text(to_text(program)) == program
 
     def test_roundtrip_thousand_random_trees(self):
         rng = random.Random(2024)
         for _ in range(1000):
-            tree = random_tree(rng, rng.randint(1, 6))
-            assert parse_text(to_text(tree)) == tree
+            program = random_program(rng, rng.randint(1, 6))
+            assert parse_text(to_text(program)) == program
+
+    @pytest.mark.parametrize("text, program", [
+        ("a/b/c", (("var", "c"), ("var", "b"), ("var", "a"), ("/", None),
+                   ("/", None))),
+        ("sin(u)/v", (("var", "v"), ("var", "u"), ("call", "sin"),
+                      ("/", None))),
+        ("(u+v)*w/-x", (("var", "x"), ("neg", None), ("var", "u"),
+                        ("var", "v"), ("+", None), ("var", "w"), ("*", None),
+                        ("/", None))),
+        ("u-v-w", (("var", "u"), ("var", "v"), ("-", None), ("var", "w"),
+                   ("-", None))),
+        ("-2^2", (("num", 2.0), ("num", 2.0), ("^", None), ("neg", None))),
+        ("2^3^2", (("num", 2.0), ("num", 3.0), ("num", 2.0), ("^", None),
+                   ("^", None))),
+        ("-u^-v^2", (("var", "u"), ("var", "v"), ("num", 2.0), ("^", None),
+                     ("neg", None), ("^", None), ("neg", None))),
+        ("2*pi", (("num", 2.0), ("num", math.pi), ("*", None))),
+        ("a(2)", (("fail", "a"),)),
+        ("a(1/0)", (("fail", "a"),)),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_programs(self, text, program):
+        """Postfix in evaluation order: a divisor before its dividend, pi
+        as its value, a call of a non-function one 'fail' op."""
+        assert parse_text(text) == program
+
+    @pytest.mark.parametrize("text, message", [
+        ("+".join(["u"] * (MAX_DEPTH + 1)), "expected an expression at most "
+         "400 levels deep at byte offset 799, found '+'"),
+        ("(" * (MAX_DEPTH + 1) + "u" + ")" * (MAX_DEPTH + 1), "expected at "
+         "most 400 nested parentheses, calls, minus signs and carets at byte "
+         "offset 401, found 'u'"),
+    ], ids=["levels", "nesting"])
+    def test_first_text_past_the_depth_limit(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_text(text)
+        assert str(exc.value) == message
+
+    def test_a_call_of_a_non_function_does_not_print(self):
+        with pytest.raises(ValueError, match="call of 'a'"):
+            to_text(parse_text("u + a(1/0)"))
 
 
 class TestDefinitions:
@@ -330,15 +370,16 @@ class TestJetEvaluationVsFiniteDifferences:
         rng = random.Random(99)
         checked = 0
         while checked < 100:
-            tree = random_tree(rng, rng.randint(1, 5), functions=EVAL_SAFE)
+            program = random_program(rng, rng.randint(1, 5),
+                                     functions=EVAL_SAFE)
             t0 = rng.uniform(-1.0, 1.0)
 
             def plain(x):
-                return eval_scalar(tree, {"t": x})
+                return eval_scalar(program, {"t": x})
 
             try:
                 probe = [plain(t0 + dt) for dt in (-0.1, -0.05, 0.0, 0.05, 0.1)]
-                jet = eval_scalar(tree, {"t": Jet1.variable(t0)})
+                jet = eval_scalar(program, {"t": Jet1.variable(t0)})
             except DomainError:
                 continue
             if isinstance(jet, float):
@@ -351,7 +392,7 @@ class TestJetEvaluationVsFiniteDifferences:
                 fd_alt = fd_derivative(plain, t0, order,
                                        h=(6e-3 if order <= 2 else 0.05))
                 if abs(fd - fd_alt) > 2e-7 * scale:
-                    break  # oracle itself not converged for this tree
+                    break  # oracle itself not converged for this one
                 assert abs(jet.c[order] - fd) <= 1e-6 * scale
             else:
                 checked += 1
@@ -480,7 +521,7 @@ class TestPositionKernel:
         rng = random.Random(zlib.crc32(b"random kernels"))
         compared = [0, 0]
         for _ in range(60):
-            comps = tuple(random_tree(rng, rng.randint(1, 4), ("u", "v"))
+            comps = tuple(random_program(rng, rng.randint(1, 4), ("u", "v"))
                           for _ in range(3))
             shape = catalog.build(ShapeDefinition(
                 kind="surface", name="random", constants={},
@@ -680,7 +721,7 @@ class TestCurveKernel:
     def test_random_definitions_match_jet1(self):
         rng = random.Random(zlib.crc32(b"random curve kernels"))
         for _ in range(100):
-            comps = tuple(random_tree(rng, rng.randint(1, 4), ("t",))
+            comps = tuple(random_program(rng, rng.randint(1, 4), ("t",))
                           for _ in range(3))
             curve = catalog.build(ShapeDefinition(
                 kind="curve", name="random", constants={},
@@ -730,7 +771,7 @@ def _reference_shape(definition, *args):
 
 def _kernel_rule(shape, *args):
     """The coefficient rows of ``shape``'s definition at the jet variables
-    t, or u and v, from the tree walk with '^' taken by the rule of
+    t, or u and v, from the stack walk with '^' taken by the rule of
     generated code (conftest.rule_evaluator): what its kernels compute."""
     variables = ((Jet1.variable,) if len(args) == 1
                  else (Jet2.variable_u, Jet2.variable_v))
@@ -751,7 +792,7 @@ def _arguments(definition, rng, point):
 
 class TestOrderZero:
     """ShapeDefinition.eval, eval_scalar and eval_literal, which run the
-    generated order-0 code, equal the reference walk of the same trees:
+    generated order-0 code, equal the reference walk of the same programs:
     values by repr (signed zeros and NaN included) and errors by type and
     message."""
 
@@ -813,7 +854,7 @@ class TestOrderZero:
     def test_random_definitions(self):
         rng = random.Random(zlib.crc32(b"order 0 random"))
         for _ in range(60):
-            comps = tuple(random_tree(rng, rng.randint(1, 4), ("u", "v"))
+            comps = tuple(random_program(rng, rng.randint(1, 4), ("u", "v"))
                           for _ in range(3))
             definition = ShapeDefinition(
                 kind="surface", name="random", constants={},
@@ -835,7 +876,7 @@ class TestOrderZero:
 
 
 # each construct nested k deep: k calls, k parentheses, k minus signs, k
-# carets, k pluses; a call, minus, caret or plus adds a level of the tree
+# carets, k pluses; a call, minus, caret or plus adds a level
 NESTED = {
     "calls": lambda k: "sin(" * k + "u" + ")" * k,
     "parentheses": lambda k: "(" * k + "u" + ")" * k,
@@ -879,55 +920,49 @@ class TestDepthLimit:
     @pytest.mark.parametrize("construct", ["sum", "calls", "minus",
                                            "carets"])
     def test_deepest_trees_compare_and_hash(self, construct):
+        """The program of the deepest text is flat: equal texts give equal
+        programs, which hash alike, and moving a name changes it."""
         text = NESTED[construct](MAX_DEPTH - 1)
-        tree, again = parse_text(text), parse_text(text)
-        assert tree is not again and tree == again
-        assert hash(tree) == hash(again) and {tree: 1}[again] == 1
+        program, again = parse_text(text), parse_text(text)
+        assert program is not again and program == again
+        assert hash(program) == hash(again) and {program: 1}[again] == 1
         for other in (text.replace("u", "v", 1),
                       "v".join(text.rsplit("u", 1))):
-            assert tree != parse_text(other)
-        # the named constant is not its value, however deep
+            assert program != parse_text(other)
+        # the named constant is its value, however deep
         deep = text.replace("u", "pi", 1)
-        assert parse_text(deep) != parse_text(deep.replace("pi",
+        assert parse_text(deep) == parse_text(deep.replace("pi",
                                                            repr(math.pi)))
 
     @pytest.mark.parametrize("construct", NESTED)
     def test_deepest_trees_print(self, construct):
+        """to_text prints the deepest programs with its stack, and the text
+        parses back to the program."""
         k = MAX_DEPTH if construct == "parentheses" else MAX_DEPTH - 1
         text = NESTED[construct](k)
-        out = repr(parse_text(text))
+        program = parse_text(text)
+        out = to_text(program)
         assert out.count("(") == out.count(")")
-        assert out.count("Var(name='u')") == text.count("u")
-        assert repr(parse_text("+".join(["u"] * MAX_DEPTH))).startswith(
-            "BinOp(op='+', left=BinOp(op='+', left=")
+        assert out.count("u") == text.count("u")
+        assert parse_text(out) == program
+        text = "+".join(["u"] * MAX_DEPTH)
+        assert to_text(parse_text(text)) == text
 
     @pytest.mark.parametrize("construct", NESTED)
     def test_deepest_trees_pickle(self, construct):
         k = MAX_DEPTH if construct == "parentheses" else MAX_DEPTH - 1
-        tree = parse_text(NESTED[construct](k))
-        again = pickle.loads(pickle.dumps(tree))
-        assert again == tree and repr(again) == repr(tree)
-        assert copy.deepcopy(tree) == tree
-
-    def test_hand_built_trees_pickle(self):
-        for tree in (Num(-1.0), Neg(Num(-0.0)), BinOp("^", Var("u"),
-                                                      Call("sin", Const("pi")))):
-            again = pickle.loads(pickle.dumps(tree))
-            assert repr(again) == repr(tree)
-
-    def test_repr_is_the_dataclass_form(self):
-        assert repr(parse_text("-sin(u)^2 + v/pi")) == (
-            "BinOp(op='+', left=Neg(arg=BinOp(op='^', left=Call(fn='sin', "
-            "arg=Var(name='u')), right=Num(value=2.0))), right=BinOp(op='/', "
-            "left=Var(name='v'), right=Const(name='pi')))")
+        program = parse_text(NESTED[construct](k))
+        again = pickle.loads(pickle.dumps(program))
+        assert again == program and repr(again) == repr(program)
+        assert copy.deepcopy(program) == program
 
     @pytest.mark.parametrize("text", ["sin(" * 130 + "u" + ")" * 130,
                                       "+".join(["u"] * 400)],
                              ids=["sin-130", "sum-400"])
     def test_long_expressions_still_evaluate(self, text):
-        tree = parse_text(text)
-        assert eval_scalar(tree, {"u": 0.5}) == reference_eval(tree,
-                                                               {"u": 0.5})
+        program = parse_text(text)
+        assert eval_scalar(program, {"u": 0.5}) == reference_eval(
+            program, {"u": 0.5})
 
     @pytest.mark.parametrize("text", ["sin(" * 5000 + "u" + ")" * 5000,
                                       "(" * 5000 + "1" + ")" * 5000,

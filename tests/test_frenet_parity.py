@@ -21,7 +21,7 @@ from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1
 from diffgeo.vectors import Vec3
 
-from conftest import EVAL_SAFE, random_tree, surface_samples
+from conftest import EVAL_SAFE, random_program, surface_samples
 from reference import coefficients
 from test_expr import EVERYTHING
 
@@ -231,8 +231,8 @@ def test_random_curves():
     rng = random.Random(zlib.crc32(b"random frenet"))
     bent = 0
     for _ in range(40):
-        comps = tuple(random_tree(rng, rng.randint(1, 4), ("t",),
-                                  functions=EVAL_SAFE) for _ in range(3))
+        comps = tuple(random_program(rng, rng.randint(1, 4), ("t",),
+                                     functions=EVAL_SAFE) for _ in range(3))
         curve = catalog.build(ShapeDefinition(
             kind="curve", name="random", constants={},
             params={"t": (-1.0, 1.0)}, components=comps,

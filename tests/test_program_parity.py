@@ -185,10 +185,15 @@ _ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.Load,
                ast.Add, ast.Sub, ast.Mult, ast.USub)
 
 
-def test_no_program_assigns_an_unread_arithmetic_line():
+@pytest.fixture(scope="module")
+def programs():
+    """Every program that generated_code.py prints, made once."""
+    return generated_code.collect()
+
+
+def test_no_program_assigns_an_unread_arithmetic_line(programs):
     # float + - * and negation raise nothing, so such a line that nothing
     # reads is dead; the printed source is read back with ast
-    programs = generated_code.collect()
     assert len(programs) > 80
     for filename, source in programs:
         for fn in ast.parse(source).body:
@@ -202,6 +207,12 @@ def test_no_program_assigns_an_unread_arithmetic_line():
                     and all(isinstance(n, _ARITHMETIC)
                             for n in ast.walk(line.value))]
             assert not dead, (filename, dead)
+
+
+def test_no_program_multiplies_by_one(programs):
+    # a Dormand-Prince stage whose c is 1.0 is taken at t + hs
+    assert not [line for _, source in programs
+                for line in source.splitlines() if "1.0 * hs" in line]
 
 
 def test_programs_outlive_one_off_expressions(monkeypatch):
