@@ -410,8 +410,45 @@ class Recording:
     constants = MappingProxyType({})
 
     def __init__(self, fn, params):
-        self._template = (fn, tuple(params), ())
+        self._template = (_Function(fn), tuple(params), ())
         self._scales = {}   # as ShapeDefinition._scales
+
+
+class _Function:
+    """A recorded function in a template, equal to another of the same code
+    and globals whose defaults and closure cells hold equal values of the
+    same types, signed zeros told apart (captured floats become literals
+    of the code): a new closure over the same values reuses the code made
+    for the first.  Any other callable (a bound method, a partial), or a
+    function holding an unhashable value, equals itself alone."""
+
+    __slots__ = ("fn", "key")
+
+    def __init__(self, fn):
+        self.fn = self.key = fn
+        if type(fn) is not FunctionType:
+            return
+        try:
+            key = (fn.__code__, id(fn.__globals__), *map(_value_key, (
+                fn.__defaults__, fn.__kwdefaults__,
+                tuple(c.cell_contents for c in fn.__closure__ or ()))))
+            hash(key)   # raises TypeError for an unhashable value
+            self.key = key
+        except (TypeError, ValueError):     # ValueError: an empty cell
+            pass
+
+    def __eq__(self, other):
+        return type(other) is _Function and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+def _value_key(x):
+    """``x`` keyed by its type and, a float, its sign; a tuple by item."""
+    if type(x) is tuple:
+        return tuple(map(_value_key, x))
+    return type(x), x, isinstance(x, float) and math.copysign(1.0, x)
 
 
 def recorded(fn):
@@ -434,12 +471,13 @@ def taped(formulas, outputs, order=2):
     return _GENERATED[None, (_tape_code, formulas, outputs), order]
 
 
-def surface_program(formulas, sizes, shape, curve=None):
-    """``formulas(rec, *args)``, float code over a surface's kernel, as one
-    straight-line function of ``args``, each a float (size 1) or a sequence
-    of ``sizes[i]`` floats.  ``formulas`` runs once, on _TapeJet terms, and
-    reads the surface through the recorder ``rec`` (see _Recorder);
-    ``curve`` is the curve kernel that ``rec.curve`` reads, if it is read.
+def surface_program(formulas, sizes, shape, curve=None, order=2):
+    """``formulas(rec, *args)``, float code over a surface's kernel through
+    ``order``, as one straight-line function of ``args``, each a float
+    (size 1) or a sequence of ``sizes[i]`` floats.  ``formulas`` runs once,
+    on _TapeJet terms, and reads the surface through the recorder ``rec``
+    (see _Recorder); ``curve`` is the curve kernel that ``rec.curve``
+    reads, if it is read.
 
     The program is the kernel's own records, then the formulas', generated
     once per template of ``shape`` (a ShapeDefinition or a Recording) and
@@ -448,7 +486,7 @@ def surface_program(formulas, sizes, shape, curve=None):
     A program of sizes (1, n), an ODE field ``f(t, y)``, carries in
     ``attempt`` its fused Dormand-Prince attempt, bound the same way."""
     fn, attempt = _GENERATED[shape._template,
-                             (_program_code, formulas, sizes), 2]
+                             (_program_code, formulas, sizes), order]
     bound = tuple(shape.constants.values())
     if "_curve" in fn.__code__.co_varnames:
         bound += (curve,)
@@ -756,10 +794,10 @@ class _Recorder:
         """The terms of a kernel of the component ``programs``, or of the
         function ``programs`` run once on the jets of ``params``: one row of
         components per coefficient, or the one row at order 0."""
-        if callable(programs):
+        if isinstance(programs, _Function):
             outs = [x.c if isinstance(x, _TapeJet) else float(x)
-                    for x in _run(programs, [_TapeJet(self, self.env[p])
-                                             for p in params])]
+                    for x in _run(programs.fn, [_TapeJet(self, self.env[p])
+                                                for p in params])]
         else:
             outs = [self.gen(p) for p in programs]
         if not self.order:
@@ -1032,8 +1070,8 @@ class _Recorder:
     # ---- what a surface program's formulas read --------------------------
 
     def kernel(self, u, v, overflow):
-        """The order-2 kernel triples at (u, v).  An OverflowError in any
-        line but ``check``'s raises ``overflow(u, v)``."""
+        """The kernel triples at (u, v), through the recorder's order.  An
+        OverflowError in any line but ``check``'s raises ``overflow(u, v)``."""
         self.names["_overflow"] = overflow
         self.point = f"{u.c}, {v.c}"
         programs, params, _ = self.template

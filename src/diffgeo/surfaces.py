@@ -5,13 +5,14 @@ Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
 Pointwise quantities are floats computed from the surface's kernel, code
 generated per surface definition, or recorded once from a jet-generic
-Python function, that gives the position's partials: the
-forms, curvatures, Christoffel symbols and dn read order 2, and only R1212
-and the Codazzi and compatibility residuals read order 3 (third
-derivatives, exact).  The formulas over those partials are written once,
-over jets, in ``_geometry``, and run as generated float code that keeps
-the Jet2 arithmetic; every such value is read from one point bundle,
-``_SurfacePoint``.
+Python function, that gives the position's partials through order 2.  The
+formulas over those partials are written once, over jets, in
+``_geometry``, and run as generated float code that keeps the Jet2
+arithmetic; the forms, curvatures, Christoffel symbols and dn are read
+from one point bundle, ``_SurfacePoint``.  The identity checks read one
+surface program over the order-3 kernel (``_identity_terms``, third
+derivatives exact), run once per bundle, and fold its sides and terms
+into scaled defects over floats.
 The solvers' inner loops read no bundle.  Each is one program generated
 per surface template (``ParametricSurface.program``), the kernel's lines
 followed by the consumer's: the tangent projection of
@@ -49,8 +50,8 @@ __all__ = [
 EPS_REG = 1e-12   # times E + G: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
 EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
-# point bundles a surface keeps: a default verify table, 40 sample points
-# at orders 2 and 3
+# point bundles a surface keeps: twice the 40 sample points of a default
+# verify table
 _N_POINTS = 80
 
 class ParametricSurface:
@@ -83,11 +84,6 @@ class ParametricSurface:
         return position_kernel(self._shape, 2)
 
     @cached_property
-    def kernel3(self):
-        """``kernel``'s triples followed by r_uuu, r_uuv, r_uvv, r_vvv."""
-        return position_kernel(self._shape, 3)
-
-    @cached_property
     def composite(self):
         """Floats: the five Taylor rows (u_k, v_k) of a surface curve at t
         -> the five (x, y, z) triples r, r', .., r'''' of the composite
@@ -95,14 +91,14 @@ class ParametricSurface:
         coefficients of ``evaluator`` at those jets."""
         return position_kernel(self._shape, 4, jets=True)
 
-    def program(self, formulas, sizes, curve=None):
-        """``formulas`` over this surface's kernel as one generated
-        function of arguments of ``sizes`` (``expr.surface_program``),
+    def program(self, formulas, sizes, curve=None, order=2):
+        """``formulas`` over this surface's kernel through ``order`` as one
+        generated function of arguments of ``sizes`` (surface_program),
         made on first use.  Formulas that read a curve are bound to the
         curve kernel ``curve`` on each call, and not kept."""
         fn = self._programs.get(formulas) if curve is None else None
         if fn is None:
-            fn = surface_program(formulas, sizes, self._shape, curve)
+            fn = surface_program(formulas, sizes, self._shape, curve, order)
             if curve is None:
                 self._programs[formulas] = fn
         return fn
@@ -226,7 +222,8 @@ def _geometry(r):
 
 
 # the quantities of _SurfacePoint, each group one program of _geometry's
-# (jet, slot) pairs; only _THIRD reads third partials of the position
+# (jet, slot) pairs; only _THIRD, of the identity program, reads third
+# partials of the position
 _METRIC = (("E", 0), ("F", 0), ("G", 0), ("a", 0), ("cross_sq", 0))
 _NORMAL = (("sqrt_a", 0), ("nx", 0), ("ny", 0), ("nz", 0), ("b11", 0),
            ("b12", 0), ("b22", 0))
@@ -246,18 +243,19 @@ def _overflow(u, v):
 class _SurfacePoint:
     """The pointwise geometry of a surface at (u, v), over floats.
 
-    Construction calls the surface's kernel once (``kernel3`` at
-    ``order`` 3), checks regularity and computes the metric, the normal
-    and e, f, g; the metric partials, Christoffel symbols, dn and the
-    third-order terms follow on first use, from the same kernel triples.
-    An overflow on the way names the point.  It keeps the surface's scale,
-    for the curvatures, and no reference to the surface that stores it."""
+    Construction calls the surface's kernel once, checks regularity and
+    computes the metric, the normal and e, f, g; the metric partials,
+    Christoffel symbols and dn follow on first use, from the same kernel
+    triples, and ``identities`` once ``_identities`` runs the identity
+    program.  An overflow on the way names the point.  It keeps the
+    surface's scale, for the curvatures, and no reference to the surface
+    that stores it."""
 
-    def __init__(self, surface, u, v, order=2):
+    def __init__(self, surface, u, v):
         self.scale = surface.scale
         self.u, self.v = u, v = float(u), float(v)
-        self.k = self._call(surface.kernel3 if order == 3 else surface.kernel,
-                            u, v)
+        self.identities = None
+        self.k = self._call(surface.kernel, u, v)
         E, F, G, self.a, cross_sq = self._run(_METRIC)
         self.EFG = E, F, G
         _check_regular(cross_sq, E + G, u, v)   # n divides by its root,
@@ -275,11 +273,6 @@ class _SurfacePoint:
 
     def _run(self, outputs):
         return self._call(taped(_geometry, outputs), self.k)
-
-    @property
-    def second_partials(self):
-        """(r_uu, r_uv, r_vv) as Vec3s."""
-        return tuple(Vec3(*r) for r in self.k[3:6])
 
     @cached_property
     def metric_partials(self):
@@ -306,29 +299,24 @@ class _SurfacePoint:
         return Vec3(*d[:3]), Vec3(*d[3:])
 
     @cached_property
-    def third(self):
-        """The order-3 terms, as _THIRD lists them (at ``order`` 3 only)."""
-        return self._run(_THIRD)
-
-    @cached_property
     def curvatures(self):
         """K, H, the principal curvatures and directions and the shape: one
         immutable CurvatureData, shared by every caller at this point."""
         return _curvatures(self)
 
 
-def _point(surface, u, v, order=2):
-    """The _SurfacePoint of ``surface`` at (u, v) and ``order``, from the
-    surface's store of its last _N_POINTS bundles, keyed by the exact point
-    (signed zeros told apart) and order.  A point not in the store is built
-    and stored, the oldest evicted first, so the last point is always kept.
-    Pointwise checks, ``verify`` above all, ask for each point many times."""
+def _point(surface, u, v):
+    """The _SurfacePoint of ``surface`` at (u, v), from the surface's store
+    of its last _N_POINTS bundles, keyed by the exact point (signed zeros
+    told apart).  A point not in the store is built and stored, the oldest
+    evicted first, so the last point is always kept.  Pointwise checks,
+    ``verify`` above all, ask for each point many times."""
     u, v = float(u), float(v)
-    key = (u, v, order, math.copysign(1.0, u), math.copysign(1.0, v))
+    key = (u, v, math.copysign(1.0, u), math.copysign(1.0, v))
     store = surface._points
     p = store.get(key)
     if p is None:
-        p = _SurfacePoint(surface, u, v, order)
+        p = _SurfacePoint(surface, u, v)
         if len(store) == _N_POINTS:
             del store[next(iter(store))]
         store[key] = p
@@ -409,24 +397,79 @@ def _metric_terms(rec, u, v):
 
 
 def _normal_terms(rec, u, v):
-    """sqrt(a), e, f and g at (u, v), recorded as _SurfacePoint computes
-    them: the _METRIC program, its two regularity checks, then _NORMAL."""
+    """The kernel triples at (u, v), the _METRIC terms and the _NORMAL
+    terms, recorded as _SurfacePoint computes them: the _METRIC program,
+    its two regularity checks, then _NORMAL."""
     k = rec.kernel(u, v, _overflow)
-    E, F, G, a, cross_sq = rec.tape(_geometry, _METRIC, k)
+    metric = E, F, G, a, cross_sq = rec.tape(_geometry, _METRIC, k)
     _regular(rec, cross_sq, E + G, u, v)
     _regular(rec, a, E + G, u, v)
-    sqrt_a, _, _, _, e, f, g = rec.tape(_geometry, _NORMAL, k)
-    return sqrt_a, e, f, g
+    return k, metric, rec.tape(_geometry, _NORMAL, k)
 
 
 def _area_element(rec, u, v):
-    return _normal_terms(rec, u, v)[0]
+    return _normal_terms(rec, u, v)[2][0]
 
 
 def _curvature_element(rec, u, v):
     """K sqrt(a) = (eg - f^2) / sqrt(a)."""
-    sqrt_a, e, f, g = _normal_terms(rec, u, v)
+    sqrt_a, *_, e, f, g = _normal_terms(rec, u, v)[2]
     return (e * g - f * f) / sqrt_a
+
+
+def _identity_terms(rec, u, v):
+    """The inputs of the identity checks at (u, v), recorded over the
+    order-3 kernel op for op as the bundle's floats give them, one flat
+    tuple: [0:30] the lhs and rhs triples of the three Gauss equations,
+    then of the two Weingarten equations; [30:36] lhs, rhs of the two
+    Codazzi equations and of the compatibility equation; [36:45] K a_ab,
+    -2H b_ab and c_ab for ab = 11, 12, 22; [45] R1212; [46] eg - f ** 2."""
+    k, (E, F, G, a, _), (_, nx, ny, nz, e, f, g) = _normal_terms(rec, u, v)
+    terms = rec.tape(_geometry, _GAMMA2 + _DN + _THIRD, k)
+    gam, dn = terms[:6], terms[6:12]
+    F_uv, E_vv, G_uu, b12_u, b11_v, b22_u, b12_v, *dgam = terms[12:]
+    E1, E2, n = Vec3(*k[1]), Vec3(*k[2]), Vec3(nx, ny, nz)
+    out = []
+    for lhs, g1, g2, b in zip(k[3:6], gam[0::2], gam[1::2], (e, f, g)):
+        out += (*lhs, *(E1 * g1 + E2 * g2 + n * b))
+    for lhs, w1, w2 in ((dn[:3], f * F - e * G, e * F - f * E),
+                        (dn[3:], g * F - f * G, f * F - g * E)):
+        out += (*lhs, *(E1 * (w1 / a) + E2 * (w2 / a)))
+
+    g111, g112, g121, g122, g221, g222 = gam
+    g222_u, g122_v, g221_u, g121_v = dgam
+    term_f = g222_u - g122_v + g221 * g112 - g121 * g122
+    term_e = (g221_u - g121_v + g221 * g111
+              + g222 * g121 - g121 * g121 - g122 * g221)
+    disc_b, K, H = _gauss_mean(E, F, G, e, f, g, a)
+    out += (b12_u - b11_v, g * g112 - f * (g122 - g111) - e * g121,
+            b22_u - b12_v, g * g122 - f * (g222 - g121) - e * g221,
+            disc_b, F * term_f + E * term_e)
+
+    c11, c12, c22 = _third_form(E, F, G, e, f, g, a)
+    out += (K * E, -2.0 * H * e, c11, K * F, -2.0 * H * f, c12,
+            K * G, -2.0 * H * g, c22)
+
+    term = 0.5 * (2.0 * F_uv - E_vv - G_uu)
+    amat = ((E, F), (F, G))
+    g11, g12, g22 = gam[0:2], gam[2:4], gam[4:6]
+    acc = 0.0
+    for al in range(2):
+        for be in range(2):
+            acc += amat[al][be] * (g12[al] * g12[be] - g11[al] * g22[be])
+    # the egregium row's eg - f^2 squares f by ``**``, as it always has
+    return (*out, term + acc, rec.scalar("{} - {} ** 2", lambda p, q:
+                                         p - q ** 2, (e * g).c, f.c))
+
+
+def _identities(surface, u, v):
+    """The identity program's outputs at (u, v) (``_identity_terms``), run
+    once per point bundle and kept on it."""
+    p = _point(surface, u, v)
+    if p.identities is None:
+        p.identities = surface.program(_identity_terms, (1, 1),
+                                       order=3)(p.u, p.v)
+    return p.identities
 
 
 def metric_and_gamma(surface, u, v):
@@ -452,34 +495,34 @@ def _forms_of(p):
     E, F, G = p.EFG
     e, f, g = p.efg
     a = p.a
-    iu, im, iv = G / a, -F / a, E / a   # contravariant metric
-    c11 = iu * e * e + 2.0 * im * e * f + iv * f * f
-    c12 = iu * e * f + im * (e * g + f * f) + iv * f * g
-    c22 = iu * f * f + 2.0 * im * f * g + iv * g * g
+    c11, c12, c22 = _third_form(E, F, G, e, f, g, a)
     return FormBundle(E=E, F=F, G=G, e=e, f=f, g=g,
                       c11=c11, c12=c12, c22=c22,
                       gamma1=p.gamma1, gamma2=p.gamma2,
                       sqrt_a=p.sqrt_a, n=p.n, a=a)
 
 
+def _third_form(E, F, G, e, f, g, a):
+    """The third form's c11, c12, c22 through the contravariant metric;
+    written for floats and tape terms alike."""
+    iu, im, iv = G / a, -F / a, E / a
+    return (iu * e * e + 2.0 * im * e * f + iv * f * f,
+            iu * e * f + im * (e * g + f * f) + iv * f * g,
+            iu * f * f + 2.0 * im * f * g + iv * g * g)
+
+
+def _gauss_mean(E, F, G, e, f, g, a):
+    """eg - f^2, K and H; written for floats and tape terms alike."""
+    disc_b = e * g - f * f
+    return disc_b, disc_b / a, (e * G - 2.0 * f * F + g * E) / (2.0 * a)
+
+
 def riemann_R1212(surface, u, v):
     """The single independent Riemann component, intrinsically:
     R1212 = (2 a12,uv - a11,vv - a22,uu)/2
-            + a_ab (G^a_12 G^b_12 - G^a_11 G^b_22)."""
-    p = _point(surface, u, v, order=3)
-    F_uv, E_vv, G_uu = p.third[:3]
-    term = 0.5 * (2.0 * F_uv - E_vv - G_uu)
-    g = p.gamma2
-    g11 = (g[0], g[1])
-    g12 = (g[2], g[3])
-    g22 = (g[4], g[5])
-    E, F, G = p.EFG
-    amat = ((E, F), (F, G))
-    acc = 0.0
-    for al in range(2):
-        for be in range(2):
-            acc += amat[al][be] * (g12[al] * g12[be] - g11[al] * g22[be])
-    return term + acc
+            + a_ab (G^a_12 G^b_12 - G^a_11 G^b_22),
+    from the identity program."""
+    return _identities(surface, u, v)[45]
 
 
 def curvatures(surface, u, v):
@@ -489,10 +532,7 @@ def curvatures(surface, u, v):
 def _curvatures(p):
     E, F, G = p.EFG
     e, f, g = p.efg
-    a = p.a
-    disc_b = e * g - f * f
-    K = disc_b / a
-    H = (e * G - 2.0 * f * F + g * E) / (2.0 * a)
+    disc_b, K, H = _gauss_mean(E, F, G, e, f, g, p.a)
     rad = max(H * H - K, 0.0)
     kappa1 = H + math.sqrt(rad)
     kappa2 = H - math.sqrt(rad)
@@ -579,32 +619,20 @@ def _principal_uv(E, F, G, e, f, g):
 def gauss_weingarten_residuals(surface, u, v):
     """Scaled defect norms of the three Gauss equations
     dE_a/du^b = G^c_ab E_c + b_ab n and the two Weingarten equations
-    dn/du^a = -b_a^b E_b.  Each residual is |lhs - rhs| / max(1, |lhs|, |rhs|)."""
-    p = _point(surface, u, v)
-    E, F, G = p.EFG
-    e, f, g = p.efg
-    a = p.a
-    gam = p.gamma2
-    r_uu, r_uv, r_vv = p.second_partials
-    n = p.n
-    out = []
-    for lhs, (g1, g2), b in (
-        (r_uu, (gam[0], gam[1]), e),
-        (r_uv, (gam[2], gam[3]), f),
-        (r_vv, (gam[4], gam[5]), g),
-    ):
-        rhs = p.E1 * g1 + p.E2 * g2 + n * b
-        out.append(_scaled_defect(lhs, rhs))
-    dn_du, dn_dv = p.dn
-    w1 = p.E1 * ((f * F - e * G) / a) + p.E2 * ((e * F - f * E) / a)
-    w2 = p.E1 * ((g * F - f * G) / a) + p.E2 * ((f * F - g * E) / a)
-    out.append(_scaled_defect(dn_du, w1))
-    out.append(_scaled_defect(dn_dv, w2))
-    return tuple(out)
+    dn/du^a = -b_a^b E_b, from the identity program's lhs and rhs.  Each
+    residual is |lhs - rhs| / max(1, |lhs|, |rhs|)."""
+    t = _identities(surface, u, v)
+    return tuple(_scaled_defect(t[i:i + 3], t[i + 3:i + 6])
+                 for i in range(0, 30, 6))
 
 
 def _scaled_defect(lhs, rhs):
-    return (lhs - rhs).norm() / max(1.0, lhs.norm(), rhs.norm())
+    """|lhs - rhs| / max(1, |lhs|, |rhs|) for two (x, y, z) triples, each
+    norm rounded as Vec3.norm rounds it."""
+    (x, y, z), (p, q, r) = lhs, rhs
+    dx, dy, dz = x - p, y - q, z - r
+    return math.sqrt(dx * dx + dy * dy + dz * dz) / max(
+        1.0, math.sqrt(x * x + y * y + z * z), math.sqrt(p * p + q * q + r * r))
 
 
 def codazzi_compatibility_residuals(surface, u, v):
@@ -613,43 +641,22 @@ def codazzi_compatibility_residuals(surface, u, v):
     Codazzi:  b12,u - b11,v = b22 G^2_11 - b12 (G^2_12 - G^1_11) - b11 G^1_12
               b22,u - b12,v = b22 G^2_12 - b12 (G^2_22 - G^1_12) - b11 G^1_22
     Compatibility: eg - f^2 equals its Christoffel expression.
+    Both sides of each are read from the identity program.
     """
-    p = _point(surface, u, v, order=3)
-    e, f, g = b11, b12, b22 = p.efg
-    g111, g112, g121, g122, g221, g222 = p.gamma2
-    (b12_u, b11_v, b22_u, b12_v,
-     g222_u, g122_v, g221_u, g121_v) = p.third[3:]
-
-    lhs1 = b12_u - b11_v
-    rhs1 = b22 * g112 - b12 * (g122 - g111) - b11 * g121
-    lhs2 = b22_u - b12_v
-    rhs2 = b22 * g122 - b12 * (g222 - g121) - b11 * g221
-    r1 = abs(lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1))
-    r2 = abs(lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2))
-
-    E, F, _ = p.EFG
-    term_f = g222_u - g122_v + g221 * g112 - g121 * g122
-    term_e = (g221_u - g121_v + g221 * g111
-              + g222 * g121 - g121 * g121 - g122 * g221)
-    lhs3 = e * g - f * f
-    rhs3 = F * term_f + E * term_e
-    r3 = abs(lhs3 - rhs3) / max(1.0, abs(lhs3), abs(rhs3))
-    return r1, r2, r3
+    t = _identities(surface, u, v)
+    return tuple(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+                 for lhs, rhs in (t[30:32], t[32:34], t[34:36]))
 
 
 def form_identity_residual(surface, u, v):
     """max over indices of |K a_ab - 2H b_ab + c_ab|, scaled by the largest
-    coefficient magnitude entering the identity."""
-    p = _point(surface, u, v)
-    fb = _forms_of(p)
-    cur = p.curvatures
-    K, H = cur.K, cur.H
+    coefficient magnitude entering the identity; the terms are read from
+    the identity program."""
+    t = _identities(surface, u, v)
     worst = 0.0
     scale = 1e-300
-    for a_c, b_c, c_c in ((fb.E, fb.e, fb.c11), (fb.F, fb.f, fb.c12),
-                          (fb.G, fb.g, fb.c22)):
-        terms = (K * a_c, -2.0 * H * b_c, c_c)
-        scale = max(scale, *(abs(t) for t in terms))
+    for terms in (t[36:39], t[39:42], t[42:45]):
+        scale = max(scale, *map(abs, terms))
         worst = max(worst, abs(_sum(terms)))
     return worst / max(1.0, scale)
 

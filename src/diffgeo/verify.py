@@ -14,7 +14,9 @@ Every residual is computed over floats: the curves that the suites build
 are float kernels, and the reparametrization suite's change of parameter
 t = w + 0.1 sin w is order-4 code generated on first use, composed with
 the shape's kernel by ``ParametricCurve.composite``.  No suite evaluates a
-jet.
+jet.  The four identity rows read one generated program per surface
+template, run once per point (``surfaces._identity_terms``), and Euler's
+row reads II/I in each direction at the point's bundle.
 """
 
 import math
@@ -24,13 +26,14 @@ from .errors import (AsymptoticPoint, InflectionPoint, NonOrthogonalPatch,
                      UmbilicPoint)
 from .expr import _GENERATED, _KERNEL, parse_text
 from .roots import root_find
-from .surfaces import (curvatures, forms, riemann_R1212,
-                       form_identity_residual, gauss_weingarten_residuals,
+from .surfaces import (_identities, _normal_curvature, _point, curvatures,
+                       riemann_R1212, form_identity_residual,
+                       gauss_weingarten_residuals,
                        codazzi_compatibility_residuals)
 from .surfacecurves import (SurfaceCurve, asymptotic_directions,
                             bonnet_torsion_check, curvature_split,
                             geodesic_torsion, geodesic_torsion_principal,
-                            kappa_n_quotient, liouville_check)
+                            liouville_check)
 
 __all__ = ["curve_suites", "surface_suites", "run"]
 
@@ -145,20 +148,23 @@ def surface_suites(shape, rng, n, rect):
         return SurfaceCurve.straight(shape, (u, v), d, (-half, half))
 
     def egregium(u, v):
-        fb = forms(shape, u, v)
-        k_ext = (fb.e * fb.g - fb.f ** 2) / fb.a
-        k_int = riemann_R1212(shape, u, v) / fb.a
+        a = _point(shape, u, v).a
+        k_ext = _identities(shape, u, v)[46] / a    # (eg - f^2) / a
+        k_int = riemann_R1212(shape, u, v) / a
         return (abs(k_int - k_ext) / max(1.0, abs(k_ext)),)
 
     def euler(u, v):
-        cd = curvatures(shape, u, v)
+        p = _point(shape, u, v)
+        cd = p.curvatures
         if cd.is_umbilic:
             raise _Skip
         for k in range(8):
             th = math.pi * k / 8.0
             d = (math.cos(th) * cd.dir1_uv[0] + math.sin(th) * cd.dir2_uv[0],
                  math.cos(th) * cd.dir1_uv[1] + math.sin(th) * cd.dir2_uv[1])
-            yield (kappa_n_quotient(straight(u, v, d, 0.1), 0.0)
+            # II/I in the direction d, as kappa_n_quotient gives it for the
+            # straight line through the point along d
+            yield (_normal_curvature(*p.EFG, *p.efg, d)
                    - (cd.kappa1 * math.cos(th) ** 2
                       + cd.kappa2 * math.sin(th) ** 2))
 

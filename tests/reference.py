@@ -1,5 +1,7 @@
 """The solver fields and integrands as plain Python over the surface's
-kernel and its point bundle, and the surface-curve checks as Jet1
+kernel and its point bundle, the four identity checks as Vec3 and float
+arithmetic over the point bundle and the order-3 kernel's terms, and the
+surface-curve checks as Jet1
 arithmetic over a curve's Jet1 form (:class:`JetCurve`) and the surface's
 ``evaluator``: the chains that the generated surface programs, curve
 rows, composite kernels and recorded jet programs replace, kept as the
@@ -11,13 +13,16 @@ import math
 from diffgeo import jets
 from diffgeo.curves import _CurveJets
 from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
+from diffgeo.expr import position_kernel, taped
 from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import _geodesic_rhs, _split
-from diffgeo.surfaces import (MetricData, ParametricSurface, _check_regular,
-                              _christoffel2, _metric_dot, _metric_unit,
+from diffgeo.quadrature import _sum
+from diffgeo.surfaces import (_THIRD, MetricData, ParametricSurface,
+                              _check_regular, _christoffel2, _forms_of,
+                              _geometry, _metric_dot, _metric_unit,
                               _normal_curvature, _overflow, _point,
-                              _SurfacePoint)
+                              _scaled_defect, _SurfacePoint)
 from diffgeo.vectors import Vec3
 
 
@@ -44,6 +49,13 @@ def jet1_composite(surface, rows):
     """The five triples of ``surface.evaluator`` at the Jet1 parameters
     whose coefficients are the rows (u_k, v_k): what ``composite`` gives."""
     return coefficients(surface.evaluator(*(Jet1(*c) for c in zip(*rows))))
+
+
+def kernel3(surface):
+    """The order-3 kernel of ``surface``: ``kernel``'s six triples, then
+    r_uuu, r_uuv, r_uvv and r_vvv (a jet-fed surface's Jet2 evaluation)."""
+    return (getattr(surface, "kernel3", None)
+            or position_kernel(surface._shape, 3))
 
 
 def jet_fed(shape):
@@ -132,6 +144,119 @@ def curvature_integrand(surface):
         return (e * g - f * f) / p.sqrt_a
 
     return integrand
+
+
+# --------------------------------------------------------------------------
+# the identity checks: the Python that the identity program replaces
+# --------------------------------------------------------------------------
+
+def _third(surface, u, v):
+    """The point bundle at (u, v) and the _THIRD terms of the order-3
+    kernel there, an overflow naming the point."""
+    p = _point(surface, u, v)
+    try:
+        return p, taped(_geometry, _THIRD)(kernel3(surface)(p.u, p.v))
+    except OverflowError:
+        raise _overflow(p.u, p.v) from None
+
+
+def riemann_R1212(surface, u, v):
+    p, third = _third(surface, u, v)
+    F_uv, E_vv, G_uu = third[:3]
+    term = 0.5 * (2.0 * F_uv - E_vv - G_uu)
+    g = p.gamma2
+    g11 = (g[0], g[1])
+    g12 = (g[2], g[3])
+    g22 = (g[4], g[5])
+    E, F, G = p.EFG
+    amat = ((E, F), (F, G))
+    acc = 0.0
+    for al in range(2):
+        for be in range(2):
+            acc += amat[al][be] * (g12[al] * g12[be] - g11[al] * g22[be])
+    return term + acc
+
+
+def gauss_weingarten_residuals(surface, u, v):
+    p = _point(surface, u, v)
+    E, F, G = p.EFG
+    e, f, g = p.efg
+    a = p.a
+    gam = p.gamma2
+    r_uu, r_uv, r_vv = (Vec3(*r) for r in p.k[3:6])
+    n = p.n
+    out = []
+    for lhs, (g1, g2), b in (
+        (r_uu, (gam[0], gam[1]), e),
+        (r_uv, (gam[2], gam[3]), f),
+        (r_vv, (gam[4], gam[5]), g),
+    ):
+        rhs = p.E1 * g1 + p.E2 * g2 + n * b
+        out.append(_scaled_defect(lhs, rhs))
+    dn_du, dn_dv = p.dn
+    w1 = p.E1 * ((f * F - e * G) / a) + p.E2 * ((e * F - f * E) / a)
+    w2 = p.E1 * ((g * F - f * G) / a) + p.E2 * ((f * F - g * E) / a)
+    out.append(_scaled_defect(dn_du, w1))
+    out.append(_scaled_defect(dn_dv, w2))
+    return tuple(out)
+
+
+def codazzi_compatibility_residuals(surface, u, v):
+    p, third = _third(surface, u, v)
+    e, f, g = b11, b12, b22 = p.efg
+    g111, g112, g121, g122, g221, g222 = p.gamma2
+    (b12_u, b11_v, b22_u, b12_v,
+     g222_u, g122_v, g221_u, g121_v) = third[3:]
+
+    lhs1 = b12_u - b11_v
+    rhs1 = b22 * g112 - b12 * (g122 - g111) - b11 * g121
+    lhs2 = b22_u - b12_v
+    rhs2 = b22 * g122 - b12 * (g222 - g121) - b11 * g221
+    r1 = abs(lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1))
+    r2 = abs(lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2))
+
+    E, F, _ = p.EFG
+    term_f = g222_u - g122_v + g221 * g112 - g121 * g122
+    term_e = (g221_u - g121_v + g221 * g111
+              + g222 * g121 - g121 * g121 - g122 * g221)
+    lhs3 = e * g - f * f
+    rhs3 = F * term_f + E * term_e
+    r3 = abs(lhs3 - rhs3) / max(1.0, abs(lhs3), abs(rhs3))
+    return r1, r2, r3
+
+
+def form_identity_residual(surface, u, v):
+    p = _point(surface, u, v)
+    fb = _forms_of(p)
+    cur = p.curvatures
+    K, H = cur.K, cur.H
+    worst = 0.0
+    scale = 1e-300
+    for a_c, b_c, c_c in ((fb.E, fb.e, fb.c11), (fb.F, fb.f, fb.c12),
+                          (fb.G, fb.g, fb.c22)):
+        terms = (K * a_c, -2.0 * H * b_c, c_c)
+        scale = max(scale, *(abs(t) for t in terms))
+        worst = max(worst, abs(_sum(terms)))
+    return worst / max(1.0, scale)
+
+
+def euler_directions(cd):
+    """verify's eight euler directions at a point of curvatures ``cd``,
+    each with kappa1 cos^2 + kappa2 sin^2 of its angle."""
+    for k in range(8):
+        th = math.pi * k / 8.0
+        d = (math.cos(th) * cd.dir1_uv[0] + math.sin(th) * cd.dir2_uv[0],
+             math.cos(th) * cd.dir1_uv[1] + math.sin(th) * cd.dir2_uv[1])
+        yield d, (cd.kappa1 * math.cos(th) ** 2
+                  + cd.kappa2 * math.sin(th) ** 2)
+
+
+def egregium(surface, u, v):
+    """verify's egregium residual at (u, v)."""
+    fb = _forms_of(_point(surface, u, v))
+    k_ext = (fb.e * fb.g - fb.f ** 2) / fb.a
+    k_int = riemann_R1212(surface, u, v) / fb.a
+    return (abs(k_int - k_ext) / max(1.0, abs(k_ext)),)
 
 
 # --------------------------------------------------------------------------

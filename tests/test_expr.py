@@ -11,13 +11,13 @@ from functools import partial
 
 import pytest
 
-from diffgeo import catalog, cli, curves, surfacecurves
+from diffgeo import catalog, cli, curves, ode, surfacecurves
 from diffgeo.errors import (ArityError, DiffGeoError, DomainError, LexError,
                             ParseError, UnknownIdentifier,
                             UnrecordableFunction)
-from diffgeo.expr import (MAX_DEPTH, ShapeDefinition, eval_literal,
-                          eval_scalar, load_definition, parse_text, to_text,
-                          tokenize)
+from diffgeo.expr import (MAX_DEPTH, Recording, ShapeDefinition,
+                          eval_literal, eval_scalar, load_definition,
+                          parse_text, to_text, tokenize)
 from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import SurfaceCurve
 from diffgeo.surfaces import ParametricSurface
@@ -440,13 +440,14 @@ def _outcome(fn, u, v):
 class TestPositionKernel:
     """The generated kernels equal the Jet2 coefficients (==) and raise what
     the Jet2 evaluation raises: ``kernel`` its first six triples,
-    ``kernel3`` all ten."""
+    the order-3 kernel (``reference.kernel3``) all ten."""
 
     @staticmethod
     def _both(shape, u, v, jets=reference.jet2_triples):
         """(order-2 kernel, order-3 kernel, Jet2 reference) outcomes."""
         want = _outcome(partial(jets, shape), u, v)
-        return (_outcome(shape.kernel, u, v), _outcome(shape.kernel3, u, v),
+        return (_outcome(shape.kernel, u, v),
+                _outcome(reference.kernel3(shape), u, v),
                 want[:6] if isinstance(want[0], tuple) else want, want)
 
     def _check(self, shape, u, v, jets=reference.jet2_triples):
@@ -460,7 +461,7 @@ class TestPositionKernel:
         shape = catalog.make(name)
         rng = random.Random(zlib.crc32(name.encode()))
         for u, v in surface_samples(name, shape, rng, 100):
-            assert len(shape.kernel3(u, v)) == 10
+            assert len(reference.kernel3(shape)(u, v)) == 10
             self._check(shape, u, v)
 
     def test_every_construct_equals_jet2(self):
@@ -488,7 +489,7 @@ class TestPositionKernel:
                          "const c = 0\nx = u\ny = v\nz = (u + 2)^(c*v)\n")
         self._check(shape, 0.3, 0.4)
         assert shape.kernel(0.3, 0.4)[1][2] == 0.0
-        assert shape.kernel3(0.3, 0.4)[6][2] == 0.0
+        assert reference.kernel3(shape)(0.3, 0.4)[6][2] == 0.0
 
     @pytest.mark.parametrize("z, exc, message", [
         ("log(u - 1)", DomainError, "log of non-positive value"),
@@ -542,7 +543,7 @@ class TestPositionKernel:
         surface = catalog.make("torus")
         p = surface.eval(0.3, 0.4)
         assert all(isinstance(c, float) for c in p)
-        assert not {"kernel", "kernel3", "composite"} & set(vars(surface))
+        assert not {"kernel", "composite"} & set(vars(surface))
 
 
 class TestPowerRule:
@@ -564,8 +565,9 @@ class TestPowerRule:
         shape = self._shape("(2+u)^(v*v*v)")
         assert shape.kernel(0.3, v) == reference.jet2_triples(shape, 0.3,
                                                               v)[:6]
-        assert shape.kernel3(0.3, v) == reference.jet2_triples(shape, 0.3, v)
-        assert shape.kernel3(0.3, v)[9][2] == 6.0 * math.log(2.3)
+        assert (reference.kernel3(shape)(0.3, v)
+                == reference.jet2_triples(shape, 0.3, v))
+        assert reference.kernel3(shape)(0.3, v)[9][2] == 6.0 * math.log(2.3)
         # along v = const every partial vanishes: jets.power takes
         # base^0, the kernel exp(0 log(base)), both 1 with zero derivatives
         rows = SurfaceCurve.const_v(shape, v).kernel(0.3)
@@ -578,7 +580,7 @@ class TestPowerRule:
         # jets.power gives (u-2)^0 = 1 where the exponent's partials vanish
         shape = self._shape("(u-2)^(v*v*v*v)")
         assert reference.jet2_triples(shape, 0.3, 0.0)[0][2] == 1.0
-        for kernel in (shape.kernel, shape.kernel3):
+        for kernel in (shape.kernel, reference.kernel3(shape)):
             with pytest.raises(DomainError, match="log of non-positive"):
                 kernel(0.3, 0.0)
 
@@ -588,7 +590,7 @@ class TestPowerRule:
                 (0.0, 0.0, -3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                 (0.0, 0.0, 6.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                 (0.0, 0.0, 0.0))
-        assert shape.kernel3(-0.5, 0.0) == want
+        assert reference.kernel3(shape)(-0.5, 0.0) == want
         assert shape.kernel(-0.5, 0.0) == want[:6]
         assert reference.jet2_triples(shape, -0.5, 0.0) == want
         rows = SurfaceCurve.const_v(shape, 0.0).kernel(-0.5)
@@ -596,7 +598,7 @@ class TestPowerRule:
 
     def test_run_time_negative_exponent_at_a_zero_base(self):
         shape = self._shape("u^n", n=-3.0)
-        for kernel in (shape.kernel, shape.kernel3,
+        for kernel in (shape.kernel, reference.kernel3(shape),
                        partial(reference.jet2_triples, shape)):
             with pytest.raises(DomainError,
                                match="zero base with negative exponent"):
@@ -640,6 +642,42 @@ class TestRecordedFunctions:
             surfacecurves.jet_kernel(arc.eval)(0.5)
         free = surfacecurves.jet_kernel(partial(arc.eval, check_domain=False))
         assert free(0.5) == reference.jet1_rows(arc.eval, 0.5)
+
+    def test_closures_over_equal_values_share_code(self, monkeypatch):
+        def bowl(c):
+            return lambda u, v: Vec3(u, v, c * u * v)
+
+        def template(fn):
+            return Recording(fn, ("u", "v"))._template
+
+        compiled = []
+        compile_ = ode._compile
+        monkeypatch.setattr(ode, "_compile", lambda lines, *args: (
+            compiled.append(lines) or compile_(lines, *args)))
+        domain = (-1.0, 1.0, -1.0, 1.0)
+        first = ParametricSurface(bowl(0.5), domain).kernel(0.3, 0.4)
+        assert len(compiled) == 1
+        assert ParametricSurface(bowl(0.5), domain).kernel(0.3, 0.4) == first
+        assert len(compiled) == 1
+        # captured floats are literals of the code: a zero's sign, and a
+        # value's type, make other code
+        assert template(bowl(0.5)) == template(bowl(0.5))
+        assert template(bowl(0.0)) != template(bowl(-0.0))
+        assert template(bowl((0.0,))) != template(bowl((-0.0,)))
+        assert template(bowl(2)) != template(bowl(2.0))
+        for c in (0.0, -0.0):
+            line = curves.jet_kernel(lambda t, c=c: Vec3(t, t, c * t))
+            assert repr(line(0.3)[0][2]) == repr(c)
+        # an unhashable value, and a callable that is no plain function,
+        # equal themselves alone
+        shared = bowl([1.0])
+        assert template(shared) == template(shared)
+        assert template(bowl([1.0])) != template(bowl([1.0]))
+        one, two = (load_definition(f"surface s\nparam u in [0, 1]\n"
+                                    f"param v in [0, 1]\nx = u\ny = v\n"
+                                    f"z = {z}\n") for z in ("u", "v"))
+        assert template(one.eval) != template(two.eval)
+        assert template(one.eval) == template(one.eval)
 
 
 def _curve(text, **consts):
@@ -905,7 +943,7 @@ class TestDepthLimit:
                 == _canon(_reference_shape(definition, 0.3, 0.4)))
         jet = shape.evaluator(Jet2.variable_u(0.3), Jet2.variable_v(0.4)).z.c
         assert shape.kernel(0.3, 0.4)[1][2] == jet[1]
-        assert shape.kernel3(0.3, 0.4)[6][2] == jet[6]
+        assert reference.kernel3(shape)(0.3, 0.4)[6][2] == jet[6]
         text = to_text(definition.components[2])
         assert to_text(parse_text(text)) == text
 

@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from diffgeo import catalog, cli, expr, surfaces
+from diffgeo import catalog, cli, expr, ode, surfaces
 from diffgeo import jets as J
 from diffgeo.errors import SingularSurfacePoint, ZeroVector
 from diffgeo.quadrature import QuadSpec
@@ -150,7 +150,9 @@ class TestFrame:
         steep = catalog.build(expr.load_definition(
             "surface steep\nparam u in [0, 1]\nparam v in [0, 1]\n"
             "x = u\ny = v\nz = 1e-100*sin(1e110*u)\n"))
+        # the identity checks share one program over the order-3 kernel
         fns = [codazzi_compatibility_residuals, riemann_R1212,
+               gauss_weingarten_residuals, form_identity_residual,
                lambda s, u, v: curvature_split(
                    SurfaceCurve.straight(s, (u, v), (1.0, 0.0)), 0.0)]
         if kernel == "jet2":    # one Jet2 evaluation computes order 3
@@ -213,7 +215,7 @@ class TestForms:
                 a = fb.a
                 Eup = (sj.E1 * (fb.G / a)) - (sj.E2 * (fb.F / a))
                 Evp = (sj.E2 * (fb.E / a)) - (sj.E1 * (fb.F / a))
-                r_uu, r_uv, r_vv = sj.second_partials
+                r_uu, r_uv, r_vv = (Vec3(*r) for r in sj.k[3:6])
                 want = (r_uu.dot(Eup), r_uu.dot(Evp), r_uv.dot(Eup),
                         r_uv.dot(Evp), r_vv.dot(Eup), r_vv.dot(Evp))
                 for have, ref in zip(fb.gamma2, want):
@@ -514,8 +516,8 @@ class TestMetricFastPath:
         # templates only: eval_literal folds the numbers with _Recorder(0)
         orders = [args[0] for args in made if args[1:]]
         assert sorted(orders) == [0, 2]
-        assert small.kernel3(0.7, 1.1) == jet2(small, 0.7, 1.1)
-        assert large.kernel3(0.7, 1.1) == jet2(large, 0.7, 1.1)
+        assert reference.kernel3(small)(0.7, 1.1) == jet2(small, 0.7, 1.1)
+        assert reference.kernel3(large)(0.7, 1.1) == jet2(large, 0.7, 1.1)
         assert sorted(args[0] for args in made if args[1:]) == [0, 2, 3]
 
     def test_jet2_fallback_equals_kernel(self):
@@ -590,22 +592,27 @@ class TestPointBundle:
         for u, v in surface_samples(name, shape, rng, 12):
             d = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
 
-            def results(s):
+            def results(s, identities):
                 straight = SurfaceCurve.straight(s, (u, v), d, (-0.05, 0.05))
                 bent = SurfaceCurve(
                     s, jet_kernel(lambda t: (u + d[0] * t + 0.08 * t * t,
                                              v + d[1] * t - 0.06 * t * t)),
                     (-0.05, 0.05))
                 return ([_outcome(fn, s, u, v) for fn in (
-                            curvatures, forms, riemann_R1212,
-                            gauss_weingarten_residuals,
-                            codazzi_compatibility_residuals,
+                            curvatures, forms, *identities,
                             principal_direction_field)]
                         + [_outcome(liouville_check, straight, 0.0),
                            _outcome(bonnet_torsion_check, bent, 0.01)])
 
-            want = results(ref)
-            assert results(shape) == want
+            # the identity program against the Python it replaces, over
+            # one Jet2 evaluation per point
+            want = results(ref, (reference.riemann_R1212,
+                                 reference.gauss_weingarten_residuals,
+                                 reference.codazzi_compatibility_residuals,
+                                 reference.form_identity_residual))
+            assert results(shape, (riemann_R1212, gauss_weingarten_residuals,
+                                   codazzi_compatibility_residuals,
+                                   form_identity_residual)) == want
             compared += sum(not (isinstance(w, tuple) and isinstance(
                 w[0], type)) for w in want)
         assert compared >= 48
@@ -613,16 +620,21 @@ class TestPointBundle:
 
 class TestPointReuse:
     """A surface keeps its last _N_POINTS point bundles, keyed by the exact
-    (u, v) and order, the oldest evicted first: one kernel call serves
-    every check at one point while it is stored."""
+    (u, v), the oldest evicted first: one kernel call serves every check
+    at one point while it is stored, and one run of the identity program
+    every identity check."""
 
     @staticmethod
     def _counted(shape):
+        """Log each call of the kernel and of the identity program."""
         calls = []
-        for attr in ("kernel", "kernel3"):
-            fn = getattr(shape, attr)
-            setattr(shape, attr, lambda u, v, fn=fn, attr=attr: (
-                calls.append((attr, repr(u), repr(v))) or fn(u, v)))
+        program = shape.program(surfaces._identity_terms, (1, 1), order=3)
+        for name, fn, store, key in (
+                ("kernel", shape.kernel, vars(shape), "kernel"),
+                ("identities", program, shape._programs,
+                 surfaces._identity_terms)):
+            store[key] = lambda u, v, fn=fn, name=name: (
+                calls.append((name, repr(u), repr(v))) or fn(u, v))
         return calls
 
     def test_kernel_calls(self):
@@ -632,31 +644,31 @@ class TestPointReuse:
         curvatures(shape, 0.3, 0.4)
         forms(shape, 0.3, 0.4)
         surface_frame(shape, 0.3, 0.4)
-        gauss_weingarten_residuals(shape, 0.3, 0.4)
         assert calls == [("kernel", "0.3", "0.4")]
+        gauss_weingarten_residuals(shape, 0.3, 0.4)
         riemann_R1212(shape, 0.3, 0.4)
         codazzi_compatibility_residuals(shape, 0.3, 0.4)
-        forms(shape, 0.3, 0.4)      # the order-2 bundle is still stored
+        form_identity_residual(shape, 0.3, 0.4)
+        forms(shape, 0.3, 0.4)      # the bundle is still stored
         forms(shape, 0.3, 0.5)
         curvatures(shape, 0.0, 0.5)
         curvatures(shape, -0.0, 0.5)   # a signed zero is another point
-        assert calls[1:] == [("kernel3", "0.3", "0.4"),
+        assert calls[1:] == [("identities", "0.3", "0.4"),
                              ("kernel", "0.3", "0.5"),
                              ("kernel", "0.0", "0.5"),
                              ("kernel", "-0.0", "0.5")]
-        # 75 more points fill the store; the next evicts the oldest only
-        for i in range(75):
+        # 76 more points fill the store; the next evicts the oldest only
+        for i in range(76):
             forms(shape, 1.0, 0.01 * i)
         del calls[:]
         forms(shape, 1.0, 0.0)
-        forms(shape, 0.3, 0.4)
-        assert calls == []
-        forms(shape, 2.0, 0.0)      # evicts (0.3, 0.4) at order 2
-        forms(shape, 0.3, 0.5)
-        forms(shape, 0.3, 0.4)      # evicts (0.3, 0.4) at order 3
         riemann_R1212(shape, 0.3, 0.4)
+        assert calls == []
+        forms(shape, 2.0, 0.0)      # evicts (0.3, 0.4) and its identities
+        riemann_R1212(shape, 0.3, 0.4)
+        gauss_weingarten_residuals(shape, 0.3, 0.4)
         assert calls == [("kernel", "2.0", "0.0"), ("kernel", "0.3", "0.4"),
-                         ("kernel3", "0.3", "0.4")]
+                         ("identities", "0.3", "0.4")]
         assert len(shape._points) == _N_POINTS
 
     def test_curvatures_are_shared_and_frozen(self):
@@ -668,17 +680,37 @@ class TestPointReuse:
 
     @pytest.mark.parametrize("name", ["torus", "pseudosphere", "enneper"])
     def test_verify_builds_each_bundle_once(self, monkeypatch, name):
-        built = collections.Counter()
-        real = surfaces._SurfacePoint.__init__
+        # the default table's 40 points: one bundle and one run of the
+        # identity program each, and a second run compiles no code
+        built, ran = collections.Counter(), collections.Counter()
+        real, program = (surfaces._SurfacePoint.__init__,
+                         surfaces.ParametricSurface.program)
 
-        def counted(self, surface, u, v, order=2):
-            built[repr(u), repr(v), order] += 1
-            real(self, surface, u, v, order)
+        def counted(self, surface, u, v):
+            built[repr(u), repr(v)] += 1
+            real(self, surface, u, v)
+
+        def counted_program(self, formulas, *args, **kwargs):
+            fn = program(self, formulas, *args, **kwargs)
+            if formulas is not surfaces._identity_terms:
+                return fn
+            return lambda u, v: ran.update([(repr(u), repr(v))]) or fn(u, v)
 
         monkeypatch.setattr(surfaces._SurfacePoint, "__init__", counted)
-        assert cli.main(["verify", "--shape", name, "--seed", "5"]) == 0
+        monkeypatch.setattr(surfaces.ParametricSurface, "program",
+                            counted_program)
+        argv = ["verify", "--shape", name, "--seed", "5"]
+        assert cli.main(argv) == 0
         assert max(built.values()) == 1
-        assert len(built) == 80
+        assert len(built) == 40
+        assert ran == built
+
+        compiled = []
+        compile_ = ode._compile
+        monkeypatch.setattr(ode, "_compile", lambda lines, *args: (
+            compiled.append(lines) or compile_(lines, *args)))
+        assert cli.main(argv) == 0
+        assert compiled == []
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_reused_values_equal_fresh_bundles(self, name):
