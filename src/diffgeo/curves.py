@@ -245,14 +245,14 @@ class _CurveJets:
         """The bundle of a ParametricCurve at ``t``."""
         try:
             k = curve.kernel(float(t))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise _overflow(t) from None
         return cls(k, curve.scale, t, EPS_REG * curve.scale)
 
     def _run(self, outputs):
         try:
             return taped(_frenet, outputs, 4)(self.k)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise _overflow(self.t) from None
 
     def _ds_vec(self, d):

@@ -667,8 +667,9 @@ def _body(records, passes, point=None, guarded=()):
     a local that one record reads and whose code is float + - * over names
     and literals, at most 300 characters, is written in parentheses into
     that record: no value and no error changes.  With a ``point``, each run
-    of ``guarded`` records goes in one try that turns an OverflowError
-    into ``_overflow(point)``."""
+    of ``guarded`` records goes in one try that turns an OverflowError, or
+    a ZeroDivisionError (a derivative table's divisor that underflows to
+    0), into ``_overflow(point)``."""
     live = _live(records, (), True) if passes else range(len(records))
     reads = collections.Counter(o for i in live for o in records[i][2]
                                 ) if passes else {}
@@ -683,7 +684,8 @@ def _body(records, passes, point=None, guarded=()):
             continue
         free = i not in guarded     # run: guarded lines, in one try
         if free and run:
-            lines += ["    try:", *run, "    except OverflowError:",
+            lines += ["    try:", *run,
+                      "    except (OverflowError, ZeroDivisionError):",
                       f"        raise _overflow({point}) from None"]
             run = []
         (lines if free else run).append(" " * (4 if free else 8) + (
@@ -1071,7 +1073,8 @@ class _Recorder:
 
     def kernel(self, u, v, overflow):
         """The kernel triples at (u, v), through the recorder's order.  An
-        OverflowError in any line but ``check``'s raises ``overflow(u, v)``."""
+        OverflowError or ZeroDivisionError in any line but ``check``'s
+        raises ``overflow(u, v)``."""
         self.names["_overflow"] = overflow
         self.point = f"{u.c}, {v.c}"
         programs, params, _ = self.template

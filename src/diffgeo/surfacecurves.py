@@ -35,9 +35,9 @@ from .interpolate import HermiteChannel, taylor_kernel
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .records import Record
-from .surfaces import (_metric_dot, _metric_unit, _normal_curvature,
-                       _overflow, _point, _regular, metric_and_gamma,
-                       total_curvature)
+from .surfaces import (_curvatures, _metric_dot, _metric_unit,
+                       _normal_curvature, _overflow, _point, _regular,
+                       metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -201,7 +201,7 @@ def _composite(sc, t):
     scale = sc.surface.scale
     try:
         cj = _CurveJets(sc.surface.composite(k), scale, t)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise _overflow(p.u, p.v) from None
     return p, k, cj
 
@@ -254,9 +254,8 @@ def kappa_g_intrinsic(sc, t):
 
 
 def _geodesic_torsion(p, k, cj):
-    dn_du, dn_dv = p.dn
-    du, dv = k[1]
-    n_s = (dn_du * du + dn_dv * dv) / cj.sigma[0]
+    dn, (du, dv), s = p.dn, k[1], cj.sigma[0]
+    n_s = Vec3(*((dn[i] * du + dn[3 + i] * dv) / s for i in range(3)))
     return p.n.dot(n_s.cross(cj.T))
 
 
@@ -269,7 +268,7 @@ def geodesic_torsion_principal(sc, t):
     """(kappa1 - kappa2) sin th cos th with th the angle from the first
     principal direction to the curve tangent; umbilics are rejected."""
     p, k = _point_rows(sc, t)
-    cur = p.curvatures
+    cur = _curvatures(p)
     if cur.is_umbilic:
         raise UmbilicPoint("principal-direction route undefined at an umbilic")
     E, F, G = p.EFG
@@ -687,7 +686,7 @@ def asymptotic_directions(surface, u, v):
     Returns the string 'all' at flat points, else a list of 0, 1 or 2
     (du, dv) pairs."""
     p = _point(surface, u, v)
-    cur = p.curvatures
+    cur = _curvatures(p)
     if cur.shape == "Flat":
         return "all"
     if cur.shape == "Elliptic":
@@ -715,10 +714,10 @@ def principal_direction_field(surface, u, v):
     """Two metric-unit principal directions plus their Rodrigues defects
     |dn + kappa_i dr| (per metric-unit step)."""
     p = _point(surface, u, v)
-    cur = p.curvatures
+    cur = _curvatures(p)
     if cur.is_umbilic:
         raise UmbilicPoint(f"no principal directions at ({u!r}, {v!r})")
-    dn_du, dn_dv = p.dn
+    dn_du, dn_dv = Vec3(*p.dn[:3]), Vec3(*p.dn[3:])
     out_dirs, out_res = [], []
     for d, kap in ((cur.dir1_uv, cur.kappa1), (cur.dir2_uv, cur.kappa2)):
         dn = dn_du * d[0] + dn_dv * d[1]
@@ -953,7 +952,7 @@ def bonnet_torsion_check(sc, t):
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
     dphi_ds = jet_program(_bonnet_angle, (3, 6, 2, 6, 6))(
-        tuple(p.n), (*p.dn[0], *p.dn[1]), k[1], N, T) / cj.sigma[0]
+        tuple(p.n), p.dn, k[1], N, T) / cj.sigma[0]
     tau_g = _geodesic_torsion(p, k, cj)
     return tau_g - (cj.tau + dphi_ds)
 

@@ -5,25 +5,32 @@ Gauss, Weingarten, Codazzi-Mainardi and compatibility identities.
 
 Pointwise quantities are floats computed from the surface's kernel, code
 generated per surface definition, or recorded once from a jet-generic
-Python function, that gives the position's partials through order 2.  The
-formulas over those partials are written once, over jets, in
-``_geometry``, and run as generated float code that keeps the Jet2
-arithmetic; the forms, curvatures, Christoffel symbols and dn are read
-from one point bundle, ``_SurfacePoint``.  The identity checks read one
-surface program over the order-3 kernel (``_identity_terms``, third
-derivatives exact), run once per bundle, and fold its sides and terms
-into scaled defects over floats.
-The solvers' inner loops read no bundle.  Each is one program generated
-per surface template (``ParametricSurface.program``), the kernel's lines
-followed by the consumer's: the tangent projection of
+Python function, that gives the position's partials through order 2.
+Each is read through programs generated once per surface template
+(``ParametricSurface.program``), the kernel's lines followed by the
+consumer's; the formulas over the partials are written once, over jets,
+in ``_geometry``, and taped into a program as float code that keeps the
+Jet2 arithmetic.  The forms, curvatures, Christoffel symbols and dn are
+read from one point bundle, ``_SurfacePoint``, built by one call of the
+point program (``_point_terms``): the metric and normal tapes with the
+regularity checks between them (``_normal_terms``), the tapes of the
+metric partials and of dn, and the second-kind Christoffel symbols over
+those floats (``_christoffel2``), so that it calls no derivative table
+beyond the normal's.  The curvatures and the identity terms are filled in
+on first read.  The identity checks read one program over the order-3
+kernel (``_identity_terms``, third derivatives exact), run once per
+bundle, and fold its sides and terms into scaled defects over floats.
+The solvers' inner loops read no bundle: the tangent projection of
 ``surfacecurves._accel`` under the geodesic and transport fields,
-``_metric_terms`` (E, F, G, a and the Christoffel formula
-``_christoffel2`` that ``_geometry`` uses over jets) under
-``metric_and_gamma``, and ``_geometry``'s metric and normal programs under
-the ``surface_area`` and ``total_curvature`` integrands, which equal the
-bundle's values.  A program's regularity checks are comparisons written
-into it (``_regular``); only a point that fails one calls
-``_check_regular``, which raises.
+``_metric_terms`` (E, F, G, a and ``_christoffel2``) under
+``metric_and_gamma``, and ``_normal_terms`` under the ``surface_area``
+and ``total_curvature`` integrands, which equal the bundle's values.  A
+program's regularity checks are comparisons written into it
+(``_regular``); only a point that fails one calls ``_check_regular``,
+which raises.  An OverflowError in a program, or a ZeroDivisionError (a
+derivative table's divisor underflows to 0 on a surface of scale 1e-30),
+raises the OverflowError that names (u, v), which the CLI answers with
+exit code 3 (5 for geodesic).
 The unit normal is fixed by parameter order, n = E1 x E2 / |E1 x E2|; the
 catalog documents which geometric side that is for each entry.  A point is
 singular when a divisor, |E1 x E2|^2 or a = EG - F^2, is at most
@@ -34,7 +41,7 @@ import math
 from functools import cached_property
 
 from .errors import DiffGeoError, SingularSurfacePoint, ZeroVector
-from .expr import Recording, position_kernel, surface_program, taped
+from .expr import Recording, position_kernel, surface_program
 from .quadrature import QuadSpec, _sum, quad2d
 from .records import Record, Row, _new_row
 from .vectors import Vec3, _spread
@@ -221,9 +228,9 @@ def _geometry(r):
                        gamma2))}
 
 
-# the quantities of _SurfacePoint, each group one program of _geometry's
-# (jet, slot) pairs; only _THIRD, of the identity program, reads third
-# partials of the position
+# groups of _geometry's (jet, slot) pairs, each one tape in a surface
+# program; only _THIRD, of the identity program, reads third partials of
+# the position
 _METRIC = (("E", 0), ("F", 0), ("G", 0), ("a", 0), ("cross_sq", 0))
 _NORMAL = (("sqrt_a", 0), ("nx", 0), ("ny", 0), ("nz", 0), ("b11", 0),
            ("b12", 0), ("b22", 0))
@@ -243,66 +250,29 @@ def _overflow(u, v):
 class _SurfacePoint:
     """The pointwise geometry of a surface at (u, v), over floats.
 
-    Construction calls the surface's kernel once, checks regularity and
-    computes the metric, the normal and e, f, g; the metric partials,
-    Christoffel symbols and dn follow on first use, from the same kernel
-    triples, and ``identities`` once ``_identities`` runs the identity
-    program.  An overflow on the way names the point.  It keeps the
-    surface's scale, for the curvatures, and no reference to the surface
-    that stores it."""
+    Construction makes one call of the surface's point program
+    (``_point_terms``), which checks regularity and computes the tangents
+    E1 and E2, the metric, the normal, e, f, g, the metric partials, the
+    second-kind Christoffel symbols over those floats and dn = (dn/du,
+    dn/dv) as six floats.  An overflow on the way, or a derivative table
+    dividing by an underflowed 0 (a surface of scale 1e-30), raises the
+    OverflowError naming the point: exit 3 in the CLI.  ``curvatures`` and
+    ``identities`` stay None until ``_curvatures`` and ``_identities``
+    first read them.  It keeps the surface's scale, for the curvatures,
+    and no reference to the surface that stores it."""
+
+    __slots__ = ("u", "v", "scale", "E1", "E2", "EFG", "a", "sqrt_a", "n",
+                 "efg", "metric_partials", "gamma2", "dn", "curvatures",
+                 "identities")
 
     def __init__(self, surface, u, v):
-        self.scale = surface.scale
         self.u, self.v = u, v = float(u), float(v)
-        self.identities = None
-        self.k = self._call(surface.kernel, u, v)
-        E, F, G, self.a, cross_sq = self._run(_METRIC)
-        self.EFG = E, F, G
-        _check_regular(cross_sq, E + G, u, v)   # n divides by its root,
-        _check_regular(self.a, E + G, u, v)     # Gamma, K and H by a
-        self.sqrt_a, nx, ny, nz, *efg = self._run(_NORMAL)
-        self.n = Vec3(nx, ny, nz)
-        self.efg = tuple(efg)
-        self.E1, self.E2 = Vec3(*self.k[1]), Vec3(*self.k[2])
-
-    def _call(self, fn, *args):
-        try:
-            return fn(*args)
-        except OverflowError:
-            raise _overflow(self.u, self.v) from None
-
-    def _run(self, outputs):
-        return self._call(taped(_geometry, outputs), self.k)
-
-    @cached_property
-    def metric_partials(self):
-        """(E_u, E_v, F_u, F_v, G_u, G_v)."""
-        return self._run(_PARTIALS)
-
-    @cached_property
-    def gamma2(self):
-        """Second-kind Christoffel symbols, in the order (11-1, 11-2, 12-1,
-        12-2, 22-1, 22-2)."""
-        return self._run(_GAMMA2)
-
-    @property
-    def gamma1(self):
-        """First-kind Christoffel symbols, same index order."""
-        Eu, Ev, Fu, Fv, Gu, Gv = self.metric_partials
-        return (0.5 * Eu, Fu - 0.5 * Ev, 0.5 * Ev, 0.5 * Gu,
-                Fv - 0.5 * Gu, 0.5 * Gv)
-
-    @cached_property
-    def dn(self):
-        """(dn/du, dn/dv) as Vec3s."""
-        d = self._run(_DN)
-        return Vec3(*d[:3]), Vec3(*d[3:])
-
-    @cached_property
-    def curvatures(self):
-        """K, H, the principal curvatures and directions and the shape: one
-        immutable CurvatureData, shared by every caller at this point."""
-        return _curvatures(self)
+        self.scale = surface.scale
+        (E1, E2, self.EFG, self.a, self.sqrt_a, n, self.efg,
+         self.metric_partials, self.gamma2, self.dn) = surface.program(
+            _point_terms, (1, 1))(u, v)
+        self.E1, self.E2, self.n = Vec3(*E1), Vec3(*E2), Vec3(*n)
+        self.curvatures = self.identities = None
 
 
 def _point(surface, u, v):
@@ -398,13 +368,28 @@ def _metric_terms(rec, u, v):
 
 def _normal_terms(rec, u, v):
     """The kernel triples at (u, v), the _METRIC terms and the _NORMAL
-    terms, recorded as _SurfacePoint computes them: the _METRIC program,
-    its two regularity checks, then _NORMAL."""
+    terms: the _METRIC tape, its two regularity checks (|E1 x E2|^2, which
+    the normal divides by the root of, and a, which Gamma, K and H divide
+    by), then the _NORMAL tape."""
     k = rec.kernel(u, v, _overflow)
     metric = E, F, G, a, cross_sq = rec.tape(_geometry, _METRIC, k)
     _regular(rec, cross_sq, E + G, u, v)
     _regular(rec, a, E + G, u, v)
     return k, metric, rec.tape(_geometry, _NORMAL, k)
+
+
+def _point_terms(rec, u, v):
+    """The fields of a _SurfacePoint at (u, v), in the order it unpacks
+    them: E1, E2, (E, F, G), a, sqrt(a), n, (e, f, g), the _PARTIALS and
+    the second-kind Christoffel values, over the floats of those terms
+    (``_christoffel2``), then the _DN terms.  The tapes call no derivative
+    table that the normal does not."""
+    k, (E, F, G, a, _), (sqrt_a, nx, ny, nz, e, f, g) = _normal_terms(
+        rec, u, v)
+    partials = rec.tape(_geometry, _PARTIALS, k)
+    return (k[1], k[2], (E, F, G), a, sqrt_a, (nx, ny, nz), (e, f, g),
+            partials, _christoffel2(E, F, G, *partials, a),
+            rec.tape(_geometry, _DN, k))
 
 
 def _area_element(rec, u, v):
@@ -419,7 +404,7 @@ def _curvature_element(rec, u, v):
 
 def _identity_terms(rec, u, v):
     """The inputs of the identity checks at (u, v), recorded over the
-    order-3 kernel op for op as the bundle's floats give them, one flat
+    order-3 kernel op for op as the _geometry tapes give them, one flat
     tuple: [0:30] the lhs and rhs triples of the three Gauss equations,
     then of the two Weingarten equations; [30:36] lhs, rhs of the two
     Codazzi equations and of the compatibility equation; [36:45] K a_ab,
@@ -496,9 +481,12 @@ def _forms_of(p):
     e, f, g = p.efg
     a = p.a
     c11, c12, c22 = _third_form(E, F, G, e, f, g, a)
+    Eu, Ev, Fu, Fv, Gu, Gv = p.metric_partials
+    gamma1 = (0.5 * Eu, Fu - 0.5 * Ev, 0.5 * Ev, 0.5 * Gu, Fv - 0.5 * Gu,
+              0.5 * Gv)
     return FormBundle(E=E, F=F, G=G, e=e, f=f, g=g,
                       c11=c11, c12=c12, c22=c22,
-                      gamma1=p.gamma1, gamma2=p.gamma2,
+                      gamma1=gamma1, gamma2=p.gamma2,
                       sqrt_a=p.sqrt_a, n=p.n, a=a)
 
 
@@ -526,10 +514,15 @@ def riemann_R1212(surface, u, v):
 
 
 def curvatures(surface, u, v):
-    return _point(surface, u, v).curvatures
+    return _curvatures(_point(surface, u, v))
 
 
 def _curvatures(p):
+    """K, H, the principal curvatures and directions and the shape at the
+    point bundle ``p``: one immutable CurvatureData, made on first read and
+    kept on ``p``, so every caller at the point shares it."""
+    if p.curvatures is not None:
+        return p.curvatures
     E, F, G = p.EFG
     e, f, g = p.efg
     disc_b, K, H = _gauss_mean(E, F, G, e, f, g, p.a)
@@ -567,10 +560,11 @@ def _curvatures(p):
             dir1 = (p.E1 * dir1_uv[0] + p.E2 * dir1_uv[1]).normalized()
             dir2 = (p.E1 * dir2_uv[0] + p.E2 * dir2_uv[1]).normalized()
 
-    return CurvatureData(K=K, H=H, kappa1=kappa1, kappa2=kappa2,
-                         dir1=dir1, dir2=dir2,
-                         dir1_uv=dir1_uv, dir2_uv=dir2_uv,
-                         shape=shape, is_umbilic=umb)
+    p.curvatures = CurvatureData(K=K, H=H, kappa1=kappa1, kappa2=kappa2,
+                                 dir1=dir1, dir2=dir2,
+                                 dir1_uv=dir1_uv, dir2_uv=dir2_uv,
+                                 shape=shape, is_umbilic=umb)
+    return p.curvatures
 
 
 def _normal_curvature(E, F, G, e, f, g, d):

@@ -40,13 +40,8 @@ class Vec3:
     def __sub__(self, other):
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self):
-        return Vec3(-self.x, -self.y, -self.z)
-
     def __mul__(self, s):
         return Vec3(self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, s):
         return Vec3(self.x / s, self.y / s, self.z / s)

@@ -26,8 +26,8 @@ from .errors import (AsymptoticPoint, InflectionPoint, NonOrthogonalPatch,
                      UmbilicPoint)
 from .expr import _GENERATED, _KERNEL, parse_text
 from .roots import root_find
-from .surfaces import (_identities, _normal_curvature, _point, curvatures,
-                       riemann_R1212, form_identity_residual,
+from .surfaces import (_curvatures, _identities, _normal_curvature, _point,
+                       curvatures, riemann_R1212, form_identity_residual,
                        gauss_weingarten_residuals,
                        codazzi_compatibility_residuals)
 from .surfacecurves import (SurfaceCurve, asymptotic_directions,
@@ -155,7 +155,7 @@ def surface_suites(shape, rng, n, rect):
 
     def euler(u, v):
         p = _point(shape, u, v)
-        cd = p.curvatures
+        cd = _curvatures(p)
         if cd.is_umbilic:
             raise _Skip
         for k in range(8):

@@ -22,7 +22,7 @@ from diffgeo import catalog, curves, expr, jets, ode, surfacecurves
 from diffgeo.surfacecurves import _geodesic
 from diffgeo.surfaces import (ParametricSurface, _area_element,
                               _curvature_element, _identity_terms,
-                              _metric_terms)
+                              _metric_terms, _point_terms)
 from diffgeo.vectors import Vec3
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -67,7 +67,8 @@ def _recorded():
         shape.kernel, expr.position_kernel(shape._shape, 3), shape.composite
         shape.program(_geodesic, (1, 4))
         shape.program(_identity_terms, (1, 1), order=3)
-        for formulas in (_metric_terms, _area_element, _curvature_element):
+        for formulas in (_metric_terms, _point_terms, _area_element,
+                         _curvature_element):
             shape.program(formulas, (1, 1))
     curves.jet_kernel(lambda t: Vec3(t, t * t, jets.sin(t) / t))(0.5)
     surfacecurves.jet_kernel(lambda t: (1.0 + t * t, jets.exp(-t)))(0.5)

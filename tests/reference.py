@@ -1,7 +1,8 @@
-"""The solver fields and integrands as plain Python over the surface's
-kernel and its point bundle, the four identity checks as Vec3 and float
-arithmetic over the point bundle and the order-3 kernel's terms, and the
-surface-curve checks as Jet1
+"""The point bundle as it was built before the point program (lazy tapes
+over one kernel call, the regularity checks in Python), the solver fields
+and integrands as plain Python over the surface's kernel and that bundle,
+the four identity checks as Vec3 and float arithmetic over the bundle and
+the order-3 kernel's terms, and the surface-curve checks as Jet1
 arithmetic over a curve's Jet1 form (:class:`JetCurve`) and the surface's
 ``evaluator``: the chains that the generated surface programs, curve
 rows, composite kernels and recorded jet programs replace, kept as the
@@ -9,6 +10,7 @@ reference they must equal by ``repr``, errors included.  Nothing here is
 generated."""
 
 import math
+from functools import cached_property
 
 from diffgeo import jets
 from diffgeo.curves import _CurveJets
@@ -18,11 +20,12 @@ from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import _geodesic_rhs, _split
 from diffgeo.quadrature import _sum
-from diffgeo.surfaces import (_THIRD, MetricData, ParametricSurface,
-                              _check_regular, _christoffel2, _forms_of,
-                              _geometry, _metric_dot, _metric_unit,
-                              _normal_curvature, _overflow, _point,
-                              _scaled_defect, _SurfacePoint)
+from diffgeo.surfaces import (_DN, _GAMMA2, _METRIC, _NORMAL, _PARTIALS,
+                              _THIRD, MetricData, ParametricSurface,
+                              _check_regular, _christoffel2, _curvatures,
+                              _forms_of, _geometry, _metric_dot,
+                              _metric_unit, _normal_curvature, _overflow,
+                              _scaled_defect)
 from diffgeo.vectors import Vec3
 
 
@@ -67,6 +70,51 @@ def jet_fed(shape):
     fed.kernel3 = lambda u, v: jet2_triples(shape, u, v)
     fed.composite = lambda rows: jet1_composite(shape, rows)
     return fed
+
+
+class SurfacePoint:
+    """The fields of ``surfaces._SurfacePoint`` at (u, v), as the bundle
+    computed them before one program did: construction calls the
+    surface's ``kernel`` once (kept as ``k``), runs the _METRIC tape, the
+    two regularity checks in Python and the _NORMAL tape; the metric
+    partials, the Christoffel symbols (a tape of ``_christoffel2`` over
+    jets) and dn each run their own tape on first read.  An overflow
+    names the point.  It is built anew on each call, with no store."""
+
+    def __init__(self, surface, u, v):
+        self.scale = surface.scale
+        self.u, self.v = u, v = float(u), float(v)
+        self.curvatures = self.identities = None
+        self.k = self._call(surface.kernel, u, v)
+        E, F, G, self.a, cross_sq = self._run(_METRIC)
+        self.EFG = E, F, G
+        _check_regular(cross_sq, E + G, u, v)
+        _check_regular(self.a, E + G, u, v)
+        self.sqrt_a, nx, ny, nz, *efg = self._run(_NORMAL)
+        self.n = Vec3(nx, ny, nz)
+        self.efg = tuple(efg)
+        self.E1, self.E2 = Vec3(*self.k[1]), Vec3(*self.k[2])
+
+    def _call(self, fn, *args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            raise _overflow(self.u, self.v) from None
+
+    def _run(self, outputs):
+        return self._call(taped(_geometry, outputs), self.k)
+
+    @cached_property
+    def metric_partials(self):
+        return self._run(_PARTIALS)
+
+    @cached_property
+    def gamma2(self):
+        return self._run(_GAMMA2)
+
+    @cached_property
+    def dn(self):
+        return self._run(_DN)
 
 
 def metric_gamma(kernel, u, v):
@@ -134,12 +182,12 @@ def transport_field(surface):
 
 
 def area_integrand(surface):
-    return lambda u, v: _SurfacePoint(surface, u, v).sqrt_a
+    return lambda u, v: SurfacePoint(surface, u, v).sqrt_a
 
 
 def curvature_integrand(surface):
     def integrand(u, v):
-        p = _SurfacePoint(surface, u, v)
+        p = SurfacePoint(surface, u, v)
         e, f, g = p.efg
         return (e * g - f * f) / p.sqrt_a
 
@@ -153,7 +201,7 @@ def curvature_integrand(surface):
 def _third(surface, u, v):
     """The point bundle at (u, v) and the _THIRD terms of the order-3
     kernel there, an overflow naming the point."""
-    p = _point(surface, u, v)
+    p = SurfacePoint(surface, u, v)
     try:
         return p, taped(_geometry, _THIRD)(kernel3(surface)(p.u, p.v))
     except OverflowError:
@@ -178,7 +226,7 @@ def riemann_R1212(surface, u, v):
 
 
 def gauss_weingarten_residuals(surface, u, v):
-    p = _point(surface, u, v)
+    p = SurfacePoint(surface, u, v)
     E, F, G = p.EFG
     e, f, g = p.efg
     a = p.a
@@ -193,7 +241,7 @@ def gauss_weingarten_residuals(surface, u, v):
     ):
         rhs = p.E1 * g1 + p.E2 * g2 + n * b
         out.append(_scaled_defect(lhs, rhs))
-    dn_du, dn_dv = p.dn
+    dn_du, dn_dv = Vec3(*p.dn[:3]), Vec3(*p.dn[3:])
     w1 = p.E1 * ((f * F - e * G) / a) + p.E2 * ((e * F - f * E) / a)
     w2 = p.E1 * ((g * F - f * G) / a) + p.E2 * ((f * F - g * E) / a)
     out.append(_scaled_defect(dn_du, w1))
@@ -226,9 +274,9 @@ def codazzi_compatibility_residuals(surface, u, v):
 
 
 def form_identity_residual(surface, u, v):
-    p = _point(surface, u, v)
+    p = SurfacePoint(surface, u, v)
     fb = _forms_of(p)
-    cur = p.curvatures
+    cur = _curvatures(p)
     K, H = cur.K, cur.H
     worst = 0.0
     scale = 1e-300
@@ -253,7 +301,7 @@ def euler_directions(cd):
 
 def egregium(surface, u, v):
     """verify's egregium residual at (u, v)."""
-    fb = _forms_of(_point(surface, u, v))
+    fb = _forms_of(SurfacePoint(surface, u, v))
     k_ext = (fb.e * fb.g - fb.f ** 2) / fb.a
     k_int = riemann_R1212(surface, u, v) / fb.a
     return (abs(k_int - k_ext) / max(1.0, abs(k_ext)),)
@@ -310,7 +358,7 @@ def _vec_jet(cj, name, n):
 
 def point_jets(sc, t):
     uj, vj = sc.uv_jets(t)
-    return _point(sc.surface, uj.value, vj.value), uj, vj
+    return SurfacePoint(sc.surface, uj.value, vj.value), uj, vj
 
 
 def composite_jets(sc, t):
@@ -355,7 +403,7 @@ def kappa_g_intrinsic(sc, t):
 
 
 def _geodesic_torsion(p, uj, vj, cj):
-    dn_du, dn_dv = p.dn
+    dn_du, dn_dv = Vec3(*p.dn[:3]), Vec3(*p.dn[3:])
     n_s = (dn_du * uj.c[1] + dn_dv * vj.c[1]) / cj.sigma[0]
     return p.n.dot(n_s.cross(cj.T))
 
@@ -366,7 +414,7 @@ def geodesic_torsion(sc, t):
 
 def geodesic_torsion_principal(sc, t):
     p, uj, vj = point_jets(sc, t)
-    cur = p.curvatures
+    cur = _curvatures(p)
     if cur.is_umbilic:
         raise UmbilicPoint("principal-direction route undefined at an umbilic")
     E, F, G = p.EFG
@@ -415,7 +463,7 @@ def bonnet_torsion_check(sc, t):
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
     n_t = Vec3(*(_field_along_curve(n, n_u, n_v, uj, vj)
-                 for n, n_u, n_v in zip(p.n, *p.dn)))
+                 for n, n_u, n_v in zip(p.n, p.dn[:3], p.dn[3:])))
     u_t = n_t.cross(T)
     dphi_ds = _turning_rate(n_t.dot(N), u_t.dot(N)) / cj.sigma[0]
     tau_g = _geodesic_torsion(p, uj, vj, cj)
@@ -446,6 +494,6 @@ def exterior_angle(arc_in, arc_out):
     t_in = (uj.c[1], vj.c[1])
     uj2, vj2 = arc_out.uv_jets(arc_out.domain[0])
     t_out = (uj2.c[1], vj2.c[1])
-    p = _point(arc_in.surface, uj.value, vj.value)
+    p = SurfacePoint(arc_in.surface, uj.value, vj.value)
     cross = p.sqrt_a * (t_in[0] * t_out[1] - t_in[1] * t_out[0])
     return math.atan2(cross, _metric_dot(*p.EFG, t_in, t_out))

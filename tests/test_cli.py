@@ -203,6 +203,43 @@ class TestEval:
                                        "DomainError: no class")
 
 
+class TestTinySurfaces:
+    """At a scale of 1e-30 the derivative tables' higher entries divide by
+    numbers that underflow to 0: each command names the point and exits 3
+    (geodesic 5), with no traceback."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["eval", "--shape", "sphere", "--param", "R=1e-30", "--at",
+          "0.3,0.2", "--quantity", "K"], 3),
+        (["eval", "--shape", "sphere", "--param", "R=1e-30", "--grid", "2",
+          "--quantity", "principal"], 3),
+        (["verify", "--shape", "sphere", "--param", "R=1e-30", "--seed", "1",
+          "--samples", "3"], 3),
+        (["gauss-bonnet", "--shape", "sphere", "--param", "R=1e-30",
+          "--global"], 3),
+        (["transport", "--shape", "sphere", "--param", "R=1e-30", "--loop",
+          "const-v:0.3", "--vector", "1,0"], 3),
+        (["geodesic", "--shape", "sphere", "--param", "R=1e-30", "--from",
+          "0,0", "--dir", "1,0", "--length", "1e-30"], 5),
+        (["eval", "--shape", "torus", "--param", "R=3e-30", "--param",
+          "r=1e-30", "--at", "0.3,0.4", "--quantity", "K"], 3),
+    ], ids=["eval-at", "eval-grid", "verify", "gauss-bonnet", "transport",
+            "geodesic", "eval-torus"])
+    def test_named_overflow(self, argv, want, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == want
+        assert "Traceback" not in err
+        assert re.search(r"OverflowError: surface jets overflow at "
+                         r"\(u, v\)=\(\S+, \S+\)$", err.splitlines()[0])
+
+    def test_forms_at_small_scale(self, capsys):
+        # Gamma is computed over floats: no derivative table of 1/(2a)
+        code, _ = run(capsys, "eval", "--shape", "sphere", "--param",
+                      "R=1e-20", "--at", "0.3,0.2", "--quantity", "forms")
+        assert code == 0
+
+
 class TestParser:
     def test_built_once_reading_the_tolerance_each_run(self, capsys,
                                                          monkeypatch):

@@ -240,17 +240,19 @@ def test_programs_outlive_one_off_expressions(monkeypatch):
 def test_nothing_generated_at_import_make_or_eval():
     # a fresh interpreter: this one has generated code for other tests
     probe = (
-        "from diffgeo import catalog, cli, expr\n"
+        "from diffgeo import catalog, cli, expr, surfaces\n"
         "from diffgeo.surfaces import ParametricSurface\n"
         "shapes = [catalog.make(n) for n in catalog.names()]\n"
         "made = [len(expr._GENERATED)]\n"
         "assert cli.main(['eval', '--shape', 'torus', '--at', '0.3,0.4',\n"
         "                 '--quantity', 'curvatures']) == 0\n"
-        "made.append(sum(f[0] is expr._program_code\n"
-        "                for _, f, _ in expr._GENERATED))\n"
         "made += [len(s._programs) for s in shapes\n"
         "         if isinstance(s, ParametricSurface)]\n"
-        "assert made == [0] * len(made), made\n")
+        "assert made == [0] * len(made), made\n"
+        "# the point bundle is the one program that the eval makes\n"
+        "programs = [f[1] for _, f, _ in expr._GENERATED\n"
+        "            if f[0] is expr._program_code]\n"
+        "assert programs == [surfaces._point_terms], programs\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True)

@@ -155,11 +155,11 @@ class TestFrame:
                gauss_weingarten_residuals, form_identity_residual,
                lambda s, u, v: curvature_split(
                    SurfaceCurve.straight(s, (u, v), (1.0, 0.0)), 0.0)]
-        if kernel == "jet2":    # one Jet2 evaluation computes order 3
-            steep = reference.jet_fed(steep)
-            fns.append(curvatures)
-        else:
-            assert math.isfinite(curvatures(steep, 0.3, 0.2).H)
+        if kernel == "jet2":    # one Jet2 evaluation computes order 3,
+            steep = reference.jet_fed(steep)    # which the bundle once read
+            fns.append(reference.SurfacePoint)
+        # the point program reads the order-2 kernel alone
+        assert math.isfinite(curvatures(steep, 0.3, 0.2).H)
         for fn in fns:
             with pytest.raises(OverflowError,
                                match=r"^surface jets overflow at "
@@ -215,7 +215,8 @@ class TestForms:
                 a = fb.a
                 Eup = (sj.E1 * (fb.G / a)) - (sj.E2 * (fb.F / a))
                 Evp = (sj.E2 * (fb.E / a)) - (sj.E1 * (fb.F / a))
-                r_uu, r_uv, r_vv = (Vec3(*r) for r in sj.k[3:6])
+                r_uu, r_uv, r_vv = (Vec3(*r)
+                                    for r in shape.kernel(u, v)[3:6])
                 want = (r_uu.dot(Eup), r_uu.dot(Evp), r_uv.dot(Eup),
                         r_uv.dot(Evp), r_vv.dot(Eup), r_vv.dot(Evp))
                 for have, ref in zip(fb.gamma2, want):
@@ -226,7 +227,7 @@ class TestForms:
         rng = random.Random(12)
         for u, v in surface_samples("torus", TORUS, rng, 10):
             sj = _SurfacePoint(TORUS, u, v)
-            g1 = sj.gamma1
+            g1 = forms(TORUS, u, v).gamma1
             lut = {(1, 1, 1): g1[0], (1, 1, 2): g1[1], (1, 2, 1): g1[2],
                    (2, 1, 1): g1[2], (1, 2, 2): g1[3], (2, 1, 2): g1[3],
                    (2, 2, 1): g1[4], (2, 2, 2): g1[5]}
@@ -245,7 +246,7 @@ class TestForms:
             for u, v in surface_samples(name, shape, rng, 8):
                 sj = _SurfacePoint(shape, u, v)
                 fb = forms(shape, u, v)
-                dn_du, dn_dv = sj.dn
+                dn_du, dn_dv = Vec3(*sj.dn[:3]), Vec3(*sj.dn[3:])
                 for have, want in ((fb.c11, dn_du.dot(dn_du)),
                                    (fb.c12, dn_du.dot(dn_dv)),
                                    (fb.c22, dn_dv.dot(dn_dv))):
@@ -393,7 +394,7 @@ class TestResidualVerifiers:
         for name, shape in (("sphere", SPHERE), ("torus", TORUS)):
             for u, v in surface_samples(name, shape, rng, 10):
                 sj = _SurfacePoint(shape, u, v)
-                dn_du, dn_dv = sj.dn
+                dn_du, dn_dv = Vec3(*sj.dn[:3]), Vec3(*sj.dn[3:])
                 K = curvatures(shape, u, v).K
                 want = sj.E1.cross(sj.E2) * K
                 assert (dn_du.cross(dn_dv) - want).norm() \
@@ -580,8 +581,15 @@ class TestMetricFastPath:
 
 
 class TestPointBundle:
-    """The point bundle fed by the generated kernels equals (==) the same
-    bundle fed by one Jet2 evaluation per point."""
+    """The point bundle, one run of the point program, equals (==) the
+    reference bundle fed by one Jet2 evaluation per point, as do the
+    curvatures and forms over each; the checks that read a composite
+    kernel equal those over one Jet1 evaluation."""
+
+    @staticmethod
+    def _fields(p):
+        return (p.E1, p.E2, p.EFG, p.a, p.sqrt_a, p.n, p.efg,
+                p.metric_partials, p.gamma2, p.dn)
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_kernel_fed_equals_jet2_fed(self, name):
@@ -592,27 +600,30 @@ class TestPointBundle:
         for u, v in surface_samples(name, shape, rng, 12):
             d = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
 
-            def results(s, identities):
+            def results(s, point, identities):
                 straight = SurfaceCurve.straight(s, (u, v), d, (-0.05, 0.05))
                 bent = SurfaceCurve(
                     s, jet_kernel(lambda t: (u + d[0] * t + 0.08 * t * t,
                                              v + d[1] * t - 0.06 * t * t)),
                     (-0.05, 0.05))
-                return ([_outcome(fn, s, u, v) for fn in (
-                            curvatures, forms, *identities,
-                            principal_direction_field)]
+                return ([_outcome(lambda: fn(point(s, u, v))) for fn in (
+                            self._fields, surfaces._curvatures,
+                            surfaces._forms_of)]
+                        + [_outcome(fn, s, u, v) for fn in (
+                            *identities, principal_direction_field)]
                         + [_outcome(liouville_check, straight, 0.0),
                            _outcome(bonnet_torsion_check, bent, 0.01)])
 
-            # the identity program against the Python it replaces, over
-            # one Jet2 evaluation per point
-            want = results(ref, (reference.riemann_R1212,
-                                 reference.gauss_weingarten_residuals,
-                                 reference.codazzi_compatibility_residuals,
-                                 reference.form_identity_residual))
-            assert results(shape, (riemann_R1212, gauss_weingarten_residuals,
-                                   codazzi_compatibility_residuals,
-                                   form_identity_residual)) == want
+            # the point and identity programs against the Python they
+            # replace, over one Jet2 evaluation per point
+            want = results(ref, reference.SurfacePoint, (
+                reference.riemann_R1212, reference.gauss_weingarten_residuals,
+                reference.codazzi_compatibility_residuals,
+                reference.form_identity_residual))
+            assert results(shape, surfaces._point, (
+                riemann_R1212, gauss_weingarten_residuals,
+                codazzi_compatibility_residuals,
+                form_identity_residual)) == want
             compared += sum(not (isinstance(w, tuple) and isinstance(
                 w[0], type)) for w in want)
         assert compared >= 48
@@ -620,20 +631,20 @@ class TestPointBundle:
 
 class TestPointReuse:
     """A surface keeps its last _N_POINTS point bundles, keyed by the exact
-    (u, v), the oldest evicted first: one kernel call serves every check
-    at one point while it is stored, and one run of the identity program
-    every identity check."""
+    (u, v), the oldest evicted first: one run of the point program serves
+    every check at one point while it is stored, and one run of the
+    identity program every identity check."""
 
     @staticmethod
     def _counted(shape):
-        """Log each call of the kernel and of the identity program."""
+        """Log each call of the point program and of the identity
+        program."""
         calls = []
-        program = shape.program(surfaces._identity_terms, (1, 1), order=3)
-        for name, fn, store, key in (
-                ("kernel", shape.kernel, vars(shape), "kernel"),
-                ("identities", program, shape._programs,
-                 surfaces._identity_terms)):
-            store[key] = lambda u, v, fn=fn, name=name: (
+        for name, formulas, order in (
+                ("point", surfaces._point_terms, 2),
+                ("identities", surfaces._identity_terms, 3)):
+            fn = shape.program(formulas, (1, 1), order=order)
+            shape._programs[formulas] = lambda u, v, fn=fn, name=name: (
                 calls.append((name, repr(u), repr(v))) or fn(u, v))
         return calls
 
@@ -644,7 +655,7 @@ class TestPointReuse:
         curvatures(shape, 0.3, 0.4)
         forms(shape, 0.3, 0.4)
         surface_frame(shape, 0.3, 0.4)
-        assert calls == [("kernel", "0.3", "0.4")]
+        assert calls == [("point", "0.3", "0.4")]
         gauss_weingarten_residuals(shape, 0.3, 0.4)
         riemann_R1212(shape, 0.3, 0.4)
         codazzi_compatibility_residuals(shape, 0.3, 0.4)
@@ -654,9 +665,9 @@ class TestPointReuse:
         curvatures(shape, 0.0, 0.5)
         curvatures(shape, -0.0, 0.5)   # a signed zero is another point
         assert calls[1:] == [("identities", "0.3", "0.4"),
-                             ("kernel", "0.3", "0.5"),
-                             ("kernel", "0.0", "0.5"),
-                             ("kernel", "-0.0", "0.5")]
+                             ("point", "0.3", "0.5"),
+                             ("point", "0.0", "0.5"),
+                             ("point", "-0.0", "0.5")]
         # 76 more points fill the store; the next evicts the oldest only
         for i in range(76):
             forms(shape, 1.0, 0.01 * i)
@@ -667,7 +678,7 @@ class TestPointReuse:
         forms(shape, 2.0, 0.0)      # evicts (0.3, 0.4) and its identities
         riemann_R1212(shape, 0.3, 0.4)
         gauss_weingarten_residuals(shape, 0.3, 0.4)
-        assert calls == [("kernel", "2.0", "0.0"), ("kernel", "0.3", "0.4"),
+        assert calls == [("point", "2.0", "0.0"), ("point", "0.3", "0.4"),
                          ("identities", "0.3", "0.4")]
         assert len(shape._points) == _N_POINTS
 
@@ -680,9 +691,12 @@ class TestPointReuse:
 
     @pytest.mark.parametrize("name", ["torus", "pseudosphere", "enneper"])
     def test_verify_builds_each_bundle_once(self, monkeypatch, name):
-        # the default table's 40 points: one bundle and one run of the
-        # identity program each, and a second run compiles no code
-        built, ran = collections.Counter(), collections.Counter()
+        # the default table's 40 points: one bundle, one run of the point
+        # program and one of the identity program each, and a second run
+        # compiles no code
+        built = collections.Counter()
+        ran = {formulas: collections.Counter() for formulas in (
+            surfaces._point_terms, surfaces._identity_terms)}
         real, program = (surfaces._SurfacePoint.__init__,
                          surfaces.ParametricSurface.program)
 
@@ -692,9 +706,10 @@ class TestPointReuse:
 
         def counted_program(self, formulas, *args, **kwargs):
             fn = program(self, formulas, *args, **kwargs)
-            if formulas is not surfaces._identity_terms:
+            if formulas not in ran:
                 return fn
-            return lambda u, v: ran.update([(repr(u), repr(v))]) or fn(u, v)
+            return lambda u, v: (ran[formulas].update([(repr(u), repr(v))])
+                                 or fn(u, v))
 
         monkeypatch.setattr(surfaces._SurfacePoint, "__init__", counted)
         monkeypatch.setattr(surfaces.ParametricSurface, "program",
@@ -703,7 +718,9 @@ class TestPointReuse:
         assert cli.main(argv) == 0
         assert max(built.values()) == 1
         assert len(built) == 40
-        assert ran == built
+        assert sum(ran[surfaces._point_terms].values()) == 40
+        assert ran[surfaces._point_terms] == built
+        assert ran[surfaces._identity_terms] == built
 
         compiled = []
         compile_ = ode._compile
