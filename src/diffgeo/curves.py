@@ -12,10 +12,12 @@ inverse of the arc length by Faa di Bruno over floats; involutes and
 spherical indicatrices are written over the base kernel.  A jet-generic
 Python function of t makes a kernel through :func:`jet_kernel`, recorded
 once as generated code, as a definition is.  The Frenet formulas over the
-kernel are written once, over jets, in ``_frenet``, and run as generated
-float code that keeps the Jet1 arithmetic (``expr.taped``); every such
-value is read from one point bundle, ``_CurveJets``.  The torsion sign
-convention is the right-handed Frenet system dB/ds = -tau N.
+kernel are written once, over jets, in ``_frenet``; programs over the
+kernel's triples record their Jet1 tape (``expr.jet_program``), and every
+such value is read from one point bundle, ``_CurveJets``, filled by at
+most two program calls.  A curve that overflows raises the OverflowError
+naming t (exit 3 in the CLI).  The torsion sign convention is the
+right-handed Frenet system dB/ds = -tau N.
 """
 
 import bisect
@@ -24,7 +26,7 @@ from functools import cached_property
 
 from .errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                      SingularPoint, ZeroTorsion)
-from .expr import position_kernel, recorded, taped
+from .expr import jet_program, position_kernel, recorded
 from .interpolate import HermiteChannel, taylor_kernel
 from .jets import compose1
 from .ode import OdeSpec, linspace, ode_solve
@@ -164,14 +166,13 @@ class CurveClass(Frozen):
 
 def _frenet(r):
     """The Frenet apparatus of the position jet ``r``, written once over
-    jets: expr.taped records its Jet1 arithmetic as float code (so each
-    value equals the Jet1 coefficient it stands for).  Exactness (orders
-    that are true Taylor coefficients): position 4, velocity and sigma 3,
-    T 3, B/N/kappa 2, tau 1."""
+    jets: a program's ``rec.tape`` records its Jet1 arithmetic as float
+    code (so each value equals the Jet1 coefficient it stands for).
+    Exactness (orders that are true Taylor coefficients): position 4,
+    velocity and sigma 3, T 3, B/N/kappa 2, tau 1."""
     rd = r.derivative()
     rdd = rd.derivative()
-    sig_sq = rd.norm_sq()
-    sigma = sig_sq.call("sqrt")
+    sigma = rd.norm_sq().call("sqrt")
     T = rd / sigma
     C = rd.cross(rdd)
     cn_sq = C.norm_sq()
@@ -182,8 +183,8 @@ def _frenet(r):
     tau = rd.dot(rdd.cross(rdd.derivative())) / (cn * cn)
     rk = 1.0 / kappa                # radius of curvature, exact to order 2
     rt = 1.0 / tau                  # radius of torsion, exact to order 1
-    return {"sig_sq": sig_sq, "sigma": sigma, "cn_sq": cn_sq, "kappa": kappa,
-            "tau": tau, "rk": rk, "rt": rt,
+    return {"sigma": sigma, "cn_sq": cn_sq, "kappa": kappa, "tau": tau,
+            "rk": rk, "rt": rt,
             "rt_drk_ds": rt * (rk.derivative() / sigma),
             **{name + c: getattr(vec, c)
                for name, vec in (("T", T), ("N", N), ("B", B))
@@ -194,22 +195,28 @@ def _vec(name, slot):
     return tuple((name + c, slot) for c in "xyz")
 
 
-# the quantities of _CurveJets, each group one program of _frenet's
-# (jet, slot) pairs
-_SPEED = (("sig_sq", 0),)
-_SIGMA = (("sigma", 0), ("sigma", 1), ("sigma", 2), ("sigma", 3),
-          ("cn_sq", 0))
-_KAPPA = (("kappa", 0),)
-_TAU = (("tau", 0),)
-_T = _vec("T", 0)
-_DT = _vec("T", 1)
-_FRAME = _vec("T", 0) + _vec("N", 0) + _vec("B", 0)
-_FRAME_DT = _vec("T", 1) + _vec("N", 1) + _vec("B", 1)
-_RATES = (("kappa", 1), ("tau", 1))
-_SPHERE = (("rk", 0), ("rk", 1))
-_SPHERICITY = (("rk", 0), ("rt", 0), ("rt_drk_ds", 1))
-_JETS = {(name, n): tuple((name + c, s) for c in "xyz" for s in range(n))
-         for name in "TNB" for n in (2, 5)}
+def _terms(name, outputs):
+    """The formulas ``name`` of a program over the five kernel triples:
+    the ``outputs`` (jet, slot) of _frenet, read from its tape."""
+    def formulas(rec, *k):
+        return rec.tape(_frenet, outputs, k)
+    formulas.__name__ = name
+    return formulas
+
+
+# the two programs of _CurveJets: construction's and the bent fields'
+_SPEED = _terms("_speed_terms", (("sigma", 0), ("sigma", 1), ("sigma", 2),
+                                 ("sigma", 3), ("cn_sq", 0))
+                + _vec("T", 0) + _vec("T", 1))
+_BENT = _terms("_bent_terms", _vec("N", 0) + _vec("B", 0) + _vec("N", 1)
+               + _vec("B", 1) + (("tau", 0),))
+# programs that no CLI path runs
+_RATES = _terms("_rates", (("kappa", 1), ("tau", 1)))
+_SPHERE = _terms("_sphere", (("rk", 0), ("rk", 1)))
+_SPHERICITY = _terms("_sphericity", (("rk", 0), ("rt", 0), ("rt_drk_ds", 1)))
+_JETS = {name: _terms(f"_{name}_jet", tuple(
+    (name + c, s) for c in "xyz" for s in range(5))) for name in "TNB"}
+_ROWS = (3,) * 5    # the sizes of a program's arguments: k's five triples
 
 
 def _overflow(t):
@@ -221,24 +228,42 @@ class _CurveJets:
     ``k`` holds the five (x, y, z) coefficient triples r, r', r'', r''',
     r'''' at t, from a ParametricCurve's kernel or a surface's composite
     kernel (r(u(t), v(t)) along a surface curve).  Construction checks
-    regularity and computes sigma = |dr/dt| through its third derivative
-    and |r' x r''|^2; kappa, T, the frame, tau and their derivatives follow
-    on first use, each group one program of ``_frenet``.  The branches (the
-    regularity floor, r' x r'' = 0, the inflection floor) sit between the
-    programs.  The length ``scale`` sets the inflection floor and
-    ``min_speed`` the regularity floor on |dr/dt|; a composite curve is
-    regular wherever its surface is and (u', v') != 0, so it keeps 0.  An
-    overflow on the way names t."""
+    |r'|^2 over floats (the tape's own sum), then calls the program
+    ``_SPEED`` once for sigma = |dr/dt| and its t-derivatives 1..3,
+    |r' x r''|^2, T and dT/dt; kappa is sqrt(|r' x r''|^2) / sigma^3 over
+    those floats, as the tape rounds it (0.0 where r' x r'' vanishes).  N,
+    B, their t-derivatives dN, dB and tau stay None until ``bend`` fills
+    them by one call of ``_BENT``.  The length ``scale`` sets the
+    inflection floor and ``min_speed`` the regularity floor on |dr/dt|; a
+    composite curve is regular wherever its surface is and (u', v') != 0,
+    so it keeps 0.  A non-finite |r'|^2 or |r' x r''|^2, or an overflow in
+    a program, raises the OverflowError naming t: such a curve is neither
+    singular nor straight."""
+
+    __slots__ = ("t", "scale", "k", "sigma", "cn_sq", "kappa_value", "T",
+                 "dT", "N", "B", "dN", "dB", "tau")
 
     def __init__(self, k, scale, t, min_speed=0.0):
-        self.t = float(t)
+        self.t = t = float(t)
         self.scale = scale
         self.k = k
-        (sig_sq,) = self._run(_SPEED)
+        x, y, z = k[1]
+        sig_sq = x * x + y * y + z * z
+        if not sig_sq < math.inf:
+            raise _overflow(t)
         if sig_sq <= min_speed * min_speed:
             raise SingularPoint(t)
-        *sigma, self.cn_sq = self._run(_SIGMA)
+        *sigma, cn_sq, Tx, Ty, Tz, dTx, dTy, dTz = self.run(_SPEED)
+        if not cn_sq < math.inf:
+            raise _overflow(t)
         self.sigma = tuple(sigma)   # |dr/dt| and its t-derivatives 1..3
+        self.cn_sq = cn_sq
+        s = sigma[0]
+        self.kappa_value = (math.sqrt(cn_sq) * (1.0 / (s * s * s))
+                            if cn_sq > 0.0 else 0.0)
+        self.T = Vec3(Tx, Ty, Tz)
+        self.dT = dTx, dTy, dTz
+        self.N = self.B = self.dN = self.dB = self.tau = None
 
     @classmethod
     def at(cls, curve, t):
@@ -249,11 +274,24 @@ class _CurveJets:
             raise _overflow(t) from None
         return cls(k, curve.scale, t, EPS_REG * curve.scale)
 
-    def _run(self, outputs):
+    def run(self, formulas):
+        """The outputs of the program of ``formulas`` (see _terms) over k;
+        an overflow names t."""
         try:
-            return taped(_frenet, outputs, 4)(self.k)
+            return jet_program(formulas, _ROWS)(*self.k)
         except (OverflowError, ZeroDivisionError):
             raise _overflow(self.t) from None
+
+    def bend(self):
+        """The bundle, its bent fields filled on the first call; raises
+        InflectionPoint where kappa is below the inflection floor."""
+        if self.tau is None:
+            if not self.bent:
+                raise InflectionPoint(self.t)
+            x = self.run(_BENT)
+            self.N, self.B = Vec3(*x[0:3]), Vec3(*x[3:6])
+            self.dN, self.dB, self.tau = x[6:9], x[9:12], x[12]
+        return self
 
     def _ds_vec(self, d):
         """d/ds of a vector whose t-derivative is ``d``."""
@@ -276,54 +314,24 @@ class _CurveJets:
     def eps_inflect(self):
         return EPS_INFLECT / self.scale
 
-    @cached_property
-    def kappa_value(self):
-        """kappa at t; 0.0 where r' x r'' vanishes."""
-        return self._run(_KAPPA)[0] if self.cn_sq > 0.0 else 0.0
-
     @property
     def bent(self):
         """Whether kappa clears the inflection floor, so N, B, tau exist."""
         return self.kappa_value > self.eps_inflect
 
-    def require_bent(self):
-        if not self.bent:
-            raise InflectionPoint(self.t)
-
-    @cached_property
-    def T(self):
-        return Vec3(*self._run(_T))
-
-    @cached_property
+    @property
     def dT_ds(self):
-        return self._ds_vec(self._run(_DT))
+        return self._ds_vec(self.dT)
 
-    @cached_property
     def frame(self):
         """(T, N, B) at t."""
-        self.require_bent()
-        x = self._run(_FRAME)
-        return Vec3(*x[0:3]), Vec3(*x[3:6]), Vec3(*x[6:9])
+        self.bend()
+        return self.T, self.N, self.B
 
     def frame_ds(self):
         """(dT/ds, dN/ds, dB/ds) at t."""
-        self.require_bent()
-        x = self._run(_FRAME_DT)
-        return (self._ds_vec(x[0:3]), self._ds_vec(x[3:6]),
-                self._ds_vec(x[6:9]))
-
-    @cached_property
-    def tau(self):
-        self.require_bent()
-        return self._run(_TAU)[0]
-
-    def vec_coefficients(self, name, n=5):
-        """The first ``n`` t-derivatives of the unit vector ``name`` (T, N
-        or B; T exact through order 3, N and B through 2): x's, then y's,
-        then z's."""
-        if name != "T":
-            self.require_bent()
-        return self._run(_JETS[name, n])
+        self.bend()
+        return tuple(map(self._ds_vec, (self.dT, self.dN, self.dB)))
 
 
 def frenet(curve, t, partial=False):
@@ -338,7 +346,7 @@ def frenet(curve, t, partial=False):
     if partial and not cj.bent:
         return FrenetData(T=cj.T, N=None, B=None, kappa=kap, tau=None,
                           darboux=None)
-    T, N, B = cj.frame
+    T, N, B = cj.frame()
     tau = cj.tau
     return FrenetData(T=T, N=N, B=B, kappa=kap, tau=tau,
                       darboux=T * tau + B * kap)
@@ -348,7 +356,7 @@ def frenet_residuals(curve, t):
     """Norms of the three Frenet-Serret defects at ``t``:
     |dT/ds - kappa N|, |dN/ds - (tau B - kappa T)|, |dB/ds + tau N|."""
     cj = _CurveJets.at(curve, t)
-    T, N, B = cj.frame
+    T, N, B = cj.frame()
     kap = cj.kappa_value
     tau = cj.tau
     dT, dN, dB = cj.frame_ds()
@@ -417,7 +425,7 @@ def reparam_to_arclength(curve):
 
 def osculating_circle(curve, t):
     cj = _CurveJets.at(curve, t)
-    _, N, _ = cj.frame
+    _, N, _ = cj.frame()
     kap = cj.kappa_value
     center = cj.pos + N * (1.0 / kap)
     return OsculatingCircle(center=center, radius=1.0 / kap)
@@ -426,12 +434,12 @@ def osculating_circle(curve, t):
 def osculating_sphere(curve, t):
     """Center r + R_k N + R_t R_k' B; radius sqrt(R_k^2 + (R_t R_k')^2)."""
     cj = _CurveJets.at(curve, t)
-    _, N, B = cj.frame
+    _, N, B = cj.frame()
     tau = cj.tau
     if abs(tau) <= cj.eps_inflect:
         raise ZeroTorsion(f"osculating sphere undefined: tau={tau!r} at t={t!r}")
     r_tau = 1.0 / tau
-    rk, rk_dt = cj._run(_SPHERE)     # radius of curvature and d/dt of it
+    rk, rk_dt = cj.run(_SPHERE)      # radius of curvature and d/dt of it
     rk_prime = rk_dt / cj.sigma[0]   # dR_k/ds
     off = r_tau * rk_prime
     center = cj.pos + N * rk + B * off
@@ -452,7 +460,9 @@ def frenet_lines_and_planes(curve, t):
 
 def classify_curve(curve, n_samples=64, tol=1e-8):
     """Most specific of StraightLine / Planar / Helix / General, judged on
-    Chebyshev-spaced interior samples."""
+    Chebyshev-spaced interior samples.  kappa and tau have units of
+    1/length, so max kappa and max |tau| are judged against ``tol /
+    curve.scale``, and the spread of tau/kappa against ``tol``."""
     pts = curve.chebyshev_points(n_samples)
     kappas, taus, ratios = [], [], []
     for t in pts:
@@ -460,7 +470,7 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
         kap = cj.kappa_value
         kappas.append(kap)
         if cj.bent:
-            tau = cj.tau
+            tau = cj.bend().tau
             taus.append(tau)
             ratios.append(tau / kap)
     max_kappa = max(kappas)
@@ -473,7 +483,7 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
 
     if max_kappa <= tol / curve.scale:
         kind = "StraightLine"
-    elif max_tau <= tol:
+    elif max_tau <= tol / curve.scale:
         kind = "Planar"
     elif ratios and rsd <= tol:
         kind = "Helix"
@@ -486,9 +496,9 @@ def classify_curve(curve, n_samples=64, tol=1e-8):
 def sphericity_residual(curve, t):
     """R_k/R_t + d/ds(R_t dR_k/ds); near zero along spherical curves."""
     cj = _CurveJets.at(curve, t)
-    if abs(cj.tau) <= cj.eps_inflect:
+    if abs(cj.bend().tau) <= cj.eps_inflect:
         raise ZeroTorsion(f"tau vanishes at t={t!r}")
-    rk, rt, inner_dt = cj._run(_SPHERICITY)
+    rk, rt, inner_dt = cj.run(_SPHERICITY)
     return rk / rt + inner_dt / cj.sigma[0]
 
 
@@ -517,7 +527,9 @@ def spherical_indicatrix(curve, which="T"):
 
     def kernel(t):
         cj = _CurveJets(curve.kernel(t), curve.scale, t, EPS_REG * curve.scale)
-        x = cj.vec_coefficients(which)
+        if which != "T" and not cj.bent:
+            raise InflectionPoint(cj.t)
+        x = cj.run(_JETS[which])
         return tuple(zip(x[0:5], x[5:10], x[10:15]))
 
     return ParametricCurve(kernel, curve.domain)
@@ -533,9 +545,9 @@ def indicatrix_kappa_tau(curve, t, which="T"):
     tau_B = (kappa' tau - kappa tau') / (tau (kappa^2 + tau^2)); both are
     cross-checked against the measured indicatrix curves in the tests."""
     cj = _CurveJets.at(curve, t)
-    tau = cj.tau
+    tau = cj.bend().tau
     kap = cj.kappa_value
-    kp, tp = (d / cj.sigma[0] for d in cj._run(_RATES))
+    kp, tp = (d / cj.sigma[0] for d in cj.run(_RATES))
     w = kap * kap + tau * tau
     if which == "T":
         kappa_ind = math.sqrt(w) / kap

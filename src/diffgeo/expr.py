@@ -42,11 +42,13 @@ zero may carry the other sign; '^' keeps one rule of its own
 (``_Recorder.power``).  A shape built from a jet-generic Python function
 (:class:`Recording`) is recorded the same way, its function run once on
 recorded jets, so every shape is evaluated through this code alone.
-:func:`taped` records jet-generic formulas over a position,
-:func:`jet_program` Jet1 arithmetic over float arguments, and
+:func:`jet_program` records Jet1 arithmetic over float arguments, and
 :func:`surface_program` a consumer of a surface kernel after the kernel's
 own records; an ODE field's program carries its fused Dormand-Prince
-attempt.
+attempt.  Jet-generic formulas over a position (a surface's ``_geometry``,
+a curve's ``_frenet``) are recorded once as a tape, whose records a
+program takes in through ``_Recorder.tape``: a tape is read only inside a
+program.
 A parsed definition is immutable and :func:`load_definition` shares it
 per text, so a text is parsed once however many shapes are built from it.
 ``loop`` files (boundary arcs for Gauss-Bonnet) are described at
@@ -72,8 +74,8 @@ from .vectors import Vec3
 __all__ = [
     "Token", "tokenize", "parse", "parse_text", "to_text",
     "ShapeDefinition", "LoopDefinition", "load_definition", "eval_scalar",
-    "eval_literal", "scalar_function", "position_kernel", "taped",
-    "Recording", "recorded",
+    "eval_literal", "scalar_function", "position_kernel", "Recording",
+    "recorded",
 ]
 
 _KEYWORDS = {"curve", "surface", "surfacecurve", "param", "const", "in"}
@@ -459,18 +461,6 @@ def recorded(fn):
     return lambda t: _GENERATED[template, _KERNEL, 4](t)
 
 
-def taped(formulas, outputs, order=2):
-    """Straight-line float code for ``formulas(r)``: jet-generic code over
-    a position jet r (a Vec3) that returns a dict of jets.  The result is
-    the function ``k -> tuple`` that reads the (x, y, z) triples ``k`` of a
-    position kernel and returns, for each ``(name, slot)`` of ``outputs``,
-    coefficient ``slot`` of the jet named ``name``, computed as Jet2
-    computes it, or as Jet1 does at ``order`` 4 (a curve's kernel).  Only
-    the code those outputs need is kept, so ``k`` may stop at order 2 when
-    no output reads r's third partials."""
-    return _GENERATED[None, (_tape_code, formulas, outputs), order]
-
-
 def surface_program(formulas, sizes, shape, curve=None, order=2):
     """``formulas(rec, *args)``, float code over a surface's kernel through
     ``order``, as one straight-line function of ``args``, each a float
@@ -501,7 +491,8 @@ def jet_program(formulas, sizes):
     ``args``, sized as for surface_program.  The formulas are jet-generic
     code over jets that ``rec.jet(*terms)`` builds from float terms; they
     run once, and their Jet1 arithmetic is recorded (order 4), so each value
-    and error equals Jet1's.  Made once per formulas."""
+    and error equals Jet1's; ``rec.tape`` takes in a position tape's Jet1
+    records.  Made once per formulas."""
     return _GENERATED[None, (_program_code, formulas, sizes), 4][0]
 
 
@@ -561,19 +552,6 @@ def _recording(template, order, formulas):
         5 if rec.univariate else 10))) for c in "xyz"))
     named = {name: jet.c for name, jet in formulas(r).items()}
     return tuple(rec.records), named
-
-
-def _tape_code(template, order, formulas, outputs):
-    """The function of taped: the records of the tape that the outputs
-    read, after an unpacking of each slot of ``_k`` that they read."""
-    records, named = _GENERATED[None, (_recording, formulas), order]
-    terms = tuple(named[name][slot] for name, slot in outputs)
-    records = tuple(((f"_r{i}x", f"_r{i}y", f"_r{i}z"), f"_k[{i}]", ())
-                    for i in range(5 if order == 4 else 10)) + records
-    body = [records[i] for i in _live(records, terms)]
-    return _compile(["def _program(_k):",
-                     *_body(body + [_source(terms, "return ")], order)],
-                    "<tape>")["_program"]
 
 
 def _program_code(template, order, formulas, sizes):
@@ -749,7 +727,8 @@ class _Recorder:
     ``(targets, op, operands)`` that assign each local once (a statement
     assigns none), ``op`` the source with a ``{}`` for each operand.  Equal
     (op, operands) are recorded once.  A surface program's formulas read
-    the surface through ``kernel``, ``tape``, ``check`` and ``curve``."""
+    the surface through ``kernel``, ``check`` and ``curve``, and any
+    program's formulas a position tape through ``tape``."""
 
     def __init__(self, order, params=(), constants=(), jets=False,
                  local="_t"):
@@ -1086,11 +1065,13 @@ class _Recorder:
     def tape(self, formulas, outputs, k):
         """The records of the tape of ``formulas`` that ``outputs`` read,
         each position slot _r<i><c> replaced by the term of ``k`` it names,
-        and each recorded once.  A record that cannot change a bit is
-        folded, its local replaced by its term: a sum, product or negation
-        of literals, computed here by the same float operation, and x * 1.0
-        or 1.0 * x, which is x."""
-        records, named = _GENERATED[None, (_recording, formulas), 2]
+        and each recorded once: the Jet1 tape (a curve's five triples) in a
+        univariate program, else the Jet2 tape (a surface's triples).  A
+        record that cannot change a bit is folded, its local replaced by its
+        term: a sum, product or negation of literals, computed here by the
+        same float operation, and x * 1.0 or 1.0 * x, which is x."""
+        records, named = _GENERATED[None, (_recording, formulas),
+                                    4 if self.univariate else 2]
         term = {f"_r{i}{c}": t.c for i, row in enumerate(k)
                 for c, t in zip("xyz", row)}
         terms = [named[name][s] for name, s in outputs]

@@ -944,25 +944,24 @@ def bonnet_torsion_check(sc, t):
     tau_g = tau + dphi/ds; the unsigned-arccos statement of the formula
     matches after orienting the angle."""
     p, k, cj = _composite(sc, t)
-    N = cj.vec_coefficients("N", 2)     # exact through order 1 suffices
-    T = cj.vec_coefficients("T", 2)
+    cj.bend()
     split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(
             f"Bonnet formula does not apply along asymptotic direction "
             f"at t={t!r}")
-    dphi_ds = jet_program(_bonnet_angle, (3, 6, 2, 6, 6))(
-        tuple(p.n), p.dn, k[1], N, T) / cj.sigma[0]
+    dphi_ds = jet_program(_bonnet_angle, (3, 6, 2, 3, 3, 3, 3))(
+        tuple(p.n), p.dn, k[1], cj.N, cj.dN, cj.T, cj.dT) / cj.sigma[0]
     tau_g = _geodesic_torsion(p, k, cj)
     return tau_g - (cj.tau + dphi_ds)
 
 
-def _bonnet_angle(rec, n, dn, velocity, N, T):
+def _bonnet_angle(rec, n, dn, velocity, N, dN, T, dT):
     """d/dt of the signed angle phi = atan2(N.u, N.n) of the principal
     normal N in the (n, u) frame, u = n x T the geodesic normal, along the
-    curve, as Jet1 computes it from n, dn/du, dn/dv, (u', v') and the
-    coefficients 0 and 1 of N and T (x's, then y's, then z's)."""
+    curve, as Jet1 computes it from n, dn/du, dn/dv, (u', v'), and N and T
+    with their t-derivatives (exact through order 1 suffices)."""
     n_t = _normal_along_curve(rec, n, dn, *velocity)
-    N, T = (Vec3(*(rec.jet(*w[i:i + 2]) for i in (0, 2, 4))) for w in (N, T))
+    N, T = (Vec3(*map(rec.jet, w, dw)) for w, dw in ((N, dN), (T, dT)))
     u_t = n_t.cross(T)
     return _turning_rate(n_t.dot(N), u_t.dot(N))

@@ -207,10 +207,10 @@ class CurvatureData(Row):
 
 def _geometry(r):
     """The pointwise geometry of the position jet ``r``, written once over
-    jets: expr.taped records its Jet2 arithmetic as float code (so each
-    value equals the Jet2 coefficient it stands for).  Exactness: with r
-    through total order 3, the metric is exact to order 2, the normal to
-    order 2, b and Gamma to order 1."""
+    jets: a program's ``rec.tape`` records its Jet2 arithmetic as float
+    code (so each value equals the Jet2 coefficient it stands for).
+    Exactness: with r through total order 3, the metric is exact to order
+    2, the normal to order 2, b and Gamma to order 1."""
     E1, E2 = r.du(), r.dv()
     E, F, G = E1.dot(E1), E1.dot(E2), E2.dot(E2)
     cross = E1.cross(E2)

@@ -12,10 +12,10 @@ generated."""
 import math
 from functools import cached_property
 
-from diffgeo import jets
+from diffgeo import expr, jets
 from diffgeo.curves import _CurveJets
 from diffgeo.errors import AsymptoticPoint, NonOrthogonalPatch, UmbilicPoint
-from diffgeo.expr import position_kernel, taped
+from diffgeo.expr import position_kernel
 from diffgeo.interpolate import HermiteChannel
 from diffgeo.jets import Jet1, Jet2
 from diffgeo.surfacecurves import _geodesic_rhs, _split
@@ -27,6 +27,30 @@ from diffgeo.surfaces import (_DN, _GAMMA2, _METRIC, _NORMAL, _PARTIALS,
                               _metric_unit, _normal_curvature, _overflow,
                               _scaled_defect)
 from diffgeo.vectors import Vec3
+
+
+def _tape_code(template, order, formulas, outputs):
+    """A standalone tape: the records of the Jet2 tape of ``formulas``
+    that ``outputs`` read, after an unpacking of each triple of ``_k``."""
+    records, named = expr._GENERATED[None, (expr._recording, formulas),
+                                     order]
+    terms = tuple(named[name][slot] for name, slot in outputs)
+    records = tuple(((f"_r{i}x", f"_r{i}y", f"_r{i}z"), f"_k[{i}]", ())
+                    for i in range(10)) + records
+    body = [records[i] for i in expr._live(records, terms)]
+    return expr._compile(["def _program(_k):", *expr._body(
+        body + [expr._source(terms, "return ")], order)],
+        "<tape>")["_program"]
+
+
+def taped(formulas, outputs):
+    """The function ``k -> tuple`` that reads the (x, y, z) triples ``k``
+    of a surface kernel and returns, for each ``(name, slot)`` of
+    ``outputs``, coefficient ``slot`` of the jet named ``name`` of
+    ``formulas(r)``, computed as Jet2 computes it: straight-line code made
+    from ``expr``'s recorder and printer, run on its own, as no program
+    of the library runs a tape."""
+    return expr._GENERATED[None, (_tape_code, formulas, outputs), 2]
 
 
 def coefficients(pos):
@@ -349,11 +373,10 @@ def geodesic_path_uv(path):
     return lambda t: (cu(t), cv(t))
 
 
-def _vec_jet(cj, name, n):
-    """The first ``n`` t-derivatives of the Frenet vector ``name`` as a
-    Vec3 of Jet1, the rest of each jet zero."""
-    x = cj.vec_coefficients(name, n)
-    return Vec3(*(Jet1(*x[i:i + n]) for i in (0, n, 2 * n)))
+def _vec_jet(vec, dvec):
+    """A Frenet vector and its t-derivative as a Vec3 of Jet1, the rest
+    of each jet zero."""
+    return Vec3(*map(Jet1, vec, dvec))
 
 
 def point_jets(sc, t):
@@ -455,8 +478,9 @@ def liouville_check(sc, t):
 
 def bonnet_torsion_check(sc, t):
     p, uj, vj, cj = composite_jets(sc, t)
-    N = _vec_jet(cj, "N", 2)
-    T = _vec_jet(cj, "T", 2)
+    cj.bend()
+    N = _vec_jet(cj.N, cj.dN)
+    T = _vec_jet(cj.T, cj.dT)
     split = _split(p, cj)
     if abs(split.kappa_n) <= 1e-9 * max(1.0, split.kappa):
         raise AsymptoticPoint(

@@ -240,6 +240,32 @@ class TestTinySurfaces:
         assert code == 0
 
 
+class TestHugeCurves:
+    """A curve whose |r'|^2 or |r' x r''|^2 overflows is neither singular
+    nor straight: each command names t and exits 3, with no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--shape", "helix", "--param", "a=1e100", "--param",
+         "b=5e99", "--at", "1.0", "--quantity", "frenet"],
+        ["eval", "--shape", "helix", "--param", "a=1e100", "--param",
+         "b=5e99", "--grid", "4", "--quantity", "class"],
+        ["verify", "--shape", "helix", "--param", "a=2e154", "--seed", "1",
+         "--samples", "3"],
+        ["eval", "--shape", "helix", "--param", "a=2e154", "--at", "1.0",
+         "--quantity", "frenet"],
+        ["eval", "--shape", "helix", "--param", "a=1e200", "--param",
+         "b=1e200", "--at", "1.0", "--quantity", "kappa"],
+    ], ids=["frenet", "class", "verify", "speed-frenet", "speed-kappa"])
+    def test_named_overflow(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert re.search(r"OverflowError: curve jets overflow at t=\S+$",
+                         err.splitlines()[0])
+
+
+
 class TestParser:
     def test_built_once_reading_the_tolerance_each_run(self, capsys,
                                                          monkeypatch):

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from diffgeo import catalog
+from diffgeo import catalog, curves
 from diffgeo import jets as J
 from diffgeo.curves import (ParametricCurve, arc_length, classify_curve,
                             frenet, frenet_lines_and_planes, frenet_residuals,
@@ -21,6 +21,9 @@ from diffgeo.curves import _CurveJets
 from diffgeo.errors import (DomainError, InflectionPoint, NonOrthonormalSeed,
                             SingularPoint, ZeroTorsion)
 from diffgeo.jets import Jet1
+from diffgeo.surfacecurves import (SurfaceCurve, _kappa_g_dt,
+                                   bonnet_torsion_check, curvature_split,
+                                   geodesic_torsion)
 from diffgeo.vectors import Vec3
 
 from reference import coefficients
@@ -254,6 +257,14 @@ class TestClassification:
     def test_general(self):
         assert classify_curve(SPIRAL).kind == "General"
 
+    @pytest.mark.parametrize("size", [1e3, 1e4, 1e6, 1e8, 1e50])
+    def test_helix_at_any_scale(self, size):
+        # tau has units of 1/length: it is judged against tol / scale
+        helix = catalog.make("helix", a=size, b=size)
+        cls = classify_curve(helix)
+        assert cls.kind == "Helix"
+        assert cls.max_abs_tau == pytest.approx(0.5 / size, rel=1e-9)
+
     def test_singular_sample_reported(self):
         c = ParametricCurve(
             jet_kernel(lambda t: Vec3(t * t, t * t * t, t * 0.0)), (-1, 1))
@@ -261,6 +272,63 @@ class TestClassification:
         with pytest.raises(SingularPoint) as exc:
             classify_curve(c, n_samples=65)
         assert abs(exc.value.t) < 1e-9
+
+
+class TestBundleCalls:
+    """A curve bundle runs its construction program once, and its bent
+    program at most once, on the first read of N, B or tau: no CLI path
+    makes more than two program calls per bundle."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Log the name of each program call that a bundle makes."""
+        calls, real = [], curves.jet_program
+
+        def counted(formulas, sizes):
+            fn = real(formulas, sizes)
+            return lambda *args: calls.append(formulas.__name__) or fn(*args)
+
+        monkeypatch.setattr(curves, "jet_program", counted)
+        return calls
+
+    def test_curve_paths(self, monkeypatch):
+        assert HELIX.scale > 0.0    # the cached scale probe is not counted
+        calls = self._counted(monkeypatch)
+        cj = _CurveJets.at(HELIX, 1.0)
+        assert calls == ["_speed_terms"]
+        cj.frame()
+        cj.frame_ds()
+        assert cj.bend().tau == cj.tau
+        assert calls == ["_speed_terms", "_bent_terms"]
+        for fn in (frenet, frenet_residuals):
+            del calls[:]
+            fn(HELIX, 1.0)
+            assert calls == ["_speed_terms", "_bent_terms"], fn.__name__
+        del calls[:]
+        frenet(LINE, 0.5, partial=True)
+        assert calls == ["_speed_terms"]
+
+    def test_classify_curve(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        classify_curve(HELIX)
+        assert calls == ["_speed_terms", "_bent_terms"] * 64
+        del calls[:]
+        classify_curve(LINE)
+        assert calls == ["_speed_terms"] * 64
+
+    def test_surface_curve_paths(self, monkeypatch):
+        sphere = catalog.make("sphere")
+        lat = SurfaceCurve.const_v(sphere, math.pi / 6)
+        assert sphere.scale > 0.0
+        calls = self._counted(monkeypatch)
+        for fn, want in ((curvature_split, ["_speed_terms"]),
+                         (geodesic_torsion, ["_speed_terms"]),
+                         (_kappa_g_dt, ["_speed_terms"]),
+                         (bonnet_torsion_check,
+                          ["_speed_terms", "_bent_terms"])):
+            del calls[:]
+            fn(lat, 1.0)
+            assert calls == want, fn.__name__
 
 
 class TestSphericalCurves:

@@ -3,6 +3,7 @@ coefficient triples) against a Jet1 reference copy of the same formulas:
 every quantity equal bit for bit (signed zeros included), every error
 matched by type and message."""
 
+import math
 import random
 import re
 import zlib
@@ -11,7 +12,7 @@ from functools import cached_property
 import pytest
 
 from diffgeo import catalog, jets
-from diffgeo.curves import (EPS_INFLECT, EPS_REG, _RATES, _SPHERE,
+from diffgeo.curves import (EPS_INFLECT, EPS_REG, _JETS, _RATES, _SPHERE,
                             _SPHERICITY, ParametricCurve,
                             _CurveJets, jet_kernel, reconstruct_from_kappa_tau,
                             reparam_to_arclength, spherical_indicatrix)
@@ -31,7 +32,8 @@ SURFACES = [n for n in catalog.names() if catalog.entry(n).kind == "surface"]
 
 class _JetCurveJets:
     """The Frenet apparatus as Jet1 arithmetic on the position jet ``pos``:
-    the reference the generated code must reproduce."""
+    the reference the generated code must reproduce.  A non-finite |r'|^2
+    or |r' x r''|^2 is an overflow, named at t."""
 
     def __init__(self, pos, scale, t, min_speed=0.0):
         self.t = float(t)
@@ -40,9 +42,13 @@ class _JetCurveJets:
         self.rd = pos.derivative()
         self.rdd = self.rd.derivative()
         sig_sq = self.rd.norm_sq()
+        if not sig_sq.value < math.inf:
+            raise OverflowError(f"curve jets overflow at t={self.t!r}")
         if sig_sq.value <= min_speed * min_speed:
             raise SingularPoint(t)
         self.sigma = jets.sqrt(sig_sq)
+        if not self.C.norm_sq().value < math.inf:
+            raise OverflowError(f"curve jets overflow at t={self.t!r}")
 
     @cached_property
     def T(self):
@@ -134,10 +140,17 @@ def _reference_queries(r):
 
 
 def _float_queries(cj):
-    """The same pairs over the float bundle ``cj``."""
+    """The same pairs over the float bundle ``cj``: its fields, and the
+    programs that no CLI path runs."""
     def jet(which, n):
-        x = cj.vec_coefficients(which, n)
-        return tuple(x[i:i + n] for i in (0, n, 2 * n))
+        if which != "T":
+            cj.bend()   # InflectionPoint below the floor
+        if n == 5:
+            x = cj.run(_JETS[which])
+            return tuple(x[i:i + 5] for i in (0, 5, 10))
+        vec, dvec = {"T": (cj.T, cj.dT), "N": (cj.N, cj.dN),
+                     "B": (cj.B, cj.dB)}[which]
+        return tuple(zip(vec, dvec))
 
     return [
         ("sigma", lambda: cj.sigma),
@@ -145,12 +158,12 @@ def _float_queries(cj):
         ("bent", lambda: cj.bent),
         ("T", lambda: cj.T),
         ("dT_ds", lambda: cj.dT_ds),
-        ("frame", lambda: cj.frame),
-        ("tau", lambda: cj.tau),
+        ("frame", cj.frame),
+        ("tau", lambda: cj.bend().tau),
         ("frame_ds", cj.frame_ds),
-        ("rates", _bent_only(cj, lambda: cj._run(_RATES))),
-        ("sphere", _bent_only(cj, lambda: cj._run(_SPHERE))),
-        ("sphericity", _bent_only(cj, lambda: cj._run(_SPHERICITY))),
+        ("rates", _bent_only(cj, lambda: cj.run(_RATES))),
+        ("sphere", _bent_only(cj, lambda: cj.run(_SPHERE))),
+        ("sphericity", _bent_only(cj, lambda: cj.run(_SPHERICITY))),
         *((f"jet {w} {n}", lambda w=w, n=n: jet(w, n))
           for w in "TNB" for n in (2, 5)),
     ]
