@@ -198,9 +198,7 @@ def _vec(v):
     return [v.x, v.y, v.z]
 
 
-def _eval_curve_quantity(shape, t, q, kind_of):
-    if q == "class":
-        return kind_of()
+def _eval_curve_quantity(shape, t, q):
     fd = frenet(shape, t)
     if q == "kappa":
         return fd.kappa
@@ -212,25 +210,6 @@ def _eval_curve_quantity(shape, t, q, kind_of):
                 "darboux": _vec(fd.darboux)}
     raise DiffGeoError(f"unknown curve quantity {q!r}; "
                        f"choose from {_CURVE_QUANTITIES}")
-
-
-def _once(fn):
-    """``fn`` called on first use only: later calls return its value, or
-    raise its error, again (a curve's class does not depend on t)."""
-    done = []
-
-    def once():
-        if not done:
-            try:
-                done.append((fn(), None))
-            except (DiffGeoError, OverflowError) as exc:
-                done.append((None, exc))
-        value, exc = done[0]
-        if exc is not None:
-            raise exc.with_traceback(None)
-        return value
-
-    return once
 
 
 def _eval_surface_quantity(shape, u, v, q):
@@ -316,15 +295,26 @@ def cmd_eval(args):
     if not points:
         raise _Usage("give --at or --grid")
 
+    # a curve's class is the whole curve's: judged once, and an error in
+    # it reported once, in the summary
+    curve_class = class_error = None
+    if kind == "curve" and "class" in quantities:
+        try:
+            curve_class = classify_curve(shape).kind
+        except (DiffGeoError, OverflowError) as exc:
+            class_error = rep.summary["class_error"] = (
+                f"{type(exc).__name__}: {exc}")
+            quantities.remove("class")
     failed = None
-    kind_of = _once(lambda: classify_curve(shape).kind)
     for pt in points:
         for q in quantities:
             try:
-                if kind == "curve":
-                    val = _eval_curve_quantity(shape, pt[0], q, kind_of)
-                else:
+                if kind == "surface":
                     val = _eval_surface_quantity(shape, pt[0], pt[1], q)
+                elif q == "class":
+                    val = curve_class
+                else:
+                    val = _eval_curve_quantity(shape, pt[0], q)
                 rep.add_record(list(pt), q, val)
             except (DiffGeoError, OverflowError) as exc:
                 status = f"{type(exc).__name__}: {exc}"
@@ -335,11 +325,13 @@ def cmd_eval(args):
     for rec in rep.records:
         print(f"  {rec['point']} {rec['quantity']} = {rec['value']}"
               + ("" if rec["status"] == "ok" else f"  [{rec['status']}]"))
+    if class_error is not None:
+        print(f"error for the whole curve (class): {class_error}",
+              file=sys.stderr)
     if failed is not None:
         print(f"error at point {failed[0]} ({failed[1]}): {failed[2]}",
               file=sys.stderr)
-        return _EXIT_EVAL
-    return 0
+    return _EXIT_EVAL if class_error or failed else 0
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,10 @@ integral value below 1e16 in magnitude prints as ``repr`` does (``2.0``,
 lowercase exponent), and NaN or an infinity raises ValueError.  So
 identical invocations produce byte-identical files.  Wall-clock timing is
 deliberately kept out of the JSON payload for the same reason; it goes to
-stderr instead.  Files are written to a temp name and atomically renamed;
-they get the mode that ``open`` would give them (0o666 less the umask).
+stderr instead.  Strings write control characters and surrogates as
+``\\uXXXX``, so any name, text parameter or file path loads back.  Files
+are written as UTF-8 to a temp name and atomically renamed; they get the
+mode that ``open`` would give them (0o666 less the umask).
 """
 
 import itertools
@@ -30,7 +32,19 @@ def format_float(x):
 
 
 def _string(text):
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if text.isidentifier():     # most keys and words: nothing to escape
+        return '"' + text + '"'
+    if text.isprintable():      # no control character or surrogate
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _escape(c):
+    """``c`` in a JSON string: a quote or backslash escaped, a control
+    character or a (lone) surrogate as \\uXXXX (RFC 8259, section 7)."""
+    if c < " " or "\ud800" <= c <= "\udfff":
+        return f"\\u{ord(c):04x}"
+    return "\\" + c if c in '"\\' else c
 
 
 def _scalar(obj):
@@ -111,7 +125,7 @@ def _atomic_write(path, text):
             continue
         break
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -5,10 +5,11 @@ Bonnet checks, and the local/global Gauss-Bonnet budgets.
 
 A surface curve is a parameter-plane path t -> (u(t), v(t)) over a host
 surface, given by its float kernel: the Taylor coefficients of u and v at
-t, as five rows (u_k, v_k).  The built-in lines and parabolas write them
-directly, 'surfacecurve' definitions and loop arcs run generated order-4
-code, and Hermite paths (geodesics, asymptotic lines) read their
-quintics.  A jet-generic Python function of t makes a kernel through
+t, as five rows (u_k, v_k), from generated order-4 code: the built-in
+sweeps, lines and parabolas run one kernel per kind, bound to each
+curve's constants, 'surfacecurve' definitions and loop arcs their own,
+and Hermite paths (geodesics, asymptotic lines) read their quintics.  A
+jet-generic Python function of t makes a kernel through
 :func:`jet_kernel`, recorded once as generated code, as a definition is.
 The surface's composite kernel, order-4 code
 generated per surface template with those rows as jet inputs, carries
@@ -30,14 +31,15 @@ from .errors import (AsymptoticPoint, DegenerateMultiplicity,
                      MaxStepsExceeded, NoConvergence, NonOrthogonalPatch,
                      NoUniqueConjugate, OpenLoop, SingularSurfacePoint,
                      StepUnderflow, UmbilicPoint, ZeroVector)
-from .expr import jet_program, position_kernel, recorded
+from .expr import (_GENERATED, _KERNEL, _bind, jet_program, parse_text,
+                   position_kernel, recorded)
 from .interpolate import HermiteChannel, taylor_kernel
 from .ode import OdeSpec, linspace, ode_solve
 from .quadrature import QuadSpec, quad_adaptive
 from .records import Record
-from .surfaces import (_curvatures, _metric_dot, _metric_unit,
-                       _normal_curvature, _overflow, _point, _regular,
-                       metric_and_gamma, total_curvature)
+from .surfaces import (_METRIC, _curvatures, _geometry, _metric_dot,
+                       _metric_unit, _normal_curvature, _overflow, _point,
+                       _regular, metric_and_gamma, total_curvature)
 from .vectors import Vec3
 
 __all__ = [
@@ -63,7 +65,8 @@ class SurfaceCurve:
     """t -> (u(t), v(t)) on a host surface, given by its float kernel.
 
     ``kernel(t)`` gives, at a float t, the five rows (u_k, v_k) of the
-    curve's Taylor coefficients (plain derivatives, k = 0..4).  A
+    curve's Taylor coefficients (plain derivatives, k = 0..4); a built-in
+    curve's is its kind's generated kernel, bound to its constants.  A
     jet-generic Python function of t makes a kernel through
     :func:`jet_kernel`.
     """
@@ -76,38 +79,27 @@ class SurfaceCurve:
     @staticmethod
     def const_v(surface, v0):
         """The u-coordinate sweep at fixed v (a latitude-style loop)."""
-        def kernel(t):
-            t = float(t)
-            return tuple(zip((t, 1.0, 0.0, 0.0, 0.0), _line(v0, 0.0, t)))
-
-        return SurfaceCurve(surface, kernel, surface.domain[0:2])
+        return SurfaceCurve(surface, _builtin(_CONST_V, v0),
+                            surface.domain[0:2])
 
     @staticmethod
     def const_u(surface, u0):
         """The v-coordinate sweep at fixed u (a meridian-style loop)."""
-        def kernel(t):
-            t = float(t)
-            return tuple(zip(_line(u0, 0.0, t), (t, 1.0, 0.0, 0.0, 0.0)))
-
-        return SurfaceCurve(surface, kernel, surface.domain[2:4])
+        return SurfaceCurve(surface, _builtin(_CONST_U, u0),
+                            surface.domain[2:4])
 
     @staticmethod
     def straight(surface, p0, direction, domain=(0.0, 1.0)):
         """Parameter-space straight line p0 + t * direction."""
-        def kernel(t):
-            return tuple(zip(_line(p0[0], direction[0], t),
-                             _line(p0[1], direction[1], t)))
-
-        return SurfaceCurve(surface, kernel, domain)
+        return SurfaceCurve(surface, _builtin(
+            _STRAIGHT, p0[0], direction[0], p0[1], direction[1]), domain)
 
     @staticmethod
     def quadratic(surface, p0, direction, bend, domain):
         """Parameter-space parabola p0 + t * direction + t^2 * bend."""
-        def kernel(t):
-            return tuple(zip(_quadratic(p0[0], direction[0], bend[0], t),
-                             _quadratic(p0[1], direction[1], bend[1], t)))
-
-        return SurfaceCurve(surface, kernel, domain)
+        return SurfaceCurve(surface, _builtin(
+            _QUADRATIC, p0[0], direction[0], bend[0], p0[1], direction[1],
+            bend[1]), domain)
 
     @staticmethod
     def of_definition(surface, definition):
@@ -135,24 +127,20 @@ def jet_kernel(uv):
     return recorded(uv)
 
 
-def _line(p, d, t):
-    """The coefficients of p + t * d for the Jet1 variable t, rounded as
-    Jet1 rounds them (zeros and their signs included); with d = 0.0, those
-    of t * 0.0 + p."""
-    z = t * 0.0
-    h = 0.0 * d + 0.0 + z
-    return t * d + p, d + z + 0.0, h, h, h
+# the built-in curves, one order-4 kernel per kind, generated once per
+# process: each curve binds its own constants
+_T, _C = parse_text("t"), parse_text("t*0.0 + c")
+_CONST_V, _CONST_U = ((_T, _C), ("t",), ("c",)), ((_C, _T), ("t",), ("c",))
+_STRAIGHT = (tuple(parse_text(f"p{j} + t*d{j}") for j in "01"), ("t",),
+             ("p0", "d0", "p1", "d1"))
+_QUADRATIC = (tuple(parse_text(f"p{j} + d{j}*t + a{j}*t*t") for j in "01"),
+              ("t",), ("p0", "d0", "a0", "p1", "d1", "a1"))
 
 
-def _quadratic(p, d, q, t):
-    """The same for p + d * t + q * t * t: the line plus the Jet1 product
-    of q t (c) with the variable t, written out term by term."""
-    z = t * 0.0
-    c0, c1, c2 = t * q, q + z, 0.0 * q + 0.0 + z      # q t
-    return tuple(a + b for a, b in zip(_line(p, d, t), (
-        c0 * t, c1 * t + c0, c2 * t + 2.0 * c1 + c0 * 0.0,
-        c2 * t + 3.0 * c2 + 3.0 * c1 * 0.0 + c0 * 0.0,
-        c2 * t + 4.0 * c2 + 6.0 * c2 * 0.0 + 4.0 * c1 * 0.0 + c0 * 0.0)))
+def _builtin(template, *constants):
+    """The kernel of a built-in curve: the code of ``template`` bound to
+    ``constants`` (floats)."""
+    return _bind(_GENERATED[template, _KERNEL, 4], *map(float, constants))
 
 
 def _field_along_curve(rec, f, fu, fv, du, dv):
@@ -333,12 +321,12 @@ def _accel(rec, u, v, X, Y):
     tangent projection (do Carmo, *Differential Geometry of Curves and
     Surfaces*, 4-3): with w = r_ij X^i Y^j, Gamma^k_ij X^i Y^j is
     g^kl <r_l, w>, so one 3-vector, two dot products and the 2x2 solve by
-    the inverse metric, from the order-2 kernel triples alone."""
-    ru, rv, ruu, ruv, rvv = (Vec3(*r)
-                             for r in rec.kernel(u, v, _overflow)[1:])
-    E, F, G = ru.dot(ru), ru.dot(rv), rv.dot(rv)
-    a = E * G - F * F
+    the inverse metric; E, F, G and a are the _METRIC tape's, as in
+    ``metric_and_gamma``."""
+    k = rec.kernel(u, v, _overflow)
+    E, F, G, a, _ = rec.tape(_geometry, _METRIC, k)
     _regular(rec, a, E + G, u, v)
+    ru, rv, ruu, ruv, rvv = (Vec3(*r) for r in k[1:])
     w = (ruu * (X[0] * Y[0]) + ruv * (X[0] * Y[1] + X[1] * Y[0])
          + rvv * (X[1] * Y[1]))
     p, q = ru.dot(w), rv.dot(w)

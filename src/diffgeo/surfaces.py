@@ -20,11 +20,12 @@ beyond the normal's.  The curvatures and the identity terms are filled in
 on first read.  The identity checks read one program over the order-3
 kernel (``_identity_terms``, third derivatives exact), run once per
 bundle, and fold its sides and terms into scaled defects over floats.
-The solvers' inner loops read no bundle: the tangent projection of
-``surfacecurves._accel`` under the geodesic and transport fields,
-``_metric_terms`` (E, F, G, a and ``_christoffel2``) under
-``metric_and_gamma``, and ``_normal_terms`` under the ``surface_area``
-and ``total_curvature`` integrands, which equal the bundle's values.  A
+The solvers' inner loops read no bundle but the same tapes: the _METRIC
+tape and ``surfacecurves._accel``'s tangent projection under the geodesic
+and transport fields, ``_metric_terms`` (the _METRIC and _PARTIALS tapes,
+``_christoffel2`` over them) under ``metric_and_gamma``, and
+``_normal_terms`` under the ``surface_area`` and ``total_curvature``
+integrands, which equal the bundle's values.  A
 program's regularity checks are comparisons written into it
 (``_regular``); only a point that fails one calls ``_check_regular``,
 which raises.  An OverflowError in a program, or a ZeroDivisionError (a
@@ -57,8 +58,8 @@ __all__ = [
 EPS_REG = 1e-12   # times E + G: regularity floor for |E1 x E2|
 EPS_UMB = 1e-10   # relative umbilic threshold on H^2 - K
 EPS_DOMAIN = 1e-12  # slack on the non-periodic sides of the domain
-# point bundles a surface keeps: twice the 40 sample points of a default
-# verify table
+# point bundles a surface keeps at least: twice the 40 sample points of a
+# default verify table (a larger one keeps twice its own)
 _N_POINTS = 80
 
 class ParametricSurface:
@@ -83,6 +84,7 @@ class ParametricSurface:
         self._shape = (Recording(evaluator, ("u", "v")) if definition is None
                        else definition)
         self._points = {}   # _point's store: key -> bundle, oldest first
+        self._kept = _N_POINTS      # the most bundles the store holds
         self._programs = {}
 
     @cached_property
@@ -277,7 +279,7 @@ class _SurfacePoint:
 
 def _point(surface, u, v):
     """The _SurfacePoint of ``surface`` at (u, v), from the surface's store
-    of its last _N_POINTS bundles, keyed by the exact point (signed zeros
+    of its last ``_kept`` bundles, keyed by the exact point (signed zeros
     told apart).  A point not in the store is built and stored, the oldest
     evicted first, so the last point is always kept.  Pointwise checks,
     ``verify`` above all, ask for each point many times."""
@@ -287,7 +289,7 @@ def _point(surface, u, v):
     p = store.get(key)
     if p is None:
         p = _SurfacePoint(surface, u, v)
-        if len(store) == _N_POINTS:
+        if len(store) >= surface._kept:
             del store[next(iter(store))]
         store[key] = p
     return p
@@ -346,24 +348,15 @@ class MetricData(Row):
 
 def _metric_terms(rec, u, v):
     """E, F, G, a and the second-kind Christoffel values at the regular
-    point (u, v), from the order-2 kernel triples alone (no normal, no
-    jets): float formulas recorded into a surface program (``rec``, see
-    ``ParametricSurface.program``), in the order of sums that the solver
-    goldens were made with."""
-    (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-     (xvv, yvv, zvv)) = rec.kernel(u, v, _overflow)
-    E = xu * xu + yu * yu + zu * zu
-    F = xu * xv + yu * yv + zu * zv
-    G = xv * xv + yv * yv + zv * zv
-    a = E * G - F * F
+    point (u, v), recorded into a surface program (``rec``, see
+    ``ParametricSurface.program``): the _METRIC tape, the check of a, the
+    _PARTIALS tape and ``_christoffel2`` over those floats, as the point
+    bundle computes them, with no normal."""
+    k = rec.kernel(u, v, _overflow)
+    E, F, G, a, _ = rec.tape(_geometry, _METRIC, k)
     _regular(rec, a, E + G, u, v)
-    Eu = 2.0 * (xu * xuu + yu * yuu + zu * zuu)
-    Ev = 2.0 * (xu * xuv + yu * yuv + zu * zuv)
-    Fu = (xuu * xv + yuu * yv + zuu * zv) + (xu * xuv + yu * yuv + zu * zuv)
-    Fv = (xuv * xv + yuv * yv + zuv * zv) + (xu * xvv + yu * yvv + zu * zvv)
-    Gu = 2.0 * (xv * xuv + yv * yuv + zv * zuv)
-    Gv = 2.0 * (xv * xvv + yv * yvv + zv * zvv)
-    return E, F, G, a, _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a)
+    return E, F, G, a, _christoffel2(E, F, G,
+                                     *rec.tape(_geometry, _PARTIALS, k), a)
 
 
 def _normal_terms(rec, u, v):

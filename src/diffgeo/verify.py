@@ -134,6 +134,9 @@ def surface_suites(shape, rng, n, rect):
     """The rows for a surface, at ``n`` points of ``rect`` drawn by ``rng``."""
     pts = [(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
            for _ in range(n)]
+    # each row walks the points in turn: a store of fewer bundles than
+    # points, first in first out, would miss at every point of every row
+    shape._kept = max(shape._kept, 2 * n)
 
     def directed(fallback):
         """A quarter of the points, each with a random direction; a

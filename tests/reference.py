@@ -1,6 +1,7 @@
 """The point bundle as it was built before the point program (lazy tapes
-over one kernel call, the regularity checks in Python), the solver fields
-and integrands as plain Python over the surface's kernel and that bundle,
+over one kernel call, the regularity checks in Python), the metric and
+Christoffel values over its tapes, the solver fields and integrands as
+plain Python over the surface's kernel and that bundle,
 the four identity checks as Vec3 and float arithmetic over the bundle and
 the order-3 kernel's terms, and the surface-curve checks as Jet1
 arithmetic over a curve's Jet1 form (:class:`JetCurve`) and the surface's
@@ -143,24 +144,20 @@ class SurfacePoint:
 
 def metric_gamma(kernel, u, v):
     """E, F, G, a and the second-kind Christoffel values from one call of
-    an order-2 ``kernel``."""
+    an order-2 ``kernel``, as the point bundle computes them: the _METRIC
+    tape, the check of a alone (there is no normal), the _PARTIALS tape and
+    ``_christoffel2`` over the tapes' floats."""
     try:
-        (_, (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = kernel(u, v)
+        k = kernel(u, v)
+        E, F, G, a, _ = taped(_geometry, _METRIC)(k)
     except OverflowError:
         raise _overflow(u, v) from None
-    E = xu * xu + yu * yu + zu * zu
-    F = xu * xv + yu * yv + zu * zv
-    G = xv * xv + yv * yv + zv * zv
-    a = E * G - F * F
     _check_regular(a, E + G, u, v)
-    Eu = 2.0 * (xu * xuu + yu * yuu + zu * zuu)
-    Ev = 2.0 * (xu * xuv + yu * yuv + zu * zuv)
-    Fu = (xuu * xv + yuu * yv + zuu * zv) + (xu * xuv + yu * yuv + zu * zuv)
-    Fv = (xuv * xv + yuv * yv + zuv * zv) + (xu * xvv + yu * yvv + zu * zvv)
-    Gu = 2.0 * (xv * xuv + yv * yuv + zv * zuv)
-    Gv = 2.0 * (xv * xvv + yv * yvv + zv * zvv)
-    return E, F, G, a, _christoffel2(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, a)
+    try:
+        partials = taped(_geometry, _PARTIALS)(k)
+    except OverflowError:
+        raise _overflow(u, v) from None
+    return E, F, G, a, _christoffel2(E, F, G, *partials, a)
 
 
 def metric_and_gamma(surface, u, v):

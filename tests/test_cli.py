@@ -186,21 +186,27 @@ class TestEval:
         assert code == 0 and len(calls) == 1
         assert out.count(" class = Helix") == 16
 
-    def test_curve_class_error_at_every_point(self, capsys, monkeypatch,
-                                              tmp_path):
+    def test_curve_class_error_once_for_the_curve(self, capsys, monkeypatch,
+                                                  tmp_path):
+        # the class is the whole curve's: its error is reported once, in
+        # the summary and on stderr, naming no grid point, and the other
+        # quantities are still evaluated at every point
         def failing(shape):
             raise DomainError("no class")
 
         monkeypatch.setattr(cli, "classify_curve", failing)
         out_json = tmp_path / "r.json"
         assert main(["eval", "--shape", "helix", "--grid", "3", "--quantity",
-                     "class", "--json", str(out_json)]) == 3
-        err = capsys.readouterr().err
-        records = json.loads(out_json.read_text())["records"]
-        assert [r["status"] for r in records] == ["DomainError: no class"] * 3
-        first = records[0]["point"][0]
-        assert err.splitlines()[0] == (f"error at point ({first!r},) (class): "
+                     "class", "--quantity", "kappa", "--json",
+                     str(out_json)]) == 3
+        out, err = capsys.readouterr()
+        data = json.loads(out_json.read_text())
+        assert data["summary"] == {"class_error": "DomainError: no class"}
+        assert [(r["quantity"], r["status"]) for r in data["records"]] == [
+            ("kappa", "ok")] * 3
+        assert err.splitlines()[0] == ("error for the whole curve (class): "
                                        "DomainError: no class")
+        assert (out + err).count("no class") == 1
 
 
 class TestTinySurfaces:
@@ -938,6 +944,43 @@ class TestReportFormat:
     def test_json_escaping_and_order(self):
         s = dump_json({"b": 1, "a": [True, None, "x\"y"]})
         assert s == '{"b":1,"a":[true,null,"x\\"y"]}'
+        # control characters and surrogates as \uXXXX beside an escaped
+        # quote and backslash; any other character as it is
+        text = 'a\tb\x00\x1f"\\\udcff\xe9\xa0\x7f'
+        want = r'"a\u0009b\u0000\u001f\"\\\udcff' + '\xe9\xa0\x7f"'
+        assert dump_json({text: text}) == "{" + want + ":" + want + "}"
+        assert json.loads(want) == text
+
+    def test_tab_in_file_surface_name(self, capsys, tmp_path):
+        path = tmp_path / "tab.ps"
+        path.write_text(WIDE_PLANE.replace("surface wide",
+                                           "surface my\tname"))
+        out_json = tmp_path / "r.json"
+        code, _ = run(capsys, "eval", "--file", str(path), "--at", "0.3,0.4",
+                      "--quantity", "K", "--json", str(out_json))
+        assert code == 0
+        with open(out_json, encoding="utf-8") as fh:
+            assert json.load(fh)["shape"]["name"] == "my\tname"
+
+    def test_tab_in_text_param(self, capsys, tmp_path):
+        out_json = tmp_path / "r.json"
+        code, _ = run(capsys, "eval", "--shape", "monge", "--param",
+                      "f=u*\tv", "--at", "0.3,0.4", "--quantity", "K",
+                      "--json", str(out_json))
+        assert code == 0
+        with open(out_json, encoding="utf-8") as fh:
+            assert json.load(fh)["shape"]["params"] == {"f": "u*\tv"}
+
+    def test_file_path_not_utf8(self, capsys, tmp_path):
+        path = os.fsdecode(os.fsencode(str(tmp_path)) + b"/bad\xff.ps")
+        with open(path, "w") as fh:
+            fh.write(WIDE_PLANE)
+        out_json = tmp_path / "r.json"
+        code, _ = run(capsys, "eval", "--file", path, "--at", "0.3,0.4",
+                      "--quantity", "K", "--json", str(out_json))
+        assert code == 0
+        with open(out_json, encoding="utf-8") as fh:
+            assert json.load(fh)["shape"]["path"] == "bad\udcff.ps"
 
     def test_no_partial_file_on_serialization_failure(self, tmp_path):
         from diffgeo.report import write_json

@@ -1,6 +1,6 @@
 """Surface curves over floats against the Jet1 chains they replace, kept in
-``reference``: a curve's rows (written directly, generated for definitions
-and loop arcs, read from Hermite quintics) against its Jet1 form, the
+``reference``: a curve's rows (generated per built-in kind, definition
+and loop arc, and over Hermite quintics) against its Jet1 form, the
 surfaces' composite kernels (order-4 code with jet inputs) and every
 check along a curve, equal by ``repr``, errors matched by type and
 message."""
@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 
 import reference
-from diffgeo import catalog, expr
+from diffgeo import catalog, expr, ode
 from diffgeo.interpolate import HermiteChannel, taylor_kernel
 from diffgeo.jets import Jet1
 from diffgeo.surfacecurves import (SurfaceCurve, _exterior_angle, _kappa_g_dt,
@@ -158,6 +158,27 @@ def test_rows_equal_jet1_signed_zeros_included():
                     assert got == _outcome(_jet_rows, free, t)
                 checked += isinstance(want, str)
     assert checked >= 1400
+
+
+def test_built_in_curves_share_one_generated_kernel_per_kind(monkeypatch):
+    # each kind's order-4 code is generated once; curves of other
+    # constants bind it again and compile nothing
+    compiled, compile_ = [], ode._compile
+    monkeypatch.setattr(ode, "_compile", lambda lines, name, *args: (
+        compiled.append(name) or compile_(lines, name, *args)))
+    expr._GENERATED.clear()
+    shape = catalog.make("plane")
+    for make in (lambda k: SurfaceCurve.const_v(shape, 0.1 * k),
+                 lambda k: SurfaceCurve.const_u(shape, -0.2 * k),
+                 lambda k: SurfaceCurve.straight(shape, (k, 0.5),
+                                                 (1.0, -k)),
+                 lambda k: SurfaceCurve.quadratic(shape, (0.5, k), (k, 2.0),
+                                                  (0.3 * k, -1.0),
+                                                  (-1.0, 1.0))):
+        first, second = make(1.0), make(3.0)
+        assert first.kernel.__code__ is second.kernel.__code__
+        assert first.kernel(0.25) != second.kernel(0.25)
+    assert compiled == ["<position kernel>"] * 4
 
 
 @pytest.mark.parametrize("name, shape, points", SHAPES,

@@ -2,8 +2,8 @@
 metric and Christoffel values, the area and total-curvature integrands)
 equal the plain Python formulas kept in ``reference`` by ``repr``, and
 raise what they raise, with the same message: the fields' tangent
-projection, the metric and its one Christoffel formula, and the point
-bundle's area element and K sqrt(a).  Each field's fused Dormand-Prince
+projection, the metric and Christoffel values as the point bundle's tapes
+give them, and the point bundle's area element and K sqrt(a).  Each field's fused Dormand-Prince
 attempt equals the generic attempt over the same program by ``repr``,
 errors included, so that a solve gives the same bits whether the field's
 lines are written into the attempt or called at each stage."""

@@ -533,6 +533,18 @@ class TestMetricFastPath:
             assert reference.metric_gamma(jet2, u, v) == tuple(want)
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_equals_the_point_bundle(self, name):
+        # one written source: the _METRIC and _PARTIALS tapes and
+        # _christoffel2 over their floats, in both programs
+        shape = catalog.make(name)
+        rng = random.Random(zlib.crc32(b"metric bundle " + name.encode()))
+        for u, v in surface_samples(name, shape, rng, 100):
+            md = metric_and_gamma(shape, u, v)
+            p = _SurfacePoint(shape, u, v)
+            assert ((md.E, md.F, md.G), md.a, md.gamma2) == (
+                p.EFG, p.a, p.gamma2), (u, v)
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_gamma_field_equals_metric_and_gamma(self, name):
         # the fields' tangent projection and metric_and_gamma's Christoffel
         # formula are two roundings of -Gamma(X, Y): they agree to 1e-14
@@ -691,9 +703,10 @@ class TestPointReuse:
 
     @pytest.mark.parametrize("name", ["torus", "pseudosphere", "enneper"])
     def test_verify_builds_each_bundle_once(self, monkeypatch, name):
-        # the default table's 40 points: one bundle, one run of the point
-        # program and one of the identity program each, and a second run
-        # compiles no code
+        # the default table's 40 points, and 200, more than the store's
+        # default 80 bundles: one bundle, one run of the point program and
+        # one of the identity program each, and a second run compiles no
+        # code
         built = collections.Counter()
         ran = {formulas: collections.Counter() for formulas in (
             surfaces._point_terms, surfaces._identity_terms)}
@@ -715,12 +728,16 @@ class TestPointReuse:
         monkeypatch.setattr(surfaces.ParametricSurface, "program",
                             counted_program)
         argv = ["verify", "--shape", name, "--seed", "5"]
-        assert cli.main(argv) == 0
-        assert max(built.values()) == 1
-        assert len(built) == 40
-        assert sum(ran[surfaces._point_terms].values()) == 40
-        assert ran[surfaces._point_terms] == built
-        assert ran[surfaces._identity_terms] == built
+        for samples, more in ((40, []), (200, ["--samples", "200"])):
+            built.clear()
+            for counter in ran.values():
+                counter.clear()
+            assert cli.main(argv + more) == 0
+            assert max(built.values()) == 1
+            assert len(built) == samples
+            assert sum(ran[surfaces._point_terms].values()) == samples
+            assert ran[surfaces._point_terms] == built
+            assert ran[surfaces._identity_terms] == built
 
         compiled = []
         compile_ = ode._compile
